@@ -371,13 +371,17 @@ type fig8JSON struct {
 	// are machine-independent at a fixed seed (sequential search), so
 	// -compare gates them with -work-tolerance, far tighter than the
 	// timing tolerance.
-	Decisions     int64   `json:"decisions,omitempty"`
-	Propagations  int64   `json:"propagations,omitempty"`
-	ClauseDBBytes int64   `json:"clause_db_bytes,omitempty"`
-	ProofBytes    int64   `json:"proof_bytes,omitempty"`
-	ProofSteps    int     `json:"proof_steps,omitempty"`
-	ProofLemmas   int     `json:"proof_lemmas,omitempty"`
-	ProofCheckMs  float64 `json:"proof_check_ms,omitempty"`
+	Decisions     int64 `json:"decisions,omitempty"`
+	Propagations  int64 `json:"propagations,omitempty"`
+	ClauseDBBytes int64 `json:"clause_db_bytes,omitempty"`
+	ProofBytes    int64 `json:"proof_bytes,omitempty"`
+	ProofSteps    int   `json:"proof_steps,omitempty"`
+	ProofLemmas   int   `json:"proof_lemmas,omitempty"`
+	// ProofHinted + ProofFallbacks are the lemmas the checker had to
+	// propagate for; the CI certify job holds ProofFallbacks at zero.
+	ProofHinted    int     `json:"proof_hinted,omitempty"`
+	ProofFallbacks int     `json:"proof_fallbacks,omitempty"`
+	ProofCheckMs   float64 `json:"proof_check_ms,omitempty"`
 	// With -profile-origins: the solve time of the origin-tracked rerun
 	// and its overhead relative to the plain solve, in percent.
 	TrackedSolveMs    float64 `json:"tracked_solve_ms,omitempty"`
@@ -394,7 +398,7 @@ type fig8JSON struct {
 // size.
 func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every int64, passes, tiers string, certify, profOrig bool, profOut string) error {
 	fmt.Println("# Figure 8: verification time (ms) per property and fabric size")
-	fmt.Println("pods\trouters\tproperty\ttier\tms\tencode_ms\tsimplify_ms\tsolve_ms\tfastpath_ms\tverified\tsat_vars\tsat_clauses\tconflicts\tdecisions\tpropagations\tdb_bytes\tproof_bytes\tproof_steps\tproof_lemmas\tproof_check_ms")
+	fmt.Println("pods\trouters\tproperty\ttier\tms\tencode_ms\tsimplify_ms\tsolve_ms\tfastpath_ms\tverified\tsat_vars\tsat_clauses\tconflicts\tdecisions\tpropagations\tdb_bytes\tproof_bytes\tproof_steps\tproof_lemmas\tproof_fallbacks\tproof_check_ms")
 	var art []fig8JSON
 	var profiles []*provenance.Profile
 	var baseSolve, trackedSolve time.Duration
@@ -430,13 +434,13 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 			if tier == "" {
 				tier = tiered.TierSAT
 			}
-			fmt.Printf("%d\t%d\t%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
+			fmt.Printf("%d\t%d\t%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
 				row.Pods, row.Routers, row.Property, tier,
 				toMs(row.Elapsed), toMs(row.Encode), toMs(row.Simplify), toMs(row.Solve),
 				toMs(row.FastPath),
 				row.Verified, row.SATVars, row.SATClauses, row.Conflicts,
 				row.Decisions, row.Propagations, row.ClauseDBBytes, row.ProofBytes,
-				row.ProofSteps, row.ProofLemmas, toMs(row.ProofCheck))
+				row.ProofSteps, row.ProofLemmas, row.ProofFallbacks, toMs(row.ProofCheck))
 			jrow := fig8JSON{
 				Pods: row.Pods, Routers: row.Routers, Property: row.Property,
 				Ms: toMs(row.Elapsed), EncodeMs: toMs(row.Encode),
@@ -446,6 +450,7 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 				Decisions: row.Decisions, Propagations: row.Propagations,
 				ClauseDBBytes: row.ClauseDBBytes, ProofBytes: row.ProofBytes,
 				ProofSteps: row.ProofSteps, ProofLemmas: row.ProofLemmas,
+				ProofHinted: row.ProofHinted, ProofFallbacks: row.ProofFallbacks,
 				ProofCheckMs: toMs(row.ProofCheck),
 				Tier:         tier, FastPathMs: toMs(row.FastPath),
 			}

@@ -597,6 +597,8 @@ type jsonProof struct {
 	Inputs    int     `json:"inputs"`
 	Lemmas    int     `json:"lemmas"`
 	Deletions int     `json:"deletions"`
+	Hinted    int     `json:"hinted"`
+	Fallbacks int     `json:"fallbacks"`
 	CheckMs   float64 `json:"check_ms"`
 }
 
@@ -707,6 +709,7 @@ func emitJSONResult(o cliOpts, res *core.Result, m *core.Model, tr *obs.Trace, m
 		rep.Proof = &jsonProof{
 			Checked: cert.Checked, Steps: cert.Steps,
 			Inputs: cert.Inputs, Lemmas: cert.Lemmas, Deletions: cert.Deletions,
+			Hinted: cert.Hinted, Fallbacks: cert.Fallbacks,
 			CheckMs: durMs(cert.CheckElapsed),
 		}
 	}
@@ -786,8 +789,8 @@ func report(check string, res *core.Result, m *core.Model, verbose bool, mod mod
 		fmt.Println("mode: monolithic (single component or goal outside the modular vocabulary)")
 	}
 	if cert := res.Certificate; cert != nil {
-		fmt.Printf("proof: checked (%d steps, %d lemmas, %d deletions, %.1fms check)\n",
-			cert.Steps, cert.Lemmas, cert.Deletions, durMs(cert.CheckElapsed))
+		fmt.Printf("proof: checked (%d steps, %d lemmas, %d hinted, %d fallbacks, %d deletions, %.1fms check)\n",
+			cert.Steps, cert.Lemmas, cert.Hinted, cert.Fallbacks, cert.Deletions, durMs(cert.CheckElapsed))
 	}
 	if len(res.Blame) > 0 {
 		if res.Verified {

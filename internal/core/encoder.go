@@ -82,8 +82,7 @@ type Options struct {
 	// "off" (or empty, the default) keeps the sequential search,
 	// "portfolio" races differently-configured solver clones,
 	// "cubes" splits on environment/failure variables, and "auto" picks
-	// per query. With a parallel strategy on, UNSAT certification also
-	// replays the DRAT trace with the concurrent segment checker.
+	// per query.
 	Parallel string
 	// ParallelWorkers bounds solver-level parallelism; <=0 means one
 	// worker per CPU.

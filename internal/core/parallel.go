@@ -22,16 +22,6 @@ func (m *Model) parallelWorkers() int {
 	return runtime.NumCPU()
 }
 
-// certifyWorkers is the concurrency of the DRAT replay: parallel checks
-// use the segment checker with the same worker budget as the solve, so
-// certification overhead shrinks with the solve time it shadows.
-func (m *Model) certifyWorkers() int {
-	if !m.parallelEnabled() {
-		return 1
-	}
-	return m.parallelWorkers()
-}
-
 // parallelOptions assembles the psolve configuration for one check on
 // the given solver.
 func (m *Model) parallelOptions(solver *smt.Solver) psolve.Options {

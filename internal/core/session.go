@@ -346,7 +346,7 @@ func (s *Session) CheckContext(ctx context.Context, property *smt.Term, assumpti
 			if outcome != nil {
 				checkProof, bases = outcome.Proof, outcome.OriginBases
 			}
-			cert, core, err := certify(sp, checkProof, m.Opts.Blame, m.certifyWorkers(), s.ss.Assumptions()...)
+			cert, core, err := certify(sp, checkProof, m.Opts.Blame, s.ss.Assumptions()...)
 			if err != nil {
 				return nil, err
 			}

@@ -116,6 +116,10 @@ type Certificate struct {
 	// Steps by kind.
 	Steps, Lits               int
 	Inputs, Lemmas, Deletions int
+	// Hinted counts the lemmas the checker verified from the antecedents
+	// the solver recorded, Fallbacks those it had to search the whole
+	// clause database for; a solver-recorded trace has no fallbacks.
+	Hinted, Fallbacks int
 	// CheckElapsed is the checker's replay time, reported separately from
 	// the solve phases (certification is off the verdict path).
 	CheckElapsed time.Duration
@@ -126,21 +130,17 @@ type Certificate struct {
 // the trace does not establish UNSAT — in which case the caller must not
 // report a verdict. With wantCore set the checker additionally extracts
 // the unsatisfiable core (indices of the input steps the refutation
-// depends on) in the same replay; core extraction threads state through
-// the whole trace, so it stays sequential even when workers > 1.
-func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, workers int, assumptions ...sat.Lit) (*Certificate, []int, error) {
+// depends on) in the same replay.
+func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, assumptions ...sat.Lit) (*Certificate, []int, error) {
 	cSp := sp.Start("certify")
 	defer cSp.End()
 	start := time.Now()
 	var st *drat.Stats
 	var core []int
 	var err error
-	switch {
-	case wantCore:
+	if wantCore {
 		st, core, err = drat.CheckCore(proof, assumptions...)
-	case workers > 1:
-		st, err = drat.CheckParallel(proof, workers, assumptions...)
-	default:
+	} else {
 		st, err = drat.Check(proof, assumptions...)
 	}
 	elapsed := time.Since(start)
@@ -159,6 +159,8 @@ func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, workers int, assumpt
 		Inputs:       st.Inputs,
 		Lemmas:       st.Lemmas,
 		Deletions:    st.Deletions,
+		Hinted:       st.Hinted,
+		Fallbacks:    st.Fallbacks,
 		CheckElapsed: elapsed,
 	}, core, nil
 }
@@ -417,11 +419,17 @@ func (m *Model) checkGoal(ctx context.Context, cn *CompiledNetwork, prior []pass
 			// A parallel run's certificate is the adopted trace (the
 			// winner's, or the stitched multi-cube proof), resolved against
 			// whichever origin tables it refers to.
-			checkProof, bases := proof, solver.OriginSetBases
+			checkProof := proof
 			if outcome != nil {
-				checkProof, bases = outcome.Proof, outcome.OriginBases
+				checkProof = outcome.Proof
 			}
-			cert, core, err := certify(sp, checkProof, m.Opts.Blame, m.certifyWorkers())
+			if !track {
+				// The check reads the trace alone and only origin tables are
+				// read after it: let the clause database go before the
+				// checker builds its own.
+				solver = nil
+			}
+			cert, core, err := certify(sp, checkProof, m.Opts.Blame)
 			if err != nil {
 				return nil, err
 			}
@@ -432,6 +440,10 @@ func (m *Model) checkGoal(ctx context.Context, cn *CompiledNetwork, prior []pass
 			res.CertifyElapsed = cert.CheckElapsed
 			res.Elapsed += res.CertifyElapsed
 			if m.Opts.Blame {
+				bases := solver.OriginSetBases
+				if outcome != nil {
+					bases = outcome.OriginBases
+				}
 				res.Blame = m.blameFromCore(bases, checkProof, core)
 				msnap = ledger.Child("blame").Charge(msnap)
 			}

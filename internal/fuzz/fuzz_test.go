@@ -158,12 +158,19 @@ func cnfFromBytes(data []byte) (nv int, clauses [][]int) {
 // FuzzSolverDrat fuzzes the SAT core against the independent proof
 // checker: solve a random CNF, block each model found (exercising the
 // proof across incremental AddClause/Solve rounds), and when the
-// instance turns UNSAT the recorded trace must pass drat.Check. SAT
-// models are validated against every clause.
+// instance turns UNSAT the recorded trace must pass drat.Check twice:
+// as recorded, every lemma verified from the solver's hints, and with
+// the hints stripped, every lemma verified by search. SAT models are
+// validated against every clause.
 func FuzzSolverDrat(f *testing.F) {
 	f.Add([]byte{0x05, 0x02, 0x03, 0x05, 0x08, 0x0b, 0x0d})
 	f.Add([]byte{0x00, 0x01, 0x03, 0x05, 0x00, 0x02, 0x04, 0x01, 0x02, 0x05})
 	f.Add([]byte{0xff, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87, 0x98})
+	// All eight sign patterns over three variables: UNSAT only through
+	// learned lemmas, so both checking paths have something to verify.
+	f.Add([]byte{0x00,
+		0, 2, 4, 1, 2, 4, 0, 3, 4, 1, 3, 4,
+		0, 2, 5, 1, 2, 5, 0, 3, 5, 1, 3, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip("too short")
@@ -191,8 +198,20 @@ func FuzzSolverDrat(f *testing.F) {
 		for round := 0; round < 6; round++ {
 			switch st := s.Solve(); st {
 			case sat.Unsat:
-				if _, err := drat.Check(proof); err != nil {
+				st, err := drat.Check(proof)
+				if err != nil {
 					t.Fatalf("round %d: UNSAT proof rejected: %v", round, err)
+				}
+				if st.Fallbacks != 0 {
+					t.Fatalf("round %d: %d of %d lemmas not verified from the solver's hints", round, st.Fallbacks, st.Lemmas)
+				}
+				bare, err := drat.Check(sat.RebuildProof(proof.Steps()))
+				if err != nil {
+					t.Fatalf("round %d: UNSAT proof rejected once its hints were stripped: %v", round, err)
+				}
+				if bare.Hinted != 0 || bare.Fallbacks != st.Hinted {
+					t.Fatalf("round %d: stripped trace verified %d lemmas from hints and %d by search, want 0 and %d",
+						round, bare.Hinted, bare.Fallbacks, st.Hinted)
 				}
 				return
 			case sat.Sat:

@@ -262,7 +262,12 @@ type Fig8Row struct {
 	Conflicts   int64
 	ProofSteps  int
 	ProofLemmas int
-	ProofCheck  time.Duration
+	// ProofHinted/ProofFallbacks split the lemmas the checker did not
+	// find already entailed: verified from the solver's recorded
+	// antecedents, or by searching the whole database.
+	ProofHinted    int
+	ProofFallbacks int
+	ProofCheck     time.Duration
 	// Deterministic work columns, from the adopted search's counters and
 	// the cost ledger's byte estimates. At a fixed seed with a sequential
 	// search these are machine-independent, so the regression gate holds
@@ -547,6 +552,8 @@ func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
 	if cert := res.Certificate; cert != nil {
 		row.ProofSteps = cert.Steps
 		row.ProofLemmas = cert.Lemmas
+		row.ProofHinted = cert.Hinted
+		row.ProofFallbacks = cert.Fallbacks
 		row.ProofCheck = cert.CheckElapsed
 	}
 	row.Profile = res.OriginProfile

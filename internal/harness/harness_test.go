@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netgen"
 )
 
@@ -126,5 +127,70 @@ func TestAblationMonotone(t *testing.T) {
 	}
 	if none.SATClauses <= both.SATClauses {
 		t.Fatalf("optimizations should shrink the CNF: %d vs %d", none.SATClauses, both.SATClauses)
+	}
+}
+
+// TestCertifiedFabricNeverFallsBack holds hint coverage to a count: on
+// the pods-2 fabric every lemma of every certified verdict — fresh
+// solver, portfolio winner (whose trace continues a clone's), and one
+// long-lived session — is verified from the antecedents the solver
+// recorded. A clause that reaches the database without a step id shows
+// up here as a fallback, not months later as a slow benchmark.
+func TestCertifiedFabricNeverFallsBack(t *testing.T) {
+	f, err := BuildFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Certify = true
+	for _, parallel := range []string{"", "portfolio"} {
+		f.Parallel, f.ParallelWorkers = parallel, 2
+		hinted := 0
+		for _, prop := range AllFig8Props() {
+			if prop == Fig8LocalConsist {
+				continue // structural: no proof
+			}
+			row, err := RunFig8Property(f, prop)
+			if err != nil {
+				t.Fatalf("parallel=%q %s: %v", parallel, prop, err)
+			}
+			if !row.Verified || row.ProofLemmas == 0 {
+				t.Fatalf("parallel=%q %s: verified=%v with %d lemmas, want a checked proof", parallel, prop, row.Verified, row.ProofLemmas)
+			}
+			if row.ProofFallbacks != 0 {
+				t.Errorf("parallel=%q %s: %d of %d lemmas fell back to search", parallel, prop, row.ProofFallbacks, row.ProofLemmas)
+			}
+			hinted += row.ProofHinted
+		}
+		if hinted == 0 {
+			t.Errorf("parallel=%q: no lemma was verified from hints", parallel)
+		}
+	}
+
+	f.Parallel = ""
+	m, err := f.encode(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := m.NewSession()
+	hinted := 0
+	for _, bp := range batchProps(f) {
+		p, assumptions := bp.Build(m)
+		res, err := sess.Check(p, assumptions...)
+		if err != nil {
+			t.Fatalf("session %s: %v", bp.Name, err)
+		}
+		if !res.Verified {
+			continue
+		}
+		if res.Certificate == nil || !res.Certificate.Checked {
+			t.Fatalf("session %s: verified without a checked proof", bp.Name)
+		}
+		if res.Certificate.Fallbacks != 0 {
+			t.Errorf("session %s: %d of %d lemmas fell back to search", bp.Name, res.Certificate.Fallbacks, res.Certificate.Lemmas)
+		}
+		hinted += res.Certificate.Hinted
+	}
+	if hinted == 0 {
+		t.Error("session: no lemma was verified from hints")
 	}
 }

@@ -96,7 +96,7 @@ func BoundedLength(m *core.Model, src string, subnet network.Prefix, k int) *smt
 	lens, w := m.PathLengths(m.Main)
 	reach := m.Reach(m.Main, false)
 	return c.Implies(c.And(inSubnet(m, subnet), reach[src]),
-		c.Ule(lens[src], c.BV(uint64(k), w)))
+		atMostHops(c, lens[src], k, w))
 }
 
 // BoundedLengthAll bounds every source at once (the paper's all-ToR form).
@@ -107,9 +107,25 @@ func BoundedLengthAll(m *core.Model, srcs []string, subnet network.Prefix, k int
 	out := c.True()
 	for _, s := range srcs {
 		out = c.And(out, c.Implies(c.And(inSubnet(m, subnet), reach[s]),
-			c.Ule(lens[s], c.BV(uint64(k), w))))
+			atMostHops(c, lens[s], k, w)))
 	}
 	return out
+}
+
+// atMostHops is "length ≤ k" for a path-length counter w bits wide. The
+// counter is sized for the network, not for the bound, so a k it cannot
+// hold must not be cut to w bits (8 hops on three routers would read as
+// 0): it saturates to all ones, which no length reaches, leaving plain
+// reachability. No length is below zero.
+func atMostHops(c *smt.Context, length *smt.Term, k, w int) *smt.Term {
+	if k < 0 {
+		return c.False()
+	}
+	bound, most := uint64(k), ^uint64(0)>>(64-uint(w))
+	if bound > most {
+		bound = most
+	}
+	return c.Ule(length, c.BV(bound, w))
 }
 
 // EqualLengths asserts all listed sources that reach the subnet use paths

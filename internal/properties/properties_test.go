@@ -9,6 +9,7 @@ import (
 	"repro/internal/simulator"
 	"repro/internal/smt"
 	"repro/internal/testnets"
+	"repro/internal/tiered"
 )
 
 func encode(t *testing.T, net *testnets.Net) *core.Model {
@@ -128,6 +129,37 @@ func TestBoundedAndEqualLength(t *testing.T) {
 	m2 := encode(t, net)
 	if res := check(t, m2, EqualLengths(m2, []string{"R1", "R3"}, stub), m2.NoFailures()); res.Verified {
 		t.Fatal("R1 and R3 are at different distances")
+	}
+}
+
+// TestBoundedLengthBeyondCounterWidth is repro 2 of benchmarks/README.md
+// "Found while building": three routers count path lengths in three
+// bits, and a bound of 8 used to be cut to 0 and reported violated. The
+// graph tier never had the counter and is the reference.
+func TestBoundedLengthBeyondCounterWidth(t *testing.T) {
+	net := testnets.OSPFChain(3)
+	stub := pfx("10.100.3.0/24")
+	a := tiered.NewAnalysis(net.Graph)
+	for _, hops := range []int{1, 2, 7, 8, 9, 64, 1 << 40, -1} {
+		want := a.Decide(tiered.Goal{Check: "bounded-length", Src: "R1", Subnet: stub, HasSubnet: true, Hops: hops})
+		if !want.Decided {
+			t.Fatalf("hops %d: graph tier left it undecided (%s)", hops, want.Reason)
+		}
+		m := encode(t, net)
+		got := check(t, m, BoundedLength(m, "R1", stub, hops), m.NoFailures(), DstIn(m, stub))
+		if got.Verified != want.Verified {
+			t.Errorf("hops %d: sat verified=%v, graph tier verified=%v", hops, got.Verified, want.Verified)
+		}
+		srcs := []string{"R1", "R2"}
+		want = a.Decide(tiered.Goal{Check: "bounded-length-all", Srcs: srcs, Subnet: stub, HasSubnet: true, Hops: hops})
+		if !want.Decided {
+			t.Fatalf("hops %d: graph tier left the all-sources form undecided (%s)", hops, want.Reason)
+		}
+		m = encode(t, net)
+		got = check(t, m, BoundedLengthAll(m, srcs, stub, hops), m.NoFailures(), DstIn(m, stub))
+		if got.Verified != want.Verified {
+			t.Errorf("hops %d: sat all-sources verified=%v, graph tier verified=%v", hops, got.Verified, want.Verified)
+		}
 	}
 }
 

@@ -287,20 +287,35 @@ func pickSplitVars(template, probe *sat.Solver, opts Options, assumptions []sat.
 // clauses independently, and a checker database that only grows keeps
 // every later RUP check valid. Origin ids recorded by the clones are
 // re-interned into the template's tables so one solver resolves the whole
-// stitched trace.
+// stitched trace, and the clones' hints are renumbered to it; the ¬cube
+// and merge steps carry none and are checked by search.
 func stitchProof(template *sat.Solver, prefix int, cubeLits [][]sat.Lit, solvers []*sat.Solver) *sat.Proof {
 	p := sat.NewProof()
-	for _, st := range template.Proof().Steps() {
-		p.AppendShared(st)
+	for j, st := range template.Proof().Steps() {
+		p.AppendShared(st, template.Proof().Hints(j)...)
 	}
 	negCubes := make([][]sat.Lit, len(solvers))
+	var hints []int32
 	for i, s := range solvers {
 		// Origin-set ids diverge across clones past the shared prefix, so
 		// the remap cache is per clone.
 		remapped := map[int32]int32{}
-		for _, st := range s.Proof().Steps()[prefix:] {
+		// So do step ids: moved[j] is where the clone's step prefix+j lands
+		// in the stitched trace. Dropped deletes leave every clause a hint
+		// names in the database.
+		tail := s.Proof().Steps()[prefix:]
+		moved := make([]int32, len(tail))
+		for j, st := range tail {
+			moved[j] = int32(p.NumSteps())
 			if st.Kind == sat.ProofDelete {
 				continue
+			}
+			hints = hints[:0]
+			for _, h := range s.Proof().Hints(prefix + j) {
+				if int(h) >= prefix {
+					h = moved[int(h)-prefix]
+				}
+				hints = append(hints, h)
 			}
 			origin := st.Origin
 			if origin != 0 {
@@ -311,7 +326,7 @@ func stitchProof(template *sat.Solver, prefix int, cubeLits [][]sat.Lit, solvers
 				}
 				origin = id
 			}
-			p.AppendShared(sat.ProofStep{Kind: st.Kind, Lits: st.Lits, Origin: origin})
+			p.AppendShared(sat.ProofStep{Kind: st.Kind, Lits: st.Lits, Origin: origin}, hints...)
 		}
 		neg := make([]sat.Lit, len(cubeLits[i]))
 		for j, l := range cubeLits[i] {

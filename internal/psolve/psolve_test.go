@@ -92,8 +92,12 @@ func TestPortfolioParityRandom(t *testing.T) {
 			if out.Proof == nil {
 				t.Fatalf("instance %d: UNSAT without proof", i)
 			}
-			if _, err := drat.Check(out.Proof); err != nil {
+			st, err := drat.Check(out.Proof)
+			if err != nil {
 				t.Fatalf("instance %d: winner's proof rejected: %v", i, err)
+			}
+			if st.Fallbacks != 0 {
+				t.Fatalf("instance %d: winner's proof lost hints across Clone: %d fallbacks", i, st.Fallbacks)
 			}
 		}
 		if out.Portfolio == nil || out.Portfolio.Workers != 4 {
@@ -126,16 +130,65 @@ func TestCubesParityAndStitchedProof(t *testing.T) {
 			if out.Proof == nil {
 				t.Fatalf("instance %d: UNSAT without proof", i)
 			}
-			if _, err := drat.Check(out.Proof); err != nil {
+			st, err := drat.Check(out.Proof)
+			if err != nil {
 				t.Fatalf("instance %d: stitched proof rejected: %v", i, err)
 			}
 			if out.Cube != nil && !out.Cube.ProbeDecided {
 				stitched++
+				// Only the ¬cube clauses and their merge tree come without
+				// hints.
+				if st.Fallbacks >= 2*out.Cube.Cubes {
+					t.Fatalf("instance %d: %d fallbacks stitching %d cubes", i, st.Fallbacks, out.Cube.Cubes)
+				}
+			} else if st.Fallbacks != 0 {
+				t.Fatalf("instance %d: probe's proof has %d fallbacks", i, st.Fallbacks)
 			}
 		}
 	}
 	if stitched == 0 {
 		t.Fatal("no run exercised proof stitching (every UNSAT was probe-decided); lower ProbeConflicts")
+	}
+}
+
+// TestStitchedProofKeepsHints stitches cubes that each need real search,
+// so their lemmas resolve on lemmas of the same cube: hints that name
+// step ids past the shared prefix and have to be renumbered. Every lemma
+// a cube learned must still be verified from its hints; only the ¬cube
+// clauses and their merge tree are left to search.
+func TestStitchedProofKeepsHints(t *testing.T) {
+	template := sat.New()
+	template.EnableProof()
+	cands := pigeonhole(template, 6)
+	prefix := template.Proof().NumSteps()
+	out, err := Solve(context.Background(), template,
+		Options{Mode: ModeCubes, Workers: 4, Candidates: cands, ProbeConflicts: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Status != sat.Unsat || out.Cube == nil || out.Cube.ProbeDecided {
+		t.Fatalf("PHP(6): status %v, cube report %+v, want a stitched refutation", out.Status, out.Cube)
+	}
+	renumbered := 0
+	for i := prefix; i < out.Proof.NumSteps(); i++ {
+		for _, h := range out.Proof.Hints(i) {
+			if int(h) >= i {
+				t.Fatalf("step %d hints at step %d, which comes later", i, h)
+			}
+			if int(h) >= prefix {
+				renumbered++
+			}
+		}
+	}
+	if renumbered == 0 {
+		t.Fatal("no cube lemma resolved on another; pick a harder instance")
+	}
+	st, err := drat.Check(out.Proof)
+	if err != nil {
+		t.Fatalf("stitched proof rejected: %v", err)
+	}
+	if st.Hinted == 0 || st.Fallbacks >= 2*out.Cube.Cubes {
+		t.Fatalf("%d hinted, %d fallbacks stitching %d cubes", st.Hinted, st.Fallbacks, out.Cube.Cubes)
 	}
 }
 

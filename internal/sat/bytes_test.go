@@ -1,6 +1,9 @@
 package sat
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestClauseDBBytes pins the accounting formula: 32 bytes per clause
 // plus 4 per literal, over problem and learned clauses alike.
@@ -61,7 +64,7 @@ func TestClauseDBBytesCountsLearnts(t *testing.T) {
 }
 
 // TestProofBytes pins the proof accounting formula: 16 bytes per step
-// plus 4 per literal, nil-safe.
+// plus 4 per literal and per hint, nil-safe.
 func TestProofBytes(t *testing.T) {
 	var nilProof *Proof
 	if nilProof.Bytes() != 0 {
@@ -72,12 +75,73 @@ func TestProofBytes(t *testing.T) {
 		t.Fatal("empty proof bytes != 0")
 	}
 	p.AppendShared(ProofStep{Kind: ProofInput, Lits: []Lit{MkLit(0, false), MkLit(1, true)}})
-	p.AppendShared(ProofStep{Kind: ProofDerive, Lits: []Lit{MkLit(0, false)}})
-	p.AppendShared(ProofStep{Kind: ProofDelete, Lits: nil})
-	if got, want := p.Bytes(), int64(16*3+4*3); got != want {
+	p.AppendShared(ProofStep{Kind: ProofDerive, Lits: []Lit{MkLit(0, false)}}, 0, 0)
+	p.AppendShared(ProofStep{Kind: ProofDelete, Lits: nil}, 1)
+	if got, want := p.Bytes(), int64(16*3+4*3+4*3); got != want {
 		t.Fatalf("proof bytes = %d, want %d", got, want)
 	}
-	if got := int64(16*p.NumSteps() + 4*p.NumLits()); got != p.Bytes() {
-		t.Fatalf("Bytes inconsistent with NumSteps/NumLits: %d vs %d", p.Bytes(), got)
+	if got := int64(16*p.NumSteps() + 4*p.NumLits() + 4*p.NumHints()); got != p.Bytes() {
+		t.Fatalf("Bytes inconsistent with NumSteps/NumLits/NumHints: %d vs %d", p.Bytes(), got)
+	}
+}
+
+// TestHintsCostNoStructGrowth pins what recording hints was allowed to
+// cost per step and per clause: nothing. The step's hint reference and
+// the clause's step id sit in what used to be padding.
+func TestHintsCostNoStructGrowth(t *testing.T) {
+	if got := unsafe.Sizeof(ProofStep{}); got != 40 {
+		t.Errorf("ProofStep is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(clause{}); got != 48 {
+		t.Errorf("clause is %d bytes, want 48", got)
+	}
+}
+
+// TestHintArena fills the arena past several chunk boundaries, with one
+// list longer than a chunk, and reads every step's hints back, from the
+// proof and from a clone that went on recording separately.
+func TestHintArena(t *testing.T) {
+	s := New()
+	p := s.EnableProof()
+	next := int32(0)
+	put := func(p *Proof, n int) []int32 {
+		h := make([]int32, n)
+		for i := range h {
+			h[i] = next
+			next++
+		}
+		p.AppendShared(ProofStep{Kind: ProofDerive}, h...)
+		return h
+	}
+	var want [][]int32
+	for _, n := range []int{0, 1, 1<<hintChunkBits - 1, 2, 0, 1<<hintChunkBits + 5, 3, 1 << hintChunkBits, 7} {
+		want = append(want, put(p, n))
+	}
+	c := s.Clone().Proof()
+	wantP := append(want[:len(want):len(want)], put(p, 9))
+	wantC := append(want[:len(want):len(want)], put(c, 11))
+	for name, q := range map[string]struct {
+		p    *Proof
+		want [][]int32
+	}{"proof": {p, wantP}, "clone": {c, wantC}} {
+		if q.p.NumSteps() != len(q.want) {
+			t.Fatalf("%s: %d steps, want %d", name, q.p.NumSteps(), len(q.want))
+		}
+		total := 0
+		for i, w := range q.want {
+			got := q.p.Hints(i)
+			if len(got) != len(w) {
+				t.Fatalf("%s step %d: %d hints, want %d", name, i, len(got), len(w))
+			}
+			for k := range w {
+				if got[k] != w[k] {
+					t.Fatalf("%s step %d: hint %d is %d, want %d", name, i, k, got[k], w[k])
+				}
+			}
+			total += len(w)
+		}
+		if q.p.NumHints() != total {
+			t.Fatalf("%s: NumHints %d, want %d", name, q.p.NumHints(), total)
+		}
 	}
 }

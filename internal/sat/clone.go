@@ -102,6 +102,7 @@ func (s *Solver) Clone() *Solver {
 				lbd:      c.lbd,
 				learnt:   c.learnt,
 				origin:   c.origin,
+				step:     c.step,
 			}
 			remap[c] = nc
 			out[i] = nc
@@ -142,8 +143,19 @@ func (s *Solver) Clone() *Solver {
 	if s.proof != nil {
 		// Steps are append-only and their literal slices immutable, so the
 		// shallow step copy is safe: template and clone extend distinct
-		// backing arrays from here on.
-		n.proof = &Proof{steps: append([]ProofStep(nil), s.proof.steps...), lits: s.proof.lits}
+		// backing arrays from here on. Full hint chunks are immutable too;
+		// only the one still being filled needs a copy, with the template's
+		// capacity so both lay out what follows identically.
+		n.proof = &Proof{
+			steps:  append([]ProofStep(nil), s.proof.steps...),
+			lits:   s.proof.lits,
+			hints:  append([][]int32(nil), s.proof.hints...),
+			nHints: s.proof.nHints,
+		}
+		if k := len(n.proof.hints) - 1; k >= 0 {
+			open := n.proof.hints[k]
+			n.proof.hints[k] = append(make([]int32, 0, cap(open)), open...)
+		}
 	}
 	if s.origins != nil {
 		n.origins = s.origins.clone()

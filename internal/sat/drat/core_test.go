@@ -73,7 +73,7 @@ func TestCheckCoreAgreesWithCheck(t *testing.T) {
 			continue
 		}
 		unsat++
-		if _, err := Check(p); err != nil {
+		if _, err := checkEveryHinting(t, hintedSteps(p)); err != nil {
 			t.Fatalf("Check rejected a solver proof: %v", err)
 		}
 		_, core, err := CheckCore(p)

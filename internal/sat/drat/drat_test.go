@@ -29,7 +29,8 @@ func randomCNF(rng *rand.Rand, nv int, ratio float64) (*sat.Solver, *sat.Proof) 
 
 // TestAcceptsRandomUnsatProofs generates random small instances until 100
 // unsatisfiable ones have been solved, and requires every recorded proof
-// to check.
+// to check — from its hints alone as recorded, and whatever is done to
+// them.
 func TestAcceptsRandomUnsatProofs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	unsat := 0
@@ -42,12 +43,15 @@ func TestAcceptsRandomUnsatProofs(t *testing.T) {
 			continue
 		}
 		unsat++
-		st, err := Check(p)
+		st, err := checkEveryHinting(t, hintedSteps(p))
 		if err != nil {
 			t.Fatalf("instance %d: valid proof rejected: %v", unsat, err)
 		}
 		if st.Inputs == 0 {
 			t.Fatalf("instance %d: no inputs in stats", unsat)
+		}
+		if st.Fallbacks != 0 {
+			t.Fatalf("instance %d: %d of %d lemmas not verified from the solver's hints", unsat, st.Fallbacks, st.Lemmas)
 		}
 	}
 }
@@ -78,11 +82,6 @@ func pigeonhole(s *sat.Solver, n int) {
 	}
 }
 
-// replay turns a (possibly mutated) step list back into a Proof.
-func replay(steps []sat.ProofStep) *sat.Proof {
-	return sat.RebuildProof(steps)
-}
-
 func TestRejectsDroppedLemmas(t *testing.T) {
 	s := sat.New()
 	p := s.EnableProof()
@@ -90,15 +89,15 @@ func TestRejectsDroppedLemmas(t *testing.T) {
 	if st := s.Solve(); st != sat.Unsat {
 		t.Fatalf("PHP(3) = %v, want unsat", st)
 	}
-	if _, err := Check(p); err != nil {
+	if _, err := checkEveryHinting(t, hintedSteps(p)); err != nil {
 		t.Fatalf("intact proof rejected: %v", err)
 	}
 	// Drop every non-empty derived clause: the remaining trace claims the
 	// empty clause follows from the inputs by propagation alone, which is
 	// false for PHP.
-	var kept []sat.ProofStep
+	var kept []hinted
 	dropped := 0
-	for _, st := range p.Steps() {
+	for _, st := range hintedSteps(p) {
 		if st.Kind == sat.ProofDerive && len(st.Lits) > 0 {
 			dropped++
 			continue
@@ -112,7 +111,7 @@ func TestRejectsDroppedLemmas(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("PHP(3) produced no lemmas; instance too easy")
 	}
-	if _, err := Check(replay(kept)); err == nil {
+	if _, err := checkEveryHinting(t, kept); err == nil {
 		t.Fatal("proof with all lemmas dropped was accepted")
 	}
 }
@@ -125,8 +124,9 @@ func TestRejectsTamperedLemma(t *testing.T) {
 		if s.Solve() != sat.Unsat {
 			continue
 		}
-		steps := append([]sat.ProofStep(nil), p.Steps()...)
-		// Flip one literal of one random multi-literal lemma.
+		steps := hintedSteps(p)
+		// Flip one literal of one random multi-literal lemma, leaving it the
+		// hints of the lemma it was.
 		var idxs []int
 		for i, st := range steps {
 			if st.Kind == sat.ProofDerive && len(st.Lits) > 1 {
@@ -139,8 +139,8 @@ func TestRejectsTamperedLemma(t *testing.T) {
 		i := idxs[rng.Intn(len(idxs))]
 		lits := append([]sat.Lit(nil), steps[i].Lits...)
 		lits[rng.Intn(len(lits))] = lits[rng.Intn(len(lits))].Not()
-		steps[i] = sat.ProofStep{Kind: sat.ProofDerive, Lits: lits}
-		if _, err := Check(replay(steps)); err != nil {
+		steps[i].Lits = lits
+		if _, err := checkEveryHinting(t, steps); err != nil {
 			rejected++
 		}
 		// A tampered lemma can occasionally still be RUP; only a complete
@@ -156,12 +156,11 @@ func TestRejectsUnknownDeletion(t *testing.T) {
 	p := s.EnableProof()
 	x, y, z := s.NewVar(), s.NewVar(), s.NewVar()
 	s.AddClause(sat.MkLit(x, false), sat.MkLit(y, false))
-	steps := append([]sat.ProofStep(nil), p.Steps()...)
-	steps = append(steps, sat.ProofStep{
+	steps := append(hintedSteps(p), hinted{ProofStep: sat.ProofStep{
 		Kind: sat.ProofDelete,
 		Lits: []sat.Lit{sat.MkLit(x, false), sat.MkLit(z, false)},
-	})
-	if _, err := Check(replay(steps)); err == nil {
+	}})
+	if _, err := checkEveryHinting(t, steps); err == nil {
 		t.Fatal("deletion of a clause never added was accepted")
 	}
 }
@@ -174,7 +173,7 @@ func TestRejectsSatTrace(t *testing.T) {
 	if st := s.Solve(); st != sat.Sat {
 		t.Fatalf("got %v, want sat", st)
 	}
-	if _, err := Check(p); err == nil {
+	if _, err := checkEveryHinting(t, hintedSteps(p)); err == nil {
 		t.Fatal("trace of a satisfiable run was accepted as an unsat certificate")
 	}
 }
@@ -182,5 +181,32 @@ func TestRejectsSatTrace(t *testing.T) {
 func TestNilProof(t *testing.T) {
 	if _, err := Check(nil); err == nil {
 		t.Fatal("nil proof accepted")
+	}
+}
+
+// TestTruncatedTraces cuts solver traces at a random step: whether what
+// is left still demonstrates unsatisfiability (earlier installs may
+// already conflict) or not, every hinting must agree on it — the hints
+// of the surviving steps still name what they named.
+func TestTruncatedTraces(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	accepted, rejected := 0, 0
+	for tries := 0; accepted+rejected < 50; tries++ {
+		if tries > 5000 {
+			t.Fatalf("only %d unsat instances in %d tries", accepted+rejected, tries)
+		}
+		s, p := randomCNF(rng, 8+rng.Intn(12), 5.2)
+		if s.Solve() != sat.Unsat || p.NumSteps() < 2 {
+			continue
+		}
+		steps := hintedSteps(p)
+		if _, err := checkEveryHinting(t, steps[:1+rng.Intn(len(steps)-1)]); err != nil {
+			rejected++
+		} else {
+			accepted++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no truncated trace was rejected")
 	}
 }

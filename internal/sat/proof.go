@@ -38,9 +38,14 @@ func (k ProofKind) String() string {
 // origin-set id of the clause (see Solver.SetOrigin); 0 when origin
 // tracking is off.
 type ProofStep struct {
-	Kind   ProofKind
+	Kind ProofKind
+	// nHints and hintAt locate the step's hints on the Proof that holds
+	// the step (Proof.Hints); they sit where the struct had padding, so
+	// hints do not grow the step.
+	nHints int32
 	Lits   []Lit
 	Origin int32
+	hintAt uint32
 }
 
 // Proof is a chronological DRAT-style trace of one solver's clause
@@ -49,10 +54,27 @@ type ProofStep struct {
 // Solve calls) interleaves Input steps after Derive steps; a checker must
 // process the trace in order. The trace certifies verdicts relative to
 // the database as of EnableProof.
+//
+// Steps may carry hints: the step ids (indices into Steps) of the clauses
+// the solver resolved to obtain a Derive step, in an order in which they
+// unit-propagate to the conflict, or the id of the step whose clause a
+// Delete step removes. Hints only tell a checker where to look first; a
+// trace without them certifies exactly the same thing.
 type Proof struct {
 	steps []ProofStep
 	lits  int
+	// hints is the arena every step's hints live in, cut into chunks of
+	// fixed capacity: a long search records tens of megabytes of them,
+	// and one growing slice would copy all of that again each time it
+	// grew. A step's hints are contiguous in one chunk, at
+	// ProofStep.hintAt (chunk index above hintChunkBits, offset below).
+	hints  [][]int32
+	nHints int
 }
+
+// hintChunkBits sizes a hint chunk: 64Ki hints, 256 KiB. A longer hint
+// list gets a chunk of its own.
+const hintChunkBits = 16
 
 // Steps returns the recorded steps. The slice and its literal slices are
 // owned by the proof; callers must not mutate them.
@@ -65,16 +87,51 @@ func (p *Proof) NumSteps() int { return len(p.steps) }
 // the proof's size in memory and on disk.
 func (p *Proof) NumLits() int { return p.lits }
 
+// Hints returns step i's hints (see Proof). The slice is owned by the
+// proof; callers must not mutate it.
+func (p *Proof) Hints(i int) []int32 {
+	st := &p.steps[i]
+	if st.nHints == 0 {
+		return nil
+	}
+	off := st.hintAt & (1<<hintChunkBits - 1)
+	return p.hints[st.hintAt>>hintChunkBits][off : off+uint32(st.nHints)]
+}
+
+// NumHints returns the total hint count across all steps.
+func (p *Proof) NumHints() int { return p.nHints }
+
+// putHints copies h into the arena and returns where it went.
+func (p *Proof) putHints(h []int32) (at uint32, n int32) {
+	if len(h) == 0 {
+		return 0, 0
+	}
+	k := len(p.hints) - 1
+	if k < 0 || cap(p.hints[k])-len(p.hints[k]) < len(h) {
+		if k+1 == 1<<(32-hintChunkBits) {
+			// Out of addresses (16 GiB of hints): the step goes unhinted,
+			// which costs a checker time and nothing else.
+			return 0, 0
+		}
+		p.hints = append(p.hints, make([]int32, 0, max(len(h), 1<<hintChunkBits)))
+		k++
+	}
+	at = uint32(k)<<hintChunkBits | uint32(len(p.hints[k]))
+	p.hints[k] = append(p.hints[k], h...)
+	p.nHints += len(h)
+	return at, int32(len(h))
+}
+
 // Bytes returns the accounting footprint of the trace: a fixed per-step
-// overhead plus four bytes per literal. Like Solver.ClauseDBBytes this is
-// a deterministic function of the trace contents (not Go's exact memory
-// layout), so cost ledgers and regression gates can compare it across
-// machines. Nil-safe.
+// overhead plus four bytes per literal and per hint. Like
+// Solver.ClauseDBBytes this is a deterministic function of the trace
+// contents (not Go's exact memory layout), so cost ledgers and regression
+// gates can compare it across machines. Nil-safe.
 func (p *Proof) Bytes() int64 {
 	if p == nil {
 		return 0
 	}
-	return 16*int64(len(p.steps)) + 4*int64(p.lits)
+	return 16*int64(len(p.steps)) + 4*int64(p.lits) + 4*int64(p.nHints)
 }
 
 // Counts returns the number of input, derive and delete steps.
@@ -92,9 +149,11 @@ func (p *Proof) Counts() (inputs, derives, deletes int) {
 	return
 }
 
-func (p *Proof) add(k ProofKind, lits []Lit, origin int32) {
-	p.steps = append(p.steps, ProofStep{Kind: k, Lits: append([]Lit(nil), lits...), Origin: origin})
-	p.lits += len(lits)
+// add records a step with a copy of its literals and hints and returns
+// its id.
+func (p *Proof) add(k ProofKind, lits []Lit, origin int32, hints ...int32) int32 {
+	p.AppendShared(ProofStep{Kind: k, Lits: append([]Lit(nil), lits...), Origin: origin}, hints...)
+	return int32(len(p.steps) - 1)
 }
 
 // NewProof returns an empty proof for external assembly: the parallel
@@ -103,16 +162,32 @@ func (p *Proof) add(k ProofKind, lits []Lit, origin int32) {
 func NewProof() *Proof { return &Proof{} }
 
 // AppendShared appends a step sharing its literal slice with the caller
-// (no copy). The caller must not mutate the slice afterwards; steps
+// (no copy); the hints, which must name step ids of this proof, are
+// copied. The caller must not mutate the literal slice afterwards; steps
 // coming out of Proof.Steps already satisfy this.
-func (p *Proof) AppendShared(st ProofStep) {
+func (p *Proof) AppendShared(st ProofStep, hints ...int32) {
+	st.hintAt, st.nHints = p.putHints(hints)
 	p.steps = append(p.steps, st)
 	p.lits += len(st.Lits)
 }
 
+// addDelete records the deletion of the clause, now lits, that step
+// victim put into the trace. The victim's literals are the same set and
+// as immutable as any step's, so the Delete step shares them; only an
+// input recorded with duplicate literals, which the database dropped,
+// needs its own copy.
+func (p *Proof) addDelete(lits []Lit, origin, victim int32) {
+	if shared := p.steps[victim].Lits; len(shared) == len(lits) {
+		p.AppendShared(ProofStep{Kind: ProofDelete, Lits: shared, Origin: origin}, victim)
+		return
+	}
+	p.add(ProofDelete, lits, origin, victim)
+}
+
 // RebuildProof assembles a Proof from explicit steps, for replaying
 // traces that were stored or transformed outside the solver (tests,
-// corpus minimization). Literal slices are copied.
+// corpus minimization). Literal slices are copied; the result carries no
+// hints.
 func RebuildProof(steps []ProofStep) *Proof {
 	p := &Proof{}
 	for _, st := range steps {
@@ -172,10 +247,10 @@ func (s *Solver) EnableProof() *Proof {
 		}
 	}
 	for _, c := range s.clauses {
-		s.proof.add(ProofInput, c.lits, c.origin)
+		c.step = s.proof.add(ProofInput, c.lits, c.origin)
 	}
 	for _, c := range s.learnts {
-		s.proof.add(ProofInput, c.lits, c.origin)
+		c.step = s.proof.add(ProofInput, c.lits, c.origin)
 	}
 	return s.proof
 }

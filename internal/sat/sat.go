@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -124,6 +125,11 @@ type clause struct {
 	// clause came from: the creator's set for problem clauses, the union
 	// of the antecedents' sets for learned ones. 0 when tracking is off.
 	origin int32
+	// step is the id of the proof step that put the clause, in its current
+	// form, into the trace: what a learned clause resolved from it names
+	// as a hint and what its Delete step names as the victim. Meaningful
+	// only while proof logging is on.
+	step int32
 }
 
 // watcher pairs a watched clause with a blocker literal that lets
@@ -206,6 +212,7 @@ type Solver struct {
 	minStack  []Lit
 	minClear  []Lit
 	toClear   []Lit
+	hints     []int32 // proof logging: step ids of the clauses analyze resolved
 	lbdStamp  []int64
 	lbdGen    int64
 
@@ -355,8 +362,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	origin := s.clauseOrigin()
+	var step int32
 	if s.proof != nil {
-		s.proof.add(ProofInput, lits, origin)
+		step = s.proof.add(ProofInput, lits, origin)
 	}
 	// A previous Sat result leaves the trail intact so the model stays
 	// readable; adding a clause invalidates it, so backtrack first.
@@ -389,8 +397,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// The stored clause differs from the input when falsified literals
 	// were stripped; the strengthened form is a RUP consequence of the
-	// input plus root facts, so record it as a derivation. Later Delete
-	// steps then match the clause the database actually holds.
+	// input plus root facts, so record it as a derivation hinted by the
+	// input. Later Delete steps then match the clause the database
+	// actually holds.
 	switch len(out) {
 	case 0:
 		if s.proof != nil {
@@ -400,7 +409,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	case 1:
 		if s.proof != nil && dropped {
-			s.proof.add(ProofDerive, out, origin)
+			s.proof.add(ProofDerive, out, origin, step)
 		}
 		s.uncheckedEnqueue(out[0], nil)
 		if s.propagate() != nil {
@@ -413,9 +422,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return true
 	}
 	if s.proof != nil && dropped {
-		s.proof.add(ProofDerive, out, origin)
+		step = s.proof.add(ProofDerive, out, origin, step)
 	}
-	c := &clause{lits: append([]Lit(nil), out...), origin: origin}
+	c := &clause{lits: append([]Lit(nil), out...), origin: origin, step: step}
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
@@ -525,11 +534,15 @@ func (s *Solver) analyze(confl *clause) int {
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
+	s.hints = s.hints[:0]
 
 	for {
 		s.claBump(confl)
 		if s.origins != nil {
 			s.origins.noteAntecedent(confl.origin)
+		}
+		if s.proof != nil {
+			s.hints = append(s.hints, confl.step)
 		}
 		for _, q := range confl.lits {
 			if p >= 0 && q == p {
@@ -576,6 +589,7 @@ func (s *Solver) analyze(confl *clause) int {
 		s.seen[l.Var()] = true
 	}
 	// Clause minimization: drop literals implied by the rest.
+	walked := len(s.hints)
 	out := s.analyzeCl[:1]
 	for _, l := range s.analyzeCl[1:] {
 		if s.reason[l.Var()] == nil || !s.litRedundant(l) {
@@ -583,6 +597,15 @@ func (s *Solver) analyze(confl *clause) int {
 		}
 	}
 	s.analyzeCl = out
+	if s.proof != nil {
+		// The walk above went from the conflict back along the trail and
+		// minimization ran after it; a checker propagates the other way.
+		// Put the hints in that order: the minimization reasons first (each
+		// probe already innermost first), then the walked reasons in trail
+		// order, the conflict clause last.
+		slices.Reverse(s.hints)
+		slices.Reverse(s.hints[:len(s.hints)-walked])
+	}
 	for _, l := range toClear {
 		s.seen[l.Var()] = false
 	}
@@ -611,10 +634,14 @@ func (s *Solver) litRedundant(l Lit) bool {
 	s.minStack = s.minStack[:0]
 	s.minStack = append(s.minStack, l)
 	top := len(s.minClear)
+	hintTop := len(s.hints)
 	for len(s.minStack) > 0 {
 		p := s.minStack[len(s.minStack)-1]
 		s.minStack = s.minStack[:len(s.minStack)-1]
 		c := s.reason[p.Var()]
+		if s.proof != nil {
+			s.hints = append(s.hints, c.step)
+		}
 		for _, q := range c.lits {
 			v := q.Var()
 			if q == p.Not() || s.seen[v] || s.level[v] == 0 {
@@ -626,6 +653,7 @@ func (s *Solver) litRedundant(l Lit) bool {
 					s.seen[cl.Var()] = false
 				}
 				s.minClear = s.minClear[:top]
+				s.hints = s.hints[:hintTop]
 				return false
 			}
 			s.seen[v] = true
@@ -633,6 +661,9 @@ func (s *Solver) litRedundant(l Lit) bool {
 			s.minStack = append(s.minStack, q)
 		}
 	}
+	// Reasons were visited from l inwards; l's own comes last in a
+	// propagation.
+	slices.Reverse(s.hints[hintTop:])
 	return true
 }
 
@@ -744,7 +775,7 @@ func (s *Solver) reduceDB() {
 		}
 		s.detach(c)
 		if s.proof != nil {
-			s.proof.add(ProofDelete, c.lits, c.origin)
+			s.proof.addDelete(c.lits, c.origin, c.step)
 		}
 		s.Stats.Deleted++
 	}
@@ -863,8 +894,9 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 			if s.origins != nil {
 				learnedOrigin = s.origins.learned
 			}
+			var step int32
 			if s.proof != nil {
-				s.proof.add(ProofDerive, learned, learnedOrigin)
+				step = s.proof.add(ProofDerive, learned, learnedOrigin, s.hints...)
 			}
 			if len(learned) == 1 {
 				s.uncheckedEnqueue(learned[0], nil)
@@ -873,7 +905,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 					s.origins.counts[learnedOrigin].LBDSum++
 				}
 			} else {
-				c := &clause{lits: learned, learnt: true, lbd: s.computeLBD(learned), origin: learnedOrigin}
+				c := &clause{lits: learned, learnt: true, lbd: s.computeLBD(learned), origin: learnedOrigin, step: step}
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.claBump(c)
@@ -1032,9 +1064,10 @@ func (s *Solver) Simplify() bool {
 // With proof logging on, every rewrite is mirrored in the trace so no
 // clause silently vanishes: a satisfied clause gets a Delete step, and a
 // strengthened clause gets a Derive of its new form (RUP: the stripped
-// literals are root-falsified) followed by a Delete of the old one —
-// recorded before the in-place mutation, so a later deletion of the
-// strengthened clause matches what the trace says the database holds.
+// literals are root-falsified; hinted by the clause it replaces) followed
+// by a Delete of the old one — recorded before the in-place mutation, so
+// a later deletion of the strengthened clause matches what the trace says
+// the database holds.
 func (s *Solver) simplifyList(cs []*clause) []*clause {
 	out := cs[:0]
 	for _, c := range cs {
@@ -1047,7 +1080,7 @@ func (s *Solver) simplifyList(cs []*clause) []*clause {
 		}
 		if satisfied {
 			if s.proof != nil {
-				s.proof.add(ProofDelete, c.lits, c.origin)
+				s.proof.addDelete(c.lits, c.origin, c.step)
 			}
 			s.detach(c)
 			s.Stats.Simplified++
@@ -1065,8 +1098,9 @@ func (s *Solver) simplifyList(cs []*clause) []*clause {
 			}
 		}
 		if s.proof != nil && n != len(orig) {
-			s.proof.add(ProofDerive, c.lits[:n], c.origin)
-			s.proof.add(ProofDelete, orig, c.origin)
+			old := c.step
+			c.step = s.proof.add(ProofDerive, c.lits[:n], c.origin, old)
+			s.proof.addDelete(orig, c.origin, old)
 		}
 		s.Stats.Strengthened += int64(len(c.lits) - n)
 		c.lits = c.lits[:n]

@@ -74,10 +74,14 @@ type Verdict struct {
 // ProofInfo summarizes the checked DRAT certificate of a verified
 // verdict (present only when the engine runs with Options.Certify).
 type ProofInfo struct {
-	Checked bool    `json:"checked"`
-	Steps   int     `json:"steps"`
-	Lemmas  int     `json:"lemmas"`
-	CheckMs float64 `json:"check_ms"`
+	Checked bool `json:"checked"`
+	Steps   int  `json:"steps"`
+	Lemmas  int  `json:"lemmas"`
+	// Hinted lemmas were verified from the antecedents the solver
+	// recorded, Fallbacks by searching the whole clause database.
+	Hinted    int     `json:"hinted"`
+	Fallbacks int     `json:"fallbacks"`
+	CheckMs   float64 `json:"check_ms"`
 }
 
 // SolverStats is the per-check CDCL work (deltas for session checks, not
@@ -156,10 +160,12 @@ func newVerdict(jobID string, spec Spec, res *core.Result, m *core.Model) *Verdi
 	}
 	if cert := res.Certificate; cert != nil {
 		v.Proof = &ProofInfo{
-			Checked: cert.Checked,
-			Steps:   cert.Steps,
-			Lemmas:  cert.Lemmas,
-			CheckMs: durMs(cert.CheckElapsed),
+			Checked:   cert.Checked,
+			Steps:     cert.Steps,
+			Lemmas:    cert.Lemmas,
+			Hinted:    cert.Hinted,
+			Fallbacks: cert.Fallbacks,
+			CheckMs:   durMs(cert.CheckElapsed),
 		}
 	}
 	cex := res.Counterexample
