@@ -134,7 +134,7 @@ func BenchmarkEncode(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("pods=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Encode(f.G, core.DefaultOptions()); err != nil {
+				if _, err := core.Encode(f.Net.Graph, core.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -149,7 +149,7 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim := simulator.New(f.G)
+	sim := simulator.New(f.Net.Graph)
 	dst := network.MustParseIP("10.0.0.10")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -87,9 +87,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
-	"repro/internal/modular"
 	"repro/internal/netgen"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/provenance"
 	"repro/internal/sat"
 	"repro/internal/tiered"
@@ -568,7 +568,7 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 				continue
 			}
 			start := time.Now()
-			out := f.Analysis().Decide(goal)
+			out := f.Net.Analysis().Decide(goal)
 			graphMs := float64(time.Since(start).Microseconds()) / 1000
 			satRow, err := harness.RunFig8Property(f, prop)
 			if err != nil {
@@ -677,11 +677,15 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 	toMs := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	fmt.Println("# modular assume/guarantee vs monolithic per Figure 8 row")
 	fmt.Println("pods\trouters\tproperty\tmode\tmodular_ms\tcomps\tclasses\talias\tchecks\tpeak_terms\tsat_vars\tblame\tunits\tdb_bytes\tmono_ms\tspeedup\tverified\tagree")
-	opts := modular.Options{Workers: workers, Core: core.DefaultOptions()}
+	// The graph tier stays off on both sides: the sweep compares the
+	// composition with the whole-network solve, goal for goal.
+	opts := pipeline.Options{Modular: true}
+	opts.Workers = workers
+	opts.Core.Tiers = "none"
 	opts.Core.Blame = true
-	if passes != "" {
-		opts.Core.Passes = passes
-	}
+	opts.Core.Passes = passes
+	mono := opts
+	mono.Modular = false
 	var art []modularJSON
 	ctx := context.Background()
 	for _, k := range pods {
@@ -702,7 +706,7 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 				continue
 			}
 			start := time.Now()
-			v, err := modular.Verify(ctx, f.G, goal, kOpts)
+			v, err := pipeline.Run(ctx, f.Net, goal, kOpts)
 			if err != nil {
 				return fmt.Errorf("modular pods=%d %s: %w", k, prop, err)
 			}
@@ -721,14 +725,14 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 				row.SATVars = v.Result.SATVars
 				row.Blame = len(v.Result.Blame)
 			}
-			if v.Report != nil {
-				row.Components = v.Report.Components
-				row.Classes = v.Report.Classes
-				row.AliasHits = v.Report.AliasHits
-				row.Checks = v.Report.Checks
-				row.PeakTerms = v.Report.PeakTerms
-				if v.Report.Cost != nil {
-					t := v.Report.Cost.Total()
+			if rep := v.Modular; rep != nil {
+				row.Components = rep.Components
+				row.Classes = rep.Classes
+				row.AliasHits = rep.AliasHits
+				row.Checks = rep.Checks
+				row.PeakTerms = rep.PeakTerms
+				if rep.Cost != nil {
+					t := rep.Cost.Total()
 					row.Units = t.Units()
 					row.ClauseDBBytes = t.ClauseDBBytes
 				}
@@ -736,14 +740,14 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 			monoCol, speedCol, agreeCol := "-", "-", "-"
 			if k <= monoMax {
 				start = time.Now()
-				mono, err := modular.CheckMonolithic(ctx, f.G, goal, opts.Core)
+				mv, err := pipeline.Run(ctx, f.Net, goal, mono)
 				if err != nil {
 					return fmt.Errorf("monolithic pods=%d %s: %w", k, prop, err)
 				}
 				row.MonoRan = true
 				row.MonoMs = toMs(time.Since(start))
-				row.MonoSATVars = mono.SATVars
-				row.Agree = mono.Verified == row.Verified
+				row.MonoSATVars = mv.Result.SATVars
+				row.Agree = mv.Result.Verified == row.Verified
 				if row.ModularMs > 0 {
 					row.Speedup = row.MonoMs / row.ModularMs
 				}

@@ -78,26 +78,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/harness"
-	"repro/internal/modular"
-	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/obs/cost"
+	"repro/internal/pipeline"
 	"repro/internal/properties"
-	"repro/internal/protograph"
-	"repro/internal/provenance"
 	"repro/internal/psolve"
 	"repro/internal/sat"
-	"repro/internal/smt"
 	"repro/internal/tiered"
 )
 
@@ -123,8 +116,8 @@ func main() {
 	flag.StringVar(&o.via, "via", "", "waypoint router")
 	flag.StringVar(&o.subnet, "subnet", "", "destination subnet (CIDR)")
 	flag.StringVar(&o.pair, "pair", "", "router pair a,b for equivalence")
-	flag.IntVar(&o.hops, "hops", 4, "hop bound for bounded-length")
-	flag.IntVar(&o.maxLen, "maxlen", 24, "maximum exported prefix length for no-leak")
+	flag.IntVar(&o.hops, "hops", pipeline.DefaultHops, "hop bound for bounded-length")
+	flag.IntVar(&o.maxLen, "maxlen", pipeline.DefaultMaxLen, "maximum exported prefix length for no-leak")
 	flag.IntVar(&o.maxFailures, "max-failures", 0, "environments may fail up to this many links")
 	flag.BoolVar(&o.verbose, "v", false, "print model statistics, forwarding state and the span tree")
 	flag.BoolVar(&o.replay, "replay", false, "replay counterexamples in the concrete simulator")
@@ -146,17 +139,33 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "minesweeper:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o cliOpts) error {
+// run answers one command line: the verdict goes to stdout (text, or one
+// JSON object with -json), diagnostics (-v, -progress) to stderr.
+func run(o cliOpts, stdout, stderr io.Writer) error {
+	if err := core.ValidatePasses(o.passes); err != nil {
+		return err
+	}
+	if err := tiered.ValidateTiers(o.tiers); err != nil {
+		return err
+	}
+	if !psolve.ValidMode(o.parallel) {
+		return fmt.Errorf("unknown -parallel mode %q (want off, portfolio, cubes or auto)", o.parallel)
+	}
 	tr := obs.New("verify")
+	c := &cli{o: o, tr: tr, stdout: stdout, stderr: stderr}
 
 	sp := tr.Root().Start("parse")
-	routers, err := loadConfigs(o.dir)
+	configs, err := pipeline.ReadDir(o.dir)
+	if err != nil {
+		return err
+	}
+	routers, err := pipeline.Parse(configs)
 	if err != nil {
 		return err
 	}
@@ -165,44 +174,38 @@ func run(o cliOpts) error {
 	sp.End()
 
 	sp = tr.Root().Start("graph")
-	g, err := harness.BuildGraph(routers)
+	net, err := pipeline.Build(routers)
 	if err != nil {
 		return err
 	}
+	g := net.Graph
 	sp.SetInt("nodes", int64(len(g.Topo.Nodes)))
 	sp.SetInt("links", int64(len(g.Topo.Links)))
 	sp.SetInt("externals", int64(len(g.Topo.Externals)))
 	sp.End()
 	tr.SampleMem()
-
 	if !o.jsonOut {
-		fmt.Printf("loaded %d routers, %d links, %d external peers (%d config lines)\n",
+		fmt.Fprintf(stdout, "loaded %d routers, %d links, %d external peers (%d config lines)\n",
 			len(g.Topo.Nodes), len(g.Topo.Links), len(g.Topo.Externals), config.TotalLines(routers))
 	}
 
-	opts := core.DefaultOptions()
-	opts.Passes = o.passes
-	if err := core.ValidatePasses(o.passes); err != nil {
-		return err
+	opts := pipeline.Options{Modular: o.modular}
+	opts.Workers = runtime.NumCPU()
+	opts.Core = core.Options{
+		Passes: o.passes, Tiers: o.tiers, Certify: o.certify, Blame: o.blame,
+		Parallel: o.parallel, ParallelWorkers: o.parallelWorkers, Span: tr.Root(),
 	}
-	if err := tiered.ValidateTiers(o.tiers); err != nil {
-		return err
-	}
-	opts.Tiers = o.tiers
-	if !psolve.ValidMode(o.parallel) {
-		return fmt.Errorf("unknown -parallel mode %q (want off, portfolio, cubes or auto)", o.parallel)
-	}
-	opts.Parallel = o.parallel
-	opts.ParallelWorkers = o.parallelWorkers
-	opts.Certify = o.certify
-	opts.Blame = o.blame
-	opts.Span = tr.Root()
-	progress := func(p sat.Progress) {
-		fmt.Fprintf(os.Stderr, "progress: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
-			p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
+	hook := func(m *core.Model) {
+		if o.progressEvery > 0 {
+			m.ProgressEvery = o.progressEvery
+			m.OnProgress = func(p sat.Progress) {
+				fmt.Fprintf(stderr, "progress: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
+					p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
+			}
+		}
 	}
 
-	// Pair-based checks have their own flow.
+	// The pair-model checks have no goal form and their own flow.
 	switch o.check {
 	case "equivalence":
 		parts := strings.Split(o.pair, ",")
@@ -210,641 +213,205 @@ func run(o cliOpts) error {
 			return fmt.Errorf("-pair a,b required")
 		}
 		start := time.Now()
-		res, err := core.CheckLocalEquivalence(g, parts[0], parts[1], opts)
+		res, err := core.CheckLocalEquivalence(g, parts[0], parts[1], opts.Core)
 		if err != nil {
 			return err
 		}
 		if o.jsonOut {
-			if err := emitJSON(jsonReport{
-				Check:      o.check,
-				Verified:   res.Equivalent,
-				ElapsedMs:  durMs(time.Since(start)),
-				Difference: res.Difference,
-			}); err != nil {
+			rep := &pipeline.Report{Check: o.check, Verified: res.Equivalent, Difference: res.Difference}
+			rep.ElapsedMs = ms(time.Since(start))
+			if err := c.writeJSON(rep); err != nil {
 				return err
 			}
-			return finish(tr, o)
-		}
-		if res.Equivalent {
-			fmt.Printf("%s and %s are behaviourally equivalent\n", parts[0], parts[1])
+		} else if res.Equivalent {
+			fmt.Fprintf(stdout, "%s and %s are behaviourally equivalent\n", parts[0], parts[1])
 		} else {
-			fmt.Printf("NOT equivalent: %s\n", res.Difference)
+			fmt.Fprintf(stdout, "NOT equivalent: %s\n", res.Difference)
 		}
-		return finish(tr, o)
+		return c.finish()
 	case "fault-invariance":
 		k := o.maxFailures
 		if k == 0 {
 			k = 1
 		}
-		pr, prop, err := core.FaultInvariance(g, opts, k)
+		pr, prop, err := core.FaultInvariance(g, opts.Core, k)
 		if err != nil {
 			return err
 		}
-		if o.progressEvery > 0 {
-			pr.A.ProgressEvery = o.progressEvery
-			pr.A.OnProgress = progress
-		}
+		hook(pr.A)
 		res, err := pr.Check(prop)
 		if err != nil {
 			return err
 		}
-		core.RecordSolverMetrics(tr, res)
-		if o.jsonOut {
-			return emitJSONResult(o, res, pr.A, tr, modResult{})
-		}
-		report(o.check, res, nil, o.verbose, modResult{})
-		printCost(o, costTree(res, modResult{}))
-		return finish(tr, o)
+		return c.emit(&pipeline.Verdict{Result: res, Model: pr.A})
 	}
 
-	// Graph fast path: goals the tier can answer definitively never build
-	// the SAT model at all; residue falls through to the solver below.
-	var fastElapsed time.Duration
-	var fastTried bool
-	if tiered.Enabled(o.tiers) {
-		if goal, ok := tierGoal(o); ok {
-			fastTried = true
-			sp = tr.Root().Start("fastpath")
-			a := tiered.NewAnalysis(g)
-			start := time.Now()
-			out := a.Decide(goal)
-			fastElapsed = time.Since(start)
-			sp.SetStr("reason", out.Reason)
-			sp.End()
-			if out.Decided {
-				res := tiered.Synthesize(out, fastElapsed, o.blame)
-				if o.jsonOut {
-					return emitJSONResult(o, res, nil, tr, modResult{})
-				}
-				report(o.check, res, nil, o.verbose, modResult{})
-				printCost(o, costTree(res, modResult{}))
-				return finish(tr, o)
-			}
-		}
-	}
-
-	// Modular assume/guarantee path: compose per-component verdicts when
-	// the network and goal are inside the soundness envelope; any residue
-	// falls through to the monolithic encode below with the residue
-	// reported on the verdict.
-	var modRes modResult
-	if o.modular {
-		res, err := tryModular(o, g, opts, tr, &modRes)
-		if err != nil {
-			return err
-		}
-		if res != nil {
-			if o.jsonOut {
-				return emitJSONResult(o, res, nil, tr, modRes)
-			}
-			report(o.check, res, nil, o.verbose, modRes)
-			printCost(o, costTree(res, modRes))
-			return finish(tr, o)
-		}
-	}
-
-	m, err := core.Encode(g, opts)
+	goal, err := pipeline.Spec{
+		Check: o.check, Src: o.src, Via: o.via, Subnet: o.subnet,
+		Hops: o.hops, MaxLen: o.maxLen, MaxFailures: o.maxFailures,
+	}.Goal()
 	if err != nil {
 		return err
 	}
-	if o.progressEvery > 0 {
-		m.ProgressEvery = o.progressEvery
-		m.OnProgress = progress
+	opts.Live = func() (*core.Model, *core.Session, error) {
+		m, err := core.Encode(g, opts.Core)
+		if err == nil {
+			hook(m)
+		}
+		return m, nil, err
 	}
-	var sub network.Prefix
-	if o.subnet != "" {
-		sub, err = network.ParsePrefix(o.subnet)
-		if err != nil {
-			return err
-		}
-	}
-	needSubnet := func() error {
-		if o.subnet == "" {
-			return fmt.Errorf("-subnet required for %s", o.check)
-		}
-		return nil
-	}
-	needSrc := func() error {
-		if o.src == "" || g.Topo.Node(o.src) == nil {
-			return fmt.Errorf("-src must name a router for %s", o.check)
-		}
-		return nil
-	}
-
-	var p *smt.Term
-	switch o.check {
-	case "reachability":
-		if err := needSrc(); err != nil {
-			return err
-		}
-		if err := needSubnet(); err != nil {
-			return err
-		}
-		p = properties.Reachable(m, o.src, sub)
-	case "isolation":
-		if err := needSrc(); err != nil {
-			return err
-		}
-		if err := needSubnet(); err != nil {
-			return err
-		}
-		p = properties.Isolated(m, o.src, sub)
-	case "mgmt-reachability":
-		p = properties.ManagementReachable(m)
-	case "blackholes":
-		p = properties.NoBlackholes(m)
-	case "multipath-consistency":
-		p = properties.MultipathConsistent(m)
-	case "loops":
-		p = properties.NoForwardingLoops(m, nil)
-	case "bounded-length":
-		if err := needSrc(); err != nil {
-			return err
-		}
-		if err := needSubnet(); err != nil {
-			return err
-		}
-		p = properties.BoundedLength(m, o.src, sub, o.hops)
-	case "waypoint":
-		if err := needSrc(); err != nil {
-			return err
-		}
-		if err := needSubnet(); err != nil {
-			return err
-		}
-		if o.via == "" || g.Topo.Node(o.via) == nil {
-			return fmt.Errorf("-via must name a router")
-		}
-		p = properties.Waypointed(m, o.src, o.via, sub)
-	case "no-leak":
-		p = properties.NoLeak(m, nil, o.maxLen)
-	default:
-		return fmt.Errorf("unknown check %q", o.check)
-	}
-
-	assumptions := []*smt.Term{}
-	if o.maxFailures > 0 {
-		assumptions = append(assumptions, m.AtMostFailures(o.maxFailures))
-	} else {
-		assumptions = append(assumptions, m.NoFailures())
-	}
-	res, err := m.Check(p, assumptions...)
+	v, err := pipeline.Run(context.Background(), net, goal, opts)
 	if err != nil {
 		return err
 	}
-	if fastTried {
-		res.Tier = tiered.TierSAT
-		res.FastPathElapsed = fastElapsed
+	return c.emit(v)
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// cli is where one invocation's output goes.
+type cli struct {
+	o              cliOpts
+	tr             *obs.Trace
+	stdout, stderr io.Writer
+}
+
+// emit reports a verdict — as the pipeline's JSON report or as text —
+// replays its counterexample when asked to, and writes the trace exports.
+func (c *cli) emit(v *pipeline.Verdict) error {
+	o, res := c.o, v.Result
+	if res.Tier != tiered.TierGraph {
+		core.RecordSolverMetrics(c.tr, res)
 	}
-	core.RecordSolverMetrics(tr, res)
-	if o.jsonOut {
-		return emitJSONResult(o, res, m, tr, modRes)
-	}
-	report(o.check, res, m, o.verbose, modRes)
-	printCost(o, costTree(res, modRes))
-	if o.replay && res.Counterexample != nil {
-		diffs, err := m.ReplayAgrees(res.Counterexample)
-		if err != nil {
+	rep := pipeline.NewReport(o.check, v)
+	// Graph-tier counterexamples carry no SAT assignment to compare the
+	// simulator's state with, and a fault-invariance counterexample is a
+	// state of two linked copies where the simulator replays one network.
+	var replayed bool
+	var diffs []string
+	if cex := res.Counterexample; o.replay && o.check != "fault-invariance" &&
+		v.Model != nil && cex != nil && cex.Assignment != nil {
+		var err error
+		if diffs, err = v.Model.ReplayAgrees(cex); err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
-		if len(diffs) == 0 {
-			fmt.Println("replay: the concrete simulator reproduces the counterexample state")
-		} else {
-			fmt.Println("replay: simulator reached a different stable state (multi-stable network?):")
-			for _, d := range diffs {
-				fmt.Println("  " + d)
-			}
+		replayed = true
+	}
+	if o.jsonOut {
+		if !o.costOut {
+			rep.Cost = nil
 		}
-	}
-	return finish(tr, o)
-}
-
-// modResult carries the modular outcome into the final report: how the
-// verdict was produced and, for fallbacks, the residue that forced the
-// monolithic pipeline.
-type modResult struct {
-	mode     string
-	residue  []string
-	violated string
-	report   *modular.Report
-}
-
-// tryModular attempts the assume/guarantee composition. A non-nil result
-// is the composed verdict and the caller reports it without ever
-// building the monolithic model; nil means fall through (out.mode and
-// out.residue record why).
-func tryModular(o cliOpts, g *protograph.Graph, opts core.Options, tr *obs.Trace, out *modResult) (*core.Result, error) {
-	goal, ok := tierGoal(o)
-	if !ok {
-		out.mode = modular.ModeMonolithic
-		return nil, nil
-	}
-	cut := modular.Partition(g)
-	if !cut.MultiComponent() {
-		out.mode = modular.ModeMonolithic
-		return nil, nil
-	}
-	mopts := modular.Options{Core: opts, Workers: runtime.NumCPU()}
-	// Component checks run concurrently and the span tree is
-	// single-writer: the modular span below prices the whole run.
-	mopts.Core.Span = nil
-	plan := modular.NewPlan(g, cut, goal)
-	sp := tr.Root().Start("modular")
-	sp.SetInt("components", int64(len(plan.Comps)))
-	rep, err := modular.Run(context.Background(), g, plan, mopts)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if len(rep.Residue) > 0 {
-		out.mode = modular.ModeFallback
-		out.residue = rep.Residue
-		out.violated = rep.Violated
-		return nil, nil
-	}
-	out.mode = modular.ModeModular
-	out.report = rep
-	return rep.Result, nil
-}
-
-// tierGoal translates the CLI flags into the graph tier's goal
-// vocabulary. ok=false — missing or unparsable parameters, or a check the
-// tier does not model — sends the query straight to the SAT path, whose
-// own validation reports the proper usage error.
-func tierGoal(o cliOpts) (tiered.Goal, bool) {
-	g := tiered.Goal{
-		Check:       o.check,
-		Src:         o.src,
-		Via:         o.via,
-		Hops:        o.hops,
-		MaxLen:      o.maxLen,
-		MaxFailures: o.maxFailures,
-	}
-	switch o.check {
-	case "reachability", "isolation", "bounded-length":
-		if o.src == "" || o.subnet == "" {
-			return tiered.Goal{}, false
-		}
-	case "waypoint":
-		if o.src == "" || o.via == "" || o.subnet == "" {
-			return tiered.Goal{}, false
-		}
-	case "mgmt-reachability", "blackholes", "multipath-consistency", "loops", "no-leak":
-	default:
-		return tiered.Goal{}, false
-	}
-	if o.subnet != "" {
-		sub, err := network.ParsePrefix(o.subnet)
-		if err != nil {
-			return tiered.Goal{}, false
-		}
-		g.Subnet = sub
-		g.HasSubnet = true
-	}
-	return g, true
-}
-
-// finish closes the root span and writes the requested exports.
-func finish(tr *obs.Trace, o cliOpts) error {
-	tr.Root().End()
-	tr.SampleMem()
-	if o.verbose {
-		tr.WriteTree(os.Stderr)
-	}
-	if o.traceJSON != "" {
-		f, err := os.Create(o.traceJSON)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if o.traceChrome != "" {
-		f, err := os.Create(o.traceChrome)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if o.promOut != "" {
-		f, err := os.Create(o.promOut)
-		if err != nil {
-			return err
-		}
-		tr.WritePrometheus(f)
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsonReport is the -json verdict object: everything the text output
-// says, as one machine-readable value on stdout.
-type jsonReport struct {
-	Check    string `json:"check"`
-	Verified bool   `json:"verified"`
-	// Tier names the verification tier that answered: "graph" for the
-	// fast path, "sat" for solver fall-through, absent with -tiers none.
-	Tier       string  `json:"tier,omitempty"`
-	FastPathMs float64 `json:"fastpath_ms,omitempty"`
-	// Mode (with -modular) names how the verdict was produced: "modular"
-	// (composed from component checks), "monolithic" (single component or
-	// out-of-vocabulary goal) or "fallback" (modular residue, listed).
-	Mode             string   `json:"mode,omitempty"`
-	Components       int      `json:"components,omitempty"`
-	ComponentClasses int      `json:"component_classes,omitempty"`
-	AliasHits        int      `json:"alias_hits,omitempty"`
-	ComponentChecks  int      `json:"component_checks,omitempty"`
-	PeakTerms        int      `json:"peak_terms,omitempty"`
-	ModularResidue   []string `json:"modular_residue,omitempty"`
-	ViolatedContract string   `json:"violated_contract,omitempty"`
-
-	ElapsedMs      float64    `json:"elapsed_ms"`
-	EncodeMs       float64    `json:"encode_ms,omitempty"`
-	SimplifyMs     float64    `json:"simplify_ms,omitempty"`
-	SolveMs        float64    `json:"solve_ms,omitempty"`
-	CertifyMs      float64    `json:"certify_ms,omitempty"`
-	SATVars        int        `json:"sat_vars,omitempty"`
-	SATClauses     int        `json:"sat_clauses,omitempty"`
-	Blame          []string   `json:"blame,omitempty"`
-	Solver         *jsonStats `json:"solver,omitempty"`
-	Proof          *jsonProof `json:"proof,omitempty"`
-	Counterexample *jsonCex   `json:"counterexample,omitempty"`
-	Difference     string     `json:"difference,omitempty"`
-	// Cost is the hierarchical resource ledger (-cost): per-phase work
-	// units, clause-db/proof bytes and wall/CPU time, each node's work
-	// equal to its self work plus its children's.
-	Cost *cost.Node `json:"cost,omitempty"`
-}
-
-// jsonProof reports the checked DRAT certificate behind a verified
-// verdict (-certify only).
-type jsonProof struct {
-	Checked   bool    `json:"checked"`
-	Steps     int     `json:"steps"`
-	Inputs    int     `json:"inputs"`
-	Lemmas    int     `json:"lemmas"`
-	Deletions int     `json:"deletions"`
-	Hinted    int     `json:"hinted"`
-	Fallbacks int     `json:"fallbacks"`
-	CheckMs   float64 `json:"check_ms"`
-}
-
-type jsonStats struct {
-	Conflicts    int64 `json:"conflicts"`
-	Decisions    int64 `json:"decisions"`
-	Propagations int64 `json:"propagations"`
-	Learned      int64 `json:"learned"`
-	Restarts     int64 `json:"restarts"`
-}
-
-type jsonPacket struct {
-	DstIP    string `json:"dst_ip"`
-	SrcIP    string `json:"src_ip"`
-	Protocol int    `json:"protocol"`
-	SrcPort  int    `json:"src_port"`
-	DstPort  int    `json:"dst_port"`
-}
-
-type jsonAnn struct {
-	Peer        string   `json:"peer"`
-	Prefix      string   `json:"prefix"`
-	PathLen     int      `json:"path_len"`
-	MED         int      `json:"med"`
-	Communities []string `json:"communities,omitempty"`
-}
-
-type jsonCex struct {
-	Packet        jsonPacket `json:"packet"`
-	Announcements []jsonAnn  `json:"announcements"`
-	FailedLinks   []string   `json:"failed_links"`
-	Forwarding    []string   `json:"forwarding,omitempty"`
-	ReplayAgrees  *bool      `json:"replay_agrees,omitempty"`
-	ReplayDiffs   []string   `json:"replay_diffs,omitempty"`
-}
-
-// costTree picks the ledger to report: the modular composition's
-// per-class tree when there is one (it keeps the component detail the
-// composed result folds away), otherwise the result's own ledger.
-func costTree(res *core.Result, mod modResult) *cost.Node {
-	if r := mod.report; r != nil && r.Cost != nil {
-		return r.Cost
-	}
-	if res != nil {
-		return res.Cost
-	}
-	return nil
-}
-
-// printCost writes the indented cost table after the text verdict
-// (-cost without -json).
-func printCost(o cliOpts, n *cost.Node) {
-	if !o.costOut || n == nil {
-		return
-	}
-	fmt.Println("cost:")
-	n.WriteTree(os.Stdout)
-}
-
-func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// emitJSONResult renders a solver-backed result as the -json object.
-func emitJSONResult(o cliOpts, res *core.Result, m *core.Model, tr *obs.Trace, mod modResult) error {
-	rep := jsonReport{
-		Check:      o.check,
-		Verified:   res.Verified,
-		Tier:       res.Tier,
-		FastPathMs: durMs(res.FastPathElapsed),
-		ElapsedMs:  durMs(res.Elapsed),
-		EncodeMs:   durMs(res.EncodeElapsed),
-		SimplifyMs: durMs(res.SimplifyElapsed),
-		SolveMs:    durMs(res.SolveElapsed),
-		CertifyMs:  durMs(res.CertifyElapsed),
-		Blame:      provenance.Strings(res.Blame),
-		SATVars:    res.SATVars,
-		SATClauses: res.SATClauses,
-		Solver: &jsonStats{
-			Conflicts:    res.Stats.Conflicts,
-			Decisions:    res.Stats.Decisions,
-			Propagations: res.Stats.Propagations,
-			Learned:      res.Stats.Learned,
-			Restarts:     res.Stats.Restarts,
-		},
-	}
-	if res.Tier == tiered.TierGraph {
-		// The solver never ran: drop the all-zero CDCL stats block.
-		rep.Solver = nil
-	}
-	if mod.mode != "" {
-		rep.Mode = mod.mode
-		rep.ModularResidue = mod.residue
-		rep.ViolatedContract = mod.violated
-		if r := mod.report; r != nil {
-			rep.Components = r.Components
-			rep.ComponentClasses = r.Classes
-			rep.AliasHits = r.AliasHits
-			rep.ComponentChecks = r.Checks
-			rep.PeakTerms = r.PeakTerms
-			// The composed verdict never ran one whole-network solve; the
-			// per-phase and CDCL numbers would misattribute component work.
-			rep.Solver = nil
-		}
-	}
-	if o.costOut {
-		rep.Cost = costTree(res, mod)
-	}
-	if cert := res.Certificate; cert != nil {
-		rep.Proof = &jsonProof{
-			Checked: cert.Checked, Steps: cert.Steps,
-			Inputs: cert.Inputs, Lemmas: cert.Lemmas, Deletions: cert.Deletions,
-			Hinted: cert.Hinted, Fallbacks: cert.Fallbacks,
-			CheckMs: durMs(cert.CheckElapsed),
-		}
-	}
-	if cex := res.Counterexample; cex != nil {
-		jc := &jsonCex{
-			Packet: jsonPacket{
-				DstIP:    cex.Packet.DstIP.String(),
-				SrcIP:    cex.Packet.SrcIP.String(),
-				Protocol: cex.Packet.Protocol,
-				SrcPort:  cex.Packet.SrcPort,
-				DstPort:  cex.Packet.DstPort,
-			},
-			Announcements: []jsonAnn{},
-			FailedLinks:   []string{},
-		}
-		peers := make([]string, 0, len(cex.Env.Anns))
-		for p := range cex.Env.Anns {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			a := cex.Env.Anns[p]
-			jc.Announcements = append(jc.Announcements, jsonAnn{
-				Peer: p, Prefix: a.Prefix.String(),
-				PathLen: a.PathLen, MED: a.MED, Communities: a.Communities,
-			})
-		}
-		for id := range cex.Env.FailedLinks {
-			jc.FailedLinks = append(jc.FailedLinks, id)
-		}
-		sort.Strings(jc.FailedLinks)
-		if m != nil {
-			jc.Forwarding = m.DecodeForwarding(m.Main, cex.Assignment)
-		}
-		if o.replay && m != nil && o.check != "fault-invariance" {
-			diffs, err := m.ReplayAgrees(cex)
-			if err != nil {
-				return fmt.Errorf("replay: %w", err)
-			}
+		if replayed {
 			agrees := len(diffs) == 0
-			jc.ReplayAgrees = &agrees
-			jc.ReplayDiffs = diffs
+			rep.Counterexample.ReplayAgrees, rep.Counterexample.ReplayDiffs = &agrees, diffs
 		}
-		rep.Counterexample = jc
+		if err := c.writeJSON(rep); err != nil {
+			return err
+		}
+		return c.finish()
 	}
-	if err := emitJSON(rep); err != nil {
-		return err
+	c.report(v, rep)
+	if o.costOut && rep.Cost != nil {
+		fmt.Fprintln(c.stdout, "cost:")
+		rep.Cost.WriteTree(c.stdout)
 	}
-	return finish(tr, o)
+	if replayed && len(diffs) == 0 {
+		fmt.Fprintln(c.stdout, "replay: the concrete simulator reproduces the counterexample state")
+	} else if replayed {
+		fmt.Fprintln(c.stdout, "replay: simulator reached a different stable state (multi-stable network?):")
+		for _, d := range diffs {
+			fmt.Fprintln(c.stdout, "  "+d)
+		}
+	}
+	return c.finish()
 }
 
-func emitJSON(rep jsonReport) error {
-	enc := json.NewEncoder(os.Stdout)
+func (c *cli) writeJSON(rep *pipeline.Report) error {
+	enc := json.NewEncoder(c.stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
 
-func report(check string, res *core.Result, m *core.Model, verbose bool, mod modResult) {
-	fmt.Println(properties.Describe(check, res))
+// report prints the text verdict.
+func (c *cli) report(v *pipeline.Verdict, rep *pipeline.Report) {
+	w, res := c.stdout, v.Result
+	fmt.Fprintln(w, properties.Describe(c.o.check, res))
 	switch res.Tier {
 	case tiered.TierGraph:
-		fmt.Printf("tier: graph fast path (%.2fms, no SAT model built)\n", durMs(res.FastPathElapsed))
+		fmt.Fprintf(w, "tier: graph fast path (%.2fms, no SAT model built)\n", rep.FastPathMs)
 	case tiered.TierSAT:
-		fmt.Printf("tier: sat (fast-path residue after %.2fms)\n", durMs(res.FastPathElapsed))
+		fmt.Fprintf(w, "tier: sat (fast-path residue after %.2fms)\n", rep.FastPathMs)
 	}
-	switch mod.mode {
-	case modular.ModeModular:
-		r := mod.report
-		fmt.Printf("mode: modular (%d components in %d classes, %d alias hits, %d checks, peak %d terms, %.1fms; no whole-network model built)\n",
-			r.Components, r.Classes, r.AliasHits, r.Checks, r.PeakTerms, durMs(r.Elapsed))
-	case modular.ModeFallback:
-		fmt.Printf("mode: fallback to monolithic (modular residue: %s)\n", strings.Join(mod.residue, ", "))
-		if mod.violated != "" {
-			fmt.Printf("violated contract: %s\n", mod.violated)
+	switch v.Mode {
+	case pipeline.ModeModular:
+		fmt.Fprintf(w, "mode: modular (%d components in %d classes, %d alias hits, %d checks, peak %d terms, %.1fms; no whole-network model built)\n",
+			rep.Components, rep.ComponentClasses, rep.AliasHits, rep.ComponentChecks, rep.PeakTerms, ms(v.Modular.Elapsed))
+	case pipeline.ModeFallback:
+		fmt.Fprintf(w, "mode: fallback to monolithic (modular residue: %s)\n", strings.Join(v.Residue, ", "))
+		if v.Violated != "" {
+			fmt.Fprintf(w, "violated contract: %s\n", v.Violated)
 		}
-	case modular.ModeMonolithic:
-		fmt.Println("mode: monolithic (single component or goal outside the modular vocabulary)")
+	case pipeline.ModeMonolithic:
+		fmt.Fprintln(w, "mode: monolithic (the network is a single component)")
 	}
-	if cert := res.Certificate; cert != nil {
-		fmt.Printf("proof: checked (%d steps, %d lemmas, %d hinted, %d fallbacks, %d deletions, %.1fms check)\n",
-			cert.Steps, cert.Lemmas, cert.Hinted, cert.Fallbacks, cert.Deletions, durMs(cert.CheckElapsed))
+	if p := rep.Proof; p != nil {
+		fmt.Fprintf(w, "proof: checked (%d steps, %d lemmas, %d hinted, %d fallbacks, %d deletions, %.1fms check)\n",
+			p.Steps, p.Lemmas, p.Hinted, p.Fallbacks, p.Deletions, p.CheckMs)
 	}
 	if len(res.Blame) > 0 {
 		if res.Verified {
-			fmt.Printf("blame: the verdict rests on %d configuration origins\n", len(res.Blame))
+			fmt.Fprintf(w, "blame: the verdict rests on %d configuration origins\n", len(res.Blame))
 		} else {
-			fmt.Printf("blame: the counterexample's forwarding is fixed by %d configuration origins\n", len(res.Blame))
+			fmt.Fprintf(w, "blame: the counterexample's forwarding is fixed by %d configuration origins\n", len(res.Blame))
 		}
-		for _, o := range res.Blame {
-			fmt.Println("  " + o.String())
-		}
-	}
-	if verbose && res.Counterexample != nil && m != nil {
-		fmt.Println("forwarding state:")
-		for _, line := range m.DecodeForwarding(m.Main, res.Counterexample.Assignment) {
-			fmt.Println("  " + line)
+		for _, o := range rep.Blame {
+			fmt.Fprintln(w, "  "+o)
 		}
 	}
-	if verbose {
-		fmt.Printf("phases: encode %.1fms, simplify %.1fms, solve %.1fms\n",
-			durMs(res.EncodeElapsed), durMs(res.SimplifyElapsed), durMs(res.SolveElapsed))
-		fmt.Printf("solver: %d conflicts, %d decisions, %d propagations\n",
-			res.Stats.Conflicts, res.Stats.Decisions, res.Stats.Propagations)
+	if !c.o.verbose {
+		return
 	}
+	if cex := rep.Counterexample; cex != nil && len(cex.Forwarding) > 0 {
+		fmt.Fprintln(w, "forwarding state:")
+		for _, line := range cex.Forwarding {
+			fmt.Fprintln(w, "  "+line)
+		}
+	}
+	fmt.Fprintf(w, "phases: encode %.1fms, simplify %.1fms, solve %.1fms\n", rep.EncodeMs, rep.SimplifyMs, rep.SolveMs)
+	fmt.Fprintf(w, "solver: %d conflicts, %d decisions, %d propagations\n",
+		res.Stats.Conflicts, res.Stats.Decisions, res.Stats.Propagations)
 }
 
-func loadConfigs(dir string) ([]*config.Router, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// finish closes the root span and writes the requested exports.
+func (c *cli) finish() error {
+	tr, o := c.tr, c.o
+	tr.Root().End()
+	tr.SampleMem()
+	if o.verbose {
+		tr.WriteTree(c.stderr)
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
+	for _, export := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{o.traceJSON, tr.WriteJSON},
+		{o.traceChrome, tr.WriteChrome},
+		{o.promOut, func(w io.Writer) error { tr.WritePrometheus(w); return nil }},
+	} {
+		if export.path == "" {
 			continue
 		}
-		if strings.HasSuffix(e.Name(), ".cfg") || strings.HasSuffix(e.Name(), ".conf") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .cfg/.conf files in %s", dir)
-	}
-	var routers []*config.Router
-	for _, name := range names {
-		text, err := os.ReadFile(filepath.Join(dir, name))
+		f, err := os.Create(export.path)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r, err := config.Parse(string(text))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+		if err := export.write(f); err != nil {
+			f.Close()
+			return err
 		}
-		routers = append(routers, r)
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
-	return routers, nil
+	return nil
 }

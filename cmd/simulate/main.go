@@ -13,14 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/harness"
 	"repro/internal/network"
+	"repro/internal/pipeline"
 	"repro/internal/simulator"
 )
 
@@ -53,14 +52,15 @@ func main() {
 }
 
 func run(dir, dstFlag, from string, announces, fails, failExts []string) error {
-	routers, err := loadConfigs(dir)
+	configs, err := pipeline.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	g, err := harness.BuildGraph(routers)
+	net, err := pipeline.Load(configs)
 	if err != nil {
 		return err
 	}
+	g := net.Graph
 	dst, err := network.ParseIP(dstFlag)
 	if err != nil {
 		return err
@@ -132,34 +132,4 @@ func run(dir, dstFlag, from string, announces, fails, failExts []string) error {
 		}
 	}
 	return nil
-}
-
-func loadConfigs(dir string) ([]*config.Router, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && (strings.HasSuffix(e.Name(), ".cfg") || strings.HasSuffix(e.Name(), ".conf")) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .cfg/.conf files in %s", dir)
-	}
-	var routers []*config.Router
-	for _, name := range names {
-		text, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		r, err := config.Parse(string(text))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		routers = append(routers, r)
-	}
-	return routers, nil
 }

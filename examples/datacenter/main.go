@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("fabric: %d pods, %d routers, %d links, %d external backbone peers\n\n",
-		pods, len(f.FT.Routers), len(f.G.Topo.Links), len(f.G.Topo.Externals))
+		pods, len(f.FT.Routers), len(f.Net.Graph.Topo.Links), len(f.Net.Graph.Topo.Externals))
 
 	for _, prop := range harness.AllFig8Props() {
 		row, err := harness.RunFig8Property(f, prop)

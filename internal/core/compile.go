@@ -35,6 +35,15 @@ func ValidatePasses(s string) error {
 	return err
 }
 
+// Hoists reports whether Options.Passes enables the hoist pass. Modular
+// composition requires it: without prefix/loop hoisting, cut imports
+// carry symbolic loop-detection state the contract vocabulary cannot
+// pin soundly.
+func (o Options) Hoists() bool {
+	spec, err := resolvePasses(o)
+	return err == nil && spec.hoist
+}
+
 // passSpec is Options.Passes resolved into a concrete pipeline: the
 // encoding-time switches, the property-agnostic compile passes, and
 // whether goal-relative cone-of-influence pruning runs at check time.
@@ -44,24 +53,18 @@ type passSpec struct {
 	coi          bool
 }
 
-// resolvePasses interprets Options.Passes. The empty string defers to
-// the deprecated Hoisting/Slicing booleans for the encoding passes and
-// enables every term-level pass (the modern default); "all" and "none"
-// switch everything on or off; otherwise a comma-separated subset of
-// PassNames selects exactly the listed passes.
+// resolvePasses interprets Options.Passes: the empty string and "all"
+// enable everything, "none" nothing; otherwise a comma-separated subset
+// of PassNames selects exactly the listed passes.
 func resolvePasses(o Options) (passSpec, error) {
-	all := passSpec{
-		hoist:   true,
-		slice:   true,
-		compile: []string{passes.Fold, passes.CSE, passes.Propagate},
-		coi:     true,
-	}
 	switch o.Passes {
-	case "":
-		all.hoist, all.slice = o.Hoisting, o.Slicing
-		return all, nil
-	case "all":
-		return all, nil
+	case "", "all":
+		return passSpec{
+			hoist:   true,
+			slice:   true,
+			compile: []string{passes.Fold, passes.CSE, passes.Propagate},
+			coi:     true,
+		}, nil
 	case "none":
 		return passSpec{}, nil
 	}
@@ -132,16 +135,8 @@ func (m *Model) Compile() *CompiledNetwork {
 	start := time.Now()
 	sys := &passes.System{Ctx: m.Ctx, Asserts: append([]*smt.Term(nil), m.Asserts...)}
 	// Provenance rides along: one base id per assert, merged by the
-	// passes wherever asserts merge. Asserts spliced in from outside
-	// assert() (equivalence tests) may outrun AssertOrigins; they simply
-	// carry no origin.
-	origins := make([][]int32, len(m.Asserts))
-	for i := range origins {
-		if i < len(m.AssertOrigins) {
-			origins[i] = []int32{m.Prov.ID(m.AssertOrigins[i])}
-		}
-	}
-	sys.Origins = origins
+	// passes wherever asserts merge.
+	sys.Origins = m.tailOrigins(0)
 	pl, err := passes.NewPipeline(m.spec.compile...)
 	if err != nil {
 		// Names come from resolvePasses, which only emits canonical ones.

@@ -63,9 +63,9 @@ func newEnv() *simulator.Environment { return simulator.NewEnvironment() }
 func allOpts() map[string]Options {
 	return map[string]Options{
 		"optimized": DefaultOptions(),
-		"nohoist":   {Hoisting: false, Slicing: true},
-		"noslice":   {Hoisting: true, Slicing: false},
-		"naive":     {Hoisting: false, Slicing: false},
+		"nohoist":   {Passes: "slice,fold,cse,propagate,coi"},
+		"noslice":   {Passes: "hoist,fold,cse,propagate,coi"},
+		"naive":     {Passes: "fold,cse,propagate,coi"},
 	}
 }
 
@@ -375,7 +375,7 @@ func TestEncodeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Encode(net.Graph, Options{})
+	naive, err := Encode(net.Graph, Options{Passes: "fold,cse,propagate,coi"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,31 +13,18 @@ import (
 	"repro/internal/smt"
 )
 
-// Options control the encoder's optimizations (§6). Both default to on;
-// the §8.3 ablation benchmarks toggle them off.
+// Options control the encoder's optimizations (§6) and the solver
+// features of every check on the model. The zero value is the default:
+// every optimization on, sequential search, no proof logging.
 type Options struct {
 	// Passes selects the optimization pipeline by name: a comma-separated
 	// subset of PassNames ("hoist,slice,fold,cse,propagate,coi"), or
-	// "all" / "none". The empty string is the compatible default: the
-	// deprecated Hoisting/Slicing booleans choose the encoding passes and
-	// every term-level pass stays enabled.
+	// "all" / "none". The empty string means "all". "hoist" is prefix
+	// elimination plus loop-detection hoisting (§6.1), "slice" the removal
+	// and merging of never-distinguished record variables (§6.2); the
+	// §8.3 ablation benchmarks switch them off by listing the others.
 	Passes string
 
-	// Hoisting enables prefix elimination (replacing per-record symbolic
-	// prefixes with tests on the global destination IP) and loop-detection
-	// hoisting (loop bits only for routers where policy loops are
-	// possible).
-	//
-	// Deprecated: set Passes instead; Hoisting is only consulted when
-	// Passes is empty.
-	Hoisting bool
-	// Slicing enables removal of never-used attribute variables, merging
-	// of import/export records, and merging of per-protocol and overall
-	// best records.
-	//
-	// Deprecated: set Passes instead; Slicing is only consulted when
-	// Passes is empty.
-	Slicing bool
 	// KeepAllCommunities keeps a symbolic bit for every community in the
 	// config universe even when it is never matched on; equivalence
 	// properties need this.
@@ -93,8 +80,9 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions enables all optimizations.
-func DefaultOptions() Options { return Options{Hoisting: true, Slicing: true} }
+// DefaultOptions enables all optimizations: it is the zero value, kept
+// as a function for the callers that read better with the name.
+func DefaultOptions() Options { return Options{} }
 
 // Hop is a forwarding target: an internal neighbor or an external peer.
 type Hop struct {

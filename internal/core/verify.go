@@ -188,7 +188,7 @@ func (m *Model) CheckContext(ctx context.Context, property *smt.Term, assumption
 	if m.compiles != before {
 		prior, priorElapsed = cn.PassStats, cn.Elapsed
 	}
-	return m.checkGoal(ctx, cn, prior, priorElapsed, property, assumptions)
+	return m.check(ctx, nil, cn, prior, priorElapsed, property, assumptions)
 }
 
 // CheckGoal checks a property against a previously compiled artifact,
@@ -196,7 +196,7 @@ func (m *Model) CheckContext(ctx context.Context, property *smt.Term, assumption
 // come from this model's Compile (same term context). Compile time is
 // not charged to the result — the caller amortized it already.
 func (m *Model) CheckGoal(ctx context.Context, cn *CompiledNetwork, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
-	return m.checkGoal(ctx, cn, nil, 0, property, assumptions)
+	return m.check(ctx, nil, cn, nil, 0, property, assumptions)
 }
 
 // watchInterrupt arranges for interrupt to fire if ctx is canceled, and
@@ -221,264 +221,6 @@ func watchInterrupt(ctx context.Context, interrupt func()) (stop func()) {
 		close(cancel)
 		<-done
 	}
-}
-
-func (m *Model) checkGoal(ctx context.Context, cn *CompiledNetwork, prior []passes.Stats, priorElapsed time.Duration, property *smt.Term, assumptions []*smt.Term) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !psolve.ValidMode(m.Opts.Parallel) {
-		return nil, fmt.Errorf("core: unknown parallel mode %q", m.Opts.Parallel)
-	}
-	c := m.Ctx
-	sp := m.Obs.Start("check")
-	defer sp.End()
-	solver := smt.NewSolver(c)
-	if m.ProgressEvery > 0 && m.OnProgress != nil {
-		solver.SetProgress(m.ProgressEvery, m.OnProgress)
-	}
-	// Origin tracking (blame, profiling) stamps every clause with the
-	// provenance of the assert it was blasted from; blame additionally
-	// needs the proof trace so the UNSAT core can be extracted.
-	track := m.Opts.Blame || m.Opts.ProfileOrigins
-	if track {
-		solver.EnableOriginTracking()
-	}
-	var proof *sat.Proof
-	if m.Opts.Certify || m.Opts.Blame {
-		proof = solver.EnableProof()
-	}
-
-	// The cost ledger shadows the span tree with resource accounting:
-	// each phase is charged its wall/CPU/memory window by snapshot deltas
-	// and its deterministic solver work by counter deltas, so the phase
-	// rows telescope to exactly the final solver totals. Children are
-	// created up front to pin the display order to the execution order.
-	ledger := cost.New("goal")
-	if priorElapsed > 0 {
-		ledger.Child("compile").AddWall(priorElapsed)
-	}
-	blastNode, simpNode := ledger.Child("blast"), ledger.Child("simplify")
-
-	// Phase 0 (charged to simplify): goal-relative term passes. The
-	// compiled asserts plus any instrumentation appended after the
-	// artifact was built, pruned to the goal's cone of influence.
-	passStats := append([]passes.Stats(nil), prior...)
-	msnap := cost.TakeSnap()
-	termStart := time.Now()
-	asserts := cn.Asserts
-	origins := cn.Origins
-	if tail := m.Asserts[cn.BaseLen:]; len(tail) > 0 {
-		asserts = append(append([]*smt.Term(nil), asserts...), tail...)
-		origins = append([][]int32(nil), origins...)
-		for i := cn.BaseLen; i < len(m.Asserts); i++ {
-			var o []int32
-			if i < len(m.AssertOrigins) {
-				o = []int32{m.Prov.ID(m.AssertOrigins[i])}
-			}
-			origins = append(origins, o)
-		}
-	}
-	goals := make([]*smt.Term, 0, len(assumptions)+1)
-	goals = append(goals, assumptions...)
-	goals = append(goals, c.Not(property))
-	if m.spec.coi {
-		sys := &passes.System{Ctx: c, Asserts: append([]*smt.Term(nil), asserts...), Goals: goals}
-		if track {
-			sys.Origins = append([][]int32(nil), origins...)
-		}
-		pl, err := passes.NewPipeline(passes.COI)
-		if err != nil {
-			panic(err)
-		}
-		passStats = append(passStats, pl.Run(sys, sp)...)
-		asserts, goals = sys.Asserts, sys.Goals
-		if track {
-			origins = sys.Origins
-		}
-	}
-	termElapsed := priorElapsed + time.Since(termStart)
-	msnap = simpNode.Charge(msnap)
-
-	// Phase 1: Tseitin CNF conversion + bit-blasting of N ∧ ¬P.
-	cnfSp := sp.Start("cnf")
-	encStart := time.Now()
-	for i, a := range asserts {
-		if track {
-			if i < len(origins) {
-				solver.SetOrigin(origins[i]...)
-			} else {
-				solver.SetOrigin()
-			}
-		}
-		solver.Assert(a)
-	}
-	if track {
-		solver.SetOrigin(m.Prov.ID(provenance.Origin{Kind: "property"}))
-	}
-	for _, g := range goals {
-		solver.Assert(g)
-	}
-	if track {
-		solver.SetOrigin()
-	}
-	encodeElapsed := time.Since(encStart)
-	satVars, satClauses := solver.NumSATVars(), solver.NumSATClauses()
-	cnfSp.SetInt("terms", int64(c.NumTerms()))
-	cnfSp.SetInt("asserts", int64(len(asserts)+len(goals)))
-	cnfSp.SetInt("gates", int64(solver.NumGates()))
-	cnfSp.SetInt("sat_vars", int64(satVars))
-	cnfSp.SetInt("sat_clauses", int64(satClauses))
-	cnfSp.End()
-	msnap = blastNode.Charge(msnap)
-	stBlast := solver.SATStats()
-	dbBlast := solver.SATSolver().ClauseDBBytes()
-	blastNode.Add(cost.FromStats(stBlast).Plus(cost.Work{ClauseDBBytes: dbBlast}))
-
-	// Phase 2: top-level CNF simplification.
-	simpSp := sp.Start("simplify")
-	simpStart := time.Now()
-	solver.Simplify()
-	cnfSimplify := time.Since(simpStart)
-	simplifyElapsed := termElapsed + cnfSimplify
-	passStats = append(passStats, passes.Stats{Pass: "cnf-simplify", Elapsed: cnfSimplify})
-	simpSp.SetInt("clauses_before", int64(satClauses))
-	simpSp.SetInt("clauses_after", int64(solver.NumSATClauses()))
-	simpSp.End()
-	msnap = simpNode.Charge(msnap)
-	stSimp := solver.SATStats()
-	dbSimp := solver.SATSolver().ClauseDBBytes()
-	simpNode.Add(cost.FromStats(stSimp).Minus(cost.FromStats(stBlast)).
-		Plus(cost.Work{ClauseDBBytes: dbSimp - dbBlast}))
-
-	// Phase 3: CDCL search, interruptible through ctx. A parallel
-	// strategy (Options.Parallel) fans the search out over clones of the
-	// solver and adopts the winner's verdict, stats and proof
-	// (internal/psolve); the sequential path is untouched when off.
-	solveSp := sp.Start("solve")
-	solveStart := time.Now()
-	var status sat.Status
-	var outcome *psolve.Outcome
-	if m.parallelEnabled() {
-		var perr error
-		outcome, perr = psolve.Solve(ctx, solver.SATSolver(), m.parallelOptions(solver))
-		if perr != nil {
-			solveSp.End()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: parallel solve: %w", perr)
-		}
-		status = outcome.Status
-	} else {
-		stopWatch := watchInterrupt(ctx, solver.Interrupt)
-		status = solver.Check()
-		stopWatch()
-		solver.ResetInterrupt()
-	}
-	solveElapsed := time.Since(solveStart)
-	st := solver.SATStats()
-	if outcome != nil {
-		st = outcome.Stats
-	}
-	solveSp.SetStr("status", status.String())
-	solveSp.SetInt("conflicts", st.Conflicts)
-	solveSp.SetInt("decisions", st.Decisions)
-	solveSp.SetInt("propagations", st.Propagations)
-	solveSp.SetInt("learned", st.Learned)
-	solveSp.SetInt("restarts", st.Restarts)
-	solveSp.End()
-	solveNode := ledger.Child("solve")
-	msnap = solveNode.Charge(msnap)
-	adoptedDelta := cost.FromStats(st).Minus(cost.FromStats(stSimp))
-	if outcome != nil {
-		chargeParallelSolve(solveNode, outcome, adoptedDelta)
-	} else {
-		adoptedDelta.ClauseDBBytes = solver.SATSolver().ClauseDBBytes() - dbSimp
-		solveNode.Add(adoptedDelta)
-	}
-
-	res := &Result{
-		Elapsed:         encodeElapsed + simplifyElapsed + solveElapsed,
-		EncodeElapsed:   encodeElapsed,
-		SimplifyElapsed: simplifyElapsed,
-		SolveElapsed:    solveElapsed,
-		PassStats:       passStats,
-		SATVars:         satVars,
-		SATClauses:      satClauses,
-		Stats:           st,
-	}
-	if outcome != nil {
-		res.Portfolio = outcome.Portfolio
-		res.Cube = outcome.Cube
-	}
-	switch status {
-	case sat.Unsat:
-		res.Verified = true
-		if proof != nil {
-			// A parallel run's certificate is the adopted trace (the
-			// winner's, or the stitched multi-cube proof), resolved against
-			// whichever origin tables it refers to.
-			checkProof := proof
-			if outcome != nil {
-				checkProof = outcome.Proof
-			}
-			if !track {
-				// The check reads the trace alone and only origin tables are
-				// read after it: let the clause database go before the
-				// checker builds its own.
-				solver = nil
-			}
-			cert, core, err := certify(sp, checkProof, m.Opts.Blame)
-			if err != nil {
-				return nil, err
-			}
-			certNode := ledger.Child("certify")
-			msnap = certNode.Charge(msnap)
-			certNode.Add(cost.Work{ProofBytes: checkProof.Bytes()})
-			res.Certificate = cert
-			res.CertifyElapsed = cert.CheckElapsed
-			res.Elapsed += res.CertifyElapsed
-			if m.Opts.Blame {
-				bases := solver.OriginSetBases
-				if outcome != nil {
-					bases = outcome.OriginBases
-				}
-				res.Blame = m.blameFromCore(bases, checkProof, core)
-				msnap = ledger.Child("blame").Charge(msnap)
-			}
-		}
-	case sat.Sat:
-		dSp := sp.Start("decode")
-		asg := solver.Model()
-		if outcome != nil {
-			asg = solver.ModelFrom(outcome.Winner)
-		}
-		res.Counterexample = m.Decode(asg)
-		dSp.End()
-		msnap = ledger.Child("decode").Charge(msnap)
-		if m.Opts.Blame {
-			res.Blame = m.blameSat(asserts, origins, res.Counterexample.Assignment)
-			msnap = ledger.Child("blame").Charge(msnap)
-		}
-	default:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: solver returned %v", status)
-	}
-	if m.Opts.ProfileOrigins {
-		if outcome != nil {
-			res.OriginProfile = m.profileFromOutcome(outcome)
-		} else {
-			res.OriginProfile = m.originProfile(solver)
-		}
-	}
-	// Whatever ran since the last phase boundary (profile construction,
-	// result assembly) is the root's own window.
-	ledger.Charge(msnap)
-	res.Cost = ledger
-	return res, nil
 }
 
 // chargeParallelSolve expands a parallel outcome under the solve node:

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/provenance"
+	"repro/internal/smt"
 )
 
 // blameOptions is the default pipeline with blame extraction on (which
@@ -25,11 +27,11 @@ func corpusBlame(cs *CorpusScenario, ck CorpusCheck) ([]provenance.Origin, error
 	if err != nil {
 		return nil, err
 	}
-	prop, err := buildProperty(m, ck)
+	prop, assumptions, err := corpusProperty(m, ck)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Check(prop, assumptionFor(m, ck))
+	res, err := m.Check(prop, assumptions...)
 	if err != nil {
 		return nil, err
 	}
@@ -142,15 +144,25 @@ func mutatedVerdict(name string, texts []string, ck CorpusCheck) (verified, vaca
 	if err != nil {
 		return false, true
 	}
-	prop, err := buildProperty(m, ck)
-	if err != nil || prop == nil {
+	prop, assumptions, err := corpusProperty(m, ck)
+	if err != nil {
 		return false, true
 	}
-	res, err := m.Check(prop, assumptionFor(m, ck))
+	res, err := m.Check(prop, assumptions...)
 	if err != nil {
 		return false, true
 	}
 	return res.Verified, false
+}
+
+// corpusProperty builds a corpus check's query on m through the
+// pipeline's two mappings (spec → goal → property).
+func corpusProperty(m *core.Model, ck CorpusCheck) (*smt.Term, []*smt.Term, error) {
+	goal, err := ck.Goal()
+	if err != nil {
+		return nil, nil, err
+	}
+	return pipeline.Property(m, goal)
 }
 
 func keys(m map[string]bool) []string {

@@ -11,8 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/network"
-	"repro/internal/properties"
+	"repro/internal/pipeline"
 	"repro/internal/psolve"
 	"repro/internal/service"
 	"repro/internal/smt"
@@ -39,13 +38,10 @@ import (
 // scenarios additionally run the differential oracle on a fixed random
 // stream.
 
-// CorpusCheck is one expected verdict of a corpus scenario.
+// CorpusCheck is one expected verdict of a corpus scenario: a request
+// spec, so corpus files read like service requests, plus the answer.
 type CorpusCheck struct {
-	Check       string
-	Src, Via    string
-	Subnet      string
-	Hops        int
-	MaxFailures int
+	pipeline.Spec
 	// Expect is the pinned verdict: true = verified.
 	Expect bool
 }
@@ -118,7 +114,7 @@ func parseCheck(s string) (CorpusCheck, error) {
 	if len(fields) == 0 {
 		return CorpusCheck{}, fmt.Errorf("empty check")
 	}
-	ck := CorpusCheck{Check: fields[0]}
+	ck := CorpusCheck{Spec: pipeline.Spec{Check: fields[0]}}
 	seenExpect := false
 	for _, f := range fields[1:] {
 		k, v, ok := strings.Cut(f, "=")
@@ -182,75 +178,48 @@ func LoadCorpus(dir string) ([]*CorpusScenario, error) {
 	return out, nil
 }
 
-// buildProperty mirrors the service's spec→property mapping for the
-// checks the corpus uses, so corpus files read like service requests.
-func buildProperty(m *core.Model, ck CorpusCheck) (*smt.Term, error) {
-	var sub network.Prefix
-	if ck.Subnet != "" {
-		var err error
-		sub, err = network.ParsePrefix(ck.Subnet)
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch ck.Check {
-	case "reachability":
-		return properties.Reachable(m, ck.Src, sub), nil
-	case "isolation":
-		return properties.Isolated(m, ck.Src, sub), nil
-	case "bounded-length":
-		hops := ck.Hops
-		if hops == 0 {
-			hops = service.DefaultHops
-		}
-		return properties.BoundedLength(m, ck.Src, sub, hops), nil
-	case "waypoint":
-		return properties.Waypointed(m, ck.Src, ck.Via, sub), nil
-	case "blackholes":
-		return properties.NoBlackholes(m), nil
-	case "multipath-consistency":
-		return properties.MultipathConsistent(m), nil
-	case "loops":
-		return properties.NoForwardingLoops(m, nil), nil
-	case "mgmt-reachability":
-		return properties.ManagementReachable(m), nil
-	}
-	return nil, fmt.Errorf("fuzz: unsupported corpus check %q", ck.Check)
-}
-
-func assumptionFor(m *core.Model, ck CorpusCheck) *smt.Term {
-	if ck.MaxFailures > 0 {
-		return m.AtMostFailures(ck.MaxFailures)
-	}
-	return m.NoFailures()
-}
-
 // Verify replays the corpus scenario: every check must reproduce its
 // pinned verdict on the fresh-check, session and service paths (all with
 // certification on), and sim-safe scenarios run the differential oracle
 // over a few environments from the given stream.
 func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
+	goals := make([]tiered.Goal, len(cs.Checks))
+	for i, ck := range cs.Checks {
+		var err error
+		if goals[i], err = ck.Goal(); err != nil {
+			return fmt.Errorf("%s: check %d: %w", cs.Path, i, err)
+		}
+	}
+	// checkAll answers every check through check on one model and holds
+	// the verdict to the pinned one and to the certification invariant.
+	checkAll := func(path string, m *core.Model, check func(p *smt.Term, assumptions ...*smt.Term) (*core.Result, error)) error {
+		for i, ck := range cs.Checks {
+			prop, assumptions, err := pipeline.Property(m, goals[i])
+			if err != nil {
+				return fmt.Errorf("%s: %s check %d: %w", cs.Path, path, i, err)
+			}
+			res, err := check(prop, assumptions...)
+			if err != nil {
+				return fmt.Errorf("%s: %s check %d (%s): %w", cs.Path, path, i, ck.Check, err)
+			}
+			if res.Verified != ck.Expect {
+				return fmt.Errorf("%s: %s check %d (%s src=%s subnet=%s): got verified=%v want %v",
+					cs.Path, path, i, ck.Check, ck.Src, ck.Subnet, res.Verified, ck.Expect)
+			}
+			if res.Verified && (res.Certificate == nil || !res.Certificate.Checked) {
+				return fmt.Errorf("%s: %s check %d: verified without checked certificate", cs.Path, path, i)
+			}
+		}
+		return nil
+	}
+
 	// Path 1: fresh Model.Check per check.
 	m, err := cs.Encode("")
 	if err != nil {
 		return err
 	}
-	for i, ck := range cs.Checks {
-		prop, err := buildProperty(m, ck)
-		if err != nil {
-			return fmt.Errorf("%s: check %d: %w", cs.Path, i, err)
-		}
-		res, err := m.Check(prop, assumptionFor(m, ck))
-		if err != nil {
-			return fmt.Errorf("%s: check %d (%s): %w", cs.Path, i, ck.Check, err)
-		}
-		if res.Verified != ck.Expect {
-			return fmt.Errorf("%s: check %d (%s src=%s subnet=%s): got verified=%v want %v",
-				cs.Path, i, ck.Check, ck.Src, ck.Subnet, res.Verified, ck.Expect)
-		}
-		if res.Verified && (res.Certificate == nil || !res.Certificate.Checked) {
-			return fmt.Errorf("%s: check %d: verified without checked certificate", cs.Path, i)
-		}
+	if err := checkAll("fresh", m, m.Check); err != nil {
+		return err
 	}
 
 	// Path 2: one incremental session answering all checks.
@@ -258,39 +227,17 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 	if err != nil {
 		return err
 	}
-	sess := ms.NewSession()
-	for i, ck := range cs.Checks {
-		prop, err := buildProperty(ms, ck)
-		if err != nil {
-			return fmt.Errorf("%s: session check %d: %w", cs.Path, i, err)
-		}
-		res, err := sess.Check(prop, assumptionFor(ms, ck))
-		if err != nil {
-			return fmt.Errorf("%s: session check %d (%s): %w", cs.Path, i, ck.Check, err)
-		}
-		if res.Verified != ck.Expect {
-			return fmt.Errorf("%s: session check %d (%s): got verified=%v want %v",
-				cs.Path, i, ck.Check, res.Verified, ck.Expect)
-		}
-		if res.Verified && (res.Certificate == nil || !res.Certificate.Checked) {
-			return fmt.Errorf("%s: session check %d: verified without checked certificate", cs.Path, i)
-		}
+	if err := checkAll("session", ms, ms.NewSession().Check); err != nil {
+		return err
 	}
 
-	// Path 3: the service engine (its own property builder and session).
-	// Tiers and modular composition off so this path pins the solver on
-	// the whole network; the graph fast path is replayed separately below
-	// and the assume/guarantee pipeline has its own parity sweep.
-	eng := service.NewEngine(service.Options{Workers: 1, Certify: true, Tiers: "none", Modular: false})
+	// Path 3: the service engine, pinned to the solver on the whole
+	// network; the graph fast path is replayed separately below and the
+	// assume/guarantee pipeline has its own parity sweep.
+	eng := service.NewEngine(engineOptions(pinned("")))
 	defer eng.Close()
 	for i, ck := range cs.Checks {
-		v, err := eng.Verify(context.Background(), &service.Request{
-			Configs: cs.configs(),
-			Spec: service.Spec{
-				Check: ck.Check, Src: ck.Src, Via: ck.Via, Subnet: ck.Subnet,
-				Hops: ck.Hops, MaxFailures: ck.MaxFailures,
-			},
-		})
+		v, err := eng.Verify(context.Background(), &service.Request{Configs: cs.configs(), Spec: ck.Spec})
 		if err != nil {
 			return fmt.Errorf("%s: service check %d (%s): %w", cs.Path, i, ck.Check, err)
 		}
@@ -308,11 +255,7 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 	// SAT verdict — the corpus doubles as the tier's soundness suite.
 	a := tiered.NewAnalysis(cs.Net.Graph)
 	for i, ck := range cs.Checks {
-		goal, ok := GoalFor(ck)
-		if !ok {
-			continue
-		}
-		out := a.Decide(goal)
+		out := a.Decide(goals[i])
 		if out.Decided && out.Verified != ck.Expect {
 			return fmt.Errorf("%s: graph-tier check %d (%s src=%s subnet=%s): decided verified=%v (reason %s), want %v",
 				cs.Path, i, ck.Check, ck.Src, ck.Subnet, out.Verified, out.Reason, ck.Expect)
@@ -330,23 +273,8 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 		}
 		mp.Opts.Parallel = mode
 		mp.Opts.ParallelWorkers = 2
-		for i, ck := range cs.Checks {
-			prop, err := buildProperty(mp, ck)
-			if err != nil {
-				return fmt.Errorf("%s: parallel=%s check %d: %w", cs.Path, mode, i, err)
-			}
-			res, err := mp.Check(prop, assumptionFor(mp, ck))
-			if err != nil {
-				return fmt.Errorf("%s: parallel=%s check %d (%s): %w", cs.Path, mode, i, ck.Check, err)
-			}
-			if res.Verified != ck.Expect {
-				return fmt.Errorf("%s: parallel=%s check %d (%s): got verified=%v want %v",
-					cs.Path, mode, i, ck.Check, res.Verified, ck.Expect)
-			}
-			if res.Verified && (res.Certificate == nil || !res.Certificate.Checked) {
-				return fmt.Errorf("%s: parallel=%s check %d: verified without checked certificate",
-					cs.Path, mode, i)
-			}
+		if err := checkAll("parallel="+mode, mp, mp.Check); err != nil {
+			return err
 		}
 	}
 
@@ -356,29 +284,4 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 		}
 	}
 	return nil
-}
-
-// GoalFor translates a corpus check into the graph tier's goal
-// vocabulary; ok=false when the check class has no tier translation.
-func GoalFor(ck CorpusCheck) (tiered.Goal, bool) {
-	switch ck.Check {
-	case "reachability", "isolation", "mgmt-reachability", "blackholes",
-		"multipath-consistency", "loops", "bounded-length", "waypoint", "no-leak":
-	default:
-		return tiered.Goal{}, false
-	}
-	g := tiered.Goal{Check: ck.Check, Src: ck.Src, Via: ck.Via,
-		Hops: ck.Hops, MaxFailures: ck.MaxFailures}
-	if g.Check == "bounded-length" && g.Hops == 0 {
-		g.Hops = service.DefaultHops
-	}
-	if ck.Subnet != "" {
-		sub, err := network.ParsePrefix(ck.Subnet)
-		if err != nil {
-			return tiered.Goal{}, false
-		}
-		g.Subnet = sub
-		g.HasSubnet = true
-	}
-	return g, true
 }

@@ -6,35 +6,46 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/modular"
 	"repro/internal/network"
-	"repro/internal/properties"
+	"repro/internal/pipeline"
 	"repro/internal/psolve"
 	"repro/internal/service"
 	"repro/internal/smt"
 	"repro/internal/tiered"
 )
 
-// certifyOptions is the option set every fuzz encode uses: the chosen
-// pass pipeline plus Certify, so any UNSAT verdict reached by an oracle
-// is DRAT-checked as a side effect (the third oracle family).
-func certifyOptions(passes string) core.Options {
-	o := core.DefaultOptions()
-	o.Passes = passes
-	o.Certify = true
-	// The sequential search is pinned explicitly: every other oracle
-	// compares variants of one verdict, and a racing parallel engine
-	// would blur which variant was actually exercised. Parallel parity
-	// has its own oracle (ParallelParity).
-	o.Parallel = psolve.ModeOff
+// pinned is the option set every oracle starts from: the given pass
+// pipeline with certification on — so any UNSAT verdict an oracle reaches
+// is DRAT-checked as a side effect (the third oracle family) — and every
+// engine but the sequential monolithic solver off: the graph tier, the
+// modular composition, the parallel strategies. Each oracle compares
+// variants of one verdict, and an engine left on by default would blur
+// which variant was exercised; an oracle switches on exactly the engine
+// it is about.
+func pinned(passes string) pipeline.Options {
+	var o pipeline.Options
+	o.Core.Passes = passes
+	o.Core.Certify = true
+	o.Core.Tiers = "none"
+	o.Core.Parallel = psolve.ModeOff
 	return o
+}
+
+// engineOptions configures a service engine the way o configures a
+// pipeline run.
+func engineOptions(o pipeline.Options) service.Options {
+	return service.Options{
+		Workers: 1, Passes: o.Core.Passes, Certify: o.Core.Certify,
+		Tiers: o.Core.Tiers, Parallel: o.Core.Parallel, Modular: o.Modular,
+	}
 }
 
 // Encode builds the scenario's model under the given pass pipeline, with
 // certification on.
 func (s *Scenario) Encode(passes string) (*core.Model, error) {
-	m, err := core.Encode(s.Net.Graph, certifyOptions(passes))
+	m, err := core.Encode(s.Net.Graph, pinned(passes).Core)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: %s: encode (passes=%q): %w", s.Name, passes, err)
 	}
@@ -84,15 +95,20 @@ func (s *Scenario) pickQuery(rng *rand.Rand) query {
 	}
 }
 
-// checkOn answers q with a fresh Model.Check on m and validates the
-// certification invariant (verified ⇒ checked certificate).
-func checkOn(m *core.Model, q query) (bool, error) {
-	prop := properties.Reachable(m, q.src, q.sub)
-	assum := m.NoFailures()
-	if q.maxFail > 0 {
-		assum = m.AtMostFailures(q.maxFail)
+// spec states the query as a request: reachability from src to sub.
+func (q query) spec() pipeline.Spec {
+	return pipeline.Spec{Check: "reachability", Src: q.src, Subnet: q.sub.String(), MaxFailures: q.maxFail}
+}
+
+// answer builds a goal's property on m, answers it through check
+// (Model.Check or a Session.Check on m) and validates the certification
+// invariant (verified ⇒ checked certificate).
+func answer(m *core.Model, goal tiered.Goal, check func(*smt.Term, ...*smt.Term) (*core.Result, error)) (bool, error) {
+	prop, assumptions, err := pipeline.Property(m, goal)
+	if err != nil {
+		return false, err
 	}
-	res, err := m.Check(prop, assum)
+	res, err := check(prop, assumptions...)
 	if err != nil {
 		return false, err
 	}
@@ -100,6 +116,15 @@ func checkOn(m *core.Model, q query) (bool, error) {
 		return false, fmt.Errorf("verified verdict without checked certificate")
 	}
 	return res.Verified, nil
+}
+
+// checkOn answers q with a fresh Model.Check on m.
+func checkOn(m *core.Model, q query) (bool, error) {
+	goal, err := q.spec().Goal()
+	if err != nil {
+		return false, err
+	}
+	return answer(m, goal, m.Check)
 }
 
 // PassesParity is the metamorphic pass oracle: the verdict of one
@@ -167,41 +192,29 @@ func (s *Scenario) PathParity(rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
+	goal, err := q.spec().Goal()
+	if err != nil {
+		return err
+	}
 	sess := ms.NewSession()
 	for i := 0; i < 2; i++ {
-		prop := properties.Reachable(ms, q.src, q.sub)
-		assum := ms.NoFailures()
-		if q.maxFail > 0 {
-			assum = ms.AtMostFailures(q.maxFail)
-		}
-		res, err := sess.Check(prop, assum)
+		got, err := answer(ms, goal, sess.Check)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: session check %d: %w", s.Name, i, err)
 		}
-		if res.Verified && (res.Certificate == nil || !res.Certificate.Checked) {
-			return fmt.Errorf("fuzz: %s: session check %d: verified without certificate", s.Name, i)
-		}
-		if res.Verified != fresh {
+		if got != fresh {
 			return fmt.Errorf("fuzz: %s: session check %d disagrees with fresh check: src=%s dst=%v session=%v fresh=%v",
-				s.Name, i, q.src, q.sub, res.Verified, fresh)
+				s.Name, i, q.src, q.sub, got, fresh)
 		}
 	}
 
-	// Tiers and modular composition off: this oracle compares the three
+	// The engine is pinned like the models: this oracle compares the three
 	// SAT execution paths, so the engine must actually run the solver on
 	// the whole network (the graph fast path is covered by TierParity,
 	// the assume/guarantee pipeline by ModularParity).
-	eng := service.NewEngine(service.Options{Workers: 1, Certify: true, Tiers: "none", Modular: false})
+	eng := service.NewEngine(engineOptions(pinned("")))
 	defer eng.Close()
-	v, err := eng.Verify(context.Background(), &service.Request{
-		Configs: s.configs(),
-		Spec: service.Spec{
-			Check:       "reachability",
-			Src:         q.src,
-			Subnet:      q.sub.String(),
-			MaxFailures: q.maxFail,
-		},
-	})
+	v, err := eng.Verify(context.Background(), &service.Request{Configs: s.configs(), Spec: q.spec()})
 	if err != nil {
 		return fmt.Errorf("fuzz: %s: service check: %w", s.Name, err)
 	}
@@ -320,32 +333,6 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 		return err
 	}
 	q := s.pickQuery(rng)
-	satVerdict := func(check string) (bool, error) {
-		var prop *smt.Term
-		assum := m.NoFailures()
-		switch check {
-		case "reachability":
-			prop = properties.Reachable(m, q.src, q.sub)
-			if q.maxFail > 0 {
-				assum = m.AtMostFailures(q.maxFail)
-			}
-		case "loops":
-			prop = properties.NoForwardingLoops(m, nil)
-		case "blackholes":
-			prop = properties.NoBlackholes(m)
-		case "multipath-consistency":
-			prop = properties.MultipathConsistent(m)
-		case "mgmt-reachability":
-			prop = properties.ManagementReachable(m)
-		default:
-			return false, fmt.Errorf("no SAT form for check %q", check)
-		}
-		res, err := m.Check(prop, assum)
-		if err != nil {
-			return false, err
-		}
-		return res.Verified, nil
-	}
 	goals := []tiered.Goal{
 		{Check: "reachability", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
 		{Check: "loops"},
@@ -358,7 +345,7 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 		if !out.Decided {
 			continue
 		}
-		want, err := satVerdict(goal.Check)
+		want, err := answer(m, goal, m.Check)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
 		}
@@ -370,14 +357,14 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 	return nil
 }
 
-// ModularParity is the assume/guarantee oracle: modular.Verify answers
-// the same subnet-scoped goals the monolithic pipeline answers, and the
-// verdicts must agree. Single-component scenarios pin the trivial
-// monolithic route; multi-component ones (all-eBGP fabrics and
-// triangles) exercise partitioning, contract derivation, stratified
-// discharge and composition end to end. When the composed verdict
-// stands it is cross-checked against a fresh monolithic run — any
-// disagreement is a soundness bug in the composition (the pipeline is
+// ModularParity is the assume/guarantee oracle: the pipeline with the
+// modular step on answers the same subnet-scoped goals the monolithic
+// step answers alone, and the verdicts must agree. Single-component
+// scenarios pin the trivial monolithic route; multi-component ones
+// (all-eBGP fabrics and triangles) exercise partitioning, contract
+// derivation, stratified discharge and composition end to end. When the
+// composed verdict stands it is cross-checked against a monolithic run —
+// any disagreement is a soundness bug in the composition (the pipeline is
 // designed to fall back on residue, never to guess).
 func (s *Scenario) ModularParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
@@ -386,24 +373,27 @@ func (s *Scenario) ModularParity(rng *rand.Rand) error {
 		{Check: "blackholes", Subnet: q.sub, HasSubnet: true},
 		{Check: "multipath-consistency", Subnet: q.sub, HasSubnet: true},
 	}
-	opts := modular.Options{Core: certifyOptions(""), Workers: 2}
+	net := &pipeline.Network{Graph: s.Net.Graph}
+	mono := pinned("")
+	opts := mono
+	opts.Modular, opts.Workers = true, 2
 	for _, goal := range goals {
-		v, err := modular.Verify(context.Background(), s.Net.Graph, goal, opts)
+		v, err := pipeline.Run(context.Background(), net, goal, opts)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: modular %s: %w", s.Name, goal.Check, err)
 		}
-		if v.Mode != modular.ModeModular {
+		if v.Mode != pipeline.ModeModular {
 			// Residue or a single component: the verdict IS the monolithic
-			// pipeline's, nothing independent to compare.
+			// step's, nothing independent to compare.
 			continue
 		}
-		mono, err := modular.CheckMonolithic(context.Background(), s.Net.Graph, goal, opts.Core)
+		mv, err := pipeline.Run(context.Background(), net, goal, mono)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: monolithic %s: %w", s.Name, goal.Check, err)
 		}
-		if v.Result.Verified != mono.Verified {
+		if v.Result.Verified != mv.Result.Verified {
 			return fmt.Errorf("fuzz: %s: modular disagreement on %s (src=%s dst=%v): composed=%v monolithic=%v",
-				s.Name, goal.Check, q.src, q.sub, v.Result.Verified, mono.Verified)
+				s.Name, goal.Check, q.src, q.sub, v.Result.Verified, mv.Result.Verified)
 		}
 	}
 	return nil
@@ -452,53 +442,161 @@ func (s *Scenario) ParallelParity(rng *rand.Rand) error {
 	sm.Opts.Parallel = psolve.ModePortfolio
 	sm.Opts.ParallelWorkers = 2
 	sm.Opts.Seed = rng.Int63()
+	goal, err := q.spec().Goal()
+	if err != nil {
+		return err
+	}
 	sess := sm.NewSession()
 	for i := 0; i < 2; i++ {
-		prop := properties.Reachable(sm, q.src, q.sub)
-		assum := sm.NoFailures()
-		if q.maxFail > 0 {
-			assum = sm.AtMostFailures(q.maxFail)
-		}
-		res, err := sess.Check(prop, assum)
+		got, err := answer(sm, goal, sess.Check)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: parallel session check %d: %w", s.Name, i, err)
 		}
-		if res.Verified && (res.Certificate == nil || !res.Certificate.Checked) {
-			return fmt.Errorf("fuzz: %s: parallel session check %d: verified without certificate", s.Name, i)
-		}
-		if res.Verified != want {
+		if got != want {
 			return fmt.Errorf("fuzz: %s: parallel session check %d disagrees: got %v want %v",
-				s.Name, i, res.Verified, want)
+				s.Name, i, got, want)
 		}
 	}
 	return nil
 }
 
-// CheckAll runs every oracle valid for the scenario: the differential
-// oracle (SimSafe scenarios only) plus the three metamorphic oracles,
-// the tiered-verification parity oracle, the parallel-engine parity
-// oracle and the modular assume/guarantee parity oracle. Certification
-// runs implicitly in the SAT-based ones.
-func (s *Scenario) CheckAll(rng *rand.Rand, simIters int) error {
-	if s.SimSafe {
-		if err := s.DiffVsSim(rng, simIters); err != nil {
-			return err
+// An edit is one step of ServiceSequenceParity's menu: it rewrites the
+// parsed network in place (the texts are printed from it afterwards).
+var edits = []struct {
+	name  string
+	apply func(rng *rand.Rand, routers []*config.Router, q query)
+}{
+	{"comment-only", func(*rand.Rand, []*config.Router, query) {}},
+	{"deny-acl-on-source", func(_ *rand.Rand, routers []*config.Router, q query) {
+		// Deny the destination on every interface of the source. ACLs enter
+		// the model with the property's instrumentation, not with the
+		// compiled control plane: an engine that reuses sessions on a key
+		// that misses them answers this step on the un-edited network.
+		for _, r := range routers {
+			if r.Name != q.src {
+				continue
+			}
+			deny := config.AnyACLEntry(config.Deny)
+			deny.DstPrefix = q.sub
+			r.ACLs["FUZZDENY"] = &config.ACL{Name: "FUZZDENY",
+				Entries: []config.ACLEntry{deny, config.AnyACLEntry(config.Permit)}}
+			for _, ifc := range r.Interfaces {
+				ifc.OutACL = "FUZZDENY"
+			}
+		}
+	}},
+	{"link-cost", func(rng *rand.Rand, routers []*config.Router, _ query) {
+		r := routers[rng.Intn(len(routers))]
+		if len(r.Interfaces) > 0 {
+			r.Interfaces[rng.Intn(len(r.Interfaces))].OSPFCost = 2 + rng.Intn(20)
+		}
+	}},
+	{"null-static", func(rng *rand.Rand, routers []*config.Router, q query) {
+		r := routers[rng.Intn(len(routers))]
+		r.Statics = append(r.Statics, &config.StaticRoute{Prefix: q.sub, Drop: true})
+	}},
+}
+
+// ServiceSequenceParity is the stateful-reuse oracle (the seventh
+// family): every other oracle starts from one network and one query,
+// while a daemon lives through a sequence of edited networks and reuses
+// what it holds — verdict cache, sessions, compiled systems. A seeded
+// sequence of edits (the menu above, in a drawn order, after the
+// unedited network) goes through one long-lived engine pinned to the
+// solver; after each edit reachability and a bounded-length query whose
+// hop bound is drawn well past routers+2 (the counter's width) are asked,
+// and every verdict must equal a single-shot pipeline.Run on the same
+// texts.
+func (s *Scenario) ServiceSequenceParity(rng *rand.Rand) error {
+	q := s.pickQuery(rng)
+	routers := make([]*config.Router, len(s.Texts))
+	for i, t := range s.Texts {
+		r, err := config.Parse(t)
+		if err != nil {
+			return fmt.Errorf("fuzz: %s: %w", s.Name, err)
+		}
+		routers[i] = r
+	}
+	opts := pinned("")
+	eng := service.NewEngine(engineOptions(opts))
+	defer eng.Close()
+	steps := append([]int{-1}, rng.Perm(len(edits))...)
+	for n, ei := range steps {
+		name := "unedited"
+		if ei >= 0 {
+			name = edits[ei].name
+			edits[ei].apply(rng, routers, q)
+		}
+		configs := make(map[string]string, len(routers))
+		for i, r := range routers {
+			// The step number rides along as a comment, so every step is a
+			// new text even where the edit changed nothing a parser keeps.
+			configs[fmt.Sprintf("r%02d.cfg", i)] = fmt.Sprintf("! step %d\n%s", n, config.Print(r))
+		}
+		bounded := q.spec()
+		bounded.Check, bounded.Hops = "bounded-length", 1+rng.Intn(4*(len(routers)+2))
+		net, err := pipeline.Load(configs)
+		if err != nil {
+			return fmt.Errorf("fuzz: %s: step %d (%s): %w", s.Name, n, name, err)
+		}
+		for _, spec := range []pipeline.Spec{q.spec(), bounded} {
+			goal, err := spec.Goal()
+			if err != nil {
+				return err
+			}
+			want, err := pipeline.Run(context.Background(), net, goal, opts)
+			if err != nil {
+				return fmt.Errorf("fuzz: %s: step %d (%s) %s: single-shot: %w", s.Name, n, name, spec.Check, err)
+			}
+			got, err := eng.Verify(context.Background(), &service.Request{Configs: configs, Spec: spec})
+			if err != nil {
+				return fmt.Errorf("fuzz: %s: step %d (%s) %s: engine: %w", s.Name, n, name, spec.Check, err)
+			}
+			if got.Verified != want.Result.Verified {
+				return fmt.Errorf("fuzz: %s: step %d (%s): long-lived engine disagrees with a single-shot run on %s src=%s dst=%v hops=%d maxFail=%d: engine=%v single-shot=%v",
+					s.Name, n, name, spec.Check, q.src, q.sub, spec.Hops, q.maxFail, got.Verified, want.Result.Verified)
+			}
 		}
 	}
-	if err := s.PassesParity(rng); err != nil {
-		return err
+	return nil
+}
+
+// oracle is one parity check over a scenario; applies is nil for the
+// oracles valid on every scenario.
+type oracle struct {
+	name    string
+	applies func(s *Scenario) bool
+	run     func(s *Scenario, rng *rand.Rand) error
+}
+
+// oracles is the table CheckAll walks: the differential oracle (SimSafe
+// scenarios only), the three metamorphic oracles, tiered parity,
+// parallel-engine parity, modular parity and the service sequence
+// oracle. Certification runs implicitly in the SAT-based ones. A new
+// oracle is one more row.
+func oracles(simIters int) []oracle {
+	return []oracle{
+		{"diff-vs-sim", func(s *Scenario) bool { return s.SimSafe },
+			func(s *Scenario, rng *rand.Rand) error { return s.DiffVsSim(rng, simIters) }},
+		{"passes-parity", nil, (*Scenario).PassesParity},
+		{"path-parity", nil, (*Scenario).PathParity},
+		{"renaming-parity", nil, (*Scenario).RenamingParity},
+		{"tier-parity", nil, (*Scenario).TierParity},
+		{"parallel-parity", nil, (*Scenario).ParallelParity},
+		{"modular-parity", nil, (*Scenario).ModularParity},
+		{"service-sequence-parity", nil, (*Scenario).ServiceSequenceParity},
 	}
-	if err := s.PathParity(rng); err != nil {
-		return err
+}
+
+// CheckAll runs every oracle valid for the scenario, in table order.
+func (s *Scenario) CheckAll(rng *rand.Rand, simIters int) error {
+	for _, o := range oracles(simIters) {
+		if o.applies != nil && !o.applies(s) {
+			continue
+		}
+		if err := o.run(s, rng); err != nil {
+			return fmt.Errorf("%s: %w", o.name, err)
+		}
 	}
-	if err := s.RenamingParity(rng); err != nil {
-		return err
-	}
-	if err := s.TierParity(rng); err != nil {
-		return err
-	}
-	if err := s.ParallelParity(rng); err != nil {
-		return err
-	}
-	return s.ModularParity(rng)
+	return nil
 }

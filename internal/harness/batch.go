@@ -5,17 +5,17 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/properties"
-	"repro/internal/smt"
+	"repro/internal/pipeline"
+	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
 
-// batchProp is one property of the batch suite. Build runs against the
-// mode's own model, because property construction interns terms and may
-// append instrumentation constraints.
+// batchProp is one property of the batch suite. Its term is built
+// (pipeline.Property) against the mode's own model, because property
+// construction interns terms and may append instrumentation constraints.
 type batchProp struct {
-	Name  string
-	Build func(m *core.Model) (*smt.Term, []*smt.Term)
+	Name string
+	Goal tiered.Goal
 }
 
 // batchToRLimit caps the per-ToR property fan-out so the suite grows
@@ -27,66 +27,34 @@ const batchToRLimit = 3
 // smallest fabric (2 pods) this is a 10-property suite.
 func batchProps(f *Fabric) []batchProp {
 	k := f.FT.K
-	dst := topogen.ToRSubnet(0, 0)
 	destToR := topogen.ToRName(0, 0)
-	var tors []string
+	var others []string
 	for _, t := range f.FT.AllToRs() {
-		if t != destToR && len(tors) < batchToRLimit {
-			tors = append(tors, t)
+		if t != destToR {
+			others = append(others, t)
 		}
 	}
-	noFail := func(m *core.Model) []*smt.Term { return []*smt.Term{m.NoFailures()} }
-	withDst := func(m *core.Model) []*smt.Term {
-		return []*smt.Term{m.NoFailures(), properties.DstIn(m, dst)}
+	to := func(g tiered.Goal) tiered.Goal {
+		g.Subnet, g.HasSubnet = topogen.ToRSubnet(0, 0), true
+		return g
 	}
 	props := []batchProp{
-		{"no-blackholes", func(m *core.Model) (*smt.Term, []*smt.Term) {
-			return properties.NoBlackholes(m), noFail(m)
-		}},
-		{"multipath-consistency", func(m *core.Model) (*smt.Term, []*smt.Term) {
-			return properties.MultipathConsistent(m), noFail(m)
-		}},
-		{"no-loops", func(m *core.Model) (*smt.Term, []*smt.Term) {
-			return properties.NoForwardingLoops(m, nil), noFail(m)
-		}},
-		{"equal-length-pod", func(m *core.Model) (*smt.Term, []*smt.Term) {
-			return properties.EqualLengths(m, f.FT.ToRs[k-1], dst), withDst(m)
-		}},
-		{"all-tor-reachability", func(m *core.Model) (*smt.Term, []*smt.Term) {
-			var all []string
-			for _, t := range f.FT.AllToRs() {
-				if t != destToR {
-					all = append(all, t)
-				}
-			}
-			return properties.ReachableAll(m, all, dst), withDst(m)
-		}},
-		{"all-tor-bounded-length", func(m *core.Model) (*smt.Term, []*smt.Term) {
-			var all []string
-			for _, t := range f.FT.AllToRs() {
-				if t != destToR {
-					all = append(all, t)
-				}
-			}
-			return properties.BoundedLengthAll(m, all, dst, 4), withDst(m)
-		}},
+		{"no-blackholes", tiered.Goal{Check: "blackholes"}},
+		{"multipath-consistency", tiered.Goal{Check: "multipath-consistency"}},
+		{"no-loops", tiered.Goal{Check: "loops"}},
+		{"equal-length-pod", to(tiered.Goal{Check: "equal-lengths", Srcs: f.FT.ToRs[k-1]})},
+		{"all-tor-reachability", to(tiered.Goal{Check: "reachability-all", Srcs: others})},
+		{"all-tor-bounded-length", to(tiered.Goal{Check: "bounded-length-all", Srcs: others, Hops: 4})},
 	}
-	for _, tor := range tors {
-		tor := tor
+	for i, tor := range others {
+		if i == batchToRLimit {
+			break
+		}
 		props = append(props,
-			batchProp{"reachability:" + tor, func(m *core.Model) (*smt.Term, []*smt.Term) {
-				return properties.Reachable(m, tor, dst), withDst(m)
-			}},
-			batchProp{"bounded-length:" + tor, func(m *core.Model) (*smt.Term, []*smt.Term) {
-				return properties.BoundedLength(m, tor, dst, 4), withDst(m)
-			}},
-			batchProp{"reachability-1f:" + tor, func(m *core.Model) (*smt.Term, []*smt.Term) {
-				return properties.Reachable(m, tor, dst),
-					[]*smt.Term{m.AtMostFailures(1), properties.DstIn(m, dst)}
-			}},
-			batchProp{"bounded-length-6:" + tor, func(m *core.Model) (*smt.Term, []*smt.Term) {
-				return properties.BoundedLength(m, tor, dst, 6), withDst(m)
-			}},
+			batchProp{"reachability:" + tor, to(tiered.Goal{Check: "reachability", Src: tor})},
+			batchProp{"bounded-length:" + tor, to(tiered.Goal{Check: "bounded-length", Src: tor, Hops: 4})},
+			batchProp{"reachability-1f:" + tor, to(tiered.Goal{Check: "reachability", Src: tor, MaxFailures: 1})},
+			batchProp{"bounded-length-6:" + tor, to(tiered.Goal{Check: "bounded-length", Src: tor, Hops: 6})},
 		)
 	}
 	return props
@@ -164,7 +132,10 @@ func RunBatch(f *Fabric) (*BatchResult, error) {
 	out.Fresh = BatchMode{Mode: "fresh", EncodeModel: time.Since(encStart)}
 	out.Fresh.SharedBlasts = 0
 	for _, bp := range props {
-		p, assumptions := bp.Build(mf)
+		p, assumptions, err := pipeline.Property(mf, bp.Goal)
+		if err != nil {
+			return nil, fmt.Errorf("harness: fresh %s: %w", bp.Name, err)
+		}
 		res, err := mf.Check(p, assumptions...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: fresh %s: %w", bp.Name, err)
@@ -191,7 +162,10 @@ func RunBatch(f *Fabric) (*BatchResult, error) {
 	sess := ms.NewSession()
 	out.Session.SetupBlast, out.Session.SetupSimplify = sess.SetupElapsed()
 	for _, bp := range props {
-		p, assumptions := bp.Build(ms)
+		p, assumptions, err := pipeline.Property(ms, bp.Goal)
+		if err != nil {
+			return nil, fmt.Errorf("harness: session %s: %w", bp.Name, err)
+		}
 		res, err := sess.Check(p, assumptions...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: session %s: %w", bp.Name, err)

@@ -6,34 +6,21 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/netgen"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/properties"
 	"repro/internal/protograph"
 	"repro/internal/provenance"
 	"repro/internal/sat"
-	"repro/internal/smt"
 	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
-
-// BuildGraph assembles the protocol graph from router configurations.
-func BuildGraph(routers []*config.Router) (*protograph.Graph, error) {
-	topo, err := config.BuildTopology(routers)
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]*config.Router, len(routers))
-	for _, r := range routers {
-		byName[r.Name] = r
-	}
-	return protograph.Build(topo, byName)
-}
 
 // PropResult is one property check outcome. Encode/Simplify/Solve split
 // Elapsed by pipeline phase; they stay zero for checks that do not go
@@ -78,10 +65,11 @@ type NetCheck struct {
 // CheckNetwork runs the requested §8.1 properties on one generated
 // network.
 func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
-	g, err := BuildGraph(n.Routers)
+	net, err := pipeline.Build(n.Routers)
 	if err != nil {
 		return nil, err
 	}
+	g := net.Graph
 	out := &NetCheck{Name: n.Name, Routers: len(n.Routers), Lines: n.Lines, Results: map[string]PropResult{}}
 	for _, prop := range props {
 		var pr PropResult
@@ -286,13 +274,13 @@ type Fig8Row struct {
 	Profile *provenance.Profile
 }
 
-// Fabric caches a generated fat-tree and its graph. The optional
+// Fabric caches a generated fat-tree and its loaded network. The optional
 // observability fields are threaded into every model built from the
 // fabric: Obs parents the per-query spans, and ProgressEvery/OnProgress
 // install the solver progress hook.
 type Fabric struct {
-	FT *topogen.FatTree
-	G  *protograph.Graph
+	FT  *topogen.FatTree
+	Net *pipeline.Network
 
 	// Passes, when non-empty, overrides the optimization pipeline for
 	// every encode that does not already pin Options.Passes (the cmd
@@ -300,15 +288,10 @@ type Fabric struct {
 	Passes string
 
 	// Tiers enables the graph fast path for Fig8 rows when
-	// tiered.Enabled(Tiers) holds (the cmd -tiers flag lands here; the
-	// zero value here means OFF so existing callers measure the solver
-	// unchanged — pass "graph,sat" to opt in).
+	// tiered.Enabled(Tiers) holds (the cmd -tiers flag lands here; unlike
+	// there, the zero value here means OFF so existing callers measure the
+	// solver unchanged — pass "graph,sat" to opt in).
 	Tiers string
-
-	// analysis is the lazily built fast-path analysis shared by every
-	// row of a tiered run. Not synchronized: a Fabric is driven by one
-	// goroutine at a time.
-	analysis *tiered.Analysis
 
 	// Certify turns on DRAT proof recording for every encode: verified
 	// verdicts carry an independently checked certificate and the Fig8Row
@@ -346,7 +329,7 @@ func (f *Fabric) encode(opts core.Options) (*core.Model, error) {
 		opts.Parallel = f.Parallel
 		opts.ParallelWorkers = f.ParallelWorkers
 	}
-	m, err := core.Encode(f.G, opts)
+	m, err := core.Encode(f.Net.Graph, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -355,24 +338,10 @@ func (f *Fabric) encode(opts core.Options) (*core.Model, error) {
 	return m, nil
 }
 
-// tiersOn reports whether Fig8 rows should attempt the graph fast path.
-// Unlike the CLI flags — where empty means the default, tiers on — the
-// empty Fabric field keeps existing benchmark callers untiered.
-func (f *Fabric) tiersOn() bool { return f.Tiers != "" && tiered.Enabled(f.Tiers) }
-
-// Analysis returns the fabric's fast-path analysis, building it on first
-// use (cached: one analysis serves every row and sweep on the fabric).
-func (f *Fabric) Analysis() *tiered.Analysis {
-	if f.analysis == nil {
-		f.analysis = tiered.NewAnalysis(f.G)
-	}
-	return f.analysis
-}
-
-// Fig8Goal translates a Figure 8 property into the graph tier's goal
-// vocabulary (ok=false for local-consistency, which the tier does not
-// model). Shared by RunFig8Property and the tiered-sweep experiment so
-// both answer exactly the query the SAT row answers.
+// Fig8Goal states a Figure 8 property as a goal (ok=false for
+// local-consistency, a pairwise-equivalence sweep no goal models). The
+// destination is the first ToR's subnet, the far source the last pod's
+// first ToR, matching the paper's fixed-destination queries.
 func Fig8Goal(f *Fabric, prop string) (tiered.Goal, bool) {
 	k := f.FT.K
 	dst := topogen.ToRSubnet(0, 0)
@@ -431,32 +400,19 @@ func BuildFabric(k int) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := BuildGraph(ft.Routers)
+	net, err := pipeline.Build(ft.Routers)
 	if err != nil {
 		return nil, err
 	}
-	return &Fabric{FT: ft, G: g}, nil
+	return &Fabric{FT: ft, Net: net}, nil
 }
 
-// RunFig8Property checks one Figure 8 property on a fabric. The
-// destination is the first ToR's subnet, the far source the last pod's
-// first ToR, matching the paper's fixed-destination queries.
+// RunFig8Property checks one Figure 8 property on a fabric: through the
+// query pipeline, with the graph tier on only when Fabric.Tiers asks (a
+// decided goal then costs one analysis pass instead of an encode and a
+// solve; residue rows pay the classification as overhead).
 func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
-	k := f.FT.K
-	row := &Fig8Row{Pods: k, Routers: len(f.FT.Routers), Property: prop}
-	dst := topogen.ToRSubnet(0, 0)
-	destToR := topogen.ToRName(0, 0)
-	farToR := topogen.ToRName(k-1, 0)
-	allToRs := func() []string {
-		var out []string
-		for _, t := range f.FT.AllToRs() {
-			if t != destToR {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-
+	row := &Fig8Row{Pods: f.FT.K, Routers: len(f.FT.Routers), Property: prop}
 	if prop == Fig8LocalConsist {
 		// n−1 pairwise equivalence queries over the core tier, as in
 		// §8.2 ("to ensure all n spine routers are equivalent... n−1
@@ -467,7 +423,7 @@ func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
 		opts := core.DefaultOptions()
 		opts.Span = f.Obs
 		for i := 0; i+1 < len(cores); i++ {
-			res, err := core.CheckLocalEquivalence(f.G, cores[i], cores[i+1], opts)
+			res, err := core.CheckLocalEquivalence(f.Net.Graph, cores[i], cores[i+1], opts)
 			if err != nil {
 				return nil, err
 			}
@@ -479,60 +435,26 @@ func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
 		return row, nil
 	}
 
-	// Graph fast path: a decided goal costs one analysis pass instead of
-	// an encode + solve; residue rows pay the classification as overhead
-	// and fall through to the solver unchanged.
-	if f.tiersOn() {
-		if goal, ok := Fig8Goal(f, prop); ok {
-			a := f.Analysis()
-			start := time.Now()
-			out := a.Decide(goal)
-			row.FastPath = time.Since(start)
-			if out.Decided {
-				row.Tier = tiered.TierGraph
-				row.Elapsed = row.FastPath
-				row.Verified = out.Verified
-				return row, nil
-			}
-			row.Tier = tiered.TierSAT
-		}
-	}
-
-	m, err := f.encode(core.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	var p = m.Ctx.True()
-	assumptions := []*smt.Term{m.NoFailures()}
-	switch prop {
-	case Fig8NoBlackholes:
-		p = properties.NoBlackholes(m)
-	case Fig8Multipath:
-		p = properties.MultipathConsistent(m)
-	case Fig8ReachSingle:
-		p = properties.Reachable(m, farToR, dst)
-		assumptions = append(assumptions, properties.DstIn(m, dst))
-	case Fig8ReachAll:
-		p = properties.ReachableAll(m, allToRs(), dst)
-		assumptions = append(assumptions, properties.DstIn(m, dst))
-	case Fig8BoundedSingle:
-		p = properties.BoundedLength(m, farToR, dst, 4)
-		assumptions = append(assumptions, properties.DstIn(m, dst))
-	case Fig8BoundedAll:
-		p = properties.BoundedLengthAll(m, allToRs(), dst, 4)
-		assumptions = append(assumptions, properties.DstIn(m, dst))
-	case Fig8EqualLengthPod:
-		// ToRs of a pod other than the destination's use equal-length
-		// paths.
-		p = properties.EqualLengths(m, f.FT.ToRs[k-1], dst)
-		assumptions = append(assumptions, properties.DstIn(m, dst))
-	default:
+	goal, ok := Fig8Goal(f, prop)
+	if !ok {
 		return nil, fmt.Errorf("harness: unknown figure-8 property %q", prop)
 	}
-	res, err := m.Check(p, assumptions...)
+	opts := pipeline.Options{Live: func() (*core.Model, *core.Session, error) {
+		m, err := f.encode(core.DefaultOptions())
+		return m, nil, err
+	}}
+	opts.Core.Span = f.Obs
+	opts.Core.Tiers = f.Tiers
+	if f.Tiers == "" {
+		opts.Core.Tiers = "none"
+	}
+	v, err := pipeline.Run(context.Background(), f.Net, goal, opts)
 	if err != nil {
 		return nil, err
 	}
+	res := v.Result
+	row.Tier = res.Tier
+	row.FastPath = res.FastPathElapsed
 	row.Elapsed = res.Elapsed
 	row.Encode = res.EncodeElapsed
 	row.Simplify = res.SimplifyElapsed
@@ -613,9 +535,12 @@ func RunAblation(f *Fabric, name string, opts core.Options) (*AblationRow, error
 	}
 	row.Encode = time.Since(t0)
 	row.RecordVars = m.NumRecordVars
-	dst := topogen.ToRSubnet(0, 0)
-	p := properties.Reachable(m, topogen.ToRName(k-1, 0), dst)
-	res, err := m.Check(p, m.NoFailures(), properties.DstIn(m, dst))
+	goal, _ := Fig8Goal(f, Fig8ReachSingle)
+	p, assumptions, err := pipeline.Property(m, goal)
+	if err != nil {
+		return nil, err
+	}
+	res, err := m.Check(p, assumptions...)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netgen"
+	"repro/internal/pipeline"
 )
 
 func TestSection81DetectsInjectedBugs(t *testing.T) {
@@ -174,7 +175,10 @@ func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 	sess := m.NewSession()
 	hinted := 0
 	for _, bp := range batchProps(f) {
-		p, assumptions := bp.Build(m)
+		p, assumptions, err := pipeline.Property(m, bp.Goal)
+		if err != nil {
+			t.Fatalf("session %s: %v", bp.Name, err)
+		}
 		res, err := sess.Check(p, assumptions...)
 		if err != nil {
 			t.Fatalf("session %s: %v", bp.Name, err)

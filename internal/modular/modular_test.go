@@ -4,39 +4,27 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/modular"
+	"repro/internal/pipeline"
 	"repro/internal/protograph"
 	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
 
-func fabricGraph(t *testing.T, k int) *protograph.Graph {
+func fabric(t *testing.T, k int) *pipeline.Network {
 	t.Helper()
 	ft, err := topogen.Generate(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildGraph(t, ft.Routers)
+	net, err := pipeline.Build(ft.Routers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
-func buildGraph(t *testing.T, routers []*config.Router) *protograph.Graph {
-	t.Helper()
-	topo, err := config.BuildTopology(routers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]*config.Router{}
-	for _, r := range routers {
-		byName[r.Name] = r
-	}
-	g, err := protograph.Build(topo, byName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
+func fabricGraph(t *testing.T, k int) *protograph.Graph { return fabric(t, k).Graph }
 
 func fabricGoals(k int) []tiered.Goal {
 	ft, _ := topogen.Generate(k)
@@ -112,42 +100,51 @@ func TestContractsFatTree(t *testing.T) {
 	}
 }
 
-func checkParity(t *testing.T, g *protograph.Graph, goal tiered.Goal, opts modular.Options, wantAlias bool) {
+// checkParity answers a goal through the pipeline with the modular step
+// on (graph tier off) and holds the composed verdict to the monolithic
+// step's alone.
+func checkParity(t *testing.T, net *pipeline.Network, goal tiered.Goal, wantAlias bool) {
 	t.Helper()
-	v, err := modular.Verify(context.Background(), g, goal, opts)
+	opts := modularOpts()
+	v, err := pipeline.Run(context.Background(), net, goal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Mode != modular.ModeModular {
+	if v.Mode != pipeline.ModeModular {
 		t.Fatalf("mode = %s (residue %v), want modular", v.Mode, v.Residue)
 	}
-	mono, err := modular.CheckMonolithic(context.Background(), g, goal, opts.Core)
+	opts.Modular = false
+	mono, err := pipeline.Run(context.Background(), net, goal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Result.Verified != mono.Verified {
-		t.Fatalf("parity: modular verified=%v, monolithic verified=%v", v.Result.Verified, mono.Verified)
+	if v.Result.Verified != mono.Result.Verified {
+		t.Fatalf("parity: modular verified=%v, monolithic verified=%v", v.Result.Verified, mono.Result.Verified)
 	}
 	if v.Result.Verified && len(v.Result.Blame) == 0 {
 		t.Fatalf("composed verified verdict has empty blame")
 	}
-	if wantAlias && v.Report.AliasHits == 0 {
+	if wantAlias && v.Modular.AliasHits == 0 {
 		t.Fatalf("expected isomorphic-pod alias hits, got 0 (classes=%d, components=%d)",
-			v.Report.Classes, v.Report.Components)
+			v.Modular.Classes, v.Modular.Components)
 	}
 }
 
-func modularOpts() modular.Options {
-	return modular.Options{Core: core.Options{Hoisting: true, Slicing: true, Blame: true}, Workers: 2}
+func modularOpts() pipeline.Options {
+	opts := pipeline.Options{Modular: true}
+	opts.Core.Tiers = "none"
+	opts.Core.Blame = true
+	opts.Workers = 2
+	return opts
 }
 
 func TestModularParityFatTree(t *testing.T) {
 	// k=2 has no isomorphic pods (every router's contract metric is
 	// distinct), so no alias hits are expected here; see the k=4 tests.
-	g := fabricGraph(t, 2)
+	net := fabric(t, 2)
 	for _, goal := range fabricGoals(2) {
 		goal := goal
-		t.Run(goal.Check, func(t *testing.T) { checkParity(t, g, goal, modularOpts(), false) })
+		t.Run(goal.Check, func(t *testing.T) { checkParity(t, net, goal, false) })
 	}
 }
 
@@ -156,7 +153,7 @@ func TestModularParityFatTree(t *testing.T) {
 // monolithic side is still quick); the fuzz ModularParity oracle and the
 // CI sweep cover the remaining goals at this size.
 func TestModularParityFatTreeK4(t *testing.T) {
-	g := fabricGraph(t, 4)
+	net := fabric(t, 4)
 	for _, goal := range fabricGoals(4) {
 		switch goal.Check {
 		case "reachability-all", "equal-lengths":
@@ -164,7 +161,7 @@ func TestModularParityFatTreeK4(t *testing.T) {
 			continue
 		}
 		goal := goal
-		t.Run(goal.Check, func(t *testing.T) { checkParity(t, g, goal, modularOpts(), true) })
+		t.Run(goal.Check, func(t *testing.T) { checkParity(t, net, goal, true) })
 	}
 }
 
@@ -172,26 +169,26 @@ func TestModularParityFatTreeK4(t *testing.T) {
 // paying for monolithic reference checks: at k=4 the far pods must
 // collapse into shared classes for every goal shape.
 func TestModularAliasFatTree(t *testing.T) {
-	g := fabricGraph(t, 4)
+	net := fabric(t, 4)
 	for _, goal := range fabricGoals(4) {
 		goal := goal
 		t.Run(goal.Check, func(t *testing.T) {
-			v, err := modular.Verify(context.Background(), g, goal, modularOpts())
+			v, err := pipeline.Run(context.Background(), net, goal, modularOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v.Mode != modular.ModeModular {
+			if v.Mode != pipeline.ModeModular {
 				t.Fatalf("mode = %s (residue %v), want modular", v.Mode, v.Residue)
 			}
 			if !v.Result.Verified {
 				t.Fatalf("fabric goal %s not verified", goal.Check)
 			}
-			if v.Report.Classes >= v.Report.Components {
-				t.Fatalf("no class sharing: %d classes for %d components", v.Report.Classes, v.Report.Components)
+			if v.Modular.Classes >= v.Modular.Components {
+				t.Fatalf("no class sharing: %d classes for %d components", v.Modular.Classes, v.Modular.Components)
 			}
-			if v.Report.AliasHits != v.Report.Components-v.Report.Classes {
+			if v.Modular.AliasHits != v.Modular.Components-v.Modular.Classes {
 				t.Fatalf("alias hits = %d, want components-classes = %d",
-					v.Report.AliasHits, v.Report.Components-v.Report.Classes)
+					v.Modular.AliasHits, v.Modular.Components-v.Modular.Classes)
 			}
 		})
 	}

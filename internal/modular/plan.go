@@ -55,16 +55,6 @@ func (p *Plan) AllResidue() []string {
 // Runnable reports whether the modular pipeline may answer the goal.
 func (p *Plan) Runnable() bool { return len(p.AllResidue()) == 0 }
 
-func goalSources(g tiered.Goal) []string {
-	if len(g.Srcs) > 0 {
-		return g.Srcs
-	}
-	if g.Src != "" {
-		return []string{g.Src}
-	}
-	return nil
-}
-
 func isLengthCheck(check string) bool {
 	switch check {
 	case "bounded-length", "bounded-length-all", "equal-lengths":
@@ -105,7 +95,7 @@ func NewPlan(g *protograph.Graph, cut *Cut, goal tiered.Goal) *Plan {
 		if goal.Via != "" {
 			residue["goal-check"] = true
 		}
-		for _, src := range goalSources(goal) {
+		for _, src := range goal.Sources() {
 			if _, ok := cut.CompOf[src]; !ok {
 				residue["goal-unknown-src"] = true
 			}
@@ -151,7 +141,7 @@ func NewPlan(g *protograph.Graph, cut *Cut, goal tiered.Goal) *Plan {
 	sort.Strings(p.Residue)
 
 	srcsOf := map[int][]string{}
-	for _, src := range goalSources(goal) {
+	for _, src := range goal.Sources() {
 		if ci, ok := cut.CompOf[src]; ok {
 			srcsOf[ci] = append(srcsOf[ci], src)
 		}

@@ -32,10 +32,11 @@ type Options struct {
 	// OnEvent receives progress events ("modular.class", ...) for the
 	// flight recorder; nil disables.
 	OnEvent func(event string, fields map[string]any)
-	// NoFallback makes Verify report residue instead of deciding it
-	// monolithically (Verdict.Result is then nil for fallback rows). For
-	// fabrics where the whole-network encoding is off the table, a
-	// surprise residue must not quietly start an infeasible solve.
+	// NoFallback is read by pipeline.Run, which embeds these options: it
+	// makes residue final instead of handing the goal to the monolithic
+	// step. Run itself never falls back. For fabrics where the
+	// whole-network encoding is off the table, a surprise residue must not
+	// quietly start an infeasible solve.
 	NoFallback bool
 }
 
@@ -77,27 +78,6 @@ func emit(o Options, event string, fields map[string]any) {
 	}
 }
 
-// hoistingOn mirrors the encoder's pass resolution for the hoist pass.
-// Modular composition requires it: without prefix/loop hoisting, cut
-// imports carry symbolic loop-detection state the contract vocabulary
-// cannot pin soundly.
-func hoistingOn(o core.Options) bool {
-	switch o.Passes {
-	case "":
-		return o.Hoisting
-	case "all":
-		return true
-	case "none":
-		return false
-	}
-	for _, name := range strings.Split(o.Passes, ",") {
-		if strings.TrimSpace(name) == core.PassHoist {
-			return true
-		}
-	}
-	return false
-}
-
 // classOutcome is one class representative's solved checks.
 type classOutcome struct {
 	rep      *CompPlan
@@ -123,7 +103,7 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 	if !plan.Runnable() {
 		return &Report{Components: len(plan.Comps), Residue: plan.AllResidue()}, nil
 	}
-	if !hoistingOn(opts.Core) {
+	if !opts.Core.Hoists() {
 		return &Report{Components: len(plan.Comps), Residue: []string{"no-hoist"}}, nil
 	}
 
@@ -263,7 +243,7 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 func composeLengths(plan *Plan) string {
 	dists := map[string]int{}
 	infinite := false
-	for _, src := range goalSources(plan.Goal) {
+	for _, src := range plan.Goal.Sources() {
 		d, ok := plan.Con.Dist[src]
 		if !ok {
 			infinite = true
@@ -287,7 +267,7 @@ func composeLengths(plan *Plan) string {
 			return "length-unreachable-src"
 		}
 		first, have := 0, false
-		for _, src := range goalSources(plan.Goal) {
+		for _, src := range plan.Goal.Sources() {
 			d := dists[src]
 			if !have {
 				first, have = d, true

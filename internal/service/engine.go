@@ -12,16 +12,13 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/harness"
-	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/obs/cost"
 	"repro/internal/obs/stream"
-	"repro/internal/protograph"
+	"repro/internal/pipeline"
 	"repro/internal/provenance"
 	"repro/internal/psolve"
 	"repro/internal/sat"
-	"repro/internal/smt"
 	"repro/internal/tiered"
 )
 
@@ -126,40 +123,30 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// netEntry is the long-lived per-network state: the protocol graph, the
+// netEntry is the long-lived per-network state: the loaded network, the
 // encoded model and the incremental solver session. Its lock serializes
 // property construction and checking, because building property terms
 // interns into the model's unsynchronized term context.
 //
-// Entries are keyed by config hash, but the solver session is shared by
-// CompiledNetwork hash: when two config sets compile to structurally
-// identical constraint systems, the later entry records the earlier one
-// as its alias and checks hop to the canonical entry's session.
+// Entries are shared by parse: config sets whose parsed routers are equal
+// (parseDigest) resolve to one entry, so a comment-only edit reuses the
+// network, the model and the session of the text it was edited from.
 type netEntry struct {
-	mu    sync.Mutex
-	built bool
+	mu      sync.Mutex
+	routers []*config.Router // the parse the entry was created for
+	built   bool
 	// modelBuilt is set once the monolithic model/session exists. With
 	// Options.Modular the model is built lazily — only when a job actually
-	// falls through to the monolithic pipeline — so networks answered
-	// entirely by composition never pay the whole-network encode.
+	// reaches the monolithic step — so networks answered entirely by
+	// composition never pay the whole-network encode.
 	modelBuilt bool
 	err        error // permanent build failure, replayed to later jobs
-	g          *protograph.Graph
+	net        *pipeline.Network
 	m          *core.Model
-	cn         *core.CompiledNetwork
 	sess       *core.Session
-	alias      *netEntry // canonical entry owning the shared session, if any
-
-	// cuts caches the modular partition (independent of any goal); built
-	// on first modular attempt.
-	cut *modular.Cut
-
-	// tiered is the graph fast-path analysis, built from this entry's own
-	// protocol graph (nil when the engine runs untiered). It survives
-	// aliasing: compile-hash equality guarantees an identical constraint
-	// system but not identical router names, so fast-path attempts always
-	// use the entry's own analysis, before any alias hop.
-	tiered *tiered.Analysis
+	// blastsSeen is the session's shared-blast count already folded into
+	// the service.session_shared_blasts counter.
+	blastsSeen int
 
 	// curRec is the flight recorder of the job currently checking on
 	// this entry's session, read by the solver progress hook. Both the
@@ -175,6 +162,15 @@ type netEntry struct {
 	curBudget *budgetState
 }
 
+// netSlot resolves one config hash to its network entry, once: the first
+// job to present the hash parses the texts and finds or creates the entry
+// of that parse; a parse failure is permanent for the hash.
+type netSlot struct {
+	once sync.Once
+	ent  *netEntry
+	err  error
+}
+
 // Job is one queued verification request. Jobs are created by Submit and
 // observed via Done/Verdict/Err or the JSON View.
 type Job struct {
@@ -182,6 +178,7 @@ type Job struct {
 	ID   string
 	Spec Spec
 
+	goal    tiered.Goal // Spec, validated and translated at Submit
 	configs map[string]string
 	netKey  string
 	key     string
@@ -323,15 +320,14 @@ type Engine struct {
 	// running budgeted job, surfaced as the service.reserved_bytes gauge.
 	reserved atomic.Int64
 
-	mu         sync.Mutex
-	closed     bool
-	seq        int
-	jobs       map[string]*Job
-	finished   []string // finished job IDs, oldest first, for FIFO eviction
-	nets       map[string]*netEntry
-	byCompile  map[string]*netEntry
-	cache      map[string]*Verdict
-	blastsSeen map[string]int
+	mu       sync.Mutex
+	closed   bool
+	seq      int
+	jobs     map[string]*Job
+	finished []string             // finished job IDs, oldest first, for FIFO eviction
+	nets     map[string]*netSlot  // by config hash
+	byParse  map[string]*netEntry // by parseDigest
+	cache    map[string]*Verdict
 }
 
 // NewEngine starts the worker pool.
@@ -377,8 +373,8 @@ func NewEngine(o Options) *Engine {
 		jobCh:         make(chan *Job, o.QueueDepth),
 		helpCh:        make(chan func()),
 		jobs:          map[string]*Job{},
-		nets:          map[string]*netEntry{},
-		byCompile:     map[string]*netEntry{},
+		nets:          map[string]*netSlot{},
+		byParse:       map[string]*netEntry{},
 		cache:         map[string]*Verdict{},
 	}
 	e.wg.Add(o.Workers)
@@ -435,8 +431,9 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 	if len(req.Configs) == 0 {
 		return nil, fmt.Errorf("service: configs are required")
 	}
-	spec := req.Spec.normalize()
-	if err := spec.validate(); err != nil {
+	spec := req.Spec.Normalize()
+	goal, err := spec.Goal()
+	if err != nil {
 		return nil, err
 	}
 	timeout := e.timeout
@@ -446,6 +443,7 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 	netKey := configHash(req.Configs)
 	j := &Job{
 		Spec:    spec,
+		goal:    goal,
 		configs: req.Configs,
 		netKey:  netKey,
 		key:     cacheKey(netKey, spec),
@@ -571,7 +569,6 @@ func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
 	}
 	j.rec.Close()
 
-	close(j.done)
 	e.tr.ObserveBounds("service.job_queued_ms", durMs(queued), obs.LatencyMsBounds)
 	e.tr.ObserveBounds("service.job_run_ms", durMs(run), obs.LatencyMsBounds)
 	if err != nil {
@@ -604,6 +601,9 @@ func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
 	if e.memBudget > 0 {
 		e.tr.Gauge("service.reserved_bytes", float64(e.reserved.Add(-e.memBudget)))
 	}
+	// Waiters wake only once the counters and gauges above have settled, so
+	// what they read right after Done describes an engine without this job.
+	close(j.done)
 
 	e.mu.Lock()
 	e.finished = append(e.finished, j.ID)
@@ -667,50 +667,65 @@ func (e *Engine) runJob(j *Job) {
 	e.finishJob(j, v, nil)
 }
 
-// netEntryFor returns the per-network state, creating the placeholder on
-// first sight. The entry is built lazily under its own lock so two jobs
-// on one new network encode it once, while jobs on other networks
-// proceed in parallel.
-func (e *Engine) netEntryFor(key string) *netEntry {
+// network resolves a job's config hash to its network entry. The first
+// job to present a hash parses the texts (under the slot's once, so jobs
+// on other networks proceed in parallel) and finds or creates the entry
+// of that parse; first reports whether this job was the one. The entry
+// itself is built lazily under its own lock, so two jobs on one new
+// network encode it once.
+func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.nets[key]
+	slot, ok := e.nets[j.netKey]
 	if !ok {
-		ent = &netEntry{}
-		e.nets[key] = ent
+		slot = &netSlot{}
+		e.nets[j.netKey] = slot
 		e.tr.Gauge("service.networks", float64(len(e.nets)))
 	}
-	return ent
+	e.mu.Unlock()
+	slot.once.Do(func() {
+		first = true
+		routers, err := pipeline.Parse(j.configs)
+		if err != nil {
+			slot.err = err
+			return
+		}
+		digest, err := parseDigest(routers)
+		if err != nil {
+			slot.err = err
+			return
+		}
+		e.mu.Lock()
+		ent, shared := e.byParse[digest]
+		if !shared {
+			ent = &netEntry{routers: routers}
+			e.byParse[digest] = ent
+		}
+		e.mu.Unlock()
+		if shared {
+			// Another config set parsed to the same routers: this one needs
+			// no compile of its own. service.compiles counts every compiled
+			// system a config set asked for, reused or built.
+			e.tr.Add("service.compiles", 1)
+			e.tr.Add("service.compile_reuse", 1)
+			j.rec.Emit(stream.EventCompileReuse, nil)
+		}
+		slot.ent = ent
+	})
+	return slot.ent, first, slot.err
 }
 
-// build parses and graphs a network, then — unless the engine runs
-// modular, where the whole-network model may never be needed — encodes
-// it and opens the solver session. Called with ent.mu held, once per
-// network; failures are cached as permanent. sp parents the
-// encode/compile/session spans, so the building job's trace carries the
-// network's one-time setup cost.
-func (e *Engine) build(ent *netEntry, configs map[string]string, sp *obs.Span) error {
-	names := make([]string, 0, len(configs))
-	for n := range configs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	routers := make([]*config.Router, 0, len(names))
-	for _, n := range names {
-		r, err := config.Parse(configs[n])
-		if err != nil {
-			return fmt.Errorf("service: parse %s: %w", n, err)
-		}
-		routers = append(routers, r)
-	}
-	g, err := harness.BuildGraph(routers)
+// build graphs a parsed network, then — unless the engine runs modular,
+// where the whole-network model may never be needed — encodes it and
+// opens the solver session. Called with ent.mu held, once per entry;
+// failures are cached as permanent. sp parents the encode/compile/session
+// spans, so the building job's trace carries the network's one-time
+// setup cost.
+func (e *Engine) build(ent *netEntry, sp *obs.Span) error {
+	net, err := pipeline.Build(ent.routers)
 	if err != nil {
-		return fmt.Errorf("service: graph: %w", err)
+		return err
 	}
-	if tiered.Enabled(e.tiers) {
-		ent.tiered = tiered.NewAnalysis(g)
-	}
-	ent.g = g
+	ent.net = net
 	if e.modular {
 		return nil
 	}
@@ -722,6 +737,7 @@ func (e *Engine) build(ent *netEntry, configs map[string]string, sp *obs.Span) e
 func (e *Engine) coreOptions(sp *obs.Span) core.Options {
 	opts := core.DefaultOptions()
 	opts.Passes = e.passes
+	opts.Tiers = e.tiers
 	opts.Certify = e.certify
 	opts.Blame = e.blame
 	opts.ProfileOrigins = e.profOrig
@@ -732,29 +748,16 @@ func (e *Engine) coreOptions(sp *obs.Span) core.Options {
 }
 
 // buildModel encodes the whole network and opens its solver session.
-// Called with ent.mu held, at most once per network: the attempt is
-// recorded up front so a failure is permanent and a success is never
-// re-registered (re-compiling would alias the entry to itself).
+// Called with ent.mu held, at most once per entry: the attempt is
+// recorded up front so a failure is permanent.
 func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 	ent.modelBuilt = true
-	opts := e.coreOptions(sp)
-	m, err := core.Encode(ent.g, opts)
+	m, err := core.Encode(ent.net.Graph, e.coreOptions(sp))
 	if err != nil {
 		return fmt.Errorf("service: encode: %w", err)
 	}
-	cn := m.Compile()
 	e.tr.Add("service.compiles", 1)
-	ent.m, ent.cn = m, cn
-	if canon := e.registerCompile(cn.Hash, ent); canon != nil {
-		// Another config set compiled to an identical constraint system:
-		// alias to it and share its session instead of blasting again. The
-		// protocol graph stays: the modular pipeline and the fast path work
-		// on the entry's own topology, never the alias's.
-		ent.alias = canon
-		ent.m = nil
-		e.tr.Add("service.compile_reuse", 1)
-		return nil
-	}
+	ent.m = m
 	every := e.progressEvery
 	if every <= 0 && (e.workBudget > 0 || e.memBudget > 0) {
 		// Budgets ride the progress hook; keep it firing (without
@@ -797,38 +800,31 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 	return nil
 }
 
-// registerCompile records ent as the canonical owner of a compiled-
-// network hash, or returns the already-registered owner when another
-// network compiled to the same system.
-func (e *Engine) registerCompile(hash string, ent *netEntry) *netEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if canon, ok := e.byCompile[hash]; ok {
-		return canon
-	}
-	e.byCompile[hash] = ent
-	return nil
-}
-
-// check answers one cache-miss job on its network's session. It records
-// the job's flight-recorder events — coarse phases and solver progress
-// live, the fine-grained span tree backfilled once the check returns —
-// and keeps the per-job span tree reachable via Job.Trace.
+// check answers one cache-miss job: it resolves the job's network and
+// hands the goal to pipeline.Run with the network's live session as the
+// monolithic step. It records the job's flight-recorder events — coarse
+// phases and solver progress live, the fine-grained span tree backfilled
+// once the run returns — and keeps the per-job span tree reachable via
+// Job.Trace.
 func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	jtr := obs.New("job:" + j.ID)
 	j.setTrace(jtr)
 	defer jtr.Root().End()
 
+	ent, first, err := e.network(j)
+	if err != nil {
+		return nil, err
+	}
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
 	// setupCost is the session's one-time ledger, owned by the job that
 	// actually built the session — later jobs reuse the session without
 	// repaying (or re-reporting) its cost.
 	var setupCost *cost.Node
-	ent := e.netEntryFor(j.netKey)
-	ent.mu.Lock()
 	if !ent.built {
 		ent.built = true
 		j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "build"})
-		ent.err = e.build(ent, j.configs, jtr.Root())
+		ent.err = e.build(ent, jtr.Root())
 		data := map[string]any{"phase": "build", "ok": ent.err == nil}
 		if ent.sess != nil {
 			setupCost = ent.sess.SetupCost()
@@ -837,143 +833,58 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 			data["db_bytes"] = w.ClauseDBBytes
 		}
 		j.rec.Emit(stream.EventPhaseEnd, data)
-	} else if ent.err == nil {
+	} else if !first && ent.err == nil {
 		e.tr.Add("service.session_reuse", 1)
 		j.rec.Emit(stream.EventSessionReuse, nil)
 	}
-	if err := ent.err; err != nil {
-		ent.mu.Unlock()
-		return nil, err
+	if ent.err != nil {
+		return nil, ent.err
 	}
-
 	// A job whose deadline expired during the build must time out, not be
 	// rescued by the fast path.
 	if err := ctx.Err(); err != nil {
-		ent.mu.Unlock()
 		return nil, err
 	}
 
-	// Graph fast path: attempt the goal on this entry's own analysis
-	// before any alias hop (aliased entries share a solver session, not a
-	// topology). A definitive verdict never touches the model or session.
-	var fastElapsed time.Duration
-	var fastTried bool
-	if ent.tiered != nil {
-		if goal, ok := goalForSpec(j.Spec); ok {
-			fastTried = true
-			j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "fastpath"})
-			start := time.Now()
-			out := ent.tiered.Decide(goal)
-			fastElapsed = time.Since(start)
+	// Budget enforcement rides the solver progress hook: cancel a derived
+	// context on breach, and recognize the breach below instead of failing
+	// the job.
+	var budget *budgetState
+	runCtx, cancelBudget := context.WithCancel(ctx)
+	defer cancelBudget()
+	opts := pipeline.Options{Modular: e.modular}
+	opts.Core = e.coreOptions(jtr.Root())
+	// Modular component checks run on this engine's own worker pool.
+	opts.Schedule = e.schedule
+	opts.OnEvent = j.rec.Emit
+	// The monolithic step runs on the entry's live session, built lazily
+	// under Options.Modular. The session's telemetry is routed to this job:
+	// the progress hook reads curRec and curBudget, CheckContext reads
+	// m.Obs, and both the swap and the check run with ent.mu held.
+	opts.Live = func() (*core.Model, *core.Session, error) {
+		if !ent.modelBuilt {
+			j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "build-model"})
+			ent.err = e.buildModel(ent, jtr.Root())
 			j.rec.Emit(stream.EventPhaseEnd, map[string]any{
-				"phase": "fastpath", "ok": true,
-				"decided": out.Decided, "reason": out.Reason,
+				"phase": "build-model", "ok": ent.err == nil,
 			})
-			if out.Decided {
-				ent.mu.Unlock()
-				e.tr.Add("service.fastpath_hits", 1)
-				res := tiered.Synthesize(out, fastElapsed, e.blame)
-				v := newVerdict(j.ID, j.Spec, res, nil)
-				v.Cost = jobLedger(setupCost, res.Cost)
-				e.recordCostMetrics(v.Cost)
-				e.emitCheckEvents(j, res, v)
-				jtr.Root().End()
-				emitSpans(j.rec, jtr)
-				return v, nil
+			if ent.err != nil {
+				return nil, nil, ent.err
 			}
-			e.tr.Add("service.fastpath_residue", 1)
-		}
-	}
-
-	// Modular assume/guarantee path: a multi-component network whose goal
-	// is in the modular vocabulary is verified per component-class on this
-	// engine's own worker pool. When the composed verdict stands the
-	// monolithic model is never built; any residue falls through to the
-	// unchanged session pipeline below.
-	var modularResidue []string
-	var violatedContract string
-	if e.modular {
-		v, residue, violated, err := e.tryModular(ctx, j, ent, jtr)
-		if err != nil {
-			ent.mu.Unlock()
-			return nil, err
-		}
-		if v != nil {
-			ent.mu.Unlock()
-			return v, nil
-		}
-		modularResidue, violatedContract = residue, violated
-	}
-
-	// The monolithic model is built lazily under Options.Modular; make
-	// sure it exists before the session check. Failures are permanent,
-	// like graph-build failures.
-	if !ent.modelBuilt {
-		j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "build-model"})
-		ent.err = e.buildModel(ent, jtr.Root())
-		j.rec.Emit(stream.EventPhaseEnd, map[string]any{
-			"phase": "build-model", "ok": ent.err == nil,
-		})
-		if err := ent.err; err != nil {
-			ent.mu.Unlock()
-			return nil, err
-		}
-		if ent.sess != nil {
 			setupCost = ent.sess.SetupCost()
 		}
+		ent.curRec = j.rec
+		ent.m.Obs = jtr.Root()
+		if e.workBudget > 0 || e.memBudget > 0 {
+			budget = newBudgetState(cancelBudget, e.workBudget, e.memBudget, ent.sess.SolverStats())
+			ent.curBudget = budget
+		}
+		return ent.m, ent.sess, nil
 	}
+	pv, err := pipeline.Run(runCtx, ent.net, j.goal, opts)
+	ent.curRec, ent.curBudget = nil, nil
+	e.countSteps(pv)
 
-	if canon := ent.alias; canon != nil {
-		// This config set compiled to the same system as an earlier
-		// network: hop to the canonical entry and use its session. The
-		// canonical entry is fully built — registration happens during
-		// its build, under its lock, which we take next.
-		ent.mu.Unlock()
-		ent = canon
-		ent.mu.Lock()
-		j.rec.Emit(stream.EventCompileReuse, nil)
-	}
-	defer ent.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Route this session's telemetry to the current job: the progress
-	// hook reads curRec and CheckContext reads m.Obs at check time, and
-	// both the swap and the check run with ent.mu held.
-	ent.curRec = j.rec
-	ent.m.Obs = jtr.Root()
-	defer func() { ent.curRec = nil }()
-
-	j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "property"})
-	p, err := buildProperty(ent.m, ent.g, j.Spec)
-	j.rec.Emit(stream.EventPhaseEnd, map[string]any{
-		"phase": "property", "ok": err == nil,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var assumptions []*smt.Term
-	if j.Spec.MaxFailures > 0 {
-		assumptions = append(assumptions, ent.m.AtMostFailures(j.Spec.MaxFailures))
-	} else {
-		assumptions = append(assumptions, ent.m.NoFailures())
-	}
-	// Budget enforcement rides the solver progress hook: baseline the
-	// session's cumulative counters now, cancel the derived context on
-	// breach, and recognize the breach below instead of failing the job.
-	var budget *budgetState
-	checkCtx := ctx
-	if e.workBudget > 0 || e.memBudget > 0 {
-		var cancelBudget context.CancelFunc
-		checkCtx, cancelBudget = context.WithCancel(ctx)
-		defer cancelBudget()
-		budget = newBudgetState(cancelBudget, e.workBudget, e.memBudget, ent.sess.SolverStats())
-		ent.curBudget = budget
-		defer func() { ent.curBudget = nil }()
-	}
-	j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "solve"})
-	res, err := ent.sess.CheckContext(checkCtx, p, assumptions...)
 	if bi := budget.breach(); bi != nil && ctx.Err() == nil {
 		// The budget tripped, not the job's deadline: the job degrades to
 		// a budget_exceeded verdict naming the costliest subtree of its
@@ -981,12 +892,9 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		// a fast solve may have finished anyway — the breach still rules,
 		// but then the ledger is the complete one.
 		var full *cost.Node
-		if err == nil && res != nil {
-			full = jobLedger(setupCost, res.Cost)
+		if err == nil {
+			full = jobLedger(setupCost, pv.Result.Cost)
 		}
-		j.rec.Emit(stream.EventPhaseEnd, map[string]any{
-			"phase": "solve", "ok": false, "budget_exceeded": bi.Exceeded,
-		})
 		e.tr.Add("service.budget_exceeded", 1)
 		v := budgetVerdict(j, setupCost, bi, full)
 		j.rec.Emit(stream.EventVerdict, map[string]any{
@@ -998,113 +906,52 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		return v, nil
 	}
 	if err != nil {
-		j.rec.Emit(stream.EventPhaseEnd, map[string]any{"phase": "solve", "ok": false})
 		return nil, err
 	}
-	solveEnd := map[string]any{"phase": "solve", "ok": true}
-	if res.Cost != nil {
-		w := res.Cost.Total()
-		solveEnd["units"] = w.Units()
-		solveEnd["conflicts"] = w.Conflicts
-		solveEnd["db_bytes"] = w.ClauseDBBytes
+	res := pv.Result
+	if pv.Model != nil {
+		core.RecordSolverMetrics(e.tr, res)
+		e.tr.Add("service.session_checks", 1)
+		blasts := ent.sess.SharedBlasts()
+		e.tr.Add("service.session_shared_blasts", int64(blasts-ent.blastsSeen))
+		ent.blastsSeen = blasts
 	}
-	j.rec.Emit(stream.EventPhaseEnd, solveEnd)
-	core.RecordSolverMetrics(e.tr, res)
-	e.tr.Add("service.session_checks", 1)
-	e.tr.Add("service.session_shared_blasts", int64(ent.sess.SharedBlasts())-e.sharedBlastsSeen(ent.cn.Hash, ent.sess.SharedBlasts()))
 	if res.OriginProfile != nil {
 		j.mu.Lock()
 		j.profile = res.OriginProfile
 		j.mu.Unlock()
 	}
-	if fastTried {
-		res.Tier = tiered.TierSAT
-		res.FastPathElapsed = fastElapsed
-	}
-	v := newVerdict(j.ID, j.Spec, res, ent.m)
-	v.Cost = jobLedger(setupCost, res.Cost)
+	v := &Verdict{JobID: j.ID, Report: *pipeline.NewReport(j.Spec.Check, pv)}
+	v.Cost = jobLedger(setupCost, v.Cost)
 	e.recordCostMetrics(v.Cost)
-	if e.modular {
-		// Name how the whole-network pipeline ended up answering: a goal
-		// outside the modular vocabulary or a single-component network is
-		// plain monolithic; anything else is a fallback forced by residue.
-		v.Mode = modular.ModeFallback
-		v.ModularResidue = modularResidue
-		v.ViolatedContract = violatedContract
-		if len(modularResidue) == 1 &&
-			(modularResidue[0] == "spec-check" || modularResidue[0] == "single-component") {
-			v.Mode = modular.ModeMonolithic
-			v.ModularResidue = nil
-		}
-	}
 	e.emitCheckEvents(j, res, v)
 	jtr.Root().End()
 	emitSpans(j.rec, jtr)
 	return v, nil
 }
 
-// tryModular attempts the assume/guarantee pipeline for a job. Called
-// with ent.mu held. Returns a non-nil verdict when the composed result
-// stands; otherwise the residue (and violated contract, if a discharge
-// failed) explaining why the job falls through to the monolithic
-// pipeline. A context error is returned as-is: a timed-out component
-// check times the job out, it never degrades into a partial verdict.
-func (e *Engine) tryModular(ctx context.Context, j *Job, ent *netEntry, jtr *obs.Trace) (*Verdict, []string, string, error) {
-	goal, ok := goalForSpec(j.Spec)
-	if !ok {
-		return nil, []string{"spec-check"}, "", nil
-	}
-	if ent.cut == nil {
-		ent.cut = modular.Partition(ent.g)
-	}
-	if !ent.cut.MultiComponent() {
-		return nil, []string{"single-component"}, "", nil
-	}
-	e.tr.Add("service.modular_runs", 1)
-	opts := modular.Options{
-		// Component compiles run concurrently on the worker pool, and the
-		// job's span tree is single-writer — so the core options carry no
-		// span; the flight recorder (synchronized) gets the progress.
-		Core:     e.coreOptions(nil),
-		Schedule: e.schedule,
-		OnEvent: func(ev string, fields map[string]any) {
-			j.rec.Emit(ev, fields)
-		},
-	}
-	plan := modular.NewPlan(ent.g, ent.cut, goal)
-	sp := jtr.Root().Start("modular")
-	rep, err := modular.Run(ctx, ent.g, plan, opts)
-	sp.End()
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, nil, "", err
+// countSteps folds what the pipeline's steps did for one job into the
+// engine's counters.
+func (e *Engine) countSteps(pv *pipeline.Verdict) {
+	if tiered.Enabled(e.tiers) {
+		if pv.Result != nil && pv.Result.Tier == tiered.TierGraph {
+			e.tr.Add("service.fastpath_hits", 1)
+		} else {
+			e.tr.Add("service.fastpath_residue", 1)
 		}
-		// A component-level runtime error is residue, not a job failure:
-		// the monolithic pipeline still owns the answer.
-		e.tr.Add("service.modular_residue", 1)
-		j.rec.Emit(stream.EventModularResidue, map[string]any{"error": err.Error()})
-		return nil, []string{"error: " + err.Error()}, "", nil
 	}
-	e.tr.Add("service.component_checks", int64(rep.Checks))
-	e.tr.Add("service.component_alias_hits", int64(rep.AliasHits))
-	if len(rep.Residue) > 0 {
+	switch pv.Mode {
+	case pipeline.ModeModular:
+		e.tr.Add("service.modular_runs", 1)
+		e.tr.Add("service.modular_verdicts", 1)
+	case pipeline.ModeFallback:
+		e.tr.Add("service.modular_runs", 1)
 		e.tr.Add("service.modular_residue", 1)
-		return nil, rep.Residue, rep.Violated, nil
 	}
-	e.tr.Add("service.modular_verdicts", 1)
-	v := newVerdict(j.ID, j.Spec, rep.Result, nil)
-	// The modular job's ledger is the per-class tree (job → modular →
-	// class:N → phases), richer than the composed result's folded goal.
-	v.Cost = jobLedger(nil, rep.Cost)
-	e.recordCostMetrics(v.Cost)
-	v.Mode = modular.ModeModular
-	v.Components = rep.Components
-	v.ComponentClasses = rep.Classes
-	v.AliasHits = rep.AliasHits
-	e.emitCheckEvents(j, rep.Result, v)
-	jtr.Root().End()
-	emitSpans(j.rec, jtr)
-	return v, nil, "", nil
+	if rep := pv.Modular; rep != nil {
+		e.tr.Add("service.component_checks", int64(rep.Checks))
+		e.tr.Add("service.component_alias_hits", int64(rep.AliasHits))
+	}
 }
 
 // emitCheckEvents backfills the post-solve milestones onto the flight
@@ -1205,13 +1052,9 @@ func budgetVerdict(j *Job, setup *cost.Node, bi *BudgetInfo, full *cost.Node) *V
 		ledger.Child("goal").Child("solve").Add(bi.spent)
 	}
 	bi.Costliest, bi.CostliestUnits = ledger.Costliest()
-	return &Verdict{
-		JobID:    j.ID,
-		Check:    j.Spec.Check,
-		Verified: false,
-		Budget:   bi,
-		Cost:     ledger,
-	}
+	v := &Verdict{JobID: j.ID, Budget: bi}
+	v.Check, v.Cost = j.Spec.Check, ledger
+	return v
 }
 
 // emitSpans backfills the finished span tree as "span" events, oldest
@@ -1234,21 +1077,4 @@ func emitSpans(rec *stream.Recorder, tr *obs.Trace) {
 		}
 		rec.Emit(stream.EventSpan, data)
 	})
-}
-
-// sharedBlastsSeen tracks the per-session shared-blast count already
-// folded into the service.session_shared_blasts counter (keyed by the
-// compiled-network hash, since aliased networks share one session), so
-// the counter equals the total number of times any shared formula N was
-// blasted (1 per distinct compiled system when sessions amortize
-// perfectly).
-func (e *Engine) sharedBlastsSeen(netKey string, now int) int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.blastsSeen == nil {
-		e.blastsSeen = map[string]int{}
-	}
-	prev := e.blastsSeen[netKey]
-	e.blastsSeen[netKey] = now
-	return int64(prev)
 }

@@ -8,8 +8,9 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/modular"
+	"repro/internal/network"
 	"repro/internal/obs/stream"
+	"repro/internal/pipeline"
 	"repro/internal/testnets"
 	"repro/internal/topogen"
 )
@@ -315,7 +316,7 @@ func TestEngineCacheKeySensitivity(t *testing.T) {
 	// Defaults normalize: hops 0 and hops 4 are the same query.
 	a := Spec{Check: "bounded-length", Src: "R1", Subnet: "10.100.3.0/24"}
 	b := a
-	b.Hops = DefaultHops
+	b.Hops = pipeline.DefaultHops
 	if cacheKey(net, a) != cacheKey(net, b) {
 		t.Fatal("default hops must normalize into the cache key")
 	}
@@ -364,8 +365,8 @@ func TestEngineModularVerdict(t *testing.T) {
 	if !v.Verified {
 		t.Fatalf("fabric reachability should verify, got %+v", v)
 	}
-	if v.Mode != modular.ModeModular {
-		t.Fatalf("mode = %q, want %q (residue %v)", v.Mode, modular.ModeModular, v.ModularResidue)
+	if v.Mode != pipeline.ModeModular {
+		t.Fatalf("mode = %q, want %q (residue %v)", v.Mode, pipeline.ModeModular, v.ModularResidue)
 	}
 	if v.Components != 20 {
 		t.Fatalf("components = %d, want 20 (k=4 fat-tree)", v.Components)
@@ -396,7 +397,7 @@ func TestEngineModularVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v2.Cached || v2.Mode != modular.ModeModular {
+	if !v2.Cached || v2.Mode != pipeline.ModeModular {
 		t.Fatalf("repeat query: cached=%v mode=%q", v2.Cached, v2.Mode)
 	}
 	if got := e.Trace().Counter("service.component_checks"); got != checks {
@@ -453,7 +454,7 @@ func TestEngineModularTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine unusable after modular timeout: %v", err)
 	}
-	if !v.Verified || v.Mode != modular.ModeModular {
+	if !v.Verified || v.Mode != pipeline.ModeModular {
 		t.Fatalf("post-timeout verdict: verified=%v mode=%q (residue %v)", v.Verified, v.Mode, v.ModularResidue)
 	}
 }
@@ -474,7 +475,7 @@ func TestEngineModularFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Verified || v.Mode != modular.ModeMonolithic {
+	if !v.Verified || v.Mode != pipeline.ModeMonolithic {
 		t.Fatalf("chain: verified=%v mode=%q residue=%v, want monolithic with no residue",
 			v.Verified, v.Mode, v.ModularResidue)
 	}
@@ -491,8 +492,8 @@ func TestEngineModularFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Mode != modular.ModeFallback {
-		t.Fatalf("maxfail fabric: mode=%q, want %q", v.Mode, modular.ModeFallback)
+	if v.Mode != pipeline.ModeFallback {
+		t.Fatalf("maxfail fabric: mode=%q, want %q", v.Mode, pipeline.ModeFallback)
 	}
 	found := false
 	for _, r := range v.ModularResidue {
@@ -505,5 +506,53 @@ func TestEngineModularFallback(t *testing.T) {
 	}
 	if got := e.Trace().Counter("service.modular_residue"); got == 0 {
 		t.Fatal("modular_residue counter not incremented")
+	}
+}
+
+// TestEngineDenyACLEditIsNotAliased is the first repro of
+// benchmarks/README.md "Found while building": a configuration with an
+// added deny ACL compiles to the same constraint system as the one
+// without it (ACLs enter with the property's instrumentation), so an
+// engine that shares sessions by compiled hash answers the edited
+// network on the un-edited model. Sessions are shared by parse instead:
+// the edit is a different parse, so it gets its own network.
+func TestEngineDenyACLEditIsNotAliased(t *testing.T) {
+	e := newSATTestEngine(t, 1)
+	spec := Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"}
+	cfgs := chainConfigs(3)
+	v, err := e.Verify(context.Background(), &Request{Configs: cfgs, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Verified {
+		t.Fatal("clean chain: R1 must reach R3's subnet")
+	}
+
+	// Deny the destination on every interface of the source.
+	r1, err := config.Parse(cfgs["r1.cfg"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	deny := config.AnyACLEntry(config.Deny)
+	deny.DstPrefix = network.MustParsePrefix(spec.Subnet)
+	r1.ACLs["BLOCK"] = &config.ACL{Name: "BLOCK", Entries: []config.ACLEntry{deny, config.AnyACLEntry(config.Permit)}}
+	for _, ifc := range r1.Interfaces {
+		ifc.OutACL = "BLOCK"
+	}
+	edited := make(map[string]string, len(cfgs))
+	for n, text := range cfgs {
+		edited[n] = text
+	}
+	edited["r1.cfg"] = config.Print(r1)
+
+	v, err = e.Verify(context.Background(), &Request{Configs: edited, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Verified {
+		t.Fatal("destination denied on every interface of the source, yet reachability verified: the edited network was answered on the clean one's model")
+	}
+	if reuse := e.Trace().Counter("service.compile_reuse"); reuse != 0 {
+		t.Fatalf("service.compile_reuse=%d, want 0: a semantic edit must not share a network", reuse)
 	}
 }

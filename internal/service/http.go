@@ -130,7 +130,9 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case strings.Contains(err.Error(), "queue full"):
 		return http.StatusTooManyRequests
-	case strings.HasPrefix(err.Error(), "service:"):
+	case strings.HasPrefix(err.Error(), "service:"), strings.HasPrefix(err.Error(), "pipeline:"):
+		// What the engine and the pipeline report under their own names is
+		// about the request: a bad spec, unparsable text, an unknown router.
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

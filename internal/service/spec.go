@@ -12,188 +12,14 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
-	"repro/internal/network"
-	"repro/internal/properties"
-	"repro/internal/protograph"
-	"repro/internal/smt"
-	"repro/internal/tiered"
+	"repro/internal/config"
+	"repro/internal/pipeline"
 )
 
-// Default parameter values, shared with the minesweeper CLI flags.
-const (
-	DefaultHops   = 4
-	DefaultMaxLen = 24
-)
-
-// Spec names one property query, mirroring the minesweeper CLI flags.
-// The zero values of Hops and MaxLen mean "use the default".
-type Spec struct {
-	// Check selects the property: reachability, isolation,
-	// mgmt-reachability, blackholes, multipath-consistency, loops,
-	// bounded-length, waypoint or no-leak.
-	Check string `json:"check"`
-	// Src is the source router for per-source properties.
-	Src string `json:"src,omitempty"`
-	// Via is the waypoint router for the waypoint property.
-	Via string `json:"via,omitempty"`
-	// Subnet is the destination subnet in CIDR form.
-	Subnet string `json:"subnet,omitempty"`
-	// Pair is reserved for the pair-model checks (equivalence,
-	// fault-invariance), which the service does not support yet.
-	Pair string `json:"pair,omitempty"`
-	// Hops bounds path length for bounded-length (default 4).
-	Hops int `json:"hops,omitempty"`
-	// MaxLen is the maximum exported prefix length for no-leak
-	// (default 24).
-	MaxLen int `json:"maxlen,omitempty"`
-	// MaxFailures lets environments fail up to this many links;
-	// 0 means no failures. Part of the cache key: the same property
-	// under different failure bounds is a different query.
-	MaxFailures int `json:"max_failures,omitempty"`
-}
-
-// normalize fills parameter defaults so equivalent specs hash equally
-// (hops 0 and hops 4 are the same bounded-length query).
-func (s Spec) normalize() Spec {
-	if s.Check == "bounded-length" && s.Hops == 0 {
-		s.Hops = DefaultHops
-	}
-	if s.Check == "no-leak" && s.MaxLen == 0 {
-		s.MaxLen = DefaultMaxLen
-	}
-	return s
-}
-
-// validate rejects malformed specs before a job is queued. Checks that
-// need the parsed network (e.g. that Src names a router) happen later, in
-// the worker.
-func (s Spec) validate() error {
-	needSrc := func() error {
-		if s.Src == "" {
-			return fmt.Errorf("service: check %q requires src", s.Check)
-		}
-		return nil
-	}
-	needSubnet := func() error {
-		if s.Subnet == "" {
-			return fmt.Errorf("service: check %q requires subnet", s.Check)
-		}
-		if _, err := network.ParsePrefix(s.Subnet); err != nil {
-			return fmt.Errorf("service: subnet: %w", err)
-		}
-		return nil
-	}
-	switch s.Check {
-	case "reachability", "isolation", "bounded-length":
-		if err := needSrc(); err != nil {
-			return err
-		}
-		return needSubnet()
-	case "waypoint":
-		if err := needSrc(); err != nil {
-			return err
-		}
-		if s.Via == "" {
-			return fmt.Errorf("service: check waypoint requires via")
-		}
-		return needSubnet()
-	case "mgmt-reachability", "blackholes", "multipath-consistency", "loops", "no-leak":
-		return nil
-	case "equivalence", "fault-invariance":
-		return fmt.Errorf("service: check %q needs the pair model and is not supported by the service yet; use the minesweeper CLI", s.Check)
-	case "":
-		return fmt.Errorf("service: check is required")
-	default:
-		return fmt.Errorf("service: unknown check %q", s.Check)
-	}
-}
-
-// buildProperty constructs the property term on the network's model. It
-// must run while holding the network entry's lock: building terms interns
-// into the model's (unsynchronized) term context and may append
-// instrumentation constraints to the model.
-func buildProperty(m *core.Model, g *protograph.Graph, s Spec) (*smt.Term, error) {
-	var sub network.Prefix
-	if s.Subnet != "" {
-		var err error
-		sub, err = network.ParsePrefix(s.Subnet)
-		if err != nil {
-			return nil, err
-		}
-	}
-	checkNode := func(name, role string) error {
-		if g.Topo.Node(name) == nil {
-			return fmt.Errorf("service: %s %q is not a router in this network", role, name)
-		}
-		return nil
-	}
-	switch s.Check {
-	case "reachability":
-		if err := checkNode(s.Src, "src"); err != nil {
-			return nil, err
-		}
-		return properties.Reachable(m, s.Src, sub), nil
-	case "isolation":
-		if err := checkNode(s.Src, "src"); err != nil {
-			return nil, err
-		}
-		return properties.Isolated(m, s.Src, sub), nil
-	case "mgmt-reachability":
-		return properties.ManagementReachable(m), nil
-	case "blackholes":
-		return properties.NoBlackholes(m), nil
-	case "multipath-consistency":
-		return properties.MultipathConsistent(m), nil
-	case "loops":
-		return properties.NoForwardingLoops(m, nil), nil
-	case "bounded-length":
-		if err := checkNode(s.Src, "src"); err != nil {
-			return nil, err
-		}
-		return properties.BoundedLength(m, s.Src, sub, s.Hops), nil
-	case "waypoint":
-		if err := checkNode(s.Src, "src"); err != nil {
-			return nil, err
-		}
-		if err := checkNode(s.Via, "via"); err != nil {
-			return nil, err
-		}
-		return properties.Waypointed(m, s.Src, s.Via, sub), nil
-	case "no-leak":
-		return properties.NoLeak(m, nil, s.MaxLen), nil
-	}
-	return nil, fmt.Errorf("service: unknown check %q", s.Check)
-}
-
-// goalForSpec translates a normalized spec into the graph tier's goal
-// vocabulary. The service's check names are already the tier's; ok=false
-// means the spec has no tier translation and goes straight to SAT.
-func goalForSpec(s Spec) (tiered.Goal, bool) {
-	switch s.Check {
-	case "reachability", "isolation", "mgmt-reachability", "blackholes",
-		"multipath-consistency", "loops", "bounded-length", "waypoint", "no-leak":
-	default:
-		return tiered.Goal{}, false
-	}
-	g := tiered.Goal{
-		Check:       s.Check,
-		Src:         s.Src,
-		Via:         s.Via,
-		Hops:        s.Hops,
-		MaxLen:      s.MaxLen,
-		MaxFailures: s.MaxFailures,
-	}
-	if s.Subnet != "" {
-		sub, err := network.ParsePrefix(s.Subnet)
-		if err != nil {
-			return tiered.Goal{}, false
-		}
-		g.Subnet = sub
-		g.HasSubnet = true
-	}
-	return g, true
-}
+// Spec names one property query; it is the pipeline's request type, so a
+// daemon request, a CLI invocation and a corpus check are the same value
+// and reach a goal through the same mapping (pipeline.Spec.Goal).
+type Spec = pipeline.Spec
 
 // Request is one verification job: the network's configurations plus the
 // property spec (spec fields are inlined, so a request reads
@@ -225,10 +51,26 @@ func configHash(configs map[string]string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// parseDigest is the content address of a parsed network: a digest over
+// every exported field of every router, in file-name order
+// (encoding/json sorts map keys, so equal parses marshal equally). The
+// protocol graph, the model, the ACLs and every instrumentation a
+// property adds are functions of the parse alone, so config sets with
+// equal digests share one network entry outright — a comment-only or
+// formatting edit does, and no semantic edit can.
+func parseDigest(routers []*config.Router) (string, error) {
+	b, err := json.Marshal(routers)
+	if err != nil {
+		return "", fmt.Errorf("service: digest: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
 // cacheKey addresses one verdict: the network's config hash plus the
 // normalized spec (which includes the environment bound MaxFailures).
 func cacheKey(netKey string, s Spec) string {
-	b, _ := json.Marshal(s.normalize())
+	b, _ := json.Marshal(s.Normalize())
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|", netKey)
 	h.Write(b)

@@ -31,7 +31,7 @@ var propertyOrigin = provenance.Origin{Kind: "property"}
 //
 // Everything else is residue and falls through to SAT.
 func (a *Analysis) Decide(goal Goal) Outcome {
-	for _, r := range append(append([]string{}, goal.sources()...), goal.Via) {
+	for _, r := range append(append([]string{}, goal.Sources()...), goal.Via) {
 		if r != "" && a.G.Topo.Node(r) == nil {
 			return residue("unknown-router")
 		}
@@ -61,7 +61,7 @@ func (a *Analysis) Decide(goal Goal) Outcome {
 		if !goal.HasSubnet {
 			return residue("missing-subnet")
 		}
-		if len(goal.sources()) == 0 {
+		if len(goal.Sources()) == 0 {
 			return residue("missing-source")
 		}
 		if out := a.mayDecide(goal); out.Decided {
@@ -74,7 +74,7 @@ func (a *Analysis) Decide(goal Goal) Outcome {
 
 // mayDecide derives verdicts that need only the over-approximation.
 func (a *Analysis) mayDecide(goal Goal) Outcome {
-	srcs := goal.sources()
+	srcs := goal.Sources()
 	region := goal.Subnet
 	reach := make([]bool, len(srcs))
 	var blockers []provenance.Origin
@@ -465,7 +465,7 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 	switch goal.Check {
 	case "reachability", "reachability-all":
 		reach := p.reach(false)
-		for _, src := range goal.sources() {
+		for _, src := range goal.Sources() {
 			if !reach[src] {
 				return true, ""
 			}
@@ -481,7 +481,7 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 		if !ok {
 			return false, "live-cycle"
 		}
-		for _, src := range goal.sources() {
+		for _, src := range goal.Sources() {
 			if reach[src] && lens[src] > goal.Hops {
 				return true, ""
 			}
@@ -493,7 +493,7 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 		if !ok {
 			return false, "live-cycle"
 		}
-		srcs := goal.sources()
+		srcs := goal.Sources()
 		for i := 0; i < len(srcs); i++ {
 			for j := i + 1; j < len(srcs); j++ {
 				if reach[srcs[i]] && reach[srcs[j]] && lens[srcs[i]] != lens[srcs[j]] {

@@ -27,9 +27,9 @@ func TestSoundnessOnRegressionCorpus(t *testing.T) {
 		t.Run(cs.Name, func(t *testing.T) {
 			a := tiered.NewAnalysis(cs.Net.Graph)
 			for i, ck := range cs.Checks {
-				goal, ok := fuzz.GoalFor(ck)
-				if !ok {
-					continue
+				goal, err := ck.Goal()
+				if err != nil {
+					t.Fatalf("check %d: %v", i, err)
 				}
 				covered++
 				out := a.Decide(goal)

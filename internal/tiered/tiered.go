@@ -62,10 +62,11 @@ func Enabled(s string) bool {
 	return false
 }
 
-// Goal names one property query in the tier's vocabulary. Callers at the
-// property boundary (service, CLI, harness, fuzz) translate their specs
-// into a Goal; the tier cannot interpret the SAT path's opaque property
-// terms, so the translation is where the two pipelines are kept aligned.
+// Goal names one property query in structured form. It is the query
+// vocabulary of the whole pipeline: the graph tier and the modular
+// composition decide it directly, and internal/pipeline maps it to the
+// SAT path's property term — the tier cannot interpret an opaque term,
+// so every surface states its question as a Goal.
 type Goal struct {
 	// Check selects the property class: reachability, reachability-all,
 	// isolation, waypoint, bounded-length, bounded-length-all,
@@ -93,8 +94,8 @@ type Goal struct {
 	MaxFailures int
 }
 
-// sources returns the goal's source routers (single or multi form).
-func (g Goal) sources() []string {
+// Sources returns the goal's source routers (single or multi form).
+func (g Goal) Sources() []string {
 	if len(g.Srcs) > 0 {
 		return g.Srcs
 	}
@@ -135,49 +136,6 @@ func falsified(reason string, blame []provenance.Origin, pkt config.Packet, env 
 }
 
 func residue(reason string) Outcome { return Outcome{Reason: reason} }
-
-// Options configure the orchestrator.
-type Options struct {
-	// Tiers is the -tiers value (see ValidateTiers).
-	Tiers string
-	// Blame attaches Outcome.Blame to synthesized results, mirroring
-	// core.Options.Blame.
-	Blame bool
-}
-
-// Check attempts the goal on the graph tier and falls back to the SAT
-// path on residue. The fallback closure runs the existing pipeline
-// (core.Model.Check / Session.Check / CheckGoal) unchanged; Check stamps
-// Result.Tier and Result.FastPathElapsed either way. With the fast path
-// disabled (Enabled false) the fallback result is returned untouched —
-// byte-for-byte today's behavior.
-func Check(a *Analysis, opts Options, goal Goal, fallback func() (*core.Result, error)) (*core.Result, error) {
-	if a == nil || !Enabled(opts.Tiers) {
-		return fallback()
-	}
-	snap := cost.TakeSnap()
-	start := time.Now()
-	out := a.Decide(goal)
-	elapsed := time.Since(start)
-	if out.Decided {
-		return Synthesize(out, elapsed, opts.Blame), nil
-	}
-	fastNode := cost.New("fastpath")
-	fastNode.Charge(snap)
-	res, err := fallback()
-	if err != nil {
-		return nil, err
-	}
-	res.Tier = TierSAT
-	res.FastPathElapsed = elapsed
-	// The residue's ledger came from the SAT path; graft the graph
-	// tier's (fruitless) classification window in front so the query's
-	// full bill is in one tree.
-	if res.Cost != nil {
-		res.Cost.Children = append([]*cost.Node{fastNode}, res.Cost.Children...)
-	}
-	return res, nil
-}
 
 // Synthesize renders a decided outcome as a core.Result so fast-path
 // verdicts flow through the same reporting paths (service verdicts, CLI

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/testnets"
 	"repro/internal/tiered"
@@ -143,54 +142,6 @@ func TestDetPreconditionResidue(t *testing.T) {
 	}
 	if out.Reason != "dynamic-redistribution" {
 		t.Fatalf("residue reason %q, want dynamic-redistribution", out.Reason)
-	}
-}
-
-func TestCheckDisabledReturnsFallbackUntouched(t *testing.T) {
-	a := chainAnalysis(t, 2)
-	want := &core.Result{Verified: true}
-	got, err := tiered.Check(a, tiered.Options{Tiers: "none"}, tiered.Goal{Check: "loops"},
-		func() (*core.Result, error) { return want, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatal("disabled tiers: fallback result not returned as-is")
-	}
-	if got.Tier != "" || got.FastPathElapsed != 0 {
-		t.Fatalf("disabled tiers stamped Tier=%q FastPathElapsed=%v on the result", got.Tier, got.FastPathElapsed)
-	}
-}
-
-func TestCheckDecidedSkipsFallback(t *testing.T) {
-	a := chainAnalysis(t, 2)
-	res, err := tiered.Check(a, tiered.Options{Blame: true}, tiered.Goal{Check: "loops"},
-		func() (*core.Result, error) {
-			t.Fatal("fallback ran for a decided goal")
-			return nil, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != tiered.TierGraph || !res.Verified {
-		t.Fatalf("Tier=%q Verified=%v, want graph verified", res.Tier, res.Verified)
-	}
-	if len(res.Blame) == 0 {
-		t.Fatal("Blame option set but synthesized result carries none")
-	}
-}
-
-func TestCheckResidueStampsFallbackResult(t *testing.T) {
-	a := chainAnalysis(t, 2)
-	res, err := tiered.Check(a, tiered.Options{},
-		tiered.Goal{Check: "reachability", Src: "R1", MaxFailures: 1,
-			Subnet: network.MustParsePrefix("10.100.2.0/24"), HasSubnet: true},
-		func() (*core.Result, error) { return &core.Result{Verified: true}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != tiered.TierSAT {
-		t.Fatalf("residue fallback Tier=%q, want sat", res.Tier)
 	}
 }
 
