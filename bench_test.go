@@ -10,16 +10,22 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/modular"
 	"repro/internal/netgen"
 	"repro/internal/network"
+	"repro/internal/pipeline"
 	"repro/internal/properties"
+	"repro/internal/protograph"
 	"repro/internal/simulator"
 	"repro/internal/testnets"
+	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
 
@@ -228,6 +234,113 @@ func BenchmarkFabricGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := topogen.Generate(6); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFabricScale times the layers of the repo benchmark's
+// fabric-scale workload one by one, at pods-12 (180 routers) instead of
+// pods-24, so a regression on the non-solver fabric path names its layer
+// without a 720-router run. Each sub-benchmark mirrors BENCHMARK.json
+// per-layer metrics: load = config.parse_s + config.topology_s +
+// protograph.build_s, analysis = tiered.analysis_s, decide-all-tor =
+// tiered.decide_s on the goal with the most sources, partition =
+// modular.partition_s, plan = modular.plan_s, run = modular.run_s.
+func BenchmarkFabricScale(b *testing.B) {
+	ft, err := topogen.Generate(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	configs := make(map[string]string, len(ft.Routers))
+	for _, r := range ft.Routers {
+		configs[r.Name] = config.Print(r)
+	}
+	load := func() *protograph.Graph {
+		net, err := pipeline.Load(configs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return net.Graph
+	}
+	g := load()
+	f := &harness.Fabric{FT: ft}
+	allToR, _ := harness.Fig8ModularGoal(f, harness.Fig8ReachAll)
+	// The graph tier leaves no-blackholes to the modular pipeline.
+	blackholes, _ := harness.Fig8ModularGoal(f, harness.Fig8NoBlackholes)
+	analysis := tiered.NewAnalysis(g)
+	if out := analysis.Decide(allToR); !out.Decided || !out.Verified {
+		b.Fatalf("all-ToR reachability: %+v, want a verified graph-tier verdict", out)
+	}
+	if out := analysis.Decide(blackholes); out.Decided {
+		b.Fatalf("no-blackholes decided by the graph tier (%s): pick another goal for plan/run", out.Reason)
+	}
+	cut := modular.Partition(g)
+	plan := modular.NewPlan(g, cut, blackholes)
+	opts := modular.Options{Core: core.DefaultOptions(), Workers: 2, NoFallback: true}
+
+	for _, layer := range []struct {
+		name string
+		fn   func()
+	}{
+		{"load", func() { load() }},
+		{"analysis", func() { tiered.NewAnalysis(g) }},
+		{"decide-all-tor", func() { analysis.Decide(allToR) }},
+		{"partition", func() { modular.Partition(g) }},
+		{"plan", func() { modular.NewPlan(g, cut, blackholes) }},
+		{"run", func() {
+			rep, err := modular.Run(context.Background(), g, plan, opts)
+			if err != nil || len(rep.Residue) > 0 || !rep.Verified {
+				b.Fatalf("modular run: err=%v report=%+v", err, rep)
+			}
+		}},
+	} {
+		b.Run(layer.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				layer.fn()
+			}
+		})
+	}
+}
+
+// BenchmarkFabricScalePass is one whole pass of the fabric-scale workload
+// at its real size (pods-24, 720 routers) through the query pipeline
+// every surface shares: configuration text to protocol graph, then the
+// seven Figure 8 goals, each answered by the graph tier or, failing that,
+// by the modular pipeline (never the whole-network encoding).
+// BENCH_fabric_pass.folded is a CPU profile of it; EXPERIMENTS.md has the
+// command.
+func BenchmarkFabricScalePass(b *testing.B) {
+	ft, err := topogen.Generate(24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	configs := make(map[string]string, len(ft.Routers))
+	for _, r := range ft.Routers {
+		configs[r.Name] = config.Print(r)
+	}
+	f := &harness.Fabric{FT: ft}
+	var goals []tiered.Goal
+	for _, prop := range harness.AllFig8Props() {
+		if goal, ok := harness.Fig8ModularGoal(f, prop); ok {
+			goals = append(goals, goal)
+		}
+	}
+	opts := pipeline.Options{Modular: true}
+	opts.Workers = 2
+	opts.NoFallback = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net, err := pipeline.Load(configs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, goal := range goals {
+			v, err := pipeline.Run(context.Background(), net, goal, opts)
+			if err != nil || v.Result == nil || !v.Result.Verified {
+				b.Fatalf("%s: err=%v verdict=%+v, want verified on a clean fat-tree", goal.Check, err, v)
+			}
 		}
 	}
 }

@@ -50,14 +50,24 @@ func BuildTopology(routers []*Router) (*network.Topology, error) {
 		return refs[a].i.Name < refs[b].i.Name
 	})
 
-	// Internal links: pairs of interfaces sharing a subnet.
+	// Internal links: pairs of interfaces sharing a subnet. Grouping the
+	// sorted refs by subnet visits the pairs in the order the all-pairs
+	// scan would; link order numbers the encoder's variables.
+	bySubnet := map[network.Prefix][]ifaceRef{}
+	for _, ref := range refs {
+		if ref.i.Prefix.Len != 32 {
+			bySubnet[ref.i.Prefix] = append(bySubnet[ref.i.Prefix], ref)
+		}
+	}
 	linked := map[[2]string]bool{}
-	for ai, a := range refs {
-		for _, b := range refs[ai+1:] {
+	for _, a := range refs {
+		group := bySubnet[a.i.Prefix]
+		if len(group) == 0 {
+			continue
+		}
+		bySubnet[a.i.Prefix] = group[1:] // a is the group's head: drop it
+		for _, b := range group[1:] {
 			if a.r == b.r {
-				continue
-			}
-			if a.i.Prefix != b.i.Prefix || a.i.Prefix.Len == 32 {
 				continue
 			}
 			k := [2]string{a.r.Name + "/" + a.i.Name, b.r.Name + "/" + b.i.Name}

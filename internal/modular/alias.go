@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/config"
@@ -22,8 +24,8 @@ import (
 // text, never semantic). The value pool's pairwise order/containment
 // relations are appended at the end: the encoder's terms mention the
 // concrete constants only through such comparisons (against each other
-// and against the goal destination), so components whose relation
-// matrices agree produce isomorphic SMT systems and share one verdict.
+// and against the goal destination), so components whose relations
+// agree produce isomorphic SMT systems and share one verdict.
 type canon struct {
 	w       io.Writer
 	routers map[string]int
@@ -149,28 +151,66 @@ func (c *canon) redist(proto string, rs []config.Redistribution) {
 	}
 }
 
-// relations appends the value pool's pairwise comparison matrix: address
-// order, prefix lengths and interval containment. Aligned prefix
-// intervals are equal, disjoint or nested, so this matrix (with the
-// lengths) fixes the truth of every address comparison the encoder can
-// pose over the pool — including against the symbolic destination, whose
+// relations appends what fixes the value pool's pairwise comparisons —
+// address order, prefix lengths and interval containment — in one line
+// per value: its length, the dense rank of its address, and its nearest
+// covering pool value. Ranks are the address-order matrix; and since the
+// values covering any one value form a chain (they are aligned prefixes
+// holding its address), "p covers q" is "p is an ancestor of q", so the
+// nearest covers are the containment matrix (DESIGN.md §15). Together
+// they fix the truth of every address comparison the encoder can pose
+// over the pool — including against the symbolic destination, whose
 // range is the goal subnet, itself a pool member.
 func (c *canon) relations() {
-	for i, p := range c.vals {
-		c.emit("val %d len=%d", i, p.Len)
+	order := make([]int, len(c.vals)) // pool indices by (address, length)
+	for i := range order {
+		order[i] = i
 	}
-	for i := 0; i < len(c.vals); i++ {
-		for j := i + 1; j < len(c.vals); j++ {
-			a, b := c.vals[i], c.vals[j]
-			cmp := 0
-			if a.Addr < b.Addr {
-				cmp = -1
-			} else if a.Addr > b.Addr {
-				cmp = 1
+	sort.Slice(order, func(a, b int) bool {
+		p, q := c.vals[order[a]], c.vals[order[b]]
+		if p.Addr != q.Addr {
+			return p.Addr < q.Addr
+		}
+		return p.Len < q.Len
+	})
+	rank := make([]int, len(c.vals))
+	up := make([]int, len(c.vals))
+	// open holds the aligned values whose range contains the sweep
+	// address, outermost first: each nests in the one before it.
+	var open []int
+	for k, i := range order {
+		p := c.vals[i]
+		if k > 0 {
+			rank[i] = rank[order[k-1]]
+			if c.vals[order[k-1]].Addr != p.Addr {
+				rank[i]++
 			}
-			c.emit("rel %d %d cmp=%d ab=%v ba=%v", i, j, cmp, a.Covers(b), b.Covers(a))
+		}
+		for len(open) > 0 && c.vals[open[len(open)-1]].Last() < p.Addr {
+			open = open[:len(open)-1]
+		}
+		// An aligned p nests in all of open; an unaligned one (a hand-built
+		// 10.0.0.1/24: covers nothing, not even itself) can be shorter than
+		// the innermost ones, which then do not cover it.
+		up[i] = -1
+		for d := len(open) - 1; d >= 0 && up[i] < 0; d-- {
+			if c.vals[open[d]].Len <= p.Len {
+				up[i] = open[d]
+			}
+		}
+		if p.Covers(p) {
+			open = append(open, i)
 		}
 	}
+	buf := make([]byte, 0, 40*len(c.vals))
+	for i, p := range c.vals {
+		buf = strconv.AppendInt(append(buf, "val "...), int64(i), 10)
+		buf = strconv.AppendInt(append(buf, " len="...), int64(p.Len), 10)
+		buf = strconv.AppendInt(append(buf, " rank="...), int64(rank[i]), 10)
+		buf = strconv.AppendInt(append(buf, " up="...), int64(up[i]), 10)
+		buf = append(buf, '\n')
+	}
+	c.w.Write(buf)
 }
 
 // classKey computes the isomorphism-class key for a component plan and
@@ -180,6 +220,12 @@ func (c *canon) relations() {
 // and those are written in sorted-router order — so index-aligned zip of
 // the sorted router lists is a config isomorphism between members.
 func classKey(g *protograph.Graph, cp *CompPlan, goal tiered.Goal) string {
+	return classKeyWith(g, cp, goal, (*canon).relations)
+}
+
+// classKeyWith is classKey with the relation writer as a parameter: the
+// tests hold (*canon).relations to the pairwise matrix it replaced.
+func classKeyWith(g *protograph.Graph, cp *CompPlan, goal tiered.Goal, relations func(*canon)) string {
 	h := sha256.New()
 	c := newCanon(h, cp.Comp.Routers)
 	if goal.HasSubnet {
@@ -219,7 +265,7 @@ func classKey(g *protograph.Graph, cp *CompPlan, goal tiered.Goal) string {
 	for _, s := range cp.Srcs {
 		c.emit("src %s", c.r(s))
 	}
-	c.relations()
+	relations(c)
 	cp.Vals = c.vals
 	return hex.EncodeToString(h.Sum(nil))
 }

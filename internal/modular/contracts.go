@@ -138,11 +138,9 @@ func ownsPrefix(g *protograph.Graph, cfg *config.Router, p network.Prefix) bool 
 // session count — contract metrics must lower-bound announcements along
 // any session path, including ones that double back inside a component.
 func bfs01(g *protograph.Graph, sources []string, dist map[string]int) {
-	type edge struct {
-		to string
-		w  int
-	}
-	adj := map[string][]edge{}
+	type edge struct{ to, w int }
+	nodes := g.Topo.Nodes
+	adj := make([][]edge, len(nodes))
 	for _, s := range g.Sessions {
 		w := 1
 		switch s.Kind {
@@ -153,28 +151,44 @@ func bfs01(g *protograph.Graph, sources []string, dist map[string]int) {
 		default: // external sessions do not connect internal routers
 			continue
 		}
-		adj[s.A.Name] = append(adj[s.A.Name], edge{s.B.Name, w})
-		adj[s.B.Name] = append(adj[s.B.Name], edge{s.A.Name, w})
+		adj[s.A.Index] = append(adj[s.A.Index], edge{s.B.Index, w})
+		adj[s.B.Index] = append(adj[s.B.Index], edge{s.A.Index, w})
 	}
-	deque := make([]string, 0, len(sources))
+	const unreached = -1
+	d := make([]int, len(nodes))
+	for i := range d {
+		d[i] = unreached
+	}
+	// The deque is a stack of front pushes ahead of a FIFO of back pushes;
+	// nothing is ever taken from the back, so the two never mix.
+	var front, back []int
 	for _, src := range sources {
-		dist[src] = 0
-		deque = append(deque, src)
+		if n := g.Topo.Node(src); n != nil && d[n.Index] == unreached {
+			d[n.Index] = 0
+			back = append(back, n.Index)
+		}
 	}
-	for len(deque) > 0 {
-		u := deque[0]
-		deque = deque[1:]
-		du := dist[u]
+	for head := 0; len(front) > 0 || head < len(back); {
+		var u int
+		if last := len(front) - 1; last >= 0 {
+			u, front = front[last], front[:last]
+		} else {
+			u, head = back[head], head+1
+		}
 		for _, e := range adj[u] {
-			nd := du + e.w
-			if old, ok := dist[e.to]; !ok || nd < old {
-				dist[e.to] = nd
+			if nd := d[u] + e.w; d[e.to] == unreached || nd < d[e.to] {
+				d[e.to] = nd
 				if e.w == 0 {
-					deque = append([]string{e.to}, deque...)
+					front = append(front, e.to)
 				} else {
-					deque = append(deque, e.to)
+					back = append(back, e.to)
 				}
 			}
+		}
+	}
+	for i, v := range d {
+		if v != unreached {
+			dist[nodes[i].Name] = v
 		}
 	}
 }

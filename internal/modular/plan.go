@@ -149,17 +149,15 @@ func NewPlan(g *protograph.Graph, cut *Cut, goal tiered.Goal) *Plan {
 	for _, comp := range cut.Components {
 		cp := &CompPlan{Comp: comp, Srcs: srcsOf[comp.Index]}
 		sort.Strings(cp.Srcs)
-		for _, s := range cut.Sessions { // already ID-sorted
-			c := p.Con.BySession[s.ID]
-			if s.ToComp == comp.Index {
-				cp.Imports = append(cp.Imports, c)
-			}
-			if s.FromComp == comp.Index {
-				cp.Exports = append(cp.Exports, c)
-			}
-		}
-		cp.Key = classKey(g, cp, goal)
 		p.Comps = append(p.Comps, cp)
+	}
+	for _, s := range cut.Sessions { // already ID-sorted; Comps[i].Comp.Index == i
+		c := p.Con.BySession[s.ID]
+		p.Comps[s.ToComp].Imports = append(p.Comps[s.ToComp].Imports, c)
+		p.Comps[s.FromComp].Exports = append(p.Comps[s.FromComp].Exports, c)
+	}
+	for _, cp := range p.Comps {
+		cp.Key = classKey(g, cp, goal)
 	}
 	return p
 }

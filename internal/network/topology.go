@@ -80,6 +80,10 @@ type Topology struct {
 	Externals []*External
 
 	byName map[string]*Node
+	// links and exts index Links and Externals by Node.Index, each list in
+	// insertion order, so per-router lookups cost the router's degree.
+	links [][]*Link
+	exts  [][]*External
 }
 
 // NewTopology creates a topology with the given router names.
@@ -95,6 +99,8 @@ func NewTopology(names []string) *Topology {
 		t.Nodes = append(t.Nodes, node)
 		t.byName[n] = node
 	}
+	t.links = make([][]*Link, len(t.Nodes))
+	t.exts = make([][]*External, len(t.Nodes))
 	return t
 }
 
@@ -109,6 +115,10 @@ func (t *Topology) AddLink(a, aIface string, b, bIface string, subnet Prefix, aA
 	}
 	l := &Link{A: na, B: nb, AIface: aIface, BIface: bIface, Subnet: subnet, AAddr: aAddr, BAddr: bAddr}
 	t.Links = append(t.Links, l)
+	t.links[na.Index] = append(t.links[na.Index], l)
+	if nb != na {
+		t.links[nb.Index] = append(t.links[nb.Index], l)
+	}
 	return l
 }
 
@@ -120,29 +130,34 @@ func (t *Topology) AddExternal(router, iface, name string, peerAddr, routerAddr 
 	}
 	e := &External{Router: n, Iface: iface, Name: name, PeerAddr: peerAddr, RouterAddr: routerAddr, ASN: asn}
 	t.Externals = append(t.Externals, e)
+	t.exts[n.Index] = append(t.exts[n.Index], e)
 	return e
 }
 
-// LinksOf returns all internal links incident to the node.
-func (t *Topology) LinksOf(n *Node) []*Link {
-	var out []*Link
-	for _, l := range t.Links {
-		if l.A == n || l.B == n {
-			out = append(out, l)
-		}
-	}
-	return out
+// owns reports whether n is one of this topology's nodes (not nil, not a
+// node of another topology that happens to share an index).
+func (t *Topology) owns(n *Node) bool {
+	return n != nil && uint(n.Index) < uint(len(t.Nodes)) && t.Nodes[n.Index] == n
 }
 
-// ExternalsOf returns all external peerings of the node.
-func (t *Topology) ExternalsOf(n *Node) []*External {
-	var out []*External
-	for _, e := range t.Externals {
-		if e.Router == n {
-			out = append(out, e)
-		}
+// LinksOf returns all internal links incident to the node, in Links
+// order. The slice is shared: callers must not modify it.
+func (t *Topology) LinksOf(n *Node) []*Link {
+	if !t.owns(n) {
+		return nil
 	}
-	return out
+	ls := t.links[n.Index]
+	return ls[:len(ls):len(ls)]
+}
+
+// ExternalsOf returns all external peerings of the node, in Externals
+// order. The slice is shared: callers must not modify it.
+func (t *Topology) ExternalsOf(n *Node) []*External {
+	if !t.owns(n) {
+		return nil
+	}
+	es := t.exts[n.Index]
+	return es[:len(es):len(es)]
 }
 
 // Neighbors returns the internal neighbor nodes of n.
@@ -154,10 +169,11 @@ func (t *Topology) Neighbors(n *Node) []*Node {
 	return out
 }
 
-// FindLink returns the link between the two named routers, or nil.
+// FindLink returns the first link (in Links order) between the two named
+// routers, or nil.
 func (t *Topology) FindLink(a, b string) *Link {
 	na, nb := t.byName[a], t.byName[b]
-	for _, l := range t.Links {
+	for _, l := range t.LinksOf(na) {
 		if (l.A == na && l.B == nb) || (l.A == nb && l.B == na) {
 			return l
 		}

@@ -90,6 +90,12 @@ type Graph struct {
 	// IBGPSpeakers are routers with at least one iBGP session, in name
 	// order; the encoder builds one extra network copy per speaker (§4).
 	IBGPSpeakers []*network.Node
+
+	// sessionsOf, ospfOf and ripOf index Sessions, OSPFAdjs and RIPAdjs
+	// by Node.Index, each list in the order of the slice it indexes.
+	sessionsOf [][]*BGPSession
+	ospfOf     [][]*OSPFAdj
+	ripOf      [][]*RIPAdj
 }
 
 // Build computes the decomposition. Configs are keyed by router name and
@@ -216,7 +222,36 @@ func Build(topo *network.Topology, configs map[string]*config.Router) (*Graph, e
 	for _, name := range sortedNames(speakers) {
 		g.IBGPSpeakers = append(g.IBGPSpeakers, speakers[name])
 	}
+
+	nodes := len(topo.Nodes)
+	g.sessionsOf = perNode(nodes, g.Sessions, func(s *BGPSession) (a, b *network.Node) { return s.A, s.B })
+	g.ospfOf = perNode(nodes, g.OSPFAdjs, func(a *OSPFAdj) (_, _ *network.Node) { return a.Link.A, a.Link.B })
+	g.ripOf = perNode(nodes, g.RIPAdjs, func(a *RIPAdj) (_, _ *network.Node) { return a.Link.A, a.Link.B })
 	return g, nil
+}
+
+// perNode indexes items by the Node.Index of their endpoints (b may be
+// nil), keeping item order within each node's list.
+func perNode[T any](nodes int, items []T, ends func(T) (a, b *network.Node)) [][]T {
+	out := make([][]T, nodes)
+	for _, it := range items {
+		a, b := ends(it)
+		out[a.Index] = append(out[a.Index], it)
+		if b != nil && b != a {
+			out[b.Index] = append(out[b.Index], it)
+		}
+	}
+	return out
+}
+
+// listOf returns n's list of a perNode index: nil for a nil node or one that
+// is not g's. The list is shared; callers must not modify it.
+func listOf[T any](g *Graph, idx [][]T, n *network.Node) []T {
+	if n == nil || uint(n.Index) >= uint(len(idx)) || g.Topo.Nodes[n.Index] != n {
+		return nil
+	}
+	l := idx[n.Index]
+	return l[:len(l):len(l)]
 }
 
 func sessionLess(a, b *BGPSession) bool {
@@ -281,38 +316,15 @@ func ripActive(c *config.Router, l *network.Link, n *network.Node) bool {
 	return false
 }
 
-// SessionsOf returns the sessions in which the router participates.
-func (g *Graph) SessionsOf(n *network.Node) []*BGPSession {
-	var out []*BGPSession
-	for _, s := range g.Sessions {
-		if s.A == n || s.B == n {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// SessionsOf returns the sessions in which the router participates, in
+// Sessions order.
+func (g *Graph) SessionsOf(n *network.Node) []*BGPSession { return listOf(g, g.sessionsOf, n) }
 
 // OSPFAdjsOf returns the OSPF adjacencies incident to the router.
-func (g *Graph) OSPFAdjsOf(n *network.Node) []*OSPFAdj {
-	var out []*OSPFAdj
-	for _, a := range g.OSPFAdjs {
-		if a.Link.A == n || a.Link.B == n {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+func (g *Graph) OSPFAdjsOf(n *network.Node) []*OSPFAdj { return listOf(g, g.ospfOf, n) }
 
 // RIPAdjsOf returns the RIP adjacencies incident to the router.
-func (g *Graph) RIPAdjsOf(n *network.Node) []*RIPAdj {
-	var out []*RIPAdj
-	for _, a := range g.RIPAdjs {
-		if a.Link.A == n || a.Link.B == n {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+func (g *Graph) RIPAdjsOf(n *network.Node) []*RIPAdj { return listOf(g, g.ripOf, n) }
 
 // RemoteEnd returns the far-end router of an internal session.
 func (s *BGPSession) RemoteEnd(n *network.Node) *network.Node {

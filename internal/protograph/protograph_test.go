@@ -1,10 +1,15 @@
 package protograph
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/netgen"
+	"repro/internal/network"
+	"repro/internal/topogen"
 )
 
 func build(t *testing.T, texts ...string) *Graph {
@@ -161,8 +166,7 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
-func TestRIPAdjacency(t *testing.T) {
-	a := `
+const ripA = `
 hostname A
 !
 interface Eth0
@@ -172,8 +176,11 @@ router rip
  network 10.0.1.0/30
 !
 `
-	b := strings.ReplaceAll(strings.Replace(a, "hostname A", "hostname B", 1), "10.0.1.1", "10.0.1.2")
-	g := build(t, a, b)
+
+var ripB = strings.ReplaceAll(strings.Replace(ripA, "hostname A", "hostname B", 1), "10.0.1.1", "10.0.1.2")
+
+func TestRIPAdjacency(t *testing.T) {
+	g := build(t, ripA, ripB)
 	if len(g.RIPAdjs) != 1 {
 		t.Fatalf("rip adjacencies %d", len(g.RIPAdjs))
 	}
@@ -193,5 +200,94 @@ route-map LP permit 10
 	g := build(t, r1, pgR2)
 	if !g.HasCustomLocalPref() {
 		t.Fatal("custom local-pref not detected")
+	}
+}
+
+// scanOf is the per-router lookup as it was before the index: one pass
+// over the whole list per call (nil matches nothing). It is the reference
+// SessionsOf, OSPFAdjsOf and RIPAdjsOf are held to, element for element
+// and in order.
+func scanOf[T any](items []T, n *network.Node, ends func(T) (a, b *network.Node)) []T {
+	var out []T
+	for _, it := range items {
+		if a, b := ends(it); n != nil && (a == n || b == n) {
+			out = append(out, it)
+		}
+	}
+	return out
+}
+
+// sameSeq: the same elements in the same order, and nil only for nil.
+func sameSeq[T comparable](got, want []T) bool {
+	return slices.Equal(got, want) && (got == nil) == (want == nil)
+}
+
+func TestPerRouterIndexMatchesScan(t *testing.T) {
+	graphs := map[string]*Graph{"r1-r2": build(t, pgR1, pgR2), "rip": build(t, ripA, ripB)}
+	fromRouters := func(name string, routers []*config.Router) {
+		byName := map[string]*config.Router{}
+		for _, r := range routers {
+			byName[r.Name] = r
+		}
+		topo, err := config.BuildTopology(routers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Build(topo, byName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[name] = g
+	}
+	for _, k := range []int{2, 4} {
+		ft, err := topogen.Generate(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromRouters(fmt.Sprintf("pods-%d", k), ft.Routers)
+	}
+	for seed := int64(1); seed <= 12; seed++ { // OSPF cores with iBGP and eBGP sessions, 2-25 routers
+		n, err := netgen.Generate(fmt.Sprintf("netgen-%d", seed), seed, netgen.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromRouters(n.Name, n.Routers)
+	}
+	other := graphs["pods-2"]
+	sessions := 0
+	for name, g := range graphs {
+		// Every node of the graph, plus nodes it does not own: nil, a node
+		// of another topology, a hand-built one.
+		nodes := append([]*network.Node{nil, {Name: g.Topo.Nodes[0].Name}}, g.Topo.Nodes...)
+		if g != other {
+			nodes = append(nodes, other.Topo.Nodes...)
+		}
+		for _, n := range nodes {
+			who := "<nil>"
+			if n != nil {
+				who = n.Name
+			}
+			want := scanOf(g.Sessions, n, func(s *BGPSession) (_, _ *network.Node) { return s.A, s.B })
+			if got := g.SessionsOf(n); !sameSeq(got, want) {
+				t.Errorf("%s: SessionsOf(%s) = %v, scan %v", name, who, got, want)
+			}
+			sessions += len(want)
+			wantO := scanOf(g.OSPFAdjs, n, func(a *OSPFAdj) (_, _ *network.Node) { return a.Link.A, a.Link.B })
+			if got := g.OSPFAdjsOf(n); !sameSeq(got, wantO) {
+				t.Errorf("%s: OSPFAdjsOf(%s) = %v, scan %v", name, who, got, wantO)
+			}
+			wantR := scanOf(g.RIPAdjs, n, func(a *RIPAdj) (_, _ *network.Node) { return a.Link.A, a.Link.B })
+			if got := g.RIPAdjsOf(n); !sameSeq(got, wantR) {
+				t.Errorf("%s: RIPAdjsOf(%s) = %v, scan %v", name, who, got, wantR)
+			}
+		}
+	}
+	if sessions == 0 {
+		t.Fatal("no session in any fixture: the comparison is vacuous")
+	}
+	g := graphs["pods-4"]
+	n := g.Topo.Node("agg-0-0")
+	if a := testing.AllocsPerRun(100, func() { _ = g.SessionsOf(n) }); a != 0 {
+		t.Errorf("SessionsOf allocates %v times per call", a)
 	}
 }

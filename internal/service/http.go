@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 )
@@ -30,13 +31,29 @@ import (
 //
 // The mux uses Go 1.22 method/wildcard patterns, so the same handler
 // serves the daemon and httptest.
-func NewHandler(e *Engine) http.Handler {
+func NewHandler(e *Engine) http.Handler { return newHandler(e, maxRequestBytes) }
+
+// maxRequestBytes caps the body of POST /v1/verify. The 720-router fabric
+// is 1.5 MB of configuration text, so no real request comes near it; the
+// cap only keeps a hostile or broken client from making the decoder
+// buffer without bound.
+const maxRequestBytes = 64 << 20
+
+// newHandler is NewHandler with the body cap as a parameter, so tests can
+// stand on both sides of it without 64 MiB bodies.
+func newHandler(e *Engine, maxBody int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/verify", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
 			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}

@@ -191,6 +191,70 @@ func TestDaemonBadRequests(t *testing.T) {
 	}
 }
 
+// TestDaemonRequestBodyLimit stands on both sides of the POST /v1/verify
+// body cap: a valid request padded (inside the JSON value, so the decoder
+// must read every byte) to exactly the cap is answered, one byte more is
+// refused with 413 in the handler's JSON error shape. The cap is lowered
+// through newHandler so the bodies stay small; NewHandler passes the real
+// constant to the same code.
+func TestDaemonRequestBodyLimit(t *testing.T) {
+	if maxRequestBytes != 64<<20 {
+		t.Fatalf("maxRequestBytes = %d, want 64 MiB", maxRequestBytes)
+	}
+	body, err := json.Marshal(&Request{
+		Configs: chainConfigs(3),
+		Spec:    Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 8 << 10
+	if len(body) >= limit {
+		t.Fatalf("fixture body is %d bytes, over the test cap", len(body))
+	}
+	padded := func(size int) []byte {
+		pad := bytes.Repeat([]byte(" "), size-len(body))
+		return append(append(append([]byte{}, body[:len(body)-1]...), pad...), '}')
+	}
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second})
+	srv := httptest.NewServer(newHandler(e, limit))
+	defer func() {
+		srv.Close()
+		e.Close()
+	}()
+	post := func(b []byte) (int, errorBody) {
+		resp, err := http.Post(srv.URL+"/v1/verify", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		if resp.StatusCode != http.StatusOK {
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("status %d: Content-Type %q, want application/json", resp.StatusCode, ct)
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Errorf("status %d: error body is not JSON: %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, eb
+	}
+	if code, eb := post(padded(limit)); code != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: status %d (error %q), want 200", limit, code, eb.Error)
+	}
+	code, eb := post(padded(limit + 1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d (error %q), want 413", limit+1, code, eb.Error)
+	}
+	if !strings.Contains(eb.Error, "8192") {
+		t.Fatalf("413 error %q does not name the limit", eb.Error)
+	}
+	// The refusal is per request: the engine still answers afterwards.
+	if code, eb := post(body); code != http.StatusOK {
+		t.Fatalf("request after a refused one: status %d (error %q)", code, eb.Error)
+	}
+}
+
 // TestDaemonBlameAndProfile runs the engine with blame extraction and
 // origin profiling on: a verified job's verdict carries a deterministic
 // non-empty blame set, its hot-constraint profile is served (JSON and

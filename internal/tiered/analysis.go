@@ -11,15 +11,26 @@ import (
 )
 
 // mayEdge is one edge of the over-approximate forwarding graph: router
-// `from` (the map key) could, for some destination in the edge's prefix
-// scope and some environment, forward traffic to router `to`.
+// `from` could, for some destination in the edge's prefix scope and some
+// environment, forward traffic to router `to` (both by Node.Index).
 type mayEdge struct {
-	to string
+	from, to int
 	// pfx scopes the edge to destinations it can carry (static routes);
 	// scoped=false means any destination (adjacencies, BGP sessions).
 	pfx    network.Prefix
 	scoped bool
-	origin provenance.Origin
+	// out and in are the ACLs a packet crossing the edge meets, resolved
+	// once: the sender's out-ACL and the receiver's in-ACL on the first
+	// link between the routers. Mirrors the simulator's Walk; sessions
+	// without a physical link ("teleport" hops) carry none.
+	out, in aclRef
+}
+
+// aclRef is an interface's directional ACL under the name the interface
+// uses for it; the zero value means no filter.
+type aclRef struct {
+	name string
+	acl  *config.ACL
 }
 
 // Analysis precomputes everything about one network that the tier reuses
@@ -32,8 +43,10 @@ type Analysis struct {
 	G   *protograph.Graph
 	sim *simulator.Simulator
 
-	// may is the over-approximate forwarding graph, keyed by router name.
-	may map[string][]mayEdge
+	// may is the over-approximate forwarding graph: each router's outgoing
+	// edges by Node.Index, sorted by far end; rev its incoming ones.
+	may [][]mayEdge
+	rev [][]*mayEdge
 
 	// boundaries are all prefixes any destination-dependent test in the
 	// network can distinguish; destinations between consecutive boundary
@@ -52,7 +65,7 @@ type Analysis struct {
 // NewAnalysis builds the tier's per-network state from the protocol
 // graph.
 func NewAnalysis(g *protograph.Graph) *Analysis {
-	a := &Analysis{G: g, sim: simulator.New(g), may: map[string][]mayEdge{}}
+	a := &Analysis{G: g, sim: simulator.New(g)}
 	a.buildMayGraph()
 	a.collectBoundaries()
 	a.detReason = detPrecondition(g)
@@ -61,13 +74,13 @@ func NewAnalysis(g *protograph.Graph) *Analysis {
 }
 
 // addMay inserts a directed may-edge, deduplicating unscoped duplicates.
-func (a *Analysis) addMay(from string, e mayEdge) {
-	for _, have := range a.may[from] {
+func (a *Analysis) addMay(e mayEdge) {
+	for _, have := range a.may[e.from] {
 		if have.to == e.to && !have.scoped {
 			return // already unconditionally connected
 		}
 	}
-	a.may[from] = append(a.may[from], e)
+	a.may[e.from] = append(a.may[e.from], e)
 }
 
 // buildMayGraph collects every mechanism by which a router can come to
@@ -86,35 +99,30 @@ func (a *Analysis) addMay(from string, e mayEdge) {
 // source protocol's decision, which one of the mechanisms above already
 // covers.
 func (a *Analysis) buildMayGraph() {
-	adjOrigin := func(from, to, proto string) provenance.Origin {
-		return provenance.Origin{Router: from, Proto: proto, Kind: "adjacency", Name: to}
+	topo := a.G.Topo
+	a.may = make([][]mayEdge, len(topo.Nodes))
+	a.rev = make([][]*mayEdge, len(topo.Nodes))
+	both := func(x, y *network.Node) {
+		a.addMay(mayEdge{from: x.Index, to: y.Index})
+		a.addMay(mayEdge{from: y.Index, to: x.Index})
 	}
 	for _, adj := range a.G.OSPFAdjs {
-		an, bn := adj.Link.A.Name, adj.Link.B.Name
-		a.addMay(an, mayEdge{to: bn, origin: adjOrigin(an, bn, "ospf")})
-		a.addMay(bn, mayEdge{to: an, origin: adjOrigin(bn, an, "ospf")})
+		both(adj.Link.A, adj.Link.B)
 	}
 	for _, adj := range a.G.RIPAdjs {
-		an, bn := adj.Link.A.Name, adj.Link.B.Name
-		a.addMay(an, mayEdge{to: bn, origin: adjOrigin(an, bn, "rip")})
-		a.addMay(bn, mayEdge{to: an, origin: adjOrigin(bn, an, "rip")})
+		both(adj.Link.A, adj.Link.B)
 	}
 	for _, sess := range a.G.Sessions {
-		if sess.Kind == protograph.EBGPExternal {
-			continue // no internal edge; externals enter via imports, not hops
+		if sess.Kind != protograph.EBGPExternal { // externals enter via imports, not hops
+			both(sess.A, sess.B)
 		}
-		an, bn := sess.A.Name, sess.B.Name
-		a.addMay(an, mayEdge{to: bn, origin: provenance.Origin{Router: an, Proto: "bgp", Kind: "neighbor", Name: bn}})
-		a.addMay(bn, mayEdge{to: an, origin: provenance.Origin{Router: bn, Proto: "bgp", Kind: "neighbor", Name: an}})
 	}
-	for name, cfg := range a.G.Configs {
-		n := a.G.Topo.Node(name)
-		for _, st := range cfg.Statics {
+	for _, n := range topo.Nodes {
+		for _, st := range a.G.Configs[n.Name].Statics {
 			if st.Drop {
 				continue
 			}
-			origin := provenance.Origin{Router: name, Proto: "static", Kind: "static", Name: st.Prefix.String()}
-			for _, l := range a.G.Topo.LinksOf(n) {
+			for _, l := range topo.LinksOf(n) {
 				peer := l.Peer(n)
 				match := false
 				if st.Interface != "" {
@@ -123,13 +131,23 @@ func (a *Analysis) buildMayGraph() {
 					match = l.AddrOf(peer) == st.NextHop
 				}
 				if match {
-					a.addMay(name, mayEdge{to: peer.Name, pfx: st.Prefix, scoped: true, origin: origin})
+					a.addMay(mayEdge{from: n.Index, to: peer.Index, pfx: st.Prefix, scoped: true})
 				}
 			}
 		}
 	}
 	for _, edges := range a.may {
+		// Nodes are name-sorted, so index order is name order.
 		sort.SliceStable(edges, func(i, j int) bool { return edges[i].to < edges[j].to })
+		for i := range edges {
+			e := &edges[i]
+			fn, tn := topo.Nodes[e.from], topo.Nodes[e.to]
+			if link := topo.FindLink(fn.Name, tn.Name); link != nil {
+				e.out = ifaceACL(a.G.Configs[fn.Name], link.IfaceOf(fn), false)
+				e.in = ifaceACL(a.G.Configs[tn.Name], link.IfaceOf(tn), true)
+			}
+			a.rev[e.to] = append(a.rev[e.to], e)
+		}
 	}
 }
 
@@ -340,30 +358,32 @@ func overlapsRegion(p, region network.Prefix) bool {
 // blocks pruned the search — the provenance a verdict that relies on
 // unreachability rests on.
 func (a *Analysis) mayReach(src string, region network.Prefix, avoid string) (bool, []provenance.Origin) {
-	if src == avoid {
+	sn := a.G.Topo.Node(src)
+	if src == avoid || sn == nil {
 		return false, nil
 	}
-	if a.G.Topo.Node(src) == nil {
-		return false, nil
+	av := -1
+	if n := a.G.Topo.Node(avoid); n != nil {
+		av = n.Index
 	}
+	nodes := a.G.Topo.Nodes
 	var blockers []provenance.Origin
-	visited := map[string]bool{src: true}
-	queue := []string{src}
+	visited := make([]bool, len(nodes))
+	visited[sn.Index] = true
+	queue := []int{sn.Index}
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		if a.delivers(at, region) {
+		if a.delivers(nodes[at].Name, region) {
 			return true, nil
 		}
-		for _, e := range a.may[at] {
-			if visited[e.to] || e.to == avoid {
+		for i := range a.may[at] {
+			e := &a.may[at][i]
+			if visited[e.to] || e.to == av || (e.scoped && !overlapsRegion(e.pfx, region)) {
 				continue
 			}
-			if e.scoped && !overlapsRegion(e.pfx, region) {
-				continue
-			}
-			if blocked, origins := a.edgeBlocked(at, e.to, region); blocked {
-				blockers = append(blockers, origins...)
+			if origin, blocked := a.edgeBlocked(e, region); blocked {
+				blockers = append(blockers, origin)
 				continue
 			}
 			visited[e.to] = true
@@ -374,50 +394,64 @@ func (a *Analysis) mayReach(src string, region network.Prefix, avoid string) (bo
 	return false, provenance.DedupeOrigins(blockers)
 }
 
-// edgeBlocked reports whether the data-plane edge from→to is provably
-// closed for every packet destined into the region: the out-ACL on the
-// sending interface or the in-ACL on the receiving interface denies all
-// such packets. Mirrors the simulator's Walk: the ACL pair comes from
-// the first link between the routers; sessions without a physical link
-// ("teleport" hops) carry no ACLs and are never blocked.
-func (a *Analysis) edgeBlocked(from, to string, region network.Prefix) (bool, []provenance.Origin) {
-	link := a.G.Topo.FindLink(from, to)
-	if link == nil {
-		return false, nil
+// mayReachable answers mayReach (no avoided router) for every source at
+// once, by Node.Index: one sweep backwards from the delivering routers
+// over the same in-scope, unblocked edges.
+func (a *Analysis) mayReachable(region network.Prefix) []bool {
+	reach := make([]bool, len(a.may))
+	var queue []int
+	for _, n := range a.G.Topo.Nodes {
+		if a.delivers(n.Name, region) {
+			reach[n.Index] = true
+			queue = append(queue, n.Index)
+		}
 	}
-	outIface := link.IfaceOf(a.G.Topo.Node(from))
-	inIface := link.IfaceOf(a.G.Topo.Node(to))
-	if name, blocked := ifaceACLBlocks(a.G.Configs[from], outIface, false, region); blocked {
-		return true, []provenance.Origin{{Router: from, Kind: "acl", Name: name}}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		for _, e := range a.rev[at] {
+			if reach[e.from] || (e.scoped && !overlapsRegion(e.pfx, region)) {
+				continue
+			}
+			if _, blocked := a.edgeBlocked(e, region); !blocked {
+				reach[e.from] = true
+				queue = append(queue, e.from)
+			}
+		}
 	}
-	if name, blocked := ifaceACLBlocks(a.G.Configs[to], inIface, true, region); blocked {
-		return true, []provenance.Origin{{Router: to, Kind: "acl", Name: name}}
-	}
-	return false, nil
+	return reach
 }
 
-// ifaceACLBlocks resolves the interface's directional ACL and asks
-// whether it definitely denies every packet destined into the region.
-func ifaceACLBlocks(cfg *config.Router, ifaceName string, inbound bool, region network.Prefix) (string, bool) {
-	if ifaceName == "" {
-		return "", false
+// edgeBlocked reports whether the data-plane edge is provably closed for
+// every packet destined into the region — the sender's out-ACL or the
+// receiver's in-ACL denies all such packets — and names the ACL that
+// closes it.
+func (a *Analysis) edgeBlocked(e *mayEdge, region network.Prefix) (provenance.Origin, bool) {
+	nodes := a.G.Topo.Nodes
+	if e.out.acl != nil && aclDefinitelyDenies(e.out.acl, region) {
+		return provenance.Origin{Router: nodes[e.from].Name, Kind: "acl", Name: e.out.name}, true
 	}
+	if e.in.acl != nil && aclDefinitelyDenies(e.in.acl, region) {
+		return provenance.Origin{Router: nodes[e.to].Name, Kind: "acl", Name: e.in.name}, true
+	}
+	return provenance.Origin{}, false
+}
+
+// ifaceACL resolves the interface's directional ACL; no interface, no
+// ACL reference or a dangling one all mean no filter.
+func ifaceACL(cfg *config.Router, ifaceName string, inbound bool) aclRef {
 	iface := cfg.Iface(ifaceName)
-	if iface == nil {
-		return "", false
+	if ifaceName == "" || iface == nil {
+		return aclRef{}
 	}
 	name := iface.OutACL
 	if inbound {
 		name = iface.InACL
 	}
 	if name == "" {
-		return "", false
+		return aclRef{}
 	}
-	acl := cfg.ACLs[name]
-	if acl == nil {
-		return "", false
-	}
-	return name, aclDefinitelyDenies(acl, region)
+	return aclRef{name, cfg.ACLs[name]}
 }
 
 // aclDefinitelyDenies is a conservative ordered scan: true only when no

@@ -76,11 +76,16 @@ func (a *Analysis) Decide(goal Goal) Outcome {
 func (a *Analysis) mayDecide(goal Goal) Outcome {
 	srcs := goal.Sources()
 	region := goal.Subnet
+	reachable := a.mayReachable(region)
 	reach := make([]bool, len(srcs))
 	var blockers []provenance.Origin
 	for i, src := range srcs {
-		r, b := a.mayReach(src, region, "")
-		reach[i] = r
+		if n := a.G.Topo.Node(src); n != nil && reachable[n.Index] {
+			reach[i] = true
+			continue
+		}
+		// Cut off: the forward search from src names the ACLs that do it.
+		_, b := a.mayReach(src, region, "")
 		blockers = append(blockers, b...)
 	}
 	unreachBlame := func() []provenance.Origin {
