@@ -344,3 +344,57 @@ func BenchmarkFabricScalePass(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFabricMonoPass is one pass of the repo benchmark's fabric-mono
+// workload through the query pipeline: the pods-4 fabric from text, then
+// its three queries (all-ToR reachability, one ToR's isolation, equal
+// path lengths from a pod), each on a fresh whole-network model with the
+// graph tier off and every verified verdict certified by a checked
+// proof. The solver is nearly all of it. BENCH_mono_pass.folded is a CPU
+// profile of it; EXPERIMENTS.md has the command.
+func BenchmarkFabricMonoPass(b *testing.B) {
+	ft, err := topogen.Generate(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	configs := make(map[string]string, len(ft.Routers))
+	for _, r := range ft.Routers {
+		configs[r.Name] = config.Print(r)
+	}
+	f := &harness.Fabric{FT: ft}
+	reachAll, _ := harness.Fig8Goal(f, harness.Fig8ReachAll)
+	equalLengths, _ := harness.Fig8Goal(f, harness.Fig8EqualLengthPod)
+	isolation := tiered.Goal{Check: "isolation", Src: topogen.ToRName(ft.K-1, 0),
+		Subnet: topogen.ToRSubnet(0, 0), HasSubnet: true}
+	queries := []struct {
+		goal tiered.Goal
+		want bool
+	}{{reachAll, true}, {isolation, false}, {equalLengths, true}}
+	var opts pipeline.Options
+	opts.Core = core.DefaultOptions()
+	opts.Core.Tiers, opts.Core.Parallel, opts.Core.Certify = "sat", "off", true
+	var conflicts, propagations int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net, err := pipeline.Load(configs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range queries {
+			v, err := pipeline.Run(context.Background(), net, q.goal, opts)
+			if err != nil || v.Result.Verified != q.want {
+				b.Fatalf("%s: err=%v verdict=%+v, known answer %v", q.goal.Check, err, v, q.want)
+			}
+			if q.want && (v.Result.Certificate == nil || !v.Result.Certificate.Checked) {
+				b.Fatalf("%s: verified without a checked proof", q.goal.Check)
+			}
+			conflicts += v.Result.Stats.Conflicts
+			propagations += v.Result.Stats.Propagations
+		}
+	}
+	// The workload's sat.conflicts (49 159 a pass) and what the pass as a
+	// whole, proof checking included, makes of sat.propagations_per_s.
+	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
+	b.ReportMetric(float64(propagations)/b.Elapsed().Seconds(), "propagations/s")
+}

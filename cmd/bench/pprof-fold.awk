@@ -3,8 +3,9 @@
 # by layer: frames outside this module are dropped except the leaf (where
 # the time was spent, always a full function name); frames of the fabric
 # path's packages (pipeline, config, network, protograph, tiered, modular)
-# keep their function; frames of the other module packages fold to the
-# package; equal neighbours fold to one frame; equal stacks are merged.
+# and of the solver (sat, not sat/drat) keep their function; frames of the
+# other module packages fold to the package; equal neighbours fold to one
+# frame; equal stacks are merged.
 /^-+\+-+$/ { flush(); next }
 /^ +[0-9.]+m?s +/ { v = $1; ms = (v ~ /ms$/) ? v + 0 : (v + 0) * 1000; n = 0; sub(/^ +[0-9.]+m?s +/, ""); frames[++n] = $0; next }
 /^ +/ { if (n > 0) { sub(/^ +/, ""); frames[++n] = $0 }; next }
@@ -15,7 +16,7 @@ function flush(   i, s, f, last) {
 		f = frames[i]; sub(/ \(inline\)$/, "", f); gsub(/ /, "_", f)
 		if (f ~ /^repro[\/_]/) {
 			sub(/^repro\/internal\//, "", f)
-			if (i > 1 && f !~ /^(pipeline|config|network|protograph|tiered|modular)\./) sub(/\..*$/, "", f)
+			if (i > 1 && f !~ /^(pipeline|config|network|protograph|tiered|modular|sat)\./) sub(/\..*$/, "", f)
 		} else if (i > 1) continue
 		if (f != last) { s = (s == "" ? f : s ";" f); last = f }
 	}

@@ -88,50 +88,27 @@ func (s *Solver) Clone() *Solver {
 		RestartBase:  s.RestartBase,
 		RandomFreq:   s.RandomFreq,
 		rng:          s.rng,
+
+		// Refs are arena indices, so they mean in the copy what they mean
+		// here: the database is cloned by copying slices.
+		arena:      append([]Lit(nil), s.arena...),
+		wasted:     s.wasted,
+		dbBytes:    s.dbBytes,
+		clauses:    append([]cref(nil), s.clauses...),
+		learnts:    append([]cref(nil), s.learnts...),
+		arenaLimit: s.arenaLimit,
+		wasteDiv:   s.wasteDiv,
+		full:       s.full,
 	}
-	remap := make(map[*clause]*clause, len(s.clauses)+len(s.learnts))
-	cloneList := func(cs []*clause) []*clause {
-		if cs == nil {
-			return nil
-		}
-		out := make([]*clause, len(cs))
-		for i, c := range cs {
-			nc := &clause{
-				lits:     append([]Lit(nil), c.lits...),
-				activity: c.activity,
-				lbd:      c.lbd,
-				learnt:   c.learnt,
-				origin:   c.origin,
-				step:     c.step,
-			}
-			remap[c] = nc
-			out[i] = nc
-		}
-		return out
-	}
-	n.clauses = cloneList(s.clauses)
-	n.learnts = cloneList(s.learnts)
 	n.watches = make([][]watcher, len(s.watches))
 	for i, ws := range s.watches {
-		if ws == nil {
-			continue
-		}
-		nws := make([]watcher, len(ws))
-		for j, w := range ws {
-			nws[j] = watcher{c: remap[w.c], blocker: w.blocker}
-		}
-		n.watches[i] = nws
+		n.watches[i] = append([]watcher(nil), ws...)
 	}
 	n.assigns = append([]Tribool(nil), s.assigns...)
 	n.level = append([]int32(nil), s.level...)
 	n.polarity = append([]bool(nil), s.polarity...)
 	n.activity = append([]float64(nil), s.activity...)
-	n.reason = make([]*clause, len(s.reason))
-	for i, c := range s.reason {
-		if c != nil {
-			n.reason[i] = remap[c]
-		}
-	}
+	n.reason = append([]cref(nil), s.reason...)
 	n.trail = append([]Lit(nil), s.trail...)
 	n.trailLim = append([]int(nil), s.trailLim...)
 	n.seen = make([]bool, len(s.seen))

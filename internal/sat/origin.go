@@ -245,9 +245,9 @@ func setKey(sorted []int32) string {
 	return string(buf)
 }
 
-// insertionSort keeps tiny base-id lists sorted without pulling
-// sort.Slice's closure allocation into the hot path.
-func insertionSort(a []int32) {
+// insertionSort keeps tiny base-id lists and short clauses sorted without
+// pulling a sort routine's call overhead into the hot path.
+func insertionSort[T ~int32](a []T) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j] < a[j-1]; j-- {
 			a[j], a[j-1] = a[j-1], a[j]

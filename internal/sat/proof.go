@@ -246,11 +246,10 @@ func (s *Solver) EnableProof() *Proof {
 			s.proof.add(ProofInput, []Lit{l}, 0)
 		}
 	}
-	for _, c := range s.clauses {
-		c.step = s.proof.add(ProofInput, c.lits, c.origin)
-	}
-	for _, c := range s.learnts {
-		c.step = s.proof.add(ProofInput, c.lits, c.origin)
+	for _, list := range [2][]cref{s.clauses, s.learnts} {
+		for _, c := range list {
+			s.arena[c+hdrStep] = Lit(s.proof.add(ProofInput, s.lits(c), int32(s.arena[c+hdrOrigin])))
+		}
 	}
 	return s.proof
 }

@@ -73,17 +73,6 @@ func (t Tribool) String() string {
 	return "unknown"
 }
 
-// not negates a tribool, leaving Unknown fixed.
-func (t Tribool) not() Tribool {
-	switch t {
-	case True:
-		return False
-	case False:
-		return True
-	}
-	return Unknown
-}
-
 // Status is the result of a Solve call.
 type Status int
 
@@ -115,27 +104,43 @@ var ErrBudget = errors.New("sat: conflict budget exhausted")
 // search before a verdict was reached.
 var ErrInterrupted = errors.New("sat: search interrupted")
 
-// clause is a disjunction of literals plus solver bookkeeping.
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int32
-	learnt   bool
-	// origin is the interned origin-set id of the constraints this
+// ErrClauseDBFull is returned by SolveLimited once a clause, added or
+// learned, did not fit the clause database's 2^31-word address space. The
+// state is permanent and every later solve is refused: a verdict over a
+// database with a clause missing would not be a verdict.
+var ErrClauseDBFull = errors.New("sat: clause database full")
+
+// cref names a clause by the index of its header in Solver.arena. 0 is
+// "no clause"; the top bit is never part of an index, so a watcher can
+// keep a flag there.
+type cref uint32
+
+// A clause is hdrWords header words followed by its literals.
+const (
+	hdrSize = iota // len(literals)<<1 | learnt
+	hdrLBD
+	// hdrOrigin is the interned origin-set id of the constraints the
 	// clause came from: the creator's set for problem clauses, the union
 	// of the antecedents' sets for learned ones. 0 when tracking is off.
-	origin int32
-	// step is the id of the proof step that put the clause, in its current
-	// form, into the trace: what a learned clause resolved from it names
-	// as a hint and what its Delete step names as the victim. Meaningful
-	// only while proof logging is on.
-	step int32
-}
+	hdrOrigin
+	// hdrStep is the id of the proof step that put the clause, in its
+	// current form, into the trace: what a learned clause resolved from it
+	// names as a hint and what its Delete step names as the victim.
+	// Meaningful only while proof logging is on.
+	hdrStep
+	hdrActivity // float64 bits, low word first
+	hdrWords    = hdrActivity + 2
+)
+
+// binaryFlag marks, in watcher.ref, a clause of two literals: the blocker
+// is then the rest of the clause and propagation never reads the arena.
+const binaryFlag = 1 << 31
 
 // watcher pairs a watched clause with a blocker literal that lets
-// propagation skip the clause when the blocker is already true.
+// propagation skip the clause when the blocker is already true. It holds
+// no pointer, so the collector never scans a watch list.
 type watcher struct {
-	c       *clause
+	ref     uint32 // cref, with binaryFlag
 	blocker Lit
 }
 
@@ -183,14 +188,26 @@ type Progress struct {
 // Solver is a CDCL SAT solver. The zero value is not ready for use; call
 // New.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learned clauses
+	// arena holds every clause. alloc and compact replace it: no slice
+	// into it may be held across either.
+	arena   []Lit
+	wasted  int    // arena words of removed clauses and stripped literals
+	dbBytes int64  // ClauseDBBytes, kept as clauses come and go
+	clauses []cref // problem clauses
+	learnts []cref // learned clauses
+	addBuf  []Lit  // AddClause and Simplify: the clause being normalized
+
+	// arenaLimit is the arena length alloc refuses to pass, wasteDiv the
+	// share of waste (1/wasteDiv of the arena) at which compact runs.
+	// Fixed by New; tests lower the one and raise the other.
+	arenaLimit, wasteDiv int
+	full                 bool // alloc refused a clause: ErrClauseDBFull
 
 	watches [][]watcher // indexed by Lit
 
-	assigns  []Tribool // indexed by Var
+	assigns  []Tribool // indexed by Lit: a literal and its complement are set together
 	level    []int32   // decision level per Var
-	reason   []*clause // antecedent clause per Var
+	reason   []cref    // antecedent clause per Var
 	polarity []bool    // saved phase per Var (true = last assigned false)
 
 	activity []float64 // VSIDS activity per Var
@@ -286,44 +303,79 @@ func New() *Solver {
 		claInc:   1.0,
 		claDecay: 0.999,
 		ok:       true,
+
+		arena:      make([]Lit, 1), // index 0 is "no clause"
+		arenaLimit: math.MaxInt32,
+		wasteDiv:   4,
 	}
 	s.order = &varHeap{solver: s}
 	return s
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses currently held.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// clauseBytes is the accounting size of one clause: a fixed per-clause
-// overhead plus four bytes per literal. The constant models the clause
-// header (activity, lbd, flags, slice header), not Go's exact layout, so
-// the figure is a deterministic function of the database contents and
-// identical across machines.
-func clauseBytes(c *clause) int64 { return 32 + 4*int64(len(c.lits)) }
+// clauseBytes is the accounting size of a clause of n literals: a fixed
+// per-clause overhead plus four bytes per literal. The constant models a
+// clause header, not the arena's exact layout, so the figure is a
+// deterministic function of the database contents, identical across
+// machines and across changes of representation.
+func clauseBytes(n int) int64 { return 32 + 4*int64(n) }
 
 // ClauseDBBytes returns the accounting footprint of the clause database
 // (problem plus learned clauses). Deterministic: equal databases report
 // equal bytes regardless of platform, so the figure is safe to gate on.
-func (s *Solver) ClauseDBBytes() int64 {
-	var b int64
-	for _, c := range s.clauses {
-		b += clauseBytes(c)
+func (s *Solver) ClauseDBBytes() int64 { return s.dbBytes }
+
+// lits returns c's literals: a view into the arena, dead at the next
+// alloc or compact.
+func (s *Solver) lits(c cref) []Lit {
+	at := int(c) + hdrWords
+	return s.arena[at : at+int(s.arena[c]>>1)]
+}
+
+func (s *Solver) claActivity(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+hdrActivity])) | uint64(s.arena[c+hdrActivity+1])<<32)
+}
+
+func (s *Solver) setClaActivity(c cref, a float64) {
+	b := math.Float64bits(a)
+	s.arena[c+hdrActivity], s.arena[c+hdrActivity+1] = Lit(uint32(b)), Lit(b>>32)
+}
+
+// alloc appends a clause to the arena and its size to the accounts, and
+// returns its ref: 0, with the solver marked full, if the arena would
+// pass arenaLimit. lits must not be a view into the arena.
+func (s *Solver) alloc(lits []Lit, learnt bool, lbd, origin, step int32) cref {
+	c, end := len(s.arena), len(s.arena)+hdrWords+len(lits)
+	if end > s.arenaLimit {
+		s.full = true
+		return 0
 	}
-	for _, c := range s.learnts {
-		b += clauseBytes(c)
+	if end > cap(s.arena) {
+		// Grow by half. append would grow a large slice by a quarter, and
+		// re-copy a database that is being loaded twice as often; doubling
+		// costs peak memory (DESIGN §19 has both measured).
+		s.arena = append(make([]Lit, 0, max(end, c+c/2, 1<<10)), s.arena...)
 	}
-	return b
+	size := Lit(len(lits)) << 1
+	if learnt {
+		size |= 1
+	}
+	s.arena = append(append(s.arena, size, Lit(lbd), Lit(origin), Lit(step), 0, 0), lits...)
+	s.dbBytes += clauseBytes(len(lits))
+	return cref(c)
 }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, Unknown)
+	v := Var(len(s.level))
+	s.assigns = append(s.assigns, Unknown, Unknown)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, 0)
 	s.polarity = append(s.polarity, true) // default phase: false
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -333,20 +385,11 @@ func (s *Solver) NewVar() Var {
 }
 
 // value returns the current assignment of a literal.
-func (s *Solver) value(l Lit) Tribool {
-	a := s.assigns[l.Var()]
-	if a == Unknown {
-		return Unknown
-	}
-	if l.Neg() {
-		return a.not()
-	}
-	return a
-}
+func (s *Solver) value(l Lit) Tribool { return s.assigns[l] }
 
 // Value returns the model value of v after a Sat result. It reflects the
 // current assignment; call it only after Solve returns Sat.
-func (s *Solver) Value(v Var) Tribool { return s.assigns[v] }
+func (s *Solver) Value(v Var) Tribool { return s.assigns[MkLit(v, false)] }
 
 // ValueLit returns the model value of a literal after a Sat result.
 func (s *Solver) ValueLit(l Lit) Tribool { return s.value(l) }
@@ -370,8 +413,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// readable; adding a clause invalidates it, so backtrack first.
 	s.cancelUntil(0)
 	// Normalize: sort, dedupe, drop false lits, detect tautology/true lits.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	if len(ls) <= 8 {
+		insertionSort(ls)
+	} else {
+		slices.Sort(ls)
+	}
 	out := ls[:0]
 	var prev Lit = -1
 	dropped := false // a root-falsified literal was stripped
@@ -411,8 +459,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		if s.proof != nil && dropped {
 			s.proof.add(ProofDerive, out, origin, step)
 		}
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], 0)
+		if s.propagate() != 0 {
 			if s.proof != nil {
 				s.proof.add(ProofDerive, nil, origin)
 			}
@@ -424,98 +472,158 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.proof != nil && dropped {
 		step = s.proof.add(ProofDerive, out, origin, step)
 	}
-	c := &clause{lits: append([]Lit(nil), out...), origin: origin, step: step}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	// A clause that does not fit is not an inconsistency: report success
+	// and let Solve refuse (ErrClauseDBFull).
+	if c := s.alloc(out, false, 0, origin, step); c != 0 {
+		s.clauses = append(s.clauses, c)
+		s.attach(c)
+	}
 	return true
 }
 
 // attach registers the first two literals of c as watched.
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
+func (s *Solver) attach(c cref) {
+	ls, ref := s.lits(c), uint32(c)
+	if len(ls) == 2 {
+		ref |= binaryFlag
+	}
+	l0, l1 := ls[0], ls[1]
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{ref, l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{ref, l0})
 }
 
 // detach removes c from its watch lists.
-func (s *Solver) detach(c *clause) {
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[w]
+func (s *Solver) detach(c cref) {
+	for _, l := range s.lits(c)[:2] {
+		ws := s.watches[l.Not()]
 		for i := range ws {
-			if ws[i].c == c {
+			if cref(ws[i].ref&^binaryFlag) == c {
 				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
+				s.watches[l.Not()] = ws[:len(ws)-1]
 				break
 			}
 		}
 	}
 }
 
-// uncheckedEnqueue records an assignment implied by reason (nil for
-// decisions and top-level facts).
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
-	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = False
-	} else {
-		s.assigns[v] = True
+// remove takes c out of the watch lists, the trace and the accounts; the
+// caller drops it from its list. Its words are waste until compact.
+func (s *Solver) remove(c cref) {
+	s.detach(c)
+	ls := s.lits(c)
+	if s.proof != nil {
+		s.proof.addDelete(ls, int32(s.arena[c+hdrOrigin]), int32(s.arena[c+hdrStep]))
 	}
+	s.wasted += hdrWords + len(ls)
+	s.dbBytes -= clauseBytes(len(ls))
+}
+
+// compact, once a quarter of the arena is waste, copies the live clauses
+// into a new one in database order and rewrites every ref there is — the
+// two lists, the watchers, the reasons of the trail — through the
+// forwarding ref each move leaves in the old header. A removed clause is
+// in no watch list and is no reason (reduceDB skips locked clauses,
+// Simplify clears the root's reasons first), so every ref met was moved.
+func (s *Solver) compact() {
+	if s.wasted < len(s.arena)/s.wasteDiv {
+		return
+	}
+	// The new arena keeps the old length: the waste becomes the room the
+	// next learned clauses go into, with nothing to grow.
+	old := s.arena
+	s.arena = make([]Lit, 1, len(old))
+	for _, list := range [2][]cref{s.clauses, s.learnts} {
+		for i, c := range list {
+			list[i] = cref(len(s.arena))
+			s.arena = append(s.arena, old[c:int(c)+hdrWords+int(old[c]>>1)]...)
+			old[c] = Lit(list[i])
+		}
+	}
+	for _, ws := range s.watches {
+		for i, w := range ws {
+			ws[i].ref = uint32(old[w.ref&^binaryFlag]) | w.ref&binaryFlag
+		}
+	}
+	for _, l := range s.trail {
+		if r := &s.reason[l.Var()]; *r != 0 {
+			*r = cref(old[*r])
+		}
+	}
+	s.wasted = 0
+}
+
+// uncheckedEnqueue records an assignment implied by reason (0 for
+// decisions and top-level facts).
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
+	v := l.Var()
+	s.assigns[l], s.assigns[l.Not()] = True, False
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	if s.origins != nil && from != nil {
-		s.origins.counts[from.origin].Propagations++
+	if s.origins != nil && from != 0 {
+		s.origins.counts[s.arena[from+hdrOrigin]].Propagations++
 	}
 }
 
 // propagate performs unit propagation over the watch lists and returns the
-// conflicting clause, or nil if a fixed point is reached.
-func (s *Solver) propagate() *clause {
+// conflicting clause, or 0 if a fixed point is reached. Binary and long
+// clauses share one list per literal, in attachment order: the order in
+// which implications are found is part of the search.
+func (s *Solver) propagate() cref {
+	arena, assigns := s.arena, s.assigns // nothing below allocates either
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		np := p.Not()
 		ws := s.watches[p]
 		j := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == True {
+			if assigns[w.blocker] == True {
 				ws[j] = w
 				j++
 				continue
 			}
-			c := w.c
-			// Ensure the false literal (¬p) is lits[1].
-			np := p.Not()
-			if c.lits[0] == np {
-				c.lits[0], c.lits[1] = c.lits[1], np
-			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == True {
-				ws[j] = watcher{c, first}
-				j++
-				continue
-			}
-			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{c, first})
-					continue nextWatcher
+			c, first := cref(w.ref&^binaryFlag), w.blocker
+			if w.ref&binaryFlag != 0 {
+				// The blocker is the rest of the clause: unit or conflicting.
+				// Only a conflict reads the arena, to leave the clause as
+				// the long path would, the literal just falsified second:
+				// analyze bumps variables in clause order.
+				if assigns[first] == False {
+					arena[c+hdrWords], arena[c+hdrWords+1] = first, np
+				}
+			} else {
+				lits := arena[c+hdrWords : c+hdrWords+cref(arena[c]>>1)]
+				// Ensure the false literal (¬p) is lits[1].
+				if lits[0] == np {
+					lits[0], lits[1] = lits[1], np
+				}
+				first = lits[0]
+				if first != w.blocker && assigns[first] == True {
+					ws[j] = watcher{w.ref, first}
+					j++
+					continue
+				}
+				// Look for a new literal to watch.
+				for k := 2; k < len(lits); k++ {
+					if l := lits[k]; assigns[l] != False {
+						lits[1], lits[k] = l, np
+						nw := l.Not()
+						s.watches[nw] = append(s.watches[nw], watcher{w.ref, first})
+						continue nextWatcher
+					}
 				}
 			}
 			// Clause is unit or conflicting.
-			ws[j] = watcher{c, first}
+			ws[j] = watcher{w.ref, first}
 			j++
-			if s.value(first) == False {
+			if assigns[first] == False {
 				// Conflict: copy back remaining watchers and bail.
 				s.qhead = len(s.trail)
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
-					j++
-				}
+				j += copy(ws[j:], ws[i+1:])
 				s.watches[p] = ws[:j]
 				return c
 			}
@@ -523,12 +631,12 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return 0
 }
 
 // analyze performs 1UIP conflict analysis. It fills s.analyzeCl with the
 // learned clause (asserting literal first) and returns the backtrack level.
-func (s *Solver) analyze(confl *clause) int {
+func (s *Solver) analyze(confl cref) int {
 	s.analyzeCl = s.analyzeCl[:0]
 	s.analyzeCl = append(s.analyzeCl, 0) // placeholder for asserting literal
 	pathC := 0
@@ -539,12 +647,12 @@ func (s *Solver) analyze(confl *clause) int {
 	for {
 		s.claBump(confl)
 		if s.origins != nil {
-			s.origins.noteAntecedent(confl.origin)
+			s.origins.noteAntecedent(int32(s.arena[confl+hdrOrigin]))
 		}
 		if s.proof != nil {
-			s.hints = append(s.hints, confl.step)
+			s.hints = append(s.hints, int32(s.arena[confl+hdrStep]))
 		}
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -592,7 +700,7 @@ func (s *Solver) analyze(confl *clause) int {
 	walked := len(s.hints)
 	out := s.analyzeCl[:1]
 	for _, l := range s.analyzeCl[1:] {
-		if s.reason[l.Var()] == nil || !s.litRedundant(l) {
+		if s.reason[l.Var()] == 0 || !s.litRedundant(l) {
 			out = append(out, l)
 		}
 	}
@@ -640,14 +748,14 @@ func (s *Solver) litRedundant(l Lit) bool {
 		s.minStack = s.minStack[:len(s.minStack)-1]
 		c := s.reason[p.Var()]
 		if s.proof != nil {
-			s.hints = append(s.hints, c.step)
+			s.hints = append(s.hints, int32(s.arena[c+hdrStep]))
 		}
-		for _, q := range c.lits {
+		for _, q := range s.lits(c) {
 			v := q.Var()
 			if q == p.Not() || s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil {
+			if s.reason[v] == 0 {
 				// Decision literal not in clause: l is not redundant.
 				for _, cl := range s.minClear[top:] {
 					s.seen[cl.Var()] = false
@@ -692,9 +800,9 @@ func (s *Solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.polarity[v] = s.assigns[v] == False
-		s.assigns[v] = Unknown
-		s.reason[v] = nil
+		s.polarity[v] = l.Neg()
+		s.assigns[l], s.assigns[l.Not()] = Unknown, Unknown
+		s.reason[v] = 0
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
@@ -716,14 +824,15 @@ func (s *Solver) varBump(v Var) {
 
 func (s *Solver) varDecayActivity() { s.varInc /= s.varDecay }
 
-func (s *Solver) claBump(c *clause) {
-	if !c.learnt {
-		return
+func (s *Solver) claBump(c cref) {
+	if s.arena[c]&1 == 0 {
+		return // not learnt
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+	a := s.claActivity(c) + s.claInc
+	s.setClaActivity(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setClaActivity(lc, s.claActivity(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -740,7 +849,7 @@ func (s *Solver) pickBranchLit() Lit {
 	if s.RandomFreq > 0 && s.randFloat() < s.RandomFreq {
 		if n := len(s.order.heap); n > 0 {
 			v := s.order.heap[s.nextRand()%uint64(n)]
-			if s.assigns[v] == Unknown {
+			if s.Value(v) == Unknown {
 				return MkLit(v, s.polarity[v])
 			}
 		}
@@ -750,42 +859,42 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == Unknown {
+		if s.Value(v) == Unknown {
 			return MkLit(v, s.polarity[v])
 		}
 	}
 }
 
 // reduceDB removes roughly half of the learned clauses, keeping low-LBD and
-// high-activity ones.
+// high-activity ones. The sort is unstable, and which of two equal clauses
+// goes is part of the search: keep this routine and this key.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if a.lbd != b.lbd {
-			return a.lbd < b.lbd
+		if la, lb := s.arena[a+hdrLBD], s.arena[b+hdrLBD]; la != lb {
+			return la < lb
 		}
-		return a.activity > b.activity
+		return s.claActivity(a) > s.claActivity(b)
 	})
 	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if i < limit || c.lbd <= 3 || s.locked(c) || len(c.lits) == 2 {
+		if i < limit || s.arena[c+hdrLBD] <= 3 || s.arena[c]>>1 == 2 || s.locked(c) {
 			keep = append(keep, c)
 			continue
 		}
-		s.detach(c)
-		if s.proof != nil {
-			s.proof.addDelete(c.lits, c.origin, c.step)
-		}
+		s.remove(c)
 		s.Stats.Deleted++
 	}
 	s.learnts = keep
+	s.compact()
 }
 
-// locked reports whether c is the reason for a current assignment.
-func (s *Solver) locked(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.value(c.lits[0]) == True && s.reason[v] == c
+// locked reports whether c, not a binary clause (those keep no order), is
+// the reason for a current assignment.
+func (s *Solver) locked(c cref) bool {
+	l := s.arena[c+hdrWords]
+	return s.value(l) == True && s.reason[l.Var()] == c
 }
 
 // luby computes the Luby restart sequence term for index i (1-based), with
@@ -823,6 +932,9 @@ func (s *Solver) SolveLimited(assumptions ...Lit) (Status, error) {
 		return Unsat, nil
 	}
 	s.cancelUntil(0)
+	if s.full {
+		return Unsolved, ErrClauseDBFull
+	}
 
 	restartBase := s.RestartBase
 	if restartBase <= 0 {
@@ -842,6 +954,9 @@ func (s *Solver) SolveLimited(assumptions ...Lit) (Status, error) {
 			}
 			s.cancelUntil(0)
 			return st, nil
+		}
+		if s.full {
+			return Unsolved, ErrClauseDBFull
 		}
 		if s.interrupted.Load() {
 			s.cancelUntil(0)
@@ -866,18 +981,18 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != 0 {
 			conflicts++
 			s.Stats.Conflicts++
 			if s.origins != nil {
-				s.origins.counts[confl.origin].Conflicts++
+				s.origins.counts[s.arena[confl+hdrOrigin]].Conflicts++
 			}
 			if s.ProgressEvery > 0 && s.OnProgress != nil && s.Stats.Conflicts%s.ProgressEvery == 0 {
 				s.OnProgress(s.progress())
 			}
 			if s.decisionLevel() == 0 {
 				if s.proof != nil {
-					s.proof.add(ProofDerive, nil, confl.origin)
+					s.proof.add(ProofDerive, nil, int32(s.arena[confl+hdrOrigin]))
 				}
 				s.ok = false
 				return Unsat, conflicts
@@ -889,7 +1004,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 			// level 0 relative to assumptions, the formula is UNSAT under
 			// them.
 			s.cancelUntil(btLevel)
-			learned := append([]Lit(nil), s.analyzeCl...)
+			learned := s.analyzeCl
 			var learnedOrigin int32
 			if s.origins != nil {
 				learnedOrigin = s.origins.learned
@@ -899,13 +1014,18 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 				step = s.proof.add(ProofDerive, learned, learnedOrigin, s.hints...)
 			}
 			if len(learned) == 1 {
-				s.uncheckedEnqueue(learned[0], nil)
+				s.uncheckedEnqueue(learned[0], 0)
 				if s.origins != nil {
 					s.origins.counts[learnedOrigin].Learned++
 					s.origins.counts[learnedOrigin].LBDSum++
 				}
 			} else {
-				c := &clause{lits: learned, learnt: true, lbd: s.computeLBD(learned), origin: learnedOrigin, step: step}
+				lbd := s.computeLBD(learned)
+				c := s.alloc(learned, true, lbd, learnedOrigin, step)
+				if c == 0 {
+					s.cancelUntil(0)
+					return Unsolved, conflicts
+				}
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.claBump(c)
@@ -913,9 +1033,9 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 				s.Stats.Learned++
 				if s.origins != nil {
 					s.origins.counts[learnedOrigin].Learned++
-					s.origins.counts[learnedOrigin].LBDSum += int64(c.lbd)
+					s.origins.counts[learnedOrigin].LBDSum += int64(lbd)
 				}
-				b := int(c.lbd) - 1
+				b := int(lbd) - 1
 				if b < 0 {
 					b = 0
 				} else if b >= LBDBuckets {
@@ -967,16 +1087,16 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 		if dl := s.decisionLevel(); dl > s.Stats.MaxLevel {
 			s.Stats.MaxLevel = dl
 		}
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, 0)
 	}
 }
 
 // Model returns a copy of the current assignment as a []bool indexed by
 // variable. Valid only after Solve returned Sat.
 func (s *Solver) Model() []bool {
-	m := make([]bool, len(s.assigns))
-	for v := range s.assigns {
-		m[v] = s.assigns[v] == True
+	m := make([]bool, s.NumVars())
+	for v := range m {
+		m[v] = s.Value(Var(v)) == True
 	}
 	return m
 }
@@ -997,7 +1117,7 @@ func (s *Solver) Clauses() [][]Lit {
 		}
 	}
 	for _, c := range s.clauses {
-		out = append(out, append([]Lit(nil), c.lits...))
+		out = append(out, append([]Lit(nil), s.lits(c)...))
 	}
 	return out
 }
@@ -1038,21 +1158,21 @@ func (s *Solver) Simplify() bool {
 		return false
 	}
 	s.cancelUntil(0)
-	if confl := s.propagate(); confl != nil {
+	if confl := s.propagate(); confl != 0 {
 		if s.proof != nil {
-			s.proof.add(ProofDerive, nil, confl.origin)
+			s.proof.add(ProofDerive, nil, int32(s.arena[confl+hdrOrigin]))
 		}
 		s.ok = false
 		return false
 	}
 	// Root assignments are permanent facts: their antecedents are never
-	// inspected again, so drop the pointers and let removed clauses be
-	// collected.
+	// inspected again, so drop the refs and let the clauses be removed.
 	for _, l := range s.trail {
-		s.reason[l.Var()] = nil
+		s.reason[l.Var()] = 0
 	}
 	s.clauses = s.simplifyList(s.clauses)
 	s.learnts = s.simplifyList(s.learnts)
+	s.compact()
 	return s.ok
 }
 
@@ -1068,43 +1188,58 @@ func (s *Solver) Simplify() bool {
 // by a Delete of the old one — recorded before the in-place mutation, so
 // a later deletion of the strengthened clause matches what the trace says
 // the database holds.
-func (s *Solver) simplifyList(cs []*clause) []*clause {
+//
+// A clause strengthened to two literals is binary from here on: both its
+// watchers take the flag, and the other literal as blocker (the old
+// blocker may be one of the literals just stripped).
+func (s *Solver) simplifyList(cs []cref) []cref {
 	out := cs[:0]
 	for _, c := range cs {
+		ls := s.lits(c)
+		kept := s.addBuf[:0]
 		satisfied := false
-		for _, l := range c.lits {
-			if s.value(l) == True {
+	scan:
+		for _, l := range ls {
+			switch s.value(l) {
+			case True:
 				satisfied = true
-				break
+				break scan
+			case Unknown:
+				kept = append(kept, l)
 			}
 		}
+		s.addBuf = kept
 		if satisfied {
-			if s.proof != nil {
-				s.proof.addDelete(c.lits, c.origin, c.step)
-			}
-			s.detach(c)
+			s.remove(c)
 			s.Stats.Simplified++
 			continue
 		}
-		var orig []Lit
-		if s.proof != nil {
-			orig = append(orig, c.lits...)
+		out = append(out, c)
+		stripped := len(ls) - len(kept)
+		if stripped == 0 {
+			continue
 		}
-		n := 0
-		for _, l := range c.lits {
-			if s.value(l) != False {
-				c.lits[n] = l
-				n++
+		if s.proof != nil {
+			origin, old := int32(s.arena[c+hdrOrigin]), int32(s.arena[c+hdrStep])
+			s.arena[c+hdrStep] = Lit(s.proof.add(ProofDerive, kept, origin, old))
+			s.proof.addDelete(ls, origin, old)
+		}
+		copy(ls, kept)
+		s.arena[c] -= Lit(stripped) << 1
+		s.Stats.Strengthened += int64(stripped)
+		s.wasted += stripped
+		s.dbBytes -= 4 * int64(stripped)
+		if len(kept) == 2 {
+			for k, l := range kept {
+				ws := s.watches[l.Not()]
+				for i := range ws {
+					if ws[i].ref == uint32(c) {
+						ws[i] = watcher{uint32(c) | binaryFlag, kept[1-k]}
+						break
+					}
+				}
 			}
 		}
-		if s.proof != nil && n != len(orig) {
-			old := c.step
-			c.step = s.proof.add(ProofDerive, c.lits[:n], c.origin, old)
-			s.proof.addDelete(orig, c.origin, old)
-		}
-		s.Stats.Strengthened += int64(len(c.lits) - n)
-		c.lits = c.lits[:n]
-		out = append(out, c)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -54,9 +55,29 @@ func TestLitEncoding(t *testing.T) {
 	}
 }
 
+// TestTriboolNot: assignments are indexed by literal, so negation is a
+// matter of position. A literal and its complement are set together and
+// cleared together.
 func TestTriboolNot(t *testing.T) {
-	if True.not() != False || False.not() != True || Unknown.not() != Unknown {
-		t.Fatal("tribool negation broken")
+	s := newSolverWithVars(2)
+	for _, l := range []Lit{mk(1), mk(-2)} {
+		if s.value(l) != Unknown || s.value(l.Not()) != Unknown {
+			t.Fatalf("%v assigned before anything was enqueued", l)
+		}
+		s.trailLim = append(s.trailLim, len(s.trail))
+		s.uncheckedEnqueue(l, 0)
+		if s.value(l) != True || s.value(l.Not()) != False || s.Value(l.Var()) == Unknown {
+			t.Fatalf("%v enqueued: value %v, complement %v", l, s.value(l), s.value(l.Not()))
+		}
+	}
+	if m := s.Model(); !m[0] || m[1] {
+		t.Fatalf("model %v, want [true false]", m)
+	}
+	s.cancelUntil(0)
+	for l := Lit(0); l < 4; l++ {
+		if s.value(l) != Unknown {
+			t.Fatalf("%v still assigned after backtracking", l)
+		}
 	}
 	if True.String() != "true" || False.String() != "false" || Unknown.String() != "unknown" {
 		t.Fatal("tribool strings broken")
@@ -365,29 +386,35 @@ func abs(x int) int {
 	return x
 }
 
+// random3SAT draws nClauses clauses of three literals over nVars
+// variables, in DIMACS convention. distinct keeps a variable from
+// repeating within a clause; without it duplicate literals and
+// tautologies occur.
+func random3SAT(rng *rand.Rand, nVars, nClauses int, distinct bool) [][]int {
+	clauses := make([][]int, nClauses)
+	for i := range clauses {
+		c := make([]int, 0, 3)
+		for len(c) < 3 {
+			v := 1 + rng.Intn(nVars)
+			if distinct && slices.ContainsFunc(c, func(x int) bool { return abs(x) == v }) {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			c = append(c, v)
+		}
+		clauses[i] = c
+	}
+	return clauses
+}
+
 func TestRandom3SATAgainstDPLL(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 500; iter++ {
 		nVars := 4 + rng.Intn(10)
 		// Clause/variable ratios straddling the phase transition (~4.26).
-		nClauses := int(float64(nVars) * (3.0 + rng.Float64()*3.0))
-		clauses := make([][]int, 0, nClauses)
-		for i := 0; i < nClauses; i++ {
-			c := make([]int, 0, 3)
-			used := map[int]bool{}
-			for len(c) < 3 {
-				v := 1 + rng.Intn(nVars)
-				if used[v] {
-					continue
-				}
-				used[v] = true
-				if rng.Intn(2) == 0 {
-					v = -v
-				}
-				c = append(c, v)
-			}
-			clauses = append(clauses, c)
-		}
+		clauses := random3SAT(rng, nVars, int(float64(nVars)*(3.0+rng.Float64()*3.0)), true)
 
 		want := dpllSolve(nVars, clauses, make([]int8, nVars))
 
@@ -455,6 +482,11 @@ func BenchmarkSolverPigeonhole7(b *testing.B) {
 // pigeonhole loads PHP(n+1, n) — hard UNSAT, guaranteed to conflict.
 func pigeonhole(n int) *Solver {
 	s := New()
+	loadPigeonhole(s, n)
+	return s
+}
+
+func loadPigeonhole(s *Solver, n int) {
 	p := make([][]Lit, n+1)
 	for i := range p {
 		p[i] = make([]Lit, n)
@@ -472,7 +504,6 @@ func pigeonhole(n int) *Solver {
 			}
 		}
 	}
-	return s
 }
 
 func TestProgressHookInterval(t *testing.T) {
