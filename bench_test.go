@@ -184,28 +184,6 @@ func BenchmarkHijackQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceBatch measures the batch engine's amortization claim:
-// the same ≥10-property suite verified with a fresh solver per property
-// and with one incremental session (cmd/bench -experiment service runs
-// the same path and writes BENCH_service.json).
-func BenchmarkServiceBatch(b *testing.B) {
-	f, err := harness.BuildFabric(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res *harness.BatchResult
-	for i := 0; i < b.N; i++ {
-		res, err = harness.RunBatch(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Fresh.Total.Microseconds())/1000, "fresh-ms")
-	b.ReportMetric(float64(res.Session.Total.Microseconds())/1000, "session-ms")
-	b.ReportMetric(res.Speedup, "speedup")
-	b.ReportMetric(float64(res.Session.SharedBlasts), "shared-blasts")
-}
-
 // BenchmarkSessionHijackQuery is BenchmarkHijackQuery on a long-lived
 // session: the model is encoded and blasted once, each iteration only
 // re-checks the property under a fresh activation literal.

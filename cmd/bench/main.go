@@ -15,24 +15,8 @@
 //	bench -experiment tiered     [-pods 2,4] [-json-out BENCH_tiered.json]
 //	bench -experiment modular    [-pods 2,4,16,32] [-mono-max 4] [-workers N] [-json-out BENCH_modular.json]
 //	bench -experiment ablation   [-pods 4]
-//	bench -experiment service    [-pods 2] [-json-out BENCH_service.json]
 //	bench -experiment parallel   [-pods 4] [-workers N] [-certify] [-json-out BENCH_parallel.json]
 //	bench -experiment fuzz       [-iters 2] [-seed 1]
-//	bench -compare [-tolerance 0.25] [-min-ms 5] [-work-tolerance 0.02] old.json new.json
-//
-// -compare is the perf-regression gate: it diffs two fig8 JSON artifacts
-// row by row over their shared (pods, property) keys and exits nonzero
-// when any row — or the aggregate — slowed beyond the relative tolerance
-// and the absolute -min-ms floor, or when a verified bit flipped. The
-// deterministic work columns (conflicts, decisions, propagations,
-// clause_db_bytes) are gated independently by -work-tolerance: at a
-// fixed seed they are machine-independent, so a few percent of growth is
-// an algorithmic regression even when the (noisy) wall-clock gate stays
-// green. CI runs it against the committed BENCH_fig8.json baseline.
-//
-// The service experiment measures the batch engine's amortization: the
-// same ≥10-property suite on one fabric, verified once with a fresh
-// solver per property and once over a single incremental session.
 //
 // The modular experiment runs the assume/guarantee pipeline
 // (internal/modular) on every Figure 8 property per fabric size: cut at
@@ -115,27 +99,8 @@ func main() {
 		profOut    = flag.String("profile-out", "BENCH_origins.folded", "collapsed-stack output path for -profile-origins ('' to skip)")
 		cpuProf    = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
-		compare    = flag.Bool("compare", false, "compare two fig8 JSON artifacts (old new) and exit nonzero on a perf regression")
-		tolerance  = flag.Float64("tolerance", 0.25, "compare: relative slowdown tolerated per row and on the aggregate (0.25 = 25%)")
-		minMs      = flag.Float64("min-ms", 5, "compare: absolute slowdown floor in ms below which a row never regresses")
-		workTol    = flag.Float64("work-tolerance", 0.02, "compare: relative growth tolerated on the deterministic work columns (conflicts, decisions, propagations, clause_db_bytes); they don't move with machine load, so the gate is tight")
 	)
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: bench -compare [-tolerance F] [-min-ms F] old.json new.json")
-			os.Exit(2)
-		}
-		n, err := runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *tolerance, *minMs, *workTol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(2)
-		}
-		if n > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 	if err := core.ValidatePasses(*passesFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(2)
@@ -211,16 +176,6 @@ func main() {
 			ks = []int{4}
 		}
 		err = runAblation(ks[0], tr, every)
-	case "service":
-		out := *jsonOut
-		if out == "BENCH_fig8.json" {
-			out = "BENCH_service.json"
-		}
-		ks := parseInts(*podsFlag)
-		if len(ks) == 0 {
-			ks = []int{2}
-		}
-		err = runService(ks, out, tr, every, *passesFlag)
 	case "parallel":
 		out := *jsonOut
 		if out == "BENCH_fig8.json" {
@@ -230,7 +185,7 @@ func main() {
 	case "fuzz":
 		err = runFuzz(*iters, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: bench -experiment violations|fig7|fig8|tiered|modular|ablation|service|parallel|fuzz")
+		fmt.Fprintln(os.Stderr, "usage: bench -experiment violations|fig7|fig8|tiered|modular|ablation|parallel|fuzz")
 		os.Exit(2)
 	}
 	if err == nil && tr != nil {
@@ -369,8 +324,7 @@ type fig8JSON struct {
 	// Deterministic work columns: the adopted search's counters plus the
 	// ledger's clause-db/proof byte estimates. Unlike the ms columns these
 	// are machine-independent at a fixed seed (sequential search), so
-	// -compare gates them with -work-tolerance, far tighter than the
-	// timing tolerance.
+	// CI's cost-gate holds them to the committed baseline exactly.
 	Decisions     int64 `json:"decisions,omitempty"`
 	Propagations  int64 `json:"propagations,omitempty"`
 	ClauseDBBytes int64 `json:"clause_db_bytes,omitempty"`
@@ -780,112 +734,6 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 	if shared > 0 && modTotal > 0 {
 		fmt.Printf("# shared rows (pods<=%d): %d, aggregate speedup %.1fx (%.1fms modular vs %.1fms monolithic)\n",
 			monoMax, shared, monoTotal/modTotal, modTotal, monoTotal)
-	}
-	if jsonOut == "" {
-		return nil
-	}
-	f, err := os.Create(jsonOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d rows)\n", jsonOut, len(art))
-	return nil
-}
-
-// serviceCheckJSON is one property's timings in one mode of the service
-// experiment.
-type serviceCheckJSON struct {
-	Property   string  `json:"property"`
-	Ms         float64 `json:"ms"`
-	EncodeMs   float64 `json:"encode_ms"`
-	SimplifyMs float64 `json:"simplify_ms"`
-	SolveMs    float64 `json:"solve_ms"`
-	Verified   bool    `json:"verified"`
-	Conflicts  int64   `json:"conflicts"`
-}
-
-// serviceJSON is one mode row of the BENCH_service.json artifact.
-type serviceJSON struct {
-	Pods            int                `json:"pods"`
-	Routers         int                `json:"routers"`
-	Properties      int                `json:"properties"`
-	Mode            string             `json:"mode"`
-	TotalMs         float64            `json:"total_ms"`
-	EncodeModelMs   float64            `json:"encode_model_ms"`
-	SetupBlastMs    float64            `json:"setup_blast_ms"`
-	SetupSimplifyMs float64            `json:"setup_simplify_ms"`
-	QueryMs         float64            `json:"query_ms"`
-	SharedBlasts    int                `json:"shared_blasts"`
-	Compiles        int                `json:"compiles"`
-	SpeedupVsFresh  float64            `json:"speedup_vs_fresh,omitempty"`
-	Checks          []serviceCheckJSON `json:"checks"`
-}
-
-// runService compares fresh-solver batch verification against one
-// incremental session per fabric and writes the BENCH_service.json
-// artifact.
-func runService(pods []int, jsonOut string, tr *obs.Trace, every int64, passes string) error {
-	toMs := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	fmt.Println("# service batch: fresh solver per property vs one incremental session")
-	fmt.Println("pods\trouters\tmode\tprops\ttotal_ms\tquery_ms\tshared_blasts\tcompiles\tspeedup")
-	var art []serviceJSON
-	for _, k := range pods {
-		f, err := harness.BuildFabric(k)
-		if err != nil {
-			return err
-		}
-		f.Passes = passes
-		if tr != nil {
-			f.Obs = tr.Root().Start(fmt.Sprintf("pods:%d", k))
-		}
-		if every > 0 {
-			f.ProgressEvery = every
-			f.OnProgress = progressPrinter(fmt.Sprintf("pods=%d", k))
-		}
-		res, err := harness.RunBatch(f)
-		if err != nil {
-			return err
-		}
-		f.Obs.End()
-		for _, bm := range []*harness.BatchMode{&res.Fresh, &res.Session} {
-			speed := ""
-			row := serviceJSON{
-				Pods: res.Pods, Routers: res.Routers, Properties: res.Properties,
-				Mode:            bm.Mode,
-				TotalMs:         toMs(bm.Total),
-				EncodeModelMs:   toMs(bm.EncodeModel),
-				SetupBlastMs:    toMs(bm.SetupBlast),
-				SetupSimplifyMs: toMs(bm.SetupSimplify),
-				QueryMs:         toMs(bm.QueryTotal()),
-				SharedBlasts:    bm.SharedBlasts,
-				Compiles:        bm.Compiles,
-			}
-			if bm.Mode == "session" {
-				row.SpeedupVsFresh = res.Speedup
-				speed = fmt.Sprintf("%.1fx", res.Speedup)
-			}
-			for _, c := range bm.Checks {
-				row.Checks = append(row.Checks, serviceCheckJSON{
-					Property: c.Property, Ms: toMs(c.Elapsed),
-					EncodeMs: toMs(c.Encode), SimplifyMs: toMs(c.Simplify),
-					SolveMs: toMs(c.Solve), Verified: c.Verified,
-					Conflicts: c.Conflicts,
-				})
-			}
-			art = append(art, row)
-			fmt.Printf("%d\t%d\t%s\t%d\t%.1f\t%.1f\t%d\t%d\t%s\n",
-				res.Pods, res.Routers, bm.Mode, res.Properties,
-				row.TotalMs, row.QueryMs, bm.SharedBlasts, bm.Compiles, speed)
-		}
 	}
 	if jsonOut == "" {
 		return nil

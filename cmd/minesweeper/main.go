@@ -280,9 +280,7 @@ type cli struct {
 // replays its counterexample when asked to, and writes the trace exports.
 func (c *cli) emit(v *pipeline.Verdict) error {
 	o, res := c.o, v.Result
-	if res.Tier != tiered.TierGraph {
-		core.RecordSolverMetrics(c.tr, res)
-	}
+	core.RecordSolverMetrics(c.tr, res, res.Cost)
 	rep := pipeline.NewReport(o.check, v)
 	// Graph-tier counterexamples carry no SAT assignment to compare the
 	// simulator's state with, and a fault-invariance counterexample is a

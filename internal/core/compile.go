@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
+	"repro/internal/obs"
 	"repro/internal/smt"
 	"repro/internal/smt/passes"
 )
@@ -111,8 +111,6 @@ type CompiledNetwork struct {
 	BaseLen int
 	// PassStats itemizes the compile passes that produced the artifact.
 	PassStats []passes.Stats
-	// Elapsed is the total compile pipeline time.
-	Elapsed time.Duration
 	// Origins runs parallel to Asserts: the provenance base ids (interned
 	// in the model's Prov table) each post-pass assert descends from.
 	Origins [][]int32
@@ -126,13 +124,28 @@ type CompiledNetwork struct {
 // single compilation. Goal-relative pruning (coi) is not part of the
 // artifact — it runs per query in CheckGoal.
 func (m *Model) Compile() *CompiledNetwork {
-	if cn := m.compiled; cn != nil && cn.BaseLen == len(m.Asserts) &&
-		(cn.BaseLen == 0 || m.Asserts[cn.BaseLen-1] == m.compiledLast) {
+	if cn := m.cachedCompile(); cn != nil {
 		return cn
 	}
 	sp := m.Obs.Start("compile")
 	defer sp.End()
-	start := time.Now()
+	return m.compile(sp)
+}
+
+// cachedCompile returns the cached artifact while it still covers the
+// model's assert list, nil once the list grew or was replaced.
+func (m *Model) cachedCompile() *CompiledNetwork {
+	if cn := m.compiled; cn != nil && cn.BaseLen == len(m.Asserts) &&
+		(cn.BaseLen == 0 || m.Asserts[cn.BaseLen-1] == m.compiledLast) {
+		return cn
+	}
+	return nil
+}
+
+// compile runs the compile passes under sp — Compile's own span, or the
+// compile phase of the query that found the cache stale — and caches the
+// artifact.
+func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
 	sys := &passes.System{Ctx: m.Ctx, Asserts: append([]*smt.Term(nil), m.Asserts...)}
 	// Provenance rides along: one base id per assert, merged by the
 	// passes wherever asserts merge.
@@ -148,7 +161,6 @@ func (m *Model) Compile() *CompiledNetwork {
 		Hash:      hashTerms(sys.Asserts),
 		BaseLen:   len(m.Asserts),
 		PassStats: stats,
-		Elapsed:   time.Since(start),
 		Origins:   sys.Origins,
 	}
 	sp.SetStr("hash", cn.Hash[:12])

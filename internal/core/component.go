@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/obs/cost"
-	"repro/internal/protograph"
 	"repro/internal/provenance"
 	"repro/internal/smt"
 )
@@ -187,19 +186,6 @@ func (m *Model) ReachVia(sl *Slice, allowed map[string]bool) map[string]*smt.Ter
 	return reach
 }
 
-// CompileComponent encodes a component's protocol graph and compiles it
-// through the standard pass pipeline. The graph must already be cut: far
-// ends of boundary sessions appear as externals (config.BuildTopology
-// infers them for BGP neighbors outside the subset), so the encoder's
-// ordinary environment machinery provides the assume-side records.
-func CompileComponent(g *protograph.Graph, opts Options) (*Model, *CompiledNetwork, error) {
-	m, err := Encode(g, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, m.Compile(), nil
-}
-
 // ComponentVerdict is one component-local check outcome tagged with its
 // role in the composition.
 type ComponentVerdict struct {
@@ -216,9 +202,11 @@ type ComponentVerdict struct {
 
 // ComposeVerdicts conjoins component-local results into one composed
 // Result: verified iff every component check verified, blame the deduped
-// union of component blames, elapsed the summed solver work (the
+// union of component blames, the ledger the merge of the component
+// ledgers — so the times read from it are the summed solver work (the
 // sequential cost; wall-clock with parallelism is the scheduler's story)
-// and SAT sizes the per-check peak.
+// — and SAT sizes the per-check peak. The component results are only
+// read.
 func ComposeVerdicts(vs []*ComponentVerdict) *Result {
 	out := &Result{Verified: true, Tier: TierModular, Cost: cost.New("goal")}
 	var blame []provenance.Origin
@@ -231,11 +219,6 @@ func ComposeVerdicts(vs []*ComponentVerdict) *Result {
 		// phase children fold, so the composed tree prices the whole
 		// modular run with the familiar phase vocabulary.
 		out.Cost.Merge(r.Cost)
-		out.Elapsed += r.Elapsed
-		out.EncodeElapsed += r.EncodeElapsed
-		out.SimplifyElapsed += r.SimplifyElapsed
-		out.SolveElapsed += r.SolveElapsed
-		out.CertifyElapsed += r.CertifyElapsed
 		if r.SATVars > out.SATVars {
 			out.SATVars = r.SATVars
 		}
@@ -245,6 +228,8 @@ func ComposeVerdicts(vs []*ComponentVerdict) *Result {
 		out.Stats.Conflicts += r.Stats.Conflicts
 		out.Stats.Decisions += r.Stats.Decisions
 		out.Stats.Propagations += r.Stats.Propagations
+		out.Stats.Learned += r.Stats.Learned
+		out.Stats.Restarts += r.Stats.Restarts
 		blame = append(blame, r.Blame...)
 		if !r.Verified && out.Verified {
 			out.Verified = false
@@ -252,9 +237,6 @@ func ComposeVerdicts(vs []*ComponentVerdict) *Result {
 		}
 	}
 	out.Blame = provenance.DedupeOrigins(blame)
-	// Keep the Elapsed >= phase-sum identity that harness tables assume.
-	if sum := out.EncodeElapsed + out.SimplifyElapsed + out.SolveElapsed + out.CertifyElapsed; out.Elapsed < sum {
-		out.Elapsed = sum
-	}
+	out.FillTimes()
 	return out
 }

@@ -192,9 +192,12 @@ type Model struct {
 	// pool (the service hands its helper pool here so job- and
 	// solver-level parallelism share cores). Nil uses fresh goroutines.
 	Schedule func(tasks []func())
-	// OnSolverEvent receives parallel-engine flight-recorder events
-	// (psolve.EventPortfolio, psolve.EventCube).
-	OnSolverEvent func(kind string, fields map[string]any)
+	// OnEvent is the per-check event sink: every phase a check or a
+	// session set-up opens and closes (phase.start/phase.end), each pass,
+	// certify.done and blame.done as they happen, and the parallel
+	// engine's verdict events (psolve.EventPortfolio, psolve.EventCube).
+	// It is called on the checking goroutine; nil disables.
+	OnEvent func(kind string, fields map[string]any)
 
 	// encSpan is the live "encode" span while EncodeWithContext runs;
 	// encodeSlice hangs its per-slice spans off it.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/cost"
+	"repro/internal/obs/stream"
 	"repro/internal/provenance"
 	"repro/internal/psolve"
 	"repro/internal/sat"
@@ -14,27 +15,28 @@ import (
 	"repro/internal/smt/passes"
 )
 
-// executor drives one smt.Solver through the phases of a query and keeps
-// the books every phase shares: a span per phase under sp, a child per
-// phase under ledger, each charged its wall/CPU/memory window from
-// snapshot to snapshot and its deterministic solver work by counter
-// difference — so the phase rows telescope to exactly the solver's
-// totals. Model.CheckGoal, Session.CheckContext and the blast/simplify
-// half of NewSession all run on it; they differ only in how asserts and
-// goals enter the solver.
+// executor drives one smt.Solver through the phases of a query on the
+// query's instrumentation spine (cost.Scope): every phase is opened once
+// and closed once, and the close writes its span, its ledger node and its
+// phase.end event from one reading of the clock. The executor adds the
+// one thing the scope cannot know — the solver's counters — charging a
+// solver phase the difference since the previous boundary, so the phase
+// rows telescope to exactly the solver's totals. Model.CheckGoal,
+// Session.CheckContext and NewSession all run on it; they differ only in
+// how asserts and goals enter the solver.
 type executor struct {
-	m      *Model
-	sol    *smt.Solver
-	sp     *obs.Span
-	ledger *cost.Node
-	snap   cost.Snap
+	*cost.Scope
+	m   *Model
+	sol *smt.Solver
 	// mark is the solver's cumulative work at the last phase boundary;
 	// zero for a new solver, whose whole count belongs to its first phase.
 	mark cost.Work
 }
 
+// newExecutor opens the query's span under the model's and its scope
+// under that; the caller ends x.Span when the query is over.
 func (m *Model) newExecutor(sol *smt.Solver, span, ledger string) *executor {
-	return &executor{m: m, sol: sol, sp: m.Obs.Start(span), ledger: cost.New(ledger), snap: cost.TakeSnap()}
+	return &executor{m: m, sol: sol, Scope: cost.Open(m.Obs.Start(span), cost.New(ledger), m.OnEvent)}
 }
 
 // tracks reports whether clauses carry the provenance of the assert they
@@ -87,28 +89,80 @@ func solverWork(sol *smt.Solver) cost.Work {
 	return w
 }
 
-// charge closes a phase: the window since the previous boundary goes to
-// the phase's ledger node, and with solver set so does the work the
-// solver did in it.
-func (x *executor) charge(phase string, solver bool) *cost.Node {
-	node := x.ledger.Child(phase)
-	x.snap = node.Charge(x.snap)
-	if solver {
-		now := solverWork(x.sol)
-		node.Add(now.Minus(x.mark))
-		x.mark = now
-	}
-	return node
+// endSolver closes a phase the solver worked in, charging it the work
+// since the previous boundary.
+func (x *executor) endSolver() time.Duration {
+	now := solverWork(x.sol)
+	window := x.End(now.Minus(x.mark))
+	x.mark = now
+	return window
 }
 
-// blast is the CNF phase (Tseitin conversion and bit-blasting) under a
-// span of the given name: asserts become permanent constraints through
-// assert, each stamped with its origin set when tracking is on; then
-// enterGoals, nil when the phase has none, puts the goals in, stamped as
-// property clauses.
-func (x *executor) blast(span string, assert func(*smt.Term), asserts []*smt.Term, origins [][]int32, enterGoals func()) time.Duration {
-	sp := x.sp.Start(span)
-	start := time.Now()
+// notePasses appends pass rows to the result (nil during session set-up,
+// whose passes belong to no query) and reports each as it is known.
+func (x *executor) notePasses(res *Result, stats ...passes.Stats) {
+	if res != nil {
+		res.PassStats = append(res.PassStats, stats...)
+	}
+	if x.m.OnEvent == nil {
+		return
+	}
+	for _, ps := range stats {
+		x.m.OnEvent(stream.EventPass, map[string]any{
+			"pass":          ps.Pass,
+			"asserts_after": ps.AssertsAfter,
+			"terms_after":   ps.TermsAfter,
+			"ms":            durMs(ps.Elapsed),
+		})
+	}
+}
+
+// compile is the term-level phase: the property-agnostic compile passes
+// when the model's cached artifact is stale (cn nil and nothing cached),
+// then — with goals — the goal-relative cone-of-influence pruning. It
+// returns the artifact and the system to blast: asserts, their origins,
+// goals. The phase is opened only when one of the two has work to do.
+func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) (*CompiledNetwork, *passes.System) {
+	m := x.m
+	if cn == nil {
+		cn = m.cachedCompile()
+	}
+	coi := goals != nil && m.spec.coi
+	var sp *obs.Span
+	if cn == nil || coi {
+		sp = x.Begin("compile")
+		defer x.End(cost.Work{})
+	}
+	if cn == nil {
+		cn = m.compile(sp)
+		x.notePasses(res, cn.PassStats...)
+	}
+	sys := &passes.System{Ctx: m.Ctx, Goals: goals}
+	sys.Asserts, sys.Origins = m.withTail(cn)
+	if coi {
+		// The pass rewrites the slices it is handed, and merges origins
+		// only when someone will read them.
+		sys.Asserts = append([]*smt.Term(nil), sys.Asserts...)
+		if m.tracks() {
+			sys.Origins = append([][]int32(nil), sys.Origins...)
+		} else {
+			sys.Origins = nil
+		}
+		pl, err := passes.NewPipeline(passes.COI)
+		if err != nil {
+			panic(err)
+		}
+		x.notePasses(res, pl.Run(sys, sp)...)
+	}
+	return cn, sys
+}
+
+// blast is the CNF phase (Tseitin conversion and bit-blasting): asserts
+// become permanent constraints through assert, each stamped with its
+// origin set when tracking is on; then enterGoals, nil when the phase has
+// none, puts the goals in, stamped as property clauses.
+func (x *executor) blast(assert func(*smt.Term), asserts []*smt.Term, origins [][]int32, enterGoals func()) {
+	sp := x.Begin("blast")
 	track := x.m.tracks()
 	for i, a := range asserts {
 		if track {
@@ -129,43 +183,36 @@ func (x *executor) blast(span string, assert func(*smt.Term), asserts []*smt.Ter
 	if track {
 		x.sol.SetOrigin()
 	}
-	elapsed := time.Since(start)
 	sp.SetInt("asserts", int64(len(asserts)))
 	sp.SetInt("terms", int64(x.m.Ctx.NumTerms()))
 	sp.SetInt("gates", int64(x.sol.NumGates()))
 	sp.SetInt("sat_vars", int64(x.sol.NumSATVars()))
 	sp.SetInt("sat_clauses", int64(x.sol.NumSATClauses()))
-	sp.End()
-	x.charge("blast", true)
-	return elapsed
+	x.endSolver()
 }
 
 // simplify is the top-level CNF simplification phase.
 func (x *executor) simplify() time.Duration {
-	sp := x.sp.Start("simplify")
-	start := time.Now()
+	sp := x.Begin("simplify")
 	sp.SetInt("clauses_before", int64(x.sol.NumSATClauses()))
 	x.sol.Simplify()
-	elapsed := time.Since(start)
 	sp.SetInt("clauses_after", int64(x.sol.NumSATClauses()))
-	sp.End()
-	x.charge("simplify", true)
-	return elapsed
+	return x.endSolver()
 }
 
 // check answers one query: is N ∧ assumptions ∧ ¬property satisfiable?
 //
-// With s nil it is the fresh path: a new solver, every compiled assert
-// (plus instrumentation appended since) pruned to the goals' cone of
-// influence, the goals asserted permanently, the CNF simplified; prior
-// and priorElapsed charge a compile this query triggered. With a session
-// it is the incremental path: only the asserts added since the last
-// check are blasted, and the goals enter under a fresh activation
-// literal that the search and the proof check then assume. Everything
-// after that — search or parallel dispatch, certification, blame,
-// decoding, profiling, the Result — is one code path, and both paths
-// emit the CNF they always did.
-func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prior []passes.Stats, priorElapsed time.Duration, property *smt.Term, assumptions []*smt.Term) (*Result, error) {
+// With s nil it is the fresh path: a new solver, the compiled asserts
+// (cn, or with cn nil the model's cached artifact, compiled — and charged
+// to this query — when stale) plus instrumentation appended since, pruned
+// to the goals' cone of influence, the goals asserted permanently, the
+// CNF simplified. With a session it is the incremental path: only the
+// asserts added since the last check are blasted, and the goals enter
+// under a fresh activation literal that the search and the proof check
+// then assume. Everything after that — search or parallel dispatch,
+// certification, blame, decoding, profiling, the Result — is one code
+// path, and both paths emit the CNF they always did.
+func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, property *smt.Term, assumptions []*smt.Term) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -173,7 +220,6 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 		return nil, fmt.Errorf("core: unknown parallel mode %q", m.Opts.Parallel)
 	}
 	c := m.Ctx
-	track := m.tracks()
 	goals := make([]*smt.Term, 0, len(assumptions)+1)
 	goals = append(goals, assumptions...)
 	goals = append(goals, c.Not(property))
@@ -188,50 +234,20 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 	var blameOrigins [][]int32
 	if s == nil {
 		x = m.newExecutor(smt.NewSolver(c), "check", "goal")
-		defer x.sp.End()
+		defer x.Span.End()
 		proof = m.instrument(x.sol)
-		// Children are created up front to pin the display order to the
-		// execution order (the term passes below charge simplify first).
-		if priorElapsed > 0 {
-			x.ledger.Child("compile").AddWall(priorElapsed)
-		}
-		x.ledger.Child("blast")
-
-		// Goal-relative term passes, charged to simplify.
-		termStart := time.Now()
-		asserts, origins := m.withTail(cn)
-		res.PassStats = append(res.PassStats, prior...)
-		if m.spec.coi {
-			sys := &passes.System{Ctx: c, Asserts: append([]*smt.Term(nil), asserts...), Goals: goals}
-			if track {
-				sys.Origins = append([][]int32(nil), origins...)
-			}
-			pl, err := passes.NewPipeline(passes.COI)
-			if err != nil {
-				panic(err)
-			}
-			res.PassStats = append(res.PassStats, pl.Run(sys, x.sp)...)
-			asserts, goals = sys.Asserts, sys.Goals
-			if track {
-				origins = sys.Origins
-			}
-		}
-		res.SimplifyElapsed = priorElapsed + time.Since(termStart)
-		x.charge("simplify", false)
-
-		res.EncodeElapsed = x.blast("cnf", x.sol.Assert, asserts, origins, func() {
-			for _, g := range goals {
+		_, sys := x.compile(cn, goals, res)
+		x.blast(x.sol.Assert, sys.Asserts, sys.Origins, func() {
+			for _, g := range sys.Goals {
 				x.sol.Assert(g)
 			}
 		})
 		res.SATVars, res.SATClauses = x.sol.NumSATVars(), x.sol.NumSATClauses()
-		cnfSimplify := x.simplify()
-		res.SimplifyElapsed += cnfSimplify
-		res.PassStats = append(res.PassStats, passes.Stats{Pass: "cnf-simplify", Elapsed: cnfSimplify})
-		blameAsserts, blameOrigins = asserts, origins
+		x.notePasses(res, passes.Stats{Pass: "cnf-simplify", Elapsed: x.simplify()})
+		blameAsserts, blameOrigins = sys.Asserts, sys.Origins
 	} else {
 		x = m.newExecutor(s.ss.Solver(), "session-check", "goal")
-		defer x.sp.End()
+		defer x.Span.End()
 		x.mark, proof = solverWork(x.sol), s.proof
 		// The session only ever appends to the solver: verify the blasted
 		// prefix of m.Asserts is still the one we blasted before trusting it.
@@ -241,7 +257,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 		}
 		// Instrumentation asserts added by property builders since the last
 		// check are permanent; the goals are not.
-		res.EncodeElapsed = x.blast("cnf", s.ss.Assert, m.Asserts[s.asserted:], m.tailOrigins(s.asserted),
+		x.blast(s.ss.Assert, m.Asserts[s.asserted:], m.tailOrigins(s.asserted),
 			func() { s.ss.Prepare(goals...) })
 		s.noteBlasted(len(m.Asserts))
 		res.SATVars, res.SATClauses = x.sol.NumSATVars(), x.sol.NumSATClauses()
@@ -256,15 +272,14 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 	// later check. A parallel strategy (Options.Parallel) fans the search
 	// out over clones of the solver, which stays untouched and reusable,
 	// and adopts the winner's verdict, stats and proof (internal/psolve).
-	solveSp := x.sp.Start("solve")
-	solveStart := time.Now()
+	solveSp := x.Begin("solve")
 	var status sat.Status
 	var outcome *psolve.Outcome
 	if m.parallelEnabled() {
 		var perr error
 		outcome, perr = psolve.Solve(ctx, x.sol.SATSolver(), m.parallelOptions(x.sol), assume...)
 		if perr != nil {
-			solveSp.End()
+			x.End(cost.Work{})
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -277,7 +292,6 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 		stopWatch()
 		x.sol.ResetInterrupt()
 	}
-	res.SolveElapsed = time.Since(solveStart)
 	// Stats are the adopted search's counters: cumulative since the solver
 	// was made on the fresh path, this check's share of the session's.
 	res.Stats = x.sol.SATStats()
@@ -297,13 +311,14 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 	solveSp.SetInt("propagations", res.Stats.Propagations)
 	solveSp.SetInt("learned", res.Stats.Learned)
 	solveSp.SetInt("restarts", res.Stats.Restarts)
-	solveSp.End()
 	if outcome != nil {
-		chargeParallelSolve(x.charge("solve", false), outcome, adopted)
+		// The racers' rows go under the node before it closes, so
+		// phase.end reports what the race spent.
+		chargeParallelSolve(x.Ledger.Child("solve"), outcome, adopted)
+		x.End(cost.Work{})
 	} else {
-		x.charge("solve", true)
+		x.endSolver()
 	}
-	res.Elapsed = res.EncodeElapsed + res.SimplifyElapsed + res.SolveElapsed
 
 	switch status {
 	case sat.Unsat:
@@ -318,47 +333,54 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 			if outcome != nil {
 				proof = outcome.Proof
 			}
-			if s == nil && !track {
+			if s == nil && !m.tracks() {
 				// The check reads the trace alone and only origin tables are
 				// read after it: let the clause database go before the
 				// checker builds its own.
 				x.sol = nil
 			}
-			cert, core, err := certify(x.sp, proof, m.Opts.Blame, assume...)
+			cert, core, err := certify(x.Begin("certify"), proof, m.Opts.Blame, assume...)
+			window := x.End(cost.Work{ProofBytes: proof.Bytes()})
 			if err != nil {
 				return nil, err
 			}
-			x.charge("certify", false).Add(cost.Work{ProofBytes: proof.Bytes()})
 			res.Certificate = cert
-			res.CertifyElapsed = cert.CheckElapsed
-			res.Elapsed += res.CertifyElapsed
+			if m.OnEvent != nil {
+				m.OnEvent(stream.EventCertify, map[string]any{
+					"checked": cert.Checked, "steps": cert.Steps, "lemmas": cert.Lemmas, "ms": durMs(window),
+				})
+			}
 			if m.Opts.Blame {
+				x.Begin("blame")
 				bases := x.sol.OriginSetBases
 				if outcome != nil {
 					bases = outcome.OriginBases
 				}
 				res.Blame = m.blameFromCore(bases, proof, core)
-				x.charge("blame", false)
+				x.End(cost.Work{})
 			}
 		}
 	case sat.Sat:
-		dSp := x.sp.Start("decode")
+		x.Begin("decode")
 		asg := x.sol.Model()
 		if outcome != nil {
 			asg = x.sol.ModelFrom(outcome.Winner)
 		}
 		res.Counterexample = m.Decode(asg)
-		dSp.End()
-		x.charge("decode", false)
+		x.End(cost.Work{})
 		if m.Opts.Blame {
+			x.Begin("blame")
 			res.Blame = m.blameSat(blameAsserts, blameOrigins, res.Counterexample.Assignment)
-			x.charge("blame", false)
+			x.End(cost.Work{})
 		}
 	default:
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("core: solver returned %v", status)
+	}
+	if len(res.Blame) > 0 && m.OnEvent != nil {
+		m.OnEvent(stream.EventBlame, map[string]any{"origins": len(res.Blame)})
 	}
 	if m.Opts.ProfileOrigins {
 		if outcome != nil {
@@ -367,9 +389,9 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prio
 			res.OriginProfile = m.originProfile(x.sol)
 		}
 	}
-	// Whatever ran since the last phase boundary (profile construction,
-	// result assembly) is the root's own window.
-	x.ledger.Charge(x.snap)
-	res.Cost = x.ledger
+	res.Cost = x.Ledger
+	res.FillTimes()
 	return res, nil
 }
+
+func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

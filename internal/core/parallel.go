@@ -31,7 +31,7 @@ func (m *Model) parallelOptions(solver *smt.Solver) psolve.Options {
 		Seed:       m.Opts.Seed,
 		Candidates: m.parallelCandidates(solver),
 		Schedule:   m.Schedule,
-		OnEvent:    m.OnSolverEvent,
+		OnEvent:    m.OnEvent,
 	}
 }
 

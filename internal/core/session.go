@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/obs/cost"
 	"repro/internal/sat"
@@ -50,10 +49,6 @@ type Session struct {
 
 	proof *sat.Proof // non-nil when Options.Certify or Options.Blame is on
 
-	setupCompile  time.Duration
-	setupEncode   time.Duration
-	setupSimplify time.Duration
-
 	// setupCost is the one-time session ledger (compile, shared blast,
 	// simplify); per-check Results carry their own ledgers. The service
 	// grafts this under the session-creating job's cost tree.
@@ -71,23 +66,17 @@ var ErrSessionInvalidated = errors.New(
 // NewSession compiles the model (reusing a cached CompiledNetwork when
 // available), blasts the compiled constraint system into a fresh
 // incremental session, and simplifies it once. The setup cost is
-// reported by SetupElapsed, not folded into the first check's Result.
+// reported by SetupCost, not folded into the first check's Result.
 func (m *Model) NewSession() *Session {
 	s := &Session{m: m, ss: smt.NewSession(m.Ctx)}
 	x := m.newExecutor(s.ss.Solver(), "session", "session-setup")
-	defer x.sp.End()
+	defer x.Span.End()
 	s.proof = m.instrument(x.sol)
-	compiles := m.compiles
-	cn := m.Compile()
-	if m.compiles != compiles {
-		s.setupCompile = cn.Elapsed
-		x.charge("compile", false)
-	}
-	s.cn = cn
-	s.setupEncode = x.blast("blast", s.ss.Assert, cn.Asserts, cn.Origins, nil)
-	s.noteBlasted(cn.BaseLen)
-	s.setupSimplify = x.simplify()
-	s.setupCost = x.ledger
+	s.cn, _ = x.compile(nil, nil, nil)
+	x.blast(s.ss.Assert, s.cn.Asserts, s.cn.Origins, nil)
+	s.noteBlasted(s.cn.BaseLen)
+	x.simplify()
+	s.setupCost = x.Ledger
 	return s
 }
 
@@ -109,14 +98,6 @@ func (s *Session) SetupCost() *cost.Node { return s.setupCost }
 // progress-hook snapshots (also cumulative) can be turned into per-check
 // spend.
 func (s *Session) SolverStats() sat.Stats { return s.ss.Solver().SATStats() }
-
-// SetupElapsed returns the one-time session cost: the shared blast and
-// the simplification work that ran in NewSession (term-level compile
-// passes, when the session triggered them, plus the top-level CNF
-// simplification).
-func (s *Session) SetupElapsed() (encode, simplify time.Duration) {
-	return s.setupEncode, s.setupCompile + s.setupSimplify
-}
 
 // SharedBlasts reports how many times the shared formula N was blasted —
 // 1 for the session's whole lifetime, however many checks run.
@@ -140,5 +121,5 @@ func (s *Session) Check(property *smt.Term, assumptions ...*smt.Term) (*Result, 
 func (s *Session) CheckContext(ctx context.Context, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.m.check(ctx, s, nil, nil, 0, property, assumptions)
+	return s.m.check(ctx, s, nil, property, assumptions)
 }

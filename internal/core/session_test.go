@@ -118,57 +118,6 @@ func TestSessionCounterexampleReplays(t *testing.T) {
 	}
 }
 
-// TestResultElapsedIdentity pins the compatibility contract of the result
-// tables: Elapsed is exactly the sum of the phase timings (encode,
-// simplify, solve, and — when a proof is checked — certify), for both the
-// fresh-solver path and the session path.
-func TestResultElapsedIdentity(t *testing.T) {
-	net := testnets.Figure2()
-	check := func(name string, res *Result) {
-		t.Helper()
-		sum := res.EncodeElapsed + res.SimplifyElapsed + res.SolveElapsed + res.CertifyElapsed
-		if res.Elapsed != sum {
-			t.Fatalf("%s: Elapsed=%v but Encode+Simplify+Solve+Certify=%v", name, res.Elapsed, sum)
-		}
-	}
-	for _, tc := range []struct {
-		name    string
-		certify bool
-	}{
-		{"plain", false},
-		{"certify", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Certify = tc.certify
-			m, err := Encode(net.Graph, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reach := m.Reach(m.Main, false)
-			p := m.Ctx.Or(reach["R1"], m.Ctx.Not(reach["R1"]))
-
-			res, err := m.Check(p, m.NoFailures())
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("fresh", res)
-			if tc.certify && res.CertifyElapsed == 0 {
-				t.Fatal("certified verified check reported zero CertifyElapsed")
-			}
-
-			sess := m.NewSession()
-			for i := 0; i < 3; i++ {
-				res, err := sess.Check(p, m.NoFailures())
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("session", res)
-			}
-		})
-	}
-}
-
 // TestSessionCheckContextCanceled verifies an already-expired context is
 // reported as its error without touching the solver, and that the session
 // still answers afterwards.

@@ -36,17 +36,18 @@ type Result struct {
 	Verified bool
 	// Counterexample is set when Verified is false.
 	Counterexample *Counterexample
-	// Elapsed is the total query time, the sum of the three phase
-	// timings below (kept for compatibility with older tables).
+	// The times below are read from Cost by FillTimes, never measured on
+	// their own: each is the wall time of the ledger phase it names, and
+	// Elapsed is their sum — encode + simplify + solve + certify +
+	// fast path — on every tier.
 	Elapsed time.Duration
-	// EncodeElapsed is the Tseitin CNF conversion and bit-blasting time.
-	// SimplifyElapsed covers everything that shrinks the formula before
-	// the search: the term-level compile passes (only when this query
-	// actually ran them rather than reusing a cached CompiledNetwork),
-	// goal-relative cone-of-influence pruning, and top-level CNF
-	// simplification. SolveElapsed is the CDCL search. Before these were
-	// split, encode time was silently folded into the reported "solver"
-	// time.
+	// EncodeElapsed is the Tseitin CNF conversion and bit-blasting time
+	// (phase "blast"). SimplifyElapsed covers everything that shrinks the
+	// formula before the search: the term-level passes of phase "compile"
+	// (the compile passes only when this query actually ran them rather
+	// than reusing a cached CompiledNetwork, and goal-relative
+	// cone-of-influence pruning) plus the top-level CNF simplification of
+	// phase "simplify". SolveElapsed is the CDCL search (phase "solve").
 	EncodeElapsed   time.Duration
 	SimplifyElapsed time.Duration
 	SolveElapsed    time.Duration
@@ -63,7 +64,7 @@ type Result struct {
 	SATClauses int
 	Stats      sat.Stats
 	// CertifyElapsed is the DRAT replay time when a proof was checked
-	// (Options.Certify or Options.Blame); it is part of Elapsed.
+	// (Options.Certify or Options.Blame): phase "certify".
 	CertifyElapsed time.Duration
 	// Certificate is set on UNSAT verdicts when Options.Certify is on:
 	// the recorded DRAT trace was replayed through the independent
@@ -89,8 +90,9 @@ type Result struct {
 
 	// Cost is the query's hierarchical resource ledger: wall/CPU time,
 	// memory and deterministic solver work units attributed per phase
-	// (compile, blast, simplify, solve, certify, decode, blame), with
-	// per-racer/per-cube children under "solve" for parallel runs. For a
+	// (compile, blast, simplify, solve, certify, decode, blame; fastpath
+	// and property when pipeline.Run answered), with per-racer/per-cube
+	// children under "solve" for parallel runs. For a
 	// sequential check the ledger's work total equals Stats exactly; a
 	// parallel run's ledger prices the work SPENT (winner and losers),
 	// while Stats records the work ADOPTED by the verdict.
@@ -103,8 +105,31 @@ type Result struct {
 	Tier string
 	// FastPathElapsed is the graph tier's classification time — the cost
 	// of the fast-path verdict, or the overhead added before falling
-	// through to the solver.
+	// through to the solver: phase "fastpath".
 	FastPathElapsed time.Duration
+}
+
+// FillTimes reads every time the Result reports out of its ledger. It is
+// the only writer of those fields, so a Result's times and its cost tree
+// cannot disagree: whoever finishes a ledger — the executor, the modular
+// composition after merging component ledgers, pipeline.Run after adding
+// its own phases — calls it once more.
+func (r *Result) FillTimes() {
+	wall := func(phase string) time.Duration {
+		if n := r.Cost.Find(phase); n != nil {
+			return n.Wall
+		}
+		return 0
+	}
+	r.EncodeElapsed = wall("blast")
+	r.SimplifyElapsed = wall("compile") + wall("simplify")
+	r.SolveElapsed = wall("solve")
+	r.CertifyElapsed = wall("certify")
+	r.FastPathElapsed = wall("fastpath")
+	r.Elapsed = r.EncodeElapsed + r.SimplifyElapsed + r.SolveElapsed + r.CertifyElapsed + r.FastPathElapsed
+	if r.Certificate != nil {
+		r.Certificate.CheckElapsed = r.CertifyElapsed
+	}
 }
 
 // Certificate summarizes a checked UNSAT proof.
@@ -120,21 +145,18 @@ type Certificate struct {
 	// the solver recorded, Fallbacks those it had to search the whole
 	// clause database for; a solver-recorded trace has no fallbacks.
 	Hinted, Fallbacks int
-	// CheckElapsed is the checker's replay time, reported separately from
-	// the solve phases (certification is off the verdict path).
+	// CheckElapsed is the checker's replay time: the certify phase's
+	// window, equal to the Result's CertifyElapsed.
 	CheckElapsed time.Duration
 }
 
 // certify replays a recorded proof trace through the independent DRAT
-// checker under an obs span. It returns the certificate, or an error when
-// the trace does not establish UNSAT — in which case the caller must not
-// report a verdict. With wantCore set the checker additionally extracts
-// the unsatisfiable core (indices of the input steps the refutation
-// depends on) in the same replay.
-func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, assumptions ...sat.Lit) (*Certificate, []int, error) {
-	cSp := sp.Start("certify")
-	defer cSp.End()
-	start := time.Now()
+// checker; cSp is the open certify phase's span. It returns the
+// certificate, or an error when the trace does not establish UNSAT — in
+// which case the caller must not report a verdict. With wantCore set the
+// checker additionally extracts the unsatisfiable core (indices of the
+// input steps the refutation depends on) in the same replay.
+func certify(cSp *obs.Span, proof *sat.Proof, wantCore bool, assumptions ...sat.Lit) (*Certificate, []int, error) {
 	var st *drat.Stats
 	var core []int
 	var err error
@@ -143,25 +165,22 @@ func certify(sp *obs.Span, proof *sat.Proof, wantCore bool, assumptions ...sat.L
 	} else {
 		st, err = drat.Check(proof, assumptions...)
 	}
-	elapsed := time.Since(start)
 	cSp.SetInt("steps", int64(proof.NumSteps()))
 	cSp.SetInt("lits", int64(proof.NumLits()))
-	cSp.SetInt("check_us", elapsed.Microseconds())
 	if err != nil {
 		cSp.SetStr("verdict", "rejected")
 		return nil, nil, fmt.Errorf("core: UNSAT verdict failed certification: %w", err)
 	}
 	cSp.SetStr("verdict", "checked")
 	return &Certificate{
-		Checked:      true,
-		Steps:        proof.NumSteps(),
-		Lits:         proof.NumLits(),
-		Inputs:       st.Inputs,
-		Lemmas:       st.Lemmas,
-		Deletions:    st.Deletions,
-		Hinted:       st.Hinted,
-		Fallbacks:    st.Fallbacks,
-		CheckElapsed: elapsed,
+		Checked:   true,
+		Steps:     proof.NumSteps(),
+		Lits:      proof.NumLits(),
+		Inputs:    st.Inputs,
+		Lemmas:    st.Lemmas,
+		Deletions: st.Deletions,
+		Hinted:    st.Hinted,
+		Fallbacks: st.Fallbacks,
 	}, core, nil
 }
 
@@ -178,17 +197,12 @@ func (m *Model) Check(property *smt.Term, assumptions ...*smt.Term) (*Result, er
 
 // CheckContext is Check with cancellation: when ctx is canceled the
 // solver is interrupted and the context error returned.
+//
+// The compile is charged to this query — its passes in PassStats, its
+// time in the compile phase — only when the query actually compiled;
+// cache hits ride for free, mirroring what the solver really did.
 func (m *Model) CheckContext(ctx context.Context, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
-	before := m.compiles
-	cn := m.Compile()
-	// Charge compile time to this query only when it actually compiled;
-	// cache hits ride for free, mirroring what the solver really did.
-	var prior []passes.Stats
-	var priorElapsed time.Duration
-	if m.compiles != before {
-		prior, priorElapsed = cn.PassStats, cn.Elapsed
-	}
-	return m.check(ctx, nil, cn, prior, priorElapsed, property, assumptions)
+	return m.check(ctx, nil, nil, property, assumptions)
 }
 
 // CheckGoal checks a property against a previously compiled artifact,
@@ -196,7 +210,7 @@ func (m *Model) CheckContext(ctx context.Context, property *smt.Term, assumption
 // come from this model's Compile (same term context). Compile time is
 // not charged to the result — the caller amortized it already.
 func (m *Model) CheckGoal(ctx context.Context, cn *CompiledNetwork, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
-	return m.check(ctx, nil, cn, nil, 0, property, assumptions)
+	return m.check(ctx, nil, cn, property, assumptions)
 }
 
 // watchInterrupt arranges for interrupt to fire if ctx is canceled, and

@@ -193,3 +193,34 @@ func TestModularAliasFatTree(t *testing.T) {
 		})
 	}
 }
+
+// TestModularLedgersEqualStats is the regression test for the modular
+// double count (cost.Node.Merge used to graft its donor's children by
+// pointer, so every component check but a class's first was added to the
+// class tree twice and to the composed ledger twice more): on every
+// modular goal at k=4 the composed Result's ledger, the per-class tree
+// the reports print and the composed solver stats are the same work, to
+// the unit and to the clause-db byte.
+func TestModularLedgersEqualStats(t *testing.T) {
+	net := fabric(t, 4)
+	for _, goal := range fabricGoals(4) {
+		goal := goal
+		t.Run(goal.Check, func(t *testing.T) {
+			v, err := pipeline.Run(context.Background(), net, goal, modularOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Mode != pipeline.ModeModular {
+				t.Fatalf("mode = %s (residue %v), want modular", v.Mode, v.Residue)
+			}
+			st := v.Result.Stats
+			composed, classes := v.Result.Cost.Total(), v.Modular.Cost.Total()
+			if want := st.Decisions + st.Propagations + st.Conflicts; composed.Units() != want || classes.Units() != want {
+				t.Fatalf("units: stats %d, composed ledger %d, per-class tree %d", want, composed.Units(), classes.Units())
+			}
+			if composed.ClauseDBBytes != classes.ClauseDBBytes || composed.ClauseDBBytes <= 0 {
+				t.Fatalf("clause-db bytes: composed ledger %d, per-class tree %d", composed.ClauseDBBytes, classes.ClauseDBBytes)
+			}
+		})
+	}
+}

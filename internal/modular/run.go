@@ -329,13 +329,22 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 		fail(err)
 		return
 	}
-	m, cn, err := core.CompileComponent(cg, opts.Core)
+	// The graph is already cut: far ends of boundary sessions appear as
+	// externals (config.BuildTopology infers them for BGP neighbors outside
+	// the subset), so the encoder's ordinary environment machinery provides
+	// the assume-side records.
+	m, err := core.Encode(cg, opts.Core)
 	if err != nil {
 		fail(err)
 		return
 	}
+	// One compile per class, a phase of the class ledger; the checks below
+	// merge their own phases in beside it.
 	cl.cost = cost.New(fmt.Sprintf("class:%d", cp.Comp.Index))
-	cl.cost.Child("compile").AddWall(cn.Elapsed)
+	ph := cost.Open(nil, cl.cost, nil)
+	ph.Begin("compile")
+	cn := m.Compile()
+	ph.End(cost.Work{})
 	defer func() { cl.terms = m.Ctx.NumTerms() }()
 
 	type boundExt struct {
@@ -404,7 +413,8 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 			return false, err
 		}
 		// Fold the check's phase ledger into the class node (same-name
-		// phases accumulate, like origin profiles).
+		// phases accumulate, like origin profiles); Merge only reads
+		// res.Cost, which the composed verdict merges once more.
 		cl.cost.Merge(res.Cost)
 		cl.verdicts = append(cl.verdicts, &core.ComponentVerdict{
 			Component: cp.Comp.Index, Check: name, Contract: contract, Res: res})

@@ -155,8 +155,11 @@ func (n *Node) Child(name string) *Node {
 	return c
 }
 
-// AddChild grafts an existing subtree (merging into a same-name child if
-// one exists).
+// AddChild grafts an existing subtree by pointer (merging into a
+// same-name child if one exists). The caller hands c over: graft only
+// trees nothing else reads afterwards — a job root adopting its goal
+// ledger, a report adopting a class ledger. To fold in a tree someone
+// else keeps, Merge it.
 func (n *Node) AddChild(c *Node) {
 	if n == nil || c == nil {
 		return
@@ -239,7 +242,10 @@ func (n *Node) TotalWall() time.Duration {
 
 // Merge folds o into n: counters and durations add, watermarks take the
 // maximum, same-name children merge recursively — the same semantics
-// provenance.MergeProfiles gives origin profiles.
+// provenance.MergeProfiles gives origin profiles. The donor is only read:
+// n never comes to share a node with o, so one ledger can be merged into
+// several roots, and a root merged into later leaves its donors as they
+// were.
 func (n *Node) Merge(o *Node) {
 	if n == nil || o == nil {
 		return
@@ -252,7 +258,7 @@ func (n *Node) Merge(o *Node) {
 		n.SetMeta(k, n.metaOr(k)+v)
 	}
 	for _, oc := range o.Children {
-		n.AddChild(oc)
+		n.Child(oc.Name).Merge(oc)
 	}
 }
 
@@ -310,7 +316,7 @@ type Snap struct {
 	cpu        time.Duration
 }
 
-var snapSamples = []string{
+var snapSamples = [...]string{
 	"/gc/heap/allocs:bytes",
 	"/memory/classes/heap/objects:bytes",
 	"/cpu/classes/total:cpu-seconds",
@@ -319,12 +325,18 @@ var snapSamples = []string{
 
 // TakeSnap reads the runtime counters backing a phase charge.
 func TakeSnap() Snap {
+	var samples [len(snapSamples)]metrics.Sample
+	return readSnap(&samples)
+}
+
+// readSnap is TakeSnap into a caller-owned sample buffer, so a Scope
+// reads its boundaries without allocating.
+func readSnap(samples *[len(snapSamples)]metrics.Sample) Snap {
 	s := Snap{wall: time.Now()}
-	samples := make([]metrics.Sample, len(snapSamples))
 	for i, name := range snapSamples {
 		samples[i].Name = name
 	}
-	metrics.Read(samples)
+	metrics.Read(samples[:])
 	if samples[0].Value.Kind() == metrics.KindUint64 {
 		s.totalAlloc = samples[0].Value.Uint64()
 	}
@@ -358,8 +370,13 @@ func HeapLiveBytes() uint64 {
 // without re-reading.
 func (n *Node) Charge(from Snap) Snap {
 	now := TakeSnap()
+	n.charge(from, now)
+	return now
+}
+
+func (n *Node) charge(from, now Snap) {
 	if n == nil {
-		return now
+		return
 	}
 	n.Wall += now.wall.Sub(from.wall)
 	if now.cpu > from.cpu {
@@ -373,7 +390,6 @@ func (n *Node) Charge(from Snap) Snap {
 			n.Mem.HeapPeakBytes = hw
 		}
 	}
-	return now
 }
 
 // wire is the JSON form: work is the subtree total (so consumers can

@@ -43,12 +43,13 @@ const (
 	EventSessionReuse = "session.reuse"
 	EventCompileReuse = "compile.reuse"
 
-	// Work phases (build, property, check, ...): paired start/end with a
-	// "phase" field, plus one retrospective "span" event per obs span once
-	// the check's span tree is complete.
+	// Work phases (build, fastpath, property, compile, blast, simplify,
+	// solve, certify, decode, blame): paired start/end with a "phase"
+	// field, emitted live by the cost.Scope that opens and closes the
+	// phase; phase.end carries what the phase was charged (ms, units,
+	// conflicts, db_bytes). The names are the ledger's and the spans'.
 	EventPhaseStart = "phase.start"
 	EventPhaseEnd   = "phase.end"
-	EventSpan       = "span"
 
 	// Solver and pipeline detail. Portfolio and cube events describe how
 	// a parallel solve (internal/psolve) reached its verdict; their names

@@ -2,10 +2,10 @@ package pipeline
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/modular"
+	"repro/internal/obs/cost"
 	"repro/internal/obs/stream"
 	"repro/internal/tiered"
 )
@@ -29,8 +29,10 @@ type Options struct {
 	// Options are the modular step's scheduling knobs. Core configures
 	// every encode of every step (passes, certification, blame, parallel
 	// strategy, parent span); Core.Tiers switches the graph tier
-	// (tiered.ValidateTiers syntax). OnEvent additionally receives Run's
-	// own phase events. NoFallback makes the modular step's residue final:
+	// (tiered.ValidateTiers syntax). OnEvent is additionally the sink of
+	// Run's own phases (fastpath, property); the phases of the monolithic
+	// check go to its model's OnEvent, which a Live caller routes to the
+	// same place. NoFallback makes the modular step's residue final:
 	// Run reports it with a nil Result instead of starting a
 	// whole-network solve that may be infeasible.
 	modular.Options
@@ -43,12 +45,6 @@ type Options struct {
 	// per Run and only when the goal reaches the monolithic step, so a
 	// network answered by the earlier steps never pays the encode.
 	Live func() (*core.Model, *core.Session, error)
-}
-
-func (o Options) emit(event string, fields map[string]any) {
-	if o.OnEvent != nil {
-		o.OnEvent(event, fields)
-	}
 }
 
 // Verdict is Run's answer and the account of how it was reached: which
@@ -93,27 +89,35 @@ type Verdict struct {
 //     whole network — a fresh one, or the caller's (Options.Live) — and
 //     checks it.
 //
+// Run's own phases (fastpath, property) are charged to one goal ledger;
+// whichever step answers, its result's ledger is merged in behind them
+// and the result's times are read from the whole, so a verdict prices
+// everything Run did for it under the same names on every tier.
+//
 // On error the returned Verdict still carries the residue of the steps
 // that ran. Run calls that share a Live session must be serialized by
 // the caller; the network's caches are safe to share.
 func Run(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*Verdict, error) {
 	v := &Verdict{}
+	ledger := cost.New("goal")
+	answer := func(res *core.Result) {
+		ledger.Merge(res.Cost)
+		res.Cost = ledger
+		res.FillTimes()
+		v.Result = res
+	}
 	tiersOn := tiered.Enabled(opts.Core.Tiers)
-	var fastElapsed time.Duration
 	if tiersOn {
-		opts.emit(stream.EventPhaseStart, map[string]any{"phase": "fastpath"})
-		sp := opts.Core.Span.Start("fastpath")
+		// The analysis is the network's, cached across goals: building it
+		// is not part of deciding this one.
 		a := net.Analysis()
-		start := time.Now()
+		ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+		sp := ph.Begin("fastpath")
 		out := a.Decide(goal)
-		fastElapsed = time.Since(start)
 		sp.SetStr("reason", out.Reason)
-		sp.End()
-		opts.emit(stream.EventPhaseEnd, map[string]any{
-			"phase": "fastpath", "ok": true, "decided": out.Decided, "reason": out.Reason,
-		})
+		ph.End(cost.Work{})
 		if out.Decided {
-			v.Result = tiered.Synthesize(out, fastElapsed, opts.Core.Blame)
+			v.Result = tiered.Synthesize(out, ledger, opts.Core.Blame)
 			return v, nil
 		}
 		v.GraphResidue = out.Reason
@@ -123,7 +127,11 @@ func Run(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*Ve
 		if err := compose(ctx, net, goal, opts, v); err != nil {
 			return v, err
 		}
-		if v.Result != nil || (v.Mode == ModeFallback && opts.NoFallback) {
+		if v.Result != nil {
+			answer(v.Result)
+			return v, nil
+		}
+		if v.Mode == ModeFallback && opts.NoFallback {
 			return v, nil
 		}
 	}
@@ -131,14 +139,15 @@ func Run(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*Ve
 	if err := ctx.Err(); err != nil {
 		return v, err
 	}
-	var err error
-	if v.Result, v.Model, err = monolithic(ctx, net, goal, opts); err != nil {
+	res, m, err := monolithic(ctx, net, goal, opts, ledger)
+	if err != nil {
 		return v, err
 	}
 	if tiersOn {
-		v.Result.Tier = tiered.TierSAT
-		v.Result.FastPathElapsed = fastElapsed
+		res.Tier = tiered.TierSAT
 	}
+	v.Model = m
+	answer(res)
 	return v, nil
 }
 
@@ -167,7 +176,9 @@ func compose(ctx context.Context, net *Network, goal tiered.Goal, opts Options, 
 		}
 		// A component-level runtime error is residue, not a failure: the
 		// monolithic step still owns the answer.
-		opts.emit(stream.EventModularResidue, map[string]any{"error": err.Error()})
+		if opts.OnEvent != nil {
+			opts.OnEvent(stream.EventModularResidue, map[string]any{"error": err.Error()})
+		}
 		v.Mode, v.Residue = ModeFallback, []string{"error: " + err.Error()}
 		return nil
 	}
@@ -181,8 +192,9 @@ func compose(ctx context.Context, net *Network, goal tiered.Goal, opts Options, 
 }
 
 // monolithic is the last step: the goal's property checked on a model of
-// the whole network, fresh or live.
-func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*core.Result, *core.Model, error) {
+// the whole network, fresh or live. Building the property is a phase of
+// the goal's ledger; the check opens its own.
+func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node) (*core.Result, *core.Model, error) {
 	var m *core.Model
 	var sess *core.Session
 	var err error
@@ -194,24 +206,18 @@ func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Option
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.emit(stream.EventPhaseStart, map[string]any{"phase": "property"})
+	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+	ph.Begin("property")
 	prop, assumptions, err := Property(m, goal)
-	opts.emit(stream.EventPhaseEnd, map[string]any{"phase": "property", "ok": err == nil})
+	ph.End(cost.Work{})
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.emit(stream.EventPhaseStart, map[string]any{"phase": "solve"})
 	var res *core.Result
 	if sess != nil {
 		res, err = sess.CheckContext(ctx, prop, assumptions...)
 	} else {
 		res, err = m.CheckContext(ctx, prop, assumptions...)
 	}
-	end := map[string]any{"phase": "solve", "ok": err == nil}
-	if err == nil && res.Cost != nil {
-		w := res.Cost.Total()
-		end["units"], end["conflicts"], end["db_bytes"] = w.Units(), w.Conflicts, w.ClauseDBBytes
-	}
-	opts.emit(stream.EventPhaseEnd, end)
 	return res, m, err
 }

@@ -72,12 +72,13 @@ func TestJobCostLedger(t *testing.T) {
 		t.Fatal("session-reusing job repaid session setup")
 	}
 
-	// The engine counters saw the deterministic work.
-	if u := e.Trace().Counter("service.work_units"); u <= 0 {
-		t.Fatalf("service.work_units = %d, want > 0", u)
+	// The engine counters saw the deterministic work (the one fold of a
+	// finished result, core.RecordSolverMetrics, names them solver.*).
+	if u := e.Trace().Counter("solver.work_units"); u <= 0 {
+		t.Fatalf("solver.work_units = %d, want > 0", u)
 	}
-	if b := e.Trace().Counter("service.clause_db_bytes"); b <= 0 {
-		t.Fatalf("service.clause_db_bytes = %d, want > 0", b)
+	if b := e.Trace().Counter("solver.clause_db_bytes"); b <= 0 {
+		t.Fatalf("solver.clause_db_bytes = %d, want > 0", b)
 	}
 }
 

@@ -785,15 +785,15 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 			ent.curBudget.observe(p)
 		}
 	}
+	// The model's events — the phases of the session set-up and of every
+	// check, passes, certification, blame, a parallel strategy's verdict —
+	// land on the recorder of the job working on the entry, as they happen.
+	m.OnEvent = func(kind string, fields map[string]any) { ent.curRec.Emit(kind, fields) }
 	if psolve.Enabled(e.parallel) {
 		// Parallel solves borrow idle verification workers for their racer
 		// tasks (running inline when none is free), so the machine never
-		// runs more solver goroutines than the pool size allows; the
-		// strategy's verdict events land on the checking job's recorder.
+		// runs more solver goroutines than the pool size allows.
 		m.Schedule = e.schedule
-		m.OnSolverEvent = func(kind string, fields map[string]any) {
-			ent.curRec.Emit(kind, fields)
-		}
 	}
 	ent.sess = m.NewSession()
 	e.tr.Add("service.session_builds", 1)
@@ -802,10 +802,11 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 
 // check answers one cache-miss job: it resolves the job's network and
 // hands the goal to pipeline.Run with the network's live session as the
-// monolithic step. It records the job's flight-recorder events — coarse
-// phases and solver progress live, the fine-grained span tree backfilled
-// once the run returns — and keeps the per-job span tree reachable via
-// Job.Trace.
+// monolithic step. Everything the run does is on the job's flight
+// recorder as it happens — build phases from here, the pipeline's and the
+// check's phases, passes, certification and blame from where they run,
+// solver progress from the hook — and the per-job span tree stays
+// reachable via Job.Trace.
 func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	jtr := obs.New("job:" + j.ID)
 	j.setTrace(jtr)
@@ -817,22 +818,28 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	// The entry's telemetry is routed to this job while it holds the lock:
+	// the model's event sink and the progress hook read curRec, the hook
+	// reads curBudget, CheckContext reads m.Obs.
+	ent.curRec = j.rec
+	defer func() { ent.curRec, ent.curBudget = nil, nil }()
 	// setupCost is the session's one-time ledger, owned by the job that
 	// actually built the session — later jobs reuse the session without
 	// repaying (or re-reporting) its cost.
 	var setupCost *cost.Node
-	if !ent.built {
-		ent.built = true
-		j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "build"})
-		ent.err = e.build(ent, jtr.Root())
-		data := map[string]any{"phase": "build", "ok": ent.err == nil}
+	// setUp runs one of the entry's one-time builds as a phase of this job:
+	// a span that parents the encode and session spans, and an event pair.
+	setUp := func(phase string, build func(*netEntry, *obs.Span) error) {
+		ph := cost.Open(jtr.Root(), nil, j.rec.Emit)
+		ent.err = build(ent, ph.Begin(phase))
+		ph.End(cost.Work{})
 		if ent.sess != nil {
 			setupCost = ent.sess.SetupCost()
-			w := setupCost.Total()
-			data["units"] = w.Units()
-			data["db_bytes"] = w.ClauseDBBytes
 		}
-		j.rec.Emit(stream.EventPhaseEnd, data)
+	}
+	if !ent.built {
+		ent.built = true
+		setUp("build", e.build)
 	} else if !first && ent.err == nil {
 		e.tr.Add("service.session_reuse", 1)
 		j.rec.Emit(stream.EventSessionReuse, nil)
@@ -858,22 +865,13 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	opts.Schedule = e.schedule
 	opts.OnEvent = j.rec.Emit
 	// The monolithic step runs on the entry's live session, built lazily
-	// under Options.Modular. The session's telemetry is routed to this job:
-	// the progress hook reads curRec and curBudget, CheckContext reads
-	// m.Obs, and both the swap and the check run with ent.mu held.
+	// under Options.Modular.
 	opts.Live = func() (*core.Model, *core.Session, error) {
 		if !ent.modelBuilt {
-			j.rec.Emit(stream.EventPhaseStart, map[string]any{"phase": "build-model"})
-			ent.err = e.buildModel(ent, jtr.Root())
-			j.rec.Emit(stream.EventPhaseEnd, map[string]any{
-				"phase": "build-model", "ok": ent.err == nil,
-			})
-			if ent.err != nil {
+			if setUp("build-model", e.buildModel); ent.err != nil {
 				return nil, nil, ent.err
 			}
-			setupCost = ent.sess.SetupCost()
 		}
-		ent.curRec = j.rec
 		ent.m.Obs = jtr.Root()
 		if e.workBudget > 0 || e.memBudget > 0 {
 			budget = newBudgetState(cancelBudget, e.workBudget, e.memBudget, ent.sess.SolverStats())
@@ -882,7 +880,6 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		return ent.m, ent.sess, nil
 	}
 	pv, err := pipeline.Run(runCtx, ent.net, j.goal, opts)
-	ent.curRec, ent.curBudget = nil, nil
 	e.countSteps(pv)
 
 	if bi := budget.breach(); bi != nil && ctx.Err() == nil {
@@ -901,8 +898,6 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 			"verified": false, "budget_exceeded": bi.Exceeded,
 			"costliest": bi.Costliest, "units": bi.spent.Units(),
 		})
-		jtr.Root().End()
-		emitSpans(j.rec, jtr)
 		return v, nil
 	}
 	if err != nil {
@@ -910,7 +905,6 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	res := pv.Result
 	if pv.Model != nil {
-		core.RecordSolverMetrics(e.tr, res)
 		e.tr.Add("service.session_checks", 1)
 		blasts := ent.sess.SharedBlasts()
 		e.tr.Add("service.session_shared_blasts", int64(blasts-ent.blastsSeen))
@@ -923,10 +917,8 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	v := &Verdict{JobID: j.ID, Report: *pipeline.NewReport(j.Spec.Check, pv)}
 	v.Cost = jobLedger(setupCost, v.Cost)
-	e.recordCostMetrics(v.Cost)
-	e.emitCheckEvents(j, res, v)
-	jtr.Root().End()
-	emitSpans(j.rec, jtr)
+	core.RecordSolverMetrics(e.tr, res, v.Cost)
+	emitVerdict(j.rec, v)
 	return v, nil
 }
 
@@ -954,31 +946,9 @@ func (e *Engine) countSteps(pv *pipeline.Verdict) {
 	}
 }
 
-// emitCheckEvents backfills the post-solve milestones onto the flight
-// recorder: per-pass simplification stats, proof certification, blame
-// extraction and the verdict itself.
-func (e *Engine) emitCheckEvents(j *Job, res *core.Result, v *Verdict) {
-	for _, ps := range res.PassStats {
-		j.rec.Emit(stream.EventPass, map[string]any{
-			"pass":          ps.Pass,
-			"asserts_after": ps.AssertsAfter,
-			"terms_after":   ps.TermsAfter,
-			"ms":            durMs(ps.Elapsed),
-		})
-	}
-	if v.Proof != nil {
-		j.rec.Emit(stream.EventCertify, map[string]any{
-			"checked": v.Proof.Checked,
-			"steps":   v.Proof.Steps,
-			"lemmas":  v.Proof.Lemmas,
-			"ms":      v.Proof.CheckMs,
-		})
-	}
-	if len(v.Blame) > 0 {
-		j.rec.Emit(stream.EventBlame, map[string]any{
-			"origins": len(v.Blame),
-		})
-	}
+// emitVerdict puts the verdict itself on the flight recorder; every
+// milestone before it was emitted where it happened.
+func emitVerdict(rec *stream.Recorder, v *Verdict) {
 	data := map[string]any{
 		"verified":   v.Verified,
 		"elapsed_ms": v.ElapsedMs,
@@ -992,12 +962,15 @@ func (e *Engine) emitCheckEvents(j *Job, res *core.Result, v *Verdict) {
 		data["conflicts"] = v.Solver.Conflicts
 		data["decisions"] = v.Solver.Decisions
 	}
+	if len(v.Blame) > 0 {
+		data["blame"] = len(v.Blame)
+	}
 	if v.Cost != nil {
 		w := v.Cost.Total()
 		data["units"] = w.Units()
 		data["db_bytes"] = w.ClauseDBBytes
 	}
-	j.rec.Emit(stream.EventVerdict, data)
+	rec.Emit(stream.EventVerdict, data)
 }
 
 // jobLedger roots a job's cost tree: the goal (or modular) ledger of its
@@ -1011,31 +984,6 @@ func jobLedger(setup, goal *cost.Node) *cost.Node {
 	root.AddChild(setup)
 	root.AddChild(goal)
 	return root
-}
-
-// Histogram bounds for the cost metrics: work units span request scales
-// from trivial incremental checks to multi-minute monoliths; byte bounds
-// cover clause databases from toy to saturated.
-var (
-	workUnitBounds = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-	costByteBounds = []float64{1 << 10, 1 << 14, 1 << 17, 1 << 20, 1 << 24, 1 << 27, 1 << 30}
-)
-
-// recordCostMetrics folds one job's cost totals into the engine trace:
-// monotonic counters for Prometheus rate() arithmetic plus per-job
-// histograms of the deterministic work.
-func (e *Engine) recordCostMetrics(n *cost.Node) {
-	if n == nil {
-		return
-	}
-	w := n.Total()
-	e.tr.Add("service.work_units", w.Units())
-	e.tr.Add("service.clause_db_bytes", w.ClauseDBBytes)
-	if w.ProofBytes > 0 {
-		e.tr.Add("service.proof_bytes", w.ProofBytes)
-	}
-	e.tr.ObserveBounds("service.job_units", float64(w.Units()), workUnitBounds)
-	e.tr.ObserveBounds("service.job_db_bytes", float64(w.ClauseDBBytes), costByteBounds)
 }
 
 // budgetVerdict renders a budget breach as a verdict: unverified, the
@@ -1055,26 +1003,4 @@ func budgetVerdict(j *Job, setup *cost.Node, bi *BudgetInfo, full *cost.Node) *V
 	v := &Verdict{JobID: j.ID, Budget: bi}
 	v.Check, v.Cost = j.Spec.Check, ledger
 	return v
-}
-
-// emitSpans backfills the finished span tree as "span" events, oldest
-// first, so post-hoc consumers of the event stream see the same phase
-// breakdown the timeline and Chrome trace carry.
-func emitSpans(rec *stream.Recorder, tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	base := tr.Root().StartTime()
-	tr.Root().Walk(func(sp *obs.Span, depth int) {
-		data := map[string]any{
-			"name":     sp.Name(),
-			"depth":    depth,
-			"start_ms": durMs(sp.StartTime().Sub(base)),
-			"dur_ms":   durMs(sp.Duration()),
-		}
-		for _, a := range sp.Attrs() {
-			data[a.Key] = a.Value()
-		}
-		rec.Emit(stream.EventSpan, data)
-	})
 }

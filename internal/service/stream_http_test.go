@@ -160,6 +160,67 @@ func TestSSEEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSSEMilestonesPrecedeTheVerdict is the daemon's row of the phase
+// accounts (pipeline.TestPhaseAccounts holds the identities): on a blamed,
+// certified SAT-tier job every phase is on the stream as a start/end pair
+// under the ledger's name — the session set-up's among them, inside the
+// build — and each pass, certify.done and blame.done arrive where they
+// happened, before the verdict that reports them.
+func TestSSEMilestonesPrecedeTheVerdict(t *testing.T) {
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Tiers: "none", Blame: true})
+	srv := httptest.NewServer(NewHandler(e))
+	t.Cleanup(func() {
+		srv.Close()
+		e.Close()
+	})
+	_, v := postVerify(t, srv, &Request{
+		Configs: chainConfigs(3),
+		Spec:    Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
+	})
+	if v == nil || !v.Verified || v.Proof == nil || len(v.Blame) == 0 {
+		t.Fatalf("setup query: %+v", v)
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + v.JobID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	at := map[string]int{} // event (or "phase.end:<name>") → last position
+	var open []string
+	for i, m := range collectSSE(readSSE(t, bufio.NewReader(resp.Body)), 10*time.Second) {
+		key := m.Event
+		switch m.Event {
+		case stream.EventPhaseStart:
+			open = append(open, m.Data.Data["phase"].(string))
+		case stream.EventPhaseEnd:
+			name := m.Data.Data["phase"].(string)
+			if len(open) == 0 || open[len(open)-1] != name {
+				t.Fatalf("phase.end %q closes %v", name, open)
+			}
+			open = open[:len(open)-1]
+			key += ":" + name
+		}
+		at[key] = i
+	}
+	if len(open) != 0 {
+		t.Fatalf("phases left open: %v", open)
+	}
+	verdict, ok := at[stream.EventVerdict]
+	if !ok {
+		t.Fatal("no verdict event")
+	}
+	for _, before := range []string{stream.EventPass, stream.EventCertify, stream.EventBlame,
+		"phase.end:build", "phase.end:property", "phase.end:compile", "phase.end:blast", "phase.end:simplify",
+		"phase.end:solve", "phase.end:certify", "phase.end:blame"} {
+		if i, ok := at[before]; !ok || i > verdict {
+			t.Errorf("%s at %d (present %v), verdict at %d", before, i, ok, verdict)
+		}
+	}
+	if at["phase.end:simplify"] > at["phase.end:build"] {
+		t.Error("the session set-up's phases are not inside the build")
+	}
+}
+
 // TestSSELiveFollowAndResume exercises the live path deterministically
 // on a planted job: a follower receives events emitted after it
 // connected, a reconnect with Last-Event-ID resumes without duplicates,

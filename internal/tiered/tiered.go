@@ -23,7 +23,6 @@ package tiered
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -139,19 +138,14 @@ func residue(reason string) Outcome { return Outcome{Reason: reason} }
 
 // Synthesize renders a decided outcome as a core.Result so fast-path
 // verdicts flow through the same reporting paths (service verdicts, CLI
-// JSON, bench rows) as SAT verdicts. Falsified outcomes carry a
-// counterexample with a nil Assignment: the packet and environment are
-// concrete, but there is no SAT model to decode symbolic state from.
-func Synthesize(out Outcome, elapsed time.Duration, blame bool) *core.Result {
-	ledger := cost.New("goal")
-	ledger.Child("fastpath").AddWall(elapsed)
-	res := &core.Result{
-		Verified:        out.Verified,
-		Tier:            TierGraph,
-		FastPathElapsed: elapsed,
-		Elapsed:         elapsed,
-		Cost:            ledger,
-	}
+// JSON, bench rows) as SAT verdicts. ledger is the goal ledger the caller
+// charged the decision to (phase "fastpath"); the result's times are read
+// from it. Falsified outcomes carry a counterexample with a nil
+// Assignment: the packet and environment are concrete, but there is no
+// SAT model to decode symbolic state from.
+func Synthesize(out Outcome, ledger *cost.Node, blame bool) *core.Result {
+	res := &core.Result{Verified: out.Verified, Tier: TierGraph, Cost: ledger}
+	res.FillTimes()
 	if blame {
 		res.Blame = out.Blame
 	}

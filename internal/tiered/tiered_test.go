@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/obs/cost"
 	"repro/internal/testnets"
 	"repro/internal/tiered"
 )
@@ -147,7 +148,9 @@ func TestDetPreconditionResidue(t *testing.T) {
 
 func TestSynthesizeFalsified(t *testing.T) {
 	out := tiered.Outcome{Decided: true, Verified: false, Reason: "test"}
-	res := tiered.Synthesize(out, 5*time.Millisecond, false)
+	ledger := cost.New("goal")
+	ledger.Child("fastpath").AddWall(5 * time.Millisecond)
+	res := tiered.Synthesize(out, ledger, false)
 	if res.Tier != tiered.TierGraph || res.Verified {
 		t.Fatalf("Tier=%q Verified=%v, want graph falsified", res.Tier, res.Verified)
 	}
