@@ -350,7 +350,7 @@ func BenchmarkFabricMonoPass(b *testing.B) {
 	}{{reachAll, true}, {isolation, false}, {equalLengths, true}}
 	var opts pipeline.Options
 	opts.Core = core.DefaultOptions()
-	opts.Core.Tiers, opts.Core.Parallel, opts.Core.Certify = "sat", "off", true
+	opts.Core.Tiers, opts.Core.Certify = "sat", true
 	var conflicts, propagations int64
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,7 +15,6 @@
 //	bench -experiment tiered     [-pods 2,4] [-json-out BENCH_tiered.json]
 //	bench -experiment modular    [-pods 2,4,16,32] [-mono-max 4] [-workers N] [-json-out BENCH_modular.json]
 //	bench -experiment ablation   [-pods 4]
-//	bench -experiment parallel   [-pods 4] [-workers N] [-certify] [-json-out BENCH_parallel.json]
 //	bench -experiment fuzz       [-iters 2] [-seed 1]
 //
 // The modular experiment runs the assume/guarantee pipeline
@@ -81,19 +80,19 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "violations | fig7 | fig8 | ablation")
+		experiment = flag.String("experiment", "", "violations | fig7 | fig8 | tiered | modular | ablation | fuzz")
 		count      = flag.Int("count", 152, "population size for violations/fig7")
 		seed       = flag.Int64("seed", 1, "population base seed")
 		podsFlag   = flag.String("pods", "2,4,6", "comma-separated pod counts for fig8/ablation")
 		propsFlag  = flag.String("props", "all", "comma-separated figure-8 properties, or 'all'")
-		jsonOut    = flag.String("json-out", "BENCH_fig8.json", "fig8 JSON artifact path ('' to skip)")
+		jsonOut    = flag.String("json-out", "BENCH_<experiment>.json", "fig8/tiered/modular: JSON artifact path ('' to skip)")
 		traceJSON  = flag.String("trace-json", "", "write the fig8/ablation span tree as JSON to this file")
 		progress   = flag.String("progress", "", "print solver progress to stderr every N conflicts")
 		passesFlag = flag.String("passes", "", "optimization passes: comma list of hoist,slice,fold,cse,propagate,coi, or all/none (default: all; ablation pins its own)")
 		tiersFlag  = flag.String("tiers", "", "fig8: verification tiers (graph,sat enables the fast path; default: untiered, measuring the solver)")
 		certify    = flag.Bool("certify", false, "fig8: record DRAT proofs and check verified verdicts, adding the proof columns")
 		monoMax    = flag.Int("mono-max", 4, "modular: largest pod count also verified monolithically for the reference comparison")
-		workers    = flag.Int("workers", runtime.NumCPU(), "modular/parallel: solver-level parallelism")
+		workers    = flag.Int("workers", runtime.NumCPU(), "modular: class checks run at once")
 		iters      = flag.Int("iters", 2, "fuzz: iterations per scenario family")
 		profOrig   = flag.Bool("profile-origins", false, "fig8: run every query twice to measure origin-attribution overhead and collect the per-origin hot-constraint profile")
 		profOut    = flag.String("profile-out", "BENCH_origins.folded", "collapsed-stack output path for -profile-origins ('' to skip)")
@@ -150,6 +149,7 @@ func main() {
 		every = n
 	}
 
+	out := strings.Replace(*jsonOut, "<experiment>", *experiment, 1)
 	var err error
 	switch *experiment {
 	case "violations":
@@ -157,18 +157,10 @@ func main() {
 	case "fig7":
 		err = runFig7(*count, *seed)
 	case "fig8":
-		err = runFig8(parseInts(*podsFlag), parseProps(*propsFlag), *jsonOut, tr, every, *passesFlag, *tiersFlag, *certify, *profOrig, *profOut)
+		err = runFig8(parseInts(*podsFlag), parseProps(*propsFlag), out, tr, every, *passesFlag, *tiersFlag, *certify, *profOrig, *profOut)
 	case "tiered":
-		out := *jsonOut
-		if out == "BENCH_fig8.json" {
-			out = "BENCH_tiered.json"
-		}
 		err = runTiered(parseInts(*podsFlag), parseProps(*propsFlag), out, *passesFlag)
 	case "modular":
-		out := *jsonOut
-		if out == "BENCH_fig8.json" {
-			out = "BENCH_modular.json"
-		}
 		err = runModular(parseInts(*podsFlag), parseProps(*propsFlag), out, *passesFlag, *monoMax, *workers)
 	case "ablation":
 		ks := parseInts(*podsFlag)
@@ -176,16 +168,10 @@ func main() {
 			ks = []int{4}
 		}
 		err = runAblation(ks[0], tr, every)
-	case "parallel":
-		out := *jsonOut
-		if out == "BENCH_fig8.json" {
-			out = "BENCH_parallel.json"
-		}
-		err = runParallel(parseInts(*podsFlag), parseProps(*propsFlag), out, *passesFlag, *workers, *certify)
 	case "fuzz":
 		err = runFuzz(*iters, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: bench -experiment violations|fig7|fig8|tiered|modular|ablation|parallel|fuzz")
+		fmt.Fprintln(os.Stderr, "usage: bench -experiment violations|fig7|fig8|tiered|modular|ablation|fuzz")
 		os.Exit(2)
 	}
 	if err == nil && tr != nil {
@@ -209,6 +195,29 @@ func writeTrace(tr *obs.Trace, path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeJSON writes an experiment's rows as its indented JSON artifact; an
+// empty path skips it.
+func writeJSON[T any](path string, rows []T) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rows); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d rows)\n", path, len(rows))
+	return nil
 }
 
 // progressPrinter returns a hook that writes one stderr line per sample.
@@ -321,10 +330,10 @@ type fig8JSON struct {
 	SATVars    int     `json:"sat_vars"`
 	SATClauses int     `json:"sat_clauses"`
 	Conflicts  int64   `json:"conflicts"`
-	// Deterministic work columns: the adopted search's counters plus the
-	// ledger's clause-db/proof byte estimates. Unlike the ms columns these
-	// are machine-independent at a fixed seed (sequential search), so
-	// CI's cost-gate holds them to the committed baseline exactly.
+	// Deterministic work columns: the search's counters plus the ledger's
+	// clause-db/proof byte estimates. Unlike the ms columns these are
+	// machine-independent, so CI's cost-gate holds them to the committed
+	// baseline exactly.
 	Decisions     int64 `json:"decisions,omitempty"`
 	Propagations  int64 `json:"propagations,omitempty"`
 	ClauseDBBytes int64 `json:"clause_db_bytes,omitempty"`
@@ -458,24 +467,7 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 			fmt.Fprintf(os.Stderr, "bench: wrote %s (%d origins)\n", profOut, len(merged.Rows))
 		}
 	}
-	if jsonOut == "" {
-		return nil
-	}
-	f, err := os.Create(jsonOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d rows)\n", jsonOut, len(art))
-	return nil
+	return writeJSON(jsonOut, art)
 }
 
 // tieredJSON is one row of the BENCH_tiered.json artifact: the graph
@@ -564,24 +556,7 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 		fmt.Printf("# aggregate speedup on hit rows: %.0fx (%.2fms graph vs %.1fms sat)\n",
 			satTotal/graphTotal, graphTotal, satTotal)
 	}
-	if jsonOut == "" {
-		return nil
-	}
-	f, err := os.Create(jsonOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d rows)\n", jsonOut, len(art))
-	return nil
+	return writeJSON(jsonOut, art)
 }
 
 // modularJSON is one row of the BENCH_modular.json artifact: the
@@ -735,24 +710,7 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 		fmt.Printf("# shared rows (pods<=%d): %d, aggregate speedup %.1fx (%.1fms modular vs %.1fms monolithic)\n",
 			monoMax, shared, monoTotal/modTotal, modTotal, monoTotal)
 	}
-	if jsonOut == "" {
-		return nil
-	}
-	f, err := os.Create(jsonOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d rows)\n", jsonOut, len(art))
-	return nil
+	return writeJSON(jsonOut, art)
 }
 
 // runFuzz is the deterministic smoke run of the fuzzing subsystem: every

@@ -89,7 +89,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/properties"
-	"repro/internal/psolve"
 	"repro/internal/sat"
 	"repro/internal/tiered"
 )
@@ -103,8 +102,6 @@ type cliOpts struct {
 	traceJSON, traceChrome, promOut    string
 	passes                             string
 	tiers                              string
-	parallel                           string
-	parallelWorkers                    int
 	progressEvery                      int64
 }
 
@@ -131,8 +128,6 @@ func main() {
 	flag.BoolVar(&o.certify, "certify", false, "record a DRAT proof trace and check verified verdicts with the independent checker")
 	flag.BoolVar(&o.blame, "blame", false, "report the configuration origins the verdict depends on (UNSAT core origins, or the counterexample's forwarding origins)")
 	flag.BoolVar(&o.modular, "modular", false, "verify multi-component networks by assume/guarantee composition (cut at eBGP interfaces, parallel per-component checks; residue falls back to the monolithic pipeline)")
-	flag.StringVar(&o.parallel, "parallel", "off", "parallel solve strategy: off, portfolio (race configured solver clones), cubes (split on environment variables), or auto")
-	flag.IntVar(&o.parallelWorkers, "parallel-workers", 0, "solver-level parallelism (0: one per CPU); 1 reproduces the sequential search exactly")
 	flag.Int64Var(&o.progressEvery, "progress", 0, "print solver progress to stderr every N conflicts")
 	flag.Parse()
 	if o.dir == "" || o.check == "" {
@@ -153,9 +148,6 @@ func run(o cliOpts, stdout, stderr io.Writer) error {
 	}
 	if err := tiered.ValidateTiers(o.tiers); err != nil {
 		return err
-	}
-	if !psolve.ValidMode(o.parallel) {
-		return fmt.Errorf("unknown -parallel mode %q (want off, portfolio, cubes or auto)", o.parallel)
 	}
 	tr := obs.New("verify")
 	c := &cli{o: o, tr: tr, stdout: stdout, stderr: stderr}
@@ -192,8 +184,7 @@ func run(o cliOpts, stdout, stderr io.Writer) error {
 	opts := pipeline.Options{Modular: o.modular}
 	opts.Workers = runtime.NumCPU()
 	opts.Core = core.Options{
-		Passes: o.passes, Tiers: o.tiers, Certify: o.certify, Blame: o.blame,
-		Parallel: o.parallel, ParallelWorkers: o.parallelWorkers, Span: tr.Root(),
+		Passes: o.passes, Tiers: o.tiers, Certify: o.certify, Blame: o.blame, Span: tr.Root(),
 	}
 	hook := func(m *core.Model) {
 		if o.progressEvery > 0 {

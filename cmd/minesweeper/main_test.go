@@ -32,7 +32,7 @@ func fabricDir(t *testing.T) string {
 
 // base is the command line with every flag at its default.
 func base(dir, check string) cliOpts {
-	return cliOpts{dir: dir, check: check, hops: pipeline.DefaultHops, maxLen: pipeline.DefaultMaxLen, parallel: "off"}
+	return cliOpts{dir: dir, check: check, hops: pipeline.DefaultHops, maxLen: pipeline.DefaultMaxLen}
 }
 
 func runCLI(t *testing.T, o cliOpts) (stdout string, err error) {
@@ -187,7 +187,6 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"-passes", with(reach, func(o *cliOpts) { o.passes = "hoist,nope" }), `unknown pass "nope"`},
 		{"-tiers", with(reach, func(o *cliOpts) { o.tiers = "fast" }), `unknown -tiers value "fast"`},
-		{"-parallel", with(reach, func(o *cliOpts) { o.parallel = "many" }), `unknown -parallel mode "many"`},
 		{"-configs", base(t.TempDir(), "loops"), "no .cfg/.conf files"},
 		{"missing -src", with(reach, func(o *cliOpts) { o.src = "" }), `check "reachability" requires src`},
 		{"missing -subnet", with(reach, func(o *cliOpts) { o.subnet = "" }), `check "reachability" requires subnet`},

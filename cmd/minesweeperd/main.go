@@ -61,7 +61,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/psolve"
 	"repro/internal/service"
 	"repro/internal/tiered"
 )
@@ -75,8 +74,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 120*time.Second, "default per-job deadline")
 		passes    = flag.String("passes", "", "optimization passes: comma list of hoist,slice,fold,cse,propagate,coi, or all/none (default: all)")
 		tiers     = flag.String("tiers", "", "verification tiers: graph,sat (default; sound graph fast path, residue to the solver), or sat/none to disable the fast path")
-		parallel  = flag.String("parallel", "off", "parallel solve strategy: off, portfolio (race configured solver clones), cubes (split on environment variables), or auto")
-		parWk     = flag.Int("parallel-workers", 0, "solver-level parallelism per check (0: one per CPU); shares the verification worker pool")
 		mod       = flag.Bool("modular", false, "verify multi-component networks by assume/guarantee composition (cut at eBGP interfaces, per-component checks on the worker pool; residue falls back to the monolithic pipeline)")
 		certify   = flag.Bool("certify", false, "record DRAT proof traces and check verified verdicts with the independent checker")
 		blame     = flag.Bool("blame", false, "report the configuration origins each verdict depends on (implies proof logging)")
@@ -97,10 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "minesweeperd:", err)
 		os.Exit(2)
 	}
-	if !psolve.ValidMode(*parallel) {
-		fmt.Fprintf(os.Stderr, "minesweeperd: unknown -parallel mode %q (want off, portfolio, cubes or auto)\n", *parallel)
-		os.Exit(2)
-	}
 	level := new(slog.LevelVar)
 	if err := parseLogLevel(level, *logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "minesweeperd:", err)
@@ -108,22 +101,18 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	opts := service.Options{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		Timeout:         *timeout,
-		Passes:          *passes,
-		Tiers:           *tiers,
-		Parallel:        *parallel,
-		ParallelWorkers: *parWk,
-		Modular:         *mod,
-		Certify:         *certify,
-		Blame:           *blame,
-		ProfileOrigins:  *profOrig,
-		MaxJobs:         *maxJobs,
-		EventBuffer:     *eventBuf,
-		ProgressEvery:   *progress,
-		WorkBudget:      *workBud,
-		MemBudgetBytes:  *memBud,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Timeout:    *timeout,
+		Core: core.Options{
+			Passes: *passes, Tiers: *tiers, Certify: *certify, Blame: *blame, ProfileOrigins: *profOrig,
+		},
+		Modular:        *mod,
+		MaxJobs:        *maxJobs,
+		EventBuffer:    *eventBuf,
+		ProgressEvery:  *progress,
+		WorkBudget:     *workBud,
+		MemBudgetBytes: *memBud,
 	}
 	if err := run(logger, *listen, *debugAddr, opts); err != nil {
 		logger.Error("exiting", "err", err)
@@ -148,9 +137,9 @@ func run(logger *slog.Logger, listen, debugAddr string, opts service.Options) er
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("listening", "addr", listen, "workers", opts.Workers,
-		"timeout", opts.Timeout, "tiers", tiersLabel(opts.Tiers),
-		"certify", opts.Certify, "blame", opts.Blame,
-		"profile_origins", opts.ProfileOrigins, "max_jobs", opts.MaxJobs,
+		"timeout", opts.Timeout, "tiers", tiersLabel(opts.Core.Tiers),
+		"certify", opts.Core.Certify, "blame", opts.Core.Blame,
+		"profile_origins", opts.Core.ProfileOrigins, "max_jobs", opts.MaxJobs,
 		"progress_every", opts.ProgressEvery,
 		"work_budget", opts.WorkBudget, "mem_budget", opts.MemBudgetBytes)
 

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -167,23 +168,44 @@ func TestLinesCountsNonEmpty(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, text string
+		// msg, when set, is the ParseError the text must be refused with.
+		msg string
 	}{
-		{"no hostname", "interface Eth0\n ip address 10.0.0.1 255.255.255.0\n"},
-		{"bad ip", "hostname R\ninterface E0\n ip address 10.0.0.300 255.255.255.0\n"},
-		{"bad mask", "hostname R\ninterface E0\n ip address 10.0.0.1 255.0.255.0\n"},
-		{"unknown directive", "hostname R\nfrobnicate\n"},
-		{"unknown iface directive", "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\n spanning-tree on\n"},
-		{"bad asn", "hostname R\nrouter bgp banana\n"},
-		{"neighbor before remote-as", "hostname R\nrouter bgp 1\n neighbor 10.0.0.2 route-map M in\n"},
-		{"undefined route map", "hostname R\ninterface E0\n ip address 10.0.1.1 255.255.255.0\nrouter bgp 1\n neighbor 10.0.1.2 remote-as 2\n neighbor 10.0.1.2 route-map NOPE in\n"},
-		{"undefined acl", "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\n ip access-group NOPE in\n"},
-		{"prefix list ge below len", "hostname R\nip prefix-list L permit 10.0.0.0/16 ge 8\n"},
-		{"dup interface", "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\ninterface E0\n ip address 10.0.1.1 255.255.255.0\n"},
-		{"dup bgp neighbor", "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\nrouter bgp 1\n neighbor 10.0.0.2 remote-as 2\n neighbor 10.0.0.2 remote-as 3\n"},
+		{name: "no hostname", text: "interface Eth0\n ip address 10.0.0.1 255.255.255.0\n"},
+		{name: "bad ip", text: "hostname R\ninterface E0\n ip address 10.0.0.300 255.255.255.0\n"},
+		{name: "bad mask", text: "hostname R\ninterface E0\n ip address 10.0.0.1 255.0.255.0\n"},
+		{name: "unknown directive", text: "hostname R\nfrobnicate\n"},
+		{name: "unknown iface directive", text: "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\n spanning-tree on\n"},
+		{name: "bad asn", text: "hostname R\nrouter bgp banana\n"},
+		{name: "neighbor before remote-as", text: "hostname R\nrouter bgp 1\n neighbor 10.0.0.2 route-map M in\n"},
+		{name: "undefined route map", text: "hostname R\ninterface E0\n ip address 10.0.1.1 255.255.255.0\nrouter bgp 1\n neighbor 10.0.1.2 remote-as 2\n neighbor 10.0.1.2 route-map NOPE in\n"},
+		{name: "undefined acl", text: "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\n ip access-group NOPE in\n"},
+		{name: "prefix list ge below len", text: "hostname R\nip prefix-list L permit 10.0.0.0/16 ge 8\n"},
+		{name: "dup interface", text: "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\ninterface E0\n ip address 10.0.1.1 255.255.255.0\n"},
+		{name: "dup bgp neighbor", text: "hostname R\ninterface E0\n ip address 10.0.0.1 255.255.255.0\nrouter bgp 1\n neighbor 10.0.0.2 remote-as 2\n neighbor 10.0.0.2 remote-as 3\n"},
+		// A directive cut short of an argument it reads: each of these
+		// indexed past the line's fields and panicked.
+		{name: "ospf maximum-paths, no value", text: "hostname r\nrouter ospf\n maximum-paths", msg: "bad maximum-paths"},
+		{name: "ospf distance, no value", text: "hostname r\nrouter ospf\n distance", msg: "bad distance"},
+		{name: "rip network, no prefix", text: "hostname r\nrouter rip\n network", msg: "network PREFIX"},
+		{name: "bgp router-id, no address", text: "hostname r\nrouter bgp 1\n bgp router-id", msg: "bgp router-id A.B.C.D"},
+		{name: "bgp maximum-paths, no value", text: "hostname r\nrouter bgp 1\n maximum-paths", msg: "bad maximum-paths"},
+		{name: "bgp distance, no value", text: "hostname r\nrouter bgp 1\n distance", msg: "bad distance"},
+		{name: "set local-preference, no value", text: "hostname r\nroute-map M permit 10\n set local-preference", msg: "set local-preference needs a value"},
+		{name: "set metric, no value", text: "hostname r\nroute-map M permit 10\n set metric", msg: "set metric needs a value"},
+		{name: "set med, no value", text: "hostname r\nroute-map M permit 10\n set med", msg: "set med needs a value"},
+		{name: "set ip next-hop, no address", text: "hostname r\nroute-map M permit 10\n set ip next-hop", msg: "set ip next-hop A.B.C.D"},
+		{name: "maximum-paths, trailing tokens", text: "hostname r\nrouter ospf\n maximum-paths 4 5", msg: "bad maximum-paths"},
 	}
 	for _, c := range cases {
-		if _, err := Parse(c.text); err == nil {
+		_, err := Parse(c.text)
+		if err == nil {
 			t.Errorf("%s: expected error", c.name)
+			continue
+		}
+		var pe *ParseError
+		if c.msg != "" && (!errors.As(err, &pe) || pe.Msg != c.msg) {
+			t.Errorf("%s: got %v, want a ParseError saying %q", c.name, err, c.msg)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -262,19 +263,9 @@ func (p *parser) ospfLine(f []string) error {
 		o.Redistribute = append(o.Redistribute, rd)
 		return nil
 	case f[0] == "maximum-paths":
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad maximum-paths")
-		}
-		o.MaxPaths = n
-		return nil
+		return intArg(f, math.MaxInt, &o.MaxPaths)
 	case f[0] == "distance":
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 1 || n > 255 {
-			return fmt.Errorf("bad distance")
-		}
-		o.AdminDistance = n
-		return nil
+		return intArg(f, 255, &o.AdminDistance)
 	}
 	return fmt.Errorf("unknown ospf directive %q", strings.Join(f, " "))
 }
@@ -284,6 +275,9 @@ func (p *parser) ripLine(f []string) error {
 	switch f[0] {
 	case "network":
 		// RIP uses classful "network A.B.C.D"; we accept CIDR instead.
+		if len(f) != 2 {
+			return fmt.Errorf("network PREFIX")
+		}
 		pre, err := network.ParsePrefix(f[1])
 		if err != nil {
 			return err
@@ -299,6 +293,17 @@ func (p *parser) ripLine(f []string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown rip directive %q", strings.Join(f, " "))
+}
+
+// intArg parses "KEYWORD N", with N in [1, max], into dst.
+func intArg(f []string, max int, dst *int) error {
+	if len(f) == 2 {
+		if n, err := strconv.Atoi(f[1]); err == nil && n >= 1 && n <= max {
+			*dst = n
+			return nil
+		}
+	}
+	return fmt.Errorf("bad %s", f[0])
 }
 
 func parseRedistribute(f []string) (Redistribution, error) {
@@ -350,6 +355,9 @@ func (p *parser) bgpLine(f []string) error {
 	b := p.r.BGP
 	switch {
 	case eq(f, "bgp", "router-id"):
+		if len(f) != 3 {
+			return fmt.Errorf("bgp router-id A.B.C.D")
+		}
 		ip, err := network.ParseIP(f[2])
 		if err != nil {
 			return err
@@ -422,19 +430,9 @@ func (p *parser) bgpLine(f []string) error {
 		b.Aggregates = append(b.Aggregates, agg)
 		return nil
 	case f[0] == "maximum-paths":
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad maximum-paths")
-		}
-		b.MaxPaths = n
-		return nil
+		return intArg(f, math.MaxInt, &b.MaxPaths)
 	case f[0] == "distance":
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 1 || n > 255 {
-			return fmt.Errorf("bad distance")
-		}
-		b.AdminDistance = n
-		return nil
+		return intArg(f, 255, &b.AdminDistance)
 	}
 	return fmt.Errorf("unknown bgp directive %q", strings.Join(f, " "))
 }
@@ -683,6 +681,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.MatchCommunity = f[2]
 		return nil
 	case eq(f, "set", "local-preference"):
+		if len(f) != 3 {
+			return fmt.Errorf("set local-preference needs a value")
+		}
 		n, err := strconv.ParseUint(f[2], 10, 32)
 		if err != nil || n == 0 {
 			return fmt.Errorf("bad local-preference %q", f[2])
@@ -690,6 +691,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.SetLocalPref = uint32(n)
 		return nil
 	case eq(f, "set", "metric"):
+		if len(f) != 3 {
+			return fmt.Errorf("set metric needs a value")
+		}
 		n, err := strconv.Atoi(f[2])
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad metric %q", f[2])
@@ -697,6 +701,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.SetMetric, cl.HasSetMetric = n, true
 		return nil
 	case eq(f, "set", "med"):
+		if len(f) != 3 {
+			return fmt.Errorf("set med needs a value")
+		}
 		n, err := strconv.Atoi(f[2])
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad med %q", f[2])
@@ -717,6 +724,9 @@ func (p *parser) routeMapLine(f []string) error {
 		cl.DelCommunity = append(cl.DelCommunity, f[2])
 		return nil
 	case eq(f, "set", "ip", "next-hop"):
+		if len(f) != 4 {
+			return fmt.Errorf("set ip next-hop A.B.C.D")
+		}
 		ip, err := network.ParseIP(f[3])
 		if err != nil {
 			return err

@@ -15,7 +15,7 @@ import (
 
 // Options control the encoder's optimizations (§6) and the solver
 // features of every check on the model. The zero value is the default:
-// every optimization on, sequential search, no proof logging.
+// every optimization on, no proof logging.
 type Options struct {
 	// Passes selects the optimization pipeline by name: a comma-separated
 	// subset of PassNames ("hoist,slice,fold,cse,propagate,coi"), or
@@ -65,19 +65,12 @@ type Options struct {
 	// one configuration object.
 	Tiers string
 
-	// Parallel selects the parallel solve strategy (internal/psolve):
-	// "off" (or empty, the default) keeps the sequential search,
-	// "portfolio" races differently-configured solver clones,
-	// "cubes" splits on environment/failure variables, and "auto" picks
-	// per query.
+	// Parallel is a tombstone. It selected a parallel solve engine that
+	// was deleted after its trial (DESIGN §16); the repo benchmark, frozen
+	// between benchmark PRs, still assigns "off". "" and "off" are
+	// accepted, any other value is an error from Check, and nothing else
+	// reads the field. It goes with that assignment.
 	Parallel string
-	// ParallelWorkers bounds solver-level parallelism; <=0 means one
-	// worker per CPU.
-	ParallelWorkers int
-	// Seed diversifies the portfolio configurations deterministically;
-	// fixed seeds give reproducible parallel runs (and the determinism
-	// pin: one worker with any seed must equal the sequential search).
-	Seed int64
 }
 
 // DefaultOptions enables all optimizations: it is the zero value, kept
@@ -188,15 +181,10 @@ type Model struct {
 	ProgressEvery int64
 	// OnProgress receives the periodic solver snapshots.
 	OnProgress func(sat.Progress)
-	// Schedule, when set, runs parallel-solve tasks on a shared worker
-	// pool (the service hands its helper pool here so job- and
-	// solver-level parallelism share cores). Nil uses fresh goroutines.
-	Schedule func(tasks []func())
 	// OnEvent is the per-check event sink: every phase a check or a
 	// session set-up opens and closes (phase.start/phase.end), each pass,
-	// certify.done and blame.done as they happen, and the parallel
-	// engine's verdict events (psolve.EventPortfolio, psolve.EventCube).
-	// It is called on the checking goroutine; nil disables.
+	// certify.done and blame.done as they happen. It is called on the
+	// checking goroutine; nil disables.
 	OnEvent func(kind string, fields map[string]any)
 
 	// encSpan is the live "encode" span while EncodeWithContext runs;

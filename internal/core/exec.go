@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs/cost"
 	"repro/internal/obs/stream"
 	"repro/internal/provenance"
-	"repro/internal/psolve"
 	"repro/internal/sat"
 	"repro/internal/smt"
 	"repro/internal/smt/passes"
@@ -85,7 +84,7 @@ func (m *Model) withTail(cn *CompiledNetwork) ([]*smt.Term, [][]int32) {
 
 func solverWork(sol *smt.Solver) cost.Work {
 	w := cost.FromStats(sol.SATStats())
-	w.ClauseDBBytes = sol.SATSolver().ClauseDBBytes()
+	w.ClauseDBBytes = sol.ClauseDBBytes()
 	return w
 }
 
@@ -209,15 +208,15 @@ func (x *executor) simplify() time.Duration {
 // CNF simplified. With a session it is the incremental path: only the
 // asserts added since the last check are blasted, and the goals enter
 // under a fresh activation literal that the search and the proof check
-// then assume. Everything after that — search or parallel dispatch,
-// certification, blame, decoding, profiling, the Result — is one code
-// path, and both paths emit the CNF they always did.
+// then assume. Everything after that — the search, certification, blame,
+// decoding, profiling, the Result — is one code path, and both paths emit
+// the CNF they always did.
 func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, property *smt.Term, assumptions []*smt.Term) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !psolve.ValidMode(m.Opts.Parallel) {
-		return nil, fmt.Errorf("core: unknown parallel mode %q", m.Opts.Parallel)
+	if p := m.Opts.Parallel; p != "" && p != "off" {
+		return nil, fmt.Errorf("core: Options.Parallel %q: the parallel solve engine was removed (DESIGN §16); only \"\" and \"off\" are accepted", p)
 	}
 	c := m.Ctx
 	goals := make([]*smt.Term, 0, len(assumptions)+1)
@@ -269,39 +268,17 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 
 	// CDCL search, interruptible through ctx; the watcher is joined before
 	// the interrupt flag is cleared so a late Interrupt cannot leak into a
-	// later check. A parallel strategy (Options.Parallel) fans the search
-	// out over clones of the solver, which stays untouched and reusable,
-	// and adopts the winner's verdict, stats and proof (internal/psolve).
+	// later check.
 	solveSp := x.Begin("solve")
-	var status sat.Status
-	var outcome *psolve.Outcome
-	if m.parallelEnabled() {
-		var perr error
-		outcome, perr = psolve.Solve(ctx, x.sol.SATSolver(), m.parallelOptions(x.sol), assume...)
-		if perr != nil {
-			x.End(cost.Work{})
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: parallel solve: %w", perr)
-		}
-		status = outcome.Status
-	} else {
-		stopWatch := watchInterrupt(ctx, x.sol.Interrupt)
-		status = x.sol.CheckAssuming(assume...)
-		stopWatch()
-		x.sol.ResetInterrupt()
-	}
-	// Stats are the adopted search's counters: cumulative since the solver
-	// was made on the fresh path, this check's share of the session's.
+	stopWatch := watchInterrupt(ctx, x.sol.Interrupt)
+	status := x.sol.CheckAssuming(assume...)
+	stopWatch()
+	x.sol.ResetInterrupt()
+	// Stats are cumulative since the solver was made on the fresh path,
+	// this check's share of the session's.
 	res.Stats = x.sol.SATStats()
-	if outcome != nil {
-		res.Stats = outcome.Stats
-		res.Portfolio, res.Cube = outcome.Portfolio, outcome.Cube
-	}
-	adopted := cost.FromStats(res.Stats).Minus(x.mark)
 	if s != nil {
-		s.ss.FinishExternalSolve(res.Stats)
+		s.ss.Finish()
 		s.checks++
 		res.Stats = s.ss.LastStats().Stats
 	}
@@ -311,28 +288,16 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	solveSp.SetInt("propagations", res.Stats.Propagations)
 	solveSp.SetInt("learned", res.Stats.Learned)
 	solveSp.SetInt("restarts", res.Stats.Restarts)
-	if outcome != nil {
-		// The racers' rows go under the node before it closes, so
-		// phase.end reports what the race spent.
-		chargeParallelSolve(x.Ledger.Child("solve"), outcome, adopted)
-		x.End(cost.Work{})
-	} else {
-		x.endSolver()
-	}
+	x.endSolver()
 
 	switch status {
 	case sat.Unsat:
 		res.Verified = true
 		if proof != nil {
-			// A parallel run's certificate is the adopted trace (the
-			// winner's, or the stitched multi-cube proof), resolved against
-			// whichever origin tables recorded it. A session's UNSAT is
-			// relative to its activation literal, which the checker gets as
-			// an assumption; its trace is cumulative over the session's
-			// life, so certification cost grows with the number of checks.
-			if outcome != nil {
-				proof = outcome.Proof
-			}
+			// A session's UNSAT is relative to its activation literal, which
+			// the checker gets as an assumption; its trace is cumulative over
+			// the session's life, so certification cost grows with the number
+			// of checks.
 			if s == nil && !m.tracks() {
 				// The check reads the trace alone and only origin tables are
 				// read after it: let the clause database go before the
@@ -352,21 +317,13 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 			}
 			if m.Opts.Blame {
 				x.Begin("blame")
-				bases := x.sol.OriginSetBases
-				if outcome != nil {
-					bases = outcome.OriginBases
-				}
-				res.Blame = m.blameFromCore(bases, proof, core)
+				res.Blame = m.blameFromCore(x.sol, proof, core)
 				x.End(cost.Work{})
 			}
 		}
 	case sat.Sat:
 		x.Begin("decode")
-		asg := x.sol.Model()
-		if outcome != nil {
-			asg = x.sol.ModelFrom(outcome.Winner)
-		}
-		res.Counterexample = m.Decode(asg)
+		res.Counterexample = m.Decode(x.sol.Model())
 		x.End(cost.Work{})
 		if m.Opts.Blame {
 			x.Begin("blame")
@@ -383,11 +340,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		m.OnEvent(stream.EventBlame, map[string]any{"origins": len(res.Blame)})
 	}
 	if m.Opts.ProfileOrigins {
-		if outcome != nil {
-			res.OriginProfile = m.profileFromOutcome(outcome)
-		} else {
-			res.OriginProfile = m.originProfile(x.sol)
-		}
+		res.OriginProfile = m.originProfile(x.sol)
 	}
 	res.Cost = x.Ledger
 	res.FillTimes()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/cost"
 	"repro/internal/provenance"
-	"repro/internal/psolve"
 	"repro/internal/sat"
 	"repro/internal/sat/drat"
 	"repro/internal/simulator"
@@ -82,20 +81,11 @@ type Result struct {
 	// attributed per config origin, hottest first.
 	OriginProfile *provenance.Profile
 
-	// Portfolio and Cube report how a parallel solve (Options.Parallel)
-	// reached its verdict; nil for sequential checks and for the parallel
-	// strategies that were not used.
-	Portfolio *psolve.PortfolioReport
-	Cube      *psolve.CubeReport
-
 	// Cost is the query's hierarchical resource ledger: wall/CPU time,
 	// memory and deterministic solver work units attributed per phase
 	// (compile, blast, simplify, solve, certify, decode, blame; fastpath
-	// and property when pipeline.Run answered), with per-racer/per-cube
-	// children under "solve" for parallel runs. For a
-	// sequential check the ledger's work total equals Stats exactly; a
-	// parallel run's ledger prices the work SPENT (winner and losers),
-	// while Stats records the work ADOPTED by the verdict.
+	// and property when pipeline.Run answered). The ledger's work total
+	// equals Stats exactly.
 	Cost *cost.Node
 
 	// Tier records which verification tier produced the verdict when a
@@ -237,42 +227,13 @@ func watchInterrupt(ctx context.Context, interrupt func()) (stop func()) {
 	}
 }
 
-// chargeParallelSolve expands a parallel outcome under the solve node:
-// one child per participating solver pricing the work it SPENT, with the
-// adopted rows marked. The solve subtree therefore totals the race's
-// full bill, while Result.Stats keeps only the adopted delta — the
-// difference is recorded as wasted_units.
-func chargeParallelSolve(solve *cost.Node, outcome *psolve.Outcome, adopted cost.Work) {
-	var spent cost.Work
-	for _, tw := range outcome.Tasks {
-		name := tw.Label
-		if outcome.Portfolio != nil {
-			name = fmt.Sprintf("racer:%d", tw.ID)
-		}
-		w := cost.FromStats(tw.Stats)
-		w.ClauseDBBytes = tw.DBBytes
-		child := solve.Child(name)
-		child.Add(w)
-		if tw.Adopted {
-			child.SetMeta("adopted", 1)
-		}
-		spent = spent.Plus(w)
-	}
-	if wasted := spent.Units() - adopted.Units(); wasted > 0 {
-		solve.SetMeta("wasted_units", wasted)
-	}
-	if outcome.Portfolio != nil {
-		solve.SetMeta("winner", int64(outcome.Portfolio.WinnerID))
-	}
-}
-
 // blameFromCore maps an UNSAT core (input-step indices of a checked
 // proof) back to config origins: each input clause carries the interned
-// origin set of the assert it was blasted from, resolved through bases
-// (the origin tables of whichever solver recorded the proof). Untagged
+// origin set of the assert it was blasted from, resolved through the
+// origin tables of sol, the solver that recorded the proof. Untagged
 // clauses (the zero origin) are dropped; the result is sorted, so equal
 // cores blame identically.
-func (m *Model) blameFromCore(bases func(id int32) []int32, proof *sat.Proof, core []int) []provenance.Origin {
+func (m *Model) blameFromCore(sol *smt.Solver, proof *sat.Proof, core []int) []provenance.Origin {
 	steps := proof.Steps()
 	seen := map[int32]bool{}
 	var out []provenance.Origin
@@ -280,7 +241,7 @@ func (m *Model) blameFromCore(bases func(id int32) []int32, proof *sat.Proof, co
 		if si < 0 || si >= len(steps) {
 			continue
 		}
-		for _, base := range bases(steps[si].Origin) {
+		for _, base := range sol.OriginSetBases(steps[si].Origin) {
 			if seen[base] {
 				continue
 			}

@@ -75,3 +75,29 @@ func TestCounterexampleString(t *testing.T) {
 	}
 	_ = simulator.NewEnvironment()
 }
+
+// TestParallelUnknownMode pins the Options.Parallel tombstone: the two
+// spellings of the sequential search still check, and every mode of the
+// removed parallel engine is an error naming the removal — on both
+// execution paths, never a silent sequential run.
+func TestParallelUnknownMode(t *testing.T) {
+	net := testnets.OSPFChain(2)
+	for _, mode := range []string{"", "off", "portfolio", "cubes", "auto", "sideways"} {
+		o := DefaultOptions()
+		o.Parallel = mode
+		m, err := Encode(net.Graph, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fresh := m.Check(m.Ctx.True())
+		_, session := m.NewSession().Check(m.Ctx.True())
+		for path, err := range map[string]error{"Check": fresh, "Session.Check": session} {
+			switch accepted := mode == "" || mode == "off"; {
+			case accepted && err != nil:
+				t.Errorf("%s with Parallel=%q: %v", path, mode, err)
+			case !accepted && (err == nil || !strings.Contains(err.Error(), "removed")):
+				t.Errorf("%s with Parallel=%q: err = %v, want one naming the removal", path, mode, err)
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/psolve"
 	"repro/internal/service"
 	"repro/internal/smt"
 	"repro/internal/tiered"
@@ -33,10 +32,9 @@ import (
 //
 // Directives come first; each "--- name" line starts one router's
 // configuration block. Every check is replayed on the execution paths
-// (fresh Model.Check, Session.Check, service engine, graph fast path,
-// parallel solve strategies) with certification on, and sim-safe
-// scenarios additionally run the differential oracle on a fixed random
-// stream.
+// (fresh Model.Check, Session.Check, service engine, graph fast path)
+// with certification on, and sim-safe scenarios additionally run the
+// differential oracle on a fixed random stream.
 
 // CorpusCheck is one expected verdict of a corpus scenario: a request
 // spec, so corpus files read like service requests, plus the answer.
@@ -259,22 +257,6 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 		if out.Decided && out.Verified != ck.Expect {
 			return fmt.Errorf("%s: graph-tier check %d (%s src=%s subnet=%s): decided verified=%v (reason %s), want %v",
 				cs.Path, i, ck.Check, ck.Src, ck.Subnet, out.Verified, out.Reason, ck.Expect)
-		}
-	}
-
-	// Path 5: the parallel solve strategies. Each pinned verdict must
-	// survive a portfolio race and a cube-and-conquer fan-out, with the
-	// certificate invariant intact (for an all-UNSAT fan-out that means
-	// the stitched multi-cube proof checked out).
-	for _, mode := range []string{psolve.ModePortfolio, psolve.ModeCubes} {
-		mp, err := cs.Encode("")
-		if err != nil {
-			return err
-		}
-		mp.Opts.Parallel = mode
-		mp.Opts.ParallelWorkers = 2
-		if err := checkAll("parallel="+mode, mp, mp.Check); err != nil {
-			return err
 		}
 	}
 

@@ -1,7 +1,7 @@
 // Package fuzz is the cross-layer differential fuzzing subsystem: it
 // derives small random networks from fuzz seeds (canonical fixtures from
 // internal/testnets plus generated topologies from internal/netgen) and
-// checks every verdict with seven independent oracle families:
+// checks every verdict with six independent oracle families:
 //
 //  1. differential — the symbolic encoder pinned to a concrete
 //     environment must agree with internal/simulator's stable state,
@@ -22,15 +22,12 @@
 //     (internal/modular) answers the same subnet-scoped goals, and every
 //     composed verdict must match the monolithic pipeline's
 //     (Scenario.ModularParity);
-//  6. parallel parity — portfolio races, cube-and-conquer fan-outs and
-//     auto mode must reproduce the sequential verdict, certificates
-//     included (Scenario.ParallelParity);
-//  7. stateful reuse — a seeded sequence of edited networks through one
+//  6. stateful reuse — a seeded sequence of edited networks through one
 //     long-lived service engine, every verdict held to a single-shot
 //     pipeline.Run on the same texts (Scenario.ServiceSequenceParity).
 //
 // The oracles are one table (oracles.go); every one starts from the same
-// pinned options — all engines but the sequential solver off — and
+// pinned options — all engines but the monolithic solver off — and
 // switches on the engine it is about.
 //
 // The same oracles back the native Go fuzz targets in this package, the

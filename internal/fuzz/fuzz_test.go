@@ -114,26 +114,6 @@ func FuzzModularParity(f *testing.F) {
 	})
 }
 
-// FuzzParallelParity is the parallel-engine fuzz target: portfolio
-// races, cube-and-conquer fan-outs and auto mode must reproduce the
-// sequential verdict on every scenario, certificates included, and a
-// portfolio session must stay reusable across checks.
-func FuzzParallelParity(f *testing.F) {
-	for fam := 0; fam < Families(); fam++ {
-		f.Add([]byte{byte(fam)})
-		f.Add([]byte{byte(fam), 0x9a, 0x11})
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, rng, err := FromSeed(data)
-		if err != nil {
-			t.Skipf("scenario build: %v", err)
-		}
-		if err := s.ParallelParity(rng); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // cnfFromBytes decodes fuzz input into a small CNF: the first byte picks
 // the variable count, then every 3 bytes form one ternary clause.
 func cnfFromBytes(data []byte) (nv int, clauses [][]int) {

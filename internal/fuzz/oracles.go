@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/pipeline"
-	"repro/internal/psolve"
 	"repro/internal/service"
 	"repro/internal/smt"
 	"repro/internal/tiered"
@@ -19,27 +18,22 @@ import (
 // pinned is the option set every oracle starts from: the given pass
 // pipeline with certification on — so any UNSAT verdict an oracle reaches
 // is DRAT-checked as a side effect (the third oracle family) — and every
-// engine but the sequential monolithic solver off: the graph tier, the
-// modular composition, the parallel strategies. Each oracle compares
-// variants of one verdict, and an engine left on by default would blur
-// which variant was exercised; an oracle switches on exactly the engine
-// it is about.
+// engine but the monolithic solver off: the graph tier and the modular
+// composition. Each oracle compares variants of one verdict, and an
+// engine left on by default would blur which variant was exercised; an
+// oracle switches on exactly the engine it is about.
 func pinned(passes string) pipeline.Options {
 	var o pipeline.Options
 	o.Core.Passes = passes
 	o.Core.Certify = true
 	o.Core.Tiers = "none"
-	o.Core.Parallel = psolve.ModeOff
 	return o
 }
 
 // engineOptions configures a service engine the way o configures a
 // pipeline run.
 func engineOptions(o pipeline.Options) service.Options {
-	return service.Options{
-		Workers: 1, Passes: o.Core.Passes, Certify: o.Core.Certify,
-		Tiers: o.Core.Tiers, Parallel: o.Core.Parallel, Modular: o.Modular,
-	}
+	return service.Options{Workers: 1, Core: o.Core, Modular: o.Modular}
 }
 
 // Encode builds the scenario's model under the given pass pipeline, with
@@ -399,67 +393,6 @@ func (s *Scenario) ModularParity(rng *rand.Rand) error {
 	return nil
 }
 
-// ParallelParity is the parallel-engine oracle (the sixth family): the
-// same query answered by the pinned sequential search, a portfolio race,
-// cube-and-conquer and auto mode must agree, and every verified parallel
-// verdict must carry a checked certificate — for an all-UNSAT cube
-// fan-out that certificate is the stitched multi-cube proof, so the
-// oracle exercises proof stitching end to end. The incremental session
-// path runs twice under portfolio so a finished race (won or lost) must
-// leave the session solver reusable.
-func (s *Scenario) ParallelParity(rng *rand.Rand) error {
-	q := s.pickQuery(rng)
-	m, err := s.Encode("")
-	if err != nil {
-		return err
-	}
-	want, err := checkOn(m, q)
-	if err != nil {
-		return fmt.Errorf("fuzz: %s: sequential check: %w", s.Name, err)
-	}
-	for _, mode := range []string{psolve.ModePortfolio, psolve.ModeCubes, psolve.ModeAuto} {
-		pm, err := s.Encode("")
-		if err != nil {
-			return err
-		}
-		pm.Opts.Parallel = mode
-		pm.Opts.ParallelWorkers = 1 + rng.Intn(4)
-		pm.Opts.Seed = rng.Int63()
-		got, err := checkOn(pm, q)
-		if err != nil {
-			return fmt.Errorf("fuzz: %s: parallel=%s workers=%d: %w",
-				s.Name, mode, pm.Opts.ParallelWorkers, err)
-		}
-		if got != want {
-			return fmt.Errorf("fuzz: %s: verdict differs under parallel=%s (workers=%d, src=%s dst=%v): got %v want %v",
-				s.Name, mode, pm.Opts.ParallelWorkers, q.src, q.sub, got, want)
-		}
-	}
-	sm, err := s.Encode("")
-	if err != nil {
-		return err
-	}
-	sm.Opts.Parallel = psolve.ModePortfolio
-	sm.Opts.ParallelWorkers = 2
-	sm.Opts.Seed = rng.Int63()
-	goal, err := q.spec().Goal()
-	if err != nil {
-		return err
-	}
-	sess := sm.NewSession()
-	for i := 0; i < 2; i++ {
-		got, err := answer(sm, goal, sess.Check)
-		if err != nil {
-			return fmt.Errorf("fuzz: %s: parallel session check %d: %w", s.Name, i, err)
-		}
-		if got != want {
-			return fmt.Errorf("fuzz: %s: parallel session check %d disagrees: got %v want %v",
-				s.Name, i, got, want)
-		}
-	}
-	return nil
-}
-
 // An edit is one step of ServiceSequenceParity's menu: it rewrites the
 // parsed network in place (the texts are printed from it afterwards).
 var edits = []struct {
@@ -495,9 +428,26 @@ var edits = []struct {
 		r := routers[rng.Intn(len(routers))]
 		r.Statics = append(r.Statics, &config.StaticRoute{Prefix: q.sub, Drop: true})
 	}},
+	{"local-pref", func(rng *rand.Rand, routers []*config.Router, _ query) {
+		// An import policy preferring one BGP session; nothing to edit on a
+		// network without one.
+		var speakers []*config.Router
+		for _, r := range routers {
+			if r.BGP != nil && len(r.BGP.Neighbors) > 0 {
+				speakers = append(speakers, r)
+			}
+		}
+		if len(speakers) == 0 {
+			return
+		}
+		r := speakers[rng.Intn(len(speakers))]
+		r.RouteMaps["FUZZLP"] = &config.RouteMap{Name: "FUZZLP", Clauses: []*config.RouteMapClause{
+			{Seq: 10, Action: config.Permit, SetLocalPref: uint32(50 + rng.Intn(400))}}}
+		r.BGP.Neighbors[rng.Intn(len(r.BGP.Neighbors))].InMap = "FUZZLP"
+	}},
 }
 
-// ServiceSequenceParity is the stateful-reuse oracle (the seventh
+// ServiceSequenceParity is the stateful-reuse oracle (the sixth
 // family): every other oracle starts from one network and one query,
 // while a daemon lives through a sequence of edited networks and reuses
 // what it holds — verdict cache, sessions, compiled systems. A seeded
@@ -570,10 +520,9 @@ type oracle struct {
 }
 
 // oracles is the table CheckAll walks: the differential oracle (SimSafe
-// scenarios only), the three metamorphic oracles, tiered parity,
-// parallel-engine parity, modular parity and the service sequence
-// oracle. Certification runs implicitly in the SAT-based ones. A new
-// oracle is one more row.
+// scenarios only), the three metamorphic oracles, tiered parity, modular
+// parity and the service sequence oracle. Certification runs implicitly
+// in the SAT-based ones. A new oracle is one more row.
 func oracles(simIters int) []oracle {
 	return []oracle{
 		{"diff-vs-sim", func(s *Scenario) bool { return s.SimSafe },
@@ -582,7 +531,6 @@ func oracles(simIters int) []oracle {
 		{"path-parity", nil, (*Scenario).PathParity},
 		{"renaming-parity", nil, (*Scenario).RenamingParity},
 		{"tier-parity", nil, (*Scenario).TierParity},
-		{"parallel-parity", nil, (*Scenario).ParallelParity},
 		{"modular-parity", nil, (*Scenario).ModularParity},
 		{"service-sequence-parity", nil, (*Scenario).ServiceSequenceParity},
 	}

@@ -256,19 +256,13 @@ type Fig8Row struct {
 	ProofHinted    int
 	ProofFallbacks int
 	ProofCheck     time.Duration
-	// Deterministic work columns, from the adopted search's counters and
-	// the cost ledger's byte estimates. At a fixed seed with a sequential
-	// search these are machine-independent, so the regression gate holds
-	// them to a far tighter tolerance than wall-clock time.
+	// Deterministic work columns, from the search's counters and the cost
+	// ledger's byte estimates. These are machine-independent, so the
+	// regression gate holds them exactly.
 	Decisions     int64
 	Propagations  int64
 	ClauseDBBytes int64
 	ProofBytes    int64
-	// SpentUnits totals decisions+propagations+conflicts across every
-	// solver task in the ledger — equal to the adopted units on a
-	// sequential search, larger under portfolio/cube parallelism where
-	// losing tasks also burn work.
-	SpentUnits int64
 	// Profile is the per-origin hot-constraint profile, populated only
 	// when the fabric runs with ProfileOrigins.
 	Profile *provenance.Profile
@@ -302,12 +296,6 @@ type Fabric struct {
 	// rows carry the per-origin hot-constraint profile.
 	ProfileOrigins bool
 
-	// Parallel selects the parallel solve strategy for every encode
-	// (core.Options.Parallel syntax); empty keeps the sequential search.
-	// ParallelWorkers bounds solver-level parallelism (<=0: one per CPU).
-	Parallel        string
-	ParallelWorkers int
-
 	Obs           *obs.Span
 	ProgressEvery int64
 	OnProgress    func(sat.Progress)
@@ -324,10 +312,6 @@ func (f *Fabric) encode(opts core.Options) (*core.Model, error) {
 	}
 	if f.ProfileOrigins {
 		opts.ProfileOrigins = true
-	}
-	if f.Parallel != "" {
-		opts.Parallel = f.Parallel
-		opts.ParallelWorkers = f.ParallelWorkers
 	}
 	m, err := core.Encode(f.Net.Graph, opts)
 	if err != nil {
@@ -469,7 +453,6 @@ func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
 		t := res.Cost.Total()
 		row.ClauseDBBytes = t.ClauseDBBytes
 		row.ProofBytes = t.ProofBytes
-		row.SpentUnits = t.Units()
 	}
 	if cert := res.Certificate; cert != nil {
 		row.ProofSteps = cert.Steps

@@ -133,47 +133,42 @@ func TestAblationMonotone(t *testing.T) {
 
 // TestCertifiedFabricNeverFallsBack holds hint coverage to a count: on
 // the pods-2 fabric every lemma of every certified verdict — fresh
-// solver, portfolio winner (whose trace continues a clone's), and one
-// long-lived session — is verified from the antecedents the solver
-// recorded. A clause that reaches the database without a step id shows
-// up here as a fallback, not months later as a slow benchmark.
+// solver and one long-lived session — is verified from the antecedents
+// the solver recorded. A clause that reaches the database without a step
+// id shows up here as a fallback, not months later as a slow benchmark.
 func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 	f, err := BuildFabric(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Certify = true
-	for _, parallel := range []string{"", "portfolio"} {
-		f.Parallel, f.ParallelWorkers = parallel, 2
-		hinted := 0
-		for _, prop := range AllFig8Props() {
-			if prop == Fig8LocalConsist {
-				continue // structural: no proof
-			}
-			row, err := RunFig8Property(f, prop)
-			if err != nil {
-				t.Fatalf("parallel=%q %s: %v", parallel, prop, err)
-			}
-			if !row.Verified || row.ProofLemmas == 0 {
-				t.Fatalf("parallel=%q %s: verified=%v with %d lemmas, want a checked proof", parallel, prop, row.Verified, row.ProofLemmas)
-			}
-			if row.ProofFallbacks != 0 {
-				t.Errorf("parallel=%q %s: %d of %d lemmas fell back to search", parallel, prop, row.ProofFallbacks, row.ProofLemmas)
-			}
-			hinted += row.ProofHinted
+	hinted := 0
+	for _, prop := range AllFig8Props() {
+		if prop == Fig8LocalConsist {
+			continue // structural: no proof
 		}
-		if hinted == 0 {
-			t.Errorf("parallel=%q: no lemma was verified from hints", parallel)
+		row, err := RunFig8Property(f, prop)
+		if err != nil {
+			t.Fatalf("%s: %v", prop, err)
 		}
+		if !row.Verified || row.ProofLemmas == 0 {
+			t.Fatalf("%s: verified=%v with %d lemmas, want a checked proof", prop, row.Verified, row.ProofLemmas)
+		}
+		if row.ProofFallbacks != 0 {
+			t.Errorf("%s: %d of %d lemmas fell back to search", prop, row.ProofFallbacks, row.ProofLemmas)
+		}
+		hinted += row.ProofHinted
+	}
+	if hinted == 0 {
+		t.Error("no lemma was verified from hints")
 	}
 
-	f.Parallel = ""
 	m, err := f.encode(core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := m.NewSession()
-	hinted := 0
+	hinted = 0
 	for _, prop := range AllFig8Props() {
 		goal, ok := Fig8Goal(f, prop)
 		if !ok {

@@ -1,15 +1,15 @@
 // Package cost is the hierarchical per-query resource ledger: where the
 // verifier's effort actually went, attributed along the execution tree
 //
-//	job → goal → tier(graph/sat) → component/cube/racer → phase
+//	job → goal → tier(graph/sat) → component → phase
 //
 // Each Node charges one step of that tree with three kinds of account:
 //
 //   - deterministic work units (Work): solver counters from sat.Stats
-//     plus clause-database and DRAT-proof byte accounting. At a fixed
-//     seed with one worker these are pure functions of the input, so
-//     they are bit-identical across machines and run-to-run — the
-//     currency of the regression gates and of service admission control.
+//     plus clause-database and DRAT-proof byte accounting. These are
+//     pure functions of the input, so they are bit-identical across
+//     machines and run-to-run — the currency of the regression gates and
+//     of service admission control.
 //   - wall and (approximate, process-wide) CPU time per phase.
 //   - memory: cumulative heap-allocation deltas and a live-heap
 //     watermark from runtime/metrics snapshots. These are reported but
@@ -17,9 +17,8 @@
 //
 // Nodes merge (Merge) the way origin profiles do: same-name children
 // fold recursively, counters add, watermarks take the maximum. The
-// parallel engine merges per-racer ledgers, the modular runner merges
-// per-class ledgers, and the service merges per-check ledgers into one
-// job tree.
+// modular runner merges per-class ledgers, and the service merges
+// per-check ledgers into one job tree.
 //
 // The invariant every exporter relies on: a node's Total equals its own
 // Self work plus the sum of its children's Totals, so the root of a

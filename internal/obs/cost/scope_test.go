@@ -17,7 +17,7 @@ func TestMergeNeverAliasesItsDonor(t *testing.T) {
 		d := New("goal")
 		d.Child("blast").Add(Work{ClauseDBBytes: 100})
 		d.Child("solve").Add(Work{Conflicts: conflicts, Propagations: 10 * conflicts})
-		d.Child("solve").Child("racer:0").Add(Work{Decisions: 1})
+		d.Child("solve").Child("part:0").Add(Work{Decisions: 1})
 		d.Child("solve").AddWall(time.Millisecond)
 		return d
 	}
@@ -37,7 +37,7 @@ func TestMergeNeverAliasesItsDonor(t *testing.T) {
 		t.Fatalf("same donors, different roots: %+v vs %+v, want %+v", a.Total(), b.Total(), want1.Plus(want2))
 	}
 	// Growing one root must reach neither the other root nor the donors.
-	a.Find("solve", "racer:0").Add(Work{Decisions: 100})
+	a.Find("solve", "part:0").Add(Work{Decisions: 100})
 	if b.Total() != want1.Plus(want2) || d1.Total() != want1 {
 		t.Fatal("roots or donors share a node with the root that grew")
 	}

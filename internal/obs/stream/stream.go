@@ -51,16 +51,12 @@ const (
 	EventPhaseStart = "phase.start"
 	EventPhaseEnd   = "phase.end"
 
-	// Solver and pipeline detail. Portfolio and cube events describe how
-	// a parallel solve (internal/psolve) reached its verdict; their names
-	// match psolve.EventPortfolio and psolve.EventCube, which emits them.
-	EventSolverProgress  = "solver.progress"
-	EventSolverPortfolio = "solver.portfolio"
-	EventSolverCube      = "solver.cube"
-	EventPass            = "pass"
-	EventCertify         = "certify.done"
-	EventBlame           = "blame.done"
-	EventVerdict         = "verdict"
+	// Solver and pipeline detail.
+	EventSolverProgress = "solver.progress"
+	EventPass           = "pass"
+	EventCertify        = "certify.done"
+	EventBlame          = "blame.done"
+	EventVerdict        = "verdict"
 
 	// Modular verification (internal/modular) progress: the plan's
 	// component/class counts, one event per solved class, and the

@@ -119,8 +119,7 @@ func passNames(res *core.Result) string {
 //   - every time the Result reports is the wall time of the ledger phase it
 //     names, and Elapsed is their sum;
 //   - the ledger's work is the solver's: equal to Stats counter for
-//     counter, except under a portfolio, whose ledger prices what the race
-//     spent (at least what the verdict adopted);
+//     counter;
 //   - with a sink and a span attached, the phase.end events, the ledger's
 //     children and the phase spans name the same phases, each once, and no
 //     phase.start goes unanswered.
@@ -174,11 +173,10 @@ func TestPhaseAccounts(t *testing.T) {
 		name   string
 		run    func(t *testing.T, r *rig) *core.Result
 		phases string // the ledger's children, sorted
-		// spent: the ledger prices a race (work >= Stats, not ==).
 		// merged: the ledger is composed of component ledgers whose checks
 		// ran without spans or a sink; only the books are compared.
-		spent, merged bool
-		extra         func(t *testing.T, r *rig, res *core.Result)
+		merged bool
+		extra  func(t *testing.T, r *rig, res *core.Result)
 	}{
 		{name: "fresh", phases: "blast compile simplify solve",
 			run: func(t *testing.T, r *rig) *core.Result {
@@ -352,18 +350,6 @@ func TestPhaseAccounts(t *testing.T) {
 				}
 				return v.Result
 			}},
-		{name: "portfolio", phases: "blast compile simplify solve", spent: true,
-			run: fresh(with(func(o *core.Options) { o.Parallel, o.ParallelWorkers = "portfolio", 3 }), true),
-			extra: func(t *testing.T, r *rig, res *core.Result) {
-				solve := res.Cost.Find("solve")
-				adopted := 0
-				for _, racer := range solve.Children {
-					adopted += int(racer.Meta["adopted"])
-				}
-				if len(solve.Children) != 3 || adopted != 1 || res.Portfolio == nil {
-					t.Errorf("solve node: %d racers, %d adopted", len(solve.Children), adopted)
-				}
-			}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -405,14 +391,10 @@ func TestPhaseAccounts(t *testing.T) {
 			}
 
 			// One account of work.
-			spent, adopted := ledger.Total(), cost.FromStats(res.Stats)
-			spent.ClauseDBBytes, spent.ProofBytes = 0, 0
-			if row.spent {
-				if spent.Units() < adopted.Units() {
-					t.Errorf("a race spent %d units and adopted %d", spent.Units(), adopted.Units())
-				}
-			} else if spent != adopted {
-				t.Errorf("ledger work %+v, solver stats %+v", spent, adopted)
+			work := ledger.Total()
+			work.ClauseDBBytes, work.ProofBytes = 0, 0
+			if stats := cost.FromStats(res.Stats); work != stats {
+				t.Errorf("ledger work %+v, solver stats %+v", work, stats)
 			}
 
 			// One name per phase, on every account.

@@ -27,8 +27,8 @@ const (
 // strategy tree until a second ordering exists.
 type Options struct {
 	// Options are the modular step's scheduling knobs. Core configures
-	// every encode of every step (passes, certification, blame, parallel
-	// strategy, parent span); Core.Tiers switches the graph tier
+	// every encode of every step (passes, certification, blame, parent
+	// span); Core.Tiers switches the graph tier
 	// (tiered.ValidateTiers syntax). OnEvent is additionally the sink of
 	// Run's own phases (fastpath, property); the phases of the monolithic
 	// check go to its model's OnEvent, which a Live caller routes to the

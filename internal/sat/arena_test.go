@@ -187,7 +187,6 @@ func TestClauseDBFull(t *testing.T) {
 			t.Fatalf("a clause that fits was not added: %d clauses", s.NumClauses())
 		}
 		refused(t, s)
-		refused(t, s.Clone())
 	})
 
 	t.Run("learned clause mid-search", func(t *testing.T) {
@@ -198,62 +197,4 @@ func TestClauseDBFull(t *testing.T) {
 			t.Fatalf("search did not stop at a learned clause that did not fit: %+v", s.Stats)
 		}
 	})
-
-	t.Run("after Clone", func(t *testing.T) {
-		template := pigeonhole(6)
-		template.arenaLimit = len(template.arena) + 200
-		c := template.Clone()
-		refused(t, c)
-		// The clone's exhaustion is its own.
-		template.arenaLimit = 1 << 30
-		if st := template.Solve(); st != Unsat {
-			t.Fatalf("template after its clone filled up = %v, want unsat", st)
-		}
-	})
-}
-
-// TestCloneIndependentAfterCompaction: a clone taken at level 0 after the
-// database was relocated shares no backing array with its template —
-// solving one moves nothing in the other — and both then run the same
-// search.
-func TestCloneIndependentAfterCompaction(t *testing.T) {
-	a := pigeonhole(7)
-	a.EnableProof()
-	a.CompactAlways()
-	a.MaxConflicts = 3000
-	if st, err := a.SolveLimited(); st != Unsolved || !errors.Is(err, ErrBudget) {
-		t.Fatalf("probe = %v, %v, want the budget to run out", st, err)
-	}
-	if a.Stats.Deleted == 0 {
-		t.Fatal("probe never reached reduceDB, so nothing was relocated")
-	}
-	a.MaxConflicts = 0
-	b := a.Clone()
-	for name, same := range map[string]bool{
-		"arena":   &a.arena[0] == &b.arena[0],
-		"clauses": &a.clauses[0] == &b.clauses[0],
-		"learnts": &a.learnts[0] == &b.learnts[0],
-		"reason":  &a.reason[0] == &b.reason[0],
-		"assigns": &a.assigns[0] == &b.assigns[0],
-	} {
-		if same {
-			t.Errorf("clone shares its %s with the template", name)
-		}
-	}
-	before, steps, bytes := b.Stats, b.Proof().NumSteps(), b.ClauseDBBytes()
-	if st := a.Solve(); st != Unsat {
-		t.Fatalf("template = %v, want unsat", st)
-	}
-	if b.Stats != before || b.Proof().NumSteps() != steps || b.ClauseDBBytes() != bytes {
-		t.Fatal("solving the template moved the clone")
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatalf("clone after the template's solve: %v", err)
-	}
-	if st := b.Solve(); st != Unsat {
-		t.Fatalf("clone = %v, want unsat", st)
-	}
-	if a.Stats != b.Stats || a.Proof().Bytes() != b.Proof().Bytes() {
-		t.Fatalf("template and clone ran different searches:\n%+v\n%+v", a.Stats, b.Stats)
-	}
 }

@@ -83,20 +83,25 @@ func BenchLayers(b *testing.B, nVars int, cnf [][]Lit) {
 	})
 
 	b.Run("reducedb", func(b *testing.B) {
-		template := load()
-		template.MaxConflicts = 200
-		template.SolveLimited()
-		if len(template.learnts) < 100 {
-			b.Skipf("only %d clauses learned in 200 conflicts", len(template.learnts))
+		// The search is deterministic: every probe ends on the same database.
+		probe := func() *Solver {
+			s := load()
+			s.MaxConflicts = 200
+			s.SolveLimited()
+			return s
+		}
+		learnts := len(probe().learnts)
+		if learnts < 100 {
+			b.Skipf("only %d clauses learned in 200 conflicts", learnts)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s := template.Clone()
+			s := probe()
 			b.StartTimer()
 			s.reduceDB()
 		}
-		b.ReportMetric(float64(len(template.learnts)), "learnts")
+		b.ReportMetric(float64(learnts), "learnts")
 	})
 }

@@ -95,50 +95,37 @@ func TestHintsCostNoStructGrowth(t *testing.T) {
 }
 
 // TestHintArena fills the arena past several chunk boundaries, with one
-// list longer than a chunk, and reads every step's hints back, from the
-// proof and from a clone that went on recording separately.
+// list longer than a chunk, and reads every step's hints back.
 func TestHintArena(t *testing.T) {
-	s := New()
-	p := s.EnableProof()
+	p := New().EnableProof()
 	next := int32(0)
-	put := func(p *Proof, n int) []int32 {
+	var want [][]int32
+	for _, n := range []int{0, 1, 1<<hintChunkBits - 1, 2, 0, 1<<hintChunkBits + 5, 3, 1 << hintChunkBits, 7, 9} {
 		h := make([]int32, n)
 		for i := range h {
 			h[i] = next
 			next++
 		}
 		p.AppendShared(ProofStep{Kind: ProofDerive}, h...)
-		return h
+		want = append(want, h)
 	}
-	var want [][]int32
-	for _, n := range []int{0, 1, 1<<hintChunkBits - 1, 2, 0, 1<<hintChunkBits + 5, 3, 1 << hintChunkBits, 7} {
-		want = append(want, put(p, n))
+	if p.NumSteps() != len(want) {
+		t.Fatalf("%d steps, want %d", p.NumSteps(), len(want))
 	}
-	c := s.Clone().Proof()
-	wantP := append(want[:len(want):len(want)], put(p, 9))
-	wantC := append(want[:len(want):len(want)], put(c, 11))
-	for name, q := range map[string]struct {
-		p    *Proof
-		want [][]int32
-	}{"proof": {p, wantP}, "clone": {c, wantC}} {
-		if q.p.NumSteps() != len(q.want) {
-			t.Fatalf("%s: %d steps, want %d", name, q.p.NumSteps(), len(q.want))
+	total := 0
+	for i, w := range want {
+		got := p.Hints(i)
+		if len(got) != len(w) {
+			t.Fatalf("step %d: %d hints, want %d", i, len(got), len(w))
 		}
-		total := 0
-		for i, w := range q.want {
-			got := q.p.Hints(i)
-			if len(got) != len(w) {
-				t.Fatalf("%s step %d: %d hints, want %d", name, i, len(got), len(w))
+		for k := range w {
+			if got[k] != w[k] {
+				t.Fatalf("step %d: hint %d is %d, want %d", i, k, got[k], w[k])
 			}
-			for k := range w {
-				if got[k] != w[k] {
-					t.Fatalf("%s step %d: hint %d is %d, want %d", name, i, k, got[k], w[k])
-				}
-			}
-			total += len(w)
 		}
-		if q.p.NumHints() != total {
-			t.Fatalf("%s: NumHints %d, want %d", name, q.p.NumHints(), total)
-		}
+		total += len(w)
+	}
+	if p.NumHints() != total {
+		t.Fatalf("NumHints %d, want %d", p.NumHints(), total)
 	}
 }

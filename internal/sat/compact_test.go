@@ -170,30 +170,6 @@ func TestRelocationInvisible(t *testing.T) {
 			})
 		}
 	})
-
-	// The shape of psolve's determinism pin: clones of one template, taken
-	// after the template searched (and relocated), run the template's
-	// search.
-	t.Run("clones", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(3))
-		for iter := 0; iter < 20; iter++ {
-			both(t, 120, sat.Random3SAT(rng, 120, 516, false), func(t *testing.T, s *sat.Solver, _ *sat.Proof) (sat.Status, []sat.Lit) {
-				s.MaxConflicts = 1500
-				if st, _ := s.SolveLimited(); st != sat.Unsolved {
-					return st, nil
-				}
-				s.MaxConflicts = 0
-				s.ReduceDB()
-				one, two := s.Clone(), s.Clone()
-				st := one.Solve()
-				if two.Solve() != st || s.Solve() != st || one.Stats != two.Stats || one.Stats != s.Stats ||
-					!reflect.DeepEqual(one.Proof().Steps(), s.Proof().Steps()) {
-					t.Fatalf("iter %d: template and clones diverge:\n%+v\n%+v\n%+v", iter, s.Stats, one.Stats, two.Stats)
-				}
-				return st, nil
-			})
-		}
-	})
 }
 
 // TestBinaryClauses walks the cases in which a two-literal clause is

@@ -51,9 +51,6 @@ func (s *Solver) EnableOriginTracking() {
 	}
 }
 
-// TrackingOrigins reports whether origin tracking is enabled.
-func (s *Solver) TrackingOrigins() bool { return s.origins != nil }
-
 // SetOrigin declares the base origins of the clauses added next. With
 // tracking off it is a no-op; an empty call resets to "no origin".
 func (s *Solver) SetOrigin(bases ...int32) {
@@ -84,40 +81,6 @@ func (s *Solver) OriginSnapshot() (sets [][]int32, counts []OriginCounts) {
 		sets[i] = append([]int32(nil), set...)
 	}
 	return sets, append([]OriginCounts(nil), s.origins.counts...)
-}
-
-// InternOriginSet interns a base-id set and returns its id, without
-// changing the current clause origin. The parallel solve engine uses it
-// to remap origin ids recorded by a racing clone back into the template
-// solver's tables before adopting the clone's proof trace.
-func (s *Solver) InternOriginSet(bases []int32) int32 {
-	if s.origins == nil {
-		return 0
-	}
-	return s.origins.intern(bases)
-}
-
-// clone deep-copies the tracking tables so a cloned solver interns new
-// sets without perturbing the original's ids.
-func (o *originState) clone() *originState {
-	n := &originState{
-		cur:     o.cur,
-		sets:    make([][]int32, len(o.sets)),
-		keys:    make(map[string]int32, len(o.keys)),
-		counts:  append([]OriginCounts(nil), o.counts...),
-		unions:  make(map[uint64]int32, len(o.unions)),
-		learned: o.learned,
-	}
-	for i, set := range o.sets {
-		n.sets[i] = append([]int32(nil), set...)
-	}
-	for k, v := range o.keys {
-		n.keys[k] = v
-	}
-	for k, v := range o.unions {
-		n.unions[k] = v
-	}
-	return n
 }
 
 // clauseOrigin is the origin stamped onto clauses being added now.

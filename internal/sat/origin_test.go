@@ -86,7 +86,7 @@ func TestOriginTrackingOffIsFree(t *testing.T) {
 	if sets, counts := s.OriginSnapshot(); sets != nil || counts != nil {
 		t.Fatalf("snapshot without tracking: %v %v", sets, counts)
 	}
-	if s.TrackingOrigins() {
-		t.Fatal("TrackingOrigins() true without enable")
+	if s.origins != nil {
+		t.Fatal("origin tables exist without enable")
 	}
 }

@@ -156,9 +156,8 @@ func (p *Proof) add(k ProofKind, lits []Lit, origin int32, hints ...int32) int32
 	return int32(len(p.steps) - 1)
 }
 
-// NewProof returns an empty proof for external assembly: the parallel
-// solve engine stitches per-cube traces into one checkable proof through
-// AppendShared.
+// NewProof returns an empty proof for external assembly through
+// AppendShared (the checker's tests build traces by hand).
 func NewProof() *Proof { return &Proof{} }
 
 // AppendShared appends a step sharing its literal slice with the caller

@@ -249,23 +249,6 @@ type Solver struct {
 	// SolveLimited.
 	MaxConflicts int64
 
-	// RestartBase, when positive, overrides the Luby restart unit (the
-	// conflict budget of the first restart interval). Zero keeps the
-	// default of 100. Portfolio configurations vary it to diversify
-	// restart schedules across racing solvers.
-	RestartBase float64
-
-	// RandomFreq, when positive, is the probability that a decision picks
-	// a random heap variable instead of the VSIDS maximum. Randomness
-	// comes from the solver's own deterministic generator (SeedRandom), so
-	// runs with equal seeds are reproducible.
-	RandomFreq float64
-
-	// rng is the xorshift state behind RandomFreq decisions; zero means
-	// "unseeded" and is lazily replaced by a fixed constant so RandomFreq
-	// works without SeedRandom.
-	rng uint64
-
 	// ProgressEvery, when positive, makes the solver call OnProgress
 	// after every ProgressEvery conflicts. The hook runs synchronously on
 	// the solving goroutine; hand the snapshot to a channel (or other
@@ -841,19 +824,8 @@ func (s *Solver) claBump(c cref) {
 func (s *Solver) claDecayActivity() { s.claInc /= s.claDecay }
 
 // pickBranchLit chooses the next decision literal, using VSIDS order and
-// saved phases. It returns -1 when all variables are assigned. With
-// RandomFreq set, a fraction of decisions instead picks a uniform heap
-// variable, leaving it in the heap: later pops skip assigned variables
-// anyway, so the order invariants are untouched.
+// saved phases. It returns -1 when all variables are assigned.
 func (s *Solver) pickBranchLit() Lit {
-	if s.RandomFreq > 0 && s.randFloat() < s.RandomFreq {
-		if n := len(s.order.heap); n > 0 {
-			v := s.order.heap[s.nextRand()%uint64(n)]
-			if s.Value(v) == Unknown {
-				return MkLit(v, s.polarity[v])
-			}
-		}
-	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
@@ -897,6 +869,9 @@ func (s *Solver) locked(c cref) bool {
 	return s.value(l) == True && s.reason[l.Var()] == c
 }
 
+// lubyUnit is the conflict budget of the first restart interval.
+const lubyUnit = 100.0
+
 // luby computes the Luby restart sequence term for index i (1-based), with
 // unit u.
 func luby(u float64, i int) float64 {
@@ -936,14 +911,10 @@ func (s *Solver) SolveLimited(assumptions ...Lit) (Status, error) {
 		return Unsolved, ErrClauseDBFull
 	}
 
-	restartBase := s.RestartBase
-	if restartBase <= 0 {
-		restartBase = 100.0
-	}
 	var conflictsTotal int64
 
 	for restart := 0; ; restart++ {
-		budget := int64(luby(restartBase, restart))
+		budget := int64(luby(lubyUnit, restart))
 		st, conflicts := s.search(budget, assumptions)
 		conflictsTotal += conflicts
 		if st != Unsolved {

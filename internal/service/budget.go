@@ -16,9 +16,9 @@ import (
 // turns the recorded breach into a budget_exceeded verdict rather than a
 // job failure.
 //
-// observe runs on whichever goroutine drives the search (the checking
-// worker sequentially, a racer under parallel solve), so the breach
-// record is mutex-protected.
+// observe runs on the goroutine that drives the search (the checking
+// worker); the breach record is mutex-protected, so nothing depends on
+// which goroutine that is.
 type budgetState struct {
 	cancel     context.CancelFunc
 	workBudget int64 // solver work units (decisions+propagations+conflicts); 0 = unlimited
@@ -66,8 +66,8 @@ func (b *budgetState) observe(p sat.Progress) {
 }
 
 // trip records the first breach and cancels the check. Later calls (the
-// hook may fire again before the solver notices the interrupt, and
-// racers trip independently) keep the first record.
+// hook may fire again before the solver notices the interrupt) keep the
+// first record.
 func (b *budgetState) trip(kind string, observed, limit int64, spent cost.Work) {
 	b.mu.Lock()
 	first := b.breached == ""

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs/cost"
 )
 
@@ -141,7 +142,7 @@ func TestCostEndpoint(t *testing.T) {
 // not cached, and the session keeps answering.
 func TestWorkBudgetExceeded(t *testing.T) {
 	e := NewEngine(Options{
-		Workers: 1, Timeout: 60 * time.Second, Tiers: "none",
+		Workers: 1, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none"},
 		WorkBudget: 1, ProgressEvery: 1,
 	})
 	t.Cleanup(e.Close)
@@ -196,7 +197,7 @@ func TestWorkBudgetExceeded(t *testing.T) {
 // engine is idle.
 func TestMemBudgetExceeded(t *testing.T) {
 	e := NewEngine(Options{
-		Workers: 1, Timeout: 60 * time.Second, Tiers: "none",
+		Workers: 1, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none"},
 		MemBudgetBytes: 1, ProgressEvery: 1,
 	})
 	t.Cleanup(e.Close)

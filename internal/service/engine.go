@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs/stream"
 	"repro/internal/pipeline"
 	"repro/internal/provenance"
-	"repro/internal/psolve"
 	"repro/internal/sat"
 	"repro/internal/tiered"
 )
@@ -46,24 +45,13 @@ type Options struct {
 	// Timeout is the per-job default deadline (default 120s),
 	// overridable per request via TimeoutMs.
 	Timeout time.Duration
-	// Passes selects the optimization pipeline for every encoded
-	// network (core.Options.Passes syntax); empty keeps the default
-	// pipeline.
-	Passes string
-	// Tiers selects the verification tiers (tiered.ValidateTiers syntax):
-	// by default ("" or "graph,sat") every job first tries the sound
-	// graph fast path and only residue reaches the solver; "sat"/"none"
-	// disables the fast path, reproducing the untiered engine exactly.
-	Tiers string
-	// Parallel selects the parallel solve strategy for every solver-bound
-	// check (core.Options.Parallel syntax: off, portfolio, cubes, auto).
-	// The engine arbitrates cores by handing the parallel engine its own
-	// worker pool, so solver- and job-level parallelism share the same
-	// budget instead of oversubscribing the machine.
-	Parallel string
-	// ParallelWorkers bounds solver-level parallelism per check (<=0
-	// means one per CPU).
-	ParallelWorkers int
+	// Core configures every encode and check the engine runs (see
+	// core.Options): the pass pipeline; the verification tiers — by
+	// default every job first tries the sound graph fast path and only
+	// residue reaches the solver; certification, where a rejected
+	// certificate fails the job; blame; origin profiling, served at
+	// GET /v1/jobs/{id}/profile. Span is set per job.
+	Core core.Options
 	// Modular verifies multi-component networks with the assume/guarantee
 	// pipeline (internal/modular) when the spec's goal is in its
 	// vocabulary: cut at the eBGP interfaces, verify one representative
@@ -72,20 +60,6 @@ type Options struct {
 	// kind falls back to the monolithic session; the monolithic encode is
 	// skipped entirely when the composed verdict stands.
 	Modular bool
-	// Certify records a DRAT proof trace for every network's solver
-	// session and validates it with the in-process checker whenever a
-	// job's verdict is "verified"; checked certificates are reported in
-	// the verdict's proof fields, rejected ones fail the job.
-	Certify bool
-	// Blame extracts the UNSAT core of every verified job (implying
-	// proof logging) and reports the configuration origins it depends on
-	// in the verdict's blame field; falsified jobs blame the origins
-	// fixing the counterexample's forwarding decisions.
-	Blame bool
-	// ProfileOrigins keeps per-origin solver counters and attaches a
-	// hot-constraint profile to every job, served at
-	// GET /v1/jobs/{id}/profile.
-	ProfileOrigins bool
 	// MaxJobs bounds the finished-job map (default 1024): once more
 	// jobs than this are retained, the oldest finished jobs — and their
 	// flight recorders — are evicted FIFO. Queued and running jobs are
@@ -157,8 +131,7 @@ type netEntry struct {
 
 	// curBudget is the budget enforcer of the job currently checking on
 	// this entry's session, consulted by the same progress hook. Same
-	// locking story as curRec; the state itself synchronizes internally
-	// because parallel racers observe it concurrently.
+	// locking story as curRec; the state also synchronizes internally.
 	curBudget *budgetState
 }
 
@@ -290,22 +263,8 @@ func (j *Job) View() View {
 // (network, property) jobs with per-network solver sessions and a
 // content-addressed verdict cache.
 type Engine struct {
-	tr            *obs.Trace
-	timeout       time.Duration
-	passes        string
-	tiers         string
-	parallel      string
-	parallelWk    int
-	modular       bool
-	certify       bool
-	blame         bool
-	profOrig      bool
-	maxJobs       int
-	eventBuf      int
-	progressEvery int64
-	workBudget    int64
-	memBudget     int64
-	log           *slog.Logger
+	// opts is the configuration NewEngine was given, defaults filled in.
+	opts Options
 
 	jobCh chan *Job
 	// helpCh hands component-check closures to idle workers: sends are
@@ -354,28 +313,13 @@ func NewEngine(o Options) *Engine {
 		o.ProgressEvery = 1000
 	}
 	e := &Engine{
-		tr:            o.Trace,
-		timeout:       o.Timeout,
-		passes:        o.Passes,
-		tiers:         o.Tiers,
-		parallel:      o.Parallel,
-		parallelWk:    o.ParallelWorkers,
-		modular:       o.Modular,
-		certify:       o.Certify,
-		blame:         o.Blame,
-		profOrig:      o.ProfileOrigins,
-		maxJobs:       o.MaxJobs,
-		eventBuf:      o.EventBuffer,
-		progressEvery: o.ProgressEvery,
-		workBudget:    o.WorkBudget,
-		memBudget:     o.MemBudgetBytes,
-		log:           o.Logger,
-		jobCh:         make(chan *Job, o.QueueDepth),
-		helpCh:        make(chan func()),
-		jobs:          map[string]*Job{},
-		nets:          map[string]*netSlot{},
-		byParse:       map[string]*netEntry{},
-		cache:         map[string]*Verdict{},
+		opts:    o,
+		jobCh:   make(chan *Job, o.QueueDepth),
+		helpCh:  make(chan func()),
+		jobs:    map[string]*Job{},
+		nets:    map[string]*netSlot{},
+		byParse: map[string]*netEntry{},
+		cache:   map[string]*Verdict{},
 	}
 	e.wg.Add(o.Workers)
 	for i := 0; i < o.Workers; i++ {
@@ -385,7 +329,7 @@ func NewEngine(o Options) *Engine {
 }
 
 // Trace returns the engine's metrics registry (the /metrics source).
-func (e *Engine) Trace() *obs.Trace { return e.tr }
+func (e *Engine) Trace() *obs.Trace { return e.opts.Trace }
 
 // Close stops accepting jobs, drains the queue and waits for the workers.
 func (e *Engine) Close() {
@@ -436,7 +380,7 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeout := e.timeout
+	timeout := e.opts.Timeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}
@@ -449,7 +393,7 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 		key:     cacheKey(netKey, spec),
 		timeout: timeout,
 		done:    make(chan struct{}),
-		rec:     stream.NewRecorder(e.eventBuf),
+		rec:     stream.NewRecorder(e.opts.EventBuffer),
 		status:  StatusQueued,
 		created: time.Now(),
 	}
@@ -466,13 +410,13 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 
 	select {
 	case e.jobCh <- j:
-		e.tr.Add("service.jobs_queued", 1)
-		e.tr.Gauge("service.queue_depth", float64(len(e.jobCh)))
+		e.opts.Trace.Add("service.jobs_queued", 1)
+		e.opts.Trace.Gauge("service.queue_depth", float64(len(e.jobCh)))
 		j.rec.Emit(stream.EventJobSubmitted, map[string]any{
 			"job": j.ID, "check": spec.Check, "timeout_ms": timeout.Milliseconds(),
 		})
-		if e.log != nil {
-			e.log.Info("job submitted", "job", j.ID, "check", spec.Check)
+		if e.opts.Logger != nil {
+			e.opts.Logger.Info("job submitted", "job", j.ID, "check", spec.Check)
 		}
 		return j, nil
 	default:
@@ -510,7 +454,7 @@ func (e *Engine) worker() {
 			if !ok {
 				return
 			}
-			e.tr.Gauge("service.queue_depth", float64(len(e.jobCh)))
+			e.opts.Trace.Gauge("service.queue_depth", float64(len(e.jobCh)))
 			e.runJob(j)
 		case t := <-e.helpCh:
 			t()
@@ -569,16 +513,16 @@ func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
 	}
 	j.rec.Close()
 
-	e.tr.ObserveBounds("service.job_queued_ms", durMs(queued), obs.LatencyMsBounds)
-	e.tr.ObserveBounds("service.job_run_ms", durMs(run), obs.LatencyMsBounds)
+	e.opts.Trace.ObserveBounds("service.job_queued_ms", durMs(queued), obs.LatencyMsBounds)
+	e.opts.Trace.ObserveBounds("service.job_run_ms", durMs(run), obs.LatencyMsBounds)
 	if err != nil {
-		e.tr.Add("service.jobs_failed", 1)
-		if e.log != nil {
-			e.log.Error("job failed", "job", j.ID, "check", j.Spec.Check, "err", err)
+		e.opts.Trace.Add("service.jobs_failed", 1)
+		if e.opts.Logger != nil {
+			e.opts.Logger.Error("job failed", "job", j.ID, "check", j.Spec.Check, "err", err)
 		}
 	} else {
-		e.tr.Add("service.jobs_done", 1)
-		if e.log != nil {
+		e.opts.Trace.Add("service.jobs_done", 1)
+		if e.opts.Logger != nil {
 			kv := []any{"job", j.ID, "check", j.Spec.Check,
 				"verified", v.Verified, "cached", v.Cached, "ms", v.ElapsedMs,
 				"encode_ms", v.EncodeMs, "simplify_ms", v.SimplifyMs,
@@ -594,12 +538,12 @@ func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
 				kv = append(kv, "budget_exceeded", v.Budget.Exceeded,
 					"budget_costliest", v.Budget.Costliest)
 			}
-			e.log.Info("job done", kv...)
+			e.opts.Logger.Info("job done", kv...)
 		}
 	}
-	e.tr.Gauge("service.jobs_running", float64(e.running.Add(-1)))
-	if e.memBudget > 0 {
-		e.tr.Gauge("service.reserved_bytes", float64(e.reserved.Add(-e.memBudget)))
+	e.opts.Trace.Gauge("service.jobs_running", float64(e.running.Add(-1)))
+	if e.opts.MemBudgetBytes > 0 {
+		e.opts.Trace.Gauge("service.reserved_bytes", float64(e.reserved.Add(-e.opts.MemBudgetBytes)))
 	}
 	// Waiters wake only once the counters and gauges above have settled, so
 	// what they read right after Done describes an engine without this job.
@@ -615,12 +559,12 @@ func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
 // MaxJobs. Only finished jobs are eligible, so a burst of queued work
 // may transiently hold the map above the bound. Called with e.mu held.
 func (e *Engine) evictLocked() {
-	for len(e.jobs) > e.maxJobs && len(e.finished) > 0 {
+	for len(e.jobs) > e.opts.MaxJobs && len(e.finished) > 0 {
 		id := e.finished[0]
 		e.finished = e.finished[1:]
 		if _, ok := e.jobs[id]; ok {
 			delete(e.jobs, id)
-			e.tr.Add("service.jobs_evicted", 1)
+			e.opts.Trace.Add("service.jobs_evicted", 1)
 		}
 	}
 }
@@ -630,9 +574,9 @@ func (e *Engine) runJob(j *Job) {
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.mu.Unlock()
-	e.tr.Gauge("service.jobs_running", float64(e.running.Add(1)))
-	if e.memBudget > 0 {
-		e.tr.Gauge("service.reserved_bytes", float64(e.reserved.Add(e.memBudget)))
+	e.opts.Trace.Gauge("service.jobs_running", float64(e.running.Add(1)))
+	if e.opts.MemBudgetBytes > 0 {
+		e.opts.Trace.Gauge("service.reserved_bytes", float64(e.reserved.Add(e.opts.MemBudgetBytes)))
 	}
 	j.rec.Emit(stream.EventJobStarted, nil)
 
@@ -642,12 +586,12 @@ func (e *Engine) runJob(j *Job) {
 	hit := e.cache[j.key]
 	e.mu.Unlock()
 	if hit != nil {
-		e.tr.Add("service.cache_hits", 1)
+		e.opts.Trace.Add("service.cache_hits", 1)
 		j.rec.Emit(stream.EventCacheHit, map[string]any{"key": j.key})
 		e.finishJob(j, hit.cachedCopy(j.ID), nil)
 		return
 	}
-	e.tr.Add("service.cache_misses", 1)
+	e.opts.Trace.Add("service.cache_misses", 1)
 	j.rec.Emit(stream.EventCacheMiss, map[string]any{"key": j.key})
 
 	ctx, cancel := context.WithTimeout(context.Background(), j.timeout)
@@ -679,7 +623,7 @@ func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
 	if !ok {
 		slot = &netSlot{}
 		e.nets[j.netKey] = slot
-		e.tr.Gauge("service.networks", float64(len(e.nets)))
+		e.opts.Trace.Gauge("service.networks", float64(len(e.nets)))
 	}
 	e.mu.Unlock()
 	slot.once.Do(func() {
@@ -705,8 +649,8 @@ func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
 			// Another config set parsed to the same routers: this one needs
 			// no compile of its own. service.compiles counts every compiled
 			// system a config set asked for, reused or built.
-			e.tr.Add("service.compiles", 1)
-			e.tr.Add("service.compile_reuse", 1)
+			e.opts.Trace.Add("service.compiles", 1)
+			e.opts.Trace.Add("service.compile_reuse", 1)
 			j.rec.Emit(stream.EventCompileReuse, nil)
 		}
 		slot.ent = ent
@@ -726,7 +670,7 @@ func (e *Engine) build(ent *netEntry, sp *obs.Span) error {
 		return err
 	}
 	ent.net = net
-	if e.modular {
+	if e.opts.Modular {
 		return nil
 	}
 	return e.buildModel(ent, sp)
@@ -735,14 +679,7 @@ func (e *Engine) build(ent *netEntry, sp *obs.Span) error {
 // coreOptions is the encoder/solver configuration shared by the
 // monolithic model and every modular component compile.
 func (e *Engine) coreOptions(sp *obs.Span) core.Options {
-	opts := core.DefaultOptions()
-	opts.Passes = e.passes
-	opts.Tiers = e.tiers
-	opts.Certify = e.certify
-	opts.Blame = e.blame
-	opts.ProfileOrigins = e.profOrig
-	opts.Parallel = e.parallel
-	opts.ParallelWorkers = e.parallelWk
+	opts := e.opts.Core
 	opts.Span = sp
 	return opts
 }
@@ -756,10 +693,10 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 	if err != nil {
 		return fmt.Errorf("service: encode: %w", err)
 	}
-	e.tr.Add("service.compiles", 1)
+	e.opts.Trace.Add("service.compiles", 1)
 	ent.m = m
-	every := e.progressEvery
-	if every <= 0 && (e.workBudget > 0 || e.memBudget > 0) {
+	every := e.opts.ProgressEvery
+	if every <= 0 && (e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0) {
 		// Budgets ride the progress hook; keep it firing (without
 		// progress events) even when the operator disabled streaming.
 		every = 1000
@@ -772,7 +709,7 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 		// enforced at the same cadence.
 		m.ProgressEvery = every
 		m.OnProgress = func(p sat.Progress) {
-			if e.progressEvery > 0 {
+			if e.opts.ProgressEvery > 0 {
 				ent.curRec.Emit(stream.EventSolverProgress, map[string]any{
 					"conflicts":    p.Conflicts,
 					"decisions":    p.Decisions,
@@ -786,17 +723,11 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 		}
 	}
 	// The model's events — the phases of the session set-up and of every
-	// check, passes, certification, blame, a parallel strategy's verdict —
-	// land on the recorder of the job working on the entry, as they happen.
+	// check, passes, certification, blame — land on the recorder of the job
+	// working on the entry, as they happen.
 	m.OnEvent = func(kind string, fields map[string]any) { ent.curRec.Emit(kind, fields) }
-	if psolve.Enabled(e.parallel) {
-		// Parallel solves borrow idle verification workers for their racer
-		// tasks (running inline when none is free), so the machine never
-		// runs more solver goroutines than the pool size allows.
-		m.Schedule = e.schedule
-	}
 	ent.sess = m.NewSession()
-	e.tr.Add("service.session_builds", 1)
+	e.opts.Trace.Add("service.session_builds", 1)
 	return nil
 }
 
@@ -841,7 +772,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		ent.built = true
 		setUp("build", e.build)
 	} else if !first && ent.err == nil {
-		e.tr.Add("service.session_reuse", 1)
+		e.opts.Trace.Add("service.session_reuse", 1)
 		j.rec.Emit(stream.EventSessionReuse, nil)
 	}
 	if ent.err != nil {
@@ -859,7 +790,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	var budget *budgetState
 	runCtx, cancelBudget := context.WithCancel(ctx)
 	defer cancelBudget()
-	opts := pipeline.Options{Modular: e.modular}
+	opts := pipeline.Options{Modular: e.opts.Modular}
 	opts.Core = e.coreOptions(jtr.Root())
 	// Modular component checks run on this engine's own worker pool.
 	opts.Schedule = e.schedule
@@ -873,8 +804,8 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 			}
 		}
 		ent.m.Obs = jtr.Root()
-		if e.workBudget > 0 || e.memBudget > 0 {
-			budget = newBudgetState(cancelBudget, e.workBudget, e.memBudget, ent.sess.SolverStats())
+		if e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0 {
+			budget = newBudgetState(cancelBudget, e.opts.WorkBudget, e.opts.MemBudgetBytes, ent.sess.SolverStats())
 			ent.curBudget = budget
 		}
 		return ent.m, ent.sess, nil
@@ -892,7 +823,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		if err == nil {
 			full = jobLedger(setupCost, pv.Result.Cost)
 		}
-		e.tr.Add("service.budget_exceeded", 1)
+		e.opts.Trace.Add("service.budget_exceeded", 1)
 		v := budgetVerdict(j, setupCost, bi, full)
 		j.rec.Emit(stream.EventVerdict, map[string]any{
 			"verified": false, "budget_exceeded": bi.Exceeded,
@@ -905,9 +836,9 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	res := pv.Result
 	if pv.Model != nil {
-		e.tr.Add("service.session_checks", 1)
+		e.opts.Trace.Add("service.session_checks", 1)
 		blasts := ent.sess.SharedBlasts()
-		e.tr.Add("service.session_shared_blasts", int64(blasts-ent.blastsSeen))
+		e.opts.Trace.Add("service.session_shared_blasts", int64(blasts-ent.blastsSeen))
 		ent.blastsSeen = blasts
 	}
 	if res.OriginProfile != nil {
@@ -917,7 +848,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	v := &Verdict{JobID: j.ID, Report: *pipeline.NewReport(j.Spec.Check, pv)}
 	v.Cost = jobLedger(setupCost, v.Cost)
-	core.RecordSolverMetrics(e.tr, res, v.Cost)
+	core.RecordSolverMetrics(e.opts.Trace, res, v.Cost)
 	emitVerdict(j.rec, v)
 	return v, nil
 }
@@ -925,24 +856,24 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 // countSteps folds what the pipeline's steps did for one job into the
 // engine's counters.
 func (e *Engine) countSteps(pv *pipeline.Verdict) {
-	if tiered.Enabled(e.tiers) {
+	if tiered.Enabled(e.opts.Core.Tiers) {
 		if pv.Result != nil && pv.Result.Tier == tiered.TierGraph {
-			e.tr.Add("service.fastpath_hits", 1)
+			e.opts.Trace.Add("service.fastpath_hits", 1)
 		} else {
-			e.tr.Add("service.fastpath_residue", 1)
+			e.opts.Trace.Add("service.fastpath_residue", 1)
 		}
 	}
 	switch pv.Mode {
 	case pipeline.ModeModular:
-		e.tr.Add("service.modular_runs", 1)
-		e.tr.Add("service.modular_verdicts", 1)
+		e.opts.Trace.Add("service.modular_runs", 1)
+		e.opts.Trace.Add("service.modular_verdicts", 1)
 	case pipeline.ModeFallback:
-		e.tr.Add("service.modular_runs", 1)
-		e.tr.Add("service.modular_residue", 1)
+		e.opts.Trace.Add("service.modular_runs", 1)
+		e.opts.Trace.Add("service.modular_residue", 1)
 	}
 	if rep := pv.Modular; rep != nil {
-		e.tr.Add("service.component_checks", int64(rep.Checks))
-		e.tr.Add("service.component_alias_hits", int64(rep.AliasHits))
+		e.opts.Trace.Add("service.component_checks", int64(rep.Checks))
+		e.opts.Trace.Add("service.component_alias_hits", int64(rep.AliasHits))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/obs/stream"
 	"repro/internal/pipeline"
@@ -45,7 +46,7 @@ func newTestEngine(t *testing.T, workers int) *Engine {
 // proof plumbing).
 func newSATTestEngine(t *testing.T, workers int) *Engine {
 	t.Helper()
-	e := NewEngine(Options{Workers: workers, Timeout: 60 * time.Second, Tiers: "none"})
+	e := NewEngine(Options{Workers: workers, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none"}})
 	t.Cleanup(e.Close)
 	return e
 }
@@ -342,7 +343,7 @@ func newModularTestEngine(t *testing.T, workers int) *Engine {
 	t.Helper()
 	e := NewEngine(Options{
 		Workers: workers, Timeout: 60 * time.Second,
-		Modular: true, Tiers: "none", Blame: true,
+		Modular: true, Core: core.Options{Tiers: "none", Blame: true},
 	})
 	t.Cleanup(e.Close)
 	return e

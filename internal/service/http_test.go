@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
@@ -21,7 +23,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
 // (span slices, solve-latency histograms).
 func newTestServerTiers(t *testing.T, tiers string) (*httptest.Server, *Engine) {
 	t.Helper()
-	e := NewEngine(Options{Workers: 2, Timeout: 60 * time.Second, Tiers: tiers})
+	e := NewEngine(Options{Workers: 2, Timeout: 60 * time.Second, Core: core.Options{Tiers: tiers}})
 	srv := httptest.NewServer(NewHandler(e))
 	t.Cleanup(func() {
 		srv.Close()
@@ -191,6 +193,41 @@ func TestDaemonBadRequests(t *testing.T) {
 	}
 }
 
+// TestDaemonSurvivesTruncatedDirective posts the 26 bytes that used to
+// kill the daemon: "maximum-paths" without its value indexed past the
+// line's fields in config.Parse, and nothing on the worker path recovers.
+// The job must fail with the parse error, and the engine's only worker
+// must answer the next request.
+func TestDaemonSurvivesTruncatedDirective(t *testing.T) {
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second})
+	srv := httptest.NewServer(NewHandler(e))
+	t.Cleanup(func() {
+		srv.Close()
+		e.Close()
+	})
+	resp, _ := postVerify(t, srv, &Request{
+		Configs: map[string]string{"r.cfg": "router ospf\n maximum-paths"},
+		Spec:    Spec{Check: "loops"},
+	})
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "bad maximum-paths") {
+		t.Fatalf("status %d, error %q: want a 400 carrying the parse error", resp.StatusCode, eb.Error)
+	}
+	views := e.Jobs()
+	if len(views) != 1 || views[0].Status != StatusFailed || !strings.Contains(views[0].Error, "bad maximum-paths") {
+		t.Fatalf("job record: %+v, want one failed job carrying the parse error", views)
+	}
+	if resp, v := postVerify(t, srv, &Request{
+		Configs: chainConfigs(3),
+		Spec:    Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
+	}); v == nil || !v.Verified {
+		t.Fatalf("request after the failed one: status %d, verdict %+v", resp.StatusCode, v)
+	}
+}
+
 // TestDaemonRequestBodyLimit stands on both sides of the POST /v1/verify
 // body cap: a valid request padded (inside the JSON value, so the decoder
 // must read every byte) to exactly the cap is answered, one byte more is
@@ -260,7 +297,7 @@ func TestDaemonRequestBodyLimit(t *testing.T) {
 // non-empty blame set, its hot-constraint profile is served (JSON and
 // collapsed-stack), and jobs without a profile 404.
 func TestDaemonBlameAndProfile(t *testing.T) {
-	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Blame: true, ProfileOrigins: true, Tiers: "none"})
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Core: core.Options{Blame: true, ProfileOrigins: true, Tiers: "none"}})
 	srv := httptest.NewServer(NewHandler(e))
 	t.Cleanup(func() {
 		srv.Close()

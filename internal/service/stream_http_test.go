@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs/stream"
 )
 
@@ -167,7 +168,7 @@ func TestSSEEndToEnd(t *testing.T) {
 // build — and each pass, certify.done and blame.done arrive where they
 // happened, before the verdict that reports them.
 func TestSSEMilestonesPrecedeTheVerdict(t *testing.T) {
-	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Tiers: "none", Blame: true})
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none", Blame: true}})
 	srv := httptest.NewServer(NewHandler(e))
 	t.Cleanup(func() {
 		srv.Close()

@@ -113,25 +113,18 @@ func (ss *Session) Prepare(goals ...*Term) {
 // Sat result the model remains readable (Model) until the next Prepare.
 func (ss *Session) Solve() sat.Status {
 	st := ss.sol.CheckAssuming(ss.act)
-	ss.checks++
-	ss.last = CheckStats{
-		Stats:      statsDelta(ss.statsBefore, ss.sol.SATStats()),
-		NewVars:    ss.sol.NumSATVars() - ss.varsBefore,
-		NewClauses: ss.sol.NumSATClauses() - ss.clausesBefore,
-	}
+	ss.Finish()
 	return st
 }
 
-// FinishExternalSolve records the accounting of a check whose search ran
-// outside the session solver (the parallel engine solves on clones, so
-// the session's own counters do not move). after must be the adopted
-// cumulative counters — a winner clone's Stats, or the template base
-// plus the summed cube deltas — which extend the session's counters the
-// same way a sequential Solve would have.
-func (ss *Session) FinishExternalSolve(after sat.Stats) {
+// Finish closes the check begun by the last Prepare, recording its share
+// of the solver's counters. Solve calls it; a caller that runs the search
+// on Solver() itself under Assumptions() (core's executor, which makes it
+// interruptible) calls it once the search has returned.
+func (ss *Session) Finish() {
 	ss.checks++
 	ss.last = CheckStats{
-		Stats:      statsDelta(ss.statsBefore, after),
+		Stats:      statsDelta(ss.statsBefore, ss.sol.SATStats()),
 		NewVars:    ss.sol.NumSATVars() - ss.varsBefore,
 		NewClauses: ss.sol.NumSATClauses() - ss.clausesBefore,
 	}

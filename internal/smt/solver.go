@@ -58,6 +58,9 @@ func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
 // NumSATClauses returns the number of problem clauses created by blasting.
 func (s *Solver) NumSATClauses() int { return s.sat.NumClauses() }
 
+// ClauseDBBytes is the SAT clause database's current size.
+func (s *Solver) ClauseDBBytes() int64 { return s.sat.ClauseDBBytes() }
+
 // SetMaxConflicts bounds search effort; 0 means unbounded.
 func (s *Solver) SetMaxConflicts(n int64) { s.sat.MaxConflicts = n }
 
@@ -207,20 +210,12 @@ func (s *Solver) CheckLimited() (sat.Status, error) { return s.sat.SolveLimited(
 
 // Model extracts concrete values for every context variable after a Sat
 // result. Variables that never appeared in an assertion get zero values.
-func (s *Solver) Model() Assignment { return s.modelFrom(s.sat.ValueLit) }
-
-// ModelFrom is Model reading the assignment out of sol instead of the
-// solver's own SAT core. The parallel solve engine hands back a clone
-// here: clones preserve variable numbering, so the blasting memo tables
-// of this solver decode the clone's model directly.
-func (s *Solver) ModelFrom(sol *sat.Solver) Assignment { return s.modelFrom(sol.ValueLit) }
-
-func (s *Solver) modelFrom(valueLit func(sat.Lit) sat.Tribool) Assignment {
+func (s *Solver) Model() Assignment {
 	m := make(Assignment)
 	for _, v := range s.ctx.Vars() {
 		if v.IsBool() {
 			if l, ok := s.boolMemo[v]; ok {
-				m[v.name] = Value{Bool: valueLit(l) == sat.True}
+				m[v.name] = Value{Bool: s.sat.ValueLit(l) == sat.True}
 			} else {
 				m[v.name] = Value{}
 			}
@@ -233,32 +228,13 @@ func (s *Solver) modelFrom(valueLit func(sat.Lit) sat.Tribool) Assignment {
 		}
 		var x uint64
 		for i, b := range bits {
-			if valueLit(b) == sat.True {
+			if s.sat.ValueLit(b) == sat.True {
 				x |= uint64(1) << i
 			}
 		}
 		m[v.name] = Value{BV: x}
 	}
 	return m
-}
-
-// SATSolver exposes the underlying CDCL solver. The parallel solve
-// engine clones it for portfolio races and cube fan-outs; nothing else
-// should reach around the SMT layer.
-func (s *Solver) SATSolver() *sat.Solver { return s.sat }
-
-// BlastedLits returns the SAT literals already backing t — the boolean
-// literal, or a bitvector's bits — without blasting anything new: nil
-// when t has not appeared in an asserted constraint. Cube-and-conquer
-// uses it to translate environment terms into split candidates.
-func (s *Solver) BlastedLits(t *Term) []sat.Lit {
-	if l, ok := s.boolMemo[t]; ok {
-		return []sat.Lit{l}
-	}
-	if bs, ok := s.bvMemo[t]; ok {
-		return append([]sat.Lit(nil), bs...)
-	}
-	return nil
 }
 
 // lit returns the SAT literal representing boolean term t, creating gate
