@@ -12,6 +12,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -24,6 +25,8 @@ import (
 	"repro/internal/properties"
 	"repro/internal/protograph"
 	"repro/internal/simulator"
+	"repro/internal/smt"
+	"repro/internal/smt/passes"
 	"repro/internal/testnets"
 	"repro/internal/tiered"
 	"repro/internal/topogen"
@@ -375,4 +378,198 @@ func BenchmarkFabricMonoPass(b *testing.B) {
 	// whole, proof checking included, makes of sat.propagations_per_s.
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 	b.ReportMetric(float64(propagations)/b.Elapsed().Seconds(), "propagations/s")
+}
+
+// auditNetwork is benchmarks/e2e/audit.go's drawNetwork: the network of
+// the given size with the benchmark's fixed profile (which bugs are
+// injected, one border or two, a static route or none), drawn from the
+// same seeds.
+func auditNetwork(tb testing.TB, size int) *netgen.Network {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(size)))
+	p := netgen.DefaultParams()
+	p.MinRouters, p.MaxRouters = size, size
+	if size < 6 {
+		n, err := netgen.Generate(fmt.Sprintf("net%d", size), rng.Int63(), p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return n
+	}
+	k := size - 6
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	p.PHijack, p.PACLException, p.PDeepDrop = flag(k%2 == 0), flag(k%5 == 1), flag(k%6 == 2)
+	for {
+		n, err := netgen.Generate(fmt.Sprintf("net%d", size), rng.Int63(), p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		static := false
+		for _, r := range n.Routers {
+			for _, s := range r.Statics {
+				static = static || !s.Drop
+			}
+		}
+		if (len(n.Borders) == 2) == ((k/2)%2 == 0) && static == ((k/3)%2 == 0) {
+			return n
+		}
+	}
+}
+
+// BenchmarkAuditPass is one pass of the repo benchmark's enterprise-audit
+// workload: the 24 operational-style networks of 2 to 25 routers, each
+// loaded from text, encoded, compiled and checked on a fresh solver for
+// "traffic is dropped only at the edge", then its access routers checked
+// pairwise for local equivalence. The front end (encode, term passes,
+// bit-blasting) is most of it. BENCH_audit_pass.folded is a CPU profile
+// of it; EXPERIMENTS.md has the command.
+func BenchmarkAuditPass(b *testing.B) {
+	type auditNet struct {
+		configs map[string]string
+		edge    map[string]bool
+		access  []string
+	}
+	var nets []auditNet
+	for size := 2; size <= 25; size++ {
+		n := auditNetwork(b, size)
+		an := auditNet{configs: map[string]string{}, edge: map[string]bool{}, access: n.Roles["access"]}
+		for _, r := range n.Routers {
+			an.configs[r.Name] = config.Print(r)
+		}
+		for _, r := range append(append([]string(nil), n.Access...), n.Borders...) {
+			an.edge[r] = true
+		}
+		nets = append(nets, an)
+	}
+	var terms, clauses, conflicts int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nets {
+			net, err := pipeline.Load(n.configs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := core.Encode(net.Graph, core.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			terms += int64(m.Ctx.NumTerms())
+			cn := m.Compile()
+			prop := properties.DropsAtEdgeOnly(m, func(r string) bool { return n.edge[r] })
+			res, err := m.CheckGoal(context.Background(), cn, prop, m.NoFailures())
+			if err != nil {
+				b.Fatal(err)
+			}
+			clauses += int64(res.SATClauses)
+			conflicts += res.Stats.Conflicts
+			for j := 0; j+1 < len(n.access); j++ {
+				if _, err := core.CheckLocalEquivalence(net.Graph, n.access[j], n.access[j+1], core.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	// The workload's core.terms, smt.sat_clauses and sat.conflicts a pass
+	// (131 755, 2 055 554 and 2 701): a change that moves one changed the
+	// formula or the search.
+	b.ReportMetric(float64(terms)/float64(b.N), "terms/op")
+	b.ReportMetric(float64(clauses)/float64(b.N), "clauses/op")
+	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
+}
+
+// BenchmarkFrontEnd times the front end's layers one by one on a mid-size
+// audit network and on the pods-2 fabric, each named after the
+// BENCHMARK.json per-layer metric it mirrors: encode is core.encode_s
+// (terms: core.terms), compile passes.compile_s, coi passes.coi_s (terms:
+// passes.terms_after), blast smt.blast_s on a solver sized as a check
+// sizes it (clauses: smt.sat_clauses). allocs/op is each layer's gate: the
+// containers are id-indexed slices, and a layer that starts allocating per
+// node again shows here first.
+func BenchmarkFrontEnd(b *testing.B) {
+	ft, err := topogen.Generate(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fabric, err := pipeline.Build(ft.Routers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	audit, err := pipeline.Build(auditNetwork(b, 17).Routers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []struct {
+		name string
+		g    *protograph.Graph
+	}{{"netgen-17", audit.Graph}, {"pods-2", fabric.Graph}} {
+		encode := func() *core.Model {
+			m, err := core.Encode(n.g, core.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
+		}
+		// The query the audit asks, on one model: its system before the
+		// cone-of-influence pass and after.
+		m := encode()
+		cn := m.Compile()
+		prop := properties.DropsAtEdgeOnly(m, func(string) bool { return false })
+		goals := []*smt.Term{m.NoFailures(), m.Ctx.Not(prop)}
+		coi, err := passes.NewPipeline(passes.COI)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prune := func() (*passes.System, int) {
+			sys := &passes.System{Ctx: m.Ctx, Asserts: append([]*smt.Term(nil), cn.Asserts...), Goals: goals}
+			return sys, coi.Run(sys, nil)[0].TermsAfter
+		}
+		pruned, terms := prune()
+
+		b.Run("encode/"+n.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encode()
+			}
+			b.ReportMetric(float64(m.Ctx.NumTerms()), "terms")
+		})
+		b.Run("compile/"+n.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := encode()
+				b.StartTimer()
+				fresh.Compile()
+			}
+			b.ReportMetric(float64(cn.PassStats[len(cn.PassStats)-1].TermsAfter), "terms")
+		})
+		b.Run("coi/"+n.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prune()
+			}
+			b.ReportMetric(float64(terms), "terms")
+		})
+		b.Run("blast/"+n.name, func(b *testing.B) {
+			b.ReportAllocs()
+			clauses := 0
+			for i := 0; i < b.N; i++ {
+				sol := smt.NewSolver(m.Ctx)
+				sol.Reserve(terms)
+				for _, a := range pruned.Asserts {
+					sol.Assert(a)
+				}
+				for _, g := range pruned.Goals {
+					sol.Assert(g)
+				}
+				clauses = sol.NumSATClauses()
+			}
+			b.ReportMetric(float64(clauses), "clauses")
+		})
+	}
 }

@@ -158,7 +158,7 @@ func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
 	stats := pl.Run(sys, sp)
 	cn := &CompiledNetwork{
 		Asserts:   sys.Asserts,
-		Hash:      hashTerms(sys.Asserts),
+		Hash:      hashTerms(m.Ctx, sys.Asserts),
 		BaseLen:   len(m.Asserts),
 		PassStats: stats,
 		Origins:   sys.Origins,
@@ -185,9 +185,10 @@ func (m *Model) CompileCount() int { return m.compiles }
 // deterministic post-order serialization of the DAG. Node identity is
 // the discovery index, not the context-local term id, so structurally
 // identical systems hash equally across contexts and processes.
-func hashTerms(ts []*smt.Term) string {
+func hashTerms(c *smt.Context, ts []*smt.Term) string {
 	h := sha256.New()
-	idx := map[*smt.Term]uint32{}
+	idx := make([]uint32, c.NumTerms()) // by term id: 1 + discovery index, 0 before discovery
+	found := uint32(0)
 	var scratch [8]byte
 	writeU32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
@@ -195,13 +196,13 @@ func hashTerms(ts []*smt.Term) string {
 	}
 	var walk func(t *smt.Term) uint32
 	walk = func(t *smt.Term) uint32 {
-		if i, ok := idx[t]; ok {
-			return i
+		if i := idx[t.ID()]; i != 0 {
+			return i - 1
 		}
-		kids := t.Kids()
-		kidIdx := make([]uint32, len(kids))
-		for i, k := range kids {
-			kidIdx[i] = walk(k)
+		var few [4]uint32 // all but wide conjunctions and disjunctions
+		kidIdx := few[:0]
+		for _, k := range t.Kids() {
+			kidIdx = append(kidIdx, walk(k))
 		}
 		h.Write([]byte{byte(t.Op()), byte(t.Width())})
 		binary.LittleEndian.PutUint64(scratch[:8], t.Const())
@@ -212,9 +213,9 @@ func hashTerms(ts []*smt.Term) string {
 		for _, ki := range kidIdx {
 			writeU32(ki)
 		}
-		i := uint32(len(idx))
-		idx[t] = i
-		return i
+		found++
+		idx[t.ID()] = found
+		return found - 1
 	}
 	for _, t := range ts {
 		writeU32(walk(t))

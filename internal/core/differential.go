@@ -102,9 +102,10 @@ func (m *Model) SolveConcrete(dst network.IP, env *simulator.Environment) (smt.A
 // concrete worlds agree exactly.
 func (m *Model) DiffSimulator(asg smt.Assignment, simres *simulator.Result, dst network.IP, env *simulator.Environment) []string {
 	var diffs []string
+	ev := smt.NewEvaluator(asg)
 	for _, n := range m.G.Topo.Nodes {
 		name := n.Name
-		sym := DecodeRecord(m.Main.Best[name], asg)
+		sym := decodeRecord(m.Main.Best[name], ev)
 		conc := simres.States[name].Best
 		ctx := fmt.Sprintf("router %s dst %v env [%v]", name, dst, env)
 		if sym.Valid != conc.Valid {
@@ -126,7 +127,7 @@ func (m *Model) DiffSimulator(asg smt.Assignment, simres *simulator.Result, dst 
 			simHops[Hop{Node: h.Node, Ext: h.Ext}] = true
 		}
 		for h, bit := range m.Main.CtrlFwd[name] {
-			got := smt.Eval(bit, asg).Bool
+			got := ev.Eval(bit).Bool
 			if got != simHops[h] {
 				diffs = append(diffs, fmt.Sprintf("%s: fwd %v sym=%v conc=%v (sym best %+v, conc %v)", ctx, h, got, simHops[h], sym, conc))
 			}
@@ -137,16 +138,16 @@ func (m *Model) DiffSimulator(asg smt.Assignment, simres *simulator.Result, dst 
 				diffs = append(diffs, fmt.Sprintf("%s: simulator forwards to %v but model has no such edge", ctx, h))
 			}
 		}
-		if got := smt.Eval(m.Main.DeliveredLocal[name], asg).Bool; got != simres.States[name].DeliveredLocal {
+		if got := ev.Eval(m.Main.DeliveredLocal[name]).Bool; got != simres.States[name].DeliveredLocal {
 			diffs = append(diffs, fmt.Sprintf("%s: deliveredLocal sym=%v conc=%v", ctx, got, simres.States[name].DeliveredLocal))
 		}
-		if got := smt.Eval(m.Main.DroppedNull[name], asg).Bool; got != simres.States[name].DroppedNull {
+		if got := ev.Eval(m.Main.DroppedNull[name]).Bool; got != simres.States[name].DroppedNull {
 			diffs = append(diffs, fmt.Sprintf("%s: droppedNull sym=%v conc=%v", ctx, got, simres.States[name].DroppedNull))
 		}
 	}
 	// Exports to external neighbors.
 	for extName, symRec := range m.Main.ExtExports {
-		sym := DecodeRecord(symRec, asg)
+		sym := decodeRecord(symRec, ev)
 		conc := simres.ExportsToExt[extName]
 		if sym.Valid != conc.Valid {
 			diffs = append(diffs, fmt.Sprintf("export to %s: valid sym=%v conc=%v (dst %v env %v)", extName, sym.Valid, conc.Valid, dst, env))

@@ -30,6 +30,9 @@ type executor struct {
 	// mark is the solver's cumulative work at the last phase boundary;
 	// zero for a new solver, whose whole count belongs to its first phase.
 	mark cost.Work
+	// terms is the size of the system compile left to blast, as the last
+	// pass to run counted it: what blast sizes the solver from.
+	terms int
 }
 
 // newExecutor opens the query's span under the model's and its scope
@@ -138,6 +141,7 @@ func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) 
 	}
 	sys := &passes.System{Ctx: m.Ctx, Goals: goals}
 	sys.Asserts, sys.Origins = m.withTail(cn)
+	counted := cn.PassStats
 	if coi {
 		// The pass rewrites the slices it is handed, and merges origins
 		// only when someone will read them.
@@ -151,7 +155,11 @@ func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) 
 		if err != nil {
 			panic(err)
 		}
-		x.notePasses(res, pl.Run(sys, sp)...)
+		counted = pl.Run(sys, sp)
+		x.notePasses(res, counted...)
+	}
+	if n := len(counted); n > 0 {
+		x.terms = counted[n-1].TermsAfter
 	}
 	return cn, sys
 }
@@ -162,6 +170,7 @@ func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) 
 // none, puts the goals in, stamped as property clauses.
 func (x *executor) blast(assert func(*smt.Term), asserts []*smt.Term, origins [][]int32, enterGoals func()) {
 	sp := x.Begin("blast")
+	x.sol.Reserve(x.terms)
 	track := x.m.tracks()
 	for i, a := range asserts {
 		if track {
@@ -323,11 +332,13 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		}
 	case sat.Sat:
 		x.Begin("decode")
-		res.Counterexample = m.Decode(x.sol.Model())
+		asg := x.sol.Model()
+		ev := smt.NewEvaluator(asg)
+		res.Counterexample = m.decode(asg, ev)
 		x.End(cost.Work{})
 		if m.Opts.Blame {
 			x.Begin("blame")
-			res.Blame = m.blameSat(blameAsserts, blameOrigins, res.Counterexample.Assignment)
+			res.Blame = m.blameSat(blameAsserts, blameOrigins, ev)
 			x.End(cost.Work{})
 		}
 	default:

@@ -261,14 +261,14 @@ func (m *Model) blameFromCore(sol *smt.Solver, proof *sat.Proof, core []int) []p
 // particular the decision indicators and their variables — identify the
 // asserts that fixed each decision even after the pass pipeline
 // rewrote them.
-func (m *Model) blameSat(asserts []*smt.Term, origins [][]int32, asg smt.Assignment) []provenance.Origin {
-	want := map[*smt.Term]bool{}
+func (m *Model) blameSat(asserts []*smt.Term, origins [][]int32, ev *smt.Evaluator) []provenance.Origin {
+	want := make([]bool, m.Ctx.NumTerms()) // by term id
 	var markAll func(t *smt.Term)
 	markAll = func(t *smt.Term) {
-		if want[t] {
+		if want[t.ID()] {
 			return
 		}
-		want[t] = true
+		want[t.ID()] = true
 		for _, k := range t.Kids() {
 			markAll(k)
 		}
@@ -276,35 +276,35 @@ func (m *Model) blameSat(asserts []*smt.Term, origins [][]int32, asg smt.Assignm
 	sl := m.Main
 	for _, fwd := range sl.CtrlFwd {
 		for _, t := range fwd {
-			if evalBool(t, asg) {
+			if ev.Eval(t).Bool {
 				markAll(t)
 			}
 		}
 	}
 	for _, t := range sl.DeliveredLocal {
-		if evalBool(t, asg) {
+		if ev.Eval(t).Bool {
 			markAll(t)
 		}
 	}
 	for _, t := range sl.DroppedNull {
-		if evalBool(t, asg) {
+		if ev.Eval(t).Bool {
 			markAll(t)
 		}
 	}
-	touched := map[*smt.Term]bool{}
+	visited, hit := make([]bool, len(want)), make([]bool, len(want)) // by term id
 	var touches func(t *smt.Term) bool
 	touches = func(t *smt.Term) bool {
-		if v, ok := touched[t]; ok {
-			return v
+		if visited[t.ID()] {
+			return hit[t.ID()]
 		}
-		r := want[t]
+		r := want[t.ID()]
 		for _, k := range t.Kids() {
 			if r {
 				break
 			}
 			r = touches(k)
 		}
-		touched[t] = r
+		visited[t.ID()], hit[t.ID()] = true, r
 		return r
 	}
 	seen := map[provenance.Origin]bool{}
@@ -355,6 +355,11 @@ func (m *Model) CheckSat(condition *smt.Term) (*Counterexample, error) {
 // Decode reconstructs the concrete environment and packet from a model
 // assignment.
 func (m *Model) Decode(asg smt.Assignment) *Counterexample {
+	return m.decode(asg, smt.NewEvaluator(asg))
+}
+
+// decode is Decode on the assignment's evaluator.
+func (m *Model) decode(asg smt.Assignment, ev *smt.Evaluator) *Counterexample {
 	cex := &Counterexample{Assignment: asg, Env: simulator.NewEnvironment()}
 	dst := network.IP(asg[m.prefix+"pkt.dstIP"].BV)
 	cex.Packet = config.Packet{
@@ -366,38 +371,34 @@ func (m *Model) Decode(asg smt.Assignment) *Counterexample {
 	}
 	for _, e := range m.G.Topo.Externals {
 		rec := m.Main.Env[e.Name]
-		if !evalBool(rec.Valid, asg) {
+		if !ev.Eval(rec.Valid).Bool {
 			continue
 		}
-		plen := int(smt.Eval(rec.PrefixLen, asg).BV)
+		plen := int(ev.Eval(rec.PrefixLen).BV)
 		if plen > 32 {
 			plen = 32
 		}
 		ann := simulator.Announcement{
 			Prefix:  network.Prefix{Addr: dst.Mask(plen), Len: plen},
-			PathLen: int(smt.Eval(rec.Metric, asg).BV),
-			MED:     int(smt.Eval(rec.MED, asg).BV),
+			PathLen: int(ev.Eval(rec.Metric).BV),
+			MED:     int(ev.Eval(rec.MED).BV),
 		}
 		if !m.hoisting && rec.Prefix != nil {
-			ann.Prefix = network.Prefix{Addr: network.IP(smt.Eval(rec.Prefix, asg).BV).Mask(plen), Len: plen}
+			ann.Prefix = network.Prefix{Addr: network.IP(ev.Eval(rec.Prefix).BV).Mask(plen), Len: plen}
 		}
 		for _, cm := range m.commUni {
-			if bit, ok := rec.Comms[cm]; ok && evalBool(bit, asg) {
+			if bit, ok := rec.Comms[cm]; ok && ev.Eval(bit).Bool {
 				ann.Communities = append(ann.Communities, cm)
 			}
 		}
 		cex.Env.Announce(e.Name, ann)
 	}
 	for id, v := range m.Failed {
-		if evalBool(v, asg) {
+		if ev.Eval(v).Bool {
 			cex.Env.FailedLinks[id] = true
 		}
 	}
 	return cex
-}
-
-func evalBool(t *smt.Term, asg smt.Assignment) bool {
-	return smt.Eval(t, asg).Bool
 }
 
 // RecordValue is a decoded record for diagnostics.
@@ -415,18 +416,24 @@ type RecordValue struct {
 
 // DecodeRecord evaluates a symbolic record under an assignment.
 func DecodeRecord(r *Record, asg smt.Assignment) RecordValue {
+	return decodeRecord(r, smt.NewEvaluator(asg))
+}
+
+// decodeRecord is DecodeRecord on the assignment's evaluator: records of
+// one network share most of their selection logic, which it walks once.
+func decodeRecord(r *Record, ev *smt.Evaluator) RecordValue {
 	v := RecordValue{
-		Valid:     smt.Eval(r.Valid, asg).Bool,
-		PrefixLen: int(smt.Eval(r.PrefixLen, asg).BV),
-		AD:        int(smt.Eval(r.AD, asg).BV),
-		LocalPref: int(smt.Eval(r.LocalPref, asg).BV),
-		Metric:    int(smt.Eval(r.Metric, asg).BV),
-		MED:       int(smt.Eval(r.MED, asg).BV),
-		Internal:  smt.Eval(r.Internal, asg).Bool,
-		RID:       uint32(smt.Eval(r.RID, asg).BV),
+		Valid:     ev.Eval(r.Valid).Bool,
+		PrefixLen: int(ev.Eval(r.PrefixLen).BV),
+		AD:        int(ev.Eval(r.AD).BV),
+		LocalPref: int(ev.Eval(r.LocalPref).BV),
+		Metric:    int(ev.Eval(r.Metric).BV),
+		MED:       int(ev.Eval(r.MED).BV),
+		Internal:  ev.Eval(r.Internal).Bool,
+		RID:       uint32(ev.Eval(r.RID).BV),
 	}
 	for cm, bit := range r.Comms {
-		if smt.Eval(bit, asg).Bool {
+		if ev.Eval(bit).Bool {
 			v.Comms = append(v.Comms, cm)
 		}
 	}
@@ -438,6 +445,7 @@ func DecodeRecord(r *Record, asg smt.Assignment) RecordValue {
 // a slice under an assignment, for counterexample reports.
 func (m *Model) DecodeForwarding(sl *Slice, asg smt.Assignment) []string {
 	var out []string
+	ev := smt.NewEvaluator(asg)
 	names := make([]string, 0, len(sl.CtrlFwd))
 	for n := range sl.CtrlFwd {
 		names = append(names, n)
@@ -445,14 +453,14 @@ func (m *Model) DecodeForwarding(sl *Slice, asg smt.Assignment) []string {
 	sort.Strings(names)
 	for _, n := range names {
 		for _, h := range sortedHops(sl.CtrlFwd[n]) {
-			if evalBool(sl.CtrlFwd[n][h], asg) {
+			if ev.Eval(sl.CtrlFwd[n][h]).Bool {
 				out = append(out, n+" -> "+h.String())
 			}
 		}
-		if evalBool(sl.DeliveredLocal[n], asg) {
+		if ev.Eval(sl.DeliveredLocal[n]).Bool {
 			out = append(out, n+" delivers locally")
 		}
-		if evalBool(sl.DroppedNull[n], asg) {
+		if ev.Eval(sl.DroppedNull[n]).Bool {
 			out = append(out, n+" drops (null0)")
 		}
 	}
@@ -489,8 +497,9 @@ func (m *Model) ReplayAgrees(cex *Counterexample) ([]string, error) {
 		return nil, err
 	}
 	var diffs []string
+	ev := smt.NewEvaluator(cex.Assignment)
 	for _, n := range m.G.Topo.Nodes {
-		sym := DecodeRecord(m.Main.Best[n.Name], cex.Assignment)
+		sym := decodeRecord(m.Main.Best[n.Name], ev)
 		conc := simres.States[n.Name].Best
 		if sym.Valid != conc.Valid {
 			diffs = append(diffs, fmt.Sprintf("%s: model best valid=%v, simulator=%v", n.Name, sym.Valid, conc.Valid))

@@ -9,10 +9,19 @@ import "testing"
 // metrics (BENCHMARK.json): addclause is the solver's share of
 // smt.blast_s, bcp is sat.propagations_per_s, analyze the per-conflict
 // part of sat.conflicts_per_s, reducedb what keeps sat.clause_db_bytes
-// bounded. Proof logging and origin tracking are off.
+// bounded. Proof logging and origin tracking are off. The solver is
+// loaded at its final size, as the blaster loads it (Reserve).
 func BenchLayers(b *testing.B, nVars int, cnf [][]Lit) {
+	lits := 0
+	for _, c := range cnf {
+		lits += len(c)
+	}
 	load := func() *Solver {
-		s := newSolverWithVars(nVars)
+		s := New()
+		s.Reserve(nVars, len(cnf), lits)
+		for v := 0; v < nVars; v++ {
+			s.NewVar()
+		}
 		for _, c := range cnf {
 			s.AddClause(c...)
 		}

@@ -204,6 +204,9 @@ type Solver struct {
 	full                 bool // alloc refused a clause: ErrClauseDBFull
 
 	watches [][]watcher // indexed by Lit
+	// slab is where the watch lists of Reserve's variables start: a window
+	// of slabWindow entries each, left for the heap when append outgrows it.
+	slab []watcher
 
 	assigns  []Tribool // indexed by Lit: a literal and its complement are set together
 	level    []int32   // decision level per Var
@@ -353,6 +356,44 @@ func (s *Solver) alloc(lits []Lit, learnt bool, lbd, origin, step int32) cref {
 	return cref(c)
 }
 
+// slabWindow is the watch-list room a reserved literal starts with. Of
+// the literals the network encodings make, most never watch more.
+const slabWindow = 4
+
+// Reserve makes room for vars more variables and clauses more problem
+// clauses of lits literals in all, so that adding them regrows nothing:
+// the per-variable arrays, the clause list, the arena, and a slab the
+// new variables' watch lists start in. It is a hint, not a bound — what
+// NewVar and AddClause do is the same after any Reserve or none; too
+// little costs the regrowth it was meant to save, too much costs memory.
+func (s *Solver) Reserve(vars, clauses, lits int) {
+	vars, clauses, lits = max(vars, 0), max(clauses, 0), max(lits, 0)
+	s.assigns = slices.Grow(s.assigns, 2*vars)
+	s.level = slices.Grow(s.level, vars)
+	s.reason = slices.Grow(s.reason, vars)
+	s.polarity = slices.Grow(s.polarity, vars)
+	s.activity = slices.Grow(s.activity, vars)
+	s.seen = slices.Grow(s.seen, vars)
+	s.watches = slices.Grow(s.watches, 2*vars)
+	s.order.heap = slices.Grow(s.order.heap, vars)
+	s.order.index = slices.Grow(s.order.index, vars)
+	s.clauses = slices.Grow(s.clauses, clauses)
+	s.arena = slices.Grow(s.arena, min(clauses*hdrWords+lits, s.arenaLimit-len(s.arena)))
+	if need := 2 * vars * slabWindow; cap(s.slab)-len(s.slab) < need {
+		s.slab = make([]watcher, 0, need)
+	}
+}
+
+// window takes an empty watch list out of the slab, nil once it is used up.
+func (s *Solver) window() []watcher {
+	at := len(s.slab)
+	if at+slabWindow > cap(s.slab) {
+		return nil
+	}
+	s.slab = s.slab[:at+slabWindow]
+	return s.slab[at:at:len(s.slab)]
+}
+
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
@@ -362,7 +403,7 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.watches = append(s.watches, s.window(), s.window())
 	s.order.push(v)
 	return v
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -446,6 +447,24 @@ func (e *Engine) Verify(ctx context.Context, req *Request) (*Verdict, error) {
 	return j.Verdict(), nil
 }
 
+// panicError is a panic inside a job as the job's error; stack is that
+// of the goroutine it happened on.
+type panicError struct {
+	val   any
+	stack []byte
+}
+
+func (p *panicError) Error() string { return fmt.Sprintf("internal error: %v", p.val) }
+
+// asPanic wraps what recover returned, nil for nil; a panicError on its
+// way up from a helper's task passes through with the stack it has.
+func asPanic(r any) *panicError {
+	if pe, ok := r.(*panicError); ok || r == nil {
+		return pe
+	}
+	return &panicError{r, debug.Stack()}
+}
+
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
@@ -467,12 +486,21 @@ func (e *Engine) worker() {
 // on the scheduling job's own worker otherwise. The scheduling worker
 // never blocks on a queue, so modular fan-out is deadlock-free at any
 // worker count (with one worker everything simply runs inline).
+//
+// A task that panics takes down neither the worker it ran on nor the
+// other tasks: once all have returned the first panic is raised again
+// here, on the scheduling job's goroutine, and is that job's failure.
 func (e *Engine) schedule(tasks []func()) {
 	var wg sync.WaitGroup
+	var failed atomic.Pointer[panicError]
 	for _, t := range tasks {
 		t := t
 		wg.Add(1)
-		wrapped := func() { defer wg.Done(); t() }
+		wrapped := func() {
+			defer wg.Done()
+			defer func() { failed.CompareAndSwap(nil, asPanic(recover())) }()
+			t()
+		}
 		select {
 		case e.helpCh <- wrapped:
 		default:
@@ -480,6 +508,9 @@ func (e *Engine) schedule(tasks []func()) {
 		}
 	}
 	wg.Wait()
+	if pe := failed.Load(); pe != nil {
+		panic(pe)
+	}
 }
 
 func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
@@ -505,7 +536,11 @@ func (e *Engine) finishJob(j *Job, v *Verdict, err error) {
 	case errors.Is(err, context.Canceled):
 		j.rec.Emit(stream.EventJobCancelled, map[string]any{"reason": "cancelled"})
 	case err != nil:
-		j.rec.Emit(stream.EventJobFailed, map[string]any{"error": err.Error()})
+		fields := map[string]any{"error": err.Error()}
+		if pe := (*panicError)(nil); errors.As(err, &pe) {
+			fields["stack"] = string(pe.stack)
+		}
+		j.rec.Emit(stream.EventJobFailed, fields)
 	default:
 		j.rec.Emit(stream.EventJobDone, map[string]any{
 			"verified": v.Verified, "cached": v.Cached, "elapsed_ms": v.ElapsedMs,
@@ -569,7 +604,14 @@ func (e *Engine) evictLocked() {
 	}
 }
 
+// runJob answers one job. A panic on the way — a bug in the checker, not
+// an input's fault — fails that job alone, and the worker lives.
 func (e *Engine) runJob(j *Job) {
+	defer func() {
+		if pe := asPanic(recover()); pe != nil && j.Status() == StatusRunning {
+			e.finishJob(j, nil, pe)
+		}
+	}()
 	j.mu.Lock()
 	j.status = StatusRunning
 	j.started = time.Now()
@@ -749,6 +791,15 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			// What a panic leaves of the model and its session is not to be
+			// trusted: the entry forgets them and the next job builds afresh.
+			ent.built, ent.modelBuilt, ent.err, ent.blastsSeen = false, false, nil, 0
+			ent.net, ent.m, ent.sess = nil, nil, nil
+			panic(asPanic(r))
+		}
+	}()
 	// The entry's telemetry is routed to this job while it holds the lock:
 	// the model's event sink and the progress hook read curRec, the hook
 	// reads curBudget, CheckContext reads m.Obs.

@@ -72,6 +72,12 @@ type System struct {
 	// substitution) union the origin lists, so blame over-approximates
 	// rather than drops contributors.
 	Origins [][]int32
+
+	// terms and vars are count() as of the last pass, read in place of a
+	// second walk while counted is set: Pipeline.Run sets it between its
+	// passes, where nothing else touches the system.
+	counted     bool
+	terms, vars int
 }
 
 // mergeBases unions two base-id lists into a fresh sorted, deduplicated
@@ -153,9 +159,11 @@ func (p *Pipeline) Run(sys *System, sp *obs.Span) []Stats {
 		return nil
 	}
 	out := make([]Stats, 0, len(p.Passes))
+	defer func() { sys.counted = false }()
 	for _, pass := range p.Passes {
 		psp := sp.Start("pass:" + pass.Name())
 		st := pass.Run(sys)
+		sys.counted = true
 		psp.SetInt("asserts_before", int64(st.AssertsBefore))
 		psp.SetInt("asserts_after", int64(st.AssertsAfter))
 		psp.SetInt("terms_before", int64(st.TermsBefore))
@@ -168,28 +176,32 @@ func (p *Pipeline) Run(sys *System, sp *obs.Span) []Stats {
 	return out
 }
 
-// measure wraps a pass body with before/after counting and timing.
+// measure wraps a pass body with before/after counting and timing. In a
+// pipeline the count after one pass is the count before the next.
 func measure(name string, sys *System, body func()) Stats {
 	st := Stats{Pass: name, AssertsBefore: len(sys.Asserts)}
-	st.TermsBefore, st.VarsBefore = sys.count()
+	if st.TermsBefore, st.VarsBefore = sys.terms, sys.vars; !sys.counted {
+		st.TermsBefore, st.VarsBefore = sys.count()
+	}
 	start := time.Now()
 	body()
 	st.Elapsed = time.Since(start)
 	st.AssertsAfter = len(sys.Asserts)
-	st.TermsAfter, st.VarsAfter = sys.count()
+	sys.terms, sys.vars = sys.count()
+	st.TermsAfter, st.VarsAfter = sys.terms, sys.vars
 	return st
 }
 
 // count walks the DAG reachable from Asserts and Goals, returning the
 // number of distinct term nodes and of distinct variable nodes.
 func (sys *System) count() (terms, vars int) {
-	seen := map[*smt.Term]bool{}
+	seen := make([]bool, sys.Ctx.NumTerms())
 	var walk func(t *smt.Term)
 	walk = func(t *smt.Term) {
-		if seen[t] {
+		if seen[t.ID()] {
 			return
 		}
-		seen[t] = true
+		seen[t.ID()] = true
 		terms++
 		if op := t.Op(); op == smt.OpBoolVar || op == smt.OpBVVar {
 			vars++
@@ -212,12 +224,12 @@ func (sys *System) count() (terms, vars int) {
 type rewriter struct {
 	c     *smt.Context
 	subst map[*smt.Term]*smt.Term // variable node -> replacement
-	memo  map[*smt.Term]*smt.Term
-	used  map[*smt.Term]bool // substitution keys actually applied, when non-nil
+	memo  []*smt.Term             // by term id; nil where nothing was rewritten yet
+	used  map[*smt.Term]bool      // substitution keys actually applied, when non-nil
 }
 
 func newRewriter(c *smt.Context, subst map[*smt.Term]*smt.Term) *rewriter {
-	return &rewriter{c: c, subst: subst, memo: map[*smt.Term]*smt.Term{}}
+	return &rewriter{c: c, subst: subst, memo: make([]*smt.Term, c.NumTerms())}
 }
 
 // resolve follows substitution chains (x -> y -> z) to their end,
@@ -238,8 +250,9 @@ func (r *rewriter) resolve(t *smt.Term) *smt.Term {
 }
 
 func (r *rewriter) rewrite(t *smt.Term) *smt.Term {
-	if out, ok := r.memo[t]; ok {
-		return out
+	id := int(t.ID())
+	if id < len(r.memo) && r.memo[id] != nil {
+		return r.memo[id]
 	}
 	c := r.c
 	var out *smt.Term
@@ -249,10 +262,10 @@ func (r *rewriter) rewrite(t *smt.Term) *smt.Term {
 	case smt.OpBoolVar, smt.OpBVVar:
 		out = r.resolve(t)
 	default:
-		kids := t.Kids()
-		nk := make([]*smt.Term, len(kids))
-		for i, k := range kids {
-			nk[i] = r.rewrite(k)
+		var few [4]*smt.Term // all but wide conjunctions and disjunctions
+		nk := few[:0]
+		for _, k := range t.Kids() {
+			nk = append(nk, r.rewrite(k))
 		}
 		switch t.Op() {
 		case smt.OpNot:
@@ -279,7 +292,11 @@ func (r *rewriter) rewrite(t *smt.Term) *smt.Term {
 			panic(fmt.Sprintf("passes: rewrite of unknown op %d", t.Op()))
 		}
 	}
-	r.memo[t] = out
+	if id >= len(r.memo) {
+		// t was built by an earlier rewrite of this rewriter.
+		r.memo = append(r.memo, make([]*smt.Term, c.NumTerms()-len(r.memo))...)
+	}
+	r.memo[id] = out
 	return out
 }
 
@@ -329,9 +346,9 @@ func normalizeAsserts(c *smt.Context, asserts []*smt.Term, origins [][]int32) ([
 	if origins != nil {
 		outOrigins = make([][]int32, 0, len(asserts))
 	}
-	seen := map[*smt.Term]int{}    // term -> index in out
-	var cur []int32                // origin of the assert being added
-	var add func(t *smt.Term) bool // false when the system became unsat
+	seen := make([]int32, c.NumTerms()) // by term id: 1 + index in out, 0 if absent
+	var cur []int32                     // origin of the assert being added
+	var add func(t *smt.Term) bool      // false when the system became unsat
 	add = func(t *smt.Term) bool {
 		if t.Op() == smt.OpAnd {
 			for _, k := range t.Kids() {
@@ -344,17 +361,17 @@ func normalizeAsserts(c *smt.Context, asserts []*smt.Term, origins [][]int32) ([
 		if t == c.True() {
 			return true
 		}
-		if idx, ok := seen[t]; ok {
+		if at := seen[t.ID()]; at != 0 {
 			if origins != nil {
-				outOrigins[idx] = mergeBases(outOrigins[idx], cur)
+				outOrigins[at-1] = mergeBases(outOrigins[at-1], cur)
 			}
 			return true
 		}
 		if t == c.False() {
 			return false
 		}
-		seen[t] = len(out)
 		out = append(out, t)
+		seen[t.ID()] = int32(len(out))
 		if origins != nil {
 			outOrigins = append(outOrigins, cur)
 		}
@@ -555,47 +572,65 @@ func (coiPass) Name() string { return COI }
 
 func (coiPass) Run(sys *System) Stats {
 	return measure(COI, sys, func() {
-		goalVars := collectVars(sys.Goals)
-		if len(goalVars) == 0 {
+		// One walk of the shared DAG: every variable under a term is
+		// joined to the term's representative the first time the term is
+		// met, so an assert's variables are one class whatever it shares
+		// with the asserts before it. A goal's variables are joined too;
+		// they all end in the cone either way.
+		n := sys.Ctx.NumTerms()
+		uf := unionFind{parent: make([]int32, n), size: make([]int32, n)}
+		const ground = -1
+		rep := make([]int32, n) // by term id: 1 + a variable's id, ground, or 0 before the visit
+		var walk func(t *smt.Term) int32
+		walk = func(t *smt.Term) int32 {
+			id := t.ID()
+			if rep[id] != 0 {
+				return rep[id]
+			}
+			r := int32(ground)
+			if op := t.Op(); op == smt.OpBoolVar || op == smt.OpBVVar {
+				r = id + 1
+			}
+			for _, k := range t.Kids() {
+				switch kr := walk(k); {
+				case kr == ground:
+				case r == ground:
+					r = kr
+				default:
+					uf.union(r-1, kr-1)
+				}
+			}
+			rep[id] = r
+			return r
+		}
+		goalVars := false
+		for _, g := range sys.Goals {
+			goalVars = walk(g) != ground || goalVars
+		}
+		if !goalVars {
 			return
 		}
-		// Union-find over variable names within one context (pointer
-		// identity works: variables are hash-consed).
-		uf := newUnionFind()
-		assertVars := make([][]*smt.Term, len(sys.Asserts))
-		for i, a := range sys.Asserts {
-			vs := collectVars([]*smt.Term{a})
-			assertVars[i] = vs
-			for j := 1; j < len(vs); j++ {
-				uf.union(vs[0], vs[j])
-			}
+		for _, a := range sys.Asserts {
+			walk(a)
 		}
-		// Expand to fixpoint implicitly: union-find already merges the
-		// components, so one root lookup per goal variable suffices.
-		inCone := map[*smt.Term]bool{}
-		for _, v := range goalVars {
-			inCone[uf.find(v)] = true
+		inCone := make([]bool, n) // by class root
+		for _, g := range sys.Goals {
+			if r := rep[g.ID()]; r != ground {
+				inCone[uf.find(r-1)] = true
+			}
 		}
 		kept := sys.Asserts[:0]
 		var keptO [][]int32
 		if sys.Origins != nil {
 			keptO = sys.Origins[:0]
 		}
-		keep := func(i int) {
-			kept = append(kept, sys.Asserts[i])
-			if sys.Origins != nil {
-				keptO = append(keptO, sys.Origins[i])
-			}
-		}
 		for i, a := range sys.Asserts {
-			if len(assertVars[i]) == 0 {
-				if a != sys.Ctx.True() {
-					keep(i)
-				}
+			if r := rep[a.ID()]; r == ground && a == sys.Ctx.True() || r != ground && !inCone[uf.find(r-1)] {
 				continue
 			}
-			if inCone[uf.find(assertVars[i][0])] {
-				keep(i)
+			kept = append(kept, a)
+			if sys.Origins != nil {
+				keptO = append(keptO, sys.Origins[i])
 			}
 		}
 		sys.Asserts = kept
@@ -605,59 +640,25 @@ func (coiPass) Run(sys *System) Stats {
 	})
 }
 
-// collectVars returns the distinct variable nodes reachable from the
-// roots, in deterministic (id) order.
-func collectVars(roots []*smt.Term) []*smt.Term {
-	seen := map[*smt.Term]bool{}
-	var vars []*smt.Term
-	var walk func(t *smt.Term)
-	walk = func(t *smt.Term) {
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		if op := t.Op(); op == smt.OpBoolVar || op == smt.OpBVVar {
-			vars = append(vars, t)
-		}
-		for _, k := range t.Kids() {
-			walk(k)
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].ID() < vars[j].ID() })
-	return vars
-}
-
-// unionFind is a plain disjoint-set over term pointers with path
-// halving and union by size.
+// unionFind is a disjoint-set over variable ids with path compression
+// and union by size, in two zeroed slices: parent holds 1 + the parent's
+// id, 0 at a root; size counts a class's members beyond the first.
 type unionFind struct {
-	parent map[*smt.Term]*smt.Term
-	size   map[*smt.Term]int
+	parent, size []int32
 }
 
-func newUnionFind() *unionFind {
-	return &unionFind{parent: map[*smt.Term]*smt.Term{}, size: map[*smt.Term]int{}}
-}
-
-func (u *unionFind) find(t *smt.Term) *smt.Term {
-	if _, ok := u.parent[t]; !ok {
-		u.parent[t] = t
-		u.size[t] = 1
-		return t
+func (u *unionFind) find(v int32) int32 {
+	root := v
+	for u.parent[root] != 0 {
+		root = u.parent[root] - 1
 	}
-	root := t
-	for u.parent[root] != root {
-		root = u.parent[root]
-	}
-	for u.parent[t] != root {
-		u.parent[t], t = root, u.parent[t]
+	for v != root {
+		u.parent[v], v = root+1, u.parent[v]-1
 	}
 	return root
 }
 
-func (u *unionFind) union(a, b *smt.Term) {
+func (u *unionFind) union(a, b int32) {
 	ra, rb := u.find(a), u.find(b)
 	if ra == rb {
 		return
@@ -665,6 +666,6 @@ func (u *unionFind) union(a, b *smt.Term) {
 	if u.size[ra] < u.size[rb] {
 		ra, rb = rb, ra
 	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
+	u.parent[rb] = ra + 1
+	u.size[ra] += u.size[rb] + 1
 }

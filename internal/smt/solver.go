@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sat"
 )
@@ -16,34 +17,59 @@ type Solver struct {
 
 	trueLit sat.Lit
 
-	boolMemo map[*Term]sat.Lit
-	bvMemo   map[*Term][]sat.Lit
-	gateMemo map[gateKey]sat.Lit
+	// memo, by term id, is what each blasted term became: a boolean its
+	// literal, a bitvector the index in bvBits of its lowest bit's literal
+	// (the others follow), both plus one; 0 before. It grows with the
+	// context: a session blasts terms made after its solver was.
+	memo   []int32
+	bvBits []sat.Lit
+
+	// gates memoizes Tseitin gates by kind and input literals: open
+	// addressing, linear probing, a power-of-two length kept at most half
+	// full. A gate's output literal is never 0 (variable 0 is trueLit),
+	// so out == 0 marks a free slot.
+	gates  []gate
+	nGates int
+
+	scratch []sat.Lit // lit's stack of operand literals
 }
 
-type gateKey struct {
-	op      uint8
+// gate is one memoized gate, sixteen bytes: its input literals and its
+// output. An ite's third input is a literal; the two-input kinds put
+// their kind there, below any literal.
+type gate struct {
 	a, b, c sat.Lit
+	out     sat.Lit
 }
 
 const (
-	gateAnd uint8 = iota
+	gateAnd sat.Lit = -1 - iota
 	gateXor
-	gateIte
 )
 
 // NewSolver returns a solver for terms of the given context.
 func NewSolver(ctx *Context) *Solver {
-	s := &Solver{
-		ctx:      ctx,
-		sat:      sat.New(),
-		boolMemo: make(map[*Term]sat.Lit),
-		bvMemo:   make(map[*Term][]sat.Lit),
-		gateMemo: make(map[gateKey]sat.Lit),
-	}
+	s := &Solver{ctx: ctx, sat: sat.New(), gates: make([]gate, 64)}
 	s.trueLit = sat.MkLit(s.sat.NewVar(), false)
 	s.sat.AddClause(s.trueLit)
 	return s
+}
+
+// Reserve sizes the SAT solver for the blast of asserts of terms
+// distinct term nodes in all, so that loading them regrows none of its
+// arrays, its clause arena or the first entries of its watch lists. The
+// room per term sits just above the narrow band the blaster's yield keeps
+// to on network encodings (DESIGN §20: 5.8–6.3 variables, 18–21.5 clauses,
+// 47–58 literals). It is a hint and not a bound: any value, 0 and one far
+// too large included, yields the same variables and clauses in the same
+// order; a wrong one costs time or memory.
+func (s *Solver) Reserve(terms int) {
+	vars := 7 * max(terms, 0)
+	s.sat.Reserve(vars, 22*terms, 64*terms)
+	// Nearly every variable is a gate's output.
+	if n := 1 << bits.Len(uint(2*(s.nGates+vars))); n > len(s.gates) {
+		s.resizeGates(n)
+	}
 }
 
 // Context returns the term context the solver was created with.
@@ -74,7 +100,7 @@ func (s *Solver) SetProgress(every int64, fn func(sat.Progress)) {
 
 // NumGates returns the number of memoized Tseitin gate variables created
 // by blasting, a measure of shared circuit structure.
-func (s *Solver) NumGates() int { return len(s.gateMemo) }
+func (s *Solver) NumGates() int { return s.nGates }
 
 // Simplify performs top-level simplification of the blasted CNF (root
 // propagation, satisfied-clause removal, literal strengthening). It
@@ -213,21 +239,17 @@ func (s *Solver) CheckLimited() (sat.Status, error) { return s.sat.SolveLimited(
 func (s *Solver) Model() Assignment {
 	m := make(Assignment)
 	for _, v := range s.ctx.Vars() {
-		if v.IsBool() {
-			if l, ok := s.boolMemo[v]; ok {
-				m[v.name] = Value{Bool: s.sat.ValueLit(l) == sat.True}
-			} else {
-				m[v.name] = Value{}
-			}
-			continue
-		}
-		bits, ok := s.bvMemo[v]
+		at, ok := s.blasted(v)
 		if !ok {
 			m[v.name] = Value{}
 			continue
 		}
+		if v.IsBool() {
+			m[v.name] = Value{Bool: s.sat.ValueLit(sat.Lit(at)) == sat.True}
+			continue
+		}
 		var x uint64
-		for i, b := range bits {
+		for i, b := range s.bvBits[at : int(at)+v.Width()] {
 			if s.sat.ValueLit(b) == sat.True {
 				x |= uint64(1) << i
 			}
@@ -237,11 +259,26 @@ func (s *Solver) Model() Assignment {
 	return m
 }
 
+// blasted returns what memo holds of t, false before t is blasted.
+func (s *Solver) blasted(t *Term) (int32, bool) {
+	if int(t.id) < len(s.memo) && s.memo[t.id] != 0 {
+		return s.memo[t.id] - 1, true
+	}
+	return 0, false
+}
+
+func (s *Solver) setBlasted(t *Term, v int32) {
+	if int(t.id) >= len(s.memo) {
+		s.memo = append(s.memo, make([]int32, s.ctx.NumTerms()-len(s.memo))...)
+	}
+	s.memo[t.id] = v + 1
+}
+
 // lit returns the SAT literal representing boolean term t, creating gate
 // variables as needed (Tseitin encoding).
 func (s *Solver) lit(t *Term) sat.Lit {
-	if l, ok := s.boolMemo[t]; ok {
-		return l
+	if l, ok := s.blasted(t); ok {
+		return sat.Lit(l)
 	}
 	var l sat.Lit
 	switch t.op {
@@ -253,18 +290,23 @@ func (s *Solver) lit(t *Term) sat.Lit {
 		l = sat.MkLit(s.sat.NewVar(), false)
 	case OpNot:
 		l = s.lit(t.kids[0]).Not()
-	case OpAnd:
-		lits := make([]sat.Lit, len(t.kids))
-		for i, k := range t.kids {
-			lits[i] = s.lit(k)
+	case OpAnd, OpOr:
+		// a ∨ b is ¬(¬a ∧ ¬b). The operands' literals go on the scratch
+		// stack: blasting an operand pushes and pops its own above them.
+		neg := t.op == OpOr
+		base := len(s.scratch)
+		for _, k := range t.kids {
+			kl := s.lit(k)
+			if neg {
+				kl = kl.Not()
+			}
+			s.scratch = append(s.scratch, kl)
 		}
-		l = s.mkAndN(lits)
-	case OpOr:
-		lits := make([]sat.Lit, len(t.kids))
-		for i, k := range t.kids {
-			lits[i] = s.lit(k).Not()
+		l = s.mkAndN(s.scratch[base:])
+		s.scratch = s.scratch[:base]
+		if neg {
+			l = l.Not()
 		}
-		l = s.mkAndN(lits).Not()
 	case OpIte:
 		if t.IsBool() {
 			l = s.mkIte(s.lit(t.kids[0]), s.lit(t.kids[1]), s.lit(t.kids[2]))
@@ -277,11 +319,12 @@ func (s *Solver) lit(t *Term) sat.Lit {
 			l = s.mkXor(s.lit(a), s.lit(b)).Not()
 		} else {
 			x, y := s.bits(a), s.bits(b)
-			eqs := make([]sat.Lit, len(x))
+			base := len(s.scratch)
 			for i := range x {
-				eqs[i] = s.mkXor(x[i], y[i]).Not()
+				s.scratch = append(s.scratch, s.mkXor(x[i], y[i]).Not())
 			}
-			l = s.mkAndN(eqs)
+			l = s.mkAndN(s.scratch[base:])
+			s.scratch = s.scratch[:base]
 		}
 	case OpBVUle:
 		l = s.mkCompare(t.kids[0], t.kids[1], true)
@@ -290,26 +333,27 @@ func (s *Solver) lit(t *Term) sat.Lit {
 	default:
 		panic(fmt.Sprintf("smt: lit: non-boolean op %d", t.op))
 	}
-	s.boolMemo[t] = l
+	s.setBlasted(t, int32(l))
 	return l
 }
 
 // bits returns the SAT literals for each bit of a bitvector term, LSB
-// first.
+// first: a view of bvBits, which a later call may move — the view stays
+// readable, its literals are final.
 func (s *Solver) bits(t *Term) []sat.Lit {
-	if bs, ok := s.bvMemo[t]; ok {
-		return bs
-	}
 	w := t.Width()
+	if at, ok := s.blasted(t); ok {
+		return s.bvBits[at : int(at)+w : int(at)+w]
+	}
 	var bs []sat.Lit
 	switch t.op {
 	case OpBVVar:
-		bs = make([]sat.Lit, w)
+		bs = s.carve(w)
 		for i := range bs {
 			bs[i] = sat.MkLit(s.sat.NewVar(), false)
 		}
 	case OpBVConst:
-		bs = make([]sat.Lit, w)
+		bs = s.carve(w)
 		for i := range bs {
 			if t.val&(uint64(1)<<i) != 0 {
 				bs[i] = s.trueLit
@@ -318,38 +362,49 @@ func (s *Solver) bits(t *Term) []sat.Lit {
 			}
 		}
 	case OpBVAdd:
-		bs = s.mkAdder(s.bits(t.kids[0]), s.bits(t.kids[1]), s.trueLit.Not())
+		x, y := s.bits(t.kids[0]), s.bits(t.kids[1])
+		bs = s.mkAdder(s.carve(w), x, y, s.trueLit.Not())
 	case OpBVSub:
-		// a - b = a + ¬b + 1
-		nb := s.bits(t.kids[1])
-		inv := make([]sat.Lit, len(nb))
-		for i, b := range nb {
-			inv[i] = b.Not()
+		// a - b = a + ¬b + 1. The subtrahend is blasted first: that order
+		// is the order the variables are numbered in.
+		y := s.bits(t.kids[1])
+		x := s.bits(t.kids[0])
+		base := len(s.scratch)
+		for _, b := range y {
+			s.scratch = append(s.scratch, b.Not())
 		}
-		bs = s.mkAdder(s.bits(t.kids[0]), inv, s.trueLit)
+		bs = s.mkAdder(s.carve(w), x, s.scratch[base:], s.trueLit)
+		s.scratch = s.scratch[:base]
 	case OpBVAnd:
 		x, y := s.bits(t.kids[0]), s.bits(t.kids[1])
-		bs = make([]sat.Lit, w)
+		bs = s.carve(w)
 		for i := range bs {
 			bs[i] = s.mkAnd(x[i], y[i])
 		}
 	case OpIte:
 		c := s.lit(t.kids[0])
 		x, y := s.bits(t.kids[1]), s.bits(t.kids[2])
-		bs = make([]sat.Lit, w)
+		bs = s.carve(w)
 		for i := range bs {
 			bs[i] = s.mkIte(c, x[i], y[i])
 		}
 	default:
 		panic(fmt.Sprintf("smt: bits: non-bitvector op %d", t.op))
 	}
-	s.bvMemo[t] = bs
+	s.setBlasted(t, int32(len(s.bvBits)-w))
 	return bs
 }
 
-// mkAdder builds a ripple-carry adder and returns the sum bits.
-func (s *Solver) mkAdder(a, b []sat.Lit, carry sat.Lit) []sat.Lit {
-	out := make([]sat.Lit, len(a))
+// carve takes the next w literals of bvBits for a term whose operands
+// have theirs: gates made while they are filled in take none.
+func (s *Solver) carve(w int) []sat.Lit {
+	at := len(s.bvBits)
+	s.bvBits = append(s.bvBits, make([]sat.Lit, w)...)
+	return s.bvBits[at : at+w : at+w]
+}
+
+// mkAdder builds a ripple-carry adder into out and returns it.
+func (s *Solver) mkAdder(out, a, b []sat.Lit, carry sat.Lit) []sat.Lit {
 	for i := range a {
 		axb := s.mkXor(a[i], b[i])
 		out[i] = s.mkXor(axb, carry)
@@ -399,23 +454,24 @@ func (s *Solver) mkAnd(a, b sat.Lit) sat.Lit {
 	if a > b {
 		a, b = b, a
 	}
-	k := gateKey{gateAnd, a, b, 0}
-	if g, ok := s.gateMemo[k]; ok {
-		return g
+	e := s.gate(a, b, gateAnd)
+	if e.out != 0 {
+		return e.out
 	}
 	g := sat.MkLit(s.sat.NewVar(), false)
 	s.sat.AddClause(g.Not(), a)
 	s.sat.AddClause(g.Not(), b)
 	s.sat.AddClause(a.Not(), b.Not(), g)
-	s.gateMemo[k] = g
+	s.setGate(e, g)
 	return g
 }
 
-// mkAndN folds a slice of literals into a single conjunction literal.
+// mkAndN folds a slice of literals into a single conjunction literal. It
+// overwrites lits and may append to it.
 func (s *Solver) mkAndN(lits []sat.Lit) sat.Lit {
 	tl, fl := s.trueLit, s.trueLit.Not()
-	// Filter constants first so the n-ary gate stays small.
-	var kids []sat.Lit
+	// Filter constants first, in place, so the n-ary gate stays small.
+	kids := lits[:0]
 	for _, l := range lits {
 		if l == fl {
 			return fl
@@ -434,13 +490,11 @@ func (s *Solver) mkAndN(lits []sat.Lit) sat.Lit {
 		return s.mkAnd(kids[0], kids[1])
 	}
 	g := sat.MkLit(s.sat.NewVar(), false)
-	long := make([]sat.Lit, 0, len(kids)+1)
-	for _, l := range kids {
+	for i, l := range kids {
 		s.sat.AddClause(g.Not(), l)
-		long = append(long, l.Not())
+		kids[i] = l.Not()
 	}
-	long = append(long, g)
-	s.sat.AddClause(long...)
+	s.sat.AddClause(append(kids, g)...)
 	return g
 }
 
@@ -472,15 +526,15 @@ func (s *Solver) mkXor(a, b sat.Lit) sat.Lit {
 	if a > b {
 		a, b = b, a
 	}
-	k := gateKey{gateXor, a, b, 0}
-	g, ok := s.gateMemo[k]
-	if !ok {
+	e := s.gate(a, b, gateXor)
+	g := e.out
+	if g == 0 {
 		g = sat.MkLit(s.sat.NewVar(), false)
 		s.sat.AddClause(g.Not(), a, b)
 		s.sat.AddClause(g.Not(), a.Not(), b.Not())
 		s.sat.AddClause(g, a.Not(), b)
 		s.sat.AddClause(g, a, b.Not())
-		s.gateMemo[k] = g
+		s.setGate(e, g)
 	}
 	if neg {
 		return g.Not()
@@ -514,9 +568,9 @@ func (s *Solver) mkIte(c, a, b sat.Lit) sat.Lit {
 	if c.Neg() {
 		c, a, b = c.Not(), b, a
 	}
-	k := gateKey{gateIte, c, a, b}
-	if g, ok := s.gateMemo[k]; ok {
-		return g
+	e := s.gate(c, a, b)
+	if e.out != 0 {
+		return e.out
 	}
 	g := sat.MkLit(s.sat.NewVar(), false)
 	s.sat.AddClause(c.Not(), a.Not(), g)
@@ -526,6 +580,42 @@ func (s *Solver) mkIte(c, a, b sat.Lit) sat.Lit {
 	// Redundant but propagation-strengthening clauses.
 	s.sat.AddClause(a.Not(), b.Not(), g)
 	s.sat.AddClause(a, b, g.Not())
-	s.gateMemo[k] = g
+	s.setGate(e, g)
 	return g
+}
+
+// gate returns the table slot of the gate over inputs a, b and c (a
+// literal, or the kind of a two-input gate): the memoized gate if out is
+// set, else the free slot setGate fills. Nothing may be looked up in
+// between: the table does not move, but the slot is taken.
+func (s *Solver) gate(a, b, c sat.Lit) *gate {
+	const golden = 0x9E3779B97F4A7C15 // 2^64/φ
+	h := ((uint64(uint32(a))<<32|uint64(uint32(b)))*golden>>29 ^ uint64(uint32(c))) * golden >> 32
+	mask := len(s.gates) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		if e := &s.gates[i]; e.out == 0 || (e.a == a && e.b == b && e.c == c) {
+			e.a, e.b, e.c = a, b, c
+			return e
+		}
+	}
+}
+
+// setGate records g as the output of the gate whose free slot e is, and
+// doubles a table it leaves more than half full.
+func (s *Solver) setGate(e *gate, g sat.Lit) {
+	e.out = g
+	if s.nGates++; 2*s.nGates > len(s.gates) {
+		s.resizeGates(2 * len(s.gates))
+	}
+}
+
+// resizeGates moves the gates to a table of n slots, a power of two.
+func (s *Solver) resizeGates(n int) {
+	old := s.gates
+	s.gates = make([]gate, n)
+	for _, e := range old {
+		if e.out != 0 {
+			*s.gate(e.a, e.b, e.c) = e
+		}
+	}
 }

@@ -7,10 +7,10 @@
 package smt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Op enumerates term constructors.
@@ -36,7 +36,7 @@ const (
 	OpBVUlt // unsigned <
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpTrue: "true", OpFalse: "false", OpBoolVar: "boolvar", OpNot: "not",
 	OpAnd: "and", OpOr: "or", OpIte: "ite", OpEq: "=",
 	OpBVVar: "bvvar", OpBVConst: "bvconst", OpBVAdd: "bvadd",
@@ -47,19 +47,21 @@ var opNames = map[Op]string{
 // through a Context and may be compared with == for structural equality.
 type Term struct {
 	id    int32
-	op    Op
-	width uint8 // 0 for boolean sort; 1..64 for bitvectors
+	hash  uint32 // of (op, width, val, kid ids); zero for variables and true/false
 	val   uint64
 	name  string
 	kids  []*Term
+	op    Op
+	width uint8 // 0 for boolean sort; 1..64 for bitvectors
 }
 
 // Op returns the term's operator.
 func (t *Term) Op() Op { return t.op }
 
 // ID returns the term's hash-consing id, unique and stable within its
-// Context. The pass pipeline uses it for dense maps and canonical
-// ordering; ids are meaningless across contexts.
+// Context: ids count up from 0 in creation order, so a slice of
+// Context.NumTerms() entries indexed by ID is a map over terms (the
+// passes', the blaster's, the evaluator's). Ids mean nothing across contexts.
 func (t *Term) ID() int32 { return t.id }
 
 // IsBool reports whether the term has boolean sort.
@@ -78,35 +80,36 @@ func (t *Term) Const() uint64 { return t.val }
 func (t *Term) Kids() []*Term { return t.kids }
 
 // String renders the term in an SMT-LIB-flavoured syntax.
-func (t *Term) String() string {
+func (t *Term) String() string { return string(t.appendTo(nil)) }
+
+func (t *Term) appendTo(b []byte) []byte {
 	switch t.op {
-	case OpTrue:
-		return "true"
-	case OpFalse:
-		return "false"
+	case OpTrue, OpFalse:
+		return append(b, opNames[t.op]...)
 	case OpBoolVar, OpBVVar:
-		return t.name
+		return append(b, t.name...)
 	case OpBVConst:
-		return fmt.Sprintf("#x%x[%d]", t.val, t.width)
+		return fmt.Appendf(b, "#x%x[%d]", t.val, t.width)
 	}
-	var b strings.Builder
-	b.WriteByte('(')
-	b.WriteString(opNames[t.op])
+	b = append(append(b, '('), opNames[t.op]...)
 	for _, k := range t.kids {
-		b.WriteByte(' ')
-		b.WriteString(k.String())
+		b = k.appendTo(append(b, ' '))
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // Context creates and hash-conses terms. All terms combined in one formula
 // must come from the same Context. A Context is not safe for concurrent
 // use.
 type Context struct {
-	table  map[string]*Term
+	// table hash-conses constants and composite nodes: open addressing,
+	// linear probing, a power-of-two length kept at most half full.
+	// Variables are unique by name (vars) and never enter it.
+	table  []*Term
+	filled int
 	vars   map[string]*Term
 	nextID int32
+	flat   []*Term // nary's operand scratch
 
 	tt *Term // the unique true term
 	ff *Term // the unique false term
@@ -115,44 +118,63 @@ type Context struct {
 // NewContext returns an empty term context.
 func NewContext() *Context {
 	c := &Context{
-		table: make(map[string]*Term),
+		table: make([]*Term, 256),
 		vars:  make(map[string]*Term),
 	}
-	c.tt = c.intern(&Term{op: OpTrue})
-	c.ff = c.intern(&Term{op: OpFalse})
+	c.tt = c.newTerm(&Term{op: OpTrue})
+	c.ff = c.newTerm(&Term{op: OpFalse})
 	return c
 }
 
 // NumTerms returns the number of distinct terms created, a proxy for
-// formula size used by the optimization benchmarks.
+// formula size used by the optimization benchmarks; every term's ID is
+// below it.
 func (c *Context) NumTerms() int { return int(c.nextID) }
 
-// key builds the hash-consing key for a candidate node.
-func key(t *Term) string {
-	var b strings.Builder
-	b.WriteByte(byte(t.op))
-	b.WriteByte(t.width)
-	if t.op == OpBVConst {
-		b.WriteString(strconv.FormatUint(t.val, 16))
-	}
-	if t.op == OpBoolVar || t.op == OpBVVar {
-		b.WriteString(t.name)
-	}
-	for _, k := range t.kids {
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(int64(k.id), 36))
-	}
-	return b.String()
-}
-
-func (c *Context) intern(t *Term) *Term {
-	k := key(t)
-	if old, ok := c.table[k]; ok {
-		return old
-	}
+// newTerm gives t the next id.
+func (c *Context) newTerm(t *Term) *Term {
 	t.id = c.nextID
 	c.nextID++
-	c.table[k] = t
+	return t
+}
+
+// intern returns the node (op, width, val, kids), creating it on first
+// use. A hit allocates nothing: the candidate exists only as arguments,
+// compared field by field with the nodes its hash probes.
+func (c *Context) intern(op Op, width uint8, val uint64, kids ...*Term) *Term {
+	const golden = 0x9E3779B97F4A7C15 // 2^64/φ: a product's high half depends on every bit below
+	h := (val ^ uint64(op)<<56 ^ uint64(width)<<48) * golden
+	for _, k := range kids {
+		h = (h ^ uint64(k.id)) * golden
+	}
+	hash := uint32(h >> 32)
+	mask := len(c.table) - 1
+	i := int(hash) & mask
+	for ; c.table[i] != nil; i = (i + 1) & mask {
+		if t := c.table[i]; t.hash == hash && t.op == op && t.width == width && t.val == val && slices.Equal(t.kids, kids) {
+			return t
+		}
+	}
+	t := c.newTerm(&Term{op: op, width: width, val: val, hash: hash})
+	if len(kids) > 0 {
+		t.kids = make([]*Term, len(kids))
+		copy(t.kids, kids)
+	}
+	c.table[i] = t
+	if c.filled++; 2*c.filled > len(c.table) {
+		old := c.table
+		c.table = make([]*Term, 2*len(old))
+		mask = len(c.table) - 1
+		for _, t := range old {
+			if t != nil {
+				i := int(t.hash) & mask
+				for c.table[i] != nil {
+					i = (i + 1) & mask
+				}
+				c.table[i] = t
+			}
+		}
+	}
 	return t
 }
 
@@ -179,7 +201,7 @@ func (c *Context) BoolVar(name string) *Term {
 		}
 		return v
 	}
-	v := c.intern(&Term{op: OpBoolVar, name: name})
+	v := c.newTerm(&Term{op: OpBoolVar, name: name})
 	c.vars[name] = v
 	return v
 }
@@ -194,7 +216,7 @@ func (c *Context) BVVar(name string, width int) *Term {
 		}
 		return v
 	}
-	v := c.intern(&Term{op: OpBVVar, width: uint8(width), name: name})
+	v := c.newTerm(&Term{op: OpBVVar, width: uint8(width), name: name})
 	c.vars[name] = v
 	return v
 }
@@ -214,7 +236,7 @@ func (c *Context) Vars() []*Term {
 func (c *Context) BV(val uint64, width int) *Term {
 	checkWidth(width)
 	val &= mask(width)
-	return c.intern(&Term{op: OpBVConst, width: uint8(width), val: val})
+	return c.intern(OpBVConst, uint8(width), val)
 }
 
 func checkWidth(w int) {
@@ -242,7 +264,7 @@ func (c *Context) Not(t *Term) *Term {
 	case OpNot:
 		return t.kids[0]
 	}
-	return c.intern(&Term{op: OpNot, kids: []*Term{t}})
+	return c.intern(OpNot, 0, 0, t)
 }
 
 // And returns the n-ary conjunction, flattening nested conjunctions,
@@ -258,39 +280,28 @@ func (c *Context) nary(op Op, ts []*Term) *Term {
 	if op == OpOr {
 		unit, zero = c.ff, c.tt
 	}
-	flat := make([]*Term, 0, len(ts))
-	var flatten func(t *Term)
-	flatten = func(t *Term) {
-		mustBool(opNames[op], t)
-		if t.op == op {
-			for _, k := range t.kids {
-				flatten(k)
-			}
-			return
-		}
-		flat = append(flat, t)
-	}
-	for _, t := range ts {
-		flatten(t)
-	}
+	// Nothing below builds a term before flat is done with, so one
+	// scratch list serves every call.
+	flat := flatten(op, c.flat[:0], ts)
+	c.flat = flat[:0]
 	// Sort children by id for canonical form, then dedupe and fold.
-	sort.Slice(flat, func(i, j int) bool { return flat[i].id < flat[j].id })
+	slices.SortFunc(flat, byID)
 	out := flat[:0]
-	seen := map[int32]bool{}
 	for _, t := range flat {
 		if t == zero {
 			return zero
 		}
-		if t == unit || seen[t.id] {
+		if t == unit || (len(out) > 0 && out[len(out)-1] == t) {
 			continue
 		}
-		seen[t.id] = true
 		out = append(out, t)
 	}
 	// Complementary pair check: x and ¬x together.
 	for _, t := range out {
-		if t.op == OpNot && seen[t.kids[0].id] {
-			return zero
+		if t.op == OpNot {
+			if _, found := slices.BinarySearchFunc(out, t.kids[0], byID); found {
+				return zero
+			}
 		}
 	}
 	switch len(out) {
@@ -299,7 +310,22 @@ func (c *Context) nary(op Op, ts []*Term) *Term {
 	case 1:
 		return out[0]
 	}
-	return c.intern(&Term{op: op, kids: append([]*Term(nil), out...)})
+	return c.intern(op, 0, 0, out...)
+}
+
+func byID(a, b *Term) int { return cmp.Compare(a.id, b.id) }
+
+// flatten appends ts to flat, operands of a nested op in place of it.
+func flatten(op Op, flat, ts []*Term) []*Term {
+	for _, t := range ts {
+		mustBool(opNames[op], t)
+		if t.op == op {
+			flat = flatten(op, flat, t.kids)
+		} else {
+			flat = append(flat, t)
+		}
+	}
+	return flat
 }
 
 // Implies returns a → b as ¬a ∨ b.
@@ -347,7 +373,7 @@ func (c *Context) Eq(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpEq, kids: []*Term{a, b}})
+	return c.intern(OpEq, 0, 0, a, b)
 }
 
 // Distinct returns ¬(a = b).
@@ -394,7 +420,7 @@ func (c *Context) Ite(cond, a, b *Term) *Term {
 	if cond.op == OpNot {
 		cond, a, b = cond.kids[0], b, a
 	}
-	return c.intern(&Term{op: OpIte, width: a.width, kids: []*Term{cond, a, b}})
+	return c.intern(OpIte, a.width, 0, cond, a, b)
 }
 
 // Add returns bitvector addition modulo 2^width, folding constants and
@@ -413,7 +439,7 @@ func (c *Context) Add(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpBVAdd, width: a.width, kids: []*Term{a, b}})
+	return c.intern(OpBVAdd, a.width, 0, a, b)
 }
 
 // Sub returns bitvector subtraction modulo 2^width.
@@ -428,7 +454,7 @@ func (c *Context) Sub(a, b *Term) *Term {
 	if a == b {
 		return c.BV(0, a.Width())
 	}
-	return c.intern(&Term{op: OpBVSub, width: a.width, kids: []*Term{a, b}})
+	return c.intern(OpBVSub, a.width, 0, a, b)
 }
 
 // BVAnd returns the bitwise conjunction of two bitvectors.
@@ -459,7 +485,7 @@ func (c *Context) BVAnd(a, b *Term) *Term {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	return c.intern(&Term{op: OpBVAnd, width: a.width, kids: []*Term{a, b}})
+	return c.intern(OpBVAnd, a.width, 0, a, b)
 }
 
 // Ule returns the unsigned a ≤ b comparison.
@@ -477,7 +503,7 @@ func (c *Context) Ule(a, b *Term) *Term {
 	if b.op == OpBVConst && b.val == mask(b.Width()) {
 		return c.tt // x <= max
 	}
-	return c.intern(&Term{op: OpBVUle, kids: []*Term{a, b}})
+	return c.intern(OpBVUle, 0, 0, a, b)
 }
 
 // Ult returns the unsigned a < b comparison.
@@ -495,7 +521,7 @@ func (c *Context) Ult(a, b *Term) *Term {
 	if a.op == OpBVConst && a.val == mask(a.Width()) {
 		return c.ff // max < x
 	}
-	return c.intern(&Term{op: OpBVUlt, kids: []*Term{a, b}})
+	return c.intern(OpBVUlt, 0, 0, a, b)
 }
 
 // Uge returns a ≥ b.
