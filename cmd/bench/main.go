@@ -88,7 +88,7 @@ func main() {
 		jsonOut    = flag.String("json-out", "BENCH_<experiment>.json", "fig8/tiered/modular: JSON artifact path ('' to skip)")
 		traceJSON  = flag.String("trace-json", "", "write the fig8/ablation span tree as JSON to this file")
 		progress   = flag.String("progress", "", "print solver progress to stderr every N conflicts")
-		passesFlag = flag.String("passes", "", "optimization passes: comma list of hoist,slice,fold,cse,propagate,coi, or all/none (default: all; ablation pins its own)")
+		passesFlag = flag.String("passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all; ablation pins its own)")
 		tiersFlag  = flag.String("tiers", "", "fig8: verification tiers (graph,sat enables the fast path; default: untiered, measuring the solver)")
 		certify    = flag.Bool("certify", false, "fig8: record DRAT proofs and check verified verdicts, adding the proof columns")
 		monoMax    = flag.Int("mono-max", 4, "modular: largest pod count also verified monolithically for the reference comparison")

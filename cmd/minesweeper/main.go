@@ -123,7 +123,7 @@ func main() {
 	flag.StringVar(&o.traceJSON, "trace-json", "", "write the span tree and metrics as JSON to this file")
 	flag.StringVar(&o.traceChrome, "trace-chrome", "", "write the span tree as Chrome trace_event JSON to this file (open in Perfetto or chrome://tracing)")
 	flag.StringVar(&o.promOut, "prom", "", "write the metrics in Prometheus text format to this file")
-	flag.StringVar(&o.passes, "passes", "", "optimization passes: comma list of hoist,slice,fold,cse,propagate,coi, or all/none (default: all)")
+	flag.StringVar(&o.passes, "passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all)")
 	flag.StringVar(&o.tiers, "tiers", "", "verification tiers: graph,sat (default; sound graph fast path, residue to the solver), or sat/none to disable the fast path")
 	flag.BoolVar(&o.certify, "certify", false, "record a DRAT proof trace and check verified verdicts with the independent checker")
 	flag.BoolVar(&o.blame, "blame", false, "report the configuration origins the verdict depends on (UNSAT core origins, or the counterexample's forwarding origins)")

@@ -186,6 +186,7 @@ func TestRunValidation(t *testing.T) {
 		want string
 	}{
 		{"-passes", with(reach, func(o *cliOpts) { o.passes = "hoist,nope" }), `unknown pass "nope"`},
+		{"-passes fold", with(reach, func(o *cliOpts) { o.passes = "hoist,slice,fold" }), `unknown pass "fold" (known: hoist,slice,propagate,coi,all,none)`},
 		{"-tiers", with(reach, func(o *cliOpts) { o.tiers = "fast" }), `unknown -tiers value "fast"`},
 		{"-configs", base(t.TempDir(), "loops"), "no .cfg/.conf files"},
 		{"missing -src", with(reach, func(o *cliOpts) { o.src = "" }), `check "reachability" requires src`},

@@ -55,6 +55,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -72,7 +73,7 @@ func main() {
 		workers   = flag.Int("workers", 2, "concurrent verification workers")
 		queue     = flag.Int("queue", 64, "maximum queued jobs before 429s")
 		timeout   = flag.Duration("timeout", 120*time.Second, "default per-job deadline")
-		passes    = flag.String("passes", "", "optimization passes: comma list of hoist,slice,fold,cse,propagate,coi, or all/none (default: all)")
+		passes    = flag.String("passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all)")
 		tiers     = flag.String("tiers", "", "verification tiers: graph,sat (default; sound graph fast path, residue to the solver), or sat/none to disable the fast path")
 		mod       = flag.Bool("modular", false, "verify multi-component networks by assume/guarantee composition (cut at eBGP interfaces, per-component checks on the worker pool; residue falls back to the monolithic pipeline)")
 		certify   = flag.Bool("certify", false, "record DRAT proof traces and check verified verdicts with the independent checker")

@@ -125,13 +125,3 @@ func FindBGPNeighbor(r *Router, addr network.IP) *BGPNeighbor {
 	}
 	return nil
 }
-
-// OwnsAddress reports whether any interface of r owns the address.
-func OwnsAddress(r *Router, addr network.IP) bool {
-	for _, i := range r.Interfaces {
-		if !i.Shutdown && i.Addr == addr {
-			return true
-		}
-	}
-	return false
-}

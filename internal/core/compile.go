@@ -7,25 +7,28 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/smt"
 	"repro/internal/smt/passes"
 )
 
-// Encoding-time pass names accepted by Options.Passes alongside the
-// term-level passes of internal/smt/passes. "hoist" and "slice" are the
-// paper's §6.1/§6.2 rewrites applied while the model is built; the term
-// passes run afterwards over the finished assert list.
+// The names Options.Passes accepts, in pipeline order. "hoist" and
+// "slice" are the paper's §6.1/§6.2 rewrites applied while the model is
+// built; "propagate" (passes.Propagate, at compile time) and "coi"
+// (passes.COI, per query) run afterwards over the finished assert list.
 const (
-	PassHoist = "hoist"
-	PassSlice = "slice"
+	passHoist     = "hoist"
+	passSlice     = "slice"
+	passPropagate = "propagate"
+	passCOI       = "coi"
 )
 
 // PassNames lists every pass name accepted by Options.Passes, in
 // pipeline order: encoding passes first, then the term-level passes.
 func PassNames() []string {
-	return append([]string{PassHoist, PassSlice}, passes.Names()...)
+	return []string{passHoist, passSlice, passPropagate, passCOI}
 }
 
 // ValidatePasses checks an Options.Passes value without building a
@@ -44,13 +47,11 @@ func (o Options) Hoists() bool {
 	return err == nil && spec.hoist
 }
 
-// passSpec is Options.Passes resolved into a concrete pipeline: the
-// encoding-time switches, the property-agnostic compile passes, and
-// whether goal-relative cone-of-influence pruning runs at check time.
+// passSpec is Options.Passes resolved: the encoding-time switches, the
+// property-agnostic compile pass, and whether goal-relative
+// cone-of-influence pruning runs at check time.
 type passSpec struct {
-	hoist, slice bool
-	compile      []string // fold/cse/propagate, canonical order
-	coi          bool
+	hoist, slice, propagate, coi bool
 }
 
 // resolvePasses interprets Options.Passes: the empty string and "all"
@@ -59,34 +60,25 @@ type passSpec struct {
 func resolvePasses(o Options) (passSpec, error) {
 	switch o.Passes {
 	case "", "all":
-		return passSpec{
-			hoist:   true,
-			slice:   true,
-			compile: []string{passes.Fold, passes.CSE, passes.Propagate},
-			coi:     true,
-		}, nil
+		return passSpec{hoist: true, slice: true, propagate: true, coi: true}, nil
 	case "none":
 		return passSpec{}, nil
 	}
 	var spec passSpec
 	for _, name := range strings.Split(o.Passes, ",") {
 		switch strings.TrimSpace(name) {
-		case PassHoist:
+		case passHoist:
 			spec.hoist = true
-		case PassSlice:
+		case passSlice:
 			spec.slice = true
-		case passes.Fold:
-			spec.compile = append(spec.compile, passes.Fold)
-		case passes.CSE:
-			spec.compile = append(spec.compile, passes.CSE)
-		case passes.Propagate:
-			spec.compile = append(spec.compile, passes.Propagate)
-		case passes.COI:
+		case passPropagate:
+			spec.propagate = true
+		case passCOI:
 			spec.coi = true
 		case "":
 		default:
-			return passSpec{}, fmt.Errorf("core: unknown pass %q (known: %s, all, none)",
-				strings.TrimSpace(name), strings.Join(PassNames(), ", "))
+			return passSpec{}, fmt.Errorf("core: unknown pass %q (known: %s,all,none)",
+				strings.TrimSpace(name), strings.Join(PassNames(), ","))
 		}
 	}
 	return spec, nil
@@ -100,24 +92,28 @@ func resolvePasses(o Options) (passSpec, error) {
 type CompiledNetwork struct {
 	// Asserts is the post-pass constraint system, ready to blast.
 	Asserts []*smt.Term
-	// Hash is the hex SHA-256 of the asserts' DAG serialization — equal
-	// hashes mean structurally identical compiled systems, even across
-	// different smt.Contexts.
-	Hash string
 	// BaseLen is the length of Model.Asserts this artifact covers.
 	// Property builders append instrumentation constraints; a model
 	// whose assert list has grown past BaseLen recompiles on demand,
 	// while sessions blast the suffix incrementally instead.
 	BaseLen int
-	// PassStats itemizes the compile passes that produced the artifact.
+	// PassStats itemizes the compile pass that produced the artifact
+	// (empty when Options.Passes leaves propagate out).
 	PassStats []passes.Stats
 	// Origins runs parallel to Asserts: the provenance base ids (interned
 	// in the model's Prov table) each post-pass assert descends from.
 	Origins [][]int32
+
+	hash func() string
 }
 
-// Compile runs the property-agnostic term passes (fold, cse, propagate
-// as enabled by Options.Passes) over the model's current constraint
+// Hash is the hex SHA-256 of the asserts' DAG serialization — equal
+// hashes mean structurally identical compiled systems, even across
+// different smt.Contexts. It is computed the first time it is asked for.
+func (cn *CompiledNetwork) Hash() string { return cn.hash() }
+
+// Compile runs the property-agnostic term pass (propagate, when
+// Options.Passes enables it) over the model's current constraint
 // system and returns the content-addressed artifact. The result is
 // cached on the model: repeated calls are free until Asserts grows or
 // is replaced, so every session and fresh check of one model shares a
@@ -142,28 +138,23 @@ func (m *Model) cachedCompile() *CompiledNetwork {
 	return nil
 }
 
-// compile runs the compile passes under sp — Compile's own span, or the
+// compile runs the compile pass under sp — Compile's own span, or the
 // compile phase of the query that found the cache stale — and caches the
 // artifact.
 func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
-	sys := &passes.System{Ctx: m.Ctx, Asserts: append([]*smt.Term(nil), m.Asserts...)}
 	// Provenance rides along: one base id per assert, merged by the
-	// passes wherever asserts merge.
-	sys.Origins = m.tailOrigins(0)
-	pl, err := passes.NewPipeline(m.spec.compile...)
-	if err != nil {
-		// Names come from resolvePasses, which only emits canonical ones.
-		panic(err)
+	// pass wherever asserts merge.
+	sys := &passes.System{Ctx: m.Ctx, Asserts: append([]*smt.Term(nil), m.Asserts...), Origins: m.tailOrigins(0)}
+	cn := &CompiledNetwork{BaseLen: len(m.Asserts)}
+	if m.spec.propagate {
+		cn.PassStats = []passes.Stats{passes.Propagate(sys, sp)}
 	}
-	stats := pl.Run(sys, sp)
-	cn := &CompiledNetwork{
-		Asserts:   sys.Asserts,
-		Hash:      hashTerms(m.Ctx, sys.Asserts),
-		BaseLen:   len(m.Asserts),
-		PassStats: stats,
-		Origins:   sys.Origins,
+	cn.Asserts, cn.Origins = sys.Asserts, sys.Origins
+	ctx := m.Ctx // the artifact must not keep the model alive
+	cn.hash = sync.OnceValue(func() string { return hashTerms(ctx, cn.Asserts) })
+	if sp != nil {
+		sp.SetStr("hash", cn.Hash()[:12])
 	}
-	sp.SetStr("hash", cn.Hash[:12])
 	sp.SetInt("asserts_in", int64(cn.BaseLen))
 	sp.SetInt("asserts_out", int64(len(cn.Asserts)))
 	m.compiled = cn
@@ -175,8 +166,8 @@ func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
 	return cn
 }
 
-// CompileCount reports how many times the model actually ran the
-// compile pipeline (i.e. cache misses). Benchmarks use it to show the
+// CompileCount reports how many times the model actually compiled
+// (i.e. cache misses). Benchmarks use it to show the
 // batch path compiles once per network while the fresh path recompiles
 // as instrumentation grows the assert list.
 func (m *Model) CompileCount() int { return m.compiles }

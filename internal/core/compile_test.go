@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/smt"
@@ -67,17 +68,17 @@ func TestCompileHashContentAddressed(t *testing.T) {
 	// Structurally identical networks hash equally across contexts...
 	m1 := encodeNet(t, testnets.Figure2(), DefaultOptions())
 	m2 := encodeNet(t, testnets.Figure2(), DefaultOptions())
-	h1, h2 := m1.Compile().Hash, m2.Compile().Hash
+	h1, h2 := m1.Compile().Hash(), m2.Compile().Hash()
 	if h1 == "" || h1 != h2 {
 		t.Fatalf("same network must compile to the same hash: %q vs %q", h1, h2)
 	}
 	// ...and different networks (or pipelines) hash differently.
 	m3 := encodeNet(t, testnets.OSPFChain(3), DefaultOptions())
-	if h3 := m3.Compile().Hash; h3 == h1 {
+	if h3 := m3.Compile().Hash(); h3 == h1 {
 		t.Fatal("different networks must not collide")
 	}
 	m4 := encodeNet(t, testnets.Figure2(), Options{Passes: "none"})
-	if h4 := m4.Compile().Hash; h4 == h1 {
+	if h4 := m4.Compile().Hash(); h4 == h1 {
 		t.Fatal("different pipelines produce different systems")
 	}
 }
@@ -118,14 +119,12 @@ func TestResultPassStatsItemized(t *testing.T) {
 	if len(res.PassStats) == 0 {
 		t.Fatal("first check must itemize the compile passes it ran")
 	}
-	names := map[string]bool{}
+	var names []string
 	for _, st := range res.PassStats {
-		names[st.Pass] = true
+		names = append(names, st.Pass)
 	}
-	for _, want := range []string{"fold", "cse", "propagate", "coi", "cnf-simplify"} {
-		if !names[want] {
-			t.Fatalf("PassStats missing %q: %+v", want, res.PassStats)
-		}
+	if got := strings.Join(names, " "); got != "propagate coi cnf-simplify" {
+		t.Fatalf("PassStats read %q: %+v", got, res.PassStats)
 	}
 
 	// A second check reuses the cached artifact: no compile rows, but
@@ -135,8 +134,8 @@ func TestResultPassStatsItemized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range res2.PassStats {
-		if st.Pass == "fold" || st.Pass == "cse" || st.Pass == "propagate" {
-			t.Fatalf("cached check must not charge compile passes: %+v", res2.PassStats)
+		if st.Pass == "propagate" {
+			t.Fatalf("cached check must not charge the compile pass: %+v", res2.PassStats)
 		}
 	}
 	if got := m.CompileCount(); got != 1 {
@@ -150,5 +149,29 @@ func TestCheckContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := m.CheckContext(ctx, m.Ctx.True()); err == nil {
 		t.Fatal("canceled context must fail the check")
+	}
+}
+
+// TestUnknownPassNamesTheKnownOnes: a name Options.Passes does not know —
+// the two deleted ones included, which have no alias — is an error that
+// lists the names it does.
+func TestUnknownPassNamesTheKnownOnes(t *testing.T) {
+	if got := strings.Join(PassNames(), ","); got != "hoist,slice,propagate,coi" {
+		t.Fatalf("PassNames: %s", got)
+	}
+	for _, bad := range []string{"fold", "cse", "hoist,fold", "propagate, cse", "bogus"} {
+		err := ValidatePasses(bad)
+		if err == nil || !strings.Contains(err.Error(), "unknown pass") ||
+			!strings.Contains(err.Error(), "hoist,slice,propagate,coi,all,none") {
+			t.Errorf("ValidatePasses(%q) = %v", bad, err)
+		}
+		if _, err := Encode(testnets.StaticNull().Graph, Options{Passes: bad}); err == nil {
+			t.Errorf("Encode accepted Passes %q", bad)
+		}
+	}
+	for _, good := range []string{"", "all", "none", "hoist", "coi,propagate", " slice , coi "} {
+		if err := ValidatePasses(good); err != nil {
+			t.Errorf("ValidatePasses(%q) = %v", good, err)
+		}
 	}
 }

@@ -62,22 +62,6 @@ func (m *Model) ExportMatches(ext string, p EnvPin) (*smt.Term, error) {
 	return m.Ctx.And(m.pinRecord(rec, p)...), nil
 }
 
-// EnvQuarantined states that no listed external's announcement survives
-// the import policy: the post-import record is invalid for every ext.
-// Length-arithmetic composition uses it to show real externals cannot
-// contribute paths to the goal destination.
-func (m *Model) EnvQuarantined(exts []string) (*smt.Term, error) {
-	terms := make([]*smt.Term, 0, len(exts))
-	for _, e := range exts {
-		rec := m.Main.ExtImports[e]
-		if rec == nil {
-			return nil, fmt.Errorf("core: no import record for external %q", e)
-		}
-		terms = append(terms, m.Ctx.Not(rec.Valid))
-	}
-	return m.Ctx.And(terms...), nil
-}
-
 // pinRecord equates a record with a pin. For a Valid pin the route is
 // present with the pinned prefix length and metric, MED zero and no
 // communities — exactly what an eBGP hop under the modular residue rules
@@ -148,42 +132,12 @@ func (m *Model) EnvContractLB(p EnvPin) (*smt.Term, error) {
 // is a cut session whose far side holds a valid contract, so crossing it
 // hands the packet to a neighbor component that (by its own obligation)
 // delivers. Exits toward real externals or invalid-contract cuts do not
-// count. The encoding copies Reach's well-founded scheme: strictly
-// decreasing distance witnesses rule out loop-supported reachability.
+// count.
 //
-// Each call mints fresh variables (no memoization); call it once per
-// model and reuse the returned map.
+// The variables are named for the slice alone, not for the allowed set:
+// call it once per model and reuse the returned map.
 func (m *Model) ReachVia(sl *Slice, allowed map[string]bool) map[string]*smt.Term {
-	c := m.Ctx
-	w := bitsFor(len(m.G.Topo.Nodes) + 2)
-	reach := map[string]*smt.Term{}
-	dist := map[string]*smt.Term{}
-	const tag = "reachvia"
-	for _, n := range m.G.Topo.Nodes {
-		reach[n.Name] = c.BoolVar(sl.Name + "|" + tag + "|" + n.Name)
-		dist[n.Name] = c.BVVar(sl.Name+"|"+tag+"dist|"+n.Name, w)
-	}
-	for _, n := range m.G.Topo.Nodes {
-		m.setOrigin(provenance.Origin{Router: n.Name, Kind: "reach", Name: tag})
-		base := sl.DeliveredLocal[n.Name]
-		alts := []*smt.Term{base}
-		m.assert(c.Implies(base, reach[n.Name]))
-		for _, h := range sortedHops(sl.DataFwd[n.Name]) {
-			t := sl.DataFwd[n.Name][h]
-			if h.Ext != "" {
-				if allowed[h.Ext] {
-					alts = append(alts, t)
-					m.assert(c.Implies(t, reach[n.Name]))
-				}
-				continue
-			}
-			alts = append(alts, c.And(t, reach[h.Node], c.Ult(dist[h.Node], dist[n.Name])))
-			m.assert(c.Implies(c.And(t, reach[h.Node]), reach[n.Name]))
-		}
-		m.assert(c.Implies(reach[n.Name], c.Or(alts...)))
-	}
-	m.setOrigin(provenance.Origin{})
-	return reach
+	return m.reachability(sl, "reachvia", "reachviadist", func(ext string) bool { return allowed[ext] }, "")
 }
 
 // ComponentVerdict is one component-local check outcome tagged with its

@@ -63,9 +63,9 @@ func newEnv() *simulator.Environment { return simulator.NewEnvironment() }
 func allOpts() map[string]Options {
 	return map[string]Options{
 		"optimized": DefaultOptions(),
-		"nohoist":   {Passes: "slice,fold,cse,propagate,coi"},
-		"noslice":   {Passes: "hoist,fold,cse,propagate,coi"},
-		"naive":     {Passes: "fold,cse,propagate,coi"},
+		"nohoist":   {Passes: "slice,propagate,coi"},
+		"noslice":   {Passes: "hoist,propagate,coi"},
+		"naive":     {Passes: "propagate,coi"},
 	}
 }
 
@@ -375,7 +375,7 @@ func TestEncodeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Encode(net.Graph, Options{Passes: "fold,cse,propagate,coi"})
+	naive, err := Encode(net.Graph, Options{Passes: "propagate,coi"})
 	if err != nil {
 		t.Fatal(err)
 	}

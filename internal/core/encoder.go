@@ -18,11 +18,12 @@ import (
 // every optimization on, no proof logging.
 type Options struct {
 	// Passes selects the optimization pipeline by name: a comma-separated
-	// subset of PassNames ("hoist,slice,fold,cse,propagate,coi"), or
-	// "all" / "none". The empty string means "all". "hoist" is prefix
-	// elimination plus loop-detection hoisting (§6.1), "slice" the removal
-	// and merging of never-distinguished record variables (§6.2); the
-	// §8.3 ablation benchmarks switch them off by listing the others.
+	// subset of PassNames ("hoist,slice,propagate,coi"), or "all" /
+	// "none". The empty string means "all". "hoist" is prefix elimination
+	// plus loop-detection hoisting (§6.1), "slice" the removal and merging
+	// of never-distinguished record variables (§6.2), "propagate" and
+	// "coi" the two term passes of internal/smt/passes; the §8.3 ablation
+	// benchmarks switch them off by listing the others.
 	Passes string
 
 	// KeepAllCommunities keeps a symbolic bit for every community in the
@@ -119,7 +120,10 @@ type Slice struct {
 	DeliveredLocal map[string]*smt.Term
 	DroppedNull    map[string]*smt.Term
 
-	reachMemo map[bool]map[string]*smt.Term
+	// instrumented holds what each instrumentation builder (Reach,
+	// ReachAvoiding, Tainted, PathLengths, ChainProgress) returned, by
+	// builder and arguments; see instrumentOnce.
+	instrumented map[string]any
 }
 
 // Model is the full symbolic network model N: assert everything in
@@ -223,9 +227,6 @@ func (m *Model) setOrigin(o provenance.Origin) provenance.Origin {
 	m.curOrigin = o
 	return prev
 }
-
-// Formula returns the conjunction of all model constraints.
-func (m *Model) Formula() *smt.Term { return m.Ctx.And(m.Asserts...) }
 
 // Encode translates the protocol graph into the symbolic model.
 func Encode(g *protograph.Graph, opts Options) (*Model, error) {

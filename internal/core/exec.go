@@ -119,7 +119,7 @@ func (x *executor) notePasses(res *Result, stats ...passes.Stats) {
 	}
 }
 
-// compile is the term-level phase: the property-agnostic compile passes
+// compile is the term-level phase: the property-agnostic compile pass
 // when the model's cached artifact is stale (cn nil and nothing cached),
 // then — with goals — the goal-relative cone-of-influence pruning. It
 // returns the artifact and the system to blast: asserts, their origins,
@@ -151,11 +151,7 @@ func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) 
 		} else {
 			sys.Origins = nil
 		}
-		pl, err := passes.NewPipeline(passes.COI)
-		if err != nil {
-			panic(err)
-		}
-		counted = pl.Run(sys, sp)
+		counted = []passes.Stats{passes.COI(sys, sp)}
 		x.notePasses(res, counted...)
 	}
 	if n := len(counted); n > 0 {

@@ -402,3 +402,27 @@ func TestMultihopIBGPDifferential(t *testing.T) {
 		t.Fatalf("iBGP session survived transport failure: %v", res.Counterexample)
 	}
 }
+
+// TestReachEncodersStampTheirOrigin: every assert of the three
+// reachability instrumentations names its router under kind "reach", so
+// blame on a verdict that leans on one (waypoint leans on ReachAvoiding)
+// can say so.
+func TestReachEncodersStampTheirOrigin(t *testing.T) {
+	m := encodeNet(t, testnets.OSPFChain(4), DefaultOptions())
+	for name, build := range map[string]func(){
+		"reachx":         func() { m.Reach(m.Main, true) },
+		"avoid.R2.false": func() { m.ReachAvoiding(m.Main, "R2", false) },
+		"reachvia":       func() { m.ReachVia(m.Main, nil) },
+	} {
+		from := len(m.Asserts)
+		build()
+		if len(m.Asserts) == from {
+			t.Fatalf("%s asserted nothing", name)
+		}
+		for i := from; i < len(m.Asserts); i++ {
+			if o := m.AssertOrigins[i]; o.Kind != "reach" || o.Name != name || o.Router == "" {
+				t.Fatalf("%s: assert %d has origin %+v", name, i, o)
+			}
+		}
+	}
+}

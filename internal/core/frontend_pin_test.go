@@ -166,7 +166,7 @@ func TestFrontEndOutputPinned(t *testing.T) {
 		}
 		encoded := m.Ctx.NumTerms()
 		cn, system := blastGoal(m)
-		got := fmt.Sprintf("%d %d %s %s", encoded, m.Ctx.NumTerms(), cn.Hash, dimacsHash(t, m.Ctx, system))
+		got := fmt.Sprintf("%d %d %s %s", encoded, m.Ctx.NumTerms(), cn.Hash(), dimacsHash(t, m.Ctx, system))
 		if got != want[n.name] {
 			t.Errorf("%s:\n got %q\nwant %q", n.name, got, want[n.name])
 		}
@@ -214,6 +214,34 @@ func TestSizeHintLeavesCNFAlone(t *testing.T) {
 		enterGoals(sol)()
 		if got := cnf(sol); got != sized {
 			t.Errorf("a solver sized for %d terms blasts %s, the executor's, sized for %d, %s", hint, got, terms, sized)
+		}
+	}
+}
+
+// TestEveryPassNameChangesSomeFormula keeps Options.Passes to names that
+// do something: enabling any one alone must change the blasted CNF of the
+// panel's query, relative to "none", on at least one network. A pass that
+// is an identity everywhere is a knob to delete (as fold and cse were), and
+// this is the bar a new name has to clear.
+func TestEveryPassNameChangesSomeFormula(t *testing.T) {
+	nets := frontEndNetworks(t)
+	formula := func(g *protograph.Graph, passes string) string {
+		m, err := Encode(g, Options{Passes: passes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, system := blastGoal(m)
+		return dimacsHash(t, m.Ctx, system)
+	}
+	for _, name := range PassNames() {
+		changes := false
+		for _, n := range nets {
+			if changes = formula(n.g, name) != formula(n.g, "none"); changes {
+				break
+			}
+		}
+		if !changes {
+			t.Errorf("pass %q alone leaves the CNF of all %d networks as \"none\" does", name, len(nets))
 		}
 	}
 }

@@ -144,3 +144,47 @@ func TestSessionCheckContextCanceled(t *testing.T) {
 		t.Fatal("true property must verify")
 	}
 }
+
+// TestInstrumentationAssertedOnce repeats a query whose property needs
+// every memoised instrumentation on a live session: the second build finds
+// the first's terms, so the model grows no assert, the solver gains only
+// the clauses that enter the goals, and the verdict is the same.
+func TestInstrumentationAssertedOnce(t *testing.T) {
+	m, err := Encode(testnets.OSPFChain(4).Graph, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := m.NewSession()
+	c := m.Ctx
+	query := func() (*Result, int) {
+		lens, w := m.PathLengths(m.Main)
+		avoiding := m.ReachAvoiding(m.Main, "R2", false)
+		taint := m.Tainted(m.Main, "R1")
+		prog := m.ChainProgress(m.Main, "R1", []string{"R2"})
+		property := c.And(c.Ule(lens["R1"], c.BV(5, w)), c.Not(avoiding["R1"]),
+			c.Implies(taint["R3"], prog["R3"][1]))
+		res, err := sess.Check(property, m.NoFailures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sess.ss.Solver().NumSATClauses()
+	}
+	first, clauses := query()
+	asserts := len(m.Asserts)
+	second, after := query()
+	if len(m.Asserts) != asserts {
+		t.Errorf("the repeated query grew the model from %d to %d asserts", asserts, len(m.Asserts))
+	}
+	if goals := sess.ss.LastStats().NewClauses; after != clauses+goals {
+		t.Errorf("the repeated query left %d clauses: %d before it, %d for its goals", after, clauses, goals)
+	}
+	if second.Verified != first.Verified {
+		t.Errorf("verdict %v, then %v", first.Verified, second.Verified)
+	}
+	// Other arguments are another instrumentation.
+	m.ReachAvoiding(m.Main, "R3", false)
+	m.ChainProgress(m.Main, "R1", []string{"R3"})
+	if len(m.Asserts) == asserts {
+		t.Error("a new waypoint and a new chain asserted nothing")
+	}
+}

@@ -780,30 +780,55 @@ func routerIDOf(cfg *config.Router, n *network.Node) uint32 {
 
 // Reach instruments a slice with well-founded reachability booleans: one
 // per router, true iff the packet eventually delivers locally (or, with
-// countExit, leaves toward an external peer). The encoding uses strictly
-// decreasing distance witnesses, so forwarding loops cannot support
-// spurious reachability.
+// countExit, leaves toward an external peer).
 func (m *Model) Reach(sl *Slice, countExit bool) map[string]*smt.Term {
-	if sl.reachMemo == nil {
-		sl.reachMemo = map[bool]map[string]*smt.Term{}
-	}
-	if r, ok := sl.reachMemo[countExit]; ok {
-		return r
-	}
-	c := m.Ctx
-	w := bitsFor(len(m.G.Topo.Nodes) + 2)
-	reach := map[string]*smt.Term{}
-	dist := map[string]*smt.Term{}
 	tag := "reach"
 	if countExit {
 		tag = "reachx"
 	}
+	return instrumentOnce(sl, tag, func() map[string]*smt.Term {
+		return m.reachability(sl, tag, tag+"dist", func(string) bool { return countExit }, "")
+	})
+}
+
+// instrumentOnce returns what build returned the first time the slice was
+// instrumented under key — a builder's name and arguments — so a second
+// property over the same instrumentation asserts nothing twice.
+func instrumentOnce[T any](sl *Slice, key string, build func() T) T {
+	if v, ok := sl.instrumented[key]; ok {
+		return v.(T)
+	}
+	v := build()
+	if sl.instrumented == nil {
+		sl.instrumented = map[string]any{}
+	}
+	sl.instrumented[key] = v
+	return v
+}
+
+// reachability is the one well-founded reachability encoder: it asserts,
+// under origin {router, "reach", tag}, one boolean per router — named
+// slice|tag|router, its distance witness slice|dtag|router — that is true
+// iff the packet eventually delivers locally or leaves through an
+// external hop exit admits, without transiting avoid ("" avoids nothing).
+// Reach needs support with strictly decreasing distance, so forwarding
+// loops cannot sustain spurious reachability.
+func (m *Model) reachability(sl *Slice, tag, dtag string, exit func(ext string) bool, avoid string) map[string]*smt.Term {
+	c := m.Ctx
+	w := bitsFor(len(m.G.Topo.Nodes) + 2)
+	reach := map[string]*smt.Term{}
+	dist := map[string]*smt.Term{}
 	for _, n := range m.G.Topo.Nodes {
 		reach[n.Name] = c.BoolVar(sl.Name + "|" + tag + "|" + n.Name)
-		dist[n.Name] = c.BVVar(sl.Name+"|"+tag+"dist|"+n.Name, w)
+		dist[n.Name] = c.BVVar(sl.Name+"|"+dtag+"|"+n.Name, w)
 	}
 	for _, n := range m.G.Topo.Nodes {
 		m.setOrigin(provenance.Origin{Router: n.Name, Kind: "reach", Name: tag})
+		if n.Name == avoid {
+			// The avoided router terminates nothing and forwards nothing.
+			m.assert(c.Not(reach[n.Name]))
+			continue
+		}
 		base := sl.DeliveredLocal[n.Name]
 		alts := []*smt.Term{base}
 		// Lower bound (no spurious unreachability): delivery or a
@@ -814,10 +839,13 @@ func (m *Model) Reach(sl *Slice, countExit bool) map[string]*smt.Term {
 		for _, h := range sortedHops(sl.DataFwd[n.Name]) {
 			t := sl.DataFwd[n.Name][h]
 			if h.Ext != "" {
-				if countExit {
+				if exit(h.Ext) {
 					alts = append(alts, t)
 					m.assert(c.Implies(t, reach[n.Name]))
 				}
+				continue
+			}
+			if h.Node == avoid {
 				continue
 			}
 			alts = append(alts, c.And(t, reach[h.Node], c.Ult(dist[h.Node], dist[n.Name])))
@@ -826,7 +854,6 @@ func (m *Model) Reach(sl *Slice, countExit bool) map[string]*smt.Term {
 		m.assert(c.Implies(reach[n.Name], c.Or(alts...)))
 	}
 	m.setOrigin(provenance.Origin{})
-	sl.reachMemo[countExit] = reach
 	return reach
 }
 

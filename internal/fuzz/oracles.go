@@ -127,7 +127,7 @@ func checkOn(m *core.Model, q query) (bool, error) {
 // permutation of the model's assert list.
 func (s *Scenario) PassesParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
-	pipelines := []string{"all", "none", "hoist,slice", "fold,cse,propagate,coi"}
+	pipelines := []string{"all", "none", "hoist,slice", "propagate,coi"}
 	verdicts := make([]bool, 0, len(pipelines)+1)
 	for _, p := range pipelines {
 		m, err := s.Encode(p)

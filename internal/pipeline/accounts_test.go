@@ -203,22 +203,13 @@ func TestPhaseAccounts(t *testing.T) {
 		{name: "fresh+compile charged", phases: "blast compile simplify solve",
 			run: fresh(core.DefaultOptions(), true),
 			extra: func(t *testing.T, r *rig, res *core.Result) {
-				if got := passNames(res); got != "fold cse propagate coi cnf-simplify" {
+				if got := passNames(res); got != "propagate coi cnf-simplify" {
 					t.Errorf("passes charged: %q, want the compile this query ran first", got)
 				}
-				var cnf, terms int
 				for _, ps := range res.PassStats {
-					if ps.Pass == "cnf-simplify" {
-						cnf++
-						if ps.Elapsed != res.Cost.Find("simplify").Wall {
-							t.Errorf("cnf-simplify row %v, simplify phase %v", ps.Elapsed, res.Cost.Find("simplify").Wall)
-						}
-					} else {
-						terms++
+					if ps.Pass == "cnf-simplify" && ps.Elapsed != res.Cost.Find("simplify").Wall {
+						t.Errorf("cnf-simplify row %v, simplify phase %v", ps.Elapsed, res.Cost.Find("simplify").Wall)
 					}
-				}
-				if cnf != 1 || terms != 4 {
-					t.Errorf("pass rows: %d cnf, %d term-level", cnf, terms)
 				}
 			}},
 		{name: "session first check", phases: "blast certify solve",

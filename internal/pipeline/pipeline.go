@@ -75,7 +75,7 @@ func Parse(configs map[string]string) ([]*config.Router, error) {
 	for _, n := range names {
 		r, err := config.Parse(configs[n])
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: parse %s: %w", n, err)
+			return nil, requestErrorf("pipeline: parse %s: %w", n, err)
 		}
 		routers = append(routers, r)
 	}
@@ -87,7 +87,7 @@ func Parse(configs map[string]string) ([]*config.Router, error) {
 func Build(routers []*config.Router) (*Network, error) {
 	topo, err := config.BuildTopology(routers)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: topology: %w", err)
+		return nil, requestErrorf("pipeline: topology: %w", err)
 	}
 	byName := make(map[string]*config.Router, len(routers))
 	for _, r := range routers {
@@ -95,7 +95,7 @@ func Build(routers []*config.Router) (*Network, error) {
 	}
 	g, err := protograph.Build(topo, byName)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: graph: %w", err)
+		return nil, requestErrorf("pipeline: graph: %w", err)
 	}
 	return &Network{Routers: routers, Graph: g}, nil
 }

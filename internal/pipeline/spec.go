@@ -10,6 +10,19 @@ import (
 	"repro/internal/tiered"
 )
 
+// RequestError is an error about what was asked — a malformed spec,
+// configuration text that does not parse or form a network, a router the
+// network does not have — as opposed to a failure of the verifier. A
+// server reports it as the client's mistake (errors.As).
+type RequestError struct{ Err error }
+
+func (e *RequestError) Error() string { return e.Err.Error() }
+func (e *RequestError) Unwrap() error { return e.Err }
+
+func requestErrorf(format string, a ...any) error {
+	return &RequestError{fmt.Errorf(format, a...)}
+}
+
 // Default parameter values of a Spec, shared by the minesweeper CLI
 // flags and the daemon's request body.
 const (
@@ -72,16 +85,16 @@ func (s Spec) Goal() (tiered.Goal, error) {
 		need = []string{"src", "via", "subnet"}
 	case "mgmt-reachability", "blackholes", "multipath-consistency", "loops", "no-leak":
 	case "equivalence", "fault-invariance":
-		return tiered.Goal{}, fmt.Errorf("pipeline: check %q needs the pair model and is not supported here; use the minesweeper CLI", s.Check)
+		return tiered.Goal{}, requestErrorf("pipeline: check %q needs the pair model and is not supported here; use the minesweeper CLI", s.Check)
 	case "":
-		return tiered.Goal{}, fmt.Errorf("pipeline: check is required")
+		return tiered.Goal{}, requestErrorf("pipeline: check is required")
 	default:
-		return tiered.Goal{}, fmt.Errorf("pipeline: unknown check %q", s.Check)
+		return tiered.Goal{}, requestErrorf("pipeline: unknown check %q", s.Check)
 	}
 	have := map[string]string{"src": s.Src, "via": s.Via, "subnet": s.Subnet}
 	for _, field := range need {
 		if have[field] == "" {
-			return tiered.Goal{}, fmt.Errorf("pipeline: check %q requires %s", s.Check, field)
+			return tiered.Goal{}, requestErrorf("pipeline: check %q requires %s", s.Check, field)
 		}
 	}
 	g := tiered.Goal{
@@ -95,7 +108,7 @@ func (s Spec) Goal() (tiered.Goal, error) {
 	if s.Subnet != "" {
 		sub, err := network.ParsePrefix(s.Subnet)
 		if err != nil {
-			return tiered.Goal{}, fmt.Errorf("pipeline: subnet: %w", err)
+			return tiered.Goal{}, requestErrorf("pipeline: subnet: %w", err)
 		}
 		g.Subnet, g.HasSubnet = sub, true
 	}
@@ -122,12 +135,12 @@ func Property(m *core.Model, goal tiered.Goal) (*smt.Term, []*smt.Term, error) {
 	switch goal.Check {
 	case "reachability", "isolation", "bounded-length", "waypoint":
 		if goal.Src == "" {
-			return nil, nil, fmt.Errorf("pipeline: check %q requires a source", goal.Check)
+			return nil, nil, requestErrorf("pipeline: check %q requires a source", goal.Check)
 		}
 		fallthrough
 	case "reachability-all", "bounded-length-all", "equal-lengths":
 		if len(srcs) == 0 || !goal.HasSubnet {
-			return nil, nil, fmt.Errorf("pipeline: check %q requires sources and a subnet", goal.Check)
+			return nil, nil, requestErrorf("pipeline: check %q requires sources and a subnet", goal.Check)
 		}
 	}
 	routers := srcs
@@ -136,7 +149,7 @@ func Property(m *core.Model, goal tiered.Goal) (*smt.Term, []*smt.Term, error) {
 	}
 	for _, r := range routers {
 		if m.G.Topo.Node(r) == nil {
-			return nil, nil, fmt.Errorf("pipeline: %q is not a router in this network", r)
+			return nil, nil, requestErrorf("pipeline: %q is not a router in this network", r)
 		}
 	}
 	var p *smt.Term
@@ -166,7 +179,7 @@ func Property(m *core.Model, goal tiered.Goal) (*smt.Term, []*smt.Term, error) {
 	case "no-leak":
 		p = properties.NoLeak(m, nil, goal.MaxLen)
 	default:
-		return nil, nil, fmt.Errorf("pipeline: unknown check %q", goal.Check)
+		return nil, nil, requestErrorf("pipeline: unknown check %q", goal.Check)
 	}
 	var budget *smt.Term
 	if goal.MaxFailures > 0 {

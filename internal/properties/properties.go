@@ -424,23 +424,6 @@ func LoadBalanced(m *core.Model, sources []string, a, b string, scale, tol uint6
 	)
 }
 
-// RoleRouters groups routers by a role function (e.g. name prefix) for
-// role-based equivalence sweeps.
-func RoleRouters(m *core.Model, roleOf func(string) string) map[string][]string {
-	out := map[string][]string{}
-	for _, n := range m.G.Topo.Nodes {
-		r := roleOf(n.Name)
-		if r == "" {
-			continue
-		}
-		out[r] = append(out[r], n.Name)
-	}
-	for _, v := range out {
-		sort.Strings(v)
-	}
-	return out
-}
-
 // Describe renders a property-check outcome for CLI output.
 func Describe(name string, res *core.Result) string {
 	if res.Verified {

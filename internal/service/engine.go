@@ -369,12 +369,16 @@ func (e *Engine) Jobs() []View {
 	return views
 }
 
+// ErrQueueFull is Submit's refusal when every queue slot is taken: the
+// request was fine, the caller should come back later.
+var ErrQueueFull = errors.New("service: queue full")
+
 // Submit validates and queues a job. It returns immediately; wait on
 // Job.Done or poll Job.View. Submit fails when the spec is malformed,
 // the engine is closed, or the queue is full.
 func (e *Engine) Submit(req *Request) (*Job, error) {
 	if len(req.Configs) == 0 {
-		return nil, fmt.Errorf("service: configs are required")
+		return nil, &pipeline.RequestError{Err: errors.New("service: configs are required")}
 	}
 	spec := req.Spec.Normalize()
 	goal, err := spec.Goal()
@@ -424,7 +428,7 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 		e.mu.Lock()
 		delete(e.jobs, j.ID)
 		e.mu.Unlock()
-		return nil, fmt.Errorf("service: queue full (%d jobs pending)", cap(e.jobCh))
+		return nil, fmt.Errorf("%w (%d jobs pending)", ErrQueueFull, cap(e.jobCh))
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+
+	"repro/internal/pipeline"
 )
 
 // NewHandler exposes the engine over HTTP:
@@ -137,19 +138,20 @@ func newHandler(e *Engine, maxBody int64) http.Handler {
 	return mux
 }
 
-// statusFor maps engine errors onto HTTP statuses: user mistakes are
-// 400s, deadline and cancellation are 504/499-style, the rest is a 500.
+// statusFor maps engine errors onto HTTP statuses by what they are, not
+// by how they read: what the request got wrong is a 400, a full queue a
+// 429, deadline and cancellation 504/503, and the rest — the engine's own
+// failures, whatever their text — a 500.
 func statusFor(err error) int {
+	var bad *pipeline.RequestError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
-	case strings.Contains(err.Error(), "queue full"):
+	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case strings.HasPrefix(err.Error(), "service:"), strings.HasPrefix(err.Error(), "pipeline:"):
-		// What the engine and the pipeline report under their own names is
-		// about the request: a bad spec, unparsable text, an unknown router.
+	case errors.As(err, &bad):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

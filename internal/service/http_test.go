@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -190,6 +191,37 @@ func TestDaemonBadRequests(t *testing.T) {
 		if eb.Error == "" {
 			t.Fatalf("%s: missing error body", c.name)
 		}
+	}
+
+	// An engine that cannot encode is not the client's mistake, though its
+	// error starts with "service:" like the ones above: a daemon set to a
+	// pass name that no longer exists answers a well-formed request 500.
+	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none", Passes: "fold"}})
+	broken := httptest.NewServer(NewHandler(e))
+	t.Cleanup(func() {
+		broken.Close()
+		e.Close()
+	})
+	resp, _ := postVerify(t, broken, &Request{
+		Configs: chainConfigs(3),
+		Spec:    Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
+	})
+	var eb errorBody
+	json.NewDecoder(resp.Body).Decode(&eb)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(eb.Error, "service: encode:") {
+		t.Fatalf("encode failure: status %d, error %q", resp.StatusCode, eb.Error)
+	}
+	// The same request naming a router the network lacks is a 400 ...
+	resp, _ = postVerify(t, srv, &Request{
+		Configs: chainConfigs(3),
+		Spec:    Spec{Check: "reachability", Src: "R9", Subnet: "10.100.3.0/24"},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown router: status %d", resp.StatusCode)
+	}
+	// ... and a full queue, however it is wrapped, a 429.
+	if got := statusFor(fmt.Errorf("submit: %w", ErrQueueFull)); got != http.StatusTooManyRequests {
+		t.Fatalf("queue full: status %d", got)
 	}
 }
 

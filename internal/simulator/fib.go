@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/network"
 )
 
 // Outcome classifies the fate of a packet along one forwarding path.
@@ -194,17 +193,6 @@ func (s *Simulator) aclPermits(cfg *config.Router, ifaceName string, inbound boo
 		return true
 	}
 	return acl.Permits(pkt)
-}
-
-// CanReachIP runs a slice for the address and reports whether the packet
-// from the router reaches it.
-func (s *Simulator) CanReachIP(from string, dst network.IP, env *Environment) (bool, error) {
-	res, err := s.Run(dst, env)
-	if err != nil {
-		return false, err
-	}
-	w := s.Walk(res, from, config.Packet{DstIP: dst, Protocol: 6, DstPort: 179, SrcPort: 12345})
-	return w.Reaches(), nil
 }
 
 // FIBEntry renders one router's installed route for debugging.

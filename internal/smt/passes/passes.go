@@ -1,58 +1,40 @@
-// Package passes is the term-level optimization pipeline that runs
-// between encoding and bit-blasting. The encoder produces a System — a
-// list of asserted terms over one hash-consing Context, plus optional
-// goal terms — and each Pass rewrites the assert list while preserving
-// the set of satisfying assignments projected onto the declared
-// variables (unit facts are kept as asserts, never erased, so model
-// decoding and counterexample replay see every variable constrained).
+// Package passes holds the two term-level rewrites that run between
+// encoding and bit-blasting. The encoder produces a System — a list of
+// asserted terms over one hash-consing Context, plus optional goal terms
+// — and each pass rewrites the assert list while preserving the set of
+// satisfying assignments projected onto the declared variables (unit
+// facts are kept as asserts, never erased, so model decoding and
+// counterexample replay see every variable constrained).
 //
-// The four passes generalize the paper's §6 formula-level rewrites into
-// reusable, independently measurable stages:
-//
-//   - fold: rebuilds every assert bottom-up through the Context's
-//     simplifying smart constructors (constant folding, identity and
-//     absorption rules). On freshly encoded terms this is close to a
-//     no-op — construction already folds — but after propagate has
-//     substituted facts it re-canonicalizes the DAG.
-//   - cse: structural sharing across asserted terms. The Context
-//     hash-conses every node, so sub-term sharing is implicit; the
-//     assert-level work is flattening top-level conjunctions into
-//     individual asserts and deduplicating structurally identical
-//     asserts, which both shrinks the list and exposes unit facts to
-//     propagate.
-//   - propagate: term-level unit and equality propagation. Facts of the
+//   - Propagate: the property-agnostic compile step. The assert list is
+//     normalised (top-level conjunctions flattened, structurally
+//     identical asserts deduplicated, true dropped), then facts of the
 //     shapes x, ¬x, x = const and x = y are substituted into every
-//     other assert to fixpoint. The fact asserts themselves stay.
-//   - coi: cone-of-influence pruning relative to the goals. Asserts
-//     sharing no variables — transitively — with any goal are dropped.
-//     Sound here because every pruned component of the network encoding
-//     admits a stable state on its own (the all-silent environment),
-//     so a model of the pruned system always extends to the full one.
+//     other assert to fixpoint, renormalising after each round. The fact
+//     asserts themselves stay.
+//   - COI: cone-of-influence pruning relative to the goals, per query.
+//     Asserts sharing no variables — transitively — with any goal are
+//     dropped. Sound here because every pruned component of the network
+//     encoding admits a stable state on its own (the all-silent
+//     environment), so a model of the pruned system always extends to
+//     the full one.
 //
-// Passes are idempotent: running any pass twice in a row is a fixpoint
-// (the second run reports before == after).
+// There is no pass that rebuilds terms through the Context's simplifying
+// constructors: every term in a System was built by them, so over a
+// hash-consing Context that rebuild returns the terms it was given
+// (DESIGN §10 has the measurement). Both passes are idempotent: running
+// one twice in a row is a fixpoint (the second run reports before ==
+// after).
 package passes
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/smt"
 )
-
-// Canonical pass names, in canonical pipeline order.
-const (
-	Fold      = "fold"
-	CSE       = "cse"
-	Propagate = "propagate"
-	COI       = "coi"
-)
-
-// Names lists every term-level pass in canonical pipeline order.
-func Names() []string { return []string{Fold, CSE, Propagate, COI} }
 
 // System is the unit of compilation: the asserted constraint system and
 // (optionally) the goal terms of the query being compiled for. Passes
@@ -62,22 +44,16 @@ type System struct {
 	Ctx     *smt.Context
 	Asserts []*smt.Term
 	// Goals are the query roots (assumptions and the negated property)
-	// for goal-relative passes; empty for property-agnostic compilation.
+	// for COI; empty for property-agnostic compilation.
 	Goals []*smt.Term
 	// Origins optionally carries provenance: Origins[i] lists the base
 	// origin ids (interned elsewhere, e.g. a provenance.Table) of
 	// Asserts[i]. nil disables tracking; when set it stays parallel to
-	// Asserts through every pass. Rewrites that merge asserts (cse
-	// dedupe) or make one assert depend on another (propagate
-	// substitution) union the origin lists, so blame over-approximates
-	// rather than drops contributors.
+	// Asserts through both passes. Rewrites that merge asserts
+	// (deduplication) or make one assert depend on another (substitution)
+	// union the origin lists, so blame over-approximates rather than
+	// drops contributors.
 	Origins [][]int32
-
-	// terms and vars are count() as of the last pass, read in place of a
-	// second walk while counted is set: Pipeline.Run sets it between its
-	// passes, where nothing else touches the system.
-	counted     bool
-	terms, vars int
 }
 
 // mergeBases unions two base-id lists into a fresh sorted, deduplicated
@@ -112,83 +88,24 @@ type Stats struct {
 	Elapsed       time.Duration
 }
 
-// Pass is one term-level rewrite over a System.
-type Pass interface {
-	Name() string
-	Run(*System) Stats
-}
-
-// New returns the pass with the given canonical name.
-func New(name string) (Pass, error) {
-	switch name {
-	case Fold:
-		return foldPass{}, nil
-	case CSE:
-		return csePass{}, nil
-	case Propagate:
-		return propagatePass{}, nil
-	case COI:
-		return coiPass{}, nil
-	}
-	return nil, fmt.Errorf("passes: unknown pass %q (known: %s)", name, strings.Join(Names(), ","))
-}
-
-// Pipeline is an ordered list of passes run as one compilation stage.
-type Pipeline struct {
-	Passes []Pass
-}
-
-// NewPipeline builds a pipeline from canonical names, preserving order.
-func NewPipeline(names ...string) (*Pipeline, error) {
-	p := &Pipeline{}
-	for _, n := range names {
-		pass, err := New(n)
-		if err != nil {
-			return nil, err
-		}
-		p.Passes = append(p.Passes, pass)
-	}
-	return p, nil
-}
-
-// Run executes the pipeline over the system. Each pass emits a child
-// span under sp (nil-safe) carrying its before/after counts, and the
-// per-pass stats are returned in execution order.
-func (p *Pipeline) Run(sys *System, sp *obs.Span) []Stats {
-	if p == nil || len(p.Passes) == 0 {
-		return nil
-	}
-	out := make([]Stats, 0, len(p.Passes))
-	defer func() { sys.counted = false }()
-	for _, pass := range p.Passes {
-		psp := sp.Start("pass:" + pass.Name())
-		st := pass.Run(sys)
-		sys.counted = true
-		psp.SetInt("asserts_before", int64(st.AssertsBefore))
-		psp.SetInt("asserts_after", int64(st.AssertsAfter))
-		psp.SetInt("terms_before", int64(st.TermsBefore))
-		psp.SetInt("terms_after", int64(st.TermsAfter))
-		psp.SetInt("vars_before", int64(st.VarsBefore))
-		psp.SetInt("vars_after", int64(st.VarsAfter))
-		psp.End()
-		out = append(out, st)
-	}
-	return out
-}
-
-// measure wraps a pass body with before/after counting and timing. In a
-// pipeline the count after one pass is the count before the next.
-func measure(name string, sys *System, body func()) Stats {
+// measure runs a pass body between two counts of the system, under a
+// child span of sp (nil-safe) that carries them.
+func measure(name string, sys *System, sp *obs.Span, body func()) Stats {
+	psp := sp.Start("pass:" + name)
 	st := Stats{Pass: name, AssertsBefore: len(sys.Asserts)}
-	if st.TermsBefore, st.VarsBefore = sys.terms, sys.vars; !sys.counted {
-		st.TermsBefore, st.VarsBefore = sys.count()
-	}
+	st.TermsBefore, st.VarsBefore = sys.count()
 	start := time.Now()
 	body()
 	st.Elapsed = time.Since(start)
 	st.AssertsAfter = len(sys.Asserts)
-	sys.terms, sys.vars = sys.count()
-	st.TermsAfter, st.VarsAfter = sys.terms, sys.vars
+	st.TermsAfter, st.VarsAfter = sys.count()
+	psp.SetInt("asserts_before", int64(st.AssertsBefore))
+	psp.SetInt("asserts_after", int64(st.AssertsAfter))
+	psp.SetInt("terms_before", int64(st.TermsBefore))
+	psp.SetInt("terms_after", int64(st.TermsAfter))
+	psp.SetInt("vars_before", int64(st.VarsBefore))
+	psp.SetInt("vars_after", int64(st.VarsAfter))
+	psp.End()
 	return st
 }
 
@@ -300,46 +217,14 @@ func (r *rewriter) rewrite(t *smt.Term) *smt.Term {
 	return out
 }
 
-// foldPass rebuilds every assert and goal through the smart
-// constructors, re-applying the Context's constant folding and
-// algebraic simplifications over the whole DAG.
-type foldPass struct{}
-
-func (foldPass) Name() string { return Fold }
-
-func (foldPass) Run(sys *System) Stats {
-	return measure(Fold, sys, func() {
-		r := newRewriter(sys.Ctx, nil)
-		for i, a := range sys.Asserts {
-			sys.Asserts[i] = r.rewrite(a)
-		}
-		for i, g := range sys.Goals {
-			sys.Goals[i] = r.rewrite(g)
-		}
-	})
-}
-
-// csePass normalizes the assert list over the hash-consed DAG:
-// top-level conjunctions are flattened into individual asserts,
-// structurally identical asserts are deduplicated (pointer equality is
-// structural equality under hash-consing), and trivially true asserts
-// are dropped. A false assert collapses the system to a single false.
-type csePass struct{}
-
-func (csePass) Name() string { return CSE }
-
-func (csePass) Run(sys *System) Stats {
-	return measure(CSE, sys, func() {
-		sys.Asserts, sys.Origins = normalizeAsserts(sys.Ctx, sys.Asserts, sys.Origins)
-	})
-}
-
-// normalizeAsserts flattens conjunctions, dedupes and drops true. With
-// origins non-nil (parallel to asserts) it returns the rewritten origin
-// lists: flattened conjuncts inherit the conjunction's origin, and when
-// two asserts dedupe to one term the survivor's origin is the union —
-// blame must keep every stanza that emitted the constraint, not just the
-// first.
+// normalizeAsserts flattens top-level conjunctions into individual
+// asserts, dedupes structurally identical ones (pointer equality is
+// structural equality under hash-consing) and drops true; a false assert
+// collapses the system to a single false. With origins non-nil (parallel
+// to asserts) it returns the rewritten origin lists: flattened conjuncts
+// inherit the conjunction's origin, and when two asserts dedupe to one
+// term the survivor's origin is the union — blame must keep every stanza
+// that emitted the constraint, not just the first.
 func normalizeAsserts(c *smt.Context, asserts []*smt.Term, origins [][]int32) ([]*smt.Term, [][]int32) {
 	out := make([]*smt.Term, 0, len(asserts))
 	var outOrigins [][]int32
@@ -391,20 +276,20 @@ func normalizeAsserts(c *smt.Context, asserts []*smt.Term, origins [][]int32) ([
 	return out, outOrigins
 }
 
-// propagatePass performs unit and equality propagation at the term
-// level. It collects facts from single-assert shapes — a bare boolean
-// variable x (x is true), ¬x (x is false), x = const, and x = y
-// (variables of equal sort, higher id mapped to lower) — substitutes
-// them into every OTHER assert, and repeats until no new facts appear.
-// The fact asserts themselves are kept verbatim so the blasted formula
-// still constrains every variable and model decoding stays exact.
-type propagatePass struct{}
-
-func (propagatePass) Name() string { return Propagate }
-
-func (propagatePass) Run(sys *System) Stats {
-	return measure(Propagate, sys, func() {
+// Propagate normalises the assert list, then performs unit and equality
+// propagation at the term level. It collects facts from single-assert
+// shapes — a bare boolean variable x (x is true), ¬x (x is false),
+// x = const, and x = y (variables of equal sort, higher id mapped to
+// lower) — substitutes them into every OTHER assert, renormalises, and
+// repeats until no new facts appear. The fact asserts themselves are kept
+// verbatim so the blasted formula still constrains every variable and
+// model decoding stays exact.
+func Propagate(sys *System, sp *obs.Span) Stats {
+	return measure("propagate", sys, sp, func() {
 		c := sys.Ctx
+		// Normalising first is what exposes conjoined facts to the first
+		// harvest; a false assert leaves no fact and ends the first round.
+		sys.Asserts, sys.Origins = normalizeAsserts(c, sys.Asserts, sys.Origins)
 		subst := map[*smt.Term]*smt.Term{}
 		resolve := func(t *smt.Term) *smt.Term {
 			for {
@@ -560,18 +445,14 @@ func (propagatePass) Run(sys *System) Stats {
 	})
 }
 
-// coiPass prunes asserts outside the goals' cone of influence: the
-// variable graph is partitioned by "appears in the same assert", and
-// only asserts whose variables connect — transitively — to a goal
-// variable are kept. Variable-free asserts are true or false after
-// folding; false is kept, true dropped. With no goals, or goals with no
-// variables, the pass keeps everything (there is no cone to slice to).
-type coiPass struct{}
-
-func (coiPass) Name() string { return COI }
-
-func (coiPass) Run(sys *System) Stats {
-	return measure(COI, sys, func() {
+// COI prunes asserts outside the goals' cone of influence: the variable
+// graph is partitioned by "appears in the same assert", and only asserts
+// whose variables connect — transitively — to a goal variable are kept.
+// Variable-free asserts are true or false by construction; false is kept,
+// true dropped. With no goals, or goals with no variables, the pass keeps
+// everything (there is no cone to slice to).
+func COI(sys *System, sp *obs.Span) Stats {
+	return measure("coi", sys, sp, func() {
 		// One walk of the shared DAG: every variable under a term is
 		// joined to the term's representative the first time the term is
 		// met, so an assert's variables are one class whatever it shares

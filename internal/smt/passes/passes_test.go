@@ -36,7 +36,36 @@ func clone(sys *System) *System {
 	}
 }
 
-// buildMixed is a small system exercising every pass: a unit bool, a
+// rewrites are the two passes and, measured the same way, the two steps
+// Propagate is made of: "fold" rebuilds every term through the rewriter
+// with nothing to substitute, "cse" normalises the assert list.
+var rewrites = []struct {
+	name string
+	run  func(*System) Stats
+}{
+	{"fold", rebuild},
+	{"cse", func(sys *System) Stats {
+		return measure("cse", sys, nil, func() {
+			sys.Asserts, sys.Origins = normalizeAsserts(sys.Ctx, sys.Asserts, sys.Origins)
+		})
+	}},
+	{"propagate", func(sys *System) Stats { return Propagate(sys, nil) }},
+	{"coi", func(sys *System) Stats { return COI(sys, nil) }},
+}
+
+func rebuild(sys *System) Stats {
+	return measure("fold", sys, nil, func() {
+		r := newRewriter(sys.Ctx, nil)
+		for i, a := range sys.Asserts {
+			sys.Asserts[i] = r.rewrite(a)
+		}
+		for i, g := range sys.Goals {
+			sys.Goals[i] = r.rewrite(g)
+		}
+	})
+}
+
+// buildMixed is a small system exercising every rewrite: a unit bool, a
 // var=const unit, a conjunction to flatten, a duplicated assert, and a
 // variable cluster disconnected from the goal.
 func buildMixed(c *smt.Context) ([]*smt.Term, []*smt.Term) {
@@ -57,17 +86,12 @@ func buildMixed(c *smt.Context) ([]*smt.Term, []*smt.Term) {
 }
 
 func TestEachPassIsIdempotent(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, rw := range rewrites {
+		t.Run(rw.name, func(t *testing.T) {
 			sys := newSys(buildMixed)
-			pass, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first := pass.Run(sys)
+			first := rw.run(sys)
 			snapshot := append([]*smt.Term(nil), sys.Asserts...)
-			second := pass.Run(sys)
+			second := rw.run(sys)
 			if second.AssertsBefore != second.AssertsAfter ||
 				second.TermsBefore != second.TermsAfter {
 				t.Fatalf("second run not a fixpoint: %+v (first %+v)", second, first)
@@ -102,18 +126,13 @@ func TestEachPassPreservesSatisfiability(t *testing.T) {
 		},
 	}
 	for bname, build := range builders {
-		for _, pname := range Names() {
-			bname, pname, build := bname, pname, build
-			t.Run(bname+"/"+pname, func(t *testing.T) {
+		for _, rw := range rewrites {
+			t.Run(bname+"/"+rw.name, func(t *testing.T) {
 				base := newSys(build)
 				want := solve(clone(base))
-				pass, err := New(pname)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pass.Run(base)
+				rw.run(base)
 				if got := solve(base); got != want {
-					t.Fatalf("pass %s changed status: %s -> %s", pname, want, got)
+					t.Fatalf("%s changed status: %s -> %s", rw.name, want, got)
 				}
 			})
 		}
@@ -126,8 +145,7 @@ func TestPropagateKeepsUnitAsserts(t *testing.T) {
 		a := c.BVVar("a", 8)
 		return []*smt.Term{x, c.Eq(a, c.BV(7, 8)), c.Implies(x, c.Ule(a, c.BV(9, 8)))}, nil
 	})
-	pass, _ := New(Propagate)
-	pass.Run(sys)
+	Propagate(sys, nil)
 	c := sys.Ctx
 	hasX, hasEq := false, false
 	for _, a := range sys.Asserts {
@@ -154,17 +172,38 @@ func TestCSEFlattensAndDedupes(t *testing.T) {
 		dup := c.Or(x, y)
 		return []*smt.Term{c.And(dup, z), dup, c.True()}, nil
 	})
-	pass, _ := New(CSE)
-	st := pass.Run(sys)
-	if st.AssertsAfter != 2 {
-		t.Fatalf("want 2 asserts (or(x,y), z), got %d: %v", st.AssertsAfter, sys.Asserts)
+	sys.Asserts, _ = normalizeAsserts(sys.Ctx, sys.Asserts, nil)
+	if len(sys.Asserts) != 2 {
+		t.Fatalf("want 2 asserts (or(x,y), z), got %v", sys.Asserts)
+	}
+}
+
+// TestPropagateNormalisesWithoutFacts: Propagate is normalise-then-
+// substitute by construction, so a system with nothing to substitute still
+// comes out flattened and deduplicated.
+func TestPropagateNormalisesWithoutFacts(t *testing.T) {
+	sys := newSys(func(c *smt.Context) ([]*smt.Term, []*smt.Term) {
+		w, x, y, z := c.BoolVar("w"), c.BoolVar("x"), c.BoolVar("y"), c.BoolVar("z")
+		dup := c.Or(x, y)
+		return []*smt.Term{c.And(dup, c.And(c.Or(y, z), c.Or(w, z))), dup}, nil
+	})
+	c := sys.Ctx
+	w, x, y, z := c.BoolVar("w"), c.BoolVar("x"), c.BoolVar("y"), c.BoolVar("z")
+	want := []*smt.Term{c.Or(x, y), c.Or(y, z), c.Or(w, z)}
+	st := Propagate(sys, nil)
+	if st.AssertsBefore != 2 || len(sys.Asserts) != len(want) {
+		t.Fatalf("want %v, got %v (%+v)", want, sys.Asserts, st)
+	}
+	for i := range want {
+		if sys.Asserts[i] != want[i] {
+			t.Fatalf("assert %d: want %v, got %v", i, want[i], sys.Asserts[i])
+		}
 	}
 }
 
 func TestCOIPrunesDisconnectedAsserts(t *testing.T) {
 	sys := newSys(buildMixed)
-	pass, _ := New(COI)
-	st := pass.Run(sys)
+	st := COI(sys, nil)
 	if st.AssertsAfter >= st.AssertsBefore {
 		t.Fatalf("coi pruned nothing: %+v", st)
 	}
@@ -191,51 +230,32 @@ func TestCOIKeepsEverythingWithoutGoals(t *testing.T) {
 		asserts, _ := buildMixed(c)
 		return asserts, nil
 	})
-	pass, _ := New(COI)
-	st := pass.Run(sys)
+	st := COI(sys, nil)
 	if st.AssertsBefore != st.AssertsAfter {
 		t.Fatalf("coi with no goals must keep everything: %+v", st)
 	}
 }
 
-func TestPipelineParseAndRun(t *testing.T) {
-	if _, err := NewPipeline("fold", "bogus"); err == nil {
-		t.Fatal("expected error for unknown pass name")
-	}
-	p, err := NewPipeline(Names()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFoldRewritesAfterSubstitution(t *testing.T) {
+	// Rebuilding constructed terms through the constructors that built
+	// them returns the same hash-consed nodes: why there is no fold pass.
 	sys := newSys(buildMixed)
-	want := solve(clone(sys))
-	stats := p.Run(sys, nil)
-	if len(stats) != len(Names()) {
-		t.Fatalf("want %d stats rows, got %d", len(Names()), len(stats))
-	}
-	for i, st := range stats {
-		if st.Pass != Names()[i] {
-			t.Fatalf("stats out of order: %v", stats)
+	before := clone(sys)
+	rebuild(sys)
+	for i, a := range sys.Asserts {
+		if a != before.Asserts[i] {
+			t.Fatalf("rebuild changed assert %d: %v -> %v", i, before.Asserts[i], a)
 		}
 	}
-	if got := solve(sys); got != want {
-		t.Fatalf("pipeline changed status: %s -> %s", want, got)
-	}
-}
-
-func TestFoldRewritesAfterSubstitution(t *testing.T) {
-	// fold alone on freshly constructed terms is an identity.
-	sys := newSys(buildMixed)
-	pass, _ := New(Fold)
-	st := pass.Run(sys)
-	if st.AssertsBefore != st.AssertsAfter || st.TermsBefore != st.TermsAfter {
-		t.Fatalf("fold on fresh terms should be identity: %+v", st)
+	if sys.Goals[0] != before.Goals[0] {
+		t.Fatalf("rebuild changed the goal: %v -> %v", before.Goals[0], sys.Goals[0])
 	}
 }
 
 // TestOriginsStayParallelThroughPasses pins the provenance contract:
-// Origins stays parallel to Asserts through every pass and the full
-// pipeline, surviving contributors keep their base ids, and merges
-// (cse dedupe, propagate substitution) union rather than drop them.
+// Origins stays parallel to Asserts through every rewrite and through
+// both passes in order, surviving contributors keep their base ids, and
+// merges (deduplication, substitution) union rather than drop them.
 func TestOriginsStayParallelThroughPasses(t *testing.T) {
 	tag := func(sys *System) *System {
 		sys.Origins = make([][]int32, len(sys.Asserts))
@@ -244,16 +264,14 @@ func TestOriginsStayParallelThroughPasses(t *testing.T) {
 		}
 		return sys
 	}
-	pipelines := append([][]string{Names()}, [][]string{
-		{Fold}, {CSE}, {Propagate}, {COI},
-	}...)
-	for _, names := range pipelines {
+	both := func(sys *System) Stats { Propagate(sys, nil); return COI(sys, nil) }
+	for _, rw := range append(rewrites, struct {
+		name string
+		run  func(*System) Stats
+	}{"propagate,coi", both}) {
+		names := rw.name
 		sys := tag(newSys(buildMixed))
-		p, err := NewPipeline(names...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Run(sys, nil)
+		rw.run(sys)
 		if len(sys.Origins) != len(sys.Asserts) {
 			t.Fatalf("%v: %d origins for %d asserts", names, len(sys.Origins), len(sys.Asserts))
 		}
@@ -272,11 +290,10 @@ func TestOriginsStayParallelThroughPasses(t *testing.T) {
 		}
 	}
 
-	// CSE merges the duplicated assert (buildMixed asserts 3 and 4 are
-	// equal after flattening): its survivor must carry both bases.
+	// Normalising merges the duplicated assert (buildMixed asserts 3 and 4
+	// are equal after flattening): its survivor must carry both bases.
 	sys := tag(newSys(buildMixed))
-	p, _ := NewPipeline(Fold, CSE)
-	p.Run(sys, nil)
+	sys.Asserts, sys.Origins = normalizeAsserts(sys.Ctx, sys.Asserts, sys.Origins)
 	found := false
 	for _, os := range sys.Origins {
 		has3, has4 := false, false
@@ -289,6 +306,6 @@ func TestOriginsStayParallelThroughPasses(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("cse dedupe dropped a contributor: %v", sys.Origins)
+		t.Fatalf("dedupe dropped a contributor: %v", sys.Origins)
 	}
 }

@@ -334,9 +334,6 @@ func (c *Context) Implies(a, b *Term) *Term { return c.Or(c.Not(a), b) }
 // Iff returns a ↔ b (boolean equality).
 func (c *Context) Iff(a, b *Term) *Term { return c.Eq(a, b) }
 
-// Xor returns exclusive or of two booleans.
-func (c *Context) Xor(a, b *Term) *Term { return c.Not(c.Eq(a, b)) }
-
 // Eq returns equality between two terms of the same sort, folding
 // constants and identical nodes.
 func (c *Context) Eq(a, b *Term) *Term {

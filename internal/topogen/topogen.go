@@ -227,14 +227,3 @@ func (ft *FatTree) AllToRs() []string {
 	}
 	return out
 }
-
-// AllSpines returns aggregation and core routers (the paper checks spine
-// equivalence; we expose both tiers).
-func (ft *FatTree) AllSpines() []string {
-	var out []string
-	for _, pod := range ft.Aggs {
-		out = append(out, pod...)
-	}
-	out = append(out, ft.Cores...)
-	return out
-}
