@@ -563,7 +563,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 				for _, g := range pruned.Goals {
 					sol.Assert(g)
 				}
-				clauses = sol.NumSATClauses()
+				clauses = sol.SAT().NumClauses()
 			}
 			b.ReportMetric(float64(clauses), "clauses")
 		})

@@ -279,6 +279,32 @@ func TestACLSemantics(t *testing.T) {
 	}
 }
 
+// TestRouterPermits: an interface's filter applies in its direction only,
+// and no interface, no ACL name or an unknown ACL permits.
+func TestRouterPermits(t *testing.T) {
+	r := NewRouter("R")
+	r.ACLs["none"] = &ACL{Entries: []ACLEntry{AnyACLEntry(Deny)}}
+	r.Interfaces = []*Interface{
+		{Name: "in", InACL: "none"},
+		{Name: "out", OutACL: "none"},
+		{Name: "ghost", InACL: "missing", OutACL: "missing"},
+	}
+	pkt := Packet{DstIP: network.MustParseIP("8.8.8.8")}
+	for _, c := range []struct {
+		iface   string
+		inbound bool
+		want    bool
+	}{
+		{"in", true, false}, {"in", false, true},
+		{"out", false, false}, {"out", true, true},
+		{"ghost", true, true}, {"unknown", false, true}, {"", true, true},
+	} {
+		if got := r.Permits(c.iface, c.inbound, pkt); got != c.want {
+			t.Errorf("Permits(%q, inbound=%v) = %v, want %v", c.iface, c.inbound, got, c.want)
+		}
+	}
+}
+
 func TestOriginatedPrefixes(t *testing.T) {
 	r := MustParse(sampleR1)
 	ps := r.OriginatedPrefixes()

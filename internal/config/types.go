@@ -130,6 +130,26 @@ func (r *Router) Iface(name string) *Interface {
 	return nil
 }
 
+// Permits applies the data-plane filter of the named interface in one
+// direction (inbound: its InACL, else its OutACL) to a concrete packet.
+// No interface name, an unknown interface, no ACL name or an unknown ACL
+// permits.
+func (r *Router) Permits(iface string, inbound bool, pkt Packet) bool {
+	if iface == "" {
+		return true
+	}
+	i := r.Iface(iface)
+	if i == nil {
+		return true
+	}
+	name := i.OutACL
+	if inbound {
+		name = i.InACL
+	}
+	acl := r.ACLs[name]
+	return name == "" || acl == nil || acl.Permits(pkt)
+}
+
 // ManagementInterfaces returns all interfaces flagged as management.
 func (r *Router) ManagementInterfaces() []*Interface {
 	var out []*Interface

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,8 +15,9 @@ import (
 	"repro/internal/smt/passes"
 )
 
-// executor drives one smt.Solver through the phases of a query on the
-// query's instrumentation spine (cost.Scope): every phase is opened once
+// executor drives one smt.Solver — the blaster, and through its SAT() the
+// CDCL search — through the phases of a query on the query's
+// instrumentation spine (cost.Scope): every phase is opened once
 // and closed once, and the close writes its span, its ledger node and its
 // phase.end event from one reading of the clock. The executor adds the
 // one thing the scope cannot know — the solver's counters — charging a
@@ -49,14 +51,15 @@ func (m *Model) tracks() bool { return m.Opts.Blame || m.Opts.ProfileOrigins }
 // hook, origin tracking, and the proof trace that certification and
 // UNSAT-core blame replay (nil when neither is on).
 func (m *Model) instrument(sol *smt.Solver) *sat.Proof {
+	st := sol.SAT()
 	if m.ProgressEvery > 0 && m.OnProgress != nil {
-		sol.SetProgress(m.ProgressEvery, m.OnProgress)
+		st.ProgressEvery, st.OnProgress = m.ProgressEvery, m.OnProgress
 	}
 	if m.tracks() {
-		sol.EnableOriginTracking()
+		st.EnableOriginTracking()
 	}
 	if m.Opts.Certify || m.Opts.Blame {
-		return sol.EnableProof()
+		return st.EnableProof()
 	}
 	return nil
 }
@@ -86,8 +89,8 @@ func (m *Model) withTail(cn *CompiledNetwork) ([]*smt.Term, [][]int32) {
 }
 
 func solverWork(sol *smt.Solver) cost.Work {
-	w := cost.FromStats(sol.SATStats())
-	w.ClauseDBBytes = sol.ClauseDBBytes()
+	w := cost.FromStats(sol.SAT().Stats)
+	w.ClauseDBBytes = sol.SAT().ClauseDBBytes()
 	return w
 }
 
@@ -167,40 +170,40 @@ func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) 
 func (x *executor) blast(assert func(*smt.Term), asserts []*smt.Term, origins [][]int32, enterGoals func()) {
 	sp := x.Begin("blast")
 	x.sol.Reserve(x.terms)
-	track := x.m.tracks()
+	st, track := x.sol.SAT(), x.m.tracks()
 	for i, a := range asserts {
 		if track {
 			var o []int32
 			if i < len(origins) {
 				o = origins[i]
 			}
-			x.sol.SetOrigin(o...)
+			st.SetOrigin(o...)
 		}
 		assert(a)
 	}
 	if enterGoals != nil {
 		if track {
-			x.sol.SetOrigin(x.m.Prov.ID(provenance.Origin{Kind: "property"}))
+			st.SetOrigin(x.m.Prov.ID(provenance.Origin{Kind: "property"}))
 		}
 		enterGoals()
 	}
 	if track {
-		x.sol.SetOrigin()
+		st.SetOrigin()
 	}
 	sp.SetInt("asserts", int64(len(asserts)))
 	sp.SetInt("terms", int64(x.m.Ctx.NumTerms()))
 	sp.SetInt("gates", int64(x.sol.NumGates()))
-	sp.SetInt("sat_vars", int64(x.sol.NumSATVars()))
-	sp.SetInt("sat_clauses", int64(x.sol.NumSATClauses()))
+	sp.SetInt("sat_vars", int64(st.NumVars()))
+	sp.SetInt("sat_clauses", int64(st.NumClauses()))
 	x.endSolver()
 }
 
 // simplify is the top-level CNF simplification phase.
 func (x *executor) simplify() time.Duration {
-	sp := x.Begin("simplify")
-	sp.SetInt("clauses_before", int64(x.sol.NumSATClauses()))
-	x.sol.Simplify()
-	sp.SetInt("clauses_after", int64(x.sol.NumSATClauses()))
+	sp, st := x.Begin("simplify"), x.sol.SAT()
+	sp.SetInt("clauses_before", int64(st.NumClauses()))
+	st.Simplify()
+	sp.SetInt("clauses_after", int64(st.NumClauses()))
 	return x.endSolver()
 }
 
@@ -232,6 +235,10 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	var x *executor
 	var proof *sat.Proof
 	var assume []sat.Lit // the session's activation literal
+	// base is the solver's count when this query's ledger opened: zero
+	// for a new solver, the session's running total for a session check.
+	// Stats and the ledger both count from it.
+	var base sat.Stats
 	// blameAsserts/blameOrigins are the asserts in the solver with their
 	// provenance, for SAT-side blame.
 	var blameAsserts []*smt.Term
@@ -246,13 +253,13 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 				x.sol.Assert(g)
 			}
 		})
-		res.SATVars, res.SATClauses = x.sol.NumSATVars(), x.sol.NumSATClauses()
+		res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
 		x.notePasses(res, passes.Stats{Pass: "cnf-simplify", Elapsed: x.simplify()})
 		blameAsserts, blameOrigins = sys.Asserts, sys.Origins
 	} else {
-		x = m.newExecutor(s.ss.Solver(), "session-check", "goal")
+		x = m.newExecutor(s.sol, "session-check", "goal")
 		defer x.Span.End()
-		x.mark, proof = solverWork(x.sol), s.proof
+		x.mark, base, proof = solverWork(x.sol), x.sol.SAT().Stats, s.proof
 		// The session only ever appends to the solver: verify the blasted
 		// prefix of m.Asserts is still the one we blasted before trusting it.
 		if len(m.Asserts) < s.asserted ||
@@ -261,11 +268,11 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		}
 		// Instrumentation asserts added by property builders since the last
 		// check are permanent; the goals are not.
-		x.blast(s.ss.Assert, m.Asserts[s.asserted:], m.tailOrigins(s.asserted),
-			func() { s.ss.Prepare(goals...) })
+		x.blast(x.sol.Assert, m.Asserts[s.asserted:], m.tailOrigins(s.asserted),
+			func() { s.prepare(goals) })
 		s.noteBlasted(len(m.Asserts))
-		res.SATVars, res.SATClauses = x.sol.NumSATVars(), x.sol.NumSATClauses()
-		assume = s.ss.Assumptions()
+		res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
+		assume = []sat.Lit{s.act}
 		if m.Opts.Blame {
 			blameAsserts, blameOrigins = m.withTail(s.cn)
 		}
@@ -273,19 +280,16 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 
 	// CDCL search, interruptible through ctx; the watcher is joined before
 	// the interrupt flag is cleared so a late Interrupt cannot leak into a
-	// later check.
+	// later check. Core sets no conflict budget: the search ends in a
+	// verdict, an interrupt, or a named refusal (a full clause database).
 	solveSp := x.Begin("solve")
-	stopWatch := watchInterrupt(ctx, x.sol.Interrupt)
-	status := x.sol.CheckAssuming(assume...)
+	stopWatch := watchInterrupt(ctx, x.sol.SAT().Interrupt)
+	status, err := x.sol.SAT().SolveLimited(assume...)
 	stopWatch()
-	x.sol.ResetInterrupt()
-	// Stats are cumulative since the solver was made on the fresh path,
-	// this check's share of the session's.
-	res.Stats = x.sol.SATStats()
+	x.sol.SAT().ResetInterrupt()
+	res.Stats = x.sol.SAT().Stats.Since(base)
 	if s != nil {
-		s.ss.Finish()
 		s.checks++
-		res.Stats = s.ss.LastStats().Stats
 	}
 	solveSp.SetStr("status", status.String())
 	solveSp.SetInt("conflicts", res.Stats.Conflicts)
@@ -294,6 +298,12 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	solveSp.SetInt("learned", res.Stats.Learned)
 	solveSp.SetInt("restarts", res.Stats.Restarts)
 	x.endSolver()
+	if err != nil {
+		if errors.Is(err, sat.ErrInterrupted) && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("core: solve: %w", err)
+	}
 
 	switch status {
 	case sat.Unsat:
@@ -337,11 +347,6 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 			res.Blame = m.blameSat(blameAsserts, blameOrigins, ev)
 			x.End(cost.Work{})
 		}
-	default:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: solver returned %v", status)
 	}
 	if len(res.Blame) > 0 && m.OnEvent != nil {
 		m.OnEvent(stream.EventBlame, map[string]any{"origins": len(res.Blame)})

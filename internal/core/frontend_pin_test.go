@@ -197,8 +197,8 @@ func TestSizeHintLeavesCNFAlone(t *testing.T) {
 	}
 	cnf := func(sol *smt.Solver) string {
 		h := sha256.New()
-		fmt.Fprintf(h, "p cnf %d %d\n", sol.NumSATVars(), sol.NumSATClauses())
-		for _, cl := range sol.Clauses() {
+		fmt.Fprintf(h, "p cnf %d %d\n", sol.SAT().NumVars(), sol.SAT().NumClauses())
+		for _, cl := range sol.SAT().Clauses() {
 			fmt.Fprintln(h, cl)
 		}
 		return hex.EncodeToString(h.Sum(nil))

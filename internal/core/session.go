@@ -11,11 +11,14 @@ import (
 )
 
 // Session answers many property queries against one encoded network. The
-// model's constraint system N is bit-blasted into the incremental SMT
-// session exactly once; each Check blasts only the assumptions and the
-// negated property under a fresh activation literal. Results have the
-// same shape as Model.Check, with per-check phase timings and per-check
-// solver work (deltas, not the session's cumulative counters).
+// model's constraint system N is bit-blasted into the session's solver
+// exactly once; each Check blasts only the assumptions and the negated
+// property, under a fresh activation literal the search assumes. K checks
+// cost one blast of N instead of K, and the solver keeps its learned
+// clauses, variable activity and saved phases from check to check.
+// Results have the same shape as Model.Check, with per-check phase
+// timings and per-check solver work: Stats counts from the point the
+// check's ledger does, not from the session's start.
 //
 // Property constructors (Waypointed, BoundedLength, ...) may append
 // instrumentation constraints to Model.Asserts while building their
@@ -30,10 +33,14 @@ import (
 // property construction themselves (the service layer holds one lock per
 // network around build+check).
 type Session struct {
-	m  *Model
-	mu sync.Mutex
-	ss *smt.Session
-	cn *CompiledNetwork // what NewSession blasted
+	m   *Model
+	mu  sync.Mutex
+	sol *smt.Solver
+	cn  *CompiledNetwork // what NewSession blasted
+	// act is the activation literal the last check's goals entered under;
+	// 0, which is never one (variable 0 is the solver's constant true),
+	// before the first.
+	act sat.Lit
 
 	asserted int // prefix of m.Asserts already blasted as shared
 	// lastBlasted remembers the final assert of that prefix. The session
@@ -68,16 +75,34 @@ var ErrSessionInvalidated = errors.New(
 // incremental session, and simplifies it once. The setup cost is
 // reported by SetupCost, not folded into the first check's Result.
 func (m *Model) NewSession() *Session {
-	s := &Session{m: m, ss: smt.NewSession(m.Ctx)}
-	x := m.newExecutor(s.ss.Solver(), "session", "session-setup")
+	s := &Session{m: m, sol: smt.NewSolver(m.Ctx)}
+	x := m.newExecutor(s.sol, "session", "session-setup")
 	defer x.Span.End()
 	s.proof = m.instrument(x.sol)
 	s.cn, _ = x.compile(nil, nil, nil)
-	x.blast(s.ss.Assert, s.cn.Asserts, s.cn.Origins, nil)
+	x.blast(s.sol.Assert, s.cn.Asserts, s.cn.Origins, nil)
 	s.noteBlasted(s.cn.BaseLen)
 	x.simplify()
 	s.setupCost = x.Ledger
 	return s
+}
+
+// prepare begins a check: it retires the previous check's activation
+// literal with the unit clause ¬act, which disables every clause its goals
+// left for good, takes a fresh one, and blasts the goals under it. Only a
+// goal's top-level clauses carry the literal; its sub-term Tseitin gates
+// are definitional, so later checks reuse them and leaving them behind
+// constrains nothing. A clause learned while act was assumed mentions ¬act
+// (satisfied once act is retired) or is valid outright.
+func (s *Session) prepare(goals []*smt.Term) {
+	st := s.sol.SAT()
+	if s.act != 0 {
+		st.AddClause(s.act.Not())
+	}
+	s.act = sat.MkLit(st.NewVar(), false)
+	for _, g := range goals {
+		s.sol.AssertUnder(g, s.act)
+	}
 }
 
 // noteBlasted records that m.Asserts[:n] is now in the solver.
@@ -97,11 +122,7 @@ func (s *Session) SetupCost() *cost.Node { return s.setupCost }
 // per-check delta. Service budgets baseline against it at check start so
 // progress-hook snapshots (also cumulative) can be turned into per-check
 // spend.
-func (s *Session) SolverStats() sat.Stats { return s.ss.Solver().SATStats() }
-
-// SharedBlasts reports how many times the shared formula N was blasted —
-// 1 for the session's whole lifetime, however many checks run.
-func (s *Session) SharedBlasts() int { return s.ss.SharedBlasts() }
+func (s *Session) SolverStats() sat.Stats { return s.sol.SAT().Stats }
 
 // Checks returns the number of completed checks.
 func (s *Session) Checks() int {

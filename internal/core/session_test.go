@@ -79,11 +79,18 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 			t.Fatalf("%s: violated without counterexample", inc[i].name)
 		}
 	}
-	if sess.SharedBlasts() != 1 {
-		t.Fatalf("shared blasts=%d, want 1 after %d checks", sess.SharedBlasts(), sess.Checks())
-	}
 	if sess.Checks() != len(inc) {
 		t.Fatalf("checks=%d, want %d", sess.Checks(), len(inc))
+	}
+	// N is in the solver once: asking the first question again finds every
+	// term blasted and adds one variable, its activation literal.
+	vars := sess.sol.SAT().NumVars()
+	again := sessionQueries(t, mSess)[0]
+	if _, err := sess.Check(again.property, again.assumptions...); err != nil {
+		t.Fatal(err)
+	}
+	if grown := sess.sol.SAT().NumVars() - vars; grown != 1 {
+		t.Fatalf("asking again added %d variables, want 1", grown)
 	}
 }
 
@@ -147,8 +154,9 @@ func TestSessionCheckContextCanceled(t *testing.T) {
 
 // TestInstrumentationAssertedOnce repeats a query whose property needs
 // every memoised instrumentation on a live session: the second build finds
-// the first's terms, so the model grows no assert, the solver gains only
-// the clauses that enter the goals, and the verdict is the same.
+// the first's terms, so the model grows no assert, the solver gains one
+// variable (the activation literal) and at most one clause per top-level
+// conjunct of the goals, and the verdict is the same.
 func TestInstrumentationAssertedOnce(t *testing.T) {
 	m, err := Encode(testnets.OSPFChain(4).Graph, DefaultOptions())
 	if err != nil {
@@ -156,27 +164,46 @@ func TestInstrumentationAssertedOnce(t *testing.T) {
 	}
 	sess := m.NewSession()
 	c := m.Ctx
-	query := func() (*Result, int) {
+	var goals []*smt.Term
+	query := func() (*Result, int, int) {
 		lens, w := m.PathLengths(m.Main)
 		avoiding := m.ReachAvoiding(m.Main, "R2", false)
 		taint := m.Tainted(m.Main, "R1")
 		prog := m.ChainProgress(m.Main, "R1", []string{"R2"})
 		property := c.And(c.Ule(lens["R1"], c.BV(5, w)), c.Not(avoiding["R1"]),
 			c.Implies(taint["R3"], prog["R3"][1]))
+		goals = []*smt.Term{m.NoFailures(), c.Not(property)}
 		res, err := sess.Check(property, m.NoFailures())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sess.ss.Solver().NumSATClauses()
+		return res, sess.sol.SAT().NumVars(), sess.sol.SAT().NumClauses()
 	}
-	first, clauses := query()
+	first, vars, clauses := query()
 	asserts := len(m.Asserts)
-	second, after := query()
+	second, varsAfter, clausesAfter := query()
 	if len(m.Asserts) != asserts {
 		t.Errorf("the repeated query grew the model from %d to %d asserts", asserts, len(m.Asserts))
 	}
-	if goals := sess.ss.LastStats().NewClauses; after != clauses+goals {
-		t.Errorf("the repeated query left %d clauses: %d before it, %d for its goals", after, clauses, goals)
+	conjuncts := 0
+	var count func(*smt.Term)
+	count = func(g *smt.Term) {
+		switch g.Op() {
+		case smt.OpTrue:
+		case smt.OpAnd:
+			for _, k := range g.Kids() {
+				count(k)
+			}
+		default:
+			conjuncts++
+		}
+	}
+	for _, g := range goals {
+		count(g)
+	}
+	if varsAfter != vars+1 || clausesAfter <= clauses || clausesAfter > clauses+conjuncts {
+		t.Errorf("the repeated query took the solver from %d vars, %d clauses to %d, %d; its goals have %d conjuncts",
+			vars, clauses, varsAfter, clausesAfter, conjuncts)
 	}
 	if second.Verified != first.Verified {
 		t.Errorf("verdict %v, then %v", first.Verified, second.Verified)

@@ -332,7 +332,7 @@ func (m *Model) encodeRouter(sl *Slice, n *network.Node, isAddr bool) error {
 	for _, h := range sortedHops(ctrl) {
 		t := ctrl[h]
 		if h.Ext != "" {
-			out := m.aclPermits(cfg, m.extIfaceOf(n, h.Ext), false, pkt)
+			out := m.aclPermits(cfg, m.G.Topo.ExternalIface(n, h.Ext), false, pkt)
 			data[h] = c.And(t, out)
 			continue
 		}
@@ -705,16 +705,6 @@ func (m *Model) redistCand(sl *Slice, n *network.Node, cfg *config.Router, rd co
 		r = m.applyRouteMap(sl, cfg, rd.RouteMap, r)
 	}
 	return &candidate{rec: r, redist: true, redistSrc: rd.From}
-}
-
-// extIfaceOf returns the interface a router uses toward an external peer.
-func (m *Model) extIfaceOf(n *network.Node, ext string) string {
-	for _, e := range m.G.Topo.ExternalsOf(n) {
-		if e.Name == ext {
-			return e.Iface
-		}
-	}
-	return ""
 }
 
 func prefixActivated(nets []network.Prefix, p network.Prefix) bool {

@@ -58,7 +58,8 @@ type Result struct {
 	PassStats []passes.Stats
 	// Formula/solver statistics for the performance experiments.
 	// SATVars/SATClauses measure the blasted encoding before
-	// simplification.
+	// simplification. Stats is the search work since the query's ledger
+	// opened: a session's solver counts on from check to check.
 	SATVars    int
 	SATClauses int
 	Stats      sat.Stats
@@ -241,7 +242,7 @@ func (m *Model) blameFromCore(sol *smt.Solver, proof *sat.Proof, core []int) []p
 		if si < 0 || si >= len(steps) {
 			continue
 		}
-		for _, base := range sol.OriginSetBases(steps[si].Origin) {
+		for _, base := range sol.SAT().OriginSetBases(steps[si].Origin) {
 			if seen[base] {
 				continue
 			}
@@ -329,7 +330,7 @@ func (m *Model) blameSat(asserts []*smt.Term, origins [][]int32, ev *smt.Evaluat
 // originProfile converts the solver's per-set work counters into the
 // per-origin hot-constraint profile.
 func (m *Model) originProfile(solver *smt.Solver) *provenance.Profile {
-	sets, counts := solver.OriginSnapshot()
+	sets, counts := solver.SAT().OriginSnapshot()
 	pc := make([]provenance.Counts, len(counts))
 	for i, c := range counts {
 		pc[i] = provenance.Counts{

@@ -156,6 +156,9 @@ func TestTopologyQueries(t *testing.T) {
 	if len(topo.ExternalsOf(r1)) != 1 || len(topo.ExternalsOf(topo.Node("R2"))) != 0 {
 		t.Fatal("externals of")
 	}
+	if topo.ExternalIface(r1, "N1") != "s0" || topo.ExternalIface(r1, "N2") != "" || topo.ExternalIface(topo.Node("R2"), "N1") != "" {
+		t.Fatal("external iface")
+	}
 	if !topo.Connected() {
 		t.Fatal("connected")
 	}

@@ -160,6 +160,17 @@ func (t *Topology) ExternalsOf(n *Node) []*External {
 	return es[:len(es):len(es)]
 }
 
+// ExternalIface returns the interface n peers with the named external
+// neighbor on, or "" when it has no such peering.
+func (t *Topology) ExternalIface(n *Node, ext string) string {
+	for _, e := range t.ExternalsOf(n) {
+		if e.Name == ext {
+			return e.Iface
+		}
+	}
+	return ""
+}
+
 // Neighbors returns the internal neighbor nodes of n.
 func (t *Topology) Neighbors(n *Node) []*Node {
 	var out []*Node

@@ -241,10 +241,32 @@ func TestPhaseAccounts(t *testing.T) {
 				if res.Cost == first.Cost || first.Cost.Total() != before {
 					t.Error("the second check wrote into the first check's ledger")
 				}
-				if sess.SharedBlasts() != 1 {
-					t.Errorf("shared blasts = %d", sess.SharedBlasts())
+				// N is in the solver once: the negated property is the
+				// property's literal negated, so the check adds one variable,
+				// its activation literal.
+				if res.SATVars != first.SATVars+1 {
+					t.Errorf("the second check took the solver from %d to %d variables", first.SATVars, res.SATVars)
 				}
 				return res
+			}},
+		{name: "session check after a falsified check", phases: "blast solve",
+			run: func(t *testing.T, r *rig) *core.Result {
+				// The falsified check leaves a model on the trail: retiring its
+				// activation literal propagates, in this check's blast phase,
+				// and this check's Stats must count it as its ledger does.
+				m, p, assumptions := chainQuery(t, core.DefaultOptions(), false)
+				sess := m.NewSession()
+				first, err := sess.Check(p, assumptions...)
+				if must(t, first, err).Verified {
+					t.Fatal("isolation holds: not the row this is")
+				}
+				reach, reachAssumptions, err := pipeline.Property(m, tiered.Goal{Check: "reachability", Src: "R1", Subnet: sub, HasSubnet: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.wire(m)
+				res, err := sess.Check(reach, reachAssumptions...)
+				return must(t, res, err)
 			}},
 		{name: "certified", phases: "blast certify compile simplify solve",
 			run: fresh(with(func(o *core.Options) { o.Certify = true }), true),

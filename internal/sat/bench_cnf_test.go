@@ -38,5 +38,5 @@ func BenchmarkSat(b *testing.B) {
 		sol.Assert(t)
 	}
 	sol.Assert(m.Ctx.Not(prop))
-	sat.BenchLayers(b, sol.NumSATVars(), sol.Clauses())
+	sat.BenchLayers(b, sol.SAT().NumVars(), sol.SAT().Clauses())
 }

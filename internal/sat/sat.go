@@ -166,6 +166,24 @@ type Stats struct {
 	LBDHist [LBDBuckets]int64
 }
 
+// Since returns the work counted after the snapshot before was taken: the
+// monotone counters less before's. MaxLevel, a high-water mark, is st's.
+// Since(Stats{}) is st.
+func (st Stats) Since(before Stats) Stats {
+	st.Decisions -= before.Decisions
+	st.Propagations -= before.Propagations
+	st.Conflicts -= before.Conflicts
+	st.Restarts -= before.Restarts
+	st.Learned -= before.Learned
+	st.Deleted -= before.Deleted
+	st.Simplified -= before.Simplified
+	st.Strengthened -= before.Strengthened
+	for i := range st.LBDHist {
+		st.LBDHist[i] -= before.LBDHist[i]
+	}
+	return st
+}
+
 // Progress is the snapshot handed to a progress hook: a copy of the work
 // counters plus the current database size, letting long-running checks
 // report liveness.

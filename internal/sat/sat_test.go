@@ -452,6 +452,29 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestStatsSince: the work after a snapshot, added to the snapshot, is
+// the total; a zero snapshot changes nothing; the high-water mark is the
+// later one's.
+func TestStatsSince(t *testing.T) {
+	s := newSolverWithVars(6)
+	addDimacs(s, [][]int{{1, 2, 3}, {-1, 4}, {-2, 5}, {-3, 6}, {-4, -5}, {-5, -6}, {-4, -6}})
+	s.Solve()
+	before := s.Stats
+	s.AddClause(MkLit(0, true))
+	s.Solve()
+	if s.Stats.Since(Stats{}) != s.Stats {
+		t.Fatalf("Since(zero) = %+v, want %+v", s.Stats.Since(Stats{}), s.Stats)
+	}
+	d := s.Stats.Since(before)
+	if d.Propagations <= 0 || before.Propagations+d.Propagations != s.Stats.Propagations ||
+		before.Decisions+d.Decisions != s.Stats.Decisions || before.Conflicts+d.Conflicts != s.Stats.Conflicts {
+		t.Fatalf("%+v since %+v is %+v", s.Stats, before, d)
+	}
+	if d.MaxLevel != s.Stats.MaxLevel {
+		t.Fatalf("MaxLevel %d, want the later snapshot's %d", d.MaxLevel, s.Stats.MaxLevel)
+	}
+}
+
 func BenchmarkSolverPigeonhole7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 7

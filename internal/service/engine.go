@@ -119,9 +119,6 @@ type netEntry struct {
 	net        *pipeline.Network
 	m          *core.Model
 	sess       *core.Session
-	// blastsSeen is the session's shared-blast count already folded into
-	// the service.session_shared_blasts counter.
-	blastsSeen int
 
 	// curRec is the flight recorder of the job currently checking on
 	// this entry's session, read by the solver progress hook. Both the
@@ -799,7 +796,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		if r := recover(); r != nil {
 			// What a panic leaves of the model and its session is not to be
 			// trusted: the entry forgets them and the next job builds afresh.
-			ent.built, ent.modelBuilt, ent.err, ent.blastsSeen = false, false, nil, 0
+			ent.built, ent.modelBuilt, ent.err = false, false, nil
 			ent.net, ent.m, ent.sess = nil, nil, nil
 			panic(asPanic(r))
 		}
@@ -892,9 +889,6 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	res := pv.Result
 	if pv.Model != nil {
 		e.opts.Trace.Add("service.session_checks", 1)
-		blasts := ent.sess.SharedBlasts()
-		e.opts.Trace.Add("service.session_shared_blasts", int64(blasts-ent.blastsSeen))
-		ent.blastsSeen = blasts
 	}
 	if res.OriginProfile != nil {
 		j.mu.Lock()

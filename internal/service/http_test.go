@@ -138,7 +138,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"minesweeper_service_jobs_done",
 		"minesweeper_service_cache_hits",
-		"minesweeper_service_session_shared_blasts",
+		"minesweeper_service_session_builds",
 		"minesweeper_service_fastpath_hits",
 		"minesweeper_service_fastpath_residue",
 		"minesweeper_solver_conflicts",

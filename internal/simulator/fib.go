@@ -133,8 +133,7 @@ func (s *Simulator) walk(res *Result, at string, pkt config.Packet, path []strin
 	for _, h := range st.Hops {
 		if h.Ext != "" {
 			// Egress ACL on the external-facing interface.
-			iface := s.extIface(at, h.Ext)
-			if !s.aclPermits(cfg, iface, false, pkt) {
+			if !cfg.Permits(s.G.Topo.ExternalIface(s.G.Topo.Node(at), h.Ext), false, pkt) {
 				finish(DroppedACL, "<out-acl to "+h.Ext+">")
 				continue
 			}
@@ -148,51 +147,16 @@ func (s *Simulator) walk(res *Result, at string, pkt config.Packet, path []strin
 			outIface = link.IfaceOf(s.G.Topo.Node(at))
 			inIface = link.IfaceOf(s.G.Topo.Node(h.Node))
 		}
-		if !s.aclPermits(cfg, outIface, false, pkt) {
+		if !cfg.Permits(outIface, false, pkt) {
 			finish(DroppedACL, "<out-acl to "+h.Node+">")
 			continue
 		}
-		if !s.aclPermits(s.G.Configs[h.Node], inIface, true, pkt) {
+		if !s.G.Configs[h.Node].Permits(inIface, true, pkt) {
 			finish(DroppedACL, "<in-acl at "+h.Node+">")
 			continue
 		}
 		s.walk(res, h.Node, pkt, path, visited, w)
 	}
-}
-
-// extIface returns the interface name a router uses toward an external
-// peer.
-func (s *Simulator) extIface(router, ext string) string {
-	for _, e := range s.G.Topo.ExternalsOf(s.G.Topo.Node(router)) {
-		if e.Name == ext {
-			return e.Iface
-		}
-	}
-	return ""
-}
-
-// aclPermits applies the interface's in/out ACL to the packet (no ACL =
-// permit).
-func (s *Simulator) aclPermits(cfg *config.Router, ifaceName string, inbound bool, pkt config.Packet) bool {
-	if ifaceName == "" {
-		return true
-	}
-	iface := cfg.Iface(ifaceName)
-	if iface == nil {
-		return true
-	}
-	name := iface.OutACL
-	if inbound {
-		name = iface.InACL
-	}
-	if name == "" {
-		return true
-	}
-	acl := cfg.ACLs[name]
-	if acl == nil {
-		return true
-	}
-	return acl.Permits(pkt)
 }
 
 // FIBEntry renders one router's installed route for debugging.

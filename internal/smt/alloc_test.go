@@ -32,10 +32,10 @@ func TestHashConsHitAllocatesNothing(t *testing.T) {
 // variable and no new clause.
 func TestGateMemoHitAllocatesNothing(t *testing.T) {
 	s := NewSolver(NewContext())
-	lit := func() sat.Lit { return s.NewFreeLit() }
+	lit := func() sat.Lit { return sat.MkLit(s.sat.NewVar(), false) }
 	a, b, c := lit(), lit(), lit()
 	and, xor, ite := s.mkAnd(a, b), s.mkXor(a, b), s.mkIte(c, a, b)
-	vars, clauses := s.NumSATVars(), s.NumSATClauses()
+	vars, clauses := s.sat.NumVars(), s.sat.NumClauses()
 	if n := testing.AllocsPerRun(100, func() {
 		if s.mkAnd(b, a) != and || s.mkXor(b.Not(), a.Not()) != xor || s.mkIte(c.Not(), b, a) != ite {
 			t.Fatal("a second construction made a second gate")
@@ -43,9 +43,9 @@ func TestGateMemoHitAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("gate-memo hits allocate %v times a run, want 0", n)
 	}
-	if s.NumGates() != 3 || s.NumSATVars() != vars || s.NumSATClauses() != clauses {
+	if s.NumGates() != 3 || s.sat.NumVars() != vars || s.sat.NumClauses() != clauses {
 		t.Errorf("hits grew the formula: %d gates, %d vars (was %d), %d clauses (was %d)",
-			s.NumGates(), s.NumSATVars(), vars, s.NumSATClauses(), clauses)
+			s.NumGates(), s.sat.NumVars(), vars, s.sat.NumClauses(), clauses)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestGateTableGrows(t *testing.T) {
 	s := NewSolver(NewContext())
 	lits := make([]sat.Lit, 40)
 	for i := range lits {
-		lits[i] = s.NewFreeLit()
+		lits[i] = sat.MkLit(s.sat.NewVar(), false)
 	}
 	type pair struct{ i, j int }
 	gates := map[pair]sat.Lit{}

@@ -456,7 +456,7 @@ func TestSolverStatsExposed(t *testing.T) {
 	s := NewSolver(c)
 	s.Assert(c.Eq(c.Add(x, x), c.BV(8, 8)))
 	s.Check()
-	if s.NumSATVars() == 0 || s.NumSATClauses() == 0 {
+	if s.SAT().NumVars() == 0 || s.SAT().NumClauses() == 0 {
 		t.Fatal("expected blasting to create vars/clauses")
 	}
 }
@@ -468,11 +468,11 @@ func TestConflictBudgetPropagates(t *testing.T) {
 	y := c.BVVar("hy", 24)
 	s := NewSolver(c)
 	s.Assert(c.Eq(c.Add(x, y), c.BV(0xABCDEF, 24)))
-	s.SetMaxConflicts(1)
-	// Whatever the verdict, CheckLimited must not hang; most likely it
-	// solves instantly by propagation, so just ensure no panic and a
+	s.SAT().MaxConflicts = 1
+	// Whatever the verdict, the limited search must not hang; most likely
+	// it solves instantly by propagation, so just ensure no panic and a
 	// definite answer or budget error.
-	st, err := s.CheckLimited()
+	st, err := s.SAT().SolveLimited()
 	if st == sat.Unsolved && err == nil {
 		t.Fatal("unsolved without budget error")
 	}

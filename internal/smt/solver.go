@@ -72,70 +72,15 @@ func (s *Solver) Reserve(terms int) {
 	}
 }
 
-// Context returns the term context the solver was created with.
-func (s *Solver) Context() *Context { return s.ctx }
-
-// SATStats exposes the underlying SAT solver statistics.
-func (s *Solver) SATStats() sat.Stats { return s.sat.Stats }
-
-// NumSATVars returns the number of SAT variables created by blasting.
-func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
-
-// NumSATClauses returns the number of problem clauses created by blasting.
-func (s *Solver) NumSATClauses() int { return s.sat.NumClauses() }
-
-// ClauseDBBytes is the SAT clause database's current size.
-func (s *Solver) ClauseDBBytes() int64 { return s.sat.ClauseDBBytes() }
-
-// SetMaxConflicts bounds search effort; 0 means unbounded.
-func (s *Solver) SetMaxConflicts(n int64) { s.sat.MaxConflicts = n }
-
-// SetProgress installs a periodic progress hook on the SAT search: fn is
-// called every `every` conflicts with a snapshot of the work counters.
-// fn runs on the solving goroutine; every ≤ 0 or a nil fn disables it.
-func (s *Solver) SetProgress(every int64, fn func(sat.Progress)) {
-	s.sat.ProgressEvery = every
-	s.sat.OnProgress = fn
-}
+// SAT is the CDCL solver the blaster loads. A caller searches it (under
+// assumptions, interruptibly), reads its counters, sizes, proof and origin
+// tables, and adds clauses over its own fresh variables to it directly;
+// those bind every later Check like an Assert.
+func (s *Solver) SAT() *sat.Solver { return s.sat }
 
 // NumGates returns the number of memoized Tseitin gate variables created
 // by blasting, a measure of shared circuit structure.
 func (s *Solver) NumGates() int { return s.nGates }
-
-// Simplify performs top-level simplification of the blasted CNF (root
-// propagation, satisfied-clause removal, literal strengthening). It
-// returns false when the assertions are already unsatisfiable.
-func (s *Solver) Simplify() bool { return s.sat.Simplify() }
-
-// Clauses exposes the blasted problem clauses (for DIMACS export).
-func (s *Solver) Clauses() [][]sat.Lit { return s.sat.Clauses() }
-
-// EnableProof turns on DRAT proof logging in the underlying SAT solver
-// and returns the growing trace. Call before Check so the trace covers
-// the whole database; an Unsat verdict can then be validated with
-// drat.Check.
-func (s *Solver) EnableProof() *sat.Proof { return s.sat.EnableProof() }
-
-// Proof returns the recorded trace, or nil when logging is off.
-func (s *Solver) Proof() *sat.Proof { return s.sat.Proof() }
-
-// EnableOriginTracking turns on per-origin attribution in the underlying
-// SAT solver. Enable before asserting so every blasted clause carries the
-// origin current at Assert time.
-func (s *Solver) EnableOriginTracking() { s.sat.EnableOriginTracking() }
-
-// SetOrigin declares the base origin ids of the constraints asserted
-// next. Tseitin gate clauses memoized across asserts keep their first
-// creator's origin; that is sound for blame because every semantically
-// contributing assert also emits root clauses under its own origin.
-func (s *Solver) SetOrigin(bases ...int32) { s.sat.SetOrigin(bases...) }
-
-// OriginSetBases resolves an interned origin-set id (as recorded on
-// proof steps) to its base origin ids. The slice is owned by the solver.
-func (s *Solver) OriginSetBases(id int32) []int32 { return s.sat.OriginSetBases(id) }
-
-// OriginSnapshot copies the interned origin sets and their work counters.
-func (s *Solver) OriginSnapshot() ([][]int32, []sat.OriginCounts) { return s.sat.OriginSnapshot() }
 
 // Assert adds a boolean term as a constraint. Top-level conjunctions and
 // disjunctions are clausified directly without auxiliary gate variables.
@@ -174,7 +119,8 @@ func (s *Solver) assertTrue(t *Term) {
 // act: every top-level clause carries ¬act, encoding act → t, so t binds
 // only while act is assumed. Sub-term Tseitin gates are definitional
 // equivalences and stay unguarded, which is what lets later checks reuse
-// them. Adding the unit clause ¬act (RetireLit) retires t for good.
+// them. act is a fresh variable of SAT() no term is blasted to; adding
+// the unit clause ¬act retires t for good.
 func (s *Solver) AssertUnder(t *Term, act sat.Lit) {
 	mustBool("assert", t)
 	s.assertImplied(t, act.Not())
@@ -207,32 +153,8 @@ func (s *Solver) assertImplied(t *Term, na sat.Lit) {
 	s.sat.AddClause(na, s.lit(t))
 }
 
-// NewFreeLit allocates a fresh SAT literal bound to no term, for use as an
-// activation/assumption literal by the incremental Session.
-func (s *Solver) NewFreeLit() sat.Lit { return sat.MkLit(s.sat.NewVar(), false) }
-
-// RetireLit permanently falsifies a literal, disabling every clause
-// guarded by it.
-func (s *Solver) RetireLit(l sat.Lit) { s.sat.AddClause(l.Not()) }
-
 // Check decides the conjunction of all assertions so far.
 func (s *Solver) Check() sat.Status { return s.sat.Solve() }
-
-// CheckAssuming decides the assertions under additional assumption
-// literals (without adding them as clauses).
-func (s *Solver) CheckAssuming(assumptions ...sat.Lit) sat.Status {
-	return s.sat.Solve(assumptions...)
-}
-
-// Interrupt asks a running check to abort; safe from other goroutines.
-func (s *Solver) Interrupt() { s.sat.Interrupt() }
-
-// ResetInterrupt clears a pending interrupt once the canceling goroutine
-// has been joined, so the solver can be reused.
-func (s *Solver) ResetInterrupt() { s.sat.ResetInterrupt() }
-
-// CheckLimited is Check with the configured conflict budget.
-func (s *Solver) CheckLimited() (sat.Status, error) { return s.sat.SolveLimited() }
 
 // Model extracts concrete values for every context variable after a Sat
 // result. Variables that never appeared in an assertion get zero values.

@@ -203,7 +203,7 @@ func (a *Analysis) detMgmt(goal Goal) Outcome {
 		if reason != "" {
 			return residue(reason)
 		}
-		reach := pl.reach(false)
+		reach := pl.reach(false, "")
 		for _, n := range a.G.Topo.Nodes {
 			if n.Name != m.Router && !reach[n.Name] {
 				return falsified("mgmt-unreachable:"+n.Name, pl.blame(), pl.pkt, pl.env)
@@ -279,7 +279,7 @@ func (p *plane) buildEdges() {
 		cfg := p.a.G.Configs[n.Name]
 		for _, h := range st.Hops {
 			if h.Ext != "" {
-				if p.aclPermits(cfg, p.extIface(n.Name, h.Ext), false) {
+				if cfg.Permits(topo.ExternalIface(n, h.Ext), false, p.pkt) {
 					p.extFwd[n.Name] = true
 				}
 				continue
@@ -290,47 +290,11 @@ func (p *plane) buildEdges() {
 				outIface = link.IfaceOf(topo.Node(n.Name))
 				inIface = link.IfaceOf(topo.Node(h.Node))
 			}
-			if !p.aclPermits(cfg, outIface, false) {
-				continue
+			if cfg.Permits(outIface, false, p.pkt) && p.a.G.Configs[h.Node].Permits(inIface, true, p.pkt) {
+				p.edges[n.Name] = append(p.edges[n.Name], h.Node)
 			}
-			if !p.aclPermits(p.a.G.Configs[h.Node], inIface, true) {
-				continue
-			}
-			p.edges[n.Name] = append(p.edges[n.Name], h.Node)
 		}
 	}
-}
-
-func (p *plane) extIface(router, ext string) string {
-	for _, e := range p.a.G.Topo.ExternalsOf(p.a.G.Topo.Node(router)) {
-		if e.Name == ext {
-			return e.Iface
-		}
-	}
-	return ""
-}
-
-// aclPermits mirrors the simulator's per-interface directional filter.
-func (p *plane) aclPermits(cfg *config.Router, ifaceName string, inbound bool) bool {
-	if ifaceName == "" {
-		return true
-	}
-	iface := cfg.Iface(ifaceName)
-	if iface == nil {
-		return true
-	}
-	name := iface.OutACL
-	if inbound {
-		name = iface.InACL
-	}
-	if name == "" {
-		return true
-	}
-	acl := cfg.ACLs[name]
-	if acl == nil {
-		return true
-	}
-	return acl.Permits(p.pkt)
 }
 
 func (p *plane) delivered(router string) bool {
@@ -341,37 +305,9 @@ func (p *plane) delivered(router string) bool {
 // reach mirrors the encoder's Reach relation: a router reaches the
 // destination when it delivers locally, exits to an external peer
 // (countExit only), or data-forwards to an internal router that reaches.
-func (p *plane) reach(countExit bool) map[string]bool {
-	rev := map[string][]string{}
-	for x, hs := range p.edges {
-		for _, h := range hs {
-			rev[h] = append(rev[h], x)
-		}
-	}
-	out := map[string]bool{}
-	var queue []string
-	for _, n := range p.a.G.Topo.Nodes {
-		if p.delivered(n.Name) || (countExit && p.extFwd[n.Name]) {
-			out[n.Name] = true
-			queue = append(queue, n.Name)
-		}
-	}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		for _, x := range rev[at] {
-			if !out[x] {
-				out[x] = true
-				queue = append(queue, x)
-			}
-		}
-	}
-	return out
-}
-
-// reachAvoiding mirrors ReachAvoiding: reach computed with the waypoint
-// router removed from the graph.
-func (p *plane) reachAvoiding(avoid string) map[string]bool {
+// A non-empty avoid mirrors ReachAvoiding: that router is removed from
+// the graph first.
+func (p *plane) reach(countExit bool, avoid string) map[string]bool {
 	rev := map[string][]string{}
 	for x, hs := range p.edges {
 		if x == avoid {
@@ -386,7 +322,7 @@ func (p *plane) reachAvoiding(avoid string) map[string]bool {
 	out := map[string]bool{}
 	var queue []string
 	for _, n := range p.a.G.Topo.Nodes {
-		if n.Name != avoid && p.delivered(n.Name) {
+		if n.Name != avoid && (p.delivered(n.Name) || (countExit && p.extFwd[n.Name])) {
 			out[n.Name] = true
 			queue = append(queue, n.Name)
 		}
@@ -410,7 +346,7 @@ func (p *plane) reachAvoiding(avoid string) map[string]bool {
 // would make the SAT relation unbounded-by-construction; declare residue
 // rather than reason about it.
 func (p *plane) lens() (map[string]int, bool) {
-	reach := p.reach(false)
+	reach := p.reach(false, "")
 	live := map[string][]string{}
 	for x, hs := range p.edges {
 		for _, h := range hs {
@@ -469,7 +405,7 @@ func (p *plane) lens() (map[string]int, bool) {
 func (p *plane) evaluate(goal Goal) (bool, string) {
 	switch goal.Check {
 	case "reachability", "reachability-all":
-		reach := p.reach(false)
+		reach := p.reach(false, "")
 		for _, src := range goal.Sources() {
 			if !reach[src] {
 				return true, ""
@@ -477,11 +413,11 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 		}
 		return false, ""
 	case "isolation":
-		return p.reach(false)[goal.Src], ""
+		return p.reach(false, "")[goal.Src], ""
 	case "waypoint":
-		return p.reachAvoiding(goal.Via)[goal.Src], ""
+		return p.reach(false, goal.Via)[goal.Src], ""
 	case "bounded-length", "bounded-length-all":
-		reach := p.reach(false)
+		reach := p.reach(false, "")
 		lens, ok := p.lens()
 		if !ok {
 			return false, "live-cycle"
@@ -493,7 +429,7 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 		}
 		return false, ""
 	case "equal-lengths":
-		reach := p.reach(false)
+		reach := p.reach(false, "")
 		lens, ok := p.lens()
 		if !ok {
 			return false, "live-cycle"
@@ -527,7 +463,7 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 		}
 		return false, ""
 	case "multipath-consistency":
-		reach := p.reach(true)
+		reach := p.reach(true, "")
 		for _, n := range p.a.G.Topo.Nodes {
 			if !reach[n.Name] {
 				continue
@@ -539,7 +475,7 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 			cfg := p.a.G.Configs[n.Name]
 			for _, h := range st.Hops {
 				if h.Ext != "" {
-					if !p.aclPermits(cfg, p.extIface(n.Name, h.Ext), false) {
+					if !cfg.Permits(p.a.G.Topo.ExternalIface(n, h.Ext), false, p.pkt) {
 						return true, ""
 					}
 					continue
