@@ -28,7 +28,9 @@
 // The tiered experiment answers every Figure 8 row twice — once on the
 // sound graph fast path (internal/tiered), once on the SAT pipeline —
 // reports the fast path's hit rate and per-row speedup, and exits
-// nonzero if any definitive graph verdict disagrees with the solver.
+// nonzero if any definitive graph verdict disagrees with the solver. The
+// whole-network properties also get a row scoped to the destination
+// subnet (property@subnet).
 // Plain fig8 runs stay untiered unless -tiers graph,sat is passed, so
 // the committed BENCH_fig8.json baseline keeps measuring the solver.
 //
@@ -476,6 +478,9 @@ type tieredJSON struct {
 	Pods     int    `json:"pods"`
 	Routers  int    `json:"routers"`
 	Property string `json:"property"`
+	// Subnet is set on the scoped row of a whole-network property: the
+	// same check asked of the destination subnet only.
+	Subnet string `json:"subnet,omitempty"`
 	// Tier is "graph" when the fast path decided the row, "sat" when it
 	// returned residue and the solver answered.
 	Tier     string  `json:"tier"`
@@ -489,8 +494,10 @@ type tieredJSON struct {
 
 // runTiered answers every Figure 8 row twice — once on the sound graph
 // fast path, once on the untiered SAT pipeline — and reports hit rate,
-// per-row speedup, and verdict agreement. Any definitive graph verdict
-// that disagrees with the solver is a soundness bug: the sweep fails.
+// per-row speedup, and verdict agreement. The whole-network properties
+// get a second, subnet-scoped row (Fig8ModularGoal's form). Any definitive
+// graph verdict that disagrees with the solver is a soundness bug: the
+// sweep fails.
 func runTiered(pods []int, props []string, jsonOut, passes string) error {
 	fmt.Println("# tiered sweep: graph fast path vs SAT pipeline per Figure 8 row")
 	fmt.Println("pods\trouters\tproperty\ttier\treason\tgraph_ms\tsat_ms\tspeedup\tverified\tagree")
@@ -503,8 +510,13 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 			return err
 		}
 		f.Passes = passes
-		// f.Tiers stays empty: RunFig8Property below measures the pure
-		// SAT pipeline, the fast path is timed separately here.
+		// f.Tiers stays empty: RunFig8Goal below measures the pure SAT
+		// pipeline, the fast path is timed separately here.
+		type row struct {
+			prop, subnet string // subnet: set on a scoped row
+			goal         tiered.Goal
+		}
+		var rows []row
 		for _, prop := range props {
 			goal, ok := harness.Fig8Goal(f, prop)
 			if !ok {
@@ -513,16 +525,27 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 				// the fast path never sees.
 				continue
 			}
+			rows = append(rows, row{prop: prop, goal: goal})
+			if !goal.HasSubnet {
+				scoped, _ := harness.Fig8ModularGoal(f, prop)
+				rows = append(rows, row{prop, scoped.Subnet.String(), scoped})
+			}
+		}
+		for _, r := range rows {
+			name := r.prop
+			if r.subnet != "" {
+				name += "@" + r.subnet
+			}
 			start := time.Now()
-			out := f.Net.Analysis().Decide(goal)
+			out := f.Net.Analysis().Decide(r.goal)
 			graphMs := float64(time.Since(start).Microseconds()) / 1000
-			satRow, err := harness.RunFig8Property(f, prop)
+			satRow, err := harness.RunFig8Goal(f, r.prop, r.goal)
 			if err != nil {
 				return err
 			}
 			satMs := float64(satRow.Elapsed.Microseconds()) / 1000
 			jrow := tieredJSON{
-				Pods: satRow.Pods, Routers: satRow.Routers, Property: prop,
+				Pods: satRow.Pods, Routers: satRow.Routers, Property: r.prop, Subnet: r.subnet,
 				Tier: tiered.TierSAT, Reason: out.Reason,
 				GraphMs: graphMs, SatMs: satMs,
 				Verified: satRow.Verified, Agree: true,
@@ -539,11 +562,11 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 				satTotal += satMs
 			}
 			fmt.Printf("%d\t%d\t%s\t%s\t%s\t%.2f\t%.1f\t%.1f\t%v\t%v\n",
-				jrow.Pods, jrow.Routers, jrow.Property, jrow.Tier, jrow.Reason,
+				jrow.Pods, jrow.Routers, name, jrow.Tier, jrow.Reason,
 				jrow.GraphMs, jrow.SatMs, jrow.Speedup, jrow.Verified, jrow.Agree)
 			if !jrow.Agree {
 				return fmt.Errorf("tier disagreement on pods=%d %s: graph says verified=%v, sat says verified=%v",
-					k, prop, out.Verified, satRow.Verified)
+					k, name, out.Verified, satRow.Verified)
 			}
 			art = append(art, jrow)
 		}

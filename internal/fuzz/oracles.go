@@ -319,7 +319,9 @@ func (s *Scenario) rename(src string) (*Scenario, string, error) {
 // path (internal/tiered) and the SAT pipeline answer the same checks
 // independently. The fast path may always return residue, but any check
 // it claims to decide must carry the solver's verdict — a definitive
-// disagreement is a soundness bug in the graph tier.
+// disagreement is a soundness bug in the graph tier. Each whole-network
+// check is asked twice: of every destination, and of the query's subnet
+// only (on the SAT side, pipeline.Property's DstIn assumption).
 func (s *Scenario) TierParity(rng *rand.Rand) error {
 	a := tiered.NewAnalysis(s.Net.Graph)
 	m, err := s.Encode("")
@@ -329,10 +331,9 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
 	goals := []tiered.Goal{
 		{Check: "reachability", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
-		{Check: "loops"},
-		{Check: "blackholes"},
-		{Check: "multipath-consistency"},
-		{Check: "mgmt-reachability"},
+	}
+	for _, check := range []string{"loops", "blackholes", "multipath-consistency", "mgmt-reachability"} {
+		goals = append(goals, tiered.Goal{Check: check}, tiered.Goal{Check: check, Subnet: q.sub, HasSubnet: true})
 	}
 	for _, goal := range goals {
 		out := a.Decide(goal)
@@ -344,8 +345,8 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 			return fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
 		}
 		if out.Verified != want {
-			return fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s dst=%v maxFail=%d): graph=%v (reason %s) sat=%v",
-				s.Name, goal.Check, q.src, q.sub, q.maxFail, out.Verified, out.Reason, want)
+			return fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s dst=%v scoped=%v maxFail=%d): graph=%v (reason %s) sat=%v",
+				s.Name, goal.Check, q.src, q.sub, goal.HasSubnet, q.maxFail, out.Verified, out.Reason, want)
 		}
 	}
 	return nil

@@ -423,6 +423,13 @@ func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown figure-8 property %q", prop)
 	}
+	return RunFig8Goal(f, prop, goal)
+}
+
+// RunFig8Goal is RunFig8Property for the property stated as the given
+// goal: Fig8Goal's, or another form of it such as Fig8ModularGoal's.
+func RunFig8Goal(f *Fabric, prop string, goal tiered.Goal) (*Fig8Row, error) {
+	row := &Fig8Row{Pods: f.FT.K, Routers: len(f.FT.Routers), Property: prop}
 	opts := pipeline.Options{Live: func() (*core.Model, *core.Session, error) {
 		m, err := f.encode(core.DefaultOptions())
 		return m, nil, err

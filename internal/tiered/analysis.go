@@ -2,6 +2,7 @@ package tiered
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/network"
@@ -37,11 +38,19 @@ type aclRef struct {
 // across goals: the may-graph, the forwarding-equivalence-class boundary
 // prefixes, and the preconditions of the deterministic path. It is cheap
 // to build (linear in the configuration) and safe to cache alongside the
-// protocol graph; Decide is not safe for concurrent use (it shares a
-// simulator), callers serialize as they do for core sessions.
+// protocol graph. Decide is safe for concurrent use.
 type Analysis struct {
-	G   *protograph.Graph
-	sim *simulator.Simulator
+	G *protograph.Graph
+
+	// mu guards the simulator, which is not safe for concurrent use, and
+	// planes, which memoises plane by representative destination for the
+	// Analysis' lifetime. Each representative is simulated at most once
+	// (sims counts the runs); the planes handed out are never written
+	// after they are built.
+	mu     sync.Mutex
+	sim    *simulator.Simulator
+	planes map[network.IP]memoPlane
+	sims   int
 
 	// may is the over-approximate forwarding graph: each router's outgoing
 	// edges by Node.Index, sorted by far end; rev its incoming ones.
@@ -65,7 +74,7 @@ type Analysis struct {
 // NewAnalysis builds the tier's per-network state from the protocol
 // graph.
 func NewAnalysis(g *protograph.Graph) *Analysis {
-	a := &Analysis{G: g, sim: simulator.New(g)}
+	a := &Analysis{G: g, sim: simulator.New(g), planes: map[network.IP]memoPlane{}}
 	a.buildMayGraph()
 	a.collectBoundaries()
 	a.detReason = detPrecondition(g)
@@ -504,22 +513,21 @@ func (a *Analysis) loopCandidates() []string {
 	return out
 }
 
-// managementAddrs returns every management interface address with its
-// owning router, in deterministic order.
-func (a *Analysis) managementAddrs() []struct {
+// mgmtAddr is a management interface address and its owning router.
+type mgmtAddr struct {
 	Router string
 	Addr   network.IP
-} {
-	var out []struct {
-		Router string
-		Addr   network.IP
-	}
+}
+
+// managementAddrs returns every management interface address inside the
+// region, in deterministic order.
+func (a *Analysis) managementAddrs(region network.Prefix) []mgmtAddr {
+	var out []mgmtAddr
 	for _, n := range a.G.Topo.Nodes {
 		for _, mi := range a.G.Configs[n.Name].ManagementInterfaces() {
-			out = append(out, struct {
-				Router string
-				Addr   network.IP
-			}{n.Name, mi.Addr})
+			if region.Contains(mi.Addr) {
+				out = append(out, mgmtAddr{n.Name, mi.Addr})
+			}
 		}
 	}
 	return out

@@ -41,14 +41,15 @@ func (a *Analysis) Decide(goal Goal) Outcome {
 		if len(a.loopCandidates()) == 0 {
 			return verified("no-loop-candidates", []provenance.Origin{propertyOrigin})
 		}
-		return a.detDecide(goal, wholeSpace)
+		return a.detDecide(goal, scope(goal))
 	case "blackholes", "multipath-consistency":
-		return a.detDecide(goal, wholeSpace)
+		return a.detDecide(goal, scope(goal))
 	case "mgmt-reachability":
-		if len(a.managementAddrs()) == 0 {
+		mgmt := a.managementAddrs(scope(goal))
+		if len(mgmt) == 0 {
 			return verified("no-management-interfaces", []provenance.Origin{propertyOrigin})
 		}
-		return a.detMgmt(goal)
+		return a.detMgmt(goal, mgmt)
 	case "no-leak":
 		if len(a.G.Topo.Externals) == 0 {
 			return verified("no-external-peers", []provenance.Origin{propertyOrigin})
@@ -70,6 +71,16 @@ func (a *Analysis) Decide(goal Goal) Outcome {
 		return a.detDecide(goal, goal.Subnet)
 	}
 	return residue("unsupported-check")
+}
+
+// scope is the destination region of a whole-network goal: its subnet
+// when it has one — the restriction pipeline.Property's DstIn assumption
+// puts on the SAT path — and the whole space otherwise.
+func scope(goal Goal) network.Prefix {
+	if goal.HasSubnet {
+		return goal.Subnet
+	}
+	return wholeSpace
 }
 
 // mayDecide derives verdicts that need only the over-approximation.
@@ -141,12 +152,11 @@ func (a *Analysis) mayDecide(goal Goal) Outcome {
 // environment fixpoint (the zero-failure environment is admissible under
 // every failure budget).
 func (a *Analysis) mayFalsifyReach(goal Goal, src string, blame []provenance.Origin) Outcome {
-	rep := goal.Subnet.First()
-	env := simulator.NewEnvironment()
-	if _, err := a.sim.Run(rep, env); err != nil {
-		return residue("no-convergence")
+	pl, reason := a.plane(goal.Subnet.First())
+	if pl == nil {
+		return residue(reason)
 	}
-	return falsified("may-unreachable:"+src, blame, config.Packet{DstIP: rep}, env)
+	return falsified("may-unreachable:"+src, blame, pl.pkt, pl.env)
 }
 
 // detDecide evaluates the goal concretely on the unique stable state,
@@ -188,9 +198,9 @@ func (a *Analysis) detDecide(goal Goal, region network.Prefix) Outcome {
 }
 
 // detMgmt evaluates management reachability: for every management
-// address, every other router must reach it. Each address is its own
-// forwarding-equivalence class.
-func (a *Analysis) detMgmt(goal Goal) Outcome {
+// address in scope, every other router must reach it. Each address is its
+// own forwarding-equivalence class.
+func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
 	if a.detReason != "" {
 		return residue(a.detReason)
 	}
@@ -198,7 +208,7 @@ func (a *Analysis) detMgmt(goal Goal) Outcome {
 		return residue(a.aclReason)
 	}
 	blame := []provenance.Origin{propertyOrigin}
-	for _, m := range a.managementAddrs() {
+	for _, m := range mgmt {
 		pl, reason := a.plane(m.Addr)
 		if reason != "" {
 			return residue(reason)
@@ -234,15 +244,43 @@ type plane struct {
 	extFwd map[string]bool
 }
 
-// plane simulates the representative under the empty environment and
-// checks the state is environment-independent; a non-empty reason is
-// residue.
+// memoPlane is one entry of Analysis.planes: what plane returned for a
+// representative.
+type memoPlane struct {
+	pl     *plane
+	reason string
+}
+
+// plane returns the representative's data plane: the empty-environment
+// stable state, simulated on the first call for rep and shared by every
+// later one. A non-empty reason is residue for the deterministic path:
+// "no-convergence" (the plane is nil) or "external-influence" (the plane
+// is a real stable state, but an announcement could displace it).
 func (a *Analysis) plane(rep network.IP) (*plane, string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if m, ok := a.planes[rep]; ok {
+		return m.pl, m.reason
+	}
+	a.sims++
+	pl, reason := a.simulate(rep)
+	a.planes[rep] = memoPlane{pl, reason}
+	return pl, reason
+}
+
+// simulate runs the simulator for the representative under the empty
+// environment and checks the state is environment-independent.
+func (a *Analysis) simulate(rep network.IP) (*plane, string) {
 	env := simulator.NewEnvironment()
 	res, err := a.sim.Run(rep, env)
 	if err != nil {
 		return nil, "no-convergence"
 	}
+	pl := &plane{
+		a: a, rep: rep, pkt: config.Packet{DstIP: rep}, env: env,
+		states: res.States, edges: map[string][]string{}, extFwd: map[string]bool{},
+	}
+	pl.buildEdges()
 	// Environment independence: external announcements can inject BGP
 	// records of at most the filtered prefix length; if every BGP
 	// speaker's installed route is strictly longer, longest-prefix-match
@@ -256,15 +294,10 @@ func (a *Analysis) plane(rep network.IP) (*plane, string) {
 			}
 			st := res.States[n.Name]
 			if !st.Best.Valid || st.Best.PrefixLen <= bound {
-				return nil, "external-influence"
+				return pl, "external-influence"
 			}
 		}
 	}
-	pl := &plane{
-		a: a, rep: rep, pkt: config.Packet{DstIP: rep}, env: env,
-		states: res.States, edges: map[string][]string{}, extFwd: map[string]bool{},
-	}
-	pl.buildEdges()
 	return pl, ""
 }
 

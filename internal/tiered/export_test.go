@@ -9,6 +9,13 @@ import (
 // MayDecide exposes the may-graph decision to the external tests.
 func (a *Analysis) MayDecide(goal Goal) Outcome { return a.mayDecide(goal) }
 
+// Simulations counts the simulator runs the Analysis has made.
+func (a *Analysis) Simulations() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.sims
+}
+
 // RefMayDecide is mayDecide as it was before the reverse sweep and the
 // per-edge ACL resolution: one forward search per source, each edge visit
 // looking up the first link between the two routers and the interfaces'
