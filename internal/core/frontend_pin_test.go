@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -35,39 +34,6 @@ func graphOf(t testing.TB, routers []*config.Router) *protograph.Graph {
 	return g
 }
 
-// auditNetwork is benchmarks/e2e/audit.go's drawNetwork: the network of
-// the given size with the benchmark's fixed profile, drawn from the same
-// seeds.
-func auditNetwork(t testing.TB, size int) *netgen.Network {
-	t.Helper()
-	rng := rand.New(rand.NewSource(int64(size)))
-	p := netgen.DefaultParams()
-	p.MinRouters, p.MaxRouters = size, size
-	k := size - 6
-	flag := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	p.PHijack, p.PACLException, p.PDeepDrop = flag(k%2 == 0), flag(k%5 == 1), flag(k%6 == 2)
-	for {
-		n, err := netgen.Generate(fmt.Sprintf("net%d", size), rng.Int63(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		static := false
-		for _, r := range n.Routers {
-			for _, s := range r.Statics {
-				static = static || !s.Drop
-			}
-		}
-		if (len(n.Borders) == 2) == ((k/2)%2 == 0) && static == ((k/3)%2 == 0) {
-			return n
-		}
-	}
-}
-
 // frontEndNetworks are the networks the front end's output is pinned on.
 func frontEndNetworks(t testing.TB) []struct {
 	name string
@@ -92,10 +58,14 @@ func frontEndNetworks(t testing.TB) []struct {
 		{"pods-2", graphOf(t, ft.Routers)},
 	}
 	for _, size := range []int{6, 13, 25} {
+		n, err := netgen.Audit(size)
+		if err != nil {
+			t.Fatal(err)
+		}
 		nets = append(nets, struct {
 			name string
 			g    *protograph.Graph
-		}{fmt.Sprintf("netgen-%d", size), graphOf(t, auditNetwork(t, size).Routers)})
+		}{fmt.Sprintf("netgen-%d", size), graphOf(t, n.Routers)})
 	}
 	return nets
 }
