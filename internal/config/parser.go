@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/network"
 )
@@ -27,12 +28,16 @@ func (e *ParseError) Error() string {
 // ACLs.
 func Parse(text string) (*Router, error) {
 	p := &parser{r: NewRouter("")}
-	lines := strings.Split(text, "\n")
-	for i, raw := range lines {
-		p.lineNo = i + 1
-		p.raw = raw
-		line := strings.TrimRight(raw, " \t\r")
-		if strings.TrimSpace(line) == "" || strings.HasPrefix(strings.TrimSpace(line), "!") {
+	fields := p.fields[:0] // one line's, reused: no directive keeps the slice
+	for rest, more := text, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		p.lineNo++
+		line := raw
+		for len(line) > 0 && (line[len(line)-1] == ' ' || line[len(line)-1] == '\t' || line[len(line)-1] == '\r') {
+			line = line[:len(line)-1]
+		}
+		if trimmed := strings.TrimSpace(line); trimmed == "" || trimmed[0] == '!' {
 			// Comment/separator lines close indented blocks only when
 			// they are flush left.
 			if !strings.HasPrefix(line, " ") {
@@ -41,7 +46,7 @@ func Parse(text string) (*Router, error) {
 			continue
 		}
 		indented := strings.HasPrefix(line, " ")
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		if err := p.dispatch(indented, fields); err != nil {
 			return nil, &ParseError{Router: p.r.Name, Line: p.lineNo, Text: strings.TrimSpace(raw), Msg: err.Error()}
 		}
@@ -54,6 +59,30 @@ func Parse(text string) (*Router, error) {
 	}
 	return p.r, nil
 }
+
+// appendFields appends strings.Fields(s) to dst: the same fields, without
+// a slice of its own when s is ASCII.
+func appendFields(dst []string, s string) []string {
+	n := len(dst)
+	for i := 0; i < len(s); {
+		for i < len(s) && asciiSpace[s[i]] {
+			i++
+		}
+		start := i
+		for ; i < len(s) && !asciiSpace[s[i]]; i++ {
+			if s[i] >= utf8.RuneSelf {
+				return append(dst[:n], strings.Fields(s)...)
+			}
+		}
+		if i > start {
+			dst = append(dst, s[start:i])
+		}
+	}
+	return dst
+}
+
+// asciiSpace marks the bytes strings.Fields splits ASCII text at.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // MustParse panics on parse errors; for tests and generators.
 func MustParse(text string) *Router {
@@ -78,12 +107,33 @@ const (
 type parser struct {
 	r      *Router
 	lineNo int
-	raw    string
+
+	fields [16]string
+	ifaces []Interface
+	nbrs   []BGPNeighbor
 
 	ctx     context
 	curIf   *Interface
 	curMap  *RouteMapClause
 	curName string // current route-map name
+}
+
+// newInterface and newNeighbor place a new interface or neighbor in the
+// current block, starting another when it is full.
+func (p *parser) newInterface(i Interface) *Interface {
+	if len(p.ifaces) == cap(p.ifaces) {
+		p.ifaces = make([]Interface, 0, 16)
+	}
+	p.ifaces = append(p.ifaces, i)
+	return &p.ifaces[len(p.ifaces)-1]
+}
+
+func (p *parser) newNeighbor(n BGPNeighbor) *BGPNeighbor {
+	if len(p.nbrs) == cap(p.nbrs) {
+		p.nbrs = make([]BGPNeighbor, 0, 16)
+	}
+	p.nbrs = append(p.nbrs, n)
+	return &p.nbrs[len(p.nbrs)-1]
 }
 
 func (p *parser) dispatch(indented bool, f []string) error {
@@ -121,7 +171,7 @@ func (p *parser) topLevel(f []string) error {
 		if p.r.Iface(f[1]) != nil {
 			return fmt.Errorf("duplicate interface %q", f[1])
 		}
-		i := &Interface{Name: f[1], OSPFCost: 1}
+		i := p.newInterface(Interface{Name: f[1], OSPFCost: 1})
 		p.r.Interfaces = append(p.r.Interfaces, i)
 		p.curIf = i
 		p.ctx = ctxInterface
@@ -468,7 +518,7 @@ func (p *parser) bgpNeighbor(f []string) error {
 			}
 			return nil
 		}
-		b.Neighbors = append(b.Neighbors, &BGPNeighbor{Addr: addr, RemoteAS: uint32(asn)})
+		b.Neighbors = append(b.Neighbors, p.newNeighbor(BGPNeighbor{Addr: addr, RemoteAS: uint32(asn)}))
 		return nil
 	}
 	if n == nil {

@@ -1,8 +1,11 @@
 package config
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/network"
 )
@@ -23,59 +26,106 @@ func BuildTopology(routers []*Router) (*network.Topology, error) {
 	}
 	t := network.NewTopology(names)
 
-	// Index every interface address.
+	// Index every interface address. node is the router's Node.Index:
+	// nodes are name-sorted, so it orders routers as their names do.
 	type ifaceRef struct {
-		r *Router
-		i *Interface
+		r    *Router
+		i    *Interface
+		node int
 	}
-	owned := map[network.IP]ifaceRef{}
-	var refs []ifaceRef
+	n := 0
 	for _, r := range routers {
+		n += len(r.Interfaces)
+	}
+	owned := make(map[network.IP]int32, n) // position in refs
+	refs := make([]ifaceRef, 0, n)
+	for _, r := range routers {
+		node := t.Node(r.Name).Index
 		for _, i := range r.Interfaces {
 			if i.Shutdown {
 				continue
 			}
 			if prev, dup := owned[i.Addr]; dup {
 				return nil, fmt.Errorf("config: address %v on both %s/%s and %s/%s",
-					i.Addr, prev.r.Name, prev.i.Name, r.Name, i.Name)
+					i.Addr, refs[prev].r.Name, refs[prev].i.Name, r.Name, i.Name)
 			}
-			owned[i.Addr] = ifaceRef{r, i}
-			refs = append(refs, ifaceRef{r, i})
+			owned[i.Addr] = int32(len(refs))
+			refs = append(refs, ifaceRef{r, i, node})
 		}
 	}
-	sort.Slice(refs, func(a, b int) bool {
-		if refs[a].r.Name != refs[b].r.Name {
-			return refs[a].r.Name < refs[b].r.Name
+	// Sort positions, not the refs themselves, with the comparisons a sort
+	// of the refs would make: the same permutation, for cheaper swaps.
+	perm := make([]int32, len(refs))
+	for a := range perm {
+		perm[a] = int32(a)
+	}
+	sort.Slice(perm, func(a, b int) bool {
+		ra, rb := &refs[perm[a]], &refs[perm[b]]
+		if ra.node != rb.node {
+			return ra.node < rb.node
 		}
-		return refs[a].i.Name < refs[b].i.Name
+		return ra.i.Name < rb.i.Name
 	})
+	sorted := make([]ifaceRef, len(refs))
+	for a, p := range perm {
+		sorted[a] = refs[p]
+	}
+	refs = sorted
 
-	// Internal links: pairs of interfaces sharing a subnet. Grouping the
-	// sorted refs by subnet visits the pairs in the order the all-pairs
-	// scan would; link order numbers the encoder's variables.
-	bySubnet := map[network.Prefix][]ifaceRef{}
-	for _, ref := range refs {
+	// Internal links: pairs of interfaces sharing a subnet, made in the
+	// order the all-pairs scan over the sorted refs would make them (link
+	// order numbers the encoder's variables): by the first interface, then
+	// the second. next[a] chains each ref to the next one on its subnet.
+	bySubnet := make([]int32, 0, len(refs))
+	for a, ref := range refs {
 		if ref.i.Prefix.Len != 32 {
-			bySubnet[ref.i.Prefix] = append(bySubnet[ref.i.Prefix], ref)
+			bySubnet = append(bySubnet, int32(a))
 		}
 	}
-	linked := map[[2]string]bool{}
-	for _, a := range refs {
-		group := bySubnet[a.i.Prefix]
-		if len(group) == 0 {
-			continue
+	slices.SortFunc(bySubnet, func(a, b int32) int {
+		if pa, pb := refs[a].i.Prefix, refs[b].i.Prefix; pa != pb {
+			if pa.Addr != pb.Addr {
+				return cmp.Compare(pa.Addr, pb.Addr)
+			}
+			return cmp.Compare(pa.Len, pb.Len)
 		}
-		bySubnet[a.i.Prefix] = group[1:] // a is the group's head: drop it
-		for _, b := range group[1:] {
-			if a.r == b.r {
+		return cmp.Compare(a, b)
+	})
+	next := make([]int32, len(refs))
+	for a := range next {
+		next[a] = -1
+	}
+	for k := 1; k < len(bySubnet); k++ {
+		if a, b := bySubnet[k-1], bySubnet[k]; refs[a].i.Prefix == refs[b].i.Prefix {
+			next[a] = b
+		}
+	}
+	// A pair is visited once, so a link repeats only if two interfaces
+	// share a "router/interface" name, which takes a router name holding
+	// a '/' or a router repeating an interface name; only then is the set
+	// of linked names kept.
+	var linked map[[2]string]bool
+	for a := range refs {
+		if strings.IndexByte(refs[a].r.Name, '/') >= 0 ||
+			(a > 0 && refs[a].r == refs[a-1].r && refs[a].i.Name == refs[a-1].i.Name) {
+			linked = map[[2]string]bool{}
+			break
+		}
+	}
+	for a := range refs {
+		for b := next[a]; b >= 0; b = next[b] {
+			ra, rb := refs[a], refs[b]
+			if ra.r == rb.r {
 				continue
 			}
-			k := [2]string{a.r.Name + "/" + a.i.Name, b.r.Name + "/" + b.i.Name}
-			if linked[k] {
-				continue
+			if linked != nil {
+				k := [2]string{ra.r.Name + "/" + ra.i.Name, rb.r.Name + "/" + rb.i.Name}
+				if linked[k] {
+					continue
+				}
+				linked[k] = true
 			}
-			linked[k] = true
-			t.AddLink(a.r.Name, a.i.Name, b.r.Name, b.i.Name, a.i.Prefix, a.i.Addr, b.i.Addr)
+			t.AddLink(ra.r.Name, ra.i.Name, rb.r.Name, rb.i.Name, ra.i.Prefix, ra.i.Addr, rb.i.Addr)
 		}
 	}
 

@@ -467,12 +467,12 @@ func (r *Router) Validate() error {
 		}
 	}
 	if r.BGP != nil {
-		seen := map[network.IP]bool{}
-		for _, n := range r.BGP.Neighbors {
-			if seen[n.Addr] {
-				return fmt.Errorf("%s: duplicate BGP neighbor %v", r.Name, n.Addr)
+		for k, n := range r.BGP.Neighbors {
+			for _, m := range r.BGP.Neighbors[:k] {
+				if m.Addr == n.Addr {
+					return fmt.Errorf("%s: duplicate BGP neighbor %v", r.Name, n.Addr)
+				}
 			}
-			seen[n.Addr] = true
 			for _, m := range []string{n.InMap, n.OutMap} {
 				if m != "" && r.RouteMaps[m] == nil {
 					return fmt.Errorf("%s: neighbor %v references undefined route-map %q", r.Name, n.Addr, m)

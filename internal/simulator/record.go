@@ -56,34 +56,24 @@ type Record struct {
 // Invalid is the absent record.
 func Invalid() Record { return Record{} }
 
-// clone deep-copies the record.
-func (r Record) clone() Record {
-	c := r
-	if r.Comms != nil {
-		c.Comms = make(map[string]bool, len(r.Comms))
-		for k, v := range r.Comms {
-			c.Comms[k] = v
-		}
-	}
-	c.Path = append([]string(nil), r.Path...)
-	return c
-}
-
 // HasComm reports whether the community is attached.
 func (r Record) HasComm(c string) bool { return r.Comms[c] }
 
-// withComm returns a copy with the community added or removed.
+// withComm returns a copy with the community added or removed. Records
+// share their Comms maps and Paths, so neither is ever written in place:
+// the copy gets a map of its own.
 func (r Record) withComm(c string, on bool) Record {
-	out := r.clone()
-	if out.Comms == nil {
-		out.Comms = map[string]bool{}
+	comms := make(map[string]bool, len(r.Comms)+1)
+	for k, v := range r.Comms {
+		comms[k] = v
 	}
 	if on {
-		out.Comms[c] = true
+		comms[c] = true
 	} else {
-		delete(out.Comms, c)
+		delete(comms, c)
 	}
-	return out
+	r.Comms = comms
+	return r
 }
 
 // equalRoute compares the fields that define a stable state (everything
@@ -95,6 +85,11 @@ func equalRoute(a, b Record) bool {
 	if !a.Valid {
 		return true
 	}
+	return sameAttrs(a, b) && len(a.Path) == len(b.Path)
+}
+
+// sameAttrs is equalRoute on two valid records, path length aside.
+func sameAttrs(a, b Record) bool {
 	if a.PrefixLen != b.PrefixLen || a.AD != b.AD || a.LocalPref != b.LocalPref ||
 		a.Metric != b.Metric || a.MED != b.MED || a.Internal != b.Internal ||
 		a.FromClient != b.FromClient ||
@@ -109,7 +104,7 @@ func equalRoute(a, b Record) bool {
 			return false
 		}
 	}
-	return len(a.Path) == len(b.Path)
+	return true
 }
 
 // CompareMode selects MED handling for route comparison.

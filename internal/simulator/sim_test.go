@@ -334,3 +334,31 @@ func TestCompareOrders(t *testing.T) {
 		t.Fatal("different plen equally good")
 	}
 }
+
+// TestCrossProtocolTieTakesProtocolOrder: R1 hears R2's 10.2.2.0/24 over
+// OSPF (distance 20, cost 1) and over eBGP (distance 20, one AS hop), and
+// neither route is strictly better. The encoder folds the per-protocol
+// bests in Protocol order and keeps the first of a tie, so OSPF wins; the
+// simulator must pick it too, every run, not by map order.
+func TestCrossProtocolTieTakesProtocolOrder(t *testing.T) {
+	net := testnets.MustBuild(
+		"hostname R1\n!\ninterface Eth0\n ip address 10.0.12.1 255.255.255.252\n ip ospf cost 1\n!\n"+
+			"router ospf 1\n network 10.0.12.0 0.0.0.3 area 0\n distance 20\n!\n"+
+			"router bgp 65001\n neighbor 10.0.12.2 remote-as 65002\n!\n",
+		"hostname R2\n!\ninterface Eth0\n ip address 10.0.12.2 255.255.255.252\n ip ospf cost 1\n!\n"+
+			"interface Loopback0\n ip address 10.2.2.1 255.255.255.0\n!\n"+
+			"router ospf 1\n network 10.0.12.0 0.0.0.3 area 0\n network 10.2.2.0 0.0.0.255 area 0\n!\n"+
+			"router bgp 65002\n neighbor 10.0.12.1 remote-as 65001\n network 10.2.2.0 mask 255.255.255.0\n!\n")
+	dst := network.MustParseIP("10.2.2.1")
+	for i := 0; i < 200; i++ {
+		res := mustRun(t, New(net.Graph), dst, NewEnvironment())
+		st := res.States["R1"]
+		ospf, bgp := st.PerProto[config.OSPF], st.PerProto[config.BGP]
+		if !ospf.Valid || !bgp.Valid || Better(ospf, bgp, CompareMode{}) || Better(bgp, ospf, CompareMode{}) {
+			t.Fatalf("want tied OSPF and BGP records at R1, got %v and %v", ospf, bgp)
+		}
+		if st.Best.Proto != config.OSPF {
+			t.Fatalf("run %d: R1's best is %v, want the OSPF record (Protocol order)", i, st.Best)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package tiered
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,6 +43,11 @@ type aclRef struct {
 type Analysis struct {
 	G *protograph.Graph
 
+	// cfgs are the routers' configurations by Node.Index; filtered marks
+	// the routers with an interface ACL (only theirs can block an edge).
+	cfgs     []*config.Router
+	filtered []bool
+
 	// mu guards the simulator, which is not safe for concurrent use, and
 	// planes, which memoises plane by representative destination for the
 	// Analysis' lifetime. Each representative is simulated at most once
@@ -75,10 +81,18 @@ type Analysis struct {
 // graph.
 func NewAnalysis(g *protograph.Graph) *Analysis {
 	a := &Analysis{G: g, sim: simulator.New(g), planes: map[network.IP]memoPlane{}}
+	a.cfgs = make([]*config.Router, len(g.Topo.Nodes))
+	a.filtered = make([]bool, len(g.Topo.Nodes))
+	for i, n := range g.Topo.Nodes {
+		a.cfgs[i] = g.Configs[n.Name]
+		for _, ifc := range a.cfgs[i].Interfaces {
+			a.filtered[i] = a.filtered[i] || ifc.InACL != "" || ifc.OutACL != ""
+		}
+	}
 	a.buildMayGraph()
 	a.collectBoundaries()
-	a.detReason = detPrecondition(g)
-	a.aclReason = aclPrecondition(g)
+	a.detReason = detPrecondition(g, a.cfgs)
+	a.aclReason = aclPrecondition(a.cfgs)
 	return a
 }
 
@@ -109,8 +123,33 @@ func (a *Analysis) addMay(e mayEdge) {
 // covers.
 func (a *Analysis) buildMayGraph() {
 	topo := a.G.Topo
+	// Room for every edge a router can get, so that appending never
+	// moves an edge list.
+	room := make([]int, len(topo.Nodes))
+	for _, adj := range a.G.OSPFAdjs {
+		room[adj.Link.A.Index]++
+		room[adj.Link.B.Index]++
+	}
+	for _, adj := range a.G.RIPAdjs {
+		room[adj.Link.A.Index]++
+		room[adj.Link.B.Index]++
+	}
+	for _, sess := range a.G.Sessions {
+		if sess.Kind != protograph.EBGPExternal {
+			room[sess.A.Index]++
+			room[sess.B.Index]++
+		}
+	}
+	total := 0
+	for i, n := range topo.Nodes {
+		room[i] += len(a.cfgs[i].Statics) * len(topo.LinksOf(n))
+		total += room[i]
+	}
+	all := make([]mayEdge, total)
 	a.may = make([][]mayEdge, len(topo.Nodes))
-	a.rev = make([][]*mayEdge, len(topo.Nodes))
+	for i := range a.may {
+		a.may[i], all = all[:0:room[i]], all[room[i]:]
+	}
 	both := func(x, y *network.Node) {
 		a.addMay(mayEdge{from: x.Index, to: y.Index})
 		a.addMay(mayEdge{from: y.Index, to: x.Index})
@@ -126,8 +165,8 @@ func (a *Analysis) buildMayGraph() {
 			both(sess.A, sess.B)
 		}
 	}
-	for _, n := range topo.Nodes {
-		for _, st := range a.G.Configs[n.Name].Statics {
+	for i, n := range topo.Nodes {
+		for _, st := range a.cfgs[i].Statics {
 			if st.Drop {
 				continue
 			}
@@ -145,19 +184,43 @@ func (a *Analysis) buildMayGraph() {
 			}
 		}
 	}
+	incoming := make([]int, len(topo.Nodes))
 	for _, edges := range a.may {
 		// Nodes are name-sorted, so index order is name order.
-		sort.SliceStable(edges, func(i, j int) bool { return edges[i].to < edges[j].to })
+		slices.SortStableFunc(edges, func(x, y mayEdge) int { return x.to - y.to })
 		for i := range edges {
 			e := &edges[i]
-			fn, tn := topo.Nodes[e.from], topo.Nodes[e.to]
-			if link := topo.FindLink(fn.Name, tn.Name); link != nil {
-				e.out = ifaceACL(a.G.Configs[fn.Name], link.IfaceOf(fn), false)
-				e.in = ifaceACL(a.G.Configs[tn.Name], link.IfaceOf(tn), true)
+			if a.filtered[e.from] || a.filtered[e.to] {
+				fn, tn := topo.Nodes[e.from], topo.Nodes[e.to]
+				if link := firstLink(topo, fn, tn); link != nil {
+					e.out = ifaceACL(a.cfgs[e.from], link.IfaceOf(fn), false)
+					e.in = ifaceACL(a.cfgs[e.to], link.IfaceOf(tn), true)
+				}
 			}
-			a.rev[e.to] = append(a.rev[e.to], e)
+			incoming[e.to]++
 		}
 	}
+	a.rev = make([][]*mayEdge, len(topo.Nodes))
+	revAll := make([]*mayEdge, total)
+	for i := range a.rev {
+		a.rev[i], revAll = revAll[:0:incoming[i]], revAll[incoming[i]:]
+	}
+	for _, edges := range a.may {
+		for i := range edges {
+			a.rev[edges[i].to] = append(a.rev[edges[i].to], &edges[i])
+		}
+	}
+}
+
+// firstLink is the first link between the two routers in from's
+// LinksOf order (Topology.FindLink's), or nil.
+func firstLink(topo *network.Topology, from, to *network.Node) *network.Link {
+	for _, l := range topo.LinksOf(from) {
+		if l.Peer(from) == to {
+			return l
+		}
+	}
+	return nil
 }
 
 // collectBoundaries gathers every prefix a destination-dependent test in
@@ -167,14 +230,8 @@ func (a *Analysis) buildMayGraph() {
 // Destinations falling strictly between boundary edges take identical
 // branches everywhere, so one representative per interval suffices.
 func (a *Analysis) collectBoundaries() {
-	seen := map[network.Prefix]bool{}
-	add := func(p network.Prefix) {
-		if !seen[p] {
-			seen[p] = true
-			a.boundaries = append(a.boundaries, p)
-		}
-	}
-	for _, cfg := range a.G.Configs {
+	add := func(p network.Prefix) { a.boundaries = append(a.boundaries, p) }
+	for _, cfg := range a.cfgs {
 		for _, i := range cfg.Interfaces {
 			add(i.Prefix)
 		}
@@ -202,12 +259,16 @@ func (a *Analysis) collectBoundaries() {
 			}
 		}
 	}
-	sort.Slice(a.boundaries, func(i, j int) bool {
-		if a.boundaries[i].Addr != a.boundaries[j].Addr {
-			return a.boundaries[i].Addr < a.boundaries[j].Addr
+	slices.SortFunc(a.boundaries, func(p, q network.Prefix) int {
+		if p.Addr != q.Addr {
+			if p.Addr < q.Addr {
+				return -1
+			}
+			return 1
 		}
-		return a.boundaries[i].Len < a.boundaries[j].Len
+		return p.Len - q.Len
 	})
+	a.boundaries = slices.Compact(a.boundaries)
 }
 
 // repLimit bounds how many forwarding-equivalence classes the
@@ -257,8 +318,8 @@ func (a *Analysis) reps(region network.Prefix) ([]network.IP, bool) {
 //     prepend) or touches communities can create preference cycles with
 //     multiple stable states. External-session policy stays unrestricted —
 //     it only shapes routes the prefix-length bound already dominates.
-func detPrecondition(g *protograph.Graph) string {
-	for _, cfg := range g.Configs {
+func detPrecondition(g *protograph.Graph, cfgs []*config.Router) string {
+	for _, cfg := range cfgs {
 		var redists []config.Redistribution
 		if cfg.OSPF != nil {
 			redists = append(redists, cfg.OSPF.Redistribute...)
@@ -281,32 +342,35 @@ func detPrecondition(g *protograph.Graph) string {
 		case protograph.IBGP:
 			return "ibgp-session"
 		case protograph.EBGP:
-			for _, end := range []struct {
-				n   string
-				nbr *config.BGPNeighbor
-			}{{sess.A.Name, sess.NbrAtA}, {sess.B.Name, sess.NbrAtB}} {
-				cfg := g.Configs[end.n]
-				for _, mapName := range []string{end.nbr.InMap, end.nbr.OutMap} {
-					if mapName == "" {
-						continue
-					}
-					rm := cfg.RouteMaps[mapName]
-					if rm == nil {
-						continue
-					}
-					for _, cl := range rm.Clauses {
-						if cl.SetLocalPref != 0 || cl.HasSetMetric || cl.HasSetMED ||
-							cl.SetPrepend != 0 || cl.HasSetNextHop ||
-							len(cl.SetCommunity) > 0 || len(cl.DelCommunity) > 0 ||
-							cl.MatchCommunity != "" {
-							return "internal-session-policy"
-						}
-					}
-				}
+			if rewrites(cfgs[sess.A.Index], sess.NbrAtA) || rewrites(cfgs[sess.B.Index], sess.NbrAtB) {
+				return "internal-session-policy"
 			}
 		}
 	}
 	return ""
+}
+
+// rewrites reports whether a clause of the stanza's route maps rewrites
+// preference attributes or touches communities.
+func rewrites(cfg *config.Router, nbr *config.BGPNeighbor) bool {
+	for _, mapName := range [2]string{nbr.InMap, nbr.OutMap} {
+		if mapName == "" {
+			continue
+		}
+		rm := cfg.RouteMaps[mapName]
+		if rm == nil {
+			continue
+		}
+		for _, cl := range rm.Clauses {
+			if cl.SetLocalPref != 0 || cl.HasSetMetric || cl.HasSetMED ||
+				cl.SetPrepend != 0 || cl.HasSetNextHop ||
+				len(cl.SetCommunity) > 0 || len(cl.DelCommunity) > 0 ||
+				cl.MatchCommunity != "" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // aclPrecondition names the reason one representative packet per FEC is
@@ -314,8 +378,8 @@ func detPrecondition(g *protograph.Graph) string {
 // destination address only (any source, any protocol, full port
 // ranges), so the zero-valued representative packet exercises the same
 // branches as every packet of its class.
-func aclPrecondition(g *protograph.Graph) string {
-	for _, cfg := range g.Configs {
+func aclPrecondition(cfgs []*config.Router) string {
+	for _, cfg := range cfgs {
 		for _, i := range cfg.Interfaces {
 			for _, name := range []string{i.InACL, i.OutACL} {
 				if name == "" {
@@ -345,8 +409,7 @@ var wholeSpace = network.Prefix{}
 
 // delivers reports whether the router can deliver locally for some
 // destination in the region: a non-shutdown interface subnet overlaps it.
-func (a *Analysis) delivers(router string, region network.Prefix) bool {
-	cfg := a.G.Configs[router]
+func delivers(cfg *config.Router, region network.Prefix) bool {
 	for _, i := range cfg.Interfaces {
 		if !i.Shutdown && overlapsRegion(i.Prefix, region) {
 			return true
@@ -383,7 +446,7 @@ func (a *Analysis) mayReach(src string, region network.Prefix, avoid string) (bo
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		if a.delivers(nodes[at].Name, region) {
+		if delivers(a.cfgs[at], region) {
 			return true, nil
 		}
 		for i := range a.may[at] {
@@ -409,10 +472,10 @@ func (a *Analysis) mayReach(src string, region network.Prefix, avoid string) (bo
 func (a *Analysis) mayReachable(region network.Prefix) []bool {
 	reach := make([]bool, len(a.may))
 	var queue []int
-	for _, n := range a.G.Topo.Nodes {
-		if a.delivers(n.Name, region) {
-			reach[n.Index] = true
-			queue = append(queue, n.Index)
+	for i, cfg := range a.cfgs {
+		if delivers(cfg, region) {
+			reach[i] = true
+			queue = append(queue, i)
 		}
 	}
 	for len(queue) > 0 {
@@ -491,11 +554,10 @@ func aclDefinitelyDenies(acl *config.ACL, region network.Prefix) bool {
 
 // loopCandidates mirrors properties.LoopCandidates: routers whose
 // configuration can create forwarding cycles (statics or
-// redistribution).
-func (a *Analysis) loopCandidates() []string {
-	var out []string
-	for _, n := range a.G.Topo.Nodes {
-		cfg := a.G.Configs[n.Name]
+// redistribution), by Node.Index.
+func (a *Analysis) loopCandidates() []int {
+	var out []int
+	for i, cfg := range a.cfgs {
 		risky := len(cfg.Statics) > 0
 		if cfg.OSPF != nil && len(cfg.OSPF.Redistribute) > 0 {
 			risky = true
@@ -507,7 +569,7 @@ func (a *Analysis) loopCandidates() []string {
 			risky = true
 		}
 		if risky {
-			out = append(out, n.Name)
+			out = append(out, i)
 		}
 	}
 	return out
@@ -523,10 +585,10 @@ type mgmtAddr struct {
 // region, in deterministic order.
 func (a *Analysis) managementAddrs(region network.Prefix) []mgmtAddr {
 	var out []mgmtAddr
-	for _, n := range a.G.Topo.Nodes {
-		for _, mi := range a.G.Configs[n.Name].ManagementInterfaces() {
-			if region.Contains(mi.Addr) {
-				out = append(out, mgmtAddr{n.Name, mi.Addr})
+	for i, n := range a.G.Topo.Nodes {
+		for _, ifc := range a.cfgs[i].Interfaces {
+			if ifc.Management && region.Contains(ifc.Addr) {
+				out = append(out, mgmtAddr{n.Name, ifc.Addr})
 			}
 		}
 	}

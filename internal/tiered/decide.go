@@ -1,6 +1,8 @@
 package tiered
 
 import (
+	"slices"
+
 	"repro/internal/config"
 	"repro/internal/network"
 	"repro/internal/protograph"
@@ -185,7 +187,7 @@ func (a *Analysis) detDecide(goal Goal, region network.Prefix) Outcome {
 		if violated {
 			return falsified("stable-state-violation", pl.blame(), pl.pkt, pl.env)
 		}
-		blame = append(blame, pl.blame()...)
+		blame = append(blame, pl.origins...)
 	}
 	if goal.MaxFailures > 0 {
 		// The unique-stable-state argument only covers the zero-failure
@@ -213,13 +215,13 @@ func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
 		if reason != "" {
 			return residue(reason)
 		}
-		reach := pl.reach(false, "")
-		for _, n := range a.G.Topo.Nodes {
-			if n.Name != m.Router && !reach[n.Name] {
+		reach := pl.reach(false, -1)
+		for i, n := range a.G.Topo.Nodes {
+			if n.Name != m.Router && !reach[i] {
 				return falsified("mgmt-unreachable:"+n.Name, pl.blame(), pl.pkt, pl.env)
 			}
 		}
-		blame = append(blame, pl.blame()...)
+		blame = append(blame, pl.origins...)
 	}
 	if goal.MaxFailures > 0 {
 		return residue("failure-budget")
@@ -230,18 +232,30 @@ func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
 
 // plane is the concrete data plane for one representative destination:
 // the simulator's stable state plus the ACL-filtered forwarding edges,
-// mirroring the encoder's DataFwd relation.
+// mirroring the encoder's DataFwd relation. Routers are numbered by
+// Node.Index throughout.
 type plane struct {
 	a      *Analysis
 	rep    network.IP
 	pkt    config.Packet
 	env    *simulator.Environment
-	states map[string]*simulator.RouterState
-	// edges[x] lists internal routers x data-forwards to (control hop
-	// surviving both directional ACLs); extFwd[x] marks a surviving hop
-	// to an external peer.
-	edges  map[string][]string
-	extFwd map[string]bool
+	states []*simulator.RouterState
+	// Router x's control hops are hopTo[hopOff[x]:hopOff[x+1]], in Hops
+	// order: the internal router each leads to (-1 for an external peer)
+	// and, in hopPass, whether the hop survives both directional ACLs.
+	hopOff  []int
+	hopTo   []int
+	hopPass []bool
+	// edges[off[x]:off[x+1]] lists the internal routers x data-forwards
+	// to (surviving internal hops), rev[revOff[y]:revOff[y+1]] the
+	// routers that data-forward to y; extFwd[x] marks a surviving hop to
+	// an external peer.
+	off, edges  []int
+	revOff, rev []int
+	extFwd      []bool
+	// origins is blame's answer, built once the plane is known to be
+	// environment-independent.
+	origins []provenance.Origin
 }
 
 // memoPlane is one entry of Analysis.planes: what plane returned for a
@@ -276,9 +290,10 @@ func (a *Analysis) simulate(rep network.IP) (*plane, string) {
 	if err != nil {
 		return nil, "no-convergence"
 	}
-	pl := &plane{
-		a: a, rep: rep, pkt: config.Packet{DstIP: rep}, env: env,
-		states: res.States, edges: map[string][]string{}, extFwd: map[string]bool{},
+	nodes := a.G.Topo.Nodes
+	pl := &plane{a: a, rep: rep, pkt: config.Packet{DstIP: rep}, env: env, states: make([]*simulator.RouterState, len(nodes))}
+	for i, n := range nodes {
+		pl.states[i] = res.States[n.Name]
 	}
 	pl.buildEdges()
 	// Environment independence: external announcements can inject BGP
@@ -288,83 +303,104 @@ func (a *Analysis) simulate(rep network.IP) (*plane, string) {
 	// announcements (see DESIGN.md §14).
 	bound := a.maxExtPlen(rep)
 	if bound >= 0 {
-		for _, n := range a.G.Topo.Nodes {
-			if a.G.Configs[n.Name].BGP == nil {
+		for i, cfg := range a.cfgs {
+			if cfg.BGP == nil {
 				continue
 			}
-			st := res.States[n.Name]
+			st := pl.states[i]
 			if !st.Best.Valid || st.Best.PrefixLen <= bound {
 				return pl, "external-influence"
 			}
 		}
 	}
+	pl.origins = pl.selections()
 	return pl, ""
 }
 
-// buildEdges applies the walk's ACL discipline to every control hop.
+// buildEdges applies the walk's ACL discipline to every control hop. Only
+// a router with an interface ACL can drop a packet, so a hop between two
+// routers without one needs no link or filter lookup.
 func (p *plane) buildEdges() {
-	topo := p.a.G.Topo
-	for _, n := range topo.Nodes {
-		st := p.states[n.Name]
+	a, topo := p.a, p.a.G.Topo
+	n := len(p.states)
+	p.hopOff = make([]int, n+1)
+	p.off = make([]int, n+1)
+	p.extFwd = make([]bool, n)
+	for x, st := range p.states {
+		p.hopOff[x] = len(p.hopTo)
+		p.off[x] = len(p.edges)
 		if st == nil || !st.Best.Valid || st.DeliveredLocal || st.DroppedNull {
 			continue
 		}
-		cfg := p.a.G.Configs[n.Name]
+		from := topo.Nodes[x]
 		for _, h := range st.Hops {
 			if h.Ext != "" {
-				if cfg.Permits(topo.ExternalIface(n, h.Ext), false, p.pkt) {
-					p.extFwd[n.Name] = true
-				}
+				pass := !a.filtered[x] || a.cfgs[x].Permits(topo.ExternalIface(from, h.Ext), false, p.pkt)
+				p.hopTo, p.hopPass = append(p.hopTo, -1), append(p.hopPass, pass)
+				p.extFwd[x] = p.extFwd[x] || pass
 				continue
 			}
-			link := topo.FindLink(n.Name, h.Node)
-			var outIface, inIface string
-			if link != nil {
-				outIface = link.IfaceOf(topo.Node(n.Name))
-				inIface = link.IfaceOf(topo.Node(h.Node))
+			to := topo.Node(h.Node)
+			pass := true
+			if a.filtered[x] || a.filtered[to.Index] {
+				var outIface, inIface string
+				if link := firstLink(topo, from, to); link != nil {
+					outIface, inIface = link.IfaceOf(from), link.IfaceOf(to)
+				}
+				pass = a.cfgs[x].Permits(outIface, false, p.pkt) && a.cfgs[to.Index].Permits(inIface, true, p.pkt)
 			}
-			if cfg.Permits(outIface, false, p.pkt) && p.a.G.Configs[h.Node].Permits(inIface, true, p.pkt) {
-				p.edges[n.Name] = append(p.edges[n.Name], h.Node)
+			p.hopTo, p.hopPass = append(p.hopTo, to.Index), append(p.hopPass, pass)
+			if pass {
+				p.edges = append(p.edges, to.Index)
 			}
+		}
+	}
+	p.hopOff[n], p.off[n] = len(p.hopTo), len(p.edges)
+	// The reverse adjacency, by counting.
+	p.revOff = make([]int, n+1)
+	for _, y := range p.edges {
+		p.revOff[y+1]++
+	}
+	for y := 0; y < n; y++ {
+		p.revOff[y+1] += p.revOff[y]
+	}
+	p.rev = make([]int, len(p.edges))
+	fill := append([]int(nil), p.revOff[:n]...)
+	for x := 0; x < n; x++ {
+		for _, y := range p.out(x) {
+			p.rev[fill[y]] = x
+			fill[y]++
 		}
 	}
 }
 
-func (p *plane) delivered(router string) bool {
-	st := p.states[router]
+// out is the routers x data-forwards to.
+func (p *plane) out(x int) []int { return p.edges[p.off[x]:p.off[x+1]] }
+
+func (p *plane) delivered(x int) bool {
+	st := p.states[x]
 	return st != nil && st.Best.Valid && st.DeliveredLocal
 }
 
 // reach mirrors the encoder's Reach relation: a router reaches the
 // destination when it delivers locally, exits to an external peer
 // (countExit only), or data-forwards to an internal router that reaches.
-// A non-empty avoid mirrors ReachAvoiding: that router is removed from
-// the graph first.
-func (p *plane) reach(countExit bool, avoid string) map[string]bool {
-	rev := map[string][]string{}
-	for x, hs := range p.edges {
-		if x == avoid {
-			continue
-		}
-		for _, h := range hs {
-			if h != avoid {
-				rev[h] = append(rev[h], x)
-			}
-		}
-	}
-	out := map[string]bool{}
-	var queue []string
-	for _, n := range p.a.G.Topo.Nodes {
-		if n.Name != avoid && (p.delivered(n.Name) || (countExit && p.extFwd[n.Name])) {
-			out[n.Name] = true
-			queue = append(queue, n.Name)
+// avoid >= 0 mirrors ReachAvoiding: that router is removed from the graph
+// first.
+func (p *plane) reach(countExit bool, avoid int) []bool {
+	out := make([]bool, len(p.states))
+	var queue []int
+	for x := range p.states {
+		if x != avoid && (p.delivered(x) || (countExit && p.extFwd[x])) {
+			out[x] = true
+			queue = append(queue, x)
 		}
 	}
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		for _, x := range rev[at] {
-			if !out[x] {
+		for _, x := range p.rev[p.revOff[at]:p.revOff[at+1]] {
+			if x != avoid && !out[x] {
 				out[x] = true
 				queue = append(queue, x)
 			}
@@ -378,26 +414,18 @@ func (p *plane) reach(countExit bool, avoid string) map[string]bool {
 // router's length is one more than its longest live branch. A live cycle
 // would make the SAT relation unbounded-by-construction; declare residue
 // rather than reason about it.
-func (p *plane) lens() (map[string]int, bool) {
-	reach := p.reach(false, "")
-	live := map[string][]string{}
-	for x, hs := range p.edges {
-		for _, h := range hs {
-			if reach[h] {
-				live[x] = append(live[x], h)
-			}
-		}
-	}
+func (p *plane) lens(reach []bool) ([]int, bool) {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := map[string]int{}
-	out := map[string]int{}
+	n := len(p.states)
+	color := make([]uint8, n)
+	out := make([]int, n)
 	ok := true
-	var visit func(x string) int
-	visit = func(x string) int {
+	var visit func(x int) int
+	visit = func(x int) int {
 		if color[x] == gray {
 			ok = false
 			return 0
@@ -407,10 +435,11 @@ func (p *plane) lens() (map[string]int, bool) {
 		}
 		color[x] = gray
 		v := 0
-		if p.delivered(x) {
-			v = 0
-		} else {
-			for _, h := range live[x] {
+		if !p.delivered(x) {
+			for _, h := range p.out(x) {
+				if !reach[h] {
+					continue
+				}
 				if l := visit(h) + 1; l > v {
 					v = l
 				}
@@ -423,13 +452,34 @@ func (p *plane) lens() (map[string]int, bool) {
 		out[x] = v
 		return v
 	}
-	for x := range live {
-		visit(x)
-		if !ok {
-			return nil, false
+	for x := 0; x < n; x++ {
+		if color[x] == white && p.live(x, reach) {
+			visit(x)
+			if !ok {
+				return nil, false
+			}
 		}
 	}
 	return out, true
+}
+
+// live reports whether x has a data edge into a reaching router.
+func (p *plane) live(x int, reach []bool) bool {
+	for _, h := range p.out(x) {
+		if reach[h] {
+			return true
+		}
+	}
+	return false
+}
+
+// indexOf numbers the goal's routers; "" (no waypoint) is -1. Decide
+// has already turned unknown routers into residue.
+func (p *plane) indexOf(router string) int {
+	if n := p.a.G.Topo.Node(router); n != nil {
+		return n.Index
+	}
+	return -1
 }
 
 // evaluate checks the goal's property on this plane, mirroring the
@@ -438,57 +488,58 @@ func (p *plane) lens() (map[string]int, bool) {
 func (p *plane) evaluate(goal Goal) (bool, string) {
 	switch goal.Check {
 	case "reachability", "reachability-all":
-		reach := p.reach(false, "")
+		reach := p.reach(false, -1)
 		for _, src := range goal.Sources() {
-			if !reach[src] {
+			if !reach[p.indexOf(src)] {
 				return true, ""
 			}
 		}
 		return false, ""
 	case "isolation":
-		return p.reach(false, "")[goal.Src], ""
+		return p.reach(false, -1)[p.indexOf(goal.Src)], ""
 	case "waypoint":
-		return p.reach(false, goal.Via)[goal.Src], ""
+		return p.reach(false, p.indexOf(goal.Via))[p.indexOf(goal.Src)], ""
 	case "bounded-length", "bounded-length-all":
-		reach := p.reach(false, "")
-		lens, ok := p.lens()
+		reach := p.reach(false, -1)
+		lens, ok := p.lens(reach)
 		if !ok {
 			return false, "live-cycle"
 		}
 		for _, src := range goal.Sources() {
-			if reach[src] && lens[src] > goal.Hops {
+			if x := p.indexOf(src); reach[x] && lens[x] > goal.Hops {
 				return true, ""
 			}
 		}
 		return false, ""
 	case "equal-lengths":
-		reach := p.reach(false, "")
-		lens, ok := p.lens()
+		reach := p.reach(false, -1)
+		lens, ok := p.lens(reach)
 		if !ok {
 			return false, "live-cycle"
 		}
 		srcs := goal.Sources()
-		for i := 0; i < len(srcs); i++ {
-			for j := i + 1; j < len(srcs); j++ {
-				if reach[srcs[i]] && reach[srcs[j]] && lens[srcs[i]] != lens[srcs[j]] {
+		xs := make([]int, len(srcs))
+		for i, src := range srcs {
+			xs[i] = p.indexOf(src)
+		}
+		for i := 0; i < len(xs); i++ {
+			for j := i + 1; j < len(xs); j++ {
+				if reach[xs[i]] && reach[xs[j]] && lens[xs[i]] != lens[xs[j]] {
 					return true, ""
 				}
 			}
 		}
 		return false, ""
 	case "blackholes":
-		incoming := map[string]bool{}
-		for _, hs := range p.edges {
-			for _, h := range hs {
-				incoming[h] = true
-			}
+		incoming := make([]bool, len(p.states))
+		for _, h := range p.edges {
+			incoming[h] = true
 		}
-		for _, n := range p.a.G.Topo.Nodes {
-			if !incoming[n.Name] {
+		for x, st := range p.states {
+			if !incoming[x] {
 				continue
 			}
-			st := p.states[n.Name]
-			handled := len(p.edges[n.Name]) > 0 || p.extFwd[n.Name] ||
+			handled := len(p.out(x)) > 0 || p.extFwd[x] ||
 				(st != nil && st.Best.Valid && (st.DeliveredLocal || st.DroppedNull))
 			if !handled {
 				return true, ""
@@ -496,45 +547,39 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 		}
 		return false, ""
 	case "multipath-consistency":
-		reach := p.reach(true, "")
-		for _, n := range p.a.G.Topo.Nodes {
-			if !reach[n.Name] {
+		reach := p.reach(true, -1)
+		for x := range p.states {
+			if !reach[x] {
 				continue
 			}
-			st := p.states[n.Name]
-			if st == nil || !st.Best.Valid || st.DeliveredLocal || st.DroppedNull {
-				continue
-			}
-			cfg := p.a.G.Configs[n.Name]
-			for _, h := range st.Hops {
-				if h.Ext != "" {
-					if !cfg.Permits(p.a.G.Topo.ExternalIface(n, h.Ext), false, p.pkt) {
-						return true, ""
-					}
-					continue
-				}
-				if !containsStr(p.edges[n.Name], h.Node) || !reach[h.Node] {
+			// Every control hop must survive its ACLs and, if internal,
+			// lead to a reaching router.
+			for k := p.hopOff[x]; k < p.hopOff[x+1]; k++ {
+				if to := p.hopTo[k]; !p.hopPass[k] || (to >= 0 && !reach[to]) {
 					return true, ""
 				}
 			}
 		}
 		return false, ""
 	case "loops":
+		taint := make([]bool, len(p.states))
+		var queue []int
 		for _, r := range p.a.loopCandidates() {
-			taint := map[string]bool{r: true}
-			queue := []string{r}
+			clear(taint)
+			taint[r] = true
+			queue = append(queue[:0], r)
 			for len(queue) > 0 {
 				at := queue[0]
 				queue = queue[1:]
-				for _, h := range p.edges[at] {
+				for _, h := range p.out(at) {
 					if !taint[h] {
 						taint[h] = true
 						queue = append(queue, h)
 					}
 				}
 			}
-			for x := range taint {
-				if x != r && containsStr(p.edges[x], r) {
+			for x, t := range taint {
+				if t && x != r && slices.Contains(p.out(x), r) {
 					return true, ""
 				}
 			}
@@ -546,11 +591,16 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 
 // blame names the routing decisions the plane's verdict rests on: each
 // router's installed best route, in the provenance vocabulary the SAT
-// path's counterexample blame uses.
+// path's counterexample blame uses. The slice is the caller's.
 func (p *plane) blame() []provenance.Origin {
+	return append([]provenance.Origin(nil), p.origins...)
+}
+
+// selections computes blame's answer.
+func (p *plane) selections() []provenance.Origin {
 	out := []provenance.Origin{propertyOrigin}
-	for _, n := range p.a.G.Topo.Nodes {
-		st := p.states[n.Name]
+	for x, n := range p.a.G.Topo.Nodes {
+		st := p.states[x]
 		if st == nil || !st.Best.Valid {
 			continue
 		}
@@ -575,7 +625,7 @@ func (a *Analysis) maxExtPlen(rep network.IP) int {
 		if sess.Kind != protograph.EBGPExternal {
 			continue
 		}
-		if b := extPlenBound(a.G.Configs[sess.A.Name], sess.NbrAtA.InMap, rep); b > bound {
+		if b := extPlenBound(a.cfgs[sess.A.Index], sess.NbrAtA.InMap, rep); b > bound {
 			bound = b
 		}
 	}
@@ -655,15 +705,6 @@ func prefixListPermitsHoisted(pl *config.PrefixList, plen int, dstIP network.IP)
 		}
 		if plen >= lo && plen <= hi {
 			return e.Action == config.Permit
-		}
-	}
-	return false
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
 		}
 	}
 	return false

@@ -75,6 +75,10 @@ func (a *Analysis) RefMayDecide(goal Goal) Outcome {
 	return residue("may-graph-inconclusive")
 }
 
+func (a *Analysis) delivers(router string, region network.Prefix) bool {
+	return delivers(a.G.Configs[router], region)
+}
+
 func (a *Analysis) refMayReach(src string, region network.Prefix, avoid string) (bool, []provenance.Origin) {
 	if src == avoid {
 		return false, nil
