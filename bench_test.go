@@ -87,6 +87,9 @@ func BenchmarkFig8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// Untiered: the series measures the solver.
+		var opts pipeline.Options
+		opts.Core.Tiers = "none"
 		props := harness.AllFig8Props()
 		if k >= 4 {
 			// Keep the default benchmark run affordable: the slow
@@ -96,7 +99,7 @@ func BenchmarkFig8(b *testing.B) {
 		for _, prop := range props {
 			b.Run(fmt.Sprintf("pods=%d/%s", k, prop), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					row, err := harness.RunFig8Property(f, prop)
+					row, err := harness.RunFig8Property(f, prop, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -116,18 +119,20 @@ func BenchmarkOptimizations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range harness.AblationConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			var row *harness.AblationRow
+	for _, passes := range harness.AblationPasses() {
+		b.Run(passes, func(b *testing.B) {
+			var opts pipeline.Options
+			opts.Core.Passes = passes
+			var v *pipeline.Verdict
 			for i := 0; i < b.N; i++ {
-				row, err = harness.RunAblation(f, cfg.Name, cfg.Opts)
+				v, err = harness.RunAblation(f, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(row.RecordVars), "record-vars")
-			b.ReportMetric(float64(row.SATVars), "sat-vars")
-			b.ReportMetric(float64(row.SATClauses), "sat-clauses")
+			b.ReportMetric(float64(v.Model.NumRecordVars), "record-vars")
+			b.ReportMetric(float64(v.Result.SATVars), "sat-vars")
+			b.ReportMetric(float64(v.Result.SATClauses), "sat-clauses")
 		})
 	}
 }

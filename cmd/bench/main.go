@@ -91,7 +91,7 @@ func main() {
 		traceJSON  = flag.String("trace-json", "", "write the fig8/ablation span tree as JSON to this file")
 		progress   = flag.String("progress", "", "print solver progress to stderr every N conflicts")
 		passesFlag = flag.String("passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all; ablation pins its own)")
-		tiersFlag  = flag.String("tiers", "", "fig8: verification tiers (graph,sat enables the fast path; default: untiered, measuring the solver)")
+		tiersFlag  = flag.String("tiers", "none", "fig8: verification tiers (graph,sat enables the fast path; the default measures the solver)")
 		certify    = flag.Bool("certify", false, "fig8: record DRAT proofs and check verified verdicts, adding the proof columns")
 		monoMax    = flag.Int("mono-max", 4, "modular: largest pod count also verified monolithically for the reference comparison")
 		workers    = flag.Int("workers", runtime.NumCPU(), "modular: class checks run at once")
@@ -159,7 +159,9 @@ func main() {
 	case "fig7":
 		err = runFig7(*count, *seed)
 	case "fig8":
-		err = runFig8(parseInts(*podsFlag), parseProps(*propsFlag), out, tr, every, *passesFlag, *tiersFlag, *certify, *profOrig, *profOut)
+		var opts pipeline.Options
+		opts.Core = core.Options{Passes: *passesFlag, Tiers: *tiersFlag, Certify: *certify}
+		err = runFig8(parseInts(*podsFlag), parseProps(*propsFlag), out, tr, every, opts, *profOrig, *profOut)
 	case "tiered":
 		err = runTiered(parseInts(*podsFlag), parseProps(*propsFlag), out, *passesFlag)
 	case "modular":
@@ -222,11 +224,20 @@ func writeJSON[T any](path string, rows []T) error {
 	return nil
 }
 
-// progressPrinter returns a hook that writes one stderr line per sample.
-func progressPrinter(label string) func(sat.Progress) {
-	return func(p sat.Progress) {
-		fmt.Fprintf(os.Stderr, "progress %s: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
-			label, p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
+// live is the monolithic step's model for a bench run (Options.Live): a
+// fresh encode of net under opts, its solver printing progress to stderr
+// every n conflicts when n > 0.
+func live(net *pipeline.Network, opts core.Options, every int64, label string) func() (*core.Model, *core.Session, error) {
+	return func() (*core.Model, *core.Session, error) {
+		m, err := core.Encode(net.Graph, opts)
+		if err == nil && every > 0 {
+			m.ProgressEvery = every
+			m.OnProgress = func(p sat.Progress) {
+				fmt.Fprintf(os.Stderr, "progress %s: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
+					label, p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
+			}
+		}
+		return m, nil, err
 	}
 }
 
@@ -295,17 +306,18 @@ func runFig7(count int, seed int64) error {
 	fmt.Println("# Figure 7: per-network verification time (ms), sorted by config lines")
 	fmt.Println("network\trouters\tlines\tmgmt_ms\tequiv_ms\tblackhole_ms\tfaultinv_ms\tencode_ms\tsolve_ms")
 	for _, nc := range sum.PerNet {
-		var enc, solve float64
-		for _, prop := range harness.AllSection81Props() {
-			pr := nc.Results[prop]
-			enc += float64(pr.Encode.Microseconds()) / 1000
-			solve += float64(pr.Solve.Microseconds()) / 1000
+		var enc, solve time.Duration
+		for _, pr := range nc.Results {
+			if pr.Result != nil {
+				enc += pr.Result.EncodeElapsed
+				solve += pr.Result.SolveElapsed
+			}
 		}
 		fmt.Printf("%s\t%d\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			nc.Name, nc.Routers, nc.Lines,
-			ms(nc, harness.PropMgmtReach), ms(nc, harness.PropLocalEquiv),
-			ms(nc, harness.PropBlackholes), ms(nc, harness.PropFaultInvar),
-			enc, solve)
+			toMs(nc.Results[harness.PropMgmtReach].Elapsed), toMs(nc.Results[harness.PropLocalEquiv].Elapsed),
+			toMs(nc.Results[harness.PropBlackholes].Elapsed), toMs(nc.Results[harness.PropFaultInvar].Elapsed),
+			toMs(enc), toMs(solve))
 	}
 	fmt.Printf("# violations: mgmt=%d equiv=%d blackholes=%d fault-invariance=%d of %d\n",
 		sum.Violations[harness.PropMgmtReach], sum.Violations[harness.PropLocalEquiv],
@@ -313,9 +325,7 @@ func runFig7(count int, seed int64) error {
 	return nil
 }
 
-func ms(nc *harness.NetCheck, prop string) float64 {
-	return float64(nc.Results[prop].Elapsed.Microseconds()) / 1000
-}
+func toMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // fig8JSON is one row of the BENCH_fig8.json artifact: the machine-
 // diffable form of the Figure 8 table, so performance can be compared
@@ -359,9 +369,38 @@ type fig8JSON struct {
 	FastPathMs float64 `json:"fastpath_ms,omitempty"`
 }
 
+// newFig8JSON is the one reading of a Figure 8 verdict into its row.
+// Untiered runs never consult the fast path, but the solver still
+// answered the row: the tier is named either way, so the artifact is
+// self-describing.
+func newFig8JSON(f *harness.Fabric, prop string, res *core.Result) fig8JSON {
+	row := fig8JSON{
+		Pods: f.FT.K, Routers: len(f.FT.Routers), Property: prop,
+		Ms: toMs(res.Elapsed), EncodeMs: toMs(res.EncodeElapsed),
+		SimplifyMs: toMs(res.SimplifyElapsed), SolveMs: toMs(res.SolveElapsed),
+		Verified: res.Verified, SATVars: res.SATVars,
+		SATClauses: res.SATClauses, Conflicts: res.Stats.Conflicts,
+		Decisions: res.Stats.Decisions, Propagations: res.Stats.Propagations,
+		Tier: res.Tier, FastPathMs: toMs(res.FastPathElapsed),
+	}
+	if row.Tier == "" {
+		row.Tier = tiered.TierSAT
+	}
+	if res.Cost != nil {
+		t := res.Cost.Total()
+		row.ClauseDBBytes, row.ProofBytes = t.ClauseDBBytes, t.ProofBytes
+	}
+	if cert := res.Certificate; cert != nil {
+		row.ProofSteps, row.ProofLemmas = cert.Steps, cert.Lemmas
+		row.ProofHinted, row.ProofFallbacks = cert.Hinted, cert.Fallbacks
+		row.ProofCheckMs = toMs(cert.CheckElapsed)
+	}
+	return row
+}
+
 // runFig8 reproduces Figure 8: verification time per property per fabric
-// size.
-func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every int64, passes, tiers string, certify, profOrig bool, profOut string) error {
+// size, every row answered under opts.
+func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every int64, opts pipeline.Options, profOrig bool, profOut string) error {
 	fmt.Println("# Figure 8: verification time (ms) per property and fabric size")
 	fmt.Println("pods\trouters\tproperty\ttier\tms\tencode_ms\tsimplify_ms\tsolve_ms\tfastpath_ms\tverified\tsat_vars\tsat_clauses\tconflicts\tdecisions\tpropagations\tdb_bytes\tproof_bytes\tproof_steps\tproof_lemmas\tproof_fallbacks\tproof_check_ms")
 	var art []fig8JSON
@@ -372,77 +411,48 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 		if err != nil {
 			return err
 		}
-		f.Passes = passes
-		f.Tiers = tiers
-		f.Certify = certify
-		var podSp *obs.Span
-		if tr != nil {
-			podSp = tr.Root().Start(fmt.Sprintf("pods:%d", k))
-			f.Obs = podSp
-		}
-		if every > 0 {
-			f.ProgressEvery = every
-			f.OnProgress = progressPrinter(fmt.Sprintf("pods=%d", k))
-		}
+		podSp := tr.Root().Start(fmt.Sprintf("pods:%d", k))
+		label := fmt.Sprintf("pods=%d", k)
+		podOpts := opts
+		podOpts.Core.Span = podSp
+		podOpts.Live = live(f.Net, podOpts.Core, every, label)
 		for _, prop := range props {
-			row, err := harness.RunFig8Property(f, prop)
+			res, err := harness.RunFig8Property(f, prop, podOpts)
 			if err != nil {
 				return err
 			}
-			toMs := func(d interface{ Microseconds() int64 }) float64 {
-				return float64(d.Microseconds()) / 1000
-			}
-			// Untiered runs never consult the fast path, but the solver
-			// still answered the row — name the tier explicitly so the
-			// artifact is self-describing either way.
-			tier := row.Tier
-			if tier == "" {
-				tier = tiered.TierSAT
-			}
+			row := newFig8JSON(f, prop, res)
 			fmt.Printf("%d\t%d\t%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
-				row.Pods, row.Routers, row.Property, tier,
-				toMs(row.Elapsed), toMs(row.Encode), toMs(row.Simplify), toMs(row.Solve),
-				toMs(row.FastPath),
+				row.Pods, row.Routers, row.Property, row.Tier,
+				row.Ms, row.EncodeMs, row.SimplifyMs, row.SolveMs, row.FastPathMs,
 				row.Verified, row.SATVars, row.SATClauses, row.Conflicts,
 				row.Decisions, row.Propagations, row.ClauseDBBytes, row.ProofBytes,
-				row.ProofSteps, row.ProofLemmas, row.ProofFallbacks, toMs(row.ProofCheck))
-			jrow := fig8JSON{
-				Pods: row.Pods, Routers: row.Routers, Property: row.Property,
-				Ms: toMs(row.Elapsed), EncodeMs: toMs(row.Encode),
-				SimplifyMs: toMs(row.Simplify), SolveMs: toMs(row.Solve),
-				Verified: row.Verified, SATVars: row.SATVars,
-				SATClauses: row.SATClauses, Conflicts: row.Conflicts,
-				Decisions: row.Decisions, Propagations: row.Propagations,
-				ClauseDBBytes: row.ClauseDBBytes, ProofBytes: row.ProofBytes,
-				ProofSteps: row.ProofSteps, ProofLemmas: row.ProofLemmas,
-				ProofHinted: row.ProofHinted, ProofFallbacks: row.ProofFallbacks,
-				ProofCheckMs: toMs(row.ProofCheck),
-				Tier:         tier, FastPathMs: toMs(row.FastPath),
-			}
+				row.ProofSteps, row.ProofLemmas, row.ProofFallbacks, row.ProofCheckMs)
 			if profOrig && prop != harness.Fig8LocalConsist {
 				// Rerun with attribution on: the delta on solve time is the
 				// cost of origin tracking; the profile is the payoff.
-				f.ProfileOrigins = true
-				trow, err := harness.RunFig8Property(f, prop)
-				f.ProfileOrigins = false
+				tracked := podOpts
+				tracked.Core.ProfileOrigins = true
+				tracked.Live = live(f.Net, tracked.Core, every, label)
+				tres, err := harness.RunFig8Property(f, prop, tracked)
 				if err != nil {
 					return err
 				}
-				profiles = append(profiles, trow.Profile)
-				baseSolve += row.Solve
-				trackedSolve += trow.Solve
-				jrow.TrackedSolveMs = toMs(trow.Solve)
-				if row.Solve > 0 {
-					jrow.OriginOverheadPct = 100 * (float64(trow.Solve)/float64(row.Solve) - 1)
+				profiles = append(profiles, tres.OriginProfile)
+				baseSolve += res.SolveElapsed
+				trackedSolve += tres.SolveElapsed
+				row.TrackedSolveMs = toMs(tres.SolveElapsed)
+				if res.SolveElapsed > 0 {
+					row.OriginOverheadPct = 100 * (float64(tres.SolveElapsed)/float64(res.SolveElapsed) - 1)
 				}
-				if tr != nil && trow.Profile != nil {
-					for _, r := range trow.Profile.Rows {
+				if tr != nil && tres.OriginProfile != nil {
+					for _, r := range tres.OriginProfile.Rows {
 						tr.Observe("origin.conflicts", float64(r.Conflicts))
 						tr.Observe("origin.propagations", float64(r.Propagations))
 					}
 				}
 			}
-			art = append(art, jrow)
+			art = append(art, row)
 		}
 		podSp.End()
 	}
@@ -452,7 +462,7 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 			overall = 100 * (float64(trackedSolve)/float64(baseSolve) - 1)
 		}
 		fmt.Printf("# origin tracking overhead: %.1f%% on aggregate solve time (%.1fms plain, %.1fms tracked)\n",
-			overall, float64(baseSolve.Microseconds())/1000, float64(trackedSolve.Microseconds())/1000)
+			overall, toMs(baseSolve), toMs(trackedSolve))
 		if profOut != "" {
 			merged := provenance.MergeProfiles(profiles...)
 			pf, err := os.Create(profOut)
@@ -501,6 +511,10 @@ type tieredJSON struct {
 func runTiered(pods []int, props []string, jsonOut, passes string) error {
 	fmt.Println("# tiered sweep: graph fast path vs SAT pipeline per Figure 8 row")
 	fmt.Println("pods\trouters\tproperty\ttier\treason\tgraph_ms\tsat_ms\tspeedup\tverified\tagree")
+	// The SAT side runs with the graph tier off; the fast path is timed
+	// separately here.
+	var satOpts pipeline.Options
+	satOpts.Core = core.Options{Passes: passes, Tiers: "none"}
 	var art []tieredJSON
 	hits, covered := 0, 0
 	var graphTotal, satTotal float64
@@ -509,9 +523,6 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 		if err != nil {
 			return err
 		}
-		f.Passes = passes
-		// f.Tiers stays empty: RunFig8Goal below measures the pure SAT
-		// pipeline, the fast path is timed separately here.
 		type row struct {
 			prop, subnet string // subnet: set on a scoped row
 			goal         tiered.Goal
@@ -538,23 +549,24 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 			}
 			start := time.Now()
 			out := f.Net.Analysis().Decide(r.goal)
-			graphMs := float64(time.Since(start).Microseconds()) / 1000
-			satRow, err := harness.RunFig8Goal(f, r.prop, r.goal)
+			graphMs := toMs(time.Since(start))
+			v, err := pipeline.Run(context.Background(), f.Net, r.goal, satOpts)
 			if err != nil {
 				return err
 			}
-			satMs := float64(satRow.Elapsed.Microseconds()) / 1000
+			satRes := v.Result
+			satMs := toMs(satRes.Elapsed)
 			jrow := tieredJSON{
-				Pods: satRow.Pods, Routers: satRow.Routers, Property: r.prop, Subnet: r.subnet,
+				Pods: k, Routers: len(f.FT.Routers), Property: r.prop, Subnet: r.subnet,
 				Tier: tiered.TierSAT, Reason: out.Reason,
 				GraphMs: graphMs, SatMs: satMs,
-				Verified: satRow.Verified, Agree: true,
+				Verified: satRes.Verified, Agree: true,
 			}
 			covered++
 			if out.Decided {
 				hits++
 				jrow.Tier = tiered.TierGraph
-				jrow.Agree = out.Verified == satRow.Verified
+				jrow.Agree = out.Verified == satRes.Verified
 				if graphMs > 0 {
 					jrow.Speedup = satMs / graphMs
 				}
@@ -566,7 +578,7 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 				jrow.GraphMs, jrow.SatMs, jrow.Speedup, jrow.Verified, jrow.Agree)
 			if !jrow.Agree {
 				return fmt.Errorf("tier disagreement on pods=%d %s: graph says verified=%v, sat says verified=%v",
-					k, name, out.Verified, satRow.Verified)
+					k, name, out.Verified, satRes.Verified)
 			}
 			art = append(art, jrow)
 		}
@@ -772,33 +784,36 @@ func runAblation(k int, tr *obs.Trace, every int64) error {
 	if err != nil {
 		return err
 	}
-	if tr != nil {
-		f.Obs = tr.Root()
-	}
-	if every > 0 {
-		f.ProgressEvery = every
-		f.OnProgress = progressPrinter(fmt.Sprintf("pods=%d", k))
-	}
 	fmt.Printf("# §8.3 ablation: single-source reachability on a %d-pod fabric (%d routers)\n",
 		k, len(f.FT.Routers))
 	fmt.Println("config\tencode_ms\tcheck_ms\tcnf_ms\tsimplify_ms\tsolve_ms\trecord_vars\tsat_vars\tsat_clauses\tconflicts\tspeedup")
 	var baseline float64
-	for _, cfg := range harness.AblationConfigs() {
-		row, err := harness.RunAblation(f, cfg.Name, cfg.Opts)
+	for _, passes := range harness.AblationPasses() {
+		var opts pipeline.Options
+		opts.Core = core.Options{Passes: passes, Span: tr.Root()}
+		// encode_ms times the symbolic model build, the monolithic step's
+		// encode.
+		encodeModel := live(f.Net, opts.Core, every, fmt.Sprintf("pods=%d", k))
+		var encode time.Duration
+		opts.Live = func() (*core.Model, *core.Session, error) {
+			start := time.Now()
+			m, sess, err := encodeModel()
+			encode = time.Since(start)
+			return m, sess, err
+		}
+		v, err := harness.RunAblation(f, opts)
 		if err != nil {
 			return err
 		}
-		checkMs := float64(row.Check.Microseconds()) / 1000
-		if cfg.Name == "none" {
+		res := v.Result
+		checkMs := toMs(res.Elapsed)
+		if passes == "none" {
 			baseline = checkMs
 		}
-		speed := baseline / checkMs
 		fmt.Printf("%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%d\t%d\t%.1fx\n",
-			cfg.Name, float64(row.Encode.Microseconds())/1000, checkMs,
-			float64(row.CNF.Microseconds())/1000,
-			float64(row.Simplify.Microseconds())/1000,
-			float64(row.Solve.Microseconds())/1000,
-			row.RecordVars, row.SATVars, row.SATClauses, row.Conflicts, speed)
+			passes, toMs(encode), checkMs, toMs(res.EncodeElapsed),
+			toMs(res.SimplifyElapsed), toMs(res.SolveElapsed),
+			v.Model.NumRecordVars, res.SATVars, res.SATClauses, res.Stats.Conflicts, baseline/checkMs)
 	}
 	return nil
 }

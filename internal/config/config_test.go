@@ -257,6 +257,32 @@ func TestPrefixListSemantics(t *testing.T) {
 	if empty.Permits(network.MustParsePrefix("8.8.8.0/24")) {
 		t.Error("implicit deny violated")
 	}
+
+	// The hoisted reading: an unmasked destination address with a
+	// record's length. The first bits are read from the destination, the
+	// ge/le bounds from the length alone.
+	dst := network.MustParseIP("192.168.1.77")
+	for _, c := range []struct {
+		plen int
+		want bool
+	}{
+		{24, true},
+		{16, false}, // length below ge, whatever the address
+		{32, true},
+	} {
+		if got := e.Matches(network.Prefix{Addr: dst, Len: c.plen}); got != c.want {
+			t.Errorf("match %v/%d = %v, want %v", dst, c.plen, got, c.want)
+		}
+	}
+	if e.Matches(network.Prefix{Addr: network.MustParseIP("10.1.2.3"), Len: 24}) {
+		t.Error("unmasked destination outside the entry matched")
+	}
+	if l.Permits(network.Prefix{Addr: dst, Len: 24}) {
+		t.Error("unmasked bogon destination permitted")
+	}
+	if !l.Permits(network.Prefix{Addr: network.MustParseIP("8.8.8.8"), Len: 24}) {
+		t.Error("unmasked normal destination denied")
+	}
 }
 
 func TestACLSemantics(t *testing.T) {

@@ -269,7 +269,10 @@ type PrefixListEntry struct {
 
 // Matches reports whether the entry matches a route for prefix p, per the
 // standard semantics: first Prefix.Len bits must match and the length must
-// satisfy the ge/le bounds.
+// satisfy the ge/le bounds. p.Addr is masked here, so p may pair an
+// unmasked destination address with a record's length: that is the
+// hoisted reading the simulator and the graph tier evaluate (first bits
+// on the destination, length bounds on the record).
 func (e PrefixListEntry) Matches(p network.Prefix) bool {
 	if p.Addr.Mask(e.Prefix.Len) != e.Prefix.Addr {
 		return false

@@ -191,7 +191,7 @@ type Model struct {
 	// checking goroutine; nil disables.
 	OnEvent func(kind string, fields map[string]any)
 
-	// encSpan is the live "encode" span while EncodeWithContext runs;
+	// encSpan is the live "encode" span while encodeWithContext runs;
 	// encodeSlice hangs its per-slice spans off it.
 	encSpan *obs.Span
 
@@ -230,13 +230,13 @@ func (m *Model) setOrigin(o provenance.Origin) provenance.Origin {
 
 // Encode translates the protocol graph into the symbolic model.
 func Encode(g *protograph.Graph, opts Options) (*Model, error) {
-	return EncodeWithContext(g, opts, smt.NewContext(), "")
+	return encodeWithContext(g, opts, smt.NewContext(), "")
 }
 
-// EncodeWithContext encodes into an existing context under a variable-name
+// encodeWithContext encodes into an existing context under a variable-name
 // prefix, so several network copies can be combined in one formula (full
 // equivalence and fault-invariance, §5).
-func EncodeWithContext(g *protograph.Graph, opts Options, ctx *smt.Context, prefix string) (*Model, error) {
+func encodeWithContext(g *protograph.Graph, opts Options, ctx *smt.Context, prefix string) (*Model, error) {
 	m := &Model{
 		Ctx:    ctx,
 		G:      g,

@@ -223,11 +223,11 @@ type EquivPair struct {
 // symbolic packets.
 func EncodePair(ga, gb *protograph.Graph, opts Options) (*EquivPair, error) {
 	ctx := smt.NewContext()
-	ma, err := EncodeWithContext(ga, opts, ctx, "A|")
+	ma, err := encodeWithContext(ga, opts, ctx, "A|")
 	if err != nil {
 		return nil, err
 	}
-	mb, err := EncodeWithContext(gb, opts, ctx, "B|")
+	mb, err := encodeWithContext(gb, opts, ctx, "B|")
 	if err != nil {
 		return nil, err
 	}

@@ -343,16 +343,6 @@ func (m *Model) originProfile(solver *smt.Solver) *provenance.Profile {
 	return provenance.BuildProfile(m.Prov, sets, pc)
 }
 
-// CheckSat searches for a stable state satisfying the given condition
-// (rather than verifying its absence): SAT returns the witness.
-func (m *Model) CheckSat(condition *smt.Term) (*Counterexample, error) {
-	res, err := m.Check(m.Ctx.Not(condition))
-	if err != nil {
-		return nil, err
-	}
-	return res.Counterexample, nil
-}
-
 // Decode reconstructs the concrete environment and packet from a model
 // assignment.
 func (m *Model) Decode(asg smt.Assignment) *Counterexample {

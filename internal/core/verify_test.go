@@ -5,8 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/simulator"
+	"repro/internal/smt"
 	"repro/internal/testnets"
 )
+
+// witness searches for a stable state satisfying cond rather than
+// verifying its absence: the check of ¬cond is falsified by it.
+func witness(m *Model, cond *smt.Term) (*Counterexample, error) {
+	res, err := m.Check(m.Ctx.Not(cond))
+	if err != nil {
+		return nil, err
+	}
+	return res.Counterexample, nil
+}
 
 func TestCheckSatFindsWitness(t *testing.T) {
 	net := testnets.Hijackable(false)
@@ -16,7 +27,7 @@ func TestCheckSatFindsWitness(t *testing.T) {
 	}
 	// Witness: some stable state where R2 exits via N.
 	cond := m.Main.CtrlFwd["R2"][Hop{Ext: "N"}]
-	cex, err := m.CheckSat(cond)
+	cex, err := witness(m, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +50,7 @@ func TestReplayAgreement(t *testing.T) {
 		m.NoFailures(),
 		m.Ctx.Eq(m.DstIP, m.Ctx.BV(uint64(ip("192.168.50.1")), WidthIP)),
 	)
-	cex, err := m.CheckSat(cond)
+	cex, err := witness(m, cond)
 	if err != nil || cex == nil {
 		t.Fatalf("witness: %v %v", cex, err)
 	}
@@ -65,7 +76,7 @@ func TestCounterexampleString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cex, err := m.CheckSat(m.Main.Env["N"].Valid)
+	cex, err := witness(m, m.Main.Env["N"].Valid)
 	if err != nil || cex == nil {
 		t.Fatalf("%v %v", cex, err)
 	}

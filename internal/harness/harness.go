@@ -12,33 +12,30 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netgen"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/properties"
 	"repro/internal/protograph"
-	"repro/internal/provenance"
-	"repro/internal/sat"
 	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
 
-// PropResult is one property check outcome. Encode/Simplify/Solve split
-// Elapsed by pipeline phase; they stay zero for checks that do not go
-// through the solver (structural local-equivalence).
+// PropResult is one §8.1 check outcome. Result is the solver's answer
+// behind a SAT-backed check, the same row the pipeline returns; it is nil
+// for local-equivalence, a structural sweep.
 type PropResult struct {
 	Violated bool
 	Elapsed  time.Duration
-	Encode   time.Duration
-	Simplify time.Duration
-	Solve    time.Duration
 	Detail   string
+	Result   *core.Result
 }
 
-// splitFrom copies the phase breakdown out of a core.Result.
-func (pr *PropResult) splitFrom(res *core.Result) {
-	pr.Encode = res.EncodeElapsed
-	pr.Simplify = res.SimplifyElapsed
-	pr.Solve = res.SolveElapsed
+// satResult is the outcome of a SAT-backed check.
+func satResult(res *core.Result) PropResult {
+	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed, Result: res}
+	if !res.Verified {
+		pr.Detail = res.Counterexample.String()
+	}
+	return pr
 }
 
 // Section 8.1 property names.
@@ -75,7 +72,7 @@ func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
 		var pr PropResult
 		switch prop {
 		case PropMgmtReach:
-			pr, err = checkMgmt(g)
+			pr, err = checkMgmt(net)
 		case PropLocalEquiv:
 			pr, err = checkLocalEquiv(g, n.Roles)
 		case PropBlackholes:
@@ -93,21 +90,16 @@ func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
 	return out, nil
 }
 
-func checkMgmt(g *protograph.Graph) (PropResult, error) {
-	m, err := core.Encode(g, core.DefaultOptions())
+// checkMgmt asks the pipeline with the graph tier off, so the solver
+// answers and the row carries its counts.
+func checkMgmt(net *pipeline.Network) (PropResult, error) {
+	var opts pipeline.Options
+	opts.Core.Tiers = "none"
+	v, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "mgmt-reachability"}, opts)
 	if err != nil {
 		return PropResult{}, err
 	}
-	res, err := m.Check(properties.ManagementReachable(m), m.NoFailures())
-	if err != nil {
-		return PropResult{}, err
-	}
-	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed}
-	pr.splitFrom(res)
-	if !res.Verified {
-		pr.Detail = res.Counterexample.String()
-	}
-	return pr, nil
+	return satResult(v.Result), nil
 }
 
 func checkLocalEquiv(g *protograph.Graph, roles map[string][]string) (PropResult, error) {
@@ -146,12 +138,7 @@ func checkDropsAtEdge(g *protograph.Graph, n *netgen.Network) (PropResult, error
 	if err != nil {
 		return PropResult{}, err
 	}
-	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed}
-	pr.splitFrom(res)
-	if !res.Verified {
-		pr.Detail = res.Counterexample.String()
-	}
-	return pr, nil
+	return satResult(res), nil
 }
 
 func checkFaultInvariance(g *protograph.Graph) (PropResult, error) {
@@ -171,12 +158,7 @@ func checkFaultInvariance(g *protograph.Graph) (PropResult, error) {
 	if err != nil {
 		return PropResult{}, err
 	}
-	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed}
-	pr.splitFrom(res)
-	if !res.Verified {
-		pr.Detail = res.Counterexample.String()
-	}
-	return pr, nil
+	return satResult(res), nil
 }
 
 // Section81Summary aggregates an §8.1 audit.
@@ -225,101 +207,12 @@ func AllFig8Props() []string {
 	}
 }
 
-// Fig8Row is one point of Figure 8. Encode/Simplify/Solve split Elapsed
-// by pipeline phase (zero for the structural local-consistency property).
-// The Proof columns stay zero unless the fabric runs with Certify: they
-// give the DRAT trace size and the independent checker's replay time
-// behind a verified verdict.
-type Fig8Row struct {
-	Pods, Routers int
-	Property      string
-	// Tier names the verification tier that answered the row: "graph"
-	// for the fast path, "sat" for the solver (including fast-path
-	// residue), "" when the fabric ran untiered.
-	Tier string
-	// FastPath is the graph tier's classification time (the whole row
-	// cost on a hit, overhead on residue; zero untiered).
-	FastPath    time.Duration
-	Elapsed     time.Duration
-	Encode      time.Duration
-	Simplify    time.Duration
-	Solve       time.Duration
-	Verified    bool
-	SATVars     int
-	SATClauses  int
-	Conflicts   int64
-	ProofSteps  int
-	ProofLemmas int
-	// ProofHinted/ProofFallbacks split the lemmas the checker did not
-	// find already entailed: verified from the solver's recorded
-	// antecedents, or by searching the whole database.
-	ProofHinted    int
-	ProofFallbacks int
-	ProofCheck     time.Duration
-	// Deterministic work columns, from the search's counters and the cost
-	// ledger's byte estimates. These are machine-independent, so the
-	// regression gate holds them exactly.
-	Decisions     int64
-	Propagations  int64
-	ClauseDBBytes int64
-	ProofBytes    int64
-	// Profile is the per-origin hot-constraint profile, populated only
-	// when the fabric runs with ProfileOrigins.
-	Profile *provenance.Profile
-}
-
-// Fabric caches a generated fat-tree and its loaded network. The optional
-// observability fields are threaded into every model built from the
-// fabric: Obs parents the per-query spans, and ProgressEvery/OnProgress
-// install the solver progress hook.
+// Fabric caches a generated fat-tree and its loaded network. How a
+// query runs on it — passes, tiers, certification, spans, progress — is
+// the caller's pipeline.Options.
 type Fabric struct {
 	FT  *topogen.FatTree
 	Net *pipeline.Network
-
-	// Passes, when non-empty, overrides the optimization pipeline for
-	// every encode that does not already pin Options.Passes (the cmd
-	// -passes flag lands here).
-	Passes string
-
-	// Tiers enables the graph fast path for Fig8 rows when
-	// tiered.Enabled(Tiers) holds (the cmd -tiers flag lands here; unlike
-	// there, the zero value here means OFF so existing callers measure the
-	// solver unchanged — pass "graph,sat" to opt in).
-	Tiers string
-
-	// Certify turns on DRAT proof recording for every encode: verified
-	// verdicts carry an independently checked certificate and the Fig8Row
-	// proof columns are populated.
-	Certify bool
-
-	// ProfileOrigins turns on solver origin attribution for every encode:
-	// rows carry the per-origin hot-constraint profile.
-	ProfileOrigins bool
-
-	Obs           *obs.Span
-	ProgressEvery int64
-	OnProgress    func(sat.Progress)
-}
-
-// encode builds a model from the fabric with its observability wiring.
-func (f *Fabric) encode(opts core.Options) (*core.Model, error) {
-	opts.Span = f.Obs
-	if opts.Passes == "" {
-		opts.Passes = f.Passes
-	}
-	if f.Certify {
-		opts.Certify = true
-	}
-	if f.ProfileOrigins {
-		opts.ProfileOrigins = true
-	}
-	m, err := core.Encode(f.Net.Graph, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.ProgressEvery = f.ProgressEvery
-	m.OnProgress = f.OnProgress
-	return m, nil
 }
 
 // Fig8Goal states a Figure 8 property as a goal (ok=false for
@@ -391,156 +284,50 @@ func BuildFabric(k int) (*Fabric, error) {
 	return &Fabric{FT: ft, Net: net}, nil
 }
 
-// RunFig8Property checks one Figure 8 property on a fabric: through the
-// query pipeline, with the graph tier on only when Fabric.Tiers asks (a
-// decided goal then costs one analysis pass instead of an encode and a
-// solve; residue rows pay the classification as overhead).
-func RunFig8Property(f *Fabric, prop string) (*Fig8Row, error) {
-	row := &Fig8Row{Pods: f.FT.K, Routers: len(f.FT.Routers), Property: prop}
+// RunFig8Property checks one Figure 8 property on a fabric under opts,
+// through the query pipeline: the row is the pipeline's Result.
+// Local-consistency, the n−1 pairwise equivalence queries over the core
+// tier of §8.2 ("to ensure all n spine routers are equivalent... n−1
+// separate queries"), has no goal form; its Result carries only Verified
+// and Elapsed.
+func RunFig8Property(f *Fabric, prop string, opts pipeline.Options) (*core.Result, error) {
 	if prop == Fig8LocalConsist {
-		// n−1 pairwise equivalence queries over the core tier, as in
-		// §8.2 ("to ensure all n spine routers are equivalent... n−1
-		// separate queries").
 		start := time.Now()
+		res := &core.Result{Verified: true}
 		cores := f.FT.Cores
-		row.Verified = true
-		opts := core.DefaultOptions()
-		opts.Span = f.Obs
 		for i := 0; i+1 < len(cores); i++ {
-			res, err := core.CheckLocalEquivalence(f.Net.Graph, cores[i], cores[i+1], opts)
+			eq, err := core.CheckLocalEquivalence(f.Net.Graph, cores[i], cores[i+1], opts.Core)
 			if err != nil {
 				return nil, err
 			}
-			if !res.Equivalent {
-				row.Verified = false
-			}
+			res.Verified = res.Verified && eq.Equivalent
 		}
-		row.Elapsed = time.Since(start)
-		return row, nil
+		res.Elapsed = time.Since(start)
+		return res, nil
 	}
-
 	goal, ok := Fig8Goal(f, prop)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown figure-8 property %q", prop)
-	}
-	return RunFig8Goal(f, prop, goal)
-}
-
-// RunFig8Goal is RunFig8Property for the property stated as the given
-// goal: Fig8Goal's, or another form of it such as Fig8ModularGoal's.
-func RunFig8Goal(f *Fabric, prop string, goal tiered.Goal) (*Fig8Row, error) {
-	row := &Fig8Row{Pods: f.FT.K, Routers: len(f.FT.Routers), Property: prop}
-	opts := pipeline.Options{Live: func() (*core.Model, *core.Session, error) {
-		m, err := f.encode(core.DefaultOptions())
-		return m, nil, err
-	}}
-	opts.Core.Span = f.Obs
-	opts.Core.Tiers = f.Tiers
-	if f.Tiers == "" {
-		opts.Core.Tiers = "none"
 	}
 	v, err := pipeline.Run(context.Background(), f.Net, goal, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := v.Result
-	row.Tier = res.Tier
-	row.FastPath = res.FastPathElapsed
-	row.Elapsed = res.Elapsed
-	row.Encode = res.EncodeElapsed
-	row.Simplify = res.SimplifyElapsed
-	row.Solve = res.SolveElapsed
-	row.Verified = res.Verified
-	row.SATVars = res.SATVars
-	row.SATClauses = res.SATClauses
-	row.Conflicts = res.Stats.Conflicts
-	row.Decisions = res.Stats.Decisions
-	row.Propagations = res.Stats.Propagations
-	if res.Cost != nil {
-		t := res.Cost.Total()
-		row.ClauseDBBytes = t.ClauseDBBytes
-		row.ProofBytes = t.ProofBytes
-	}
-	if cert := res.Certificate; cert != nil {
-		row.ProofSteps = cert.Steps
-		row.ProofLemmas = cert.Lemmas
-		row.ProofHinted = cert.Hinted
-		row.ProofFallbacks = cert.Fallbacks
-		row.ProofCheck = cert.CheckElapsed
-	}
-	row.Profile = res.OriginProfile
-	return row, nil
+	return v.Result, nil
 }
 
-// AblationRow is one §8.3 data point: single-source reachability with a
-// given optimization configuration. Encode is the symbolic model build,
-// Check the full query; CNF/Simplify/Solve split Check by solver phase.
-type AblationRow struct {
-	Config        string
-	Opts          core.Options
-	Pods, Routers int
-	Encode        time.Duration
-	Check         time.Duration
-	CNF           time.Duration
-	Simplify      time.Duration
-	Solve         time.Duration
-	Verified      bool
-	RecordVars    int
-	SATVars       int
-	SATClauses    int
-	Conflicts     int64
+// AblationPasses lists the §8.3 configurations as Options.Passes values:
+// the naive encoding, each optimization pass alone, and the full
+// pipeline.
+func AblationPasses() []string {
+	return append(append([]string{"none"}, core.PassNames()...), "all")
 }
 
-// AblationConfigs enumerates the §8.3 configurations: the naive
-// encoding, each optimization pass alone, and the full pipeline.
-func AblationConfigs() []struct {
-	Name string
-	Opts core.Options
-} {
-	out := []struct {
-		Name string
-		Opts core.Options
-	}{{"none", core.Options{Passes: "none"}}}
-	for _, name := range core.PassNames() {
-		out = append(out, struct {
-			Name string
-			Opts core.Options
-		}{name, core.Options{Passes: name}})
-	}
-	return append(out, struct {
-		Name string
-		Opts core.Options
-	}{"all", core.Options{Passes: "all"}})
-}
-
-// RunAblation measures the optimizations on single-source reachability
-// over a k-pod fabric.
-func RunAblation(f *Fabric, name string, opts core.Options) (*AblationRow, error) {
-	k := f.FT.K
-	row := &AblationRow{Config: name, Opts: opts, Pods: k, Routers: len(f.FT.Routers)}
-	t0 := time.Now()
-	m, err := f.encode(opts)
-	if err != nil {
-		return nil, err
-	}
-	row.Encode = time.Since(t0)
-	row.RecordVars = m.NumRecordVars
+// RunAblation answers the §8.3 query, single-source reachability, under
+// opts on the monolithic solver: the graph tier is off, because the
+// ablation measures the encoding. The verdict's Model is that encoding.
+func RunAblation(f *Fabric, opts pipeline.Options) (*pipeline.Verdict, error) {
 	goal, _ := Fig8Goal(f, Fig8ReachSingle)
-	p, assumptions, err := pipeline.Property(m, goal)
-	if err != nil {
-		return nil, err
-	}
-	res, err := m.Check(p, assumptions...)
-	if err != nil {
-		return nil, err
-	}
-	row.Check = res.Elapsed
-	row.CNF = res.EncodeElapsed
-	row.Simplify = res.SimplifyElapsed
-	row.Solve = res.SolveElapsed
-	row.Verified = res.Verified
-	row.SATVars = res.SATVars
-	row.SATClauses = res.SATClauses
-	row.Conflicts = res.Stats.Conflicts
-	return row, nil
+	opts.Core.Tiers = "none"
+	return pipeline.Run(context.Background(), f.Net, goal, opts)
 }

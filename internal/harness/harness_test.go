@@ -6,7 +6,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/netgen"
 	"repro/internal/pipeline"
+	"repro/internal/properties"
+	"repro/internal/smt"
 )
+
+// untiered is the options of a run the solver answers: the graph tier off.
+func untiered() pipeline.Options {
+	var opts pipeline.Options
+	opts.Core.Tiers = "none"
+	return opts
+}
 
 func TestSection81DetectsInjectedBugs(t *testing.T) {
 	// A small population with high bug rates: the verifier's findings
@@ -47,7 +56,7 @@ func TestFig8SmallFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prop := range AllFig8Props() {
-		row, err := RunFig8Property(f, prop)
+		row, err := RunFig8Property(f, prop, untiered())
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
@@ -61,28 +70,24 @@ func TestFig8SmallFabric(t *testing.T) {
 }
 
 func TestFig8TieredParity(t *testing.T) {
-	// Two fabrics over the same pod count: one untiered (pure SAT), one
-	// with the graph fast path on. Every row the fast path decides must
-	// carry the SAT verdict, and on this fabric it must decide at least
-	// the reachability and bounded-length families (5 of 8 rows) — a
-	// hit-rate floor so the fast path cannot silently regress to
-	// all-residue.
-	sat, err := BuildFabric(2)
+	// Every row answered twice: untiered (pure SAT) and with the graph
+	// fast path on. Every row the fast path decides must carry the SAT
+	// verdict, and on this fabric it must decide at least the
+	// reachability and bounded-length families (5 of 8 rows) — a hit-rate
+	// floor so the fast path cannot silently regress to all-residue.
+	f, err := BuildFabric(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := BuildFabric(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast.Tiers = "graph,sat"
+	var fast pipeline.Options
+	fast.Core.Tiers = "graph,sat"
 	hits := 0
 	for _, prop := range AllFig8Props() {
-		satRow, err := RunFig8Property(sat, prop)
+		satRow, err := RunFig8Property(f, prop, untiered())
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
-		fastRow, err := RunFig8Property(fast, prop)
+		fastRow, err := RunFig8Property(f, prop, fast)
 		if err != nil {
 			t.Fatalf("%s tiered: %v", prop, err)
 		}
@@ -92,8 +97,8 @@ func TestFig8TieredParity(t *testing.T) {
 		}
 		if fastRow.Tier == "graph" {
 			hits++
-			if fastRow.Elapsed != fastRow.FastPath {
-				t.Errorf("%s: graph-tier row elapsed %v != fast-path %v", prop, fastRow.Elapsed, fastRow.FastPath)
+			if fastRow.Elapsed != fastRow.FastPathElapsed {
+				t.Errorf("%s: graph-tier row elapsed %v != fast-path %v", prop, fastRow.Elapsed, fastRow.FastPathElapsed)
 			}
 		}
 	}
@@ -107,27 +112,29 @@ func TestAblationMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var none, both *AblationRow
-	for _, cfg := range AblationConfigs() {
-		row, err := RunAblation(f, cfg.Name, cfg.Opts)
+	var none, both *pipeline.Verdict
+	for _, passes := range AblationPasses() {
+		var opts pipeline.Options
+		opts.Core.Passes = passes
+		v, err := RunAblation(f, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !row.Verified {
-			t.Fatalf("%s: reachability must verify", cfg.Name)
+		if !v.Result.Verified {
+			t.Fatalf("%s: reachability must verify", passes)
 		}
-		switch cfg.Name {
+		switch passes {
 		case "none":
-			none = row
+			none = v
 		case "all":
-			both = row
+			both = v
 		}
 	}
-	if none.RecordVars <= both.RecordVars {
-		t.Fatalf("optimizations should shrink the formula: %d vs %d", none.RecordVars, both.RecordVars)
+	if none.Model.NumRecordVars <= both.Model.NumRecordVars {
+		t.Fatalf("optimizations should shrink the formula: %d vs %d", none.Model.NumRecordVars, both.Model.NumRecordVars)
 	}
-	if none.SATClauses <= both.SATClauses {
-		t.Fatalf("optimizations should shrink the CNF: %d vs %d", none.SATClauses, both.SATClauses)
+	if none.Result.SATClauses <= both.Result.SATClauses {
+		t.Fatalf("optimizations should shrink the CNF: %d vs %d", none.Result.SATClauses, both.Result.SATClauses)
 	}
 }
 
@@ -141,29 +148,31 @@ func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Certify = true
+	opts := untiered()
+	opts.Core.Certify = true
 	hinted := 0
 	for _, prop := range AllFig8Props() {
 		if prop == Fig8LocalConsist {
 			continue // structural: no proof
 		}
-		row, err := RunFig8Property(f, prop)
+		row, err := RunFig8Property(f, prop, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
-		if !row.Verified || row.ProofLemmas == 0 {
-			t.Fatalf("%s: verified=%v with %d lemmas, want a checked proof", prop, row.Verified, row.ProofLemmas)
+		cert := row.Certificate
+		if !row.Verified || cert == nil || cert.Lemmas == 0 {
+			t.Fatalf("%s: verified=%v with certificate %+v, want a checked proof", prop, row.Verified, cert)
 		}
-		if row.ProofFallbacks != 0 {
-			t.Errorf("%s: %d of %d lemmas fell back to search", prop, row.ProofFallbacks, row.ProofLemmas)
+		if cert.Fallbacks != 0 {
+			t.Errorf("%s: %d of %d lemmas fell back to search", prop, cert.Fallbacks, cert.Lemmas)
 		}
-		hinted += row.ProofHinted
+		hinted += cert.Hinted
 	}
 	if hinted == 0 {
 		t.Error("no lemma was verified from hints")
 	}
 
-	m, err := f.encode(core.DefaultOptions())
+	m, err := core.Encode(f.Net.Graph, opts.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +204,57 @@ func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 	}
 	if hinted == 0 {
 		t.Error("session: no lemma was verified from hints")
+	}
+}
+
+// TestAuditRowsCarrySolverCounts holds the §8.1 rows to the solver: on one
+// audit network, the Result CheckNetwork returns for mgmt-reachability
+// (through the pipeline) and for blackholes (a direct core check) has the
+// verdict, conflicts and formula size of a direct check of the same
+// property.
+func TestAuditRowsCarrySolverCounts(t *testing.T) {
+	n, err := netgen.Audit(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := CheckNetwork(n, []string{PropMgmtReach, PropBlackholes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := pipeline.Build(n.Routers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := map[string]bool{}
+	for _, r := range append(append([]string(nil), n.Access...), n.Borders...) {
+		edge[r] = true
+	}
+	for prop, build := range map[string]func(*core.Model) *smt.Term{
+		PropMgmtReach: properties.ManagementReachable,
+		PropBlackholes: func(m *core.Model) *smt.Term {
+			return properties.DropsAtEdgeOnly(m, func(r string) bool { return edge[r] })
+		},
+	} {
+		m, err := core.Encode(net.Graph, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Check(build(m), m.NoFailures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := nc.Results[prop].Result
+		if got == nil {
+			t.Fatalf("%s: no solver Result on the row", prop)
+		}
+		if got.Verified != want.Verified || got.Stats.Conflicts != want.Stats.Conflicts ||
+			got.SATVars != want.SATVars || got.SATClauses != want.SATClauses {
+			t.Errorf("%s: row verified=%v conflicts=%d vars=%d clauses=%d, direct check %v/%d/%d/%d",
+				prop, got.Verified, got.Stats.Conflicts, got.SATVars, got.SATClauses,
+				want.Verified, want.Stats.Conflicts, want.SATVars, want.SATClauses)
+		}
+		if got.SATVars == 0 {
+			t.Errorf("%s: empty formula", prop)
+		}
 	}
 }

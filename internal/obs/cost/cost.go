@@ -180,9 +180,6 @@ func (n *Node) Add(w Work) {
 	n.Self = n.Self.Plus(w)
 }
 
-// AddStats folds solver counters into the node's own account.
-func (n *Node) AddStats(st sat.Stats) { n.Add(FromStats(st)) }
-
 // AddWall accumulates wall time.
 func (n *Node) AddWall(d time.Duration) {
 	if n != nil {
@@ -306,9 +303,9 @@ func (n *Node) Costliest() (name string, units int64) {
 	return n.Children[best].Name, bestUnits
 }
 
-// Snap is a point-in-time resource snapshot; phases are charged by
-// delta between two snaps.
-type Snap struct {
+// snapshot is a point-in-time resource reading; phases are charged by
+// the delta between two.
+type snapshot struct {
 	wall       time.Time
 	totalAlloc uint64
 	heapLive   uint64
@@ -322,16 +319,11 @@ var snapSamples = [...]string{
 	"/cpu/classes/idle:cpu-seconds",
 }
 
-// TakeSnap reads the runtime counters backing a phase charge.
-func TakeSnap() Snap {
-	var samples [len(snapSamples)]metrics.Sample
-	return readSnap(&samples)
-}
-
-// readSnap is TakeSnap into a caller-owned sample buffer, so a Scope
-// reads its boundaries without allocating.
-func readSnap(samples *[len(snapSamples)]metrics.Sample) Snap {
-	s := Snap{wall: time.Now()}
+// readSnap reads the runtime counters backing a phase charge into a
+// caller-owned sample buffer, so a Scope reads its boundaries without
+// allocating.
+func readSnap(samples *[len(snapSamples)]metrics.Sample) snapshot {
+	s := snapshot{wall: time.Now()}
 	for i, name := range snapSamples {
 		samples[i].Name = name
 	}
@@ -363,17 +355,10 @@ func HeapLiveBytes() uint64 {
 	return 0
 }
 
-// Charge applies the delta between from and now to the node — wall and
+// charge applies the delta between two snapshots to the node: wall and
 // CPU time, allocation bytes, and the live-heap watermark at both
-// endpoints — and returns the new snapshot so consecutive phases chain
-// without re-reading.
-func (n *Node) Charge(from Snap) Snap {
-	now := TakeSnap()
-	n.charge(from, now)
-	return now
-}
-
-func (n *Node) charge(from, now Snap) {
+// endpoints.
+func (n *Node) charge(from, now snapshot) {
 	if n == nil {
 		return
 	}

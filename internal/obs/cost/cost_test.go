@@ -3,6 +3,7 @@ package cost
 import (
 	"bytes"
 	"encoding/json"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,6 @@ func TestNodeTotalSumsSubtree(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var n *Node
 	n.Add(Work{Decisions: 1})
-	n.AddStats(sat.Stats{})
 	n.AddWall(time.Second)
 	n.SetMeta("k", 1)
 	n.Merge(New("x"))
@@ -71,7 +71,7 @@ func TestNilSafety(t *testing.T) {
 	if name, _ := n.Costliest(); name != "" {
 		t.Fatal("nil Costliest should be empty")
 	}
-	n.Charge(TakeSnap())
+	n.charge(snapshot{}, snapshot{wall: time.Now()})
 	var buf bytes.Buffer
 	n.WriteTree(&buf)
 }
@@ -214,7 +214,8 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestChargeAccumulates(t *testing.T) {
 	n := New("phase")
-	snap := TakeSnap()
+	var samples [len(snapSamples)]metrics.Sample
+	snap := readSnap(&samples)
 	// Allocate something visible and burn a little time.
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
@@ -222,20 +223,21 @@ func TestChargeAccumulates(t *testing.T) {
 	}
 	_ = sink
 	time.Sleep(2 * time.Millisecond)
-	next := n.Charge(snap)
+	next := readSnap(&samples)
+	n.charge(snap, next)
 	if n.Wall <= 0 {
-		t.Fatal("Charge recorded no wall time")
+		t.Fatal("charge recorded no wall time")
 	}
 	if n.Mem.AllocBytes <= 0 {
-		t.Fatal("Charge recorded no allocations")
+		t.Fatal("charge recorded no allocations")
 	}
 	if n.Mem.HeapPeakBytes == 0 {
-		t.Fatal("Charge recorded no heap watermark")
+		t.Fatal("charge recorded no heap watermark")
 	}
-	// The returned snap chains: a second charge from it must not
-	// re-charge the first window.
+	// Consecutive windows chain: a second charge from the end of the
+	// first adds its own window only.
 	wall1 := n.Wall
-	n.Charge(next)
+	n.charge(next, readSnap(&samples))
 	if n.Wall < wall1 {
 		t.Fatal("chained charge lost time")
 	}

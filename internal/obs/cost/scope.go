@@ -27,7 +27,7 @@ type Scope struct {
 	Ledger *Node     // root the phase nodes hang under
 	Sink   func(event string, fields map[string]any)
 
-	last    Snap
+	last    snapshot
 	samples [len(snapSamples)]metrics.Sample
 	phase   string
 	span    *obs.Span

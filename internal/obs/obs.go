@@ -34,30 +34,21 @@ type AttrKind uint8
 // Attribute kinds.
 const (
 	AttrInt AttrKind = iota
-	AttrFloat
 	AttrStr
-	AttrBool
 )
 
 // Attr is one typed key/value attribute attached to a span.
 type Attr struct {
-	Key   string
-	Kind  AttrKind
-	Int   int64
-	Float float64
-	Str   string
-	Bool  bool
+	Key  string
+	Kind AttrKind
+	Int  int64
+	Str  string
 }
 
 // Value returns the attribute's value boxed for generic rendering.
 func (a Attr) Value() any {
-	switch a.Kind {
-	case AttrFloat:
-		return a.Float
-	case AttrStr:
+	if a.Kind == AttrStr {
 		return a.Str
-	case AttrBool:
-		return a.Bool
 	}
 	return a.Int
 }
@@ -167,14 +158,8 @@ func (s *Span) setAttr(a Attr) {
 // SetInt attaches an integer attribute.
 func (s *Span) SetInt(key string, v int64) { s.setAttr(Attr{Key: key, Kind: AttrInt, Int: v}) }
 
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) { s.setAttr(Attr{Key: key, Kind: AttrFloat, Float: v}) }
-
 // SetStr attaches a string attribute.
 func (s *Span) SetStr(key, v string) { s.setAttr(Attr{Key: key, Kind: AttrStr, Str: v}) }
-
-// SetBool attaches a boolean attribute.
-func (s *Span) SetBool(key string, v bool) { s.setAttr(Attr{Key: key, Kind: AttrBool, Bool: v}) }
 
 // Attrs returns a copy of the span's attributes.
 func (s *Span) Attrs() []Attr {

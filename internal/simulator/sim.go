@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/network"
@@ -546,7 +547,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 				continue
 			}
 			metric := pr.Metric + adj.cost
-			if metric > 65535 || contains(pr.Path, nd.node.Name) {
+			if metric > 65535 || slices.Contains(pr.Path, nd.node.Name) {
 				continue
 			}
 			peer := &s.nodes[adj.peer]
@@ -588,7 +589,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 			if !pr.Valid {
 				continue
 			}
-			if pr.Metric+1 >= 16 || contains(pr.Path, nd.node.Name) {
+			if pr.Metric+1 >= 16 || slices.Contains(pr.Path, nd.node.Name) {
 				continue // RIP infinity
 			}
 			peer := &s.nodes[adj.peer]
@@ -790,7 +791,7 @@ func (s *Simulator) importBGP(i int, se *sessEnd, dstIP network.IP, env *Environ
 		peer := &s.nodes[se.peer]
 		exp := s.exportBGP(se.peer, sess, se.far, dstIP)
 		// exp's path is still without the peer, which is not this router.
-		if !exp.Valid || peer.node == nd.node || contains(exp.Path, nd.node.Name) {
+		if !exp.Valid || peer.node == nd.node || slices.Contains(exp.Path, nd.node.Name) {
 			return cand{}, false
 		}
 		in = cand{exp, peer.node.Name}
@@ -989,7 +990,7 @@ func applyRouteMap(cfg *config.Router, name string, rec Record, dstIP network.IP
 func clauseMatches(cfg *config.Router, cl *config.RouteMapClause, rec Record, dstIP network.IP) bool {
 	if cl.MatchPrefixList != "" {
 		pl := cfg.PrefixLists[cl.MatchPrefixList]
-		if pl == nil || !prefixListPermitsSlice(pl, rec.PrefixLen, dstIP) {
+		if pl == nil || !pl.Permits(network.Prefix{Addr: dstIP, Len: rec.PrefixLen}) {
 			return false
 		}
 	}
@@ -1010,35 +1011,6 @@ func clauseMatches(cfg *config.Router, cl *config.RouteMapClause, rec Record, ds
 		}
 	}
 	return true
-}
-
-// prefixListPermitsSlice evaluates a prefix list against the slice's
-// destination IP and the record's prefix length — the concrete analogue
-// of the encoder's hoisted test.
-func prefixListPermitsSlice(pl *config.PrefixList, plen int, dstIP network.IP) bool {
-	for _, e := range pl.Entries {
-		if entryMatchesSlice(e, plen, dstIP) {
-			return e.Action == config.Permit
-		}
-	}
-	return false
-}
-
-func entryMatchesSlice(e config.PrefixListEntry, plen int, dstIP network.IP) bool {
-	if dstIP.Mask(e.Prefix.Len) != e.Prefix.Addr {
-		return false
-	}
-	lo, hi := e.Prefix.Len, e.Prefix.Len
-	if e.Ge != 0 {
-		lo, hi = e.Ge, 32
-	}
-	if e.Le != 0 {
-		hi = e.Le
-		if e.Ge == 0 {
-			lo = e.Prefix.Len
-		}
-	}
-	return plen >= lo && plen <= hi
 }
 
 func prefixActivated(nets []network.Prefix, p network.Prefix) bool {
@@ -1076,13 +1048,4 @@ func orDefault(v, def int) int {
 		return v
 	}
 	return def
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

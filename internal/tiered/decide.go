@@ -663,7 +663,7 @@ func plenMaySurvive(cfg *config.Router, rm *config.RouteMap, plen int, rep netwo
 	for _, cl := range rm.Clauses {
 		if cl.MatchPrefixList != "" {
 			pl := cfg.PrefixLists[cl.MatchPrefixList]
-			if pl == nil || !prefixListPermitsHoisted(pl, plen, rep) {
+			if pl == nil || !pl.Permits(network.Prefix{Addr: rep, Len: plen}) {
 				continue // clause cannot match this length/destination
 			}
 		}
@@ -683,29 +683,4 @@ func plenMaySurvive(cfg *config.Router, rm *config.RouteMap, plen int, rep netwo
 		// may-deny: the announcement might fall through to later clauses
 	}
 	return false // implicit deny
-}
-
-// prefixListPermitsHoisted mirrors the simulator's hoisted prefix-list
-// evaluation: first-bits match on the destination, length bounds on the
-// record.
-func prefixListPermitsHoisted(pl *config.PrefixList, plen int, dstIP network.IP) bool {
-	for _, e := range pl.Entries {
-		if dstIP.Mask(e.Prefix.Len) != e.Prefix.Addr {
-			continue
-		}
-		lo, hi := e.Prefix.Len, e.Prefix.Len
-		if e.Ge != 0 {
-			lo, hi = e.Ge, 32
-		}
-		if e.Le != 0 {
-			hi = e.Le
-			if e.Ge == 0 {
-				lo = e.Prefix.Len
-			}
-		}
-		if plen >= lo && plen <= hi {
-			return e.Action == config.Permit
-		}
-	}
-	return false
 }
