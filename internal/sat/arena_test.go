@@ -30,14 +30,45 @@ func hasPointer(t reflect.Type) bool {
 }
 
 // TestClauseLayout pins the layout the propagation loop was sized for: an
-// 8-byte watcher, a six-word clause header, and no pointer in anything a
-// clause database is made of, so the collector has nothing to scan there.
+// 8-byte watcher; a problem clause of n literals in 1+n arena words, 3+n
+// once a proof or origins are recorded, and a learned one in 3 more, each
+// header word read back where it was written; and no pointer in anything
+// a clause database is made of, so the collector has nothing to scan
+// there.
 func TestClauseLayout(t *testing.T) {
 	if got := unsafe.Sizeof(watcher{}); got != 8 {
 		t.Errorf("watcher is %d bytes, want 8", got)
 	}
-	if hdrWords != 6 || hdrSize != 0 {
-		t.Errorf("header is %d words with the size at %d, want 6 and 0", hdrWords, hdrSize)
+	lits := []Lit{mk(1), mk(-2), mk(3)}
+	for _, recorded := range []bool{false, true} {
+		s := newSolverWithVars(3)
+		if recorded {
+			s.EnableProof()
+		}
+		for _, learnt := range []bool{false, true} {
+			want := 1 + len(lits)
+			if recorded {
+				want += 2
+			}
+			if learnt {
+				want += 3
+			}
+			at := len(s.arena)
+			c := s.alloc(lits, learnt, 5, 7, 9)
+			if got := len(s.arena) - at; got != want || int(c) != at+want-1-len(lits) {
+				t.Errorf("recorded=%v learnt=%v: %d words with the size word at +%d, want %d and +%d",
+					recorded, learnt, got, int(c)-at, want, want-1-len(lits))
+			}
+			if !reflect.DeepEqual(s.lits(c), lits) || (s.arena[c]&1 == 1) != learnt {
+				t.Errorf("recorded=%v learnt=%v: literals %v, size word %#x", recorded, learnt, s.lits(c), s.arena[c])
+			}
+			if recorded && (s.origin(c) != 7 || s.step(c) != 9) {
+				t.Errorf("learnt=%v: origin %d step %d, want 7 and 9", learnt, s.origin(c), s.step(c))
+			}
+			if learnt && (s.lbd(c) != 5 || s.claActivity(c) != 0) {
+				t.Errorf("recorded=%v: LBD %d activity %v, want 5 and 0", recorded, s.lbd(c), s.claActivity(c))
+			}
+		}
 	}
 	st := reflect.TypeOf(Solver{})
 	for _, name := range []string{"arena", "clauses", "learnts", "reason", "assigns"} {
@@ -177,7 +208,7 @@ func TestClauseDBFull(t *testing.T) {
 	t.Run("AddClause", func(t *testing.T) {
 		s := newSolverWithVars(8)
 		s.AddClause(mk(1), mk(2), mk(3))
-		s.arenaLimit = len(s.arena) + hdrWords + 2 // room for one binary clause
+		s.arenaLimit = len(s.arena) + 1 + 2 // room for one binary clause
 		if !s.AddClause(mk(-1), mk(4), mk(5)) {
 			t.Fatal("AddClause reported an inconsistency for a clause that did not fit")
 		}
@@ -185,6 +216,22 @@ func TestClauseDBFull(t *testing.T) {
 		// The refusal is permanent, whatever fits later.
 		if !s.AddClause(mk(-1), mk(2)) || s.NumClauses() != 2 {
 			t.Fatalf("a clause that fits was not added: %d clauses", s.NumClauses())
+		}
+		refused(t, s)
+	})
+
+	// Switching recording on over a database that cannot take the meta
+	// words is the same refusal, and nothing is recorded.
+	t.Run("widen", func(t *testing.T) {
+		s := newSolverWithVars(8)
+		s.AddClause(mk(1), mk(2), mk(3))
+		s.AddClause(mk(-1), mk(4))
+		s.arenaLimit = len(s.arena) + 3 // short of the 2 words each clause needs
+		if p := s.EnableProof(); p.NumSteps() != 0 || s.Proof() != nil {
+			t.Fatalf("a refused widening recorded a proof of %d steps", p.NumSteps())
+		}
+		if s.EnableOriginTracking(); s.origins != nil {
+			t.Fatal("a refused widening tracks origins")
 		}
 		refused(t, s)
 	})

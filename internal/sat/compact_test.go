@@ -58,36 +58,56 @@ type outcome struct {
 // at its default threshold and over one that relocates the whole database
 // at every reduceDB and Simplify (explicit reductions are part of the
 // scripts, so even instances of a dozen variables relocate learned
-// clauses, at level 0 and under a model's trail). Verdict, model, stats,
-// database size, the trace step for step and its certificate — hints
-// alone, no fallback — must not tell the two apart.
+// clauses, at level 0 and under a model's trail), each once recording a
+// proof and origins (every clause carrying its meta words) and once
+// recording neither (no meta words). Verdict, model, stats and database
+// size must not tell the four apart, nor the trace step for step and its
+// certificate — hints alone, no fallback — the two recording runs.
 func TestRelocationInvisible(t *testing.T) {
-	type script func(t *testing.T, s *sat.Solver, p *sat.Proof) (sat.Status, []sat.Lit)
+	type script func(t *testing.T, s *sat.Solver) (sat.Status, []sat.Lit)
 	both := func(t *testing.T, nVars int, clauses [][]int, run script) {
 		t.Helper()
-		var got [2]outcome
+		var got [2][2]outcome // [compact always][recording]
 		for i := range got {
-			s, p := newSolver(nVars)
-			if i == 1 {
-				s.CompactAlways()
+			for j := range got[i] {
+				s, p := sat.New(), (*sat.Proof)(nil)
+				if j == 1 {
+					p = s.EnableProof()
+					s.EnableOriginTracking()
+					s.SetOrigin(1)
+				}
+				if i == 1 {
+					s.CompactAlways()
+				}
+				for range nVars {
+					s.NewVar()
+				}
+				sat.AddDimacs(s, clauses)
+				st, assumptions := run(t, s)
+				o := outcome{Status: st, Stats: s.Stats, Bytes: s.ClauseDBBytes()}
+				switch {
+				case st == sat.Sat:
+					o.Model = s.Model()
+				case st == sat.Unsat && p != nil:
+					o.Cert = checked(t, s, p, assumptions...)
+				}
+				if p != nil {
+					o.Proof, o.Steps = p.Bytes(), p.Steps()
+				}
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("compact always=%v recording=%v: %v", i == 1, j == 1, err)
+				}
+				got[i][j] = o
 			}
-			sat.AddDimacs(s, clauses)
-			st, assumptions := run(t, s, p)
-			o := outcome{Status: st, Stats: s.Stats, Bytes: s.ClauseDBBytes(), Proof: p.Bytes(), Steps: p.Steps()}
-			switch st {
-			case sat.Sat:
-				o.Model = s.Model()
-			case sat.Unsat:
-				o.Cert = checked(t, s, p, assumptions...)
-			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("compact always=%v: %v", i == 1, err)
-			}
-			got[i] = o
 		}
-		if !reflect.DeepEqual(got[0], got[1]) {
-			got[0].Steps, got[1].Steps = nil, nil
-			t.Fatalf("relocation showed:\ndefault %+v cert %+v\n always %+v cert %+v", got[0], got[0].Cert, got[1], got[1].Cert)
+		bare := outcome{Status: got[0][1].Status, Model: got[0][1].Model, Stats: got[0][1].Stats, Bytes: got[0][1].Bytes}
+		if !reflect.DeepEqual(got[0][1], got[1][1]) || !reflect.DeepEqual(got[0][0], bare) || !reflect.DeepEqual(got[1][0], bare) {
+			for i := range got {
+				for j := range got[i] {
+					got[i][j].Steps = nil
+				}
+			}
+			t.Fatalf("relocation or recording showed ([compact always][recording]):\n%+v", got)
 		}
 	}
 
@@ -99,7 +119,7 @@ func TestRelocationInvisible(t *testing.T) {
 		for iter := 0; iter < 500; iter++ {
 			nVars := 4 + rng.Intn(10)
 			clauses := sat.Random3SAT(rng, nVars, int(float64(nVars)*(3.0+rng.Float64()*3.0)), true)
-			both(t, nVars, clauses, func(t *testing.T, s *sat.Solver, _ *sat.Proof) (sat.Status, []sat.Lit) {
+			both(t, nVars, clauses, func(t *testing.T, s *sat.Solver) (sat.Status, []sat.Lit) {
 				s.Simplify()
 				for round := 0; ; round++ {
 					st := s.Solve()
@@ -121,7 +141,7 @@ func TestRelocationInvisible(t *testing.T) {
 
 	// The instances of the proof tests.
 	t.Run("simplify and restarts", func(t *testing.T) {
-		both(t, 0, nil, func(t *testing.T, s *sat.Solver, _ *sat.Proof) (sat.Status, []sat.Lit) {
+		both(t, 0, nil, func(t *testing.T, s *sat.Solver) (sat.Status, []sat.Lit) {
 			pigeonhole(s, 5)
 			a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 			s.AddClause(sat.MkLit(a, false), sat.MkLit(b, false))
@@ -136,7 +156,7 @@ func TestRelocationInvisible(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		deleted := false
 		for try := 0; try < 6; try++ {
-			both(t, 140, sat.Random3SAT(rng, 140, 616, false), func(t *testing.T, s *sat.Solver, _ *sat.Proof) (sat.Status, []sat.Lit) {
+			both(t, 140, sat.Random3SAT(rng, 140, 616, false), func(t *testing.T, s *sat.Solver) (sat.Status, []sat.Lit) {
 				st := s.Solve()
 				deleted = deleted || s.Stats.Deleted > 0
 				return st, nil
@@ -150,7 +170,7 @@ func TestRelocationInvisible(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for iter := 0; iter < 20; iter++ {
 			all := sat.Random3SAT(rng, 60, 330, true)
-			both(t, 61, all[:200], func(t *testing.T, s *sat.Solver, _ *sat.Proof) (sat.Status, []sat.Lit) {
+			both(t, 61, all[:200], func(t *testing.T, s *sat.Solver) (sat.Status, []sat.Lit) {
 				// Variable 61 activates the second half, as a session's
 				// activation literal does.
 				act := lit(61)
@@ -279,4 +299,62 @@ func TestBinaryClauses(t *testing.T) {
 		}
 		checked(t, s, p)
 	})
+}
+
+// TestWidenKeepsEveryRef switches proof logging, then origin tracking, on
+// in solvers that have learned, reduced and simplified, with a model's
+// trail standing: the widening relocates problem and learned clauses,
+// watchers, and the reasons of a trail above level 0. Every ref must
+// survive each step, and the search that goes on — the rest of the
+// instance added and solved — must be the one of a twin that switched
+// neither on, down to its stats and database size; a refutation must
+// check from the solver's hints.
+func TestWidenKeepsEveryRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	exercised := false
+	for iter := 0; iter < 12; iter++ {
+		nVars := 60 + rng.Intn(40)
+		clauses := sat.Random3SAT(rng, nVars, 5*nVars, true)
+		first := 7 * len(clauses) / 10
+		var got [2]outcome
+		for i := range got {
+			s := sat.New()
+			for range nVars {
+				s.NewVar()
+			}
+			add(s, clauses[:first]...)
+			s.Solve()
+			s.ReduceDB()
+			s.AddClause(lit(clauses[0][0]))
+			s.Simplify()
+			st := s.Solve()
+			var p *sat.Proof
+			if i == 1 {
+				exercised = exercised || st == sat.Sat && s.Stats.Learned > 0 && s.Stats.Deleted > 0 && s.Stats.Simplified > 0
+				p = s.EnableProof()
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("iter %d, proof logging switched on: %v", iter, err)
+				}
+				s.EnableOriginTracking()
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("iter %d, origin tracking switched on: %v", iter, err)
+				}
+			}
+			add(s, clauses[first:]...)
+			st = s.Solve()
+			got[i] = outcome{Status: st, Stats: s.Stats, Bytes: s.ClauseDBBytes()}
+			switch {
+			case st == sat.Sat:
+				got[i].Model = s.Model()
+			case st == sat.Unsat && p != nil:
+				checked(t, s, p)
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("iter %d: widening moved the search:\nnever %+v\nwidened %+v", iter, got[0], got[1])
+		}
+	}
+	if !exercised {
+		t.Fatal("no solver had learned, reduced and simplified under a model's trail when it widened")
+	}
 }

@@ -24,12 +24,20 @@ func (s *Solver) CompactAlways() { s.wasteDiv = math.MaxInt }
 func (s *Solver) ReduceDB() { s.reduceDB() }
 
 // CheckInvariants recounts what the solver keeps running totals of and
-// checks every ref it holds: ClauseDBBytes and the waste against a walk
-// of the two clause lists, two watchers per clause on the lists of its
-// first two literals with the binary flag exactly on two-literal clauses
-// (and then the other literal as blocker), no watcher besides, every
-// trail reason a live clause holding its literal.
+// checks every ref it holds: meta words exactly while a proof or origins
+// are recorded, ClauseDBBytes and the waste against a walk of the two
+// clause lists, two watchers per clause on the lists of its first two
+// literals with the binary flag exactly on two-literal clauses (and then
+// the other literal as blocker), no watcher besides, every trail reason a
+// live clause holding its literal.
 func (s *Solver) CheckInvariants() error {
+	want := 0
+	if s.proof != nil || s.origins != nil {
+		want = metaWords
+	}
+	if s.meta != want {
+		return fmt.Errorf("%d meta words, want %d", s.meta, want)
+	}
 	var bytes int64
 	words, live := 1, map[cref]bool{}
 	for k, list := range [2][]cref{s.clauses, s.learnts} {
@@ -46,7 +54,7 @@ func (s *Solver) CheckInvariants() error {
 				return fmt.Errorf("clause %d has %d literals", c, len(ls))
 			}
 			bytes += clauseBytes(len(ls))
-			words += hdrWords + len(ls)
+			words += s.pre(c) + 1 + len(ls)
 			for i, l := range ls[:2] {
 				n := 0
 				for _, w := range s.watches[l.Not()] {

@@ -8,8 +8,8 @@ package sat
 // while it is current, unions antecedent sets onto learned clauses, and
 // keeps per-set work counters that the caller expands back into
 // per-origin rows. Set id 0 is the empty set ("no origin"); with
-// tracking disabled every clause stays at 0 and the hot paths pay one
-// predictable branch.
+// tracking disabled a clause's origin word is 0, or absent when no proof
+// is recorded either, and the hot paths pay one predictable branch.
 
 // OriginCounts is the work attributed to one origin set.
 type OriginCounts struct {
@@ -37,10 +37,12 @@ type originState struct {
 }
 
 // EnableOriginTracking turns on per-origin attribution. Enable before
-// adding clauses so every clause carries its creator's origin;
-// idempotent.
+// adding clauses so every clause carries its creator's origin (and the
+// database needs no relocation); idempotent. A solver whose database
+// cannot take the origin words is full (ErrClauseDBFull) and tracks
+// nothing.
 func (s *Solver) EnableOriginTracking() {
-	if s.origins != nil {
+	if s.origins != nil || !s.widen() {
 		return
 	}
 	s.origins = &originState{

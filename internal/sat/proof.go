@@ -234,10 +234,16 @@ func (p *Proof) WriteDRAT(w io.Writer) error {
 // (root-level facts, problem clauses and any learned clauses) is
 // snapshotted as Input steps, so the proof certifies verdicts relative
 // to the formula as of this call; enable before solving to certify
-// relative to the original input.
+// relative to the original input, and before adding clauses to spare
+// the database a relocation. A solver whose database cannot take the
+// proof-step words is full (ErrClauseDBFull): it records nothing, and
+// the trace returned stays empty.
 func (s *Solver) EnableProof() *Proof {
 	if s.proof != nil {
 		return s.proof
+	}
+	if !s.widen() {
+		return &Proof{}
 	}
 	s.proof = &Proof{}
 	for _, l := range s.trail {
@@ -247,7 +253,7 @@ func (s *Solver) EnableProof() *Proof {
 	}
 	for _, list := range [2][]cref{s.clauses, s.learnts} {
 		for _, c := range list {
-			s.arena[c+hdrStep] = Lit(s.proof.add(ProofInput, s.lits(c), int32(s.arena[c+hdrOrigin])))
+			s.setStep(c, s.proof.add(ProofInput, s.lits(c), s.origin(c)))
 		}
 	}
 	return s.proof

@@ -49,34 +49,48 @@ func TestReserveIsOnlyAHint(t *testing.T) {
 	}
 }
 
-// TestAddClauseInReservedRoomAllocatesNothing: with the room reserved and
-// proof logging off, loading a clause writes into the arena and into the
-// watch lists' windows of the slab, and allocates nothing. No literal
-// here is watched more than slabWindow times.
+// TestAddClauseInReservedRoomAllocatesNothing: with the room reserved,
+// loading a clause writes into the arena and into the watch lists'
+// windows of the slab, and allocates nothing of the solver's own. With
+// proof logging on, reserved before the room as the executor does, the
+// header's proof words fit the same reservation and the one allocation a
+// clause is the trace's copy of its literals. No literal here is watched
+// more than slabWindow times.
 func TestAddClauseInReservedRoomAllocatesNothing(t *testing.T) {
 	const nVars = 400
 	var clauses [][]Lit
+	lits := 0
 	for v := Var(0); v+2 < nVars; v++ {
 		clauses = append(clauses,
 			[]Lit{MkLit(v, false), MkLit(v+1, false), MkLit(v+2, true)},
 			[]Lit{MkLit(v, true), MkLit(v+1, true)})
+		lits += 5
 	}
-	s := New()
-	s.Reserve(nVars, len(clauses), 3*len(clauses))
-	for v := 0; v < nVars; v++ {
-		s.NewVar()
-	}
-	next := 0
-	if n := testing.AllocsPerRun(len(clauses)-1, func() {
-		s.AddClause(clauses[next]...)
-		next++
-	}); n != 0 {
-		t.Errorf("AddClause allocates %v times a clause in reserved room, want 0", n)
-	}
-	if s.NumClauses() != len(clauses) {
-		t.Fatalf("%d of %d clauses stored", s.NumClauses(), len(clauses))
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, proof := range []bool{false, true} {
+		s := New()
+		want := 0.0
+		if proof {
+			s.EnableProof()
+			want = 1
+		}
+		s.Reserve(nVars, len(clauses), lits)
+		room := cap(s.arena)
+		for v := 0; v < nVars; v++ {
+			s.NewVar()
+		}
+		next := 0
+		if n := testing.AllocsPerRun(len(clauses)-1, func() {
+			s.AddClause(clauses[next]...)
+			next++
+		}); n != want {
+			t.Errorf("proof=%v: AddClause allocates %v times a clause in reserved room, want %v", proof, n, want)
+		}
+		if s.NumClauses() != len(clauses) || cap(s.arena) != room {
+			t.Fatalf("proof=%v: %d of %d clauses stored; the arena went from %d words of room to %d",
+				proof, s.NumClauses(), len(clauses), room, cap(s.arena))
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

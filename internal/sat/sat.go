@@ -110,26 +110,21 @@ var ErrInterrupted = errors.New("sat: search interrupted")
 // database with a clause missing would not be a verdict.
 var ErrClauseDBFull = errors.New("sat: clause database full")
 
-// cref names a clause by the index of its header in Solver.arena. 0 is
-// "no clause"; the top bit is never part of an index, so a watcher can
-// keep a flag there.
+// cref names a clause by the index in Solver.arena of its size word,
+// len(literals)<<1 | learnt, which its literals follow. 0 is "no clause";
+// the top bit is never part of an index, so a watcher can keep a flag
+// there.
+//
+// A clause's header sits behind its size word and holds only what its
+// solver reads: metaWords words (origin, step) once the solver records
+// origins or a proof (Solver.meta), then learntWords words (LBD,
+// activity) on a learned clause. An uncertified problem clause of n
+// literals is 1+n words.
 type cref uint32
 
-// A clause is hdrWords header words followed by its literals.
 const (
-	hdrSize = iota // len(literals)<<1 | learnt
-	hdrLBD
-	// hdrOrigin is the interned origin-set id of the constraints the
-	// clause came from: the creator's set for problem clauses, the union
-	// of the antecedents' sets for learned ones. 0 when tracking is off.
-	hdrOrigin
-	// hdrStep is the id of the proof step that put the clause, in its
-	// current form, into the trace: what a learned clause resolved from it
-	// names as a hint and what its Delete step names as the victim.
-	// Meaningful only while proof logging is on.
-	hdrStep
-	hdrActivity // float64 bits, low word first
-	hdrWords    = hdrActivity + 2
+	metaWords   = 2 // origin-set id, proof-step id
+	learntWords = 3 // LBD, float64 activity (low word first)
 )
 
 // binaryFlag marks, in watcher.ref, a clause of two literals: the blocker
@@ -206,9 +201,10 @@ type Progress struct {
 // Solver is a CDCL SAT solver. The zero value is not ready for use; call
 // New.
 type Solver struct {
-	// arena holds every clause. alloc and compact replace it: no slice
-	// into it may be held across either.
+	// arena holds every clause. alloc, compact and widen replace it: no
+	// slice into it may be held across any of them.
 	arena   []Lit
+	meta    int    // header words for origin and proof step: 0, or metaWords once either is recorded
 	wasted  int    // arena words of removed clauses and stripped literals
 	dbBytes int64  // ClauseDBBytes, kept as clauses come and go
 	clauses []cref // problem clauses
@@ -335,26 +331,54 @@ func clauseBytes(n int) int64 { return 32 + 4*int64(n) }
 func (s *Solver) ClauseDBBytes() int64 { return s.dbBytes }
 
 // lits returns c's literals: a view into the arena, dead at the next
-// alloc or compact.
+// alloc, compact or widen.
 func (s *Solver) lits(c cref) []Lit {
-	at := int(c) + hdrWords
-	return s.arena[at : at+int(s.arena[c]>>1)]
+	return s.arena[c+1 : c+1+cref(s.arena[c]>>1)]
 }
 
+// pre is the number of header words behind c's size word.
+func (s *Solver) pre(c cref) int { return s.meta + learntWords*int(s.arena[c]&1) }
+
+// origin is the interned origin-set id of the constraints c came from:
+// the creator's set for a problem clause, the union of the antecedents'
+// sets for a learned one; 0 for a clause added while tracking was off.
+// Read only while the meta words exist.
+func (s *Solver) origin(c cref) int32 { return int32(s.arena[int(c)-s.pre(c)]) }
+
+// step is the id of the proof step that put c, in its current form, into
+// the trace: what a learned clause resolved from c names as a hint and
+// what c's Delete step names as the victim. Read only while proof logging
+// is on.
+func (s *Solver) step(c cref) int32 { return int32(s.arena[int(c)-s.pre(c)+1]) }
+
+func (s *Solver) setStep(c cref, id int32) { s.arena[int(c)-s.pre(c)+1] = Lit(id) }
+
+// lbd is the LBD a learned clause was learned with.
+func (s *Solver) lbd(c cref) int32 { return int32(s.arena[c-3]) }
+
+// claActivity is a learned clause's activity.
 func (s *Solver) claActivity(c cref) float64 {
-	return math.Float64frombits(uint64(uint32(s.arena[c+hdrActivity])) | uint64(s.arena[c+hdrActivity+1])<<32)
+	return math.Float64frombits(uint64(uint32(s.arena[c-2])) | uint64(s.arena[c-1])<<32)
 }
 
 func (s *Solver) setClaActivity(c cref, a float64) {
 	b := math.Float64bits(a)
-	s.arena[c+hdrActivity], s.arena[c+hdrActivity+1] = Lit(uint32(b)), Lit(b>>32)
+	s.arena[c-2], s.arena[c-1] = Lit(uint32(b)), Lit(b>>32)
 }
 
 // alloc appends a clause to the arena and its size to the accounts, and
 // returns its ref: 0, with the solver marked full, if the arena would
-// pass arenaLimit. lits must not be a view into the arena.
+// pass arenaLimit. lits must not be a view into the arena. origin and
+// step are stored only while the meta words exist, lbd only on a learned
+// clause.
 func (s *Solver) alloc(lits []Lit, learnt bool, lbd, origin, step int32) cref {
-	c, end := len(s.arena), len(s.arena)+hdrWords+len(lits)
+	at, size := len(s.arena), Lit(len(lits))<<1
+	c := at + s.meta
+	if learnt {
+		c += learntWords
+		size |= 1
+	}
+	end := c + 1 + len(lits)
 	if end > s.arenaLimit {
 		s.full = true
 		return 0
@@ -363,13 +387,17 @@ func (s *Solver) alloc(lits []Lit, learnt bool, lbd, origin, step int32) cref {
 		// Grow by half. append would grow a large slice by a quarter, and
 		// re-copy a database that is being loaded twice as often; doubling
 		// costs peak memory (DESIGN §19 has both measured).
-		s.arena = append(make([]Lit, 0, max(end, c+c/2, 1<<10)), s.arena...)
+		s.arena = append(make([]Lit, 0, max(end, at+at/2, 1<<10)), s.arena...)
 	}
-	size := Lit(len(lits)) << 1
+	s.arena = s.arena[:end]
+	if s.meta != 0 {
+		s.arena[at], s.arena[at+1] = Lit(origin), Lit(step)
+	}
 	if learnt {
-		size |= 1
+		s.arena[c-3], s.arena[c-2], s.arena[c-1] = Lit(lbd), 0, 0
 	}
-	s.arena = append(append(s.arena, size, Lit(lbd), Lit(origin), Lit(step), 0, 0), lits...)
+	s.arena[c] = size
+	copy(s.arena[c+1:], lits)
 	s.dbBytes += clauseBytes(len(lits))
 	return cref(c)
 }
@@ -384,6 +412,8 @@ const slabWindow = 4
 // new variables' watch lists start in. It is a hint, not a bound — what
 // NewVar and AddClause do is the same after any Reserve or none; too
 // little costs the regrowth it was meant to save, too much costs memory.
+// The arena's room is for the header words a clause gets now, so switch
+// proof logging and origin tracking on first.
 func (s *Solver) Reserve(vars, clauses, lits int) {
 	vars, clauses, lits = max(vars, 0), max(clauses, 0), max(lits, 0)
 	s.assigns = slices.Grow(s.assigns, 2*vars)
@@ -396,7 +426,7 @@ func (s *Solver) Reserve(vars, clauses, lits int) {
 	s.order.heap = slices.Grow(s.order.heap, vars)
 	s.order.index = slices.Grow(s.order.index, vars)
 	s.clauses = slices.Grow(s.clauses, clauses)
-	s.arena = slices.Grow(s.arena, min(clauses*hdrWords+lits, s.arenaLimit-len(s.arena)))
+	s.arena = slices.Grow(s.arena, min(clauses*(s.meta+1)+lits, s.arenaLimit-len(s.arena)))
 	if need := 2 * vars * slabWindow; cap(s.slab)-len(s.slab) < need {
 		s.slab = make([]watcher, 0, need)
 	}
@@ -554,30 +584,60 @@ func (s *Solver) remove(c cref) {
 	s.detach(c)
 	ls := s.lits(c)
 	if s.proof != nil {
-		s.proof.addDelete(ls, int32(s.arena[c+hdrOrigin]), int32(s.arena[c+hdrStep]))
+		s.proof.addDelete(ls, s.origin(c), s.step(c))
 	}
-	s.wasted += hdrWords + len(ls)
+	s.wasted += s.pre(c) + 1 + len(ls)
 	s.dbBytes -= clauseBytes(len(ls))
 }
 
-// compact, once a quarter of the arena is waste, copies the live clauses
-// into a new one in database order and rewrites every ref there is — the
-// two lists, the watchers, the reasons of the trail — through the
-// forwarding ref each move leaves in the old header. A removed clause is
-// in no watch list and is no reason (reduceDB skips locked clauses,
-// Simplify clears the root's reasons first), so every ref met was moved.
+// compact relocates the database once a quarter of the arena is waste.
+// The new arena keeps the old length: the waste becomes the room the next
+// learned clauses go into, with nothing to grow.
 func (s *Solver) compact() {
-	if s.wasted < len(s.arena)/s.wasteDiv {
-		return
+	if s.wasted >= len(s.arena)/s.wasteDiv {
+		s.relocate(s.meta, len(s.arena))
 	}
-	// The new arena keeps the old length: the waste becomes the room the
-	// next learned clauses go into, with nothing to grow.
-	old := s.arena
-	s.arena = make([]Lit, 1, len(old))
+}
+
+// widen gives every clause its meta words, when proof logging or origin
+// tracking is first switched on: in place on an empty database, by a
+// relocation otherwise. Like alloc, it refuses a database that would pass
+// arenaLimit: it reports false, with the solver marked full, and nothing
+// may be recorded.
+func (s *Solver) widen() bool {
+	if s.meta != 0 {
+		return true
+	}
+	n := len(s.clauses) + len(s.learnts)
+	size := len(s.arena) - s.wasted + metaWords*n
+	if size > s.arenaLimit {
+		s.full = true
+		return false
+	}
+	if n == 0 {
+		s.meta = metaWords
+	} else {
+		s.relocate(metaWords, size)
+	}
+	return true
+}
+
+// relocate copies the live clauses into a new arena of capacity size, in
+// database order, each with meta meta words (zeros ahead of the old
+// header where it had fewer), and rewrites every ref there is — the two
+// lists, the watchers, the reasons of the trail — through the forwarding
+// ref each move leaves in the old size word. A removed clause is in no
+// watch list and is no reason (reduceDB skips locked clauses, Simplify
+// clears the root's reasons first), so every ref met was moved.
+func (s *Solver) relocate(meta, size int) {
+	old, oldMeta := s.arena, s.meta
+	s.arena, s.meta = make([]Lit, 1, size), meta
 	for _, list := range [2][]cref{s.clauses, s.learnts} {
 		for i, c := range list {
-			list[i] = cref(len(s.arena))
-			s.arena = append(s.arena, old[c:int(c)+hdrWords+int(old[c]>>1)]...)
+			n := int(old[c] >> 1)
+			s.arena = s.arena[:len(s.arena)+meta-oldMeta] // zeroed by make
+			s.arena = append(s.arena, old[int(c)-oldMeta-learntWords*int(old[c]&1):int(c)+1+n]...)
+			list[i] = cref(len(s.arena) - 1 - n)
 			old[c] = Lit(list[i])
 		}
 	}
@@ -603,7 +663,7 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	if s.origins != nil && from != 0 {
-		s.origins.counts[s.arena[from+hdrOrigin]].Propagations++
+		s.origins.counts[s.origin(from)].Propagations++
 	}
 }
 
@@ -635,10 +695,10 @@ func (s *Solver) propagate() cref {
 				// the long path would, the literal just falsified second:
 				// analyze bumps variables in clause order.
 				if assigns[first] == False {
-					arena[c+hdrWords], arena[c+hdrWords+1] = first, np
+					arena[c+1], arena[c+2] = first, np
 				}
 			} else {
-				lits := arena[c+hdrWords : c+hdrWords+cref(arena[c]>>1)]
+				lits := arena[c+1 : c+1+cref(arena[c]>>1)]
 				// Ensure the false literal (¬p) is lits[1].
 				if lits[0] == np {
 					lits[0], lits[1] = lits[1], np
@@ -689,10 +749,10 @@ func (s *Solver) analyze(confl cref) int {
 	for {
 		s.claBump(confl)
 		if s.origins != nil {
-			s.origins.noteAntecedent(int32(s.arena[confl+hdrOrigin]))
+			s.origins.noteAntecedent(s.origin(confl))
 		}
 		if s.proof != nil {
-			s.hints = append(s.hints, int32(s.arena[confl+hdrStep]))
+			s.hints = append(s.hints, s.step(confl))
 		}
 		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
@@ -790,7 +850,7 @@ func (s *Solver) litRedundant(l Lit) bool {
 		s.minStack = s.minStack[:len(s.minStack)-1]
 		c := s.reason[p.Var()]
 		if s.proof != nil {
-			s.hints = append(s.hints, int32(s.arena[c+hdrStep]))
+			s.hints = append(s.hints, s.step(c))
 		}
 		for _, q := range s.lits(c) {
 			v := q.Var()
@@ -902,7 +962,7 @@ func (s *Solver) pickBranchLit() Lit {
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if la, lb := s.arena[a+hdrLBD], s.arena[b+hdrLBD]; la != lb {
+		if la, lb := s.lbd(a), s.lbd(b); la != lb {
 			return la < lb
 		}
 		return s.claActivity(a) > s.claActivity(b)
@@ -910,7 +970,7 @@ func (s *Solver) reduceDB() {
 	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if i < limit || s.arena[c+hdrLBD] <= 3 || s.arena[c]>>1 == 2 || s.locked(c) {
+		if i < limit || s.lbd(c) <= 3 || s.arena[c]>>1 == 2 || s.locked(c) {
 			keep = append(keep, c)
 			continue
 		}
@@ -924,7 +984,7 @@ func (s *Solver) reduceDB() {
 // locked reports whether c, not a binary clause (those keep no order), is
 // the reason for a current assignment.
 func (s *Solver) locked(c cref) bool {
-	l := s.arena[c+hdrWords]
+	l := s.arena[c+1]
 	return s.value(l) == True && s.reason[l.Var()] == c
 }
 
@@ -1015,14 +1075,14 @@ func (s *Solver) search(budget int64, assumptions []Lit) (Status, int64) {
 			conflicts++
 			s.Stats.Conflicts++
 			if s.origins != nil {
-				s.origins.counts[s.arena[confl+hdrOrigin]].Conflicts++
+				s.origins.counts[s.origin(confl)].Conflicts++
 			}
 			if s.ProgressEvery > 0 && s.OnProgress != nil && s.Stats.Conflicts%s.ProgressEvery == 0 {
 				s.OnProgress(s.progress())
 			}
 			if s.decisionLevel() == 0 {
 				if s.proof != nil {
-					s.proof.add(ProofDerive, nil, int32(s.arena[confl+hdrOrigin]))
+					s.proof.add(ProofDerive, nil, s.origin(confl))
 				}
 				s.ok = false
 				return Unsat, conflicts
@@ -1190,7 +1250,7 @@ func (s *Solver) Simplify() bool {
 	s.cancelUntil(0)
 	if confl := s.propagate(); confl != 0 {
 		if s.proof != nil {
-			s.proof.add(ProofDerive, nil, int32(s.arena[confl+hdrOrigin]))
+			s.proof.add(ProofDerive, nil, s.origin(confl))
 		}
 		s.ok = false
 		return false
@@ -1250,8 +1310,8 @@ func (s *Solver) simplifyList(cs []cref) []cref {
 			continue
 		}
 		if s.proof != nil {
-			origin, old := int32(s.arena[c+hdrOrigin]), int32(s.arena[c+hdrStep])
-			s.arena[c+hdrStep] = Lit(s.proof.add(ProofDerive, kept, origin, old))
+			origin, old := s.origin(c), s.step(c)
+			s.setStep(c, s.proof.add(ProofDerive, kept, origin, old))
 			s.proof.addDelete(ls, origin, old)
 		}
 		copy(ls, kept)
