@@ -402,10 +402,6 @@ func TestProtocolsAndDefaults(t *testing.T) {
 	if len(ps) != 4 || ps[0] != Connected {
 		t.Fatalf("protocols %v", ps)
 	}
-	if DefaultAdminDistance(Connected) != 0 || DefaultAdminDistance(Static) != 1 ||
-		DefaultAdminDistance(OSPF) != 110 || DefaultAdminDistance(BGP) != 20 {
-		t.Fatal("admin distances")
-	}
 	if Connected.String() != "connected" || BGP.String() != "bgp" {
 		t.Fatal("protocol strings")
 	}

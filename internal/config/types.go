@@ -42,24 +42,6 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("protocol(%d)", int(p))
 }
 
-// DefaultAdminDistance returns the conventional administrative distance
-// used when the configuration does not override it.
-func DefaultAdminDistance(p Protocol) int {
-	switch p {
-	case Connected:
-		return 0
-	case Static:
-		return 1
-	case OSPF:
-		return 110
-	case RIP:
-		return 120
-	case BGP:
-		return 20 // eBGP; iBGP uses 200
-	}
-	return 255
-}
-
 // Action is permit or deny in filters.
 type Action int
 

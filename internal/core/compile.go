@@ -85,10 +85,10 @@ func resolvePasses(o Options) (passSpec, error) {
 }
 
 // CompiledNetwork is the property-agnostic compilation artifact: the
-// model's constraint system N after the term-level passes, content-
-// addressed so callers (the service's per-network cache, cross-session
-// reuse) can recognize semantically identical networks without
-// comparing configurations. It is immutable once built.
+// model's constraint system N after the term-level passes, cached on the
+// model and shared by its fresh checks and sessions. It is immutable once
+// built. Its Hash covers the asserted control plane only, so it is not a
+// key to share networks or sessions on (DESIGN §10).
 type CompiledNetwork struct {
 	// Asserts is the post-pass constraint system, ready to blast.
 	Asserts []*smt.Term
@@ -152,9 +152,6 @@ func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
 	cn.Asserts, cn.Origins = sys.Asserts, sys.Origins
 	ctx := m.Ctx // the artifact must not keep the model alive
 	cn.hash = sync.OnceValue(func() string { return hashTerms(ctx, cn.Asserts) })
-	if sp != nil {
-		sp.SetStr("hash", cn.Hash()[:12])
-	}
 	sp.SetInt("asserts_in", int64(cn.BaseLen))
 	sp.SetInt("asserts_out", int64(len(cn.Asserts)))
 	m.compiled = cn

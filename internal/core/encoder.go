@@ -10,6 +10,7 @@ import (
 	"repro/internal/protograph"
 	"repro/internal/provenance"
 	"repro/internal/sat"
+	"repro/internal/simulator"
 	"repro/internal/smt"
 )
 
@@ -274,11 +275,11 @@ func encodeWithContext(g *protograph.Graph, opts Options, ctx *smt.Context, pref
 
 	// Link failure bits.
 	for _, l := range g.Topo.Links {
-		id := linkID(l.A.Name, l.B.Name)
+		id := simulator.LinkID(l.A.Name, l.B.Name)
 		m.Failed[id] = c.BoolVar(prefix + "failed|" + id)
 	}
 	for _, e := range g.Topo.Externals {
-		id := extLinkID(e.Router.Name, e.Name)
+		id := simulator.ExtLinkID(e.Router.Name, e.Name)
 		m.Failed[id] = c.BoolVar(prefix + "failed|" + id)
 	}
 
@@ -368,12 +369,8 @@ func (m *Model) analyze() error {
 			}
 		}
 		// Redistribution of dynamic protocols can create policy loops.
-		for _, set := range [][]config.Redistribution{redistsOf(c.OSPF), ripRedists(c.RIP), bgpRedists(c.BGP)} {
-			for _, rd := range set {
-				if rd.From == config.OSPF || rd.From == config.RIP || rd.From == config.BGP {
-					m.riskySet[c.Name] = true
-				}
-			}
+		if c.RedistributesDynamic() {
+			m.riskySet[c.Name] = true
 		}
 	}
 	for _, s := range g.Sessions {
@@ -475,27 +472,6 @@ func (m *Model) analyze() error {
 	}
 	sort.Strings(m.risky)
 	return nil
-}
-
-func redistsOf(o *config.OSPFConfig) []config.Redistribution {
-	if o == nil {
-		return nil
-	}
-	return o.Redistribute
-}
-
-func ripRedists(r *config.RIPConfig) []config.Redistribution {
-	if r == nil {
-		return nil
-	}
-	return r.Redistribute
-}
-
-func bgpRedists(b *config.BGPConfig) []config.Redistribution {
-	if b == nil {
-		return nil
-	}
-	return b.Redistribute
 }
 
 // activeComms returns the communities kept symbolic on records.
@@ -622,17 +598,6 @@ func (m *Model) wrapVar(name string, t *Record, isBGP bool) *Record {
 	m.assertRecEq(v, t)
 	return v
 }
-
-// linkID mirrors simulator.LinkID.
-func linkID(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "~" + b
-}
-
-// extLinkID mirrors simulator.ExtLinkID.
-func extLinkID(router, ext string) string { return router + "~ext~" + ext }
 
 // linkUp returns ¬failed for a link.
 func (m *Model) linkUp(id string) *smt.Term { return m.Ctx.Not(m.Failed[id]) }

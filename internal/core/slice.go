@@ -8,6 +8,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/protograph"
 	"repro/internal/provenance"
+	"repro/internal/simulator"
 	"repro/internal/smt"
 )
 
@@ -69,11 +70,11 @@ func (m *Model) encodeSlice(name string, dstIP *smt.Term, isAddr bool) (*Slice, 
 		for _, p := range cfg.Protocols() {
 			switch p {
 			case config.OSPF:
-				sl.BestProto[n.Name][p] = m.recVar(name+"|"+n.Name+"|best.ospf", false, uint64(ospfAD(cfg)))
+				sl.BestProto[n.Name][p] = m.recVar(name+"|"+n.Name+"|best.ospf", false, uint64(cfg.OSPFDistance()))
 			case config.RIP:
-				sl.BestProto[n.Name][p] = m.recVar(name+"|"+n.Name+"|best.rip", false, uint64(ripAD(cfg)))
+				sl.BestProto[n.Name][p] = m.recVar(name+"|"+n.Name+"|best.rip", false, uint64(cfg.RIPDistance()))
 			case config.BGP:
-				sl.BestProto[n.Name][p] = m.recVar(name+"|"+n.Name+"|best.bgp", true, uint64(bgpAD(cfg, false)))
+				sl.BestProto[n.Name][p] = m.recVar(name+"|"+n.Name+"|best.bgp", true, uint64(cfg.BGPDistance(false)))
 			}
 		}
 	}
@@ -91,7 +92,7 @@ func (m *Model) encodeSlice(name string, dstIP *smt.Term, isAddr bool) (*Slice, 
 			continue
 		}
 		exp := m.exportBGP(sl, s.A, s)
-		exp = exp.gate(c, m.linkUp(extLinkID(s.A.Name, s.Ext.Name)))
+		exp = exp.gate(c, m.linkUp(simulator.ExtLinkID(s.A.Name, s.Ext.Name)))
 		m.setOrigin(provenance.Origin{Router: s.A.Name, Proto: "bgp", Kind: "neighbor", Name: "ext." + s.Ext.Name})
 		sl.ExtExports[s.Ext.Name] = m.wrapVar(name+"|extout|"+s.Ext.Name, exp, true)
 	}
@@ -128,7 +129,7 @@ func (m *Model) envRecord(sl *Slice, e *network.External) *Record {
 		m.assert(c.Implies(r.Valid, m.fbmSym(r.Prefix, sl.DstIP, r.PrefixLen)))
 	}
 	// Fields the environment does not control.
-	r.AD = c.BV(uint64(bgpAD(m.G.Configs[e.Router.Name], false)), WidthAD)
+	r.AD = c.BV(uint64(m.G.Configs[e.Router.Name].BGPDistance(false)), WidthAD)
 	r.LocalPref = c.BV(100, WidthLP)
 	r.Internal = c.False()
 	r.FromClient = c.False()
@@ -387,7 +388,7 @@ func (m *Model) staticCands(sl *Slice, n *network.Node, cfg *config.Router) []*c
 	for _, st := range cfg.Statics {
 		r := m.inv()
 		r.PrefixLen = c.BV(uint64(st.Prefix.Len), WidthPrefixLen)
-		r.AD = c.BV(uint64(staticAD(st)), WidthAD)
+		r.AD = c.BV(uint64(st.Distance()), WidthAD)
 		if !m.hoisting {
 			r.Prefix = c.BV(uint64(st.Prefix.Addr), WidthIP)
 		}
@@ -415,13 +416,13 @@ func (m *Model) resolveStaticHop(n *network.Node, st *config.StaticRoute) (Hop, 
 		peer := l.Peer(n)
 		if (st.Interface != "" && l.IfaceOf(n) == st.Interface) ||
 			(st.NextHop != 0 && l.AddrOf(peer) == st.NextHop) {
-			return Hop{Node: peer.Name}, linkID(l.A.Name, l.B.Name), true
+			return Hop{Node: peer.Name}, simulator.LinkID(l.A.Name, l.B.Name), true
 		}
 	}
 	for _, e := range m.G.Topo.ExternalsOf(n) {
 		if (st.Interface != "" && e.Iface == st.Interface) ||
 			(st.NextHop != 0 && e.PeerAddr == st.NextHop) {
-			return Hop{Ext: e.Name}, extLinkID(n.Name, e.Name), true
+			return Hop{Ext: e.Name}, simulator.ExtLinkID(n.Name, e.Name), true
 		}
 	}
 	return Hop{}, "", false
@@ -431,10 +432,10 @@ func (m *Model) resolveStaticHop(n *network.Node, st *config.StaticRoute) (Hop, 
 // an OSPF instance.
 func (m *Model) ospfCands(sl *Slice, n *network.Node, cfg *config.Router) []*candidate {
 	c := m.Ctx
-	ad := ospfAD(cfg)
+	ad := cfg.OSPFDistance()
 	var out []*candidate
 	for _, i := range cfg.Interfaces {
-		if i.Shutdown || !prefixActivated(cfg.OSPF.Networks, i.Prefix) {
+		if !cfg.RunsOSPF(i) {
 			continue
 		}
 		r := m.inv()
@@ -447,7 +448,7 @@ func (m *Model) ospfCands(sl *Slice, n *network.Node, cfg *config.Router) []*can
 		out = append(out, &candidate{rec: r, local: true})
 	}
 	for _, rd := range cfg.OSPF.Redistribute {
-		if cand := m.redistCand(sl, n, cfg, rd, ad, 20, false); cand != nil {
+		if cand := m.redistCand(sl, n, cfg, rd, ad, config.OSPF); cand != nil {
 			out = append(out, cand)
 		}
 	}
@@ -460,7 +461,7 @@ func (m *Model) ospfCands(sl *Slice, n *network.Node, cfg *config.Router) []*can
 		pb := sl.BestProto[peer.Name][config.OSPF]
 		r := pb.clone()
 		valid := c.And(pb.Valid,
-			m.linkUp(linkID(adj.Link.A.Name, adj.Link.B.Name)),
+			m.linkUp(simulator.LinkID(adj.Link.A.Name, adj.Link.B.Name)),
 			c.Ule(pb.Metric, c.BV(uint64(65535-cost), WidthMetric)))
 		if m.riskySet[n.Name] {
 			valid = c.And(valid, c.Not(pb.Through[n.Name]))
@@ -480,10 +481,10 @@ func (m *Model) ospfCands(sl *Slice, n *network.Node, cfg *config.Router) []*can
 // ripCands mirrors ospfCands with unit costs and RIP's count-to-16.
 func (m *Model) ripCands(sl *Slice, n *network.Node, cfg *config.Router) []*candidate {
 	c := m.Ctx
-	ad := ripAD(cfg)
+	ad := cfg.RIPDistance()
 	var out []*candidate
 	for _, i := range cfg.Interfaces {
-		if i.Shutdown || !prefixActivated(cfg.RIP.Networks, i.Prefix) {
+		if !cfg.RunsRIP(i) {
 			continue
 		}
 		r := m.inv()
@@ -496,7 +497,7 @@ func (m *Model) ripCands(sl *Slice, n *network.Node, cfg *config.Router) []*cand
 		out = append(out, &candidate{rec: r, local: true})
 	}
 	for _, rd := range cfg.RIP.Redistribute {
-		if cand := m.redistCand(sl, n, cfg, rd, ad, 1, false); cand != nil {
+		if cand := m.redistCand(sl, n, cfg, rd, ad, config.RIP); cand != nil {
 			out = append(out, cand)
 		}
 	}
@@ -505,7 +506,7 @@ func (m *Model) ripCands(sl *Slice, n *network.Node, cfg *config.Router) []*cand
 		pb := sl.BestProto[peer.Name][config.RIP]
 		r := pb.clone()
 		valid := c.And(pb.Valid,
-			m.linkUp(linkID(adj.Link.A.Name, adj.Link.B.Name)),
+			m.linkUp(simulator.LinkID(adj.Link.A.Name, adj.Link.B.Name)),
 			c.Ule(pb.Metric, c.BV(14, WidthMetric)))
 		if m.riskySet[n.Name] {
 			valid = c.And(valid, c.Not(pb.Through[n.Name]))
@@ -528,20 +529,20 @@ func (m *Model) bgpCands(sl *Slice, n *network.Node, cfg *config.Router, isAddr 
 	c := m.Ctx
 	var out []*candidate
 	for _, p := range cfg.BGP.Networks {
-		if !ownsPrefix(cfg, p) {
+		if !cfg.Owns(p) {
 			continue
 		}
 		r := m.inv()
 		r.Valid = m.inPrefix(sl.DstIP, p)
 		r.PrefixLen = c.BV(uint64(p.Len), WidthPrefixLen)
-		r.AD = c.BV(uint64(bgpAD(cfg, false)), WidthAD)
+		r.AD = c.BV(uint64(cfg.BGPDistance(false)), WidthAD)
 		if !m.hoisting {
 			r.Prefix = c.BV(uint64(p.Addr), WidthIP)
 		}
 		out = append(out, &candidate{rec: r, local: true})
 	}
 	for _, rd := range cfg.BGP.Redistribute {
-		if cand := m.redistCand(sl, n, cfg, rd, bgpAD(cfg, false), 0, true); cand != nil {
+		if cand := m.redistCand(sl, n, cfg, rd, cfg.BGPDistance(false), config.BGP); cand != nil {
 			out = append(out, cand)
 		}
 	}
@@ -554,8 +555,8 @@ func (m *Model) bgpCands(sl *Slice, n *network.Node, cfg *config.Router, isAddr 
 			prev := m.setOrigin(provenance.Origin{Router: n.Name, Proto: "bgp", Kind: "neighbor", Name: "ext." + sess.Ext.Name})
 			env := sl.Env[sess.Ext.Name]
 			r := env.clone()
-			r.Valid = c.And(env.Valid, m.linkUp(extLinkID(n.Name, sess.Ext.Name)))
-			r.AD = c.BV(uint64(bgpAD(cfg, false)), WidthAD)
+			r.Valid = c.And(env.Valid, m.linkUp(simulator.ExtLinkID(n.Name, sess.Ext.Name)))
+			r.AD = c.BV(uint64(cfg.BGPDistance(false)), WidthAD)
 			r.LocalPref = c.BV(100, WidthLP)
 			r.Internal = c.False()
 			r.RID = c.BV(uint64(sess.Ext.PeerAddr), WidthRID)
@@ -579,7 +580,7 @@ func (m *Model) bgpCands(sl *Slice, n *network.Node, cfg *config.Router, isAddr 
 			var up *smt.Term
 			switch {
 			case sess.Link != nil:
-				up = m.linkUp(linkID(sess.Link.A.Name, sess.Link.B.Name))
+				up = m.linkUp(simulator.LinkID(sess.Link.A.Name, sess.Link.B.Name))
 			case isIBGP:
 				up = m.SessUp[sess]
 			default:
@@ -598,8 +599,8 @@ func (m *Model) bgpCands(sl *Slice, n *network.Node, cfg *config.Router, isAddr 
 			if !isIBGP {
 				r.LocalPref = c.BV(100, WidthLP)
 			}
-			r.AD = c.BV(uint64(bgpAD(cfg, isIBGP)), WidthAD)
-			r.RID = c.BV(uint64(routerIDOf(peerCfg, peer)), WidthRID)
+			r.AD = c.BV(uint64(cfg.BGPDistance(isIBGP)), WidthAD)
+			r.RID = c.BV(uint64(peerCfg.RouterID(peer.Index)), WidthRID)
 			r.NbrASN = c.BV(uint64(peerCfg.BGP.ASN), WidthASN)
 			r.FromClient = c.Bool(stanza.RouteReflectorClient)
 			if stanza.InMap != "" {
@@ -675,7 +676,7 @@ func sessionTag(s *protograph.BGPSession, sender *network.Node) string {
 
 // redistCand builds a redistribution candidate: the source protocol's
 // selected record re-seeded into the target protocol.
-func (m *Model) redistCand(sl *Slice, n *network.Node, cfg *config.Router, rd config.Redistribution, ad, defMetric int, intoBGP bool) *candidate {
+func (m *Model) redistCand(sl *Slice, n *network.Node, cfg *config.Router, rd config.Redistribution, ad int, into config.Protocol) *candidate {
 	c := m.Ctx
 	src := sl.BestProto[n.Name][rd.From]
 	if src == nil {
@@ -691,81 +692,16 @@ func (m *Model) redistCand(sl *Slice, n *network.Node, cfg *config.Router, rd co
 		r.Through[n.Name] = c.True()
 	}
 	r.AD = c.BV(uint64(ad), WidthAD)
-	metric := defMetric
-	if rd.Metric != 0 {
-		metric = rd.Metric
-	}
-	r.Metric = c.BV(uint64(metric), WidthMetric)
+	r.Metric = c.BV(uint64(rd.SeedMetric(into)), WidthMetric)
 	r.Internal = c.False()
 	r.RID = c.BV(0, WidthRID)
-	if intoBGP {
+	if into == config.BGP {
 		r.LocalPref = c.BV(100, WidthLP)
 	}
 	if rd.RouteMap != "" {
 		r = m.applyRouteMap(sl, cfg, rd.RouteMap, r)
 	}
 	return &candidate{rec: r, redist: true, redistSrc: rd.From}
-}
-
-func prefixActivated(nets []network.Prefix, p network.Prefix) bool {
-	for _, n := range nets {
-		if n.Covers(p) || n == p {
-			return true
-		}
-	}
-	return false
-}
-
-func ownsPrefix(cfg *config.Router, p network.Prefix) bool {
-	for _, i := range cfg.Interfaces {
-		if !i.Shutdown && i.Prefix == p {
-			return true
-		}
-	}
-	for _, st := range cfg.Statics {
-		if st.Prefix == p {
-			return true
-		}
-	}
-	return false
-}
-
-func ospfAD(cfg *config.Router) int {
-	if cfg.OSPF != nil && cfg.OSPF.AdminDistance != 0 {
-		return cfg.OSPF.AdminDistance
-	}
-	return 110
-}
-
-func ripAD(cfg *config.Router) int {
-	if cfg.RIP != nil && cfg.RIP.AdminDistance != 0 {
-		return cfg.RIP.AdminDistance
-	}
-	return 120
-}
-
-func bgpAD(cfg *config.Router, internal bool) int {
-	if cfg.BGP != nil && cfg.BGP.AdminDistance != 0 {
-		return cfg.BGP.AdminDistance
-	}
-	if internal {
-		return 200
-	}
-	return 20
-}
-
-func staticAD(st *config.StaticRoute) int {
-	if st.AdminDistance != 0 {
-		return st.AdminDistance
-	}
-	return 1
-}
-
-func routerIDOf(cfg *config.Router, n *network.Node) uint32 {
-	if cfg.BGP != nil && cfg.BGP.RouterID != 0 {
-		return uint32(cfg.BGP.RouterID)
-	}
-	return uint32(n.Index) + 1
 }
 
 // Reach instruments a slice with well-founded reachability booleans: one

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/config"
 	"repro/internal/network"
 	"repro/internal/protograph"
 )
@@ -57,7 +56,7 @@ func DeriveContracts(g *protograph.Graph, cut *Cut, subnet network.Prefix) *Cont
 			continue
 		}
 		for _, p := range cfg.BGP.Networks {
-			if p.Overlaps(subnet) && ownsPrefix(g, cfg, p) {
+			if p.Overlaps(subnet) && cfg.Owns(p) {
 				prefixes[p] = append(prefixes[p], n.Name)
 			}
 		}
@@ -113,23 +112,6 @@ func DeriveContracts(g *protograph.Graph, cut *Cut, subnet network.Prefix) *Cont
 	}
 	sort.Strings(con.Residue)
 	return con
-}
-
-// ownsPrefix mirrors the encoder's origination rule: a router originates
-// a BGP network statement only when some non-shutdown interface or some
-// static route carries exactly that prefix.
-func ownsPrefix(g *protograph.Graph, cfg *config.Router, p network.Prefix) bool {
-	for _, ifc := range cfg.Interfaces {
-		if !ifc.Shutdown && ifc.Prefix == p {
-			return true
-		}
-	}
-	for _, st := range cfg.Statics {
-		if st.Prefix == p {
-			return true
-		}
-	}
-	return false
 }
 
 // bfs01 fills dist with 0/1-BFS distances from the sources over the BGP

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/network"
 	"repro/internal/protograph"
 )
@@ -174,16 +173,10 @@ func scanResidue(g *protograph.Graph, cut *Cut, residue map[string]bool) {
 		// Redistribution moves routes between protocol vocabularies; the
 		// BGP-hop metric arithmetic behind contract derivation no longer
 		// holds.
-		if cfg.OSPF != nil && len(cfg.OSPF.Redistribute) > 0 {
-			residue["redistribution"] = true
-		}
-		if cfg.RIP != nil && len(cfg.RIP.Redistribute) > 0 {
+		if cfg.Redistributes() {
 			residue["redistribution"] = true
 		}
 		if cfg.BGP != nil {
-			if len(cfg.BGP.Redistribute) > 0 {
-				residue["redistribution"] = true
-			}
 			if cfg.BGP.AlwaysCompareMED {
 				residue["med"] = true
 			}
@@ -279,5 +272,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(out)
 	return out
 }
-
-var _ = config.Router{} // keep the import stable while the package grows

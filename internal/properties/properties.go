@@ -181,23 +181,12 @@ func hopsOf(m *core.Model, router string) []core.Hop {
 }
 
 // LoopCandidates returns the routers where forwarding loops are possible
-// — those with static routes or dynamic redistribution — mirroring the
-// paper's optimization of instrumenting only such routers.
+// — those with static routes or redistribution (config.Router.MayLoop) —
+// mirroring the paper's optimization of instrumenting only such routers.
 func LoopCandidates(m *core.Model) []string {
 	var out []string
 	for _, n := range m.G.Topo.Nodes {
-		cfg := m.G.Configs[n.Name]
-		risky := len(cfg.Statics) > 0
-		if cfg.OSPF != nil && len(cfg.OSPF.Redistribute) > 0 {
-			risky = true
-		}
-		if cfg.RIP != nil && len(cfg.RIP.Redistribute) > 0 {
-			risky = true
-		}
-		if cfg.BGP != nil && len(cfg.BGP.Redistribute) > 0 {
-			risky = true
-		}
-		if risky {
+		if m.G.Configs[n.Name].MayLoop() {
 			out = append(out, n.Name)
 		}
 	}

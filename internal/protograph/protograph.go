@@ -347,21 +347,14 @@ func ospfActive(c *config.Router, l *network.Link, n *network.Node) (int, bool) 
 	if c.OSPF == nil {
 		return 0, false
 	}
-	ifName := l.IfaceOf(n)
-	iface := c.Iface(ifName)
-	if iface == nil || iface.Shutdown {
+	iface := c.Iface(l.IfaceOf(n))
+	if iface == nil || !c.RunsOSPF(iface) {
 		return 0, false
 	}
-	for _, net := range c.OSPF.Networks {
-		if net.Covers(iface.Prefix) || net == iface.Prefix {
-			cost := iface.OSPFCost
-			if cost <= 0 {
-				cost = 1
-			}
-			return cost, true
-		}
+	if iface.OSPFCost <= 0 {
+		return 1, true
 	}
-	return 0, false
+	return iface.OSPFCost, true
 }
 
 func ripActive(c *config.Router, l *network.Link, n *network.Node) bool {
@@ -369,15 +362,7 @@ func ripActive(c *config.Router, l *network.Link, n *network.Node) bool {
 		return false
 	}
 	iface := c.Iface(l.IfaceOf(n))
-	if iface == nil || iface.Shutdown {
-		return false
-	}
-	for _, net := range c.RIP.Networks {
-		if net.Covers(iface.Prefix) || net == iface.Prefix {
-			return true
-		}
-	}
-	return false
+	return iface != nil && c.RunsRIP(iface)
 }
 
 // SessionsOf returns the sessions in which the router participates, in

@@ -1,11 +1,5 @@
 package sat
 
-import (
-	"bufio"
-	"io"
-	"strconv"
-)
-
 // ProofKind classifies one step of a recorded proof trace.
 type ProofKind uint8
 
@@ -134,21 +128,6 @@ func (p *Proof) Bytes() int64 {
 	return 16*int64(len(p.steps)) + 4*int64(p.lits) + 4*int64(p.nHints)
 }
 
-// Counts returns the number of input, derive and delete steps.
-func (p *Proof) Counts() (inputs, derives, deletes int) {
-	for _, st := range p.steps {
-		switch st.Kind {
-		case ProofInput:
-			inputs++
-		case ProofDerive:
-			derives++
-		case ProofDelete:
-			deletes++
-		}
-	}
-	return
-}
-
 // add records a step with a copy of its literals and hints and returns
 // its id.
 func (p *Proof) add(k ProofKind, lits []Lit, origin int32, hints ...int32) int32 {
@@ -193,40 +172,6 @@ func RebuildProof(steps []ProofStep) *Proof {
 		p.add(st.Kind, st.Lits, st.Origin)
 	}
 	return p
-}
-
-// WriteDRAT writes the derive and delete steps in the textual DRAT format
-// consumed by external checkers such as drat-trim (variable v becomes
-// DIMACS index v+1). Input steps are skipped: DRAT checkers take the
-// original formula separately, e.g. a DIMACS dump of Solver.Clauses.
-func (p *Proof) WriteDRAT(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, st := range p.steps {
-		if st.Kind == ProofInput {
-			continue
-		}
-		if st.Kind == ProofDelete {
-			if _, err := bw.WriteString("d "); err != nil {
-				return err
-			}
-		}
-		for _, l := range st.Lits {
-			n := int(l.Var()) + 1
-			if l.Neg() {
-				n = -n
-			}
-			if _, err := bw.WriteString(strconv.Itoa(n)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString("0\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // EnableProof turns on proof logging and returns the trace, which grows

@@ -1,9 +1,7 @@
 package sat_test
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/sat"
@@ -160,34 +158,5 @@ func TestProofEnableSnapshotsDatabase(t *testing.T) {
 	}
 	if _, err := drat.Check(p); err != nil {
 		t.Fatalf("proof rejected: %v", err)
-	}
-}
-
-func TestWriteDRAT(t *testing.T) {
-	s := sat.New()
-	p := s.EnableProof()
-	x := s.NewVar()
-	y := s.NewVar()
-	s.AddClause(sat.MkLit(x, false), sat.MkLit(y, false))
-	s.AddClause(sat.MkLit(x, false), sat.MkLit(y, true))
-	s.AddClause(sat.MkLit(x, true), sat.MkLit(y, false))
-	s.AddClause(sat.MkLit(x, true), sat.MkLit(y, true))
-	if st := s.Solve(); st != sat.Unsat {
-		t.Fatalf("got %v, want unsat", st)
-	}
-	var buf bytes.Buffer
-	if err := p.WriteDRAT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "0\n") {
-		t.Fatalf("no terminated DRAT lines in %q", out)
-	}
-	if !strings.HasSuffix(strings.TrimSpace(out), "0") {
-		t.Fatalf("trace does not end in a clause line: %q", out)
-	}
-	inputs, derives, _ := p.Counts()
-	if inputs != 4 || derives == 0 {
-		t.Fatalf("counts: %d inputs (want 4), %d derives (want >0)", inputs, derives)
 	}
 }

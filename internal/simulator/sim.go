@@ -225,7 +225,7 @@ func New(g *protograph.Graph) *Simulator {
 	for i, n := range topo.Nodes {
 		cfg := g.Configs[n.Name]
 		nd := &s.nodes[i]
-		nd.node, nd.cfg, nd.rid = n, cfg, routerIDOf(cfg, n)
+		nd.node, nd.cfg, nd.rid = n, cfg, cfg.RouterID(n.Index)
 		if cfg.OSPF != nil {
 			nd.ospfOrigin = "ospf:" + n.Name
 		}
@@ -505,7 +505,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 			continue
 		}
 		rec := Record{
-			Valid: true, PrefixLen: st.Prefix.Len, AD: staticAD(st), LocalPref: 100,
+			Valid: true, PrefixLen: st.Prefix.Len, AD: st.Distance(), LocalPref: 100,
 			Proto: config.Static, Origin: st.Prefix.String(), Drop: st.Drop,
 		}
 		if !st.Drop {
@@ -520,12 +520,9 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 
 	// OSPF.
 	if cfg.OSPF != nil {
-		ad := orDefault(cfg.OSPF.AdminDistance, 110)
+		ad := cfg.OSPFDistance()
 		for _, ifc := range cfg.Interfaces {
-			if ifc.Shutdown || !ifc.Prefix.Contains(dstIP) {
-				continue
-			}
-			if !prefixActivated(cfg.OSPF.Networks, ifc.Prefix) {
+			if !ifc.Prefix.Contains(dstIP) || !cfg.RunsOSPF(ifc) {
 				continue
 			}
 			s.add(config.OSPF, Record{
@@ -534,7 +531,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 			}, "")
 		}
 		for _, rd := range cfg.OSPF.Redistribute {
-			if rec, ok := s.redistribute(cfg, rd, own, config.OSPF, ad, 20, dstIP); ok {
+			if rec, ok := s.redistribute(cfg, rd, own, config.OSPF, ad, dstIP); ok {
 				s.add(config.OSPF, rec, "")
 			}
 		}
@@ -563,12 +560,9 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 
 	// RIP: shortest paths with unit weights (§4).
 	if cfg.RIP != nil {
-		ad := orDefault(cfg.RIP.AdminDistance, 120)
+		ad := cfg.RIPDistance()
 		for _, ifc := range cfg.Interfaces {
-			if ifc.Shutdown || !ifc.Prefix.Contains(dstIP) {
-				continue
-			}
-			if !prefixActivated(cfg.RIP.Networks, ifc.Prefix) {
+			if !ifc.Prefix.Contains(dstIP) || !cfg.RunsRIP(ifc) {
 				continue
 			}
 			s.add(config.RIP, Record{
@@ -577,7 +571,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 			}, "")
 		}
 		for _, rd := range cfg.RIP.Redistribute {
-			if rec, ok := s.redistribute(cfg, rd, own, config.RIP, ad, 1, dstIP); ok {
+			if rec, ok := s.redistribute(cfg, rd, own, config.RIP, ad, dstIP); ok {
 				s.add(config.RIP, rec, "")
 			}
 		}
@@ -606,16 +600,16 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 	// BGP.
 	if cfg.BGP != nil {
 		for _, p := range cfg.BGP.Networks {
-			if !p.Contains(dstIP) || !s.ownsPrefix(cfg, p) {
+			if !p.Contains(dstIP) || !cfg.Owns(p) {
 				continue
 			}
 			s.add(config.BGP, Record{
-				Valid: true, PrefixLen: p.Len, AD: bgpAD(cfg, false), LocalPref: 100,
+				Valid: true, PrefixLen: p.Len, AD: cfg.BGPDistance(false), LocalPref: 100,
 				Proto: config.BGP, Origin: "network " + p.String(),
 			}, "")
 		}
 		for _, rd := range cfg.BGP.Redistribute {
-			if rec, ok := s.redistribute(cfg, rd, own, config.BGP, bgpAD(cfg, false), 0, dstIP); ok {
+			if rec, ok := s.redistribute(cfg, rd, own, config.BGP, cfg.BGPDistance(false), dstIP); ok {
 				rec.LocalPref = 100
 				s.add(config.BGP, rec, "")
 			}
@@ -807,7 +801,7 @@ func (s *Simulator) importBGP(i int, se *sessEnd, dstIP network.IP, env *Environ
 		}
 	}
 	cfg := nd.cfg
-	in.AD = bgpAD(cfg, in.Internal)
+	in.AD = cfg.BGPDistance(in.Internal)
 	in.Proto = config.BGP
 	// The receiving stanza's client flag marks routes learned from RR
 	// clients.
@@ -875,17 +869,14 @@ var redistOrigins = func() (o [numProtocols]string) {
 }()
 
 // redistribute seeds a record from another protocol's current best.
-func (s *Simulator) redistribute(cfg *config.Router, rd config.Redistribution, st *routerState, into config.Protocol, ad, defMetric int, dstIP network.IP) (Record, bool) {
+func (s *Simulator) redistribute(cfg *config.Router, rd config.Redistribution, st *routerState, into config.Protocol, ad int, dstIP network.IP) (Record, bool) {
 	if uint(rd.From) >= uint(numProtocols) || !st.proto[rd.From].Valid {
 		return Invalid(), false
 	}
 	rec := st.proto[rd.From]
 	rec.Proto = into
 	rec.AD = ad
-	rec.Metric = defMetric
-	if rd.Metric != 0 {
-		rec.Metric = rd.Metric
-	}
+	rec.Metric = rd.SeedMetric(into)
 	rec.Internal = false
 	rec.Origin = redistOrigins[rd.From]
 	// Forwarding for a redistributed route follows the source protocol's
@@ -928,22 +919,6 @@ func (s *Simulator) resolveNextHop(nd *nodeInfo, st *config.StaticRoute) (Hop, b
 		}
 	}
 	return Hop{}, false
-}
-
-// ownsPrefix reports whether the router can originate the BGP network
-// statement: an interface or static route for exactly that prefix exists.
-func (s *Simulator) ownsPrefix(cfg *config.Router, p network.Prefix) bool {
-	for _, i := range cfg.Interfaces {
-		if !i.Shutdown && i.Prefix == p {
-			return true
-		}
-	}
-	for _, st := range cfg.Statics {
-		if st.Prefix == p {
-			return true
-		}
-	}
-	return false
 }
 
 // applyRouteMap runs a route map over a record under the hoisted prefix
@@ -1011,41 +986,4 @@ func clauseMatches(cfg *config.Router, cl *config.RouteMapClause, rec Record, ds
 		}
 	}
 	return true
-}
-
-func prefixActivated(nets []network.Prefix, p network.Prefix) bool {
-	for _, n := range nets {
-		if n.Covers(p) || n == p {
-			return true
-		}
-	}
-	return false
-}
-
-func staticAD(st *config.StaticRoute) int {
-	return orDefault(st.AdminDistance, 1)
-}
-
-func bgpAD(cfg *config.Router, internal bool) int {
-	if cfg.BGP != nil && cfg.BGP.AdminDistance != 0 {
-		return cfg.BGP.AdminDistance
-	}
-	if internal {
-		return 200
-	}
-	return 20
-}
-
-func routerIDOf(cfg *config.Router, n *network.Node) uint32 {
-	if cfg.BGP != nil && cfg.BGP.RouterID != 0 {
-		return uint32(cfg.BGP.RouterID)
-	}
-	return uint32(n.Index) + 1
-}
-
-func orDefault(v, def int) int {
-	if v != 0 {
-		return v
-	}
-	return def
 }

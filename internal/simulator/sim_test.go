@@ -55,14 +55,17 @@ func TestOSPFChainLinkFailure(t *testing.T) {
 	net := testnets.OSPFChain(4)
 	s := New(net.Graph)
 	dst := testnets.StubIP(4)
-	env := NewEnvironment().Fail("R2", "R3")
-	res := mustRun(t, s, dst, env)
-	w := s.Walk(res, "R1", pkt(dst))
-	if w.Reaches() {
-		t.Fatalf("chain cut but still reaches: %v", w)
-	}
-	if !w.Outcomes[Blackhole] {
-		t.Fatalf("expected blackhole, got %v", w)
+	// A link's id does not depend on the order its ends are named in:
+	// the encoder names its failure bits with the same LinkID.
+	for _, env := range []*Environment{NewEnvironment().Fail("R2", "R3"), NewEnvironment().Fail("R3", "R2")} {
+		res := mustRun(t, s, dst, env)
+		w := s.Walk(res, "R1", pkt(dst))
+		if w.Reaches() {
+			t.Fatalf("%v: chain cut but still reaches: %v", env, w)
+		}
+		if !w.Outcomes[Blackhole] {
+			t.Fatalf("%v: expected blackhole, got %v", env, w)
+		}
 	}
 }
 

@@ -320,21 +320,8 @@ func (a *Analysis) reps(region network.Prefix) ([]network.IP, bool) {
 //     it only shapes routes the prefix-length bound already dominates.
 func detPrecondition(g *protograph.Graph, cfgs []*config.Router) string {
 	for _, cfg := range cfgs {
-		var redists []config.Redistribution
-		if cfg.OSPF != nil {
-			redists = append(redists, cfg.OSPF.Redistribute...)
-		}
-		if cfg.RIP != nil {
-			redists = append(redists, cfg.RIP.Redistribute...)
-		}
-		if cfg.BGP != nil {
-			redists = append(redists, cfg.BGP.Redistribute...)
-		}
-		for _, rd := range redists {
-			switch rd.From {
-			case config.OSPF, config.RIP, config.BGP:
-				return "dynamic-redistribution"
-			}
+		if cfg.RedistributesDynamic() {
+			return "dynamic-redistribution"
 		}
 	}
 	for _, sess := range g.Sessions {
@@ -552,23 +539,12 @@ func aclDefinitelyDenies(acl *config.ACL, region network.Prefix) bool {
 	return true // implicit deny
 }
 
-// loopCandidates mirrors properties.LoopCandidates: routers whose
-// configuration can create forwarding cycles (statics or
-// redistribution), by Node.Index.
+// loopCandidates are the routers whose configuration can close a
+// forwarding cycle (config.Router.MayLoop), by Node.Index.
 func (a *Analysis) loopCandidates() []int {
 	var out []int
 	for i, cfg := range a.cfgs {
-		risky := len(cfg.Statics) > 0
-		if cfg.OSPF != nil && len(cfg.OSPF.Redistribute) > 0 {
-			risky = true
-		}
-		if cfg.RIP != nil && len(cfg.RIP.Redistribute) > 0 {
-			risky = true
-		}
-		if cfg.BGP != nil && len(cfg.BGP.Redistribute) > 0 {
-			risky = true
-		}
-		if risky {
+		if cfg.MayLoop() {
 			out = append(out, i)
 		}
 	}
