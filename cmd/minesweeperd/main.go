@@ -3,7 +3,9 @@
 // daemon encodes every distinct network once, keeps an incremental solver
 // session per network so repeated queries skip re-blasting the shared
 // constraint system, and answers identical queries from a
-// content-addressed verdict cache.
+// content-addressed verdict cache. An edited copy of a held network (the
+// same routers and interfaces) keeps a session only once it is asked a
+// second solver question; its first is checked on a fresh solver.
 //
 // Endpoints:
 //
@@ -127,11 +129,7 @@ func run(logger *slog.Logger, listen, debugAddr string, opts service.Options) er
 	engine := service.NewEngine(opts)
 	defer engine.Close()
 
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           NewLoggingHandler(logger, service.NewHandler(engine)),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newServer(listen, NewLoggingHandler(logger, service.NewHandler(engine)))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -174,6 +172,26 @@ func run(logger *slog.Logger, listen, debugAddr string, opts service.Options) er
 		return err
 	}
 	return nil
+}
+
+// newServer is the daemon's HTTP server. A client gets ReadTimeout to
+// send a whole request, so a slowly sent body cannot hold a connection
+// open indefinitely, and an idle keep-alive connection is closed after
+// IdleTimeout. ReadTimeout bounds the upload only: net/http clears the
+// connection's read deadline once the request has been read, so it does
+// not cancel the context of a handler that outlasts it
+// (TestReadTimeoutBoundsTheUploadOnly). WriteTimeout stays unset: POST
+// /v1/verify blocks for up to the job's deadline (-timeout, or the
+// request's timeout_ms) before it writes a byte, and an events stream
+// writes for as long as its job runs.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // parseLogLevel sets the handler's LevelVar from the -log-level flag. A

@@ -454,10 +454,13 @@ var edits = []struct {
 // what it holds — verdict cache, sessions, compiled systems. A seeded
 // sequence of edits (the menu above, in a drawn order, after the
 // unedited network) goes through one long-lived engine pinned to the
-// solver; after each edit reachability and a bounded-length query whose
-// hop bound is drawn well past routers+2 (the counter's width) are asked,
-// and every verdict must equal a single-shot pipeline.Run on the same
-// texts.
+// solver; after each edit reachability, a bounded-length query whose
+// hop bound is drawn well past routers+2 (the counter's width) and
+// isolation of the same source and subnet are asked, and every verdict
+// must equal a single-shot pipeline.Run on the same texts. A step whose
+// edit changed the parse is an edited copy to the engine, so its three
+// questions take the three solver paths in turn: a fresh solver, the
+// session the second opens, the open session.
 func (s *Scenario) ServiceSequenceParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
 	routers := make([]*config.Router, len(s.Texts))
@@ -486,11 +489,13 @@ func (s *Scenario) ServiceSequenceParity(rng *rand.Rand) error {
 		}
 		bounded := q.spec()
 		bounded.Check, bounded.Hops = "bounded-length", 1+rng.Intn(4*(len(routers)+2))
+		isolation := q.spec()
+		isolation.Check = "isolation"
 		net, err := pipeline.Load(configs)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: step %d (%s): %w", s.Name, n, name, err)
 		}
-		for _, spec := range []pipeline.Spec{q.spec(), bounded} {
+		for _, spec := range []pipeline.Spec{q.spec(), bounded, isolation} {
 			goal, err := spec.Goal()
 			if err != nil {
 				return err

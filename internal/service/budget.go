@@ -32,9 +32,11 @@ type budgetState struct {
 	spent    cost.Work // per-check work delta at breach time
 }
 
-// newBudgetState baselines the budgets against the session solver's
-// cumulative counters so only this check's spend counts against the
-// limit.
+// newBudgetState baselines the budgets against the solver's cumulative
+// counters at check start — a session's running total, zero for a fresh
+// solver — so only this check's spend counts against the limit. A fresh
+// check's spend includes loading the network into its solver
+// (Options.WorkBudget).
 func newBudgetState(cancel context.CancelFunc, work, mem int64, base sat.Stats) *budgetState {
 	return &budgetState{cancel: cancel, workBudget: work, memBudget: mem, base: base}
 }

@@ -82,7 +82,11 @@ type Options struct {
 	// subtree of its cost ledger — it does not fail. Enforced from the
 	// solver progress hook, so enforcement granularity is ProgressEvery
 	// conflicts; modular component checks run outside the hook and are
-	// not bounded.
+	// not bounded. A check counts from where its solver stood when it
+	// began: a session check from the session's running total, past the
+	// network's set-up; a fresh check (an edited copy's first solver
+	// question) from zero, so it also charges the propagations of loading
+	// the network into its solver, as core's Result.Stats does.
 	WorkBudget int64
 	// MemBudgetBytes cancels a job, like WorkBudget, when the process's
 	// live heap exceeds this many bytes while the job's solver runs —
@@ -109,16 +113,21 @@ type Options struct {
 type netEntry struct {
 	mu      sync.Mutex
 	routers []*config.Router // the parse the entry was created for
-	built   bool
-	// modelBuilt is set once the monolithic model/session exists. With
-	// Options.Modular the model is built lazily — only when a job actually
-	// reaches the monolithic step — so networks answered entirely by
-	// composition never pay the whole-network encode.
-	modelBuilt bool
-	err        error // permanent build failure, replayed to later jobs
-	net        *pipeline.Network
-	m          *core.Model
-	sess       *core.Session
+	// edited marks an edited copy: an entry created with the wiring
+	// (wiringDigest) of an entry the engine already held. Its model is
+	// encoded by its first solver question, which is answered on a fresh
+	// solver; only a second solver question opens its session. Most edits
+	// are asked one question, and a session nobody asks again is memory.
+	edited bool
+	built  bool
+	err    error // permanent build failure, replayed to later jobs
+	net    *pipeline.Network
+	// m is nil until built. With Options.Modular, and for an edited copy,
+	// the model is built lazily — by the first solver question — so
+	// networks answered entirely by the earlier steps never pay the
+	// whole-network encode.
+	m    *core.Model
+	sess *core.Session
 
 	// curRec is the flight recorder of the job currently checking on
 	// this entry's session, read by the solver progress hook. Both the
@@ -284,6 +293,7 @@ type Engine struct {
 	finished []string             // finished job IDs, oldest first, for FIFO eviction
 	nets     map[string]*netSlot  // by config hash
 	byParse  map[string]*netEntry // by parseDigest
+	wirings  map[string]bool      // wiringDigest of every entry
 	cache    map[string]*Verdict
 }
 
@@ -317,6 +327,7 @@ func NewEngine(o Options) *Engine {
 		jobs:    map[string]*Job{},
 		nets:    map[string]*netSlot{},
 		byParse: map[string]*netEntry{},
+		wirings: map[string]bool{},
 		cache:   map[string]*Verdict{},
 	}
 	e.wg.Add(o.Workers)
@@ -657,10 +668,10 @@ func (e *Engine) runJob(j *Job) {
 // network resolves a job's config hash to its network entry. The first
 // job to present a hash parses the texts (under the slot's once, so jobs
 // on other networks proceed in parallel) and finds or creates the entry
-// of that parse; first reports whether this job was the one. The entry
-// itself is built lazily under its own lock, so two jobs on one new
-// network encode it once.
-func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
+// of that parse; a new entry whose wiring is held already is an edited
+// copy. The entry itself is built lazily under its own lock, so two jobs
+// on one new network encode it once.
+func (e *Engine) network(j *Job) (*netEntry, error) {
 	e.mu.Lock()
 	slot, ok := e.nets[j.netKey]
 	if !ok {
@@ -670,7 +681,6 @@ func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
 	}
 	e.mu.Unlock()
 	slot.once.Do(func() {
-		first = true
 		routers, err := pipeline.Parse(j.configs)
 		if err != nil {
 			slot.err = err
@@ -681,11 +691,13 @@ func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
 			slot.err = err
 			return
 		}
+		wiring := wiringDigest(routers)
 		e.mu.Lock()
 		ent, shared := e.byParse[digest]
 		if !shared {
-			ent = &netEntry{routers: routers}
+			ent = &netEntry{routers: routers, edited: e.wirings[wiring]}
 			e.byParse[digest] = ent
+			e.wirings[wiring] = true
 		}
 		e.mu.Unlock()
 		if shared {
@@ -698,22 +710,22 @@ func (e *Engine) network(j *Job) (ent *netEntry, first bool, err error) {
 		}
 		slot.ent = ent
 	})
-	return slot.ent, first, slot.err
+	return slot.ent, slot.err
 }
 
-// build graphs a parsed network, then — unless the engine runs modular,
-// where the whole-network model may never be needed — encodes it and
-// opens the solver session. Called with ent.mu held, once per entry;
-// failures are cached as permanent. sp parents the encode/compile/session
-// spans, so the building job's trace carries the network's one-time
-// setup cost.
+// build graphs a parsed network, then — unless the engine runs modular or
+// the network is an edited copy, where the whole-network model may never
+// be needed — encodes it and opens the solver session. Called with ent.mu
+// held, once per entry; failures are cached as permanent. sp parents the
+// encode/compile/session spans, so the building job's trace carries the
+// network's one-time setup cost.
 func (e *Engine) build(ent *netEntry, sp *obs.Span) error {
 	net, err := pipeline.Build(ent.routers)
 	if err != nil {
 		return err
 	}
 	ent.net = net
-	if e.opts.Modular {
+	if e.opts.Modular || ent.edited {
 		return nil
 	}
 	return e.buildModel(ent, sp)
@@ -727,11 +739,10 @@ func (e *Engine) coreOptions(sp *obs.Span) core.Options {
 	return opts
 }
 
-// buildModel encodes the whole network and opens its solver session.
-// Called with ent.mu held, at most once per entry: the attempt is
-// recorded up front so a failure is permanent.
+// buildModel encodes the whole network and, unless the network is an
+// edited copy, opens its solver session. Called with ent.mu held, at most
+// once per entry: a failure is permanent (ent.err).
 func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
-	ent.modelBuilt = true
 	m, err := core.Encode(ent.net.Graph, e.coreOptions(sp))
 	if err != nil {
 		return fmt.Errorf("service: encode: %w", err)
@@ -769,24 +780,35 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 	// check, passes, certification, blame — land on the recorder of the job
 	// working on the entry, as they happen.
 	m.OnEvent = func(kind string, fields map[string]any) { ent.curRec.Emit(kind, fields) }
-	ent.sess = m.NewSession()
+	if ent.edited {
+		return nil
+	}
+	return e.openSession(ent, sp)
+}
+
+// openSession opens the incremental solver session on the entry's model,
+// under sp. Called with ent.mu held.
+func (e *Engine) openSession(ent *netEntry, sp *obs.Span) error {
+	ent.m.Obs = sp
+	ent.sess = ent.m.NewSession()
 	e.opts.Trace.Add("service.session_builds", 1)
 	return nil
 }
 
 // check answers one cache-miss job: it resolves the job's network and
 // hands the goal to pipeline.Run with the network's live session as the
-// monolithic step. Everything the run does is on the job's flight
-// recorder as it happens — build phases from here, the pipeline's and the
-// check's phases, passes, certification and blame from where they run,
-// solver progress from the hook — and the per-job span tree stays
-// reachable via Job.Trace.
+// monolithic step — or, for an edited copy's first solver question, its
+// model and no session, so the check runs on a fresh solver. Everything
+// the run does is on the job's flight recorder as it happens — build
+// phases from here, the pipeline's and the check's phases, passes,
+// certification and blame from where they run, solver progress from the
+// hook — and the per-job span tree stays reachable via Job.Trace.
 func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	jtr := obs.New("job:" + j.ID)
 	j.setTrace(jtr)
 	defer jtr.Root().End()
 
-	ent, first, err := e.network(j)
+	ent, err := e.network(j)
 	if err != nil {
 		return nil, err
 	}
@@ -796,7 +818,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		if r := recover(); r != nil {
 			// What a panic leaves of the model and its session is not to be
 			// trusted: the entry forgets them and the next job builds afresh.
-			ent.built, ent.modelBuilt, ent.err = false, false, nil
+			ent.built, ent.err = false, nil
 			ent.net, ent.m, ent.sess = nil, nil, nil
 			panic(asPanic(r))
 		}
@@ -823,9 +845,6 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	if !ent.built {
 		ent.built = true
 		setUp("build", e.build)
-	} else if !first && ent.err == nil {
-		e.opts.Trace.Add("service.session_reuse", 1)
-		j.rec.Emit(stream.EventSessionReuse, nil)
 	}
 	if ent.err != nil {
 		return nil, ent.err
@@ -848,16 +867,30 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	opts.Schedule = e.schedule
 	opts.OnEvent = j.rec.Emit
 	// The monolithic step runs on the entry's live session, built lazily
-	// under Options.Modular.
+	// under Options.Modular. An edited copy answers its first solver
+	// question on a fresh solver (a nil session) and opens its session for
+	// the second.
+	var onSession bool
 	opts.Live = func() (*core.Model, *core.Session, error) {
-		if !ent.modelBuilt {
-			if setUp("build-model", e.buildModel); ent.err != nil {
-				return nil, nil, ent.err
-			}
+		if ent.m == nil {
+			setUp("build-model", e.buildModel)
+		} else if ent.sess == nil {
+			setUp("open-session", e.openSession)
+		}
+		if ent.err != nil {
+			return nil, nil, ent.err
 		}
 		ent.m.Obs = jtr.Root()
+		var base sat.Stats
+		if onSession = ent.sess != nil; onSession {
+			base = ent.sess.SolverStats()
+			if setupCost == nil { // an earlier job opened the session
+				e.opts.Trace.Add("service.session_reuse", 1)
+				j.rec.Emit(stream.EventSessionReuse, nil)
+			}
+		}
 		if e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0 {
-			budget = newBudgetState(cancelBudget, e.opts.WorkBudget, e.opts.MemBudgetBytes, ent.sess.SolverStats())
+			budget = newBudgetState(cancelBudget, e.opts.WorkBudget, e.opts.MemBudgetBytes, base)
 			ent.curBudget = budget
 		}
 		return ent.m, ent.sess, nil
@@ -887,8 +920,12 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		return nil, err
 	}
 	res := pv.Result
-	if pv.Model != nil {
+	switch {
+	case pv.Model == nil:
+	case onSession:
 		e.opts.Trace.Add("service.session_checks", 1)
+	default:
+		e.opts.Trace.Add("service.fresh_checks", 1)
 	}
 	if res.OriginProfile != nil {
 		j.mu.Lock()

@@ -122,6 +122,15 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if vr == nil || vr.Tier != "sat" {
 		t.Fatalf("failure-budget query should fall through to the solver: %+v", vr)
 	}
+	// The same query of a link-cost edit: an edited copy, whose first solver
+	// question runs on a fresh solver.
+	_, ve := postVerify(t, srv, &Request{
+		Configs: linkCostEdit(t, chainConfigs(3)),
+		Spec:    Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24", MaxFailures: 1},
+	})
+	if ve == nil || ve.Tier != "sat" || ve.Verified != vr.Verified {
+		t.Fatalf("edited copy's failure-budget query: %+v", ve)
+	}
 
 	// /metrics is the shared obs Prometheus exposition, carrying both the
 	// service counters and the solver metrics recorded per check.
@@ -139,6 +148,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"minesweeper_service_jobs_done",
 		"minesweeper_service_cache_hits",
 		"minesweeper_service_session_builds",
+		"minesweeper_service_fresh_checks",
 		"minesweeper_service_fastpath_hits",
 		"minesweeper_service_fastpath_residue",
 		"minesweeper_solver_conflicts",

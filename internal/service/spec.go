@@ -1,8 +1,10 @@
 // Package service runs verification queries as jobs: a bounded worker
 // pool parses configurations, encodes each distinct network once, keeps a
 // long-lived incremental solver session per network, and answers
-// (network, property) jobs from a content-addressed verdict cache. The
-// HTTP daemon (cmd/minesweeperd) is a thin layer over this package.
+// (network, property) jobs from a content-addressed verdict cache. An
+// edited copy of a held network answers its first solver question on a
+// fresh solver and keeps a session only from its second. The HTTP daemon
+// (cmd/minesweeperd) is a thin layer over this package.
 package service
 
 import (
@@ -65,6 +67,22 @@ func parseDigest(routers []*config.Router) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// wiringDigest is the content address of a parsed network's wiring: the
+// router names and each router's interface names, addresses and
+// prefixes, in file-name order. A link-cost, local-pref, ACL or static
+// route edit leaves it alone, so a network whose parse is new but whose
+// wiring digest is held is an edited copy of a held network.
+func wiringDigest(routers []*config.Router) string {
+	h := sha256.New()
+	for _, r := range routers {
+		fmt.Fprintf(h, "router %q\n", r.Name)
+		for _, ifc := range r.Interfaces {
+			fmt.Fprintf(h, "interface %q %v %v\n", ifc.Name, ifc.Addr, ifc.Prefix)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // cacheKey addresses one verdict: the network's config hash plus the
