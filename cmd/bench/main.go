@@ -224,21 +224,17 @@ func writeJSON[T any](path string, rows []T) error {
 	return nil
 }
 
-// live is the monolithic step's model for a bench run (Options.Live): a
-// fresh encode of net under opts, its solver printing progress to stderr
-// every n conflicts when n > 0.
-func live(net *pipeline.Network, opts core.Options, every int64, label string) func() (*core.Model, *core.Session, error) {
-	return func() (*core.Model, *core.Session, error) {
-		m, err := core.Encode(net.Graph, opts)
-		if err == nil && every > 0 {
-			m.ProgressEvery = every
-			m.OnProgress = func(p sat.Progress) {
-				fmt.Fprintf(os.Stderr, "progress %s: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
-					label, p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
-			}
+// withProgress returns opts whose solvers print progress to stderr every
+// n conflicts when n > 0.
+func withProgress(opts core.Options, every int64, label string) core.Options {
+	if every > 0 {
+		opts.ProgressEvery = every
+		opts.OnProgress = func(p sat.Progress) {
+			fmt.Fprintf(os.Stderr, "progress %s: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
+				label, p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
 		}
-		return m, nil, err
 	}
+	return opts
 }
 
 func parseInts(s string) []int {
@@ -308,10 +304,8 @@ func runFig7(count int, seed int64) error {
 	for _, nc := range sum.PerNet {
 		var enc, solve time.Duration
 		for _, pr := range nc.Results {
-			if pr.Result != nil {
-				enc += pr.Result.EncodeElapsed
-				solve += pr.Result.SolveElapsed
-			}
+			enc += pr.Result.EncodeElapsed
+			solve += pr.Result.SolveElapsed
 		}
 		fmt.Printf("%s\t%d\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			nc.Name, nc.Routers, nc.Lines,
@@ -415,7 +409,7 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 		label := fmt.Sprintf("pods=%d", k)
 		podOpts := opts
 		podOpts.Core.Span = podSp
-		podOpts.Live = live(f.Net, podOpts.Core, every, label)
+		podOpts.Core = withProgress(podOpts.Core, every, label)
 		for _, prop := range props {
 			res, err := harness.RunFig8Property(f, prop, podOpts)
 			if err != nil {
@@ -433,7 +427,6 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 				// cost of origin tracking; the profile is the payoff.
 				tracked := podOpts
 				tracked.Core.ProfileOrigins = true
-				tracked.Live = live(f.Net, tracked.Core, every, label)
 				tres, err := harness.RunFig8Property(f, prop, tracked)
 				if err != nil {
 					return err
@@ -790,16 +783,15 @@ func runAblation(k int, tr *obs.Trace, every int64) error {
 	var baseline float64
 	for _, passes := range harness.AblationPasses() {
 		var opts pipeline.Options
-		opts.Core = core.Options{Passes: passes, Span: tr.Root()}
+		opts.Core = withProgress(core.Options{Passes: passes, Span: tr.Root()}, every, fmt.Sprintf("pods=%d", k))
 		// encode_ms times the symbolic model build, the monolithic step's
 		// encode.
-		encodeModel := live(f.Net, opts.Core, every, fmt.Sprintf("pods=%d", k))
 		var encode time.Duration
 		opts.Live = func() (*core.Model, *core.Session, error) {
 			start := time.Now()
-			m, sess, err := encodeModel()
+			m, err := core.Encode(f.Net.Graph, opts.Core)
 			encode = time.Since(start)
-			return m, sess, err
+			return m, nil, err
 		}
 		v, err := harness.RunAblation(f, opts)
 		if err != nil {

@@ -82,7 +82,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -186,70 +186,22 @@ func run(o cliOpts, stdout, stderr io.Writer) error {
 	opts.Core = core.Options{
 		Passes: o.passes, Tiers: o.tiers, Certify: o.certify, Blame: o.blame, Span: tr.Root(),
 	}
-	hook := func(m *core.Model) {
-		if o.progressEvery > 0 {
-			m.ProgressEvery = o.progressEvery
-			m.OnProgress = func(p sat.Progress) {
-				fmt.Fprintf(stderr, "progress: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
-					p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
-			}
+	if o.progressEvery > 0 {
+		var mu sync.Mutex // modular component checks run concurrently
+		opts.Core.ProgressEvery = o.progressEvery
+		opts.Core.OnProgress = func(p sat.Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(stderr, "progress: conflicts=%d decisions=%d propagations=%d learned=%d restarts=%d\n",
+				p.Conflicts, p.Decisions, p.Propagations, p.Learned, p.Restarts)
 		}
 	}
-
-	// The pair-model checks have no goal form and their own flow.
-	switch o.check {
-	case "equivalence":
-		parts := strings.Split(o.pair, ",")
-		if len(parts) != 2 {
-			return fmt.Errorf("-pair a,b required")
-		}
-		start := time.Now()
-		res, err := core.CheckLocalEquivalence(g, parts[0], parts[1], opts.Core)
-		if err != nil {
-			return err
-		}
-		if o.jsonOut {
-			rep := &pipeline.Report{Check: o.check, Verified: res.Equivalent, Difference: res.Difference}
-			rep.ElapsedMs = ms(time.Since(start))
-			if err := c.writeJSON(rep); err != nil {
-				return err
-			}
-		} else if res.Equivalent {
-			fmt.Fprintf(stdout, "%s and %s are behaviourally equivalent\n", parts[0], parts[1])
-		} else {
-			fmt.Fprintf(stdout, "NOT equivalent: %s\n", res.Difference)
-		}
-		return c.finish()
-	case "fault-invariance":
-		k := o.maxFailures
-		if k == 0 {
-			k = 1
-		}
-		pr, prop, err := core.FaultInvariance(g, opts.Core, k)
-		if err != nil {
-			return err
-		}
-		hook(pr.A)
-		res, err := pr.Check(prop)
-		if err != nil {
-			return err
-		}
-		return c.emit(&pipeline.Verdict{Result: res, Model: pr.A})
-	}
-
 	goal, err := pipeline.Spec{
-		Check: o.check, Src: o.src, Via: o.via, Subnet: o.subnet,
+		Check: o.check, Src: o.src, Via: o.via, Subnet: o.subnet, Pair: o.pair,
 		Hops: o.hops, MaxLen: o.maxLen, MaxFailures: o.maxFailures,
 	}.Goal()
 	if err != nil {
 		return err
-	}
-	opts.Live = func() (*core.Model, *core.Session, error) {
-		m, err := core.Encode(g, opts.Core)
-		if err == nil {
-			hook(m)
-		}
-		return m, nil, err
 	}
 	v, err := pipeline.Run(context.Background(), net, goal, opts)
 	if err != nil {
@@ -257,8 +209,6 @@ func run(o cliOpts, stdout, stderr io.Writer) error {
 	}
 	return c.emit(v)
 }
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // cli is where one invocation's output goes.
 type cli struct {
@@ -294,7 +244,9 @@ func (c *cli) emit(v *pipeline.Verdict) error {
 			agrees := len(diffs) == 0
 			rep.Counterexample.ReplayAgrees, rep.Counterexample.ReplayDiffs = &agrees, diffs
 		}
-		if err := c.writeJSON(rep); err != nil {
+		enc := json.NewEncoder(c.stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
 			return err
 		}
 		return c.finish()
@@ -315,16 +267,13 @@ func (c *cli) emit(v *pipeline.Verdict) error {
 	return c.finish()
 }
 
-func (c *cli) writeJSON(rep *pipeline.Report) error {
-	enc := json.NewEncoder(c.stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // report prints the text verdict.
 func (c *cli) report(v *pipeline.Verdict, rep *pipeline.Report) {
 	w, res := c.stdout, v.Result
 	fmt.Fprintln(w, properties.Describe(c.o.check, res))
+	if v.Difference != "" {
+		fmt.Fprintln(w, "difference: "+v.Difference)
+	}
 	switch res.Tier {
 	case tiered.TierGraph:
 		fmt.Fprintf(w, "tier: graph fast path (%.2fms, no SAT model built)\n", rep.FastPathMs)
@@ -334,7 +283,7 @@ func (c *cli) report(v *pipeline.Verdict, rep *pipeline.Report) {
 	switch v.Mode {
 	case pipeline.ModeModular:
 		fmt.Fprintf(w, "mode: modular (%d components in %d classes, %d alias hits, %d checks, peak %d terms, %.1fms; no whole-network model built)\n",
-			rep.Components, rep.ComponentClasses, rep.AliasHits, rep.ComponentChecks, rep.PeakTerms, ms(v.Modular.Elapsed))
+			rep.Components, rep.ComponentClasses, rep.AliasHits, rep.ComponentChecks, rep.PeakTerms, float64(v.Modular.Elapsed.Microseconds())/1000)
 	case pipeline.ModeFallback:
 		fmt.Fprintf(w, "mode: fallback to monolithic (modular residue: %s)\n", strings.Join(v.Residue, ", "))
 		if v.Violated != "" {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/netgen"
 	"repro/internal/pipeline"
 	"repro/internal/topogen"
 )
@@ -21,8 +22,14 @@ func fabricDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return configDir(t, ft.Routers)
+}
+
+// configDir prints routers into a new directory, one file each.
+func configDir(t *testing.T, routers []*config.Router) string {
+	t.Helper()
 	dir := t.TempDir()
-	for _, r := range ft.Routers {
+	for _, r := range routers {
 		if err := os.WriteFile(filepath.Join(dir, r.Name+".cfg"), []byte(config.Print(r)), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -148,6 +155,46 @@ func TestRunVerdicts(t *testing.T) {
 	}
 }
 
+// TestFaultInvarianceAsksTheAuditQuestion: the CLI's fault-invariance is
+// the §8.1 audit's question, with the external announcements held
+// silent, so net015 of the 16-network audit population (5 routers, one
+// external peer), invariant in the audit, reads verified here too. Left
+// symbolic, the announcements made every network of that population
+// read violated.
+func TestFaultInvarianceAsksTheAuditQuestion(t *testing.T) {
+	pop, err := netgen.Population(16, 1, netgen.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := pop[14]
+	if n.Name != "net015" {
+		t.Fatalf("population member 15 is %s", n.Name)
+	}
+	rep := runJSON(t, base(configDir(t, n.Routers), "fault-invariance"))
+	if !rep.Verified || rep.Solver == nil {
+		t.Fatalf("want a verified solver verdict: %+v", rep)
+	}
+}
+
+// TestRunProgress: -progress rides core.Options, so the pair model of
+// fault-invariance reports and so do the modular component checks, which
+// run concurrently and share one stderr (go test -race).
+func TestRunProgress(t *testing.T) {
+	fab := fabricDir(t)
+	composed := base(fab, "reachability")
+	composed.src, composed.subnet, composed.tiers, composed.modular = "tor-1-0", "10.0.0.0/24", "none", true
+	for _, o := range []cliOpts{base(fab, "fault-invariance"), composed} {
+		o.progressEvery = 1
+		var out, diag bytes.Buffer
+		if err := run(o, &out, &diag); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(diag.String(), "progress: conflicts=1 ") {
+			t.Errorf("%s: no progress on stderr:\n%s", o.check, diag.String())
+		}
+	}
+}
+
 // TestRunBlameIsDeterministic is the CI blame smoke: two runs, one blame.
 func TestRunBlameIsDeterministic(t *testing.T) {
 	o := base(figure2, "loops")
@@ -196,7 +243,9 @@ func TestRunValidation(t *testing.T) {
 		{"unknown -src", with(reach, func(o *cliOpts) { o.src = "tor-9-9" }), `"tor-9-9" is not a router`},
 		{"unknown -via", with(reach, func(o *cliOpts) { o.check, o.via = "waypoint", "agg-9-9" }), `"agg-9-9" is not a router`},
 		{"unknown -check", base(fab, "nope"), `unknown check "nope"`},
-		{"-pair", base(fab, "equivalence"), "-pair a,b required"},
+		{"-pair", base(fab, "equivalence"), `check "equivalence" requires pair`},
+		{"-pair a", with(base(fab, "equivalence"), func(o *cliOpts) { o.pair = "agg-0-0" }), `requires pair a,b, got "agg-0-0"`},
+		{"unknown -pair", with(base(fab, "equivalence"), func(o *cliOpts) { o.pair = "agg-0-0,agg-9-9" }), `"agg-9-9" is not a router`},
 	} {
 		out, err := runCLI(t, c.opts)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

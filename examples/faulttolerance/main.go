@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := pair.Check(prop)
+	res, err := pair.Check(context.Background(), prop)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := pair2.Check(prop2)
+	res2, err := pair2.Check(context.Background(), prop2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,6 +67,12 @@ type Options struct {
 	// one configuration object.
 	Tiers string
 
+	// ProgressEvery, when positive, makes every check of a model encoded
+	// with these options call OnProgress, on the checking goroutine, with
+	// a solver snapshot each ProgressEvery conflicts.
+	ProgressEvery int64
+	OnProgress    func(sat.Progress)
+
 	// Parallel is a tombstone. It selected a parallel solve engine that
 	// was deleted after its trial (DESIGN §16); the repo benchmark, frozen
 	// between benchmark PRs, still assigns "off". "" and "off" are
@@ -181,11 +187,6 @@ type Model struct {
 	// Obs is the parent span (inherited from Options.Span) under which
 	// Check emits per-query instrumentation; nil disables tracing.
 	Obs *obs.Span
-	// ProgressEvery, when positive, makes every Check install OnProgress
-	// as a SAT progress hook firing each ProgressEvery conflicts.
-	ProgressEvery int64
-	// OnProgress receives the periodic solver snapshots.
-	OnProgress func(sat.Progress)
 	// OnEvent is the per-check event sink: every phase a check or a
 	// session set-up opens and closes (phase.start/phase.end), each pass,
 	// certify.done and blame.done as they happen. It is called on the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -330,15 +331,16 @@ func FaultInvariance(g *protograph.Graph, opts Options, k int) (*EquivPair, *smt
 }
 
 // Check decides a property over the pair (both copies' constraints are
-// asserted). Counterexamples merge both copies' environments: failed
-// links of the second copy are tagged "B:".
-func (p *EquivPair) Check(property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
+// asserted), interruptible through ctx like Model.CheckContext.
+// Counterexamples merge both copies' environments: failed links of the
+// second copy are tagged "B:".
+func (p *EquivPair) Check(ctx context.Context, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
 	all := append([]*smt.Term{}, p.B.Asserts...)
 	saved := p.A.Asserts
 	savedOrigins := p.A.AssertOrigins
 	p.A.Asserts = append(append([]*smt.Term{}, saved...), all...)
 	p.A.AssertOrigins = append(append([]provenance.Origin{}, savedOrigins...), p.B.AssertOrigins...)
-	res, err := p.A.Check(property, assumptions...)
+	res, err := p.A.CheckContext(ctx, property, assumptions...)
 	p.A.Asserts = saved
 	p.A.AssertOrigins = savedOrigins
 	if err == nil && res.Counterexample != nil {

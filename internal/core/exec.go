@@ -52,8 +52,8 @@ func (m *Model) tracks() bool { return m.Opts.Blame || m.Opts.ProfileOrigins }
 // UNSAT-core blame replay (nil when neither is on).
 func (m *Model) instrument(sol *smt.Solver) *sat.Proof {
 	st := sol.SAT()
-	if m.ProgressEvery > 0 && m.OnProgress != nil {
-		st.ProgressEvery, st.OnProgress = m.ProgressEvery, m.OnProgress
+	if m.Opts.ProgressEvery > 0 && m.Opts.OnProgress != nil {
+		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, m.Opts.OnProgress
 	}
 	if m.tracks() {
 		st.EnableOriginTracking()

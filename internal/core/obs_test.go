@@ -54,23 +54,25 @@ func TestCheckSpans(t *testing.T) {
 	}
 }
 
-// TestModelProgressHook wires a progress hook through Model.Check and
-// verifies the snapshots respect the interval. The hijack query is easy,
-// so the hook may legitimately not fire; the test asserts only interval
-// correctness plus that wiring a hook is harmless.
+// TestModelProgressHook wires a progress hook through the Options a
+// model is encoded with and verifies the snapshots of its Check respect
+// the interval. The hijack query is easy, so the hook may legitimately
+// not fire; the test asserts only interval correctness plus that wiring
+// a hook is harmless.
 func TestModelProgressHook(t *testing.T) {
 	net := testnets.Hijackable(false)
-	m, err := Encode(net.Graph, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var snaps []sat.Progress
-	m.ProgressEvery = 1
-	m.OnProgress = func(p sat.Progress) {
+	opts := DefaultOptions()
+	opts.ProgressEvery = 1
+	opts.OnProgress = func(p sat.Progress) {
 		mu.Lock()
 		snaps = append(snaps, p)
 		mu.Unlock()
+	}
+	m, err := Encode(net.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := m.Check(m.Ctx.Not(m.Main.CtrlFwd["R2"][Hop{Ext: "N"}]))
 	if err != nil {

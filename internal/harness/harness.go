@@ -8,20 +8,19 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netgen"
+	"repro/internal/obs/cost"
 	"repro/internal/pipeline"
-	"repro/internal/properties"
-	"repro/internal/protograph"
 	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
 
-// PropResult is one §8.1 check outcome. Result is the solver's answer
-// behind a SAT-backed check, the same row the pipeline returns; it is nil
-// for local-equivalence, a structural sweep.
+// PropResult is one §8.1 check outcome: the pipeline's verdict behind it
+// (for local equivalence, the total of one goal per pair of routers).
 type PropResult struct {
 	Violated bool
 	Elapsed  time.Duration
@@ -29,10 +28,12 @@ type PropResult struct {
 	Result   *core.Result
 }
 
-// satResult is the outcome of a SAT-backed check.
-func satResult(res *core.Result) PropResult {
-	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed, Result: res}
-	if !res.Verified {
+// satResult is the row of a verdict: a falsified equivalence names its
+// difference, any other falsified check its counterexample.
+func satResult(v *pipeline.Verdict) PropResult {
+	res := v.Result
+	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed, Result: res, Detail: v.Difference}
+	if !res.Verified && pr.Detail == "" {
 		pr.Detail = res.Counterexample.String()
 	}
 	return pr
@@ -59,106 +60,71 @@ type NetCheck struct {
 	Results map[string]PropResult
 }
 
-// CheckNetwork runs the requested §8.1 properties on one generated
-// network.
+// CheckNetwork asks the requested §8.1 properties of one generated
+// network through the pipeline, with the graph tier off so the solver
+// answers every row.
 func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
 	net, err := pipeline.Build(n.Routers)
 	if err != nil {
 		return nil, err
 	}
-	g := net.Graph
+	var opts pipeline.Options
+	opts.Core.Tiers = "none"
+	ctx := context.Background()
 	out := &NetCheck{Name: n.Name, Routers: len(n.Routers), Lines: n.Lines, Results: map[string]PropResult{}}
 	for _, prop := range props {
-		var pr PropResult
+		var v *pipeline.Verdict
 		switch prop {
 		case PropMgmtReach:
-			pr, err = checkMgmt(net)
+			v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "mgmt-reachability"}, opts)
 		case PropLocalEquiv:
-			pr, err = checkLocalEquiv(g, n.Roles)
+			v, err = localConsistency(net, opts, n.Roles)
 		case PropBlackholes:
-			pr, err = checkDropsAtEdge(g, n)
+			edge := append(append([]string(nil), n.Access...), n.Borders...)
+			v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "drops-at-edge", Srcs: edge}, opts)
 		case PropFaultInvar:
-			pr, err = checkFaultInvariance(g)
+			v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "fault-invariance", MaxFailures: 1}, opts)
 		default:
 			err = fmt.Errorf("harness: unknown property %q", prop)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", n.Name, prop, err)
 		}
-		out.Results[prop] = pr
+		out.Results[prop] = satResult(v)
 	}
 	return out, nil
 }
 
-// checkMgmt asks the pipeline with the graph tier off, so the solver
-// answers and the row carries its counts.
-func checkMgmt(net *pipeline.Network) (PropResult, error) {
-	var opts pipeline.Options
-	opts.Core.Tiers = "none"
-	v, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "mgmt-reachability"}, opts)
-	if err != nil {
-		return PropResult{}, err
+// localConsistency asks an equivalence goal of each pair of adjacent
+// routers in each role, roles in name order, and totals them in one
+// verdict: verified when every goal is, one ledger merged from theirs
+// with the times read from it, the difference of the first pair that
+// differs.
+func localConsistency(net *pipeline.Network, opts pipeline.Options, roles map[string][]string) (*pipeline.Verdict, error) {
+	names := make([]string, 0, len(roles))
+	for role := range roles {
+		names = append(names, role)
 	}
-	return satResult(v.Result), nil
-}
-
-func checkLocalEquiv(g *protograph.Graph, roles map[string][]string) (PropResult, error) {
-	start := time.Now()
-	pr := PropResult{}
-	for _, members := range roles {
+	sort.Strings(names)
+	res := &core.Result{Verified: true, Cost: cost.New("goal")}
+	sum := &pipeline.Verdict{Result: res}
+	for _, role := range names {
+		members := roles[role]
 		for i := 0; i+1 < len(members); i++ {
-			res, err := core.CheckLocalEquivalence(g, members[i], members[i+1], core.DefaultOptions())
+			v, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "equivalence", Srcs: members[i : i+2]}, opts)
 			if err != nil {
-				return pr, err
+				return nil, err
 			}
-			if !res.Equivalent && !pr.Violated {
-				pr.Violated = true
-				pr.Detail = fmt.Sprintf("%s vs %s: %s", members[i], members[i+1], res.Difference)
+			res.Verified = res.Verified && v.Result.Verified
+			res.Tier = v.Result.Tier
+			res.Cost.Merge(v.Result.Cost)
+			if v.Difference != "" && sum.Difference == "" {
+				sum.Difference = fmt.Sprintf("%s vs %s: %s", members[i], members[i+1], v.Difference)
 			}
 		}
 	}
-	pr.Elapsed = time.Since(start)
-	return pr, nil
-}
-
-func checkDropsAtEdge(g *protograph.Graph, n *netgen.Network) (PropResult, error) {
-	m, err := core.Encode(g, core.DefaultOptions())
-	if err != nil {
-		return PropResult{}, err
-	}
-	edge := map[string]bool{}
-	for _, r := range n.Access {
-		edge[r] = true
-	}
-	for _, r := range n.Borders {
-		edge[r] = true
-	}
-	p := properties.DropsAtEdgeOnly(m, func(r string) bool { return edge[r] })
-	res, err := m.Check(p, m.NoFailures())
-	if err != nil {
-		return PropResult{}, err
-	}
-	return satResult(res), nil
-}
-
-func checkFaultInvariance(g *protograph.Graph) (PropResult, error) {
-	pair, prop, err := core.FaultInvariance(g, core.DefaultOptions(), 1)
-	if err != nil {
-		return PropResult{}, err
-	}
-	// §8.1 asks whether router-pair reachability survives any single
-	// failure; environment-induced changes are the hijack property's
-	// business, so the announcements are held silent here (they are
-	// linked across the two copies already).
-	silent := pair.Ctx.True()
-	for _, rec := range pair.A.Main.Env {
-		silent = pair.Ctx.And(silent, pair.Ctx.Not(rec.Valid))
-	}
-	res, err := pair.Check(prop, silent)
-	if err != nil {
-		return PropResult{}, err
-	}
-	return satResult(res), nil
+	res.FillTimes()
+	return sum, nil
 }
 
 // Section81Summary aggregates an §8.1 audit.
@@ -286,24 +252,16 @@ func BuildFabric(k int) (*Fabric, error) {
 
 // RunFig8Property checks one Figure 8 property on a fabric under opts,
 // through the query pipeline: the row is the pipeline's Result.
-// Local-consistency, the n−1 pairwise equivalence queries over the core
-// tier of §8.2 ("to ensure all n spine routers are equivalent... n−1
-// separate queries"), has no goal form; its Result carries only Verified
-// and Elapsed.
+// Local-consistency is the n−1 equivalence goals over the core tier of
+// §8.2 ("to ensure all n spine routers are equivalent... n−1 separate
+// queries"); its row totals them.
 func RunFig8Property(f *Fabric, prop string, opts pipeline.Options) (*core.Result, error) {
 	if prop == Fig8LocalConsist {
-		start := time.Now()
-		res := &core.Result{Verified: true}
-		cores := f.FT.Cores
-		for i := 0; i+1 < len(cores); i++ {
-			eq, err := core.CheckLocalEquivalence(f.Net.Graph, cores[i], cores[i+1], opts.Core)
-			if err != nil {
-				return nil, err
-			}
-			res.Verified = res.Verified && eq.Equivalent
+		v, err := localConsistency(f.Net, opts, map[string][]string{"core": f.FT.Cores})
+		if err != nil {
+			return nil, err
 		}
-		res.Elapsed = time.Since(start)
-		return res, nil
+		return v.Result, nil
 	}
 	goal, ok := Fig8Goal(f, prop)
 	if !ok {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -63,8 +65,38 @@ func TestFig8SmallFabric(t *testing.T) {
 		if !row.Verified {
 			t.Errorf("%s violated on a clean fabric", prop)
 		}
-		if row.Elapsed <= 0 {
-			t.Errorf("%s: no time recorded", prop)
+		// pods-2 has one core router: local consistency asks its n−1 = 0
+		// equivalence goals and takes no time.
+		asked := prop != Fig8LocalConsist || len(f.FT.Cores) > 1
+		if asked != (row.Elapsed > 0) {
+			t.Errorf("%s: elapsed %v, want time exactly when a goal was asked", prop, row.Elapsed)
+		}
+	}
+}
+
+// TestFig8LocalConsistencyAsksGoals: on pods-4 local consistency is the
+// n−1 = 3 equivalence goals over the core routers, and its row totals
+// their ledgers — a solve phase each, with time and no solver counts.
+func TestFig8LocalConsistencyAsksGoals(t *testing.T) {
+	f, err := BuildFabric(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := RunFig8Property(f, Fig8LocalConsist, untiered())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := row.Cost.Find("solve")
+	if !row.Verified || solve == nil || solve.Wall <= 0 || row.Elapsed != solve.Wall {
+		t.Fatalf("want a verified row timed by its solve phases: %+v", row)
+	}
+	if row.Stats.Conflicts != 0 || row.SATVars != 0 || !row.Cost.Total().IsZero() {
+		t.Errorf("the structural sweep keeps no solver counts: %+v, work %+v", row.Stats, row.Cost.Total())
+	}
+	for i := 0; i+1 < len(f.FT.Cores); i++ {
+		eq, err := core.CheckLocalEquivalence(f.Net.Graph, f.FT.Cores[i], f.FT.Cores[i+1], core.DefaultOptions())
+		if err != nil || !eq.Equivalent {
+			t.Fatalf("direct sweep %s vs %s: %+v %v", f.FT.Cores[i], f.FT.Cores[i+1], eq, err)
 		}
 	}
 }
@@ -207,17 +239,18 @@ func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 	}
 }
 
-// TestAuditRowsCarrySolverCounts holds the §8.1 rows to the solver: on one
-// audit network, the Result CheckNetwork returns for mgmt-reachability
-// (through the pipeline) and for blackholes (a direct core check) has the
-// verdict, conflicts and formula size of a direct check of the same
-// property.
+// TestAuditRowsCarrySolverCounts holds the four §8.1 rows, all asked
+// through the pipeline, to direct core checks of the same questions on
+// one audit network (one with an ACL exception, so local equivalence
+// fails): mgmt-reachability, drops-at-edge and fault-invariance carry the
+// verdict, conflicts and formula size of the direct check; local
+// equivalence the verdict and difference of the direct sweep.
 func TestAuditRowsCarrySolverCounts(t *testing.T) {
-	n, err := netgen.Audit(13)
+	n, err := netgen.Audit(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := CheckNetwork(n, []string{PropMgmtReach, PropBlackholes})
+	nc, err := CheckNetwork(n, AllSection81Props())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,17 +262,33 @@ func TestAuditRowsCarrySolverCounts(t *testing.T) {
 	for _, r := range append(append([]string(nil), n.Access...), n.Borders...) {
 		edge[r] = true
 	}
-	for prop, build := range map[string]func(*core.Model) *smt.Term{
-		PropMgmtReach: properties.ManagementReachable,
-		PropBlackholes: func(m *core.Model) *smt.Term {
+	single := func(build func(*core.Model) *smt.Term) func() (*core.Result, error) {
+		return func() (*core.Result, error) {
+			m, err := core.Encode(net.Graph, core.DefaultOptions())
+			if err != nil {
+				return nil, err
+			}
+			return m.Check(build(m), m.NoFailures())
+		}
+	}
+	for prop, check := range map[string]func() (*core.Result, error){
+		PropMgmtReach: single(properties.ManagementReachable),
+		PropBlackholes: single(func(m *core.Model) *smt.Term {
 			return properties.DropsAtEdgeOnly(m, func(r string) bool { return edge[r] })
+		}),
+		PropFaultInvar: func() (*core.Result, error) {
+			pair, prop, err := core.FaultInvariance(net.Graph, core.DefaultOptions(), 1)
+			if err != nil {
+				return nil, err
+			}
+			silent := pair.Ctx.True()
+			for _, e := range net.Graph.Topo.Externals {
+				silent = pair.Ctx.And(silent, pair.Ctx.Not(pair.A.Main.Env[e.Name].Valid))
+			}
+			return pair.Check(context.Background(), prop, silent)
 		},
 	} {
-		m, err := core.Encode(net.Graph, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := m.Check(build(m), m.NoFailures())
+		want, err := check()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,5 +305,33 @@ func TestAuditRowsCarrySolverCounts(t *testing.T) {
 		if got.SATVars == 0 {
 			t.Errorf("%s: empty formula", prop)
 		}
+	}
+
+	// The direct sweep, in the row's order: roles by name, adjacent pairs.
+	roles := make([]string, 0, len(n.Roles))
+	for role := range n.Roles {
+		roles = append(roles, role)
+	}
+	sort.Strings(roles)
+	equivalent, difference := true, ""
+	for _, role := range roles {
+		members := n.Roles[role]
+		for i := 0; i+1 < len(members); i++ {
+			eq, err := core.CheckLocalEquivalence(net.Graph, members[i], members[i+1], core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eq.Equivalent && equivalent {
+				equivalent, difference = false, members[i]+" vs "+members[i+1]+": "+eq.Difference
+			}
+		}
+	}
+	row := nc.Results[PropLocalEquiv]
+	if equivalent {
+		t.Fatalf("%s has an ACL exception; the direct sweep must find a difference", n.Name)
+	}
+	if row.Violated == equivalent || row.Detail != difference || row.Result == nil || row.Result.Verified {
+		t.Errorf("local-equivalence row violated=%v detail %q, direct sweep equivalent=%v difference %q",
+			row.Violated, row.Detail, equivalent, difference)
 	}
 }

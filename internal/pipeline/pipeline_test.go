@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/pipeline"
+	"repro/internal/properties"
+	"repro/internal/sat"
 	"repro/internal/testnets"
 	"repro/internal/tiered"
 	"repro/internal/topogen"
@@ -67,7 +70,12 @@ func TestSpecGoal(t *testing.T) {
 		{pipeline.Spec{Check: "isolation", Src: "R1"}, "requires subnet"},
 		{pipeline.Spec{Check: "waypoint", Src: "R1", Subnet: "10.0.0.0/8"}, "requires via"},
 		{pipeline.Spec{Check: "bounded-length", Src: "R1", Subnet: "not-a-cidr"}, "subnet"},
-		{pipeline.Spec{Check: "equivalence", Pair: "a,b"}, "not supported"},
+		{pipeline.Spec{Check: "equivalence", Pair: "a,b"}, ""},
+		{pipeline.Spec{Check: "equivalence"}, "requires pair a,b"},
+		{pipeline.Spec{Check: "equivalence", Pair: "a"}, "requires pair a,b"},
+		{pipeline.Spec{Check: "equivalence", Pair: "a,"}, "requires pair a,b"},
+		{pipeline.Spec{Check: "equivalence", Pair: "a,b,c"}, "requires pair a,b"},
+		{pipeline.Spec{Check: "fault-invariance"}, ""},
 	} {
 		g, err := c.spec.Goal()
 		switch {
@@ -82,6 +90,14 @@ func TestSpecGoal(t *testing.T) {
 	g, err := pipeline.Spec{Check: "bounded-length", Src: "R1", Subnet: "10.0.0.0/8"}.Goal()
 	if err != nil || g.Hops != pipeline.DefaultHops {
 		t.Fatalf("default hops: goal %+v err %v", g, err)
+	}
+	g, err = pipeline.Spec{Check: "fault-invariance"}.Goal()
+	if err != nil || g.MaxFailures != 1 {
+		t.Fatalf("fault-invariance under 0 failures is the question under 1: goal %+v err %v", g, err)
+	}
+	g, err = pipeline.Spec{Check: "equivalence", Pair: "a,b"}.Goal()
+	if err != nil || len(g.Srcs) != 2 || g.Srcs[0] != "a" || g.Srcs[1] != "b" {
+		t.Fatalf("pair a,b: goal %+v err %v", g, err)
 	}
 }
 
@@ -106,6 +122,8 @@ func TestPropertyAssumptionRule(t *testing.T) {
 		{tiered.Goal{Check: "reachability", Subnet: sub, HasSubnet: true}, 0, "requires a source"},
 		{tiered.Goal{Check: "equal-lengths", Srcs: []string{"R1"}}, 0, "subnet"},
 		{tiered.Goal{Check: "nope"}, 0, "unknown check"},
+		{tiered.Goal{Check: "drops-at-edge", Srcs: []string{"R1", "R3"}}, 1, ""},
+		{tiered.Goal{Check: "drops-at-edge", Srcs: []string{"R9"}}, 0, "not a router"},
 	} {
 		m, err := core.Encode(net.Graph, core.DefaultOptions())
 		if err != nil {
@@ -121,6 +139,74 @@ func TestPropertyAssumptionRule(t *testing.T) {
 		if err != nil || p == nil || len(assumptions) != c.want {
 			t.Errorf("%+v: term %v, %d assumptions (want %d), err %v", c.goal, p, len(assumptions), c.want, err)
 		}
+	}
+}
+
+// TestRunPairGoals: equivalence and fault-invariance are answered by Run
+// on models of their own. A falsified equivalence carries its difference
+// and no counterexample, timed by one solve phase; a router the network
+// lacks is the client's mistake; cancellation and the progress hook of
+// Options.Core reach the pair model's search.
+func TestRunPairGoals(t *testing.T) {
+	net := fabric(t, 2)
+	v, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "equivalence", Srcs: []string{"tor-0-0", "core-0"}}, options(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := v.Result
+	if res.Verified || v.Difference == "" || res.Counterexample != nil || v.Model != nil || res.Tier != tiered.TierSAT {
+		t.Fatalf("want a falsified sat-tier verdict with a difference and no counterexample: %+v, difference %q", res, v.Difference)
+	}
+	if solve := res.Cost.Find("solve"); solve == nil || res.Elapsed != solve.Wall+res.FastPathElapsed || !res.Cost.Total().IsZero() {
+		t.Fatalf("want the sweep timed by one solve phase with no solver work: %+v", res.Cost)
+	}
+	rep := pipeline.NewReport("equivalence", v)
+	if rep.Verified || rep.Difference != v.Difference || rep.Counterexample != nil || rep.Solver != nil {
+		t.Fatalf("report: %+v", rep)
+	}
+	if got := properties.Describe("equivalence", res); !strings.Contains(got, "VIOLATED") {
+		t.Fatalf("describe: %q", got)
+	}
+	// A verified sweep reads as one too, with no solver counts it did not
+	// keep: no solver block, no "0 vars, 0 clauses".
+	v, err = pipeline.Run(context.Background(), net, tiered.Goal{Check: "equivalence", Srcs: []string{"tor-0-0", "tor-0-0"}}, options(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := pipeline.NewReport("equivalence", v); !rep.Verified || rep.Solver != nil || rep.SATVars != 0 {
+		t.Fatalf("verified equivalence report: %+v", rep)
+	}
+	if got := properties.Describe("equivalence", v.Result); !strings.Contains(got, "verified") || strings.Contains(got, "vars") {
+		t.Fatalf("describe: %q", got)
+	}
+
+	// A goal built without Spec.Normalize must not ask under 0 failures,
+	// where the two copies agree by construction.
+	for _, k := range []int{0, -1} {
+		_, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "fault-invariance", MaxFailures: k}, options("none"))
+		var bad *pipeline.RequestError
+		if !errors.As(err, &bad) {
+			t.Errorf("fault-invariance under %d failures: err = %v, want a RequestError", k, err)
+		}
+	}
+
+	for _, srcs := range [][]string{{"tor-0-0", "core-9"}, {"tor-0-0"}} {
+		_, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "equivalence", Srcs: srcs}, options("none"))
+		var bad *pipeline.RequestError
+		if !errors.As(err, &bad) {
+			t.Errorf("equivalence of %v: err = %v, want a RequestError", srcs, err)
+		}
+	}
+
+	// The first progress snapshot of the pair model's search cancels it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := options("none")
+	opts.Core.ProgressEvery = 1
+	opts.Core.OnProgress = func(sat.Progress) { cancel() }
+	v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "fault-invariance", MaxFailures: 1}, opts)
+	if !errors.Is(err, context.Canceled) || v.Result != nil {
+		t.Fatalf("cancelled fault-invariance: err = %v, result %+v", err, v.Result)
 	}
 }
 

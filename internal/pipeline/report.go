@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs/cost"
 	"repro/internal/provenance"
-	"repro/internal/tiered"
 )
 
 // Report is the JSON rendering of a verdict: the object minesweeper
@@ -57,7 +56,8 @@ type Report struct {
 	Solver         *SolverStats    `json:"solver,omitempty"`
 	Proof          *ProofInfo      `json:"proof,omitempty"`
 	Counterexample *Counterexample `json:"counterexample,omitempty"`
-	// Difference explains a failed equivalence check (CLI only).
+	// Difference says where the routers of a falsified equivalence
+	// check diverge (Verdict.Difference).
 	Difference string `json:"difference,omitempty"`
 
 	// Cost is the hierarchical resource ledger: per-phase work units,
@@ -143,10 +143,12 @@ func NewReport(check string, v *Verdict) *Report {
 		Blame:      provenance.Strings(res.Blame),
 		Cost:       res.Cost,
 		Mode:       v.Mode,
+		Difference: v.Difference,
 	}
 	r.ElapsedMs = r.FastPathMs + r.EncodeMs + r.SimplifyMs + r.SolveMs + r.CertifyMs
-	if res.Tier != tiered.TierGraph {
-		// Otherwise the solver never ran: no all-zero CDCL stats block.
+	if res.SATVars > 0 {
+		// Otherwise no solver counts were kept (the graph tier, the
+		// equivalence sweep): no all-zero CDCL stats block.
 		r.Solver = &SolverStats{
 			Conflicts:    res.Stats.Conflicts,
 			Decisions:    res.Stats.Decisions,

@@ -54,9 +54,13 @@ type Verdict struct {
 	// modular residue undecided, and on error.
 	Result *core.Result
 	// Model is the monolithic model Result was checked on, nil when an
-	// earlier step answered. Decoding a counterexample's forwarding state
-	// and replaying it in the simulator need it.
+	// earlier step answered and for equivalence; for fault-invariance it
+	// is the failure-free copy of the pair. Decoding a counterexample's
+	// forwarding state and replaying it in the simulator need it.
 	Model *core.Model
+	// Difference says where the two routers of a falsified equivalence
+	// goal diverge; that verdict has no counterexample.
+	Difference string
 	// GraphResidue is the reason the graph tier handed the goal down
 	// (tiered.Outcome.Reason); "" when the tier was off or decided.
 	GraphResidue string
@@ -87,7 +91,8 @@ type Verdict struct {
 //     falsifies;
 //  3. the monolithic step builds the goal's Property on a model of the
 //     whole network — a fresh one, or the caller's (Options.Live) — and
-//     checks it.
+//     checks it; the pair goals (equivalence, fault-invariance) build a
+//     model of their own instead.
 //
 // Run's own phases (fastpath, property) are charged to one goal ledger;
 // whichever step answers, its result's ledger is merged in behind them
@@ -139,14 +144,13 @@ func Run(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*Ve
 	if err := ctx.Err(); err != nil {
 		return v, err
 	}
-	res, m, err := monolithic(ctx, net, goal, opts, ledger)
+	res, err := monolithic(ctx, net, goal, opts, ledger, v)
 	if err != nil {
 		return v, err
 	}
 	if tiersOn {
 		res.Tier = tiered.TierSAT
 	}
-	v.Model = m
 	answer(res)
 	return v, nil
 }
@@ -192,9 +196,15 @@ func compose(ctx context.Context, net *Network, goal tiered.Goal, opts Options, 
 }
 
 // monolithic is the last step: the goal's property checked on a model of
-// the whole network, fresh or live. Building the property is a phase of
-// the goal's ledger; the check opens its own.
-func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node) (*core.Result, *core.Model, error) {
+// the whole network, fresh or live, which it leaves on v.Model. Building
+// the property is a phase of the goal's ledger; the check opens its own.
+func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
+	switch goal.Check {
+	case "equivalence":
+		return equivalence(net, goal, opts, ledger, v)
+	case "fault-invariance":
+		return faultInvariance(ctx, net, goal, opts, ledger, v)
+	}
 	var m *core.Model
 	var sess *core.Session
 	var err error
@@ -204,20 +214,66 @@ func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Option
 		m, err = core.Encode(net.Graph, opts.Core)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
 	ph.Begin("property")
 	prop, assumptions, err := Property(m, goal)
 	ph.End(cost.Work{})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var res *core.Result
+	v.Model = m
 	if sess != nil {
-		res, err = sess.CheckContext(ctx, prop, assumptions...)
-	} else {
-		res, err = m.CheckContext(ctx, prop, assumptions...)
+		return sess.CheckContext(ctx, prop, assumptions...)
 	}
-	return res, m, err
+	return m.CheckContext(ctx, prop, assumptions...)
+}
+
+// equivalence answers §5 local equivalence of the goal's two routers
+// with core's structural sweep. The sweep's many small solver queries
+// keep no counts, so it is charged to the goal's ledger as one solve
+// phase with no work; a falsified verdict carries v.Difference and no
+// counterexample.
+func equivalence(net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
+	if len(goal.Srcs) != 2 {
+		return nil, requestErrorf("pipeline: check %q requires two routers", goal.Check)
+	}
+	if err := knownRouters(net.Graph, goal.Srcs); err != nil {
+		return nil, err
+	}
+	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+	ph.Begin("solve")
+	eq, err := core.CheckLocalEquivalence(net.Graph, goal.Srcs[0], goal.Srcs[1], opts.Core)
+	ph.End(cost.Work{})
+	if err != nil {
+		return nil, err
+	}
+	v.Difference = eq.Difference
+	return &core.Result{Verified: eq.Equivalent}, nil
+}
+
+// faultInvariance answers the §8.1 fault-invariance question: does every
+// router's reachability survive any goal.MaxFailures link failures? The
+// property is core's, over a failure-free and a failing copy of the
+// network with linked environments. Environment-induced changes are the
+// hijack property's business, so the announcements are held silent. Under
+// no failures the copies agree by construction: that goal is refused.
+func faultInvariance(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
+	if goal.MaxFailures < 1 {
+		return nil, requestErrorf("pipeline: check %q requires max_failures >= 1, got %d", goal.Check, goal.MaxFailures)
+	}
+	pair, prop, err := core.FaultInvariance(net.Graph, opts.Core, goal.MaxFailures)
+	if err != nil {
+		return nil, err
+	}
+	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+	ph.Begin("property")
+	silent := pair.Ctx.True()
+	for _, e := range net.Graph.Topo.Externals {
+		silent = pair.Ctx.And(silent, pair.Ctx.Not(pair.A.Main.Env[e.Name].Valid))
+	}
+	ph.End(cost.Work{})
+	v.Model = pair.A
+	return pair.Check(ctx, prop, silent)
 }

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/properties"
+	"repro/internal/protograph"
 	"repro/internal/smt"
 	"repro/internal/tiered"
 )
@@ -36,7 +39,8 @@ const (
 type Spec struct {
 	// Check selects the property: reachability, isolation,
 	// mgmt-reachability, blackholes, multipath-consistency, loops,
-	// bounded-length, waypoint or no-leak.
+	// bounded-length, waypoint, no-leak, equivalence or
+	// fault-invariance.
 	Check string `json:"check"`
 	// Src is the source router for per-source properties.
 	Src string `json:"src,omitempty"`
@@ -44,23 +48,22 @@ type Spec struct {
 	Via string `json:"via,omitempty"`
 	// Subnet is the destination subnet in CIDR form.
 	Subnet string `json:"subnet,omitempty"`
-	// Pair is the router pair of the pair-model checks (equivalence,
-	// fault-invariance), which have no goal form: only the minesweeper
-	// CLI runs them, outside Run.
+	// Pair is the router pair "a,b" of the equivalence check.
 	Pair string `json:"pair,omitempty"`
 	// Hops bounds path length for bounded-length (default 4).
 	Hops int `json:"hops,omitempty"`
 	// MaxLen is the maximum exported prefix length for no-leak
 	// (default 24).
 	MaxLen int `json:"maxlen,omitempty"`
-	// MaxFailures lets environments fail up to this many links;
-	// 0 means no failures. The same property under different failure
-	// bounds is a different query.
+	// MaxFailures lets environments fail up to this many links; 0 means
+	// none (1 for fault-invariance). The same property under different
+	// failure bounds is a different query.
 	MaxFailures int `json:"max_failures,omitempty"`
 }
 
 // Normalize fills parameter defaults so equivalent specs compare (and
-// hash) equal: hops 0 and hops 4 are the same bounded-length query.
+// hash) equal: hops 0 and hops 4 are the same bounded-length query, and
+// fault-invariance under 0 failures is the question under 1.
 func (s Spec) Normalize() Spec {
 	if s.Check == "bounded-length" && s.Hops == 0 {
 		s.Hops = DefaultHops
@@ -68,13 +71,17 @@ func (s Spec) Normalize() Spec {
 	if s.Check == "no-leak" && s.MaxLen == 0 {
 		s.MaxLen = DefaultMaxLen
 	}
+	if s.Check == "fault-invariance" && s.MaxFailures == 0 {
+		s.MaxFailures = 1
+	}
 	return s
 }
 
 // Goal is the one translation of a request into a goal. It rejects what
 // can be rejected without the network: an unknown or missing check, a
-// missing parameter, a malformed subnet. That src and via name routers of
-// the network is checked where the network is known (Property).
+// missing parameter, a malformed subnet or pair. That src, via and the
+// pair name routers of the network is checked where the network is known
+// (Run's monolithic step).
 func (s Spec) Goal() (tiered.Goal, error) {
 	s = s.Normalize()
 	var need []string
@@ -83,9 +90,7 @@ func (s Spec) Goal() (tiered.Goal, error) {
 		need = []string{"src", "subnet"}
 	case "waypoint":
 		need = []string{"src", "via", "subnet"}
-	case "mgmt-reachability", "blackholes", "multipath-consistency", "loops", "no-leak":
-	case "equivalence", "fault-invariance":
-		return tiered.Goal{}, requestErrorf("pipeline: check %q needs the pair model and is not supported here; use the minesweeper CLI", s.Check)
+	case "mgmt-reachability", "blackholes", "multipath-consistency", "loops", "no-leak", "fault-invariance", "equivalence":
 	case "":
 		return tiered.Goal{}, requestErrorf("pipeline: check is required")
 	default:
@@ -105,6 +110,12 @@ func (s Spec) Goal() (tiered.Goal, error) {
 		MaxLen:      s.MaxLen,
 		MaxFailures: s.MaxFailures,
 	}
+	if s.Check == "equivalence" {
+		g.Srcs = strings.Split(s.Pair, ",")
+		if len(g.Srcs) != 2 || g.Srcs[0] == "" || g.Srcs[1] == "" {
+			return tiered.Goal{}, requestErrorf("pipeline: check %q requires pair a,b, got %q", s.Check, s.Pair)
+		}
+	}
 	if s.Subnet != "" {
 		sub, err := network.ParsePrefix(s.Subnet)
 		if err != nil {
@@ -115,11 +126,11 @@ func (s Spec) Goal() (tiered.Goal, error) {
 	return g, nil
 }
 
-// Property is the one mapping of a goal to the SAT path's query: the
-// property term on m and the assumptions it is checked under. The
-// assumptions follow one rule: the failure budget (no failures, or at
-// most goal.MaxFailures), and the destination restriction whenever the
-// goal has a subnet. Source-property terms already embed their subnet
+// Property is the one mapping of a single-model goal (not equivalence or
+// fault-invariance) to the SAT path's query: the property term on m and
+// the assumptions it is checked under. The assumptions follow one rule:
+// the failure budget (no failures, or at most goal.MaxFailures), and the
+// destination restriction whenever the goal has a subnet. Source-property terms already embed their subnet
 // guard, so there the restriction is redundant; for the whole-network
 // properties (blackholes, multipath-consistency, ...) it is what gives a
 // subnet-scoped goal its meaning — matching the modular composition,
@@ -147,10 +158,8 @@ func Property(m *core.Model, goal tiered.Goal) (*smt.Term, []*smt.Term, error) {
 	if goal.Check == "waypoint" {
 		routers = append(append([]string(nil), srcs...), goal.Via)
 	}
-	for _, r := range routers {
-		if m.G.Topo.Node(r) == nil {
-			return nil, nil, requestErrorf("pipeline: %q is not a router in this network", r)
-		}
+	if err := knownRouters(m.G, routers); err != nil {
+		return nil, nil, err
 	}
 	var p *smt.Term
 	switch goal.Check {
@@ -178,6 +187,8 @@ func Property(m *core.Model, goal tiered.Goal) (*smt.Term, []*smt.Term, error) {
 		p = properties.NoForwardingLoops(m, nil)
 	case "no-leak":
 		p = properties.NoLeak(m, nil, goal.MaxLen)
+	case "drops-at-edge":
+		p = properties.DropsAtEdgeOnly(m, func(r string) bool { return slices.Contains(srcs, r) })
 	default:
 		return nil, nil, requestErrorf("pipeline: unknown check %q", goal.Check)
 	}
@@ -192,4 +203,15 @@ func Property(m *core.Model, goal tiered.Goal) (*smt.Term, []*smt.Term, error) {
 		assumptions = append(assumptions, properties.DstIn(m, goal.Subnet))
 	}
 	return p, assumptions, nil
+}
+
+// knownRouters reports the first of routers the network does not have,
+// as the client's mistake.
+func knownRouters(g *protograph.Graph, routers []string) error {
+	for _, r := range routers {
+		if g.Topo.Node(r) == nil {
+			return requestErrorf("pipeline: %q is not a router in this network", r)
+		}
+	}
+	return nil
 }

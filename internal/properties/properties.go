@@ -413,14 +413,21 @@ func LoadBalanced(m *core.Model, sources []string, a, b string, scale, tol uint6
 	)
 }
 
-// Describe renders a property-check outcome for CLI output.
+// Describe renders a property-check outcome for CLI output. A result
+// that kept no solver counts (the graph tier, the equivalence sweep)
+// prints none, and a falsified verdict without a counterexample
+// (equivalence) prints as a bare VIOLATED line.
 func Describe(name string, res *core.Result) string {
-	if res.Verified {
-		return fmt.Sprintf("%s: verified (%.1fms, %d vars, %d clauses)",
-			name, float64(res.Elapsed.Microseconds())/1000, res.SATVars, res.SATClauses)
+	ms := float64(res.Elapsed.Microseconds()) / 1000
+	switch {
+	case res.Verified && res.SATVars == 0:
+		return fmt.Sprintf("%s: verified (%.1fms)", name, ms)
+	case res.Verified:
+		return fmt.Sprintf("%s: verified (%.1fms, %d vars, %d clauses)", name, ms, res.SATVars, res.SATClauses)
+	case res.Counterexample == nil:
+		return fmt.Sprintf("%s: VIOLATED (%.1fms)", name, ms)
 	}
-	return fmt.Sprintf("%s: VIOLATED (%.1fms)\n%s", name,
-		float64(res.Elapsed.Microseconds())/1000, res.Counterexample)
+	return fmt.Sprintf("%s: VIOLATED (%.1fms)\n%s", name, ms, res.Counterexample)
 }
 
 // WaypointedChain asserts all delivered traffic from src to the subnet

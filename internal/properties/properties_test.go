@@ -1,6 +1,7 @@
 package properties
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -405,7 +406,7 @@ func TestFullEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair.LinkFailures()
-	res, err := pair.Check(pair.FullEquivalence())
+	res, err := pair.Check(context.Background(), pair.FullEquivalence())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestFullEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair2.LinkFailures()
-	res2, err := pair2.Check(pair2.FullEquivalence())
+	res2, err := pair2.Check(context.Background(), pair2.FullEquivalence())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestFaultInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pair.Check(prop)
+	res, err := pair.Check(context.Background(), prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +454,7 @@ func TestFaultInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := pair2.Check(prop2)
+	res2, err := pair2.Check(context.Background(), prop2)
 	if err != nil {
 		t.Fatal(err)
 	}

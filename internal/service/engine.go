@@ -382,8 +382,8 @@ func (e *Engine) Jobs() []View {
 var ErrQueueFull = errors.New("service: queue full")
 
 // Submit validates and queues a job. It returns immediately; wait on
-// Job.Done or poll Job.View. Submit fails when the spec is malformed,
-// the engine is closed, or the queue is full.
+// Job.Done or poll Job.View. Submit fails when the spec is malformed or
+// a pair goal, the engine is closed, or the queue is full.
 func (e *Engine) Submit(req *Request) (*Job, error) {
 	if len(req.Configs) == 0 {
 		return nil, &pipeline.RequestError{Err: errors.New("service: configs are required")}
@@ -392,6 +392,9 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 	goal, err := spec.Goal()
 	if err != nil {
 		return nil, err
+	}
+	if goal.Check == "equivalence" || goal.Check == "fault-invariance" {
+		return nil, &pipeline.RequestError{Err: fmt.Errorf("service: check %q is not supported by the daemon: it builds a pair model of its own, outside the network entry whose progress hook routes each job's budgets and events", goal.Check)}
 	}
 	timeout := e.opts.Timeout
 	if req.TimeoutMs > 0 {
@@ -743,12 +746,7 @@ func (e *Engine) coreOptions(sp *obs.Span) core.Options {
 // edited copy, opens its solver session. Called with ent.mu held, at most
 // once per entry: a failure is permanent (ent.err).
 func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
-	m, err := core.Encode(ent.net.Graph, e.coreOptions(sp))
-	if err != nil {
-		return fmt.Errorf("service: encode: %w", err)
-	}
-	e.opts.Trace.Add("service.compiles", 1)
-	ent.m = m
+	opts := e.coreOptions(sp)
 	every := e.opts.ProgressEvery
 	if every <= 0 && (e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0) {
 		// Budgets ride the progress hook; keep it firing (without
@@ -756,13 +754,13 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 		every = 1000
 	}
 	if every > 0 {
-		// The hook is installed once per session and routes through the
+		// The hook is installed once per model and routes through the
 		// entry's current-recorder field, so every job checking on this
-		// session streams its own solver.progress events — and through
+		// model streams its own solver.progress events — and through
 		// the current-budget field, so the checking job's budgets are
 		// enforced at the same cadence.
-		m.ProgressEvery = every
-		m.OnProgress = func(p sat.Progress) {
+		opts.ProgressEvery = every
+		opts.OnProgress = func(p sat.Progress) {
 			if e.opts.ProgressEvery > 0 {
 				ent.curRec.Emit(stream.EventSolverProgress, map[string]any{
 					"conflicts":    p.Conflicts,
@@ -776,6 +774,12 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 			ent.curBudget.observe(p)
 		}
 	}
+	m, err := core.Encode(ent.net.Graph, opts)
+	if err != nil {
+		return fmt.Errorf("service: encode: %w", err)
+	}
+	e.opts.Trace.Add("service.compiles", 1)
+	ent.m = m
 	// The model's events — the phases of the session set-up and of every
 	// check, passes, certification, blame — land on the recorder of the job
 	// working on the entry, as they happen.

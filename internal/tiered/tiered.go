@@ -70,10 +70,15 @@ type Goal struct {
 	// Check selects the property class: reachability, reachability-all,
 	// isolation, waypoint, bounded-length, bounded-length-all,
 	// equal-lengths, loops, blackholes, multipath-consistency,
-	// mgmt-reachability or no-leak.
+	// mgmt-reachability, no-leak, drops-at-edge (ACL drops only at the
+	// edge routers Srcs), equivalence (§5 local equivalence of the two
+	// routers Srcs) or fault-invariance (every router's reachability
+	// unchanged by up to MaxFailures link failures). The last three are
+	// residue for the tier and the modular step: the solver answers them.
 	Check string
 	// Src is the source router for per-source properties; Srcs the
-	// source set for the -all / equal-lengths forms.
+	// source set for the -all / equal-lengths forms, the edge routers of
+	// drops-at-edge and the router pair of equivalence.
 	Src  string
 	Srcs []string
 	// Via is the waypoint router.
