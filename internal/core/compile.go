@@ -123,7 +123,7 @@ func (m *Model) Compile() *CompiledNetwork {
 	if cn := m.cachedCompile(); cn != nil {
 		return cn
 	}
-	sp := m.Obs.Start("compile")
+	sp := m.Opts.Span.Start("compile")
 	defer sp.End()
 	return m.compile(sp)
 }

@@ -52,12 +52,6 @@ type Options struct {
 	// aggregated hot-constraint profile to Result.OriginProfile.
 	ProfileOrigins bool
 
-	// Span, when non-nil, is the parent under which Encode emits its
-	// instrumentation spans and Check its per-query spans (the model
-	// inherits it as Model.Obs). A nil span disables tracing at zero
-	// cost.
-	Span *obs.Span
-
 	// Tiers selects the verification tiers attempted by callers that
 	// orchestrate the graph fast path (internal/tiered) in front of the
 	// solver: "graph,sat" (default when empty), "graph", "sat" or
@@ -67,9 +61,23 @@ type Options struct {
 	// one configuration object.
 	Tiers string
 
-	// ProgressEvery, when positive, makes every check of a model encoded
-	// with these options call OnProgress, on the checking goroutine, with
-	// a solver snapshot each ProgressEvery conflicts.
+	// Span, OnEvent, ProgressEvery and OnProgress observe, changing no
+	// formula and no search. A check reads them from its model's options
+	// when it begins, so assigning Model.Opts re-points a model.
+	//
+	// Span, when non-nil, is the parent under which Encode emits its
+	// instrumentation spans and each check its per-query spans. A nil
+	// span disables tracing at zero cost.
+	Span *obs.Span
+	// OnEvent is the per-check event sink: every phase a check or a
+	// session set-up opens and closes (phase.start/phase.end), each pass,
+	// certify.done and blame.done as they happen. It is called on the
+	// checking goroutine; nil disables.
+	OnEvent func(kind string, fields map[string]any)
+	// ProgressEvery, when positive, makes each check call OnProgress, on
+	// the checking goroutine, every ProgressEvery conflicts with the
+	// solver's counters since the check began, the base Result.Stats
+	// counts from.
 	ProgressEvery int64
 	OnProgress    func(sat.Progress)
 
@@ -184,15 +192,6 @@ type Model struct {
 	// size measure reported by the optimization benchmarks.
 	NumRecordVars int
 
-	// Obs is the parent span (inherited from Options.Span) under which
-	// Check emits per-query instrumentation; nil disables tracing.
-	Obs *obs.Span
-	// OnEvent is the per-check event sink: every phase a check or a
-	// session set-up opens and closes (phase.start/phase.end), each pass,
-	// certify.done and blame.done as they happen. It is called on the
-	// checking goroutine; nil disables.
-	OnEvent func(kind string, fields map[string]any)
-
 	// encSpan is the live "encode" span while encodeWithContext runs;
 	// encodeSlice hangs its per-slice spans off it.
 	encSpan *obs.Span
@@ -247,7 +246,6 @@ func encodeWithContext(g *protograph.Graph, opts Options, ctx *smt.Context, pref
 		Addr:   map[network.IP]*Slice{},
 		SessUp: map[*protograph.BGPSession]*smt.Term{},
 		Prov:   provenance.NewTable(),
-		Obs:    opts.Span,
 		prefix: prefix,
 	}
 	sp := opts.Span.Start("encode")

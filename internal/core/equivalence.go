@@ -61,13 +61,20 @@ type LocalEquivalenceResult struct {
 // must make the same packet decisions. Sessions are paired by (kind,
 // remote AS) in sorted order; a peer-count mismatch is a difference.
 func CheckLocalEquivalence(g *protograph.Graph, a, b string, opts Options) (*LocalEquivalenceResult, error) {
+	return CheckLocalEquivalenceContext(context.Background(), g, a, b, opts)
+}
+
+// CheckLocalEquivalenceContext is CheckLocalEquivalence with
+// cancellation: ctx is checked before each of the sweep's solver queries,
+// and its error is returned once it is done.
+func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b string, opts Options) (*LocalEquivalenceResult, error) {
 	ca, cb := g.Configs[a], g.Configs[b]
 	if ca == nil || cb == nil {
 		return nil, fmt.Errorf("core: unknown router %q or %q", a, b)
 	}
 	sa, sb := sessionDescsOf(g, a), sessionDescsOf(g, b)
 	if len(sa) != len(sb) {
-		return &LocalEquivalenceResult{Difference: fmt.Sprintf("%s has %d BGP sessions, %s has %d", a, len(sa), b, len(sb))}, nil
+		return difference(nil, "%s has %d BGP sessions, %s has %d", a, len(sa), b, len(sb))
 	}
 
 	// A miniature model: a shared symbolic destination and one symbolic
@@ -82,7 +89,7 @@ func CheckLocalEquivalence(g *protograph.Graph, a, b string, opts Options) (*Loc
 	sl := &Slice{Name: "eq", DstIP: dst}
 	for i := range sa {
 		if !sameShape(sa[i], sb[i]) {
-			return &LocalEquivalenceResult{Difference: fmt.Sprintf("session %d differs: %s vs %s", i, describeSession(sa[i]), describeSession(sb[i]))}, nil
+			return difference(nil, "session %d differs: %s vs %s", i, describeSession(sa[i]), describeSession(sb[i]))
 		}
 		in := m.recVar(fmt.Sprintf("eq|in%d", i), true, uint64(20))
 		stanzaA := sa[i].sess.StanzaOf(g.Topo.Node(a))
@@ -94,8 +101,8 @@ func CheckLocalEquivalence(g *protograph.Graph, a, b string, opts Options) (*Loc
 		if stanzaB.InMap != "" {
 			outB = m.applyRouteMap(sl, cb, stanzaB.InMap, in)
 		}
-		if diff := recordsDiffer(c, outA, outB); diff != "" {
-			return &LocalEquivalenceResult{Difference: fmt.Sprintf("import policy for session %d (%s): %s", i, describeSession(sa[i]), diff)}, nil
+		if diff, err := recordsDiffer(ctx, c, outA, outB); err != nil || diff != "" {
+			return difference(err, "import policy for session %d (%s): %s", i, describeSession(sa[i]), diff)
 		}
 		// Export direction: a symbolic best record through each OutMap.
 		best := m.recVar(fmt.Sprintf("eq|best%d", i), true, uint64(20))
@@ -106,8 +113,8 @@ func CheckLocalEquivalence(g *protograph.Graph, a, b string, opts Options) (*Loc
 		if stanzaB.OutMap != "" {
 			expB = m.applyRouteMap(sl, cb, stanzaB.OutMap, best)
 		}
-		if diff := recordsDiffer(c, expA, expB); diff != "" {
-			return &LocalEquivalenceResult{Difference: fmt.Sprintf("export policy for session %d (%s): %s", i, describeSession(sa[i]), diff)}, nil
+		if diff, err := recordsDiffer(ctx, c, expA, expB); err != nil || diff != "" {
+			return difference(err, "export policy for session %d (%s): %s", i, describeSession(sa[i]), diff)
 		}
 	}
 
@@ -122,24 +129,30 @@ func CheckLocalEquivalence(g *protograph.Graph, a, b string, opts Options) (*Loc
 	}
 	ifA, ifB := sortedIfaces(ca), sortedIfaces(cb)
 	if len(ifA) != len(ifB) {
-		return &LocalEquivalenceResult{Difference: fmt.Sprintf("%s has %d interfaces, %s has %d", a, len(ifA), b, len(ifB))}, nil
+		return difference(nil, "%s has %d interfaces, %s has %d", a, len(ifA), b, len(ifB))
 	}
 	for i := range ifA {
 		for _, inbound := range []bool{true, false} {
 			pa := m.aclPermits(ca, ifA[i], inbound, pkt)
 			pb := m.aclPermits(cb, ifB[i], inbound, pkt)
-			if differs(c, pa, pb) {
+			if d, err := differs(ctx, c, pa, pb); err != nil || d {
 				dir := "out"
 				if inbound {
 					dir = "in"
 				}
-				return &LocalEquivalenceResult{
-					Difference: fmt.Sprintf("ACL behaviour differs on %s/%s vs %s/%s (%s)", a, ifA[i], b, ifB[i], dir),
-				}, nil
+				return difference(err, "ACL behaviour differs on %s/%s vs %s/%s (%s)", a, ifA[i], b, ifB[i], dir)
 			}
 		}
 	}
 	return &LocalEquivalenceResult{Equivalent: true}, nil
+}
+
+// difference is the sweep's answer on finding a divergence, or err.
+func difference(err error, format string, a ...any) (*LocalEquivalenceResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &LocalEquivalenceResult{Difference: fmt.Sprintf(format, a...)}, nil
 }
 
 func describeSession(d sessionDesc) string {
@@ -164,7 +177,7 @@ func sortedIfaces(c *config.Router) []string {
 
 // recordsDiffer checks satisfiability of "the two derived records differ"
 // and describes the differing field.
-func recordsDiffer(c *smt.Context, a, b *Record) string {
+func recordsDiffer(ctx context.Context, c *smt.Context, a, b *Record) (string, error) {
 	type field struct {
 		name string
 		t    *smt.Term
@@ -182,11 +195,11 @@ func recordsDiffer(c *smt.Context, a, b *Record) string {
 		}
 	}
 	for _, f := range fields {
-		if differs(c, f.t, c.True()) {
-			return f.name
+		if d, err := differs(ctx, c, f.t, c.True()); err != nil || d {
+			return f.name, err
 		}
 	}
-	return ""
+	return "", nil
 }
 
 func sortedCommKeys(m map[string]*smt.Term) []string {
@@ -198,19 +211,23 @@ func sortedCommKeys(m map[string]*smt.Term) []string {
 	return out
 }
 
-// differs checks whether two boolean terms can disagree.
-func differs(c *smt.Context, a, b *smt.Term) bool {
+// differs checks whether two boolean terms can disagree, or returns ctx's
+// error when it is done.
+func differs(ctx context.Context, c *smt.Context, a, b *smt.Term) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	q := c.Distinct(a, b)
 	if q == c.False() {
-		return false
+		return false, nil
 	}
 	if q == c.True() {
-		return true
+		return true, nil
 	}
 	// A fresh solver per query keeps queries independent.
 	s := smt.NewSolver(c)
 	s.Assert(q)
-	return s.Check().String() == "sat"
+	return s.Check().String() == "sat", nil
 }
 
 // EquivPair is two network copies encoded in one context, the substrate

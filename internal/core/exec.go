@@ -37,24 +37,21 @@ type executor struct {
 	terms int
 }
 
-// newExecutor opens the query's span under the model's and its scope
-// under that; the caller ends x.Span when the query is over.
+// newExecutor opens the query's span and its scope on the options'
+// observers; the caller ends x.Span when the query is over.
 func (m *Model) newExecutor(sol *smt.Solver, span, ledger string) *executor {
-	return &executor{m: m, sol: sol, Scope: cost.Open(m.Obs.Start(span), cost.New(ledger), m.OnEvent)}
+	return &executor{m: m, sol: sol, Scope: cost.Open(m.Opts.Span.Start(span), cost.New(ledger), m.Opts.OnEvent)}
 }
 
 // tracks reports whether clauses carry the provenance of the assert they
 // were blasted from (blame and profiling both need it).
 func (m *Model) tracks() bool { return m.Opts.Blame || m.Opts.ProfileOrigins }
 
-// instrument switches on what Options ask of a new solver: the progress
-// hook, origin tracking, and the proof trace that certification and
-// UNSAT-core blame replay (nil when neither is on).
+// instrument switches on what Options ask of a new solver: origin
+// tracking, and the proof trace that certification and UNSAT-core blame
+// replay (nil when neither is on).
 func (m *Model) instrument(sol *smt.Solver) *sat.Proof {
 	st := sol.SAT()
-	if m.Opts.ProgressEvery > 0 && m.Opts.OnProgress != nil {
-		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, m.Opts.OnProgress
-	}
 	if m.tracks() {
 		st.EnableOriginTracking()
 	}
@@ -109,11 +106,11 @@ func (x *executor) notePasses(res *Result, stats ...passes.Stats) {
 	if res != nil {
 		res.PassStats = append(res.PassStats, stats...)
 	}
-	if x.m.OnEvent == nil {
+	if x.m.Opts.OnEvent == nil {
 		return
 	}
 	for _, ps := range stats {
-		x.m.OnEvent(stream.EventPass, map[string]any{
+		x.m.Opts.OnEvent(stream.EventPass, map[string]any{
 			"pass":          ps.Pass,
 			"asserts_after": ps.AssertsAfter,
 			"terms_after":   ps.TermsAfter,
@@ -282,12 +279,18 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	// the interrupt flag is cleared so a late Interrupt cannot leak into a
 	// later check. Core sets no conflict budget: the search ends in a
 	// verdict, an interrupt, or a named refusal (a full clause database).
-	solveSp := x.Begin("solve")
-	stopWatch := watchInterrupt(ctx, x.sol.SAT().Interrupt)
-	status, err := x.sol.SAT().SolveLimited(assume...)
+	// The progress hook is this check's: it counts from base, and it is
+	// taken off again so a session's solver holds no finished check's.
+	solveSp, st := x.Begin("solve"), x.sol.SAT()
+	if hook := m.Opts.OnProgress; hook != nil {
+		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, func(p sat.Progress) { hook(p.Since(base)) }
+	}
+	stopWatch := watchInterrupt(ctx, st.Interrupt)
+	status, err := st.SolveLimited(assume...)
 	stopWatch()
-	x.sol.SAT().ResetInterrupt()
-	res.Stats = x.sol.SAT().Stats.Since(base)
+	st.ResetInterrupt()
+	st.OnProgress = nil
+	res.Stats = st.Stats.Since(base)
 	if s != nil {
 		s.checks++
 	}
@@ -325,8 +328,8 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 				return nil, err
 			}
 			res.Certificate = cert
-			if m.OnEvent != nil {
-				m.OnEvent(stream.EventCertify, map[string]any{
+			if m.Opts.OnEvent != nil {
+				m.Opts.OnEvent(stream.EventCertify, map[string]any{
 					"checked": cert.Checked, "steps": cert.Steps, "lemmas": cert.Lemmas, "ms": durMs(window),
 				})
 			}
@@ -348,8 +351,8 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 			x.End(cost.Work{})
 		}
 	}
-	if len(res.Blame) > 0 && m.OnEvent != nil {
-		m.OnEvent(stream.EventBlame, map[string]any{"origins": len(res.Blame)})
+	if len(res.Blame) > 0 && m.Opts.OnEvent != nil {
+		m.Opts.OnEvent(stream.EventBlame, map[string]any{"origins": len(res.Blame)})
 	}
 	if m.Opts.ProfileOrigins {
 		res.OriginProfile = m.originProfile(x.sol)

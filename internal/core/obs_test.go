@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sat"
 	"repro/internal/testnets"
+	"repro/internal/topogen"
 )
 
 // TestCheckSpans checks that a traced Encode+Check emits the expected span
@@ -86,6 +87,43 @@ func TestModelProgressHook(t *testing.T) {
 	for i, p := range snaps {
 		if p.Conflicts != int64(i+1) {
 			t.Fatalf("snapshot %d reports %d conflicts", i, p.Conflicts)
+		}
+	}
+}
+
+// TestSessionProgressHookPerCheck: a session check reports to the progress
+// hook its model's options carry when the check begins, counting from the
+// check's start as its Result.Stats does, and leaves the session's solver
+// holding no hook.
+func TestSessionProgressHookPerCheck(t *testing.T) {
+	ft, err := topogen.Generate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Encode(graphOf(t, ft.Routers), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := m.Reach(m.Main, true)
+	sess := m.NewSession()
+	for _, src := range []string{"tor-0-0", "tor-1-0"} {
+		var snaps []sat.Progress
+		m.Opts.ProgressEvery = 1
+		m.Opts.OnProgress = func(p sat.Progress) { snaps = append(snaps, p) }
+		res, err := sess.Check(reach[src], m.NoFailures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Conflicts == 0 || int64(len(snaps)) != res.Stats.Conflicts {
+			t.Fatalf("%s: %d snapshots for %d conflicts", src, len(snaps), res.Stats.Conflicts)
+		}
+		for i, p := range snaps {
+			if p.Conflicts != int64(i+1) {
+				t.Fatalf("%s: snapshot %d reports %d conflicts, want the check's own count", src, i, p.Conflicts)
+			}
+		}
+		if sess.sol.SAT().OnProgress != nil {
+			t.Fatalf("%s: the session's solver kept the finished check's hook", src)
 		}
 	}
 }

@@ -118,12 +118,6 @@ func (s *Session) noteBlasted(n int) {
 // graft it, they do not mutate it.
 func (s *Session) SetupCost() *cost.Node { return s.setupCost }
 
-// SolverStats returns the session solver's cumulative counters — not a
-// per-check delta. Service budgets baseline against it at check start so
-// progress-hook snapshots (also cumulative) can be turned into per-check
-// spend.
-func (s *Session) SolverStats() sat.Stats { return s.sol.SAT().Stats }
-
 // Checks returns the number of completed checks.
 func (s *Session) Checks() int {
 	s.mu.Lock()

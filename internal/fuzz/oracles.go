@@ -456,11 +456,12 @@ var edits = []struct {
 // unedited network) goes through one long-lived engine pinned to the
 // solver; after each edit reachability, a bounded-length query whose
 // hop bound is drawn well past routers+2 (the counter's width) and
-// isolation of the same source and subnet are asked, and every verdict
-// must equal a single-shot pipeline.Run on the same texts. A step whose
-// edit changed the parse is an edited copy to the engine, so its three
-// questions take the three solver paths in turn: a fresh solver, the
-// session the second opens, the open session.
+// isolation of the same source and subnet are asked (and fault-invariance
+// under one failure, a pair goal, after the first and the last step), and
+// every verdict must equal a single-shot pipeline.Run on the same texts.
+// A step whose edit changed the parse is an edited copy to the engine, so
+// its three questions take the three solver paths in turn: a fresh
+// solver, the session the second opens, the open session.
 func (s *Scenario) ServiceSequenceParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
 	routers := make([]*config.Router, len(s.Texts))
@@ -495,7 +496,11 @@ func (s *Scenario) ServiceSequenceParity(rng *rand.Rand) error {
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: step %d (%s): %w", s.Name, n, name, err)
 		}
-		for _, spec := range []pipeline.Spec{q.spec(), bounded, isolation} {
+		specs := []pipeline.Spec{q.spec(), bounded, isolation}
+		if n == 0 || n == len(steps)-1 {
+			specs = append(specs, pipeline.Spec{Check: "fault-invariance", MaxFailures: 1})
+		}
+		for _, spec := range specs {
 			goal, err := spec.Goal()
 			if err != nil {
 				return err

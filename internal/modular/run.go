@@ -19,9 +19,10 @@ import (
 
 // Options configure one modular run.
 type Options struct {
-	// Core is the per-component encoder/solver configuration. Components
-	// are compiled with it unchanged, so pass exactly what a monolithic
-	// check would use (certification, blame, passes, ...).
+	// Core is what a monolithic check would use (certification, blame,
+	// passes, the progress hook, ...). Components run concurrently, so
+	// they are compiled without its span and event sink, which receives
+	// the run's own events ("modular.class", ...).
 	Core core.Options
 	// Workers bounds class-level parallelism for the built-in scheduler
 	// (<=0 means one worker). Ignored when Schedule is set.
@@ -29,9 +30,6 @@ type Options struct {
 	// Schedule, when non-nil, runs the per-class closures on an external
 	// pool (the service engine's workers) and returns when all are done.
 	Schedule func(tasks []func())
-	// OnEvent receives progress events ("modular.class", ...) for the
-	// flight recorder; nil disables.
-	OnEvent func(event string, fields map[string]any)
 	// NoFallback is read by pipeline.Run, which embeds these options: it
 	// makes residue final instead of handing the goal to the monolithic
 	// step. Run itself never falls back. For fabrics where the
@@ -73,8 +71,8 @@ type Report struct {
 }
 
 func emit(o Options, event string, fields map[string]any) {
-	if o.OnEvent != nil {
-		o.OnEvent(event, fields)
+	if o.Core.OnEvent != nil {
+		o.Core.OnEvent(event, fields)
 	}
 }
 
@@ -333,7 +331,9 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 	// externals (config.BuildTopology infers them for BGP neighbors outside
 	// the subset), so the encoder's ordinary environment machinery provides
 	// the assume-side records.
-	m, err := core.Encode(cg, opts.Core)
+	copts := opts.Core
+	copts.Span, copts.OnEvent = nil, nil
+	m, err := core.Encode(cg, copts)
 	if err != nil {
 		fail(err)
 		return

@@ -33,8 +33,8 @@ func (r *rig) sink(event string, fields map[string]any) {
 	r.events = append(r.events, stream.Event{Type: event, Data: fields})
 }
 
-// wire routes a model's spans and events to the rig.
-func (r *rig) wire(m *core.Model) { m.Obs, m.OnEvent = r.tr.Root(), r.sink }
+// wire routes the spans and events of checks run with o to the rig.
+func (r *rig) wire(o *core.Options) { o.Span, o.OnEvent = r.tr.Root(), r.sink }
 
 // phaseEnds lists the phase.end names in arrival order, after checking
 // that phases never nest: each phase.start is answered by the phase.end
@@ -158,7 +158,7 @@ func TestPhaseAccounts(t *testing.T) {
 	fresh := func(opts core.Options, holds bool) func(*testing.T, *rig) *core.Result {
 		return func(t *testing.T, r *rig) *core.Result {
 			m, p, assumptions := chainQuery(t, opts, holds)
-			r.wire(m)
+			r.wire(&m.Opts)
 			res, err := m.Check(p, assumptions...)
 			return must(t, res, err)
 		}
@@ -182,7 +182,7 @@ func TestPhaseAccounts(t *testing.T) {
 			run: func(t *testing.T, r *rig) *core.Result {
 				m, p, assumptions := chainQuery(t, core.DefaultOptions(), true)
 				cn := m.Compile() // amortized by the caller: not this query's
-				r.wire(m)
+				r.wire(&m.Opts)
 				res, err := m.CheckGoal(ctx, cn, p, assumptions...)
 				return must(t, res, err)
 			},
@@ -221,7 +221,7 @@ func TestPhaseAccounts(t *testing.T) {
 				if sorted(childNames(setup)) != "blast compile simplify" || setup.Total().ClauseDBBytes <= 0 {
 					t.Errorf("set-up ledger %v with %d db bytes", childNames(setup), setup.Total().ClauseDBBytes)
 				}
-				r.wire(m)
+				r.wire(&m.Opts)
 				res, err := sess.Check(p, assumptions...)
 				return must(t, res, err)
 			}},
@@ -232,7 +232,7 @@ func TestPhaseAccounts(t *testing.T) {
 				first, err := sess.Check(p, assumptions...)
 				must(t, first, err)
 				before := first.Cost.Total()
-				r.wire(m)
+				r.wire(&m.Opts)
 				res, err := sess.Check(m.Ctx.Not(p), assumptions...)
 				must(t, res, err)
 				// Each check keeps its own books: the second neither shares
@@ -264,7 +264,7 @@ func TestPhaseAccounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.wire(m)
+				r.wire(&m.Opts)
 				res, err := sess.Check(reach, reachAssumptions...)
 				return must(t, res, err)
 			}},
@@ -298,7 +298,7 @@ func TestPhaseAccounts(t *testing.T) {
 		{name: "graph-tier hit", phases: "fastpath",
 			run: func(t *testing.T, r *rig) *core.Result {
 				opts := options("")
-				opts.Core.Span, opts.OnEvent = r.tr.Root(), r.sink
+				r.wire(&opts.Core)
 				v, err := pipeline.Run(ctx, chain(t, 3), tiered.Goal{Check: "isolation", Src: "R1", Subnet: sub, HasSubnet: true}, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -323,12 +323,9 @@ func TestPhaseAccounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := options("")
-				opts.Core.Span, opts.OnEvent = r.tr.Root(), r.sink
+				r.wire(&opts.Core)
 				opts.Live = func() (*core.Model, *core.Session, error) {
-					m, err := core.Encode(net.Graph, core.DefaultOptions())
-					if err == nil {
-						r.wire(m)
-					}
+					m, err := core.Encode(net.Graph, opts.Core)
 					return m, nil, err
 				}
 				v, err := pipeline.Run(ctx, net, tiered.Goal{Check: "blackholes"}, opts)
@@ -349,7 +346,7 @@ func TestPhaseAccounts(t *testing.T) {
 			run: func(t *testing.T, r *rig) *core.Result {
 				opts := options("none")
 				opts.Modular = true
-				opts.OnEvent = r.sink
+				opts.Core.OnEvent = r.sink
 				v, err := pipeline.Run(ctx, fabric(t, 2), tiered.Goal{Check: "reachability",
 					Src: topogen.ToRName(1, 0), Subnet: topogen.ToRSubnet(0, 0), HasSubnet: true}, opts)
 				if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/obs/stream"
 	"repro/internal/pipeline"
 	"repro/internal/properties"
 	"repro/internal/sat"
@@ -207,6 +208,21 @@ func TestRunPairGoals(t *testing.T) {
 	v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "fault-invariance", MaxFailures: 1}, opts)
 	if !errors.Is(err, context.Canceled) || v.Result != nil {
 		t.Fatalf("cancelled fault-invariance: err = %v, result %+v", err, v.Result)
+	}
+
+	// Cancelled as its solve phase opens, the equivalence sweep of two
+	// routers it would find equivalent stops before its first query.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	opts = options("none")
+	opts.Core.OnEvent = func(kind string, f map[string]any) {
+		if kind == stream.EventPhaseStart && f["phase"] == "solve" {
+			cancel()
+		}
+	}
+	v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "equivalence", Srcs: []string{"agg-0-0", "agg-1-0"}}, opts)
+	if !errors.Is(err, context.Canceled) || v.Result != nil {
+		t.Fatalf("cancelled equivalence: err = %v, result %+v", err, v.Result)
 	}
 }
 

@@ -27,23 +27,21 @@ const (
 // strategy tree until a second ordering exists.
 type Options struct {
 	// Options are the modular step's scheduling knobs. Core configures
-	// every encode of every step (passes, certification, blame, parent
-	// span); Core.Tiers switches the graph tier
-	// (tiered.ValidateTiers syntax). OnEvent is additionally the sink of
-	// Run's own phases (fastpath, property); the phases of the monolithic
-	// check go to its model's OnEvent, which a Live caller routes to the
-	// same place. NoFallback makes the modular step's residue final:
-	// Run reports it with a nil Result instead of starting a
-	// whole-network solve that may be infeasible.
+	// every encode of every step and carries the observers, which get
+	// Run's own phases (fastpath, property) too; a Live model is checked
+	// with the options it carries. Core.Tiers switches the graph tier
+	// (tiered.ValidateTiers syntax). NoFallback makes the modular step's
+	// residue final: Run reports it with a nil Result instead of starting
+	// a whole-network solve that may be infeasible.
 	modular.Options
 	// Modular turns the assume/guarantee step on.
 	Modular bool
 	// Live, when set, supplies the monolithic step's model in place of a
 	// fresh encode of the network: the caller's long-lived model and its
-	// incremental session, or a model the caller wired hooks into and a
-	// nil session (which is then checked fresh). It is called at most once
-	// per Run and only when the goal reaches the monolithic step, so a
-	// network answered by the earlier steps never pays the encode.
+	// incremental session, or its model and a nil session (which is then
+	// checked fresh). It is called at most once per Run and only when the
+	// goal reaches the monolithic step, so a network answered by the
+	// earlier steps never pays the encode.
 	Live func() (*core.Model, *core.Session, error)
 }
 
@@ -116,7 +114,7 @@ func Run(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*Ve
 		// The analysis is the network's, cached across goals: building it
 		// is not part of deciding this one.
 		a := net.Analysis()
-		ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+		ph := cost.Open(opts.Core.Span, ledger, opts.Core.OnEvent)
 		sp := ph.Begin("fastpath")
 		out := a.Decide(goal)
 		sp.SetStr("reason", out.Reason)
@@ -165,14 +163,11 @@ func compose(ctx context.Context, net *Network, goal tiered.Goal, opts Options, 
 		v.Mode, v.Residue = ModeMonolithic, []string{"single-component"}
 		return nil
 	}
-	mopts := opts.Options
-	// Component checks run concurrently and the span tree is
-	// single-writer: the modular span prices the whole run.
-	mopts.Core.Span = nil
+	// The modular span prices the whole run.
 	plan := modular.NewPlan(net.Graph, cut, goal)
 	sp := opts.Core.Span.Start("modular")
 	sp.SetInt("components", int64(len(plan.Comps)))
-	rep, err := modular.Run(ctx, net.Graph, plan, mopts)
+	rep, err := modular.Run(ctx, net.Graph, plan, opts.Options)
 	sp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -180,8 +175,8 @@ func compose(ctx context.Context, net *Network, goal tiered.Goal, opts Options, 
 		}
 		// A component-level runtime error is residue, not a failure: the
 		// monolithic step still owns the answer.
-		if opts.OnEvent != nil {
-			opts.OnEvent(stream.EventModularResidue, map[string]any{"error": err.Error()})
+		if opts.Core.OnEvent != nil {
+			opts.Core.OnEvent(stream.EventModularResidue, map[string]any{"error": err.Error()})
 		}
 		v.Mode, v.Residue = ModeFallback, []string{"error: " + err.Error()}
 		return nil
@@ -201,7 +196,7 @@ func compose(ctx context.Context, net *Network, goal tiered.Goal, opts Options, 
 func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
 	switch goal.Check {
 	case "equivalence":
-		return equivalence(net, goal, opts, ledger, v)
+		return equivalence(ctx, net, goal, opts, ledger, v)
 	case "fault-invariance":
 		return faultInvariance(ctx, net, goal, opts, ledger, v)
 	}
@@ -216,7 +211,7 @@ func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Option
 	if err != nil {
 		return nil, err
 	}
-	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+	ph := cost.Open(opts.Core.Span, ledger, opts.Core.OnEvent)
 	ph.Begin("property")
 	prop, assumptions, err := Property(m, goal)
 	ph.End(cost.Work{})
@@ -235,16 +230,16 @@ func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Option
 // keep no counts, so it is charged to the goal's ledger as one solve
 // phase with no work; a falsified verdict carries v.Difference and no
 // counterexample.
-func equivalence(net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
+func equivalence(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
 	if len(goal.Srcs) != 2 {
 		return nil, requestErrorf("pipeline: check %q requires two routers", goal.Check)
 	}
 	if err := knownRouters(net.Graph, goal.Srcs); err != nil {
 		return nil, err
 	}
-	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+	ph := cost.Open(opts.Core.Span, ledger, opts.Core.OnEvent)
 	ph.Begin("solve")
-	eq, err := core.CheckLocalEquivalence(net.Graph, goal.Srcs[0], goal.Srcs[1], opts.Core)
+	eq, err := core.CheckLocalEquivalenceContext(ctx, net.Graph, goal.Srcs[0], goal.Srcs[1], opts.Core)
 	ph.End(cost.Work{})
 	if err != nil {
 		return nil, err
@@ -267,7 +262,7 @@ func faultInvariance(ctx context.Context, net *Network, goal tiered.Goal, opts O
 	if err != nil {
 		return nil, err
 	}
-	ph := cost.Open(opts.Core.Span, ledger, opts.OnEvent)
+	ph := cost.Open(opts.Core.Span, ledger, opts.Core.OnEvent)
 	ph.Begin("property")
 	silent := pair.Ctx.True()
 	for _, e := range net.Graph.Topo.Externals {

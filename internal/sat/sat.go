@@ -198,6 +198,18 @@ type Progress struct {
 	LBDAvg float64
 }
 
+// Since returns the snapshot with its work counters taken from before
+// on, like Stats.Since; the database sizes and LBDAvg are p's.
+func (p Progress) Since(before Stats) Progress {
+	p.Conflicts -= before.Conflicts
+	p.Decisions -= before.Decisions
+	p.Propagations -= before.Propagations
+	p.Restarts -= before.Restarts
+	p.Learned -= before.Learned
+	p.Deleted -= before.Deleted
+	return p
+}
+
 // Solver is a CDCL SAT solver. The zero value is not ready for use; call
 // New.
 type Solver struct {

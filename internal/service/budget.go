@@ -8,22 +8,22 @@ import (
 	"repro/internal/sat"
 )
 
-// budgetState enforces one job's resource budgets while its solver runs.
-// The solver progress hook calls observe every ProgressEvery conflicts;
-// the first breach records what was exceeded and cancels the check's
-// context, so the solver unwinds through the ordinary interruption path
-// instead of running the daemon out of memory or CPU. The engine then
-// turns the recorded breach into a budget_exceeded verdict rather than a
-// job failure.
+// budgetState enforces one job's resource budgets while its solvers run.
+// The progress hook of each check the job runs calls observe every
+// ProgressEvery conflicts; the first breach records what was exceeded and
+// cancels the job's context, so the solver unwinds through the ordinary
+// interruption path instead of running the daemon out of memory or CPU.
+// The engine then turns the recorded breach into a budget_exceeded
+// verdict rather than a job failure.
 //
-// observe runs on the goroutine that drives the search (the checking
-// worker); the breach record is mutex-protected, so nothing depends on
-// which goroutine that is.
+// observe runs on the goroutine that drives each search, several at once
+// when a modular job's component checks run on the worker pool; the
+// breach record is mutex-protected, so nothing depends on which goroutine
+// that is.
 type budgetState struct {
 	cancel     context.CancelFunc
 	workBudget int64 // solver work units (decisions+propagations+conflicts); 0 = unlimited
 	memBudget  int64 // live-heap bytes; 0 = unlimited
-	base       sat.Stats
 
 	mu       sync.Mutex
 	breached string // "" until breach; then "work" or "mem"
@@ -32,27 +32,22 @@ type budgetState struct {
 	spent    cost.Work // per-check work delta at breach time
 }
 
-// newBudgetState baselines the budgets against the solver's cumulative
-// counters at check start — a session's running total, zero for a fresh
-// solver — so only this check's spend counts against the limit. A fresh
-// check's spend includes loading the network into its solver
-// (Options.WorkBudget).
-func newBudgetState(cancel context.CancelFunc, work, mem int64, base sat.Stats) *budgetState {
-	return &budgetState{cancel: cancel, workBudget: work, memBudget: mem, base: base}
+func newBudgetState(cancel context.CancelFunc, work, mem int64) *budgetState {
+	return &budgetState{cancel: cancel, workBudget: work, memBudget: mem}
 }
 
-// observe checks the budgets against one progress snapshot. p carries the
-// solver's cumulative counters; the baseline captured at check start
-// converts them into this check's spend.
+// observe checks the budgets against one progress snapshot, whose
+// counters core counts from the check's start: the check's spend
+// (Options.WorkBudget).
 func (b *budgetState) observe(p sat.Progress) {
 	if b == nil {
 		return
 	}
 	spent := cost.Work{
-		Conflicts:    p.Conflicts - b.base.Conflicts,
-		Decisions:    p.Decisions - b.base.Decisions,
-		Propagations: p.Propagations - b.base.Propagations,
-		Restarts:     p.Restarts - b.base.Restarts,
+		Conflicts:    p.Conflicts,
+		Decisions:    p.Decisions,
+		Propagations: p.Propagations,
+		Restarts:     p.Restarts,
 	}
 	if b.workBudget > 0 {
 		if units := spent.Units(); units > b.workBudget {

@@ -190,6 +190,13 @@ func TestWorkBudgetExceeded(t *testing.T) {
 		t.Fatalf("repeat query: cached=%v budget=%v, want fresh budget trip",
 			v2.Cached, v2.Budget)
 	}
+
+	// A pair goal's check is bounded too: fault-invariance on an audit
+	// network takes thousands of conflicts on a model of its own.
+	v3, err := e.Verify(context.Background(), &Request{Configs: auditConfigs(t, 7), Spec: Spec{Check: "fault-invariance"}})
+	if err != nil || v3.Budget == nil || v3.Budget.Exceeded != "work" || v3.Verified {
+		t.Fatalf("fault-invariance: %+v, %v; want an unverified work breach", v3, err)
+	}
 }
 
 // TestMemBudgetExceeded: an absurdly small memory budget trips on the

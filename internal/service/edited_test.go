@@ -209,19 +209,13 @@ func TestEditedCopyEarnsItsSession(t *testing.T) {
 		// The fresh check left the edited copy's model: the second solver
 		// question opens its session, and the search on it panics.
 		ent := entryOf(t, e, edited)
-		ent.mu.Lock()
-		ent.m.OnEvent = func(kind string, f map[string]any) {
-			if kind == stream.EventPhaseStart && f["phase"] == "solve" {
-				panic("boom inside the check")
-			}
-		}
-		ent.mu.Unlock()
-
+		e.observe = panicInSolve
 		j, err := e.Submit(&Request{Configs: edited, Spec: questions[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-j.Done()
+		e.observe = nil
 		if err := j.Err(); err == nil || err.Error() != "internal error: boom inside the check" {
 			t.Fatalf("job error %v, want the panic", err)
 		}

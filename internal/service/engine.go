@@ -51,7 +51,8 @@ type Options struct {
 	// default every job first tries the sound graph fast path and only
 	// residue reaches the solver; certification, where a rejected
 	// certificate fails the job; blame; origin profiling, served at
-	// GET /v1/jobs/{id}/profile. Span is set per job.
+	// GET /v1/jobs/{id}/profile. The observers (Span, OnEvent,
+	// ProgressEvery, OnProgress) are set per job.
 	Core core.Options
 	// Modular verifies multi-component networks with the assume/guarantee
 	// pipeline (internal/modular) when the spec's goal is in its
@@ -79,14 +80,13 @@ type Options struct {
 	// propagations + conflicts, the cost ledger's deterministic Units
 	// scale); 0 is unlimited. An over-budget job is cancelled and
 	// finishes with a budget_exceeded verdict naming the costliest
-	// subtree of its cost ledger — it does not fail. Enforced from the
-	// solver progress hook, so enforcement granularity is ProgressEvery
-	// conflicts; modular component checks run outside the hook and are
-	// not bounded. A check counts from where its solver stood when it
-	// began: a session check from the session's running total, past the
-	// network's set-up; a fresh check (an edited copy's first solver
-	// question) from zero, so it also charges the propagations of loading
-	// the network into its solver, as core's Result.Stats does.
+	// subtree of its cost ledger — it does not fail. Each check the job
+	// runs (monolithic, modular component, pair) is bounded alone, from
+	// its progress hook every ProgressEvery conflicts, and counts from
+	// where its solver stood when it began, as Result.Stats does: a
+	// session check from the session's running total, past its set-up; a
+	// fresh check (an edited copy's first solver question, a component or
+	// pair check) from zero, so it also charges loading its formula.
 	WorkBudget int64
 	// MemBudgetBytes cancels a job, like WorkBudget, when the process's
 	// live heap exceeds this many bytes while the job's solver runs —
@@ -125,21 +125,10 @@ type netEntry struct {
 	// m is nil until built. With Options.Modular, and for an edited copy,
 	// the model is built lazily — by the first solver question — so
 	// networks answered entirely by the earlier steps never pay the
-	// whole-network encode.
+	// whole-network encode. Each job points its options at the job's
+	// observers before it opens the session or checks.
 	m    *core.Model
 	sess *core.Session
-
-	// curRec is the flight recorder of the job currently checking on
-	// this entry's session, read by the solver progress hook. Both the
-	// writes (in check) and the hook (which runs on the checking
-	// worker's goroutine inside Session.CheckContext) happen with
-	// ent.mu held, so a plain field suffices.
-	curRec *stream.Recorder
-
-	// curBudget is the budget enforcer of the job currently checking on
-	// this entry's session, consulted by the same progress hook. Same
-	// locking story as curRec; the state also synchronizes internally.
-	curBudget *budgetState
 }
 
 // netSlot resolves one config hash to its network entry, once: the first
@@ -285,6 +274,9 @@ type Engine struct {
 	// reserved is the in-flight memory reservation: MemBudgetBytes per
 	// running budgeted job, surfaced as the service.reserved_bytes gauge.
 	reserved atomic.Int64
+	// observe, set only by tests, rewrites each job's core options once
+	// the engine has pointed them at the job.
+	observe func(*core.Options)
 
 	mu       sync.Mutex
 	closed   bool
@@ -382,8 +374,8 @@ func (e *Engine) Jobs() []View {
 var ErrQueueFull = errors.New("service: queue full")
 
 // Submit validates and queues a job. It returns immediately; wait on
-// Job.Done or poll Job.View. Submit fails when the spec is malformed or
-// a pair goal, the engine is closed, or the queue is full.
+// Job.Done or poll Job.View. Submit fails when the spec is malformed,
+// the engine is closed, or the queue is full.
 func (e *Engine) Submit(req *Request) (*Job, error) {
 	if len(req.Configs) == 0 {
 		return nil, &pipeline.RequestError{Err: errors.New("service: configs are required")}
@@ -392,9 +384,6 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 	goal, err := spec.Goal()
 	if err != nil {
 		return nil, err
-	}
-	if goal.Check == "equivalence" || goal.Check == "fault-invariance" {
-		return nil, &pipeline.RequestError{Err: fmt.Errorf("service: check %q is not supported by the daemon: it builds a pair model of its own, outside the network entry whose progress hook routes each job's budgets and events", goal.Check)}
 	}
 	timeout := e.opts.Timeout
 	if req.TimeoutMs > 0 {
@@ -719,10 +708,10 @@ func (e *Engine) network(j *Job) (*netEntry, error) {
 // build graphs a parsed network, then — unless the engine runs modular or
 // the network is an edited copy, where the whole-network model may never
 // be needed — encodes it and opens the solver session. Called with ent.mu
-// held, once per entry; failures are cached as permanent. sp parents the
-// encode/compile/session spans, so the building job's trace carries the
-// network's one-time setup cost.
-func (e *Engine) build(ent *netEntry, sp *obs.Span) error {
+// held, once per entry; failures are cached as permanent. opts are the
+// building job's, under its build span, so the job's trace and flight
+// recorder carry the network's one-time setup cost.
+func (e *Engine) build(ent *netEntry, opts core.Options) error {
 	net, err := pipeline.Build(ent.routers)
 	if err != nil {
 		return err
@@ -731,38 +720,27 @@ func (e *Engine) build(ent *netEntry, sp *obs.Span) error {
 	if e.opts.Modular || ent.edited {
 		return nil
 	}
-	return e.buildModel(ent, sp)
+	return e.buildModel(ent, opts)
 }
 
-// coreOptions is the encoder/solver configuration shared by the
-// monolithic model and every modular component compile.
-func (e *Engine) coreOptions(sp *obs.Span) core.Options {
+// jobOptions are the core options of every check one job runs: the
+// engine's, observed by the job — its span, its flight recorder, and a
+// progress hook that streams solver.progress events and feeds the job's
+// budget (nil when it has none).
+func (e *Engine) jobOptions(j *Job, sp *obs.Span, budget *budgetState) core.Options {
 	opts := e.opts.Core
-	opts.Span = sp
-	return opts
-}
-
-// buildModel encodes the whole network and, unless the network is an
-// edited copy, opens its solver session. Called with ent.mu held, at most
-// once per entry: a failure is permanent (ent.err).
-func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
-	opts := e.coreOptions(sp)
+	opts.Span, opts.OnEvent = sp, j.rec.Emit
 	every := e.opts.ProgressEvery
-	if every <= 0 && (e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0) {
+	if every <= 0 && budget != nil {
 		// Budgets ride the progress hook; keep it firing (without
 		// progress events) even when the operator disabled streaming.
 		every = 1000
 	}
 	if every > 0 {
-		// The hook is installed once per model and routes through the
-		// entry's current-recorder field, so every job checking on this
-		// model streams its own solver.progress events — and through
-		// the current-budget field, so the checking job's budgets are
-		// enforced at the same cadence.
 		opts.ProgressEvery = every
 		opts.OnProgress = func(p sat.Progress) {
 			if e.opts.ProgressEvery > 0 {
-				ent.curRec.Emit(stream.EventSolverProgress, map[string]any{
+				j.rec.Emit(stream.EventSolverProgress, map[string]any{
 					"conflicts":    p.Conflicts,
 					"decisions":    p.Decisions,
 					"propagations": p.Propagations,
@@ -771,29 +749,36 @@ func (e *Engine) buildModel(ent *netEntry, sp *obs.Span) error {
 					"lbd_avg":      p.LBDAvg,
 				})
 			}
-			ent.curBudget.observe(p)
+			budget.observe(p)
 		}
 	}
+	if e.observe != nil {
+		e.observe(&opts)
+	}
+	return opts
+}
+
+// buildModel encodes the whole network and, unless the network is an
+// edited copy, opens its solver session. Called with ent.mu held, at most
+// once per entry: a failure is permanent (ent.err).
+func (e *Engine) buildModel(ent *netEntry, opts core.Options) error {
 	m, err := core.Encode(ent.net.Graph, opts)
 	if err != nil {
 		return fmt.Errorf("service: encode: %w", err)
 	}
 	e.opts.Trace.Add("service.compiles", 1)
 	ent.m = m
-	// The model's events — the phases of the session set-up and of every
-	// check, passes, certification, blame — land on the recorder of the job
-	// working on the entry, as they happen.
-	m.OnEvent = func(kind string, fields map[string]any) { ent.curRec.Emit(kind, fields) }
 	if ent.edited {
 		return nil
 	}
-	return e.openSession(ent, sp)
+	return e.openSession(ent, opts)
 }
 
 // openSession opens the incremental solver session on the entry's model,
-// under sp. Called with ent.mu held.
-func (e *Engine) openSession(ent *netEntry, sp *obs.Span) error {
-	ent.m.Obs = sp
+// pointed at the opening job's observers first: an edited copy's model
+// was encoded by an earlier job. Called with ent.mu held.
+func (e *Engine) openSession(ent *netEntry, opts core.Options) error {
+	ent.m.Opts = opts
 	ent.sess = ent.m.NewSession()
 	e.opts.Trace.Add("service.session_builds", 1)
 	return nil
@@ -827,20 +812,30 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 			panic(asPanic(r))
 		}
 	}()
-	// The entry's telemetry is routed to this job while it holds the lock:
-	// the model's event sink and the progress hook read curRec, the hook
-	// reads curBudget, CheckContext reads m.Obs.
-	ent.curRec = j.rec
-	defer func() { ent.curRec, ent.curBudget = nil, nil }()
+	// Budget enforcement rides the progress hook of every check the job
+	// runs: cancel a derived context on breach, and recognize the breach
+	// below instead of failing the job.
+	var budget *budgetState
+	runCtx, cancelBudget := context.WithCancel(ctx)
+	defer cancelBudget()
+	if e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0 {
+		budget = newBudgetState(cancelBudget, e.opts.WorkBudget, e.opts.MemBudgetBytes)
+	}
+	opts := pipeline.Options{Modular: e.opts.Modular}
+	opts.Core = e.jobOptions(j, jtr.Root(), budget)
+	// Modular component checks run on this engine's own worker pool.
+	opts.Schedule = e.schedule
 	// setupCost is the session's one-time ledger, owned by the job that
 	// actually built the session — later jobs reuse the session without
 	// repaying (or re-reporting) its cost.
 	var setupCost *cost.Node
 	// setUp runs one of the entry's one-time builds as a phase of this job:
 	// a span that parents the encode and session spans, and an event pair.
-	setUp := func(phase string, build func(*netEntry, *obs.Span) error) {
-		ph := cost.Open(jtr.Root(), nil, j.rec.Emit)
-		ent.err = build(ent, ph.Begin(phase))
+	setUp := func(phase string, build func(*netEntry, core.Options) error) {
+		ph := cost.Open(opts.Core.Span, nil, opts.Core.OnEvent)
+		bopts := opts.Core
+		bopts.Span = ph.Begin(phase)
+		ent.err = build(ent, bopts)
 		ph.End(cost.Work{})
 		if ent.sess != nil {
 			setupCost = ent.sess.SetupCost()
@@ -859,17 +854,6 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		return nil, err
 	}
 
-	// Budget enforcement rides the solver progress hook: cancel a derived
-	// context on breach, and recognize the breach below instead of failing
-	// the job.
-	var budget *budgetState
-	runCtx, cancelBudget := context.WithCancel(ctx)
-	defer cancelBudget()
-	opts := pipeline.Options{Modular: e.opts.Modular}
-	opts.Core = e.coreOptions(jtr.Root())
-	// Modular component checks run on this engine's own worker pool.
-	opts.Schedule = e.schedule
-	opts.OnEvent = j.rec.Emit
 	// The monolithic step runs on the entry's live session, built lazily
 	// under Options.Modular. An edited copy answers its first solver
 	// question on a fresh solver (a nil session) and opens its session for
@@ -884,18 +868,13 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		if ent.err != nil {
 			return nil, nil, ent.err
 		}
-		ent.m.Obs = jtr.Root()
-		var base sat.Stats
-		if onSession = ent.sess != nil; onSession {
-			base = ent.sess.SolverStats()
-			if setupCost == nil { // an earlier job opened the session
-				e.opts.Trace.Add("service.session_reuse", 1)
-				j.rec.Emit(stream.EventSessionReuse, nil)
-			}
-		}
-		if e.opts.WorkBudget > 0 || e.opts.MemBudgetBytes > 0 {
-			budget = newBudgetState(cancelBudget, e.opts.WorkBudget, e.opts.MemBudgetBytes, base)
-			ent.curBudget = budget
+		// They differ from the options the model was encoded with only in
+		// the observers.
+		ent.m.Opts = opts.Core
+		if onSession = ent.sess != nil; onSession && setupCost == nil {
+			// An earlier job opened the session.
+			e.opts.Trace.Add("service.session_reuse", 1)
+			j.rec.Emit(stream.EventSessionReuse, nil)
 		}
 		return ent.m, ent.sess, nil
 	}

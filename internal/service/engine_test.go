@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/netgen"
 	"repro/internal/network"
 	"repro/internal/obs/stream"
 	"repro/internal/pipeline"
@@ -233,7 +234,6 @@ func TestEngineValidation(t *testing.T) {
 		{"unknown-check", Request{Configs: chainConfigs(2), Spec: Spec{Check: "nope"}}, "unknown check"},
 		{"missing-src", Request{Configs: chainConfigs(2), Spec: Spec{Check: "reachability", Subnet: "10.0.0.0/8"}}, "requires src"},
 		{"bad-subnet", Request{Configs: chainConfigs(2), Spec: Spec{Check: "reachability", Src: "R1", Subnet: "not-a-cidr"}}, "subnet"},
-		{"pair-model", Request{Configs: chainConfigs(2), Spec: Spec{Check: "equivalence", Pair: "R1,R2"}}, "not supported"},
 	}
 	for _, c := range cases {
 		_, err := e.Submit(&c.req)
@@ -326,6 +326,20 @@ func fabricConfigs(t *testing.T, k int) map[string]string {
 	}
 	cfgs := make(map[string]string, len(ft.Routers))
 	for _, r := range ft.Routers {
+		cfgs[r.Name+".cfg"] = config.Print(r)
+	}
+	return cfgs
+}
+
+// auditConfigs prints the §8.1 audit network of the given size.
+func auditConfigs(t *testing.T, size int) map[string]string {
+	t.Helper()
+	g, err := netgen.Audit(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make(map[string]string, len(g.Routers))
+	for _, r := range g.Routers {
 		cfgs[r.Name+".cfg"] = config.Print(r)
 	}
 	return cfgs
@@ -449,6 +463,50 @@ func TestEngineModularTimeout(t *testing.T) {
 	}
 	if !v.Verified || v.Mode != pipeline.ModeModular {
 		t.Fatalf("post-timeout verdict: verified=%v mode=%q (residue %v)", v.Verified, v.Mode, v.ModularResidue)
+	}
+}
+
+// TestModularWorkBudget: the work budget bounds each component check of a
+// modular job, as it does the monolithic check — the composed verdict's
+// component checks take conflicts, so a 1-unit budget trips, the job
+// finishes done with a budget_exceeded verdict, and the verdict is not
+// cached.
+func TestModularWorkBudget(t *testing.T) {
+	e := NewEngine(Options{
+		Workers: 2, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none"},
+		Modular: true, WorkBudget: 1, ProgressEvery: 1,
+	})
+	t.Cleanup(e.Close)
+	req := &Request{
+		Configs: fabricConfigs(t, 2),
+		Spec:    Spec{Check: "reachability", Src: "tor-1-0", Subnet: "10.0.0.0/24"},
+	}
+	net, err := pipeline.Load(req.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal, err := req.Spec.Goal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts pipeline.Options
+	opts.Core.Tiers, opts.Modular = "none", true
+	if pv, err := pipeline.Run(context.Background(), net, goal, opts); err != nil || pv.Mode != pipeline.ModeModular || pv.Result.Stats.Conflicts == 0 {
+		t.Fatalf("unbudgeted run: %v, %+v: want a composed verdict whose checks take conflicts", err, pv)
+	}
+	for i := 0; i < 2; i++ {
+		j, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		v := j.Verdict()
+		if j.Err() != nil || v == nil || v.Cached || v.Verified || v.Budget == nil || v.Budget.Exceeded != "work" {
+			t.Fatalf("request %d: err %v, verdict %+v: want an uncached work breach", i, j.Err(), v)
+		}
+	}
+	if got := e.Trace().Counter("service.budget_exceeded"); got != 2 {
+		t.Fatalf("budget_exceeded counter = %d, want 2", got)
 	}
 }
 

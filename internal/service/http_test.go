@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs/stream"
+	"repro/internal/pipeline"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
@@ -185,7 +188,6 @@ func TestDaemonBadRequests(t *testing.T) {
 		{"not-json", "{", http.StatusBadRequest},
 		{"unknown-field", `{"configs":{"a":"hostname A\n"},"check":"loops","bogus":1}`, http.StatusBadRequest},
 		{"no-configs", `{"check":"loops"}`, http.StatusBadRequest},
-		{"pair-model", `{"configs":{"a":"hostname A\n"},"check":"fault-invariance"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(srv.URL+"/v1/verify", "application/json", strings.NewReader(c.body))
@@ -412,5 +414,54 @@ func TestDaemonBlameAndProfile(t *testing.T) {
 	defer missResp.Body.Close()
 	if missResp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cache-hit job profile status %d, want 404", missResp.StatusCode)
+	}
+}
+
+// TestDaemonServesPairGoals: the §8.1 pair goals go through the same Run
+// as every other goal. POST /v1/verify answers fault-invariance and
+// equivalence with the verdict and difference a single-shot pipeline.Run
+// gives on the same texts, the pair check's solve phase is on the job's
+// event stream, and a repeat is a cache hit.
+func TestDaemonServesPairGoals(t *testing.T) {
+	srv, e := newTestServer(t)
+	cfgs := auditConfigs(t, 7)
+	net, err := pipeline.Load(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{
+		{Check: "fault-invariance", MaxFailures: 1},
+		{Check: "equivalence", Pair: "access1,access2"},
+	} {
+		goal, err := spec.Goal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pipeline.Run(context.Background(), net, goal, pipeline.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, v := postVerify(t, srv, &Request{Configs: cfgs, Spec: spec})
+		if v == nil {
+			t.Fatalf("%s: status %d", spec.Check, resp.StatusCode)
+		}
+		if v.Cached || v.Verified != want.Result.Verified || v.Difference != want.Difference {
+			t.Fatalf("%s: daemon verified=%v difference %q cached=%v, single-shot verified=%v difference %q",
+				spec.Check, v.Verified, v.Difference, v.Cached, want.Result.Verified, want.Difference)
+		}
+		j, _ := e.Job(v.JobID)
+		var solve []string
+		for _, ev := range j.Recorder().Events() {
+			if (ev.Type == stream.EventPhaseStart || ev.Type == stream.EventPhaseEnd) && ev.Data["phase"] == "solve" {
+				solve = append(solve, ev.Type)
+			}
+		}
+		if len(solve) != 2 || solve[0] != stream.EventPhaseStart || solve[1] != stream.EventPhaseEnd {
+			t.Fatalf("%s: solve phase events %v, want one start and one end", spec.Check, solve)
+		}
+		if _, again := postVerify(t, srv, &Request{Configs: cfgs, Spec: spec}); again == nil || !again.Cached ||
+			again.Verified != v.Verified || again.Difference != v.Difference {
+			t.Fatalf("%s: repeat %+v, want a cache hit with the same verdict", spec.Check, again)
+		}
 	}
 }

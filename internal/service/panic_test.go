@@ -15,11 +15,23 @@ import (
 	"repro/internal/obs/stream"
 )
 
-// TestDaemonSurvivesPanickingCheck makes one check panic in the middle of
-// a session's search-side phases (the model's event sink is the hook: the
-// executor calls it at every phase boundary) and holds the daemon to what
-// a bug in the checker may cost: that job, with the stack on its flight
-// recorder — not the worker, not the network, not a goroutine.
+// panicInSolve is an Engine.observe that makes a job's checks panic where
+// their solve phase opens: the job's event sink is the hook, and the
+// executor calls it at every phase boundary.
+func panicInSolve(o *core.Options) {
+	emit := o.OnEvent
+	o.OnEvent = func(kind string, f map[string]any) {
+		if kind == stream.EventPhaseStart && f["phase"] == "solve" {
+			panic("boom inside the check")
+		}
+		emit(kind, f)
+	}
+}
+
+// TestDaemonSurvivesPanickingCheck makes one check panic in the solve
+// phase of a session check and holds the daemon to what a bug in the
+// checker may cost: that job, with the stack on its flight recorder — not
+// the worker, not the network, not a goroutine.
 func TestDaemonSurvivesPanickingCheck(t *testing.T) {
 	e := NewEngine(Options{Workers: 1, Timeout: 60 * time.Second, Core: core.Options{Tiers: "none"}})
 	srv := httptest.NewServer(NewHandler(e))
@@ -41,12 +53,8 @@ func TestDaemonSurvivesPanickingCheck(t *testing.T) {
 	if len(e.byParse) != 1 {
 		t.Fatalf("%d network entries, want 1", len(e.byParse))
 	}
-	for _, ent := range e.byParse {
-		ent.mu.Lock()
-		ent.m.OnEvent = func(string, map[string]any) { panic("boom inside the check") }
-		ent.mu.Unlock()
-	}
 	e.mu.Unlock()
+	e.observe = panicInSolve
 
 	resp, _ := postVerify(t, srv, ask("R2"))
 	var eb errorBody
@@ -65,13 +73,15 @@ func TestDaemonSurvivesPanickingCheck(t *testing.T) {
 	if failed == nil {
 		t.Fatalf("no failed job among %+v", e.Jobs())
 	}
+	<-failed.Done()
+	e.observe = nil
 	stack := ""
 	for _, ev := range failed.rec.Events() {
 		if ev.Type == stream.EventJobFailed {
 			stack, _ = ev.Data["stack"].(string)
 		}
 	}
-	if !strings.Contains(stack, "panic_test.go") || !strings.Contains(stack, "core.(*Model).check") {
+	if !strings.Contains(stack, "panic_test.go") || !strings.Contains(stack, "core.(*Session).CheckContext") {
 		t.Fatalf("job.failed carries no stack through the check to the panic:\n%s", stack)
 	}
 
