@@ -181,7 +181,7 @@ func BenchmarkHijackQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := m.Check(properties.ManagementReachable(m), m.NoFailures())
+		res, err := m.CheckGoal(context.Background(), nil, properties.ManagementReachable(m), m.NoFailures())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkSessionHijackQuery(b *testing.B) {
 	p := properties.ManagementReachable(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sess.Check(p, m.NoFailures())
+		res, err := sess.CheckContext(context.Background(), p, m.NoFailures())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,10 +50,10 @@
 // writes the merged per-origin hot-constraint profile as a
 // flamegraph-compatible collapsed-stack file (-profile-out).
 //
-// Observability: -trace-json FILE dumps the span tree of a fig8/ablation
-// run as JSON, and -progress N prints solver progress to stderr every N
-// conflicts. -cpuprofile/-memprofile write runtime/pprof profiles of the
-// bench process itself.
+// Observability: -trace-chrome FILE writes the span tree of a
+// fig8/ablation run as Chrome trace_event JSON, and -progress N prints
+// solver progress to stderr every N conflicts. -cpuprofile/-memprofile
+// write runtime/pprof profiles of the bench process itself.
 package main
 
 import (
@@ -88,7 +88,7 @@ func main() {
 		podsFlag   = flag.String("pods", "2,4,6", "comma-separated pod counts for fig8/ablation")
 		propsFlag  = flag.String("props", "all", "comma-separated figure-8 properties, or 'all'")
 		jsonOut    = flag.String("json-out", "BENCH_<experiment>.json", "fig8/tiered/modular: JSON artifact path ('' to skip)")
-		traceJSON  = flag.String("trace-json", "", "write the fig8/ablation span tree as JSON to this file")
+		traceOut   = flag.String("trace-chrome", "", "write the fig8/ablation span tree as Chrome trace_event JSON to this file")
 		progress   = flag.String("progress", "", "print solver progress to stderr every N conflicts")
 		passesFlag = flag.String("passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all; ablation pins its own)")
 		tiersFlag  = flag.String("tiers", "none", "fig8: verification tiers (graph,sat enables the fast path; the default measures the solver)")
@@ -138,7 +138,7 @@ func main() {
 	}
 
 	var tr *obs.Trace
-	if *traceJSON != "" {
+	if *traceOut != "" {
 		tr = obs.New("bench:" + *experiment)
 	}
 	every := int64(0)
@@ -181,7 +181,7 @@ func main() {
 	if err == nil && tr != nil {
 		tr.Root().End()
 		tr.SampleMem()
-		err = writeTrace(tr, *traceJSON)
+		err = writeTrace(tr, *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -194,7 +194,7 @@ func writeTrace(tr *obs.Trace, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteJSON(f); err != nil {
+	if err := tr.WriteChrome(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -387,7 +387,7 @@ func newFig8JSON(f *harness.Fabric, prop string, res *core.Result) fig8JSON {
 	if cert := res.Certificate; cert != nil {
 		row.ProofSteps, row.ProofLemmas = cert.Steps, cert.Lemmas
 		row.ProofHinted, row.ProofFallbacks = cert.Hinted, cert.Fallbacks
-		row.ProofCheckMs = toMs(cert.CheckElapsed)
+		row.ProofCheckMs = toMs(res.CertifyElapsed)
 	}
 	return row
 }

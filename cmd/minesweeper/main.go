@@ -22,7 +22,6 @@
 //
 //	-v                  also prints the phase span tree to stderr
 //	-json               prints the verdict as one JSON object on stdout
-//	-trace-json FILE    writes the span tree + metrics as JSON
 //	-trace-chrome FILE  writes the span tree as Chrome trace_event JSON,
 //	                    browsable in Perfetto (ui.perfetto.dev) or
 //	                    chrome://tracing
@@ -99,7 +98,7 @@ type cliOpts struct {
 	hops, maxLen, maxFailures          int
 	verbose, replay, jsonOut, certify  bool
 	blame, modular, costOut            bool
-	traceJSON, traceChrome, promOut    string
+	traceChrome, promOut               string
 	passes                             string
 	tiers                              string
 	progressEvery                      int64
@@ -120,7 +119,6 @@ func main() {
 	flag.BoolVar(&o.replay, "replay", false, "replay counterexamples in the concrete simulator")
 	flag.BoolVar(&o.jsonOut, "json", false, "print the verdict as a single JSON object")
 	flag.BoolVar(&o.costOut, "cost", false, "print the hierarchical cost ledger (work units, clause-db/proof bytes, wall/CPU time) after the verdict; with -json, adds a \"cost\" tree to the object")
-	flag.StringVar(&o.traceJSON, "trace-json", "", "write the span tree and metrics as JSON to this file")
 	flag.StringVar(&o.traceChrome, "trace-chrome", "", "write the span tree as Chrome trace_event JSON to this file (open in Perfetto or chrome://tracing)")
 	flag.StringVar(&o.promOut, "prom", "", "write the metrics in Prometheus text format to this file")
 	flag.StringVar(&o.passes, "passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all)")
@@ -332,7 +330,6 @@ func (c *cli) finish() error {
 		path  string
 		write func(io.Writer) error
 	}{
-		{o.traceJSON, tr.WriteJSON},
 		{o.traceChrome, tr.WriteChrome},
 		{o.promOut, func(w io.Writer) error { tr.WritePrometheus(w); return nil }},
 	} {

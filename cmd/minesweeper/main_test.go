@@ -144,6 +144,17 @@ func TestRunVerdicts(t *testing.T) {
 				t.Fatalf("verified and difference disagree: %+v", rep)
 			}
 		}},
+		{"equivalence, certified", func() cliOpts {
+			// A's and B's import maps differ in text, not in effect: only
+			// the sweep's solver queries can tell, and -certify reaches them.
+			o := base("../../examples/equivalence", "equivalence")
+			o.pair, o.certify = "A,B", true
+			return o
+		}(), func(t *testing.T, rep *pipeline.Report) {
+			if !rep.Verified || rep.Solver == nil || rep.Proof == nil || !rep.Proof.Checked || rep.Proof.Lemmas == 0 {
+				t.Fatalf("want a verified verdict with a checked proof and a solver block: %+v, proof %+v", rep, rep.Proof)
+			}
+		}},
 		{"fault-invariance", base(fab, "fault-invariance"), func(t *testing.T, rep *pipeline.Report) {
 			if rep.Verified || rep.Solver == nil || rep.Counterexample == nil || len(rep.Counterexample.FailedLinks) == 0 {
 				t.Fatalf("a tree fabric is not invariant under one failure; want a counterexample with a failed link: %+v", rep)

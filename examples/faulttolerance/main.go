@@ -22,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	net := testnets.EBGPTriangle()
 	fmt.Println("network: three ASes in a triangle, each originating a /24")
 
@@ -33,7 +34,7 @@ func main() {
 	p := properties.Reachable(m, "R1", stub)
 
 	for k := 0; k <= 2; k++ {
-		res, err := m.Check(p, m.AtMostFailures(k))
+		res, err := m.CheckGoal(ctx, nil, p, m.AtMostFailures(k))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := pair.Check(context.Background(), prop)
+	res, err := pair.Check(ctx, prop)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := pair2.Check(context.Background(), prop2)
+	res2, err := pair2.Check(ctx, prop2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,13 +24,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("== vulnerable configuration (no inbound filter) ==")
 	vulnerable := testnets.Hijackable(false)
 	m, err := core.Encode(vulnerable.Graph, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := m.Check(properties.ManagementReachable(m), m.NoFailures())
+	res, err := m.CheckGoal(ctx, nil, properties.ManagementReachable(m), m.NoFailures())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := m2.Check(properties.ManagementReachable(m2), m2.NoFailures())
+	res2, err := m2.CheckGoal(ctx, nil, properties.ManagementReachable(m2), m2.NoFailures())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The Figure 2 network ships as a fixture; testnets.Figure2 parses the
 	// same config text you would load from disk with cmd/minesweeper.
 	net := testnets.Figure2()
@@ -38,7 +40,7 @@ func main() {
 	for _, n := range []string{"N1", "N2", "N3"} {
 		quiet = m.Ctx.And(quiet, m.Ctx.Not(m.Main.Env[n].Valid))
 	}
-	res, err := m.Check(properties.ReachableAll(m, []string{"R1", "R2"}, s3), quiet)
+	res, err := m.CheckGoal(ctx, nil, properties.ReachableAll(m, []string{"R1", "R2"}, s3), quiet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 
 	// 2. Over ALL environments the same property fails: S3 can be hijacked
 	// by an external announcement, because Figure 2 filters nothing.
-	res2, err := m.Check(properties.ReachableAll(m, []string{"R1", "R2"}, s3), m.NoFailures())
+	res2, err := m.CheckGoal(ctx, nil, properties.ReachableAll(m, []string{"R1", "R2"}, s3), m.NoFailures())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 		m.Ctx.Eq(m.Main.Env["N2"].PrefixLen, m.Main.Env["N3"].PrefixLen),
 		properties.DstIn(m, network.MustParsePrefix("8.0.0.0/8")))
 	neverN3 := m.Ctx.Not(m.Main.CtrlFwd["R2"][core.Hop{Ext: "N3"}])
-	res3, err := m.Check(neverN3, mustAnnounce)
+	res3, err := m.CheckGoal(ctx, nil, neverN3, mustAnnounce)
 	if err != nil {
 		log.Fatal(err)
 	}

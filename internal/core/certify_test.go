@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/smt"
@@ -15,7 +19,7 @@ func certifyOptions() Options {
 }
 
 // TestCertifyFreshCheck: with Options.Certify on, every UNSAT verdict of
-// Model.Check carries a checked certificate; SAT verdicts carry none.
+// Model.CheckGoal carries a checked certificate; SAT verdicts carry none.
 func TestCertifyFreshCheck(t *testing.T) {
 	net := testnets.OSPFChain(3)
 	m, err := Encode(net.Graph, certifyOptions())
@@ -24,7 +28,7 @@ func TestCertifyFreshCheck(t *testing.T) {
 	}
 	c := m.Ctx
 
-	res, err := m.Check(c.True()) // ¬True is unsatisfiable outright
+	res, err := m.CheckGoal(context.Background(), nil, c.True()) // ¬True is unsatisfiable outright
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestCertifyFreshCheck(t *testing.T) {
 		t.Fatalf("degenerate certificate: %+v", res.Certificate)
 	}
 
-	res, err = m.Check(c.False()) // any stable state violates False
+	res, err = m.CheckGoal(context.Background(), nil, c.False()) // any stable state violates False
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,7 @@ func TestCertifyRealProperty(t *testing.T) {
 	dst := testnets.StubIP(3)
 	prop := m.Reach(m.Main, true)["R1"]
 	pin := c.Eq(m.DstIP, c.BV(uint64(dst), WidthIP))
-	res, err := m.Check(prop, m.NoFailures(), pin)
+	res, err := m.CheckGoal(context.Background(), nil, prop, m.NoFailures(), pin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestCertifySession(t *testing.T) {
 	pin := c.Eq(m.DstIP, c.BV(uint64(dst), WidthIP))
 	prop := m.Reach(m.Main, true)["R1"]
 	for i := 0; i < 3; i++ {
-		res, err := s.Check(prop, m.NoFailures(), pin)
+		res, err := s.CheckContext(context.Background(), prop, m.NoFailures(), pin)
 		if err != nil {
 			t.Fatalf("check %d: %v", i, err)
 		}
@@ -100,7 +104,7 @@ func TestCertifySession(t *testing.T) {
 		}
 	}
 	// A falsified query in the same session: no certificate, no error.
-	res, err := s.Check(c.False())
+	res, err := s.CheckContext(context.Background(), c.False())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestSessionInvalidated(t *testing.T) {
 	}
 	c := m.Ctx
 	s := m.NewSession()
-	if _, err := s.Check(c.True()); err != nil {
+	if _, err := s.CheckContext(context.Background(), c.True()); err != nil {
 		t.Fatalf("baseline check: %v", err)
 	}
 
@@ -131,25 +135,74 @@ func TestSessionInvalidated(t *testing.T) {
 	spliced := append([]*smt.Term(nil), saved...)
 	spliced[len(spliced)-1] = c.True()
 	m.Asserts = spliced
-	if _, err := s.Check(c.True()); !errors.Is(err, ErrSessionInvalidated) {
+	if _, err := s.CheckContext(context.Background(), c.True()); !errors.Is(err, ErrSessionInvalidated) {
 		t.Fatalf("spliced asserts: got err=%v, want ErrSessionInvalidated", err)
 	}
 
 	// Truncation below the blasted prefix.
 	m.Asserts = saved[:len(saved)-1]
-	if _, err := s.Check(c.True()); !errors.Is(err, ErrSessionInvalidated) {
+	if _, err := s.CheckContext(context.Background(), c.True()); !errors.Is(err, ErrSessionInvalidated) {
 		t.Fatalf("truncated asserts: got err=%v, want ErrSessionInvalidated", err)
 	}
 
 	// Restore: the blasted prefix is intact again, checks resume.
 	m.Asserts = saved
-	if _, err := s.Check(c.True()); err != nil {
+	if _, err := s.CheckContext(context.Background(), c.True()); err != nil {
 		t.Fatalf("restored asserts: %v", err)
 	}
 
 	// Appending (the supported builder pattern) keeps working.
 	m.Asserts = append(m.Asserts, c.True())
-	if _, err := s.Check(c.True()); err != nil {
+	if _, err := s.CheckContext(context.Background(), c.True()); err != nil {
 		t.Fatalf("appended asserts: %v", err)
+	}
+}
+
+// TestLocalEquivalenceCertified: the local-equivalence sweep's solver
+// queries are certified like any check. On examples/equivalence, A's and
+// B's import maps differ in text but not in effect: the pair reaches the
+// solver and is verified with one checked certificate summing the sweep's
+// proofs. C's map differs in effect: A and C are falsified. Both verdicts
+// carry the sweep's solver counts, and recording the proofs does not
+// change the search.
+func TestLocalEquivalenceCertified(t *testing.T) {
+	files, err := filepath.Glob("../../examples/equivalence/*.cfg")
+	if err != nil || len(files) != 3 {
+		t.Fatalf("example configs %v: %v", files, err)
+	}
+	var texts []string
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, string(b))
+	}
+	g := testnets.MustBuild(texts...).Graph
+
+	eq, err := CheckLocalEquivalence(g, "A", "B", certifyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert := eq.Certificate; !eq.Equivalent || cert == nil || !cert.Checked || cert.Lemmas == 0 || cert.Fallbacks != 0 {
+		t.Fatalf("want a verified sweep with a checked, hinted certificate: %+v, certificate %+v", eq, eq.Certificate)
+	}
+	if eq.Stats.Conflicts == 0 || eq.SATVars == 0 || eq.SATClauses == 0 {
+		t.Fatalf("verified sweep without solver counts: %+v", eq)
+	}
+	plain, err := CheckLocalEquivalence(g, "A", "B", DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.Equivalent || plain.Certificate != nil || plain.Stats != eq.Stats || plain.SATClauses != eq.SATClauses {
+		t.Fatalf("uncertified sweep %+v, certified %+v", plain, eq)
+	}
+
+	div, err := CheckLocalEquivalence(g, "A", "C", certifyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if div.Equivalent || !strings.Contains(div.Difference, "local-preference") || div.Stats.Decisions == 0 || div.SATVars == 0 {
+		t.Fatalf("want a falsified sweep naming local-preference, with solver counts: %+v", div)
 	}
 }

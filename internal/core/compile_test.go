@@ -89,7 +89,7 @@ func TestCheckGoalMatchesCheck(t *testing.T) {
 
 	mc := encodeNet(t, net, DefaultOptions())
 	prop := mc.Reach(mc.Main, false)["R1"]
-	want, err := mc.Check(prop, mc.NoFailures(), mc.Ctx.Eq(mc.DstIP, mc.Ctx.BV(uint64(dst), WidthIP)))
+	want, err := mc.CheckGoal(context.Background(), nil, prop, mc.NoFailures(), mc.Ctx.Eq(mc.DstIP, mc.Ctx.BV(uint64(dst), WidthIP)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCheckGoalMatchesCheck(t *testing.T) {
 
 func TestResultPassStatsItemized(t *testing.T) {
 	m := encodeNet(t, testnets.Figure2(), DefaultOptions())
-	res, err := m.Check(m.Ctx.True())
+	res, err := m.CheckGoal(context.Background(), nil, m.Ctx.True())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestResultPassStatsItemized(t *testing.T) {
 
 	// A second check reuses the cached artifact: no compile rows, but
 	// the per-query rows stay.
-	res2, err := m.Check(m.Ctx.True())
+	res2, err := m.CheckGoal(context.Background(), nil, m.Ctx.True())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCheckContextCancellation(t *testing.T) {
 	m := encodeNet(t, testnets.Figure2(), DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.CheckContext(ctx, m.Ctx.True()); err == nil {
+	if _, err := m.CheckGoal(ctx, nil, m.Ctx.True()); err == nil {
 		t.Fatal("canceled context must fail the check")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -354,7 +355,7 @@ func TestPassesNoneMatchesAll(t *testing.T) {
 						t.Fatalf("%s/%s: encode: %v", pc.name, passes, err)
 					}
 					p, assumptions := pc.build(m)
-					res, err := m.Check(p, assumptions...)
+					res, err := m.CheckGoal(context.Background(), nil, p, assumptions...)
 					if err != nil {
 						t.Fatalf("%s/%s: check: %v", pc.name, passes, err)
 					}

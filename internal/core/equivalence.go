@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/protograph"
 	"repro/internal/provenance"
+	"repro/internal/sat"
 	"repro/internal/smt"
 )
 
@@ -52,6 +53,13 @@ type LocalEquivalenceResult struct {
 	Equivalent bool
 	// Difference describes the first divergence found.
 	Difference string
+	// Stats, SATVars and SATClauses sum the sweep's solver queries.
+	// Certificate sums the checked proofs of their UNSAT answers when
+	// Options ask for a proof (Certify, Blame); nil otherwise, or when no
+	// UNSAT answer came from a solver.
+	Stats               sat.Stats
+	SATVars, SATClauses int
+	Certificate         *Certificate
 }
 
 // CheckLocalEquivalence decides whether two routers treat equal inputs
@@ -73,8 +81,9 @@ func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b
 		return nil, fmt.Errorf("core: unknown router %q or %q", a, b)
 	}
 	sa, sb := sessionDescsOf(g, a), sessionDescsOf(g, b)
+	res := &LocalEquivalenceResult{}
 	if len(sa) != len(sb) {
-		return difference(nil, "%s has %d BGP sessions, %s has %d", a, len(sa), b, len(sb))
+		return res.differ(nil, "%s has %d BGP sessions, %s has %d", a, len(sa), b, len(sb))
 	}
 
 	// A miniature model: a shared symbolic destination and one symbolic
@@ -85,11 +94,12 @@ func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b
 		return nil, err
 	}
 	c := m.Ctx
+	q := &sweep{ctx: ctx, m: m, res: res}
 	dst := c.BVVar("eq.dstIP", WidthIP)
 	sl := &Slice{Name: "eq", DstIP: dst}
 	for i := range sa {
 		if !sameShape(sa[i], sb[i]) {
-			return difference(nil, "session %d differs: %s vs %s", i, describeSession(sa[i]), describeSession(sb[i]))
+			return res.differ(nil, "session %d differs: %s vs %s", i, describeSession(sa[i]), describeSession(sb[i]))
 		}
 		in := m.recVar(fmt.Sprintf("eq|in%d", i), true, uint64(20))
 		stanzaA := sa[i].sess.StanzaOf(g.Topo.Node(a))
@@ -101,8 +111,8 @@ func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b
 		if stanzaB.InMap != "" {
 			outB = m.applyRouteMap(sl, cb, stanzaB.InMap, in)
 		}
-		if diff, err := recordsDiffer(ctx, c, outA, outB); err != nil || diff != "" {
-			return difference(err, "import policy for session %d (%s): %s", i, describeSession(sa[i]), diff)
+		if diff, err := q.recordsDiffer(outA, outB); err != nil || diff != "" {
+			return res.differ(err, "import policy for session %d (%s): %s", i, describeSession(sa[i]), diff)
 		}
 		// Export direction: a symbolic best record through each OutMap.
 		best := m.recVar(fmt.Sprintf("eq|best%d", i), true, uint64(20))
@@ -113,8 +123,8 @@ func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b
 		if stanzaB.OutMap != "" {
 			expB = m.applyRouteMap(sl, cb, stanzaB.OutMap, best)
 		}
-		if diff, err := recordsDiffer(ctx, c, expA, expB); err != nil || diff != "" {
-			return difference(err, "export policy for session %d (%s): %s", i, describeSession(sa[i]), diff)
+		if diff, err := q.recordsDiffer(expA, expB); err != nil || diff != "" {
+			return res.differ(err, "export policy for session %d (%s): %s", i, describeSession(sa[i]), diff)
 		}
 	}
 
@@ -129,30 +139,32 @@ func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b
 	}
 	ifA, ifB := sortedIfaces(ca), sortedIfaces(cb)
 	if len(ifA) != len(ifB) {
-		return difference(nil, "%s has %d interfaces, %s has %d", a, len(ifA), b, len(ifB))
+		return res.differ(nil, "%s has %d interfaces, %s has %d", a, len(ifA), b, len(ifB))
 	}
 	for i := range ifA {
 		for _, inbound := range []bool{true, false} {
 			pa := m.aclPermits(ca, ifA[i], inbound, pkt)
 			pb := m.aclPermits(cb, ifB[i], inbound, pkt)
-			if d, err := differs(ctx, c, pa, pb); err != nil || d {
+			if d, err := q.differs(pa, pb); err != nil || d {
 				dir := "out"
 				if inbound {
 					dir = "in"
 				}
-				return difference(err, "ACL behaviour differs on %s/%s vs %s/%s (%s)", a, ifA[i], b, ifB[i], dir)
+				return res.differ(err, "ACL behaviour differs on %s/%s vs %s/%s (%s)", a, ifA[i], b, ifB[i], dir)
 			}
 		}
 	}
-	return &LocalEquivalenceResult{Equivalent: true}, nil
+	res.Equivalent = true
+	return res, nil
 }
 
-// difference is the sweep's answer on finding a divergence, or err.
-func difference(err error, format string, a ...any) (*LocalEquivalenceResult, error) {
+// differ is the sweep's answer on finding a divergence, or err.
+func (r *LocalEquivalenceResult) differ(err error, format string, a ...any) (*LocalEquivalenceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LocalEquivalenceResult{Difference: fmt.Sprintf(format, a...)}, nil
+	r.Difference = fmt.Sprintf(format, a...)
+	return r, nil
 }
 
 func describeSession(d sessionDesc) string {
@@ -175,9 +187,18 @@ func sortedIfaces(c *config.Router) []string {
 	return out
 }
 
+// sweep answers the local-equivalence sweep's solver queries and sums
+// what they did into res.
+type sweep struct {
+	ctx context.Context
+	m   *Model
+	res *LocalEquivalenceResult
+}
+
 // recordsDiffer checks satisfiability of "the two derived records differ"
 // and describes the differing field.
-func recordsDiffer(ctx context.Context, c *smt.Context, a, b *Record) (string, error) {
+func (q *sweep) recordsDiffer(a, b *Record) (string, error) {
+	c := q.m.Ctx
 	type field struct {
 		name string
 		t    *smt.Term
@@ -195,7 +216,7 @@ func recordsDiffer(ctx context.Context, c *smt.Context, a, b *Record) (string, e
 		}
 	}
 	for _, f := range fields {
-		if d, err := differs(ctx, c, f.t, c.True()); err != nil || d {
+		if d, err := q.differs(f.t, c.True()); err != nil || d {
 			return f.name, err
 		}
 	}
@@ -212,22 +233,41 @@ func sortedCommKeys(m map[string]*smt.Term) []string {
 }
 
 // differs checks whether two boolean terms can disagree, or returns ctx's
-// error when it is done.
-func differs(ctx context.Context, c *smt.Context, a, b *smt.Term) (bool, error) {
-	if err := ctx.Err(); err != nil {
+// error when it is done. A fresh solver per query keeps queries
+// independent; it is instrumented as Options ask, and an UNSAT answer
+// with a recorded proof stands only once the proof is checked.
+func (q *sweep) differs(a, b *smt.Term) (bool, error) {
+	if err := q.ctx.Err(); err != nil {
 		return false, err
 	}
-	q := c.Distinct(a, b)
-	if q == c.False() {
+	c := q.m.Ctx
+	d := c.Distinct(a, b)
+	if d == c.False() {
 		return false, nil
 	}
-	if q == c.True() {
+	if d == c.True() {
 		return true, nil
 	}
-	// A fresh solver per query keeps queries independent.
-	s := smt.NewSolver(c)
-	s.Assert(q)
-	return s.Check().String() == "sat", nil
+	sol := smt.NewSolver(c)
+	proof := q.m.instrument(sol)
+	sol.Assert(d)
+	st, r := sol.SAT(), q.res
+	status, err := st.SolveLimited()
+	if err != nil {
+		return false, fmt.Errorf("core: solve: %w", err)
+	}
+	r.Stats = r.Stats.Plus(st.Stats)
+	r.SATVars += st.NumVars()
+	r.SATClauses += st.NumClauses()
+	if status == sat.Sat || proof == nil {
+		return status == sat.Sat, nil
+	}
+	cert, _, err := certify(nil, proof, false)
+	if err != nil {
+		return false, err
+	}
+	r.Certificate = r.Certificate.plus(cert)
+	return false, nil
 }
 
 // EquivPair is two network copies encoded in one context, the substrate
@@ -348,7 +388,8 @@ func FaultInvariance(g *protograph.Graph, opts Options, k int) (*EquivPair, *smt
 }
 
 // Check decides a property over the pair (both copies' constraints are
-// asserted), interruptible through ctx like Model.CheckContext.
+// asserted) through Model.CheckGoal on the first copy, interruptible
+// through ctx like it.
 // Counterexamples merge both copies' environments: failed links of the
 // second copy are tagged "B:".
 func (p *EquivPair) Check(ctx context.Context, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
@@ -357,7 +398,7 @@ func (p *EquivPair) Check(ctx context.Context, property *smt.Term, assumptions .
 	savedOrigins := p.A.AssertOrigins
 	p.A.Asserts = append(append([]*smt.Term{}, saved...), all...)
 	p.A.AssertOrigins = append(append([]provenance.Origin{}, savedOrigins...), p.B.AssertOrigins...)
-	res, err := p.A.CheckContext(ctx, property, assumptions...)
+	res, err := p.A.CheckGoal(ctx, nil, property, assumptions...)
 	p.A.Asserts = saved
 	p.A.AssertOrigins = savedOrigins
 	if err == nil && res.Counterexample != nil {

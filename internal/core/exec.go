@@ -22,9 +22,10 @@ import (
 // phase.end event from one reading of the clock. The executor adds the
 // one thing the scope cannot know — the solver's counters — charging a
 // solver phase the difference since the previous boundary, so the phase
-// rows telescope to exactly the solver's totals. Model.CheckGoal,
-// Session.CheckContext and NewSession all run on it; they differ only in
-// how asserts and goals enter the solver.
+// rows telescope to exactly the solver's totals. A check enters it by
+// one of two doors, one per kind of solver — Model.CheckGoal on a fresh
+// one, Session.CheckContext on a session's — and NewSession's set-up runs
+// on it too; they differ only in how asserts and goals enter the solver.
 type executor struct {
 	*cost.Scope
 	m   *Model
@@ -280,10 +281,17 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	// later check. Core sets no conflict budget: the search ends in a
 	// verdict, an interrupt, or a named refusal (a full clause database).
 	// The progress hook is this check's: it counts from base, and it is
-	// taken off again so a session's solver holds no finished check's.
+	// taken off again so a session's solver holds no finished check's. A
+	// hook that cancels ctx interrupts the search before it goes on, not
+	// whenever the watcher is next scheduled.
 	solveSp, st := x.Begin("solve"), x.sol.SAT()
 	if hook := m.Opts.OnProgress; hook != nil {
-		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, func(p sat.Progress) { hook(p.Since(base)) }
+		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, func(p sat.Progress) {
+			hook(p.Since(base))
+			if ctx.Err() != nil {
+				st.Interrupt()
+			}
+		}
 	}
 	stopWatch := watchInterrupt(ctx, st.Interrupt)
 	status, err := st.SolveLimited(assume...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -103,7 +104,7 @@ func TestAggregationSuppressesSpecifics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := leaky.Check(noLeak(leaky, 16), leaky.NoFailures(), dstIn(leaky, pfx("10.100.0.0/16")))
+	res, err := leaky.CheckGoal(context.Background(), nil, noLeak(leaky, 16), leaky.NoFailures(), dstIn(leaky, pfx("10.100.0.0/16")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestAggregationSuppressesSpecifics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := clean.Check(noLeak(clean, 16), clean.NoFailures(), dstIn(clean, pfx("10.100.0.0/16")))
+	res2, err := clean.CheckGoal(context.Background(), nil, noLeak(clean, 16), clean.NoFailures(), dstIn(clean, pfx("10.100.0.0/16")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestCommunities(t *testing.T) {
 	}
 	tagged := m.Main.Env["N1"].Comms["65100:666"]
 	neverInstalled := m.Ctx.Implies(tagged, m.Ctx.Not(m.Main.ExtImports["N1"].Valid))
-	res, err := m.Check(neverInstalled, m.NoFailures())
+	res, err := m.CheckGoal(context.Background(), nil, neverInstalled, m.NoFailures())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestMultihopIBGPDifferential(t *testing.T) {
 	}
 	linkDown := m.Failed["B1~B2"]
 	noRoute := m.Ctx.Implies(linkDown, m.Ctx.Not(m.Main.BestProto["B2"][config.BGP].Valid))
-	res, err := m.Check(noRoute)
+	res, err := m.CheckGoal(context.Background(), nil, noRoute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestCheckSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Check(m.Ctx.True()); err != nil {
+	if _, err := m.CheckGoal(context.Background(), nil, m.Ctx.True()); err != nil {
 		t.Fatal(err)
 	}
 	tr.Root().End()
@@ -75,7 +76,7 @@ func TestModelProgressHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Check(m.Ctx.Not(m.Main.CtrlFwd["R2"][Hop{Ext: "N"}]))
+	res, err := m.CheckGoal(context.Background(), nil, m.Ctx.Not(m.Main.CtrlFwd["R2"][Hop{Ext: "N"}]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSessionProgressHookPerCheck(t *testing.T) {
 		var snaps []sat.Progress
 		m.Opts.ProgressEvery = 1
 		m.Opts.OnProgress = func(p sat.Progress) { snaps = append(snaps, p) }
-		res, err := sess.Check(reach[src], m.NoFailures())
+		res, err := sess.CheckContext(context.Background(), reach[src], m.NoFailures())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,23 +12,23 @@ import (
 
 // Session answers many property queries against one encoded network. The
 // model's constraint system N is bit-blasted into the session's solver
-// exactly once; each Check blasts only the assumptions and the negated
-// property, under a fresh activation literal the search assumes. K checks
-// cost one blast of N instead of K, and the solver keeps its learned
-// clauses, variable activity and saved phases from check to check.
-// Results have the same shape as Model.Check, with per-check phase
+// exactly once; each CheckContext blasts only the assumptions and the
+// negated property, under a fresh activation literal the search assumes.
+// K checks cost one blast of N instead of K, and the solver keeps its
+// learned clauses, variable activity and saved phases from check to check.
+// Results have the same shape as Model.CheckGoal's, with per-check phase
 // timings and per-check solver work: Stats counts from the point the
 // check's ledger does, not from the session's start.
 //
 // Property constructors (Waypointed, BoundedLength, ...) may append
 // instrumentation constraints to Model.Asserts while building their
-// terms; Check picks up any asserts added since the previous check and
-// blasts them as permanent constraints before solving, so the usual
+// terms; CheckContext picks up any asserts added since the previous check
+// and blasts them as permanent constraints before solving, so the usual
 // "build property, then check it" flow works unchanged.
 //
 // A Session serializes its checks internally, so it is safe to call
-// Check from multiple goroutines — they simply queue. Note that building
-// property terms mutates the model's term context, which is NOT
+// CheckContext from multiple goroutines — they simply queue. Note that
+// building property terms mutates the model's term context, which is NOT
 // synchronized; callers sharing a Model across goroutines must serialize
 // property construction themselves (the service layer holds one lock per
 // network around build+check).
@@ -49,7 +49,7 @@ type Session struct {
 	// splices the model's assert list, and anything invalidating the
 	// compile cache mid-session has the same effect), the solver state no
 	// longer corresponds to the model and every later verdict would be
-	// silently stale. Check detects the mismatch and returns
+	// silently stale. CheckContext detects the mismatch and returns
 	// ErrSessionInvalidated instead.
 	lastBlasted *smt.Term
 	checks      int
@@ -62,10 +62,10 @@ type Session struct {
 	setupCost *cost.Node
 }
 
-// ErrSessionInvalidated is returned by Session.Check when the model's
-// assert list was replaced or truncated after the session blasted it,
-// so the session's solver state no longer matches the model. Callers
-// must open a new session (or re-check with Model.Check, which
+// ErrSessionInvalidated is returned by Session.CheckContext when the
+// model's assert list was replaced or truncated after the session blasted
+// it, so the session's solver state no longer matches the model. Callers
+// must open a new session (or re-check with Model.CheckGoal, which
 // recompiles).
 var ErrSessionInvalidated = errors.New(
 	"core: session invalidated: already-blasted model asserts were replaced or truncated")
@@ -125,14 +125,10 @@ func (s *Session) Checks() int {
 	return s.checks
 }
 
-// Check decides whether the property holds in every stable state, like
-// Model.Check but reusing the session's blasted formula.
-func (s *Session) Check(property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
-	return s.CheckContext(context.Background(), property, assumptions...)
-}
-
-// CheckContext is Check with cancellation: when ctx is canceled or times
-// out mid-search, the solver is interrupted and ctx's error is returned.
+// CheckContext is the session door into the executor: it decides whether
+// the property holds in every stable state, like Model.CheckGoal, but on
+// the session's blasted formula. When ctx is canceled or times out
+// mid-search, the solver is interrupted and ctx's error is returned.
 func (s *Session) CheckContext(ctx context.Context, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -44,8 +44,8 @@ func sessionQueries(t *testing.T, m *Model) []struct {
 }
 
 // TestSessionMatchesFreshSolver runs the same query suite through
-// Model.Check (fresh solver each time) and Session.Check, and demands
-// identical verdicts with the shared formula blasted exactly once.
+// Model.CheckGoal (fresh solver each time) and Session.CheckContext, and
+// demands identical verdicts with the shared formula blasted exactly once.
 func TestSessionMatchesFreshSolver(t *testing.T) {
 	net := testnets.Figure2()
 
@@ -64,11 +64,11 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 	fresh := sessionQueries(t, mFresh)
 	inc := sessionQueries(t, mSess)
 	for i := range fresh {
-		want, err := mFresh.Check(fresh[i].property, fresh[i].assumptions...)
+		want, err := mFresh.CheckGoal(context.Background(), nil, fresh[i].property, fresh[i].assumptions...)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", fresh[i].name, err)
 		}
-		got, err := sess.Check(inc[i].property, inc[i].assumptions...)
+		got, err := sess.CheckContext(context.Background(), inc[i].property, inc[i].assumptions...)
 		if err != nil {
 			t.Fatalf("%s session: %v", inc[i].name, err)
 		}
@@ -86,7 +86,7 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 	// term blasted and adds one variable, its activation literal.
 	vars := sess.sol.SAT().NumVars()
 	again := sessionQueries(t, mSess)[0]
-	if _, err := sess.Check(again.property, again.assumptions...); err != nil {
+	if _, err := sess.CheckContext(context.Background(), again.property, again.assumptions...); err != nil {
 		t.Fatal(err)
 	}
 	if grown := sess.sol.SAT().NumVars() - vars; grown != 1 {
@@ -109,7 +109,7 @@ func TestSessionCounterexampleReplays(t *testing.T) {
 		m.NoFailures(),
 		m.Ctx.Eq(m.DstIP, m.Ctx.BV(uint64(network.MustParseIP("192.168.50.1")), WidthIP)),
 	)
-	res, err := sess.Check(m.Ctx.Not(cond))
+	res, err := sess.CheckContext(context.Background(), m.Ctx.Not(cond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestInstrumentationAssertedOnce(t *testing.T) {
 		property := c.And(c.Ule(lens["R1"], c.BV(5, w)), c.Not(avoiding["R1"]),
 			c.Implies(taint["R3"], prog["R3"][1]))
 		goals = []*smt.Term{m.NoFailures(), c.Not(property)}
-		res, err := sess.Check(property, m.NoFailures())
+		res, err := sess.CheckContext(context.Background(), property, m.NoFailures())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,9 +118,6 @@ func (r *Result) FillTimes() {
 	r.CertifyElapsed = wall("certify")
 	r.FastPathElapsed = wall("fastpath")
 	r.Elapsed = r.EncodeElapsed + r.SimplifyElapsed + r.SolveElapsed + r.CertifyElapsed + r.FastPathElapsed
-	if r.Certificate != nil {
-		r.Certificate.CheckElapsed = r.CertifyElapsed
-	}
 }
 
 // Certificate summarizes a checked UNSAT proof.
@@ -136,9 +133,21 @@ type Certificate struct {
 	// the solver recorded, Fallbacks those it had to search the whole
 	// clause database for; a solver-recorded trace has no fallbacks.
 	Hinted, Fallbacks int
-	// CheckElapsed is the checker's replay time: the certify phase's
-	// window, equal to the Result's CertifyElapsed.
-	CheckElapsed time.Duration
+}
+
+// plus adds o, a certificate of another proof, to c; a nil c is zero.
+func (c *Certificate) plus(o *Certificate) *Certificate {
+	if c == nil {
+		return o
+	}
+	c.Steps += o.Steps
+	c.Lits += o.Lits
+	c.Inputs += o.Inputs
+	c.Lemmas += o.Lemmas
+	c.Deletions += o.Deletions
+	c.Hinted += o.Hinted
+	c.Fallbacks += o.Fallbacks
+	return c
 }
 
 // certify replays a recorded proof trace through the independent DRAT
@@ -175,31 +184,16 @@ func certify(cSp *obs.Span, proof *sat.Proof, wantCore bool, assumptions ...sat.
 	}, core, nil
 }
 
-// Check decides whether the property holds in every stable state: it
-// asserts N ∧ ¬property and searches for a satisfying assignment.
-// Additional constraints (e.g. restricting the destination or bounding
-// failures) can be passed as assumptions. It compiles the network on
-// first use (cached until Asserts grows) and then delegates to the
-// goal-specific phases; callers needing cancellation or explicit
-// artifact reuse use CheckContext / CheckGoal.
-func (m *Model) Check(property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
-	return m.CheckContext(context.Background(), property, assumptions...)
-}
-
-// CheckContext is Check with cancellation: when ctx is canceled the
-// solver is interrupted and the context error returned.
-//
-// The compile is charged to this query — its passes in PassStats, its
-// time in the compile phase — only when the query actually compiled;
-// cache hits ride for free, mirroring what the solver really did.
-func (m *Model) CheckContext(ctx context.Context, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
-	return m.check(ctx, nil, nil, property, assumptions)
-}
-
-// CheckGoal checks a property against a previously compiled artifact,
-// the second half of the Compile/CheckGoal split. The artifact must
-// come from this model's Compile (same term context). Compile time is
-// not charged to the result — the caller amortized it already.
+// CheckGoal is the fresh door into the executor: it decides whether the
+// property holds in every stable state by asserting N ∧ assumptions ∧
+// ¬property on a new solver and searching for a satisfying assignment.
+// Assumptions restrict the question (the destination, a failure bound).
+// With cn nil the model's cached artifact is used, compiled first — and
+// the compile charged to this query, its passes in PassStats and its time
+// in the compile phase — when Asserts has grown since. A non-nil cn must
+// come from this model's Compile (same term context); its compile time is
+// the caller's, already amortized. When ctx is canceled mid-search the
+// solver is interrupted and ctx's error returned.
 func (m *Model) CheckGoal(ctx context.Context, cn *CompiledNetwork, property *smt.Term, assumptions ...*smt.Term) (*Result, error) {
 	return m.check(ctx, nil, cn, property, assumptions)
 }

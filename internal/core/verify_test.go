@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // witness searches for a stable state satisfying cond rather than
 // verifying its absence: the check of ¬cond is falsified by it.
 func witness(m *Model, cond *smt.Term) (*Counterexample, error) {
-	res, err := m.Check(m.Ctx.Not(cond))
+	res, err := m.CheckGoal(context.Background(), nil, m.Ctx.Not(cond))
 	if err != nil {
 		return nil, err
 	}
@@ -100,9 +101,9 @@ func TestParallelUnknownMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fresh := m.Check(m.Ctx.True())
-		_, session := m.NewSession().Check(m.Ctx.True())
-		for path, err := range map[string]error{"Check": fresh, "Session.Check": session} {
+		_, fresh := m.CheckGoal(context.Background(), nil, m.Ctx.True())
+		_, session := m.NewSession().CheckContext(context.Background(), m.Ctx.True())
+		for path, err := range map[string]error{"CheckGoal": fresh, "Session.CheckContext": session} {
 			switch accepted := mode == "" || mode == "off"; {
 			case accepted && err != nil:
 				t.Errorf("%s with Parallel=%q: %v", path, mode, err)

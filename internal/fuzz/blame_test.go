@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func corpusBlame(cs *CorpusScenario, ck CorpusCheck) ([]provenance.Origin, error
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Check(prop, assumptions...)
+	res, err := m.CheckGoal(context.Background(), nil, prop, assumptions...)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +149,7 @@ func mutatedVerdict(name string, texts []string, ck CorpusCheck) (verified, vaca
 	if err != nil {
 		return false, true
 	}
-	res, err := m.Check(prop, assumptions...)
+	res, err := m.CheckGoal(context.Background(), nil, prop, assumptions...)
 	if err != nil {
 		return false, true
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/service"
-	"repro/internal/smt"
 	"repro/internal/tiered"
 )
 
@@ -32,9 +31,9 @@ import (
 //
 // Directives come first; each "--- name" line starts one router's
 // configuration block. Every check is replayed on the execution paths
-// (fresh Model.Check, Session.Check, service engine, graph fast path)
-// with certification on, and sim-safe scenarios additionally run the
-// differential oracle on a fixed random stream.
+// (fresh Model.CheckGoal, Session.CheckContext, service engine, graph
+// fast path) with certification on, and sim-safe scenarios additionally
+// run the differential oracle on a fixed random stream.
 
 // CorpusCheck is one expected verdict of a corpus scenario: a request
 // spec, so corpus files read like service requests, plus the answer.
@@ -190,13 +189,13 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 	}
 	// checkAll answers every check through check on one model and holds
 	// the verdict to the pinned one and to the certification invariant.
-	checkAll := func(path string, m *core.Model, check func(p *smt.Term, assumptions ...*smt.Term) (*core.Result, error)) error {
+	checkAll := func(path string, m *core.Model, check checkFn) error {
 		for i, ck := range cs.Checks {
 			prop, assumptions, err := pipeline.Property(m, goals[i])
 			if err != nil {
 				return fmt.Errorf("%s: %s check %d: %w", cs.Path, path, i, err)
 			}
-			res, err := check(prop, assumptions...)
+			res, err := check(context.Background(), prop, assumptions...)
 			if err != nil {
 				return fmt.Errorf("%s: %s check %d (%s): %w", cs.Path, path, i, ck.Check, err)
 			}
@@ -211,12 +210,12 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 		return nil
 	}
 
-	// Path 1: fresh Model.Check per check.
+	// Path 1: fresh Model.CheckGoal per check.
 	m, err := cs.Encode("")
 	if err != nil {
 		return err
 	}
-	if err := checkAll("fresh", m, m.Check); err != nil {
+	if err := checkAll("fresh", m, freshCheck(m)); err != nil {
 		return err
 	}
 
@@ -225,7 +224,7 @@ func (cs *CorpusScenario) Verify(rng *rand.Rand, simIters int) error {
 	if err != nil {
 		return err
 	}
-	if err := checkAll("session", ms, ms.NewSession().Check); err != nil {
+	if err := checkAll("session", ms, ms.NewSession().CheckContext); err != nil {
 		return err
 	}
 

@@ -8,8 +8,8 @@
 //     router by router (Model.DiffAgainstSimulator);
 //  2. metamorphic — the verdict of a property must be invariant under
 //     optimization-pass subsets, router/community renaming, assert-order
-//     permutation, and the three execution paths (fresh Model.Check,
-//     Session.Check, the service engine);
+//     permutation, and the three execution paths (fresh
+//     Model.CheckGoal, Session.CheckContext, the service engine);
 //  3. certification — every encode runs with Options.Certify, so any
 //     UNSAT verdict reached along the way carries a DRAT trace validated
 //     by the independent checker in internal/sat/drat; a rejected

@@ -94,15 +94,26 @@ func (q query) spec() pipeline.Spec {
 	return pipeline.Spec{Check: "reachability", Src: q.src, Subnet: q.sub.String(), MaxFailures: q.maxFail}
 }
 
-// answer builds a goal's property on m, answers it through check
-// (Model.Check or a Session.Check on m) and validates the certification
-// invariant (verified ⇒ checked certificate).
-func answer(m *core.Model, goal tiered.Goal, check func(*smt.Term, ...*smt.Term) (*core.Result, error)) (bool, error) {
+// checkFn is one of core's two doors: a fresh Model.CheckGoal or a
+// Session.CheckContext.
+type checkFn func(context.Context, *smt.Term, ...*smt.Term) (*core.Result, error)
+
+// freshCheck is m's fresh door, on the model's cached artifact.
+func freshCheck(m *core.Model) checkFn {
+	return func(ctx context.Context, prop *smt.Term, assumptions ...*smt.Term) (*core.Result, error) {
+		return m.CheckGoal(ctx, nil, prop, assumptions...)
+	}
+}
+
+// answer builds a goal's property on m, answers it through check (a door
+// on m) and validates the certification invariant (verified ⇒ checked
+// certificate).
+func answer(m *core.Model, goal tiered.Goal, check checkFn) (bool, error) {
 	prop, assumptions, err := pipeline.Property(m, goal)
 	if err != nil {
 		return false, err
 	}
-	res, err := check(prop, assumptions...)
+	res, err := check(context.Background(), prop, assumptions...)
 	if err != nil {
 		return false, err
 	}
@@ -112,13 +123,13 @@ func answer(m *core.Model, goal tiered.Goal, check func(*smt.Term, ...*smt.Term)
 	return res.Verified, nil
 }
 
-// checkOn answers q with a fresh Model.Check on m.
+// checkOn answers q with a fresh Model.CheckGoal on m.
 func checkOn(m *core.Model, q query) (bool, error) {
 	goal, err := q.spec().Goal()
 	if err != nil {
 		return false, err
 	}
-	return answer(m, goal, m.Check)
+	return answer(m, goal, freshCheck(m))
 }
 
 // PassesParity is the metamorphic pass oracle: the verdict of one
@@ -169,8 +180,8 @@ func (s *Scenario) PassesParity(rng *rand.Rand) error {
 }
 
 // PathParity is the execution-path oracle: the same query answered via a
-// fresh Model.Check, an incremental Session.Check (twice, so the warm
-// path is covered) and the batch service engine must agree.
+// fresh Model.CheckGoal, an incremental Session.CheckContext (twice, so
+// the warm path is covered) and the batch service engine must agree.
 func (s *Scenario) PathParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
 	m, err := s.Encode("")
@@ -192,7 +203,7 @@ func (s *Scenario) PathParity(rng *rand.Rand) error {
 	}
 	sess := ms.NewSession()
 	for i := 0; i < 2; i++ {
-		got, err := answer(ms, goal, sess.Check)
+		got, err := answer(ms, goal, sess.CheckContext)
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: session check %d: %w", s.Name, i, err)
 		}
@@ -340,7 +351,7 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 		if !out.Decided {
 			continue
 		}
-		want, err := answer(m, goal, m.Check)
+		want, err := answer(m, goal, freshCheck(m))
 		if err != nil {
 			return fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
 		}

@@ -219,7 +219,7 @@ func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session %s: %v", prop, err)
 		}
-		res, err := sess.Check(p, assumptions...)
+		res, err := sess.CheckContext(context.Background(), p, assumptions...)
 		if err != nil {
 			t.Fatalf("session %s: %v", prop, err)
 		}
@@ -268,7 +268,7 @@ func TestAuditRowsCarrySolverCounts(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return m.Check(build(m), m.NoFailures())
+			return m.CheckGoal(context.Background(), nil, build(m), m.NoFailures())
 		}
 	}
 	for prop, check := range map[string]func() (*core.Result, error){

@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -108,7 +109,7 @@ func TestInjectedBugsAreDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", n.Name, err)
 		}
-		res, err := m.Check(properties.ManagementReachable(m), m.NoFailures())
+		res, err := m.CheckGoal(context.Background(), nil, properties.ManagementReachable(m), m.NoFailures())
 		if err != nil {
 			t.Fatalf("%s: check: %v", n.Name, err)
 		}

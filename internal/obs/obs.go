@@ -12,13 +12,13 @@
 // goroutine renders a snapshot.
 //
 // Three exporters cover the intended consumers: WriteTree renders a
-// human-readable profile for the -v flag, WriteJSON emits one JSON
-// document per run for machine diffing, and WritePrometheus dumps the
-// metrics in Prometheus text exposition format for future scraping.
+// human-readable profile for the -v flag, WriteChrome emits the span tree
+// with its attributes, gauges and counters as one Chrome trace_event
+// document for Perfetto and machine diffing, and WritePrometheus dumps the
+// metrics, histograms included, in Prometheus text exposition format.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -494,94 +494,6 @@ func (t *Trace) WriteTree(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// SpanJSON is the JSON shape of one span.
-type SpanJSON struct {
-	Name       string         `json:"name"`
-	StartUnix  int64          `json:"start_unix_nano"`
-	DurationMS float64        `json:"duration_ms"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []SpanJSON     `json:"children,omitempty"`
-}
-
-// HistJSON is the JSON shape of one histogram.
-type HistJSON struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	N      int64     `json:"n"`
-}
-
-// TraceJSON is the JSON document written by WriteJSON: the span tree plus
-// the metrics registry.
-type TraceJSON struct {
-	Span     SpanJSON            `json:"span"`
-	Counters map[string]int64    `json:"counters,omitempty"`
-	Gauges   map[string]float64  `json:"gauges,omitempty"`
-	Hists    map[string]HistJSON `json:"histograms,omitempty"`
-}
-
-func spanJSON(s *Span) SpanJSON {
-	out := SpanJSON{
-		Name:       s.Name(),
-		DurationMS: ms(s.Duration()),
-	}
-	s.mu.Lock()
-	out.StartUnix = s.start.UnixNano()
-	s.mu.Unlock()
-	attrs := s.Attrs()
-	if len(attrs) > 0 {
-		out.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			out.Attrs[a.Key] = a.Value()
-		}
-	}
-	for _, c := range s.Children() {
-		out.Children = append(out.Children, spanJSON(c))
-	}
-	return out
-}
-
-// Snapshot returns the trace as its JSON document structure.
-func (t *Trace) Snapshot() TraceJSON {
-	if t == nil {
-		return TraceJSON{}
-	}
-	out := TraceJSON{Span: spanJSON(t.root)}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.counters) > 0 {
-		out.Counters = make(map[string]int64, len(t.counters))
-		for k, v := range t.counters {
-			out.Counters[k] = v
-		}
-	}
-	if len(t.gauges) > 0 {
-		out.Gauges = make(map[string]float64, len(t.gauges))
-		for k, v := range t.gauges {
-			out.Gauges[k] = v
-		}
-	}
-	if len(t.hists) > 0 {
-		out.Hists = make(map[string]HistJSON, len(t.hists))
-		for k, h := range t.hists {
-			out.Hists[k] = HistJSON{
-				Bounds: append([]float64(nil), h.Bounds...),
-				Counts: append([]int64(nil), h.Counts...),
-				Sum:    h.Sum,
-				N:      h.N,
-			}
-		}
-	}
-	return out
-}
-
-// WriteJSON emits the trace as one indented JSON document.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Snapshot())
 }
 
 // WritePrometheus dumps spans and metrics in Prometheus text exposition

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -92,47 +91,6 @@ func TestTypedAttrs(t *testing.T) {
 	}
 }
 
-func TestJSONExport(t *testing.T) {
-	tr := New("verify")
-	sp := tr.Root().Start("encode")
-	sp.SetInt("terms", 100)
-	sp.End()
-	tr.Add("asserts", 7)
-	tr.Gauge("sat.vars", 123)
-	tr.Observe("sat.lbd", 3)
-	tr.Observe("sat.lbd", 100) // overflow bucket
-	tr.Root().End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc TraceJSON
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("exported JSON does not parse: %v", err)
-	}
-	if doc.Span.Name != "verify" || len(doc.Span.Children) != 1 {
-		t.Fatalf("span tree wrong: %+v", doc.Span)
-	}
-	if doc.Span.Children[0].Attrs["terms"] != float64(100) {
-		t.Fatalf("attr lost: %+v", doc.Span.Children[0].Attrs)
-	}
-	if doc.Counters["asserts"] != 7 || doc.Gauges["sat.vars"] != 123 {
-		t.Fatalf("metrics lost: %+v", doc)
-	}
-	h := doc.Hists["sat.lbd"]
-	if h.N != 2 || h.Sum != 103 {
-		t.Fatalf("histogram wrong: %+v", h)
-	}
-	var inBuckets int64
-	for _, c := range h.Counts {
-		inBuckets += c
-	}
-	if inBuckets != 1 {
-		t.Fatalf("want 1 bucketed observation (other overflows), got %d", inBuckets)
-	}
-}
-
 func TestPrometheusExport(t *testing.T) {
 	tr := New("verify")
 	tr.Root().Start("solve").End()
@@ -198,7 +156,9 @@ func TestConcurrentUse(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			var buf bytes.Buffer
 			tr.WriteTree(&buf)
-			_ = tr.Snapshot()
+			if err := tr.WriteChrome(&buf); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()

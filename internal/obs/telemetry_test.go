@@ -69,7 +69,7 @@ func TestObserveBoundsAndQuantileExport(t *testing.T) {
 
 // TestWriteChrome exports a small span tree and checks the trace_event
 // document: slices with microsecond timestamps nested by containment,
-// attrs as args, gauges as counter samples.
+// attrs as args, gauges as counter samples, counters under otherData.
 func TestWriteChrome(t *testing.T) {
 	tr := New("verify")
 	child := tr.Root().Start("solve")
@@ -77,6 +77,7 @@ func TestWriteChrome(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	child.End()
 	tr.Gauge("formula.sat_vars", 123)
+	tr.Add("asserts", 7)
 	tr.Root().End()
 
 	var buf bytes.Buffer
@@ -91,6 +92,9 @@ func TestWriteChrome(t *testing.T) {
 			Dur  float64        `json:"dur"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
+		OtherData struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"otherData"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
@@ -125,6 +129,9 @@ func TestWriteChrome(t *testing.T) {
 	gaugeIdx, ok := byName["formula.sat_vars"]
 	if !ok || doc.TraceEvents[gaugeIdx].Ph != "C" {
 		t.Fatalf("gauge counter sample missing: %s", buf.String())
+	}
+	if doc.OtherData.Counters["asserts"] != 7 {
+		t.Fatalf("counter lost: %s", buf.String())
 	}
 
 	// Nil trace writes nothing and does not error.

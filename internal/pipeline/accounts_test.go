@@ -159,7 +159,7 @@ func TestPhaseAccounts(t *testing.T) {
 		return func(t *testing.T, r *rig) *core.Result {
 			m, p, assumptions := chainQuery(t, opts, holds)
 			r.wire(&m.Opts)
-			res, err := m.Check(p, assumptions...)
+			res, err := m.CheckGoal(context.Background(), nil, p, assumptions...)
 			return must(t, res, err)
 		}
 	}
@@ -222,18 +222,18 @@ func TestPhaseAccounts(t *testing.T) {
 					t.Errorf("set-up ledger %v with %d db bytes", childNames(setup), setup.Total().ClauseDBBytes)
 				}
 				r.wire(&m.Opts)
-				res, err := sess.Check(p, assumptions...)
+				res, err := sess.CheckContext(context.Background(), p, assumptions...)
 				return must(t, res, err)
 			}},
 		{name: "session second check", phases: "blast decode solve",
 			run: func(t *testing.T, r *rig) *core.Result {
 				m, p, assumptions := chainQuery(t, core.DefaultOptions(), true)
 				sess := m.NewSession()
-				first, err := sess.Check(p, assumptions...)
+				first, err := sess.CheckContext(context.Background(), p, assumptions...)
 				must(t, first, err)
 				before := first.Cost.Total()
 				r.wire(&m.Opts)
-				res, err := sess.Check(m.Ctx.Not(p), assumptions...)
+				res, err := sess.CheckContext(context.Background(), m.Ctx.Not(p), assumptions...)
 				must(t, res, err)
 				// Each check keeps its own books: the second neither shares
 				// nor grows the first's, and (below) equals its own Stats,
@@ -256,7 +256,7 @@ func TestPhaseAccounts(t *testing.T) {
 				// and this check's Stats must count it as its ledger does.
 				m, p, assumptions := chainQuery(t, core.DefaultOptions(), false)
 				sess := m.NewSession()
-				first, err := sess.Check(p, assumptions...)
+				first, err := sess.CheckContext(context.Background(), p, assumptions...)
 				if must(t, first, err).Verified {
 					t.Fatal("isolation holds: not the row this is")
 				}
@@ -265,7 +265,7 @@ func TestPhaseAccounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				r.wire(&m.Opts)
-				res, err := sess.Check(reach, reachAssumptions...)
+				res, err := sess.CheckContext(context.Background(), reach, reachAssumptions...)
 				return must(t, res, err)
 			}},
 		{name: "certified", phases: "blast certify compile simplify solve",
@@ -274,8 +274,13 @@ func TestPhaseAccounts(t *testing.T) {
 				if pb := res.Cost.Find("certify").Total().ProofBytes; pb <= 0 {
 					t.Errorf("certify node has no proof bytes (%d)", pb)
 				}
-				if res.Certificate == nil || res.CertifyElapsed <= 0 || res.Certificate.CheckElapsed != res.CertifyElapsed {
+				if res.Certificate == nil || !res.Certificate.Checked || res.CertifyElapsed <= 0 {
 					t.Errorf("certificate %+v against CertifyElapsed %v", res.Certificate, res.CertifyElapsed)
+				}
+				// The report's proof check time is the certify window.
+				rep := pipeline.NewReport("certified", &pipeline.Verdict{Result: res})
+				if want := float64(res.CertifyElapsed.Microseconds()) / 1000; rep.Proof == nil || rep.Proof.CheckMs != want {
+					t.Errorf("report proof %+v, want check_ms %v", rep.Proof, want)
 				}
 				if !r.has(stream.EventCertify) {
 					t.Error("no certify.done event")

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/obs/cost"
 	"repro/internal/obs/stream"
 	"repro/internal/pipeline"
 	"repro/internal/properties"
@@ -223,6 +224,42 @@ func TestRunPairGoals(t *testing.T) {
 	v, err = pipeline.Run(ctx, net, tiered.Goal{Check: "equivalence", Srcs: []string{"agg-0-0", "agg-1-0"}}, opts)
 	if !errors.Is(err, context.Canceled) || v.Result != nil {
 		t.Fatalf("cancelled equivalence: err = %v, result %+v", err, v.Result)
+	}
+}
+
+// TestRunEquivalenceCertified: an equivalence goal whose sweep reaches
+// the solver is priced like any solver verdict. The goal ledger's solve
+// node carries the sweep's work, equal to the Result's Stats; certified,
+// a verified verdict carries the sweep's checked certificate, and the
+// report has both a solver and a proof block. A falsified one has counts
+// and its difference.
+func TestRunEquivalenceCertified(t *testing.T) {
+	configs, err := pipeline.ReadDir("../../examples/equivalence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := pipeline.Load(configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := options("none")
+	opts.Core.Certify = true
+	for _, pair := range [][]string{{"A", "B"}, {"A", "C"}} {
+		v, err := pipeline.Run(context.Background(), net, tiered.Goal{Check: "equivalence", Srcs: pair}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := v.Result
+		if res.Verified != (pair[1] == "B") || (v.Difference == "") != res.Verified {
+			t.Fatalf("%v: verified %v, difference %q", pair, res.Verified, v.Difference)
+		}
+		if solve := res.Cost.Find("solve"); solve == nil || solve.Total() != cost.FromStats(res.Stats) || res.Cost.Total() != solve.Total() || res.Stats.Decisions == 0 {
+			t.Fatalf("%v: ledger %+v does not price the sweep's stats %+v", pair, res.Cost, res.Stats)
+		}
+		rep := pipeline.NewReport("equivalence", v)
+		if rep.Solver == nil || rep.SATVars == 0 || (rep.Proof != nil) != res.Verified || (rep.Proof != nil && !rep.Proof.Checked) {
+			t.Fatalf("%v: report solver %+v, proof %+v", pair, rep.Solver, rep.Proof)
+		}
 	}
 }
 

@@ -147,8 +147,8 @@ func NewReport(check string, v *Verdict) *Report {
 	}
 	r.ElapsedMs = r.FastPathMs + r.EncodeMs + r.SimplifyMs + r.SolveMs + r.CertifyMs
 	if res.SATVars > 0 {
-		// Otherwise no solver counts were kept (the graph tier, the
-		// equivalence sweep): no all-zero CDCL stats block.
+		// Otherwise no solver ran (the graph tier, an equivalence sweep
+		// whose terms folded to constants): no all-zero CDCL stats block.
 		r.Solver = &SolverStats{
 			Conflicts:    res.Stats.Conflicts,
 			Decisions:    res.Stats.Decisions,
@@ -172,7 +172,7 @@ func NewReport(check string, v *Verdict) *Report {
 			Checked: cert.Checked, Steps: cert.Steps,
 			Inputs: cert.Inputs, Lemmas: cert.Lemmas, Deletions: cert.Deletions,
 			Hinted: cert.Hinted, Fallbacks: cert.Fallbacks,
-			CheckMs: durMs(cert.CheckElapsed),
+			CheckMs: durMs(res.CertifyElapsed),
 		}
 	}
 	if res.Counterexample != nil {

@@ -222,14 +222,15 @@ func monolithic(ctx context.Context, net *Network, goal tiered.Goal, opts Option
 	if sess != nil {
 		return sess.CheckContext(ctx, prop, assumptions...)
 	}
-	return m.CheckContext(ctx, prop, assumptions...)
+	return m.CheckGoal(ctx, nil, prop, assumptions...)
 }
 
 // equivalence answers §5 local equivalence of the goal's two routers
 // with core's structural sweep. The sweep's many small solver queries
-// keep no counts, so it is charged to the goal's ledger as one solve
-// phase with no work; a falsified verdict carries v.Difference and no
-// counterexample.
+// are one solve phase of the goal's ledger, charged their summed work;
+// the Result carries their summed counts and, when they were certified,
+// their summed certificate. A falsified verdict carries v.Difference and
+// no counterexample.
 func equivalence(ctx context.Context, net *Network, goal tiered.Goal, opts Options, ledger *cost.Node, v *Verdict) (*core.Result, error) {
 	if len(goal.Srcs) != 2 {
 		return nil, requestErrorf("pipeline: check %q requires two routers", goal.Check)
@@ -240,12 +241,14 @@ func equivalence(ctx context.Context, net *Network, goal tiered.Goal, opts Optio
 	ph := cost.Open(opts.Core.Span, ledger, opts.Core.OnEvent)
 	ph.Begin("solve")
 	eq, err := core.CheckLocalEquivalenceContext(ctx, net.Graph, goal.Srcs[0], goal.Srcs[1], opts.Core)
-	ph.End(cost.Work{})
 	if err != nil {
+		ph.End(cost.Work{})
 		return nil, err
 	}
+	ph.End(cost.FromStats(eq.Stats))
 	v.Difference = eq.Difference
-	return &core.Result{Verified: eq.Equivalent}, nil
+	return &core.Result{Verified: eq.Equivalent, Stats: eq.Stats, SATVars: eq.SATVars, SATClauses: eq.SATClauses,
+		Certificate: eq.Certificate}, nil
 }
 
 // faultInvariance answers the §8.1 fault-invariance question: does every

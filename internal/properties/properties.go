@@ -4,8 +4,8 @@
 // loops, black holes, multipath consistency, neighbor preferences, load
 // balancing, aggregation/leaking, and the equivalence and fault properties.
 //
-// Each builder returns a property term P; core.Model.Check(P) then decides
-// N ∧ ¬P. Builders may instrument the model with definitional constraints
+// Each builder returns a property term P; core.Model.CheckGoal (or a
+// Session.CheckContext) then decides N ∧ ¬P. Builders may instrument the model with definitional constraints
 // (reachability ranks, path lengths, taint); instrumentation is
 // value-preserving and may be shared across properties.
 package properties

@@ -24,7 +24,7 @@ func encode(t *testing.T, net *testnets.Net) *core.Model {
 
 func check(t *testing.T, m *core.Model, p *smt.Term, assumptions ...*smt.Term) *core.Result {
 	t.Helper()
-	res, err := m.Check(p, assumptions...)
+	res, err := m.CheckGoal(context.Background(), nil, p, assumptions...)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}

@@ -179,6 +179,24 @@ func (st Stats) Since(before Stats) Stats {
 	return st
 }
 
+// Plus returns the work of two searches together. MaxLevel, a high-water
+// mark, is the larger of the two.
+func (st Stats) Plus(o Stats) Stats {
+	st.Decisions += o.Decisions
+	st.Propagations += o.Propagations
+	st.Conflicts += o.Conflicts
+	st.Restarts += o.Restarts
+	st.Learned += o.Learned
+	st.Deleted += o.Deleted
+	st.Simplified += o.Simplified
+	st.Strengthened += o.Strengthened
+	for i := range st.LBDHist {
+		st.LBDHist[i] += o.LBDHist[i]
+	}
+	st.MaxLevel = max(st.MaxLevel, o.MaxLevel)
+	return st
+}
+
 // Progress is the snapshot handed to a progress hook: a copy of the work
 // counters plus the current database size, letting long-running checks
 // report liveness.
