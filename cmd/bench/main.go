@@ -73,6 +73,7 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/netgen"
+	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/provenance"
@@ -476,9 +477,12 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 }
 
 // tieredJSON is one row of the BENCH_tiered.json artifact: the graph
-// fast path and the SAT pipeline answering the same Figure 8 query.
+// fast path and the SAT pipeline answering the same query — a Figure 8
+// row of a fabric (Pods set) or a check of an audit network (Network
+// set).
 type tieredJSON struct {
-	Pods     int    `json:"pods"`
+	Pods     int    `json:"pods,omitempty"`
+	Network  string `json:"network,omitempty"`
 	Routers  int    `json:"routers"`
 	Property string `json:"property"`
 	// Subnet is set on the scoped row of a whole-network property: the
@@ -486,8 +490,12 @@ type tieredJSON struct {
 	Subnet string `json:"subnet,omitempty"`
 	// Tier is "graph" when the fast path decided the row, "sat" when it
 	// returned residue and the solver answered.
-	Tier     string  `json:"tier"`
-	Reason   string  `json:"reason,omitempty"`
+	Tier   string `json:"tier"`
+	Reason string `json:"reason,omitempty"`
+	// Rule names the graph-tier rule that decided the row (ruleOf). An
+	// audit row the tier leaves is not answered on the SAT pipeline: its
+	// sat_ms and verified stay zero.
+	Rule     string  `json:"rule,omitempty"`
 	GraphMs  float64 `json:"graph_ms"`
 	SatMs    float64 `json:"sat_ms"`
 	Speedup  float64 `json:"speedup,omitempty"`
@@ -498,9 +506,9 @@ type tieredJSON struct {
 // runTiered answers every Figure 8 row twice — once on the sound graph
 // fast path, once on the untiered SAT pipeline — and reports hit rate,
 // per-row speedup, and verdict agreement. The whole-network properties
-// get a second, subnet-scoped row (Fig8ModularGoal's form). Any definitive
-// graph verdict that disagrees with the solver is a soundness bug: the
-// sweep fails.
+// get a second, subnet-scoped row (Fig8ModularGoal's form). Then it asks
+// the audit population (runTieredAudit). Any definitive graph verdict
+// that disagrees with the solver is a soundness bug: the sweep fails.
 func runTiered(pods []int, props []string, jsonOut, passes string) error {
 	fmt.Println("# tiered sweep: graph fast path vs SAT pipeline per Figure 8 row")
 	fmt.Println("pods\trouters\tproperty\ttier\treason\tgraph_ms\tsat_ms\tspeedup\tverified\tagree")
@@ -558,7 +566,7 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 			covered++
 			if out.Decided {
 				hits++
-				jrow.Tier = tiered.TierGraph
+				jrow.Tier, jrow.Rule = tiered.TierGraph, ruleOf(out.Reason)
 				jrow.Agree = out.Verified == satRes.Verified
 				if graphMs > 0 {
 					jrow.Speedup = satMs / graphMs
@@ -584,7 +592,115 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 		fmt.Printf("# aggregate speedup on hit rows: %.0fx (%.2fms graph vs %.1fms sat)\n",
 			satTotal/graphTotal, graphTotal, satTotal)
 	}
-	return writeJSON(jsonOut, art)
+	rows, err := runTieredAudit(satOpts)
+	if err != nil {
+		return err
+	}
+	return writeJSON(jsonOut, append(art, rows...))
+}
+
+// auditChecks are the checks runTieredAudit asks of each audit network,
+// in report order.
+var auditChecks = []string{"reachability", "isolation", "waypoint", "bounded-length",
+	"blackholes", "loops", "multipath-consistency", "mgmt-reachability"}
+
+// runTieredAudit asks the 24 netgen.Audit networks the enterprise-audit
+// benchmark draws — outside the deterministic fragment, every one — the
+// per-source checks from the first border to the first access subnet
+// (waypoint through the first core, bounded-length at one hop), the
+// whole-network checks scoped to that subnet, and management
+// reachability. Only the rows the graph tier decides are answered on the
+// SAT pipeline too, and a disagreement fails the sweep. It prints, per
+// check, the share of rows each rule decided.
+func runTieredAudit(satOpts pipeline.Options) ([]tieredJSON, error) {
+	fmt.Println("# audit population: graph tier vs SAT pipeline (the solver answers decided rows only)")
+	fmt.Println("network\trouters\tproperty\ttier\treason\tgraph_ms\tsat_ms\tverified\tagree")
+	rules := []string{"stable-state", "may-graph", "simulated", "vacuity"}
+	decided := map[string]map[string]int{}
+	asked := map[string]int{}
+	var art []tieredJSON
+	for size := 2; size <= 25; size++ {
+		n, err := netgen.Audit(size)
+		if err != nil {
+			return nil, err
+		}
+		if len(n.Access) == 0 {
+			continue
+		}
+		net, err := pipeline.Build(n.Routers)
+		if err != nil {
+			return nil, err
+		}
+		subnet := network.MustParsePrefix("10.10.0.0/24")
+		via := n.Borders[0]
+		if len(n.Cores) > 0 {
+			via = n.Cores[0]
+		}
+		for _, check := range auditChecks {
+			goal := tiered.Goal{Check: check, Src: n.Borders[0], Via: via, Hops: 1, Subnet: subnet, HasSubnet: true}
+			if check == "mgmt-reachability" {
+				goal = tiered.Goal{Check: check}
+			}
+			start := time.Now()
+			out := net.Analysis().Decide(goal)
+			row := tieredJSON{
+				Network: n.Name, Routers: len(n.Routers), Property: check,
+				Tier: tiered.TierSAT, Reason: out.Reason, GraphMs: toMs(time.Since(start)), Agree: true,
+			}
+			asked[check]++
+			if out.Decided {
+				v, err := pipeline.Run(context.Background(), net, goal, satOpts)
+				if err != nil {
+					return nil, err
+				}
+				row.Tier, row.Rule = tiered.TierGraph, ruleOf(out.Reason)
+				row.SatMs, row.Verified = toMs(v.Result.Elapsed), v.Result.Verified
+				row.Agree = out.Verified == v.Result.Verified
+				if decided[check] == nil {
+					decided[check] = map[string]int{}
+				}
+				decided[check][row.Rule]++
+			}
+			sat := "-\t-"
+			if out.Decided {
+				sat = fmt.Sprintf("%.1f\t%v", row.SatMs, row.Verified)
+			}
+			fmt.Printf("%s\t%d\t%s\t%s\t%s\t%.2f\t%s\t%v\n",
+				row.Network, row.Routers, row.Property, row.Tier, row.Reason, row.GraphMs, sat, row.Agree)
+			if !row.Agree {
+				return nil, fmt.Errorf("tier disagreement on %s %s: graph says verified=%v, sat says verified=%v",
+					n.Name, check, out.Verified, row.Verified)
+			}
+			art = append(art, row)
+		}
+	}
+	fmt.Println("# audit decided share by rule")
+	fmt.Println("property\trows\t" + strings.Join(rules, "\t") + "\tresidue")
+	for _, check := range auditChecks {
+		line, left := fmt.Sprintf("%s\t%d", check, asked[check]), asked[check]
+		for _, r := range rules {
+			k := decided[check][r]
+			left -= k
+			line += fmt.Sprintf("\t%.2f", float64(k)/float64(asked[check]))
+		}
+		fmt.Printf("%s\t%.2f\n", line, float64(left)/float64(asked[check]))
+	}
+	return art, nil
+}
+
+// ruleOf names the graph-tier rule behind a decided outcome's reason:
+// the deterministic path (stable-state), the may-graph, simulated
+// falsification, or vacuity.
+func ruleOf(reason string) string {
+	switch {
+	case reason == tiered.ReasonSimulated:
+		return "simulated"
+	case reason == "stable-state", reason == "stable-state-violation", strings.HasPrefix(reason, "mgmt-unreachable:"):
+		return "stable-state"
+	case strings.HasPrefix(reason, "may-unreachable"), reason == "cannot-avoid-waypoint":
+		return "may-graph"
+	}
+	return "vacuity"
 }
 
 // modularJSON is one row of the BENCH_modular.json artifact: the

@@ -205,6 +205,7 @@ func run(o cliOpts, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	c.net, c.coreOpts = net, opts.Core
 	return c.emit(v)
 }
 
@@ -213,6 +214,10 @@ type cli struct {
 	o              cliOpts
 	tr             *obs.Trace
 	stdout, stderr io.Writer
+	// net and coreOpts are the loaded network and the check's options,
+	// which replaying a graph-tier counterexample encodes.
+	net      *pipeline.Network
+	coreOpts core.Options
 }
 
 // emit reports a verdict — as the pipeline's JSON report or as text —
@@ -221,18 +226,31 @@ func (c *cli) emit(v *pipeline.Verdict) error {
 	o, res := c.o, v.Result
 	core.RecordSolverMetrics(c.tr, res, res.Cost)
 	rep := pipeline.NewReport(o.check, v)
-	// Graph-tier counterexamples carry no SAT assignment to compare the
-	// simulator's state with, and a fault-invariance counterexample is a
-	// state of two linked copies where the simulator replays one network.
+	// A solver counterexample is replayed by simulating its environment
+	// and comparing the simulator's state with the model's. A graph-tier
+	// counterexample is the simulator's own stable state, so it is
+	// replayed the other way round: the network's model, pinned to the
+	// counterexample's destination and environment, must reach the same
+	// state. A fault-invariance counterexample is a state of two linked
+	// copies where the simulator replays one network.
 	var replayed bool
 	var diffs []string
-	if cex := res.Counterexample; o.replay && o.check != "fault-invariance" &&
-		v.Model != nil && cex != nil && cex.Assignment != nil {
+	if cex := res.Counterexample; o.replay && o.check != "fault-invariance" && cex != nil {
 		var err error
-		if diffs, err = v.Model.ReplayAgrees(cex); err != nil {
+		switch {
+		case v.Model != nil && cex.Assignment != nil:
+			diffs, err = v.Model.ReplayAgrees(cex)
+			replayed = true
+		case res.Tier == tiered.TierGraph:
+			var m *core.Model
+			if m, err = core.Encode(c.net.Graph, c.coreOpts); err == nil {
+				diffs, err = m.DiffAgainstSimulator(cex.Packet.DstIP, cex.Env)
+			}
+			replayed = true
+		}
+		if err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
-		replayed = true
 	}
 	if o.jsonOut {
 		if !o.costOut {

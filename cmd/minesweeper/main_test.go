@@ -111,6 +111,25 @@ func TestRunVerdicts(t *testing.T) {
 				t.Fatalf("-replay: simulator disagrees: %v", cex.ReplayDiffs)
 			}
 		}},
+		{"falsified by simulation, replayed", func() cliOpts {
+			// Figure 2 is outside the deterministic fragment (mutual
+			// redistribution); the graph tier falsifies by simulating an
+			// external peer announcing the destination's /32.
+			o := base(figure2, "reachability")
+			o.src, o.subnet, o.replay = "R2", "10.3.3.0/24", true
+			return o
+		}(), func(t *testing.T, rep *pipeline.Report) {
+			cex := rep.Counterexample
+			if rep.Verified || rep.Tier != "graph" || rep.Solver != nil || cex == nil || len(cex.Announcements) != 1 {
+				t.Fatalf("want a graph-tier counterexample with one announcement: %+v", rep)
+			}
+			if a := cex.Announcements[0]; a.Prefix != cex.Packet.DstIP+"/32" {
+				t.Fatalf("want the peer to announce the packet's /32: %+v", a)
+			}
+			if cex.ReplayAgrees == nil || !*cex.ReplayAgrees || len(cex.ReplayDiffs) != 0 {
+				t.Fatalf("-replay: the pinned model disagrees: %v", cex.ReplayDiffs)
+			}
+		}},
 		{"modular composed", func() cliOpts {
 			o := far(base(fab, "reachability"))
 			o.tiers, o.modular, o.blame = "none", true, true

@@ -153,6 +153,15 @@ type family struct {
 // the netgen networks (which may include it); MultihopIBGP is excluded
 // from the simulator oracle because its per-address slices resolve
 // iBGP-transport disputes the concrete simulator walks differently.
+// Multi-stability is not the only reason for netgen: its borders
+// redistribute connected routes into BGP and BGP into OSPF, and learn
+// each other's over multihop iBGP, which is where the simulator departed
+// from the encoder until it applied the ghost-route rule and forwarded a
+// redistributed route as its source protocol does (DESIGN §7 items 4 and
+// 12; TestSimulatorMatchesEncoderOnRedistribution). Other such gaps would
+// show as differential failures here, so the family stays out of
+// DiffVsSim; TierParity holds the graph tier's simulated falsifications
+// on it to the solver.
 var pool = []family{
 	{"ospf-chain", func(rng *rand.Rand) (*Scenario, error) {
 		n := 2 + rng.Intn(4)
@@ -197,18 +206,22 @@ var pool = []family{
 		return fromRouters("ebgp-fabric-2", false, ft.Routers)
 	}},
 	{"netgen", func(rng *rand.Rand) (*Scenario, error) {
-		p := netgen.Params{
-			MinRouters: 2, MaxRouters: 6,
-			PHijack: 0.4, PACLException: 0.3, PDeepDrop: 0.3,
-			WithIBGP: true,
-		}
-		seed := rng.Int63()
-		n, err := netgen.Generate(fmt.Sprintf("netgen-%d", seed), seed, p)
-		if err != nil {
-			return nil, err
-		}
-		return fromRouters(n.Name, false, n.Routers)
+		return netgenScenario(rng.Int63())
 	}},
+}
+
+// netgenScenario is the netgen family's network for one generator seed.
+func netgenScenario(seed int64) (*Scenario, error) {
+	p := netgen.Params{
+		MinRouters: 2, MaxRouters: 6,
+		PHijack: 0.4, PACLException: 0.3, PDeepDrop: 0.3,
+		WithIBGP: true,
+	}
+	n, err := netgen.Generate(fmt.Sprintf("netgen-%d", seed), seed, p)
+	if err != nil {
+		return nil, err
+	}
+	return fromRouters(n.Name, false, n.Routers)
 }
 
 // Families returns the number of scenario families in the pool.

@@ -330,18 +330,36 @@ func (s *Scenario) rename(src string) (*Scenario, string, error) {
 // path (internal/tiered) and the SAT pipeline answer the same checks
 // independently. The fast path may always return residue, but any check
 // it claims to decide must carry the solver's verdict — a definitive
-// disagreement is a soundness bug in the graph tier. Each whole-network
-// check is asked twice: of every destination, and of the query's subnet
-// only (on the SAT side, pipeline.Property's DstIn assumption).
+// disagreement is a soundness bug in the graph tier. The per-source
+// checks are reachability, isolation, waypoint (through the router after
+// the source in topology order) and bounded-length (one hop); each
+// whole-network check is asked twice: of every destination, and of the
+// query's subnet only (on the SAT side, pipeline.Property's DstIn
+// assumption).
 func (s *Scenario) TierParity(rng *rand.Rand) error {
+	_, err := s.tierParity(rng, nil)
+	return err
+}
+
+// tierParity is TierParity, also counting the decided goals that the
+// simulated-falsification rule answered. A goal whose key (scenario name
+// and goal) is in seen was held to the solver before and is skipped; seen
+// records the rest, so a sweep over many seeds of one fixture asks the
+// solver each question once. A nil seen skips nothing.
+func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (simulated int, err error) {
 	a := tiered.NewAnalysis(s.Net.Graph)
 	m, err := s.Encode("")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	q := s.pickQuery(rng)
+	nodes := s.Net.Topo.Nodes
+	via := nodes[(s.Net.Topo.Node(q.src).Index+1)%len(nodes)].Name
 	goals := []tiered.Goal{
 		{Check: "reachability", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+		{Check: "isolation", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+		{Check: "waypoint", Src: q.src, Via: via, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+		{Check: "bounded-length", Src: q.src, Hops: 1, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
 	}
 	for _, check := range []string{"loops", "blackholes", "multipath-consistency", "mgmt-reachability"} {
 		goals = append(goals, tiered.Goal{Check: check}, tiered.Goal{Check: check, Subnet: q.sub, HasSubnet: true})
@@ -351,16 +369,26 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 		if !out.Decided {
 			continue
 		}
+		if seen != nil {
+			key := fmt.Sprintf("%s %+v", s.Name, goal)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+		}
 		want, err := answer(m, goal, freshCheck(m))
 		if err != nil {
-			return fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
+			return simulated, fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
 		}
 		if out.Verified != want {
-			return fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s dst=%v scoped=%v maxFail=%d): graph=%v (reason %s) sat=%v",
-				s.Name, goal.Check, q.src, q.sub, goal.HasSubnet, q.maxFail, out.Verified, out.Reason, want)
+			return simulated, fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s via=%s dst=%v scoped=%v maxFail=%d): graph=%v (reason %s) sat=%v",
+				s.Name, goal.Check, q.src, goal.Via, q.sub, goal.HasSubnet, q.maxFail, out.Verified, out.Reason, want)
+		}
+		if out.Reason == tiered.ReasonSimulated {
+			simulated++
 		}
 	}
-	return nil
+	return simulated, nil
 }
 
 // ModularParity is the assume/guarantee oracle: the pipeline with the

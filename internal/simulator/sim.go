@@ -158,6 +158,10 @@ type routerState struct {
 type cand struct {
 	Record
 	via string
+	// redist marks a redistributed record, from the protocol whose best
+	// it re-seeds: it forwards as that protocol's choice does.
+	redist bool
+	from   config.Protocol
 }
 
 func (c *cand) pathLen() int {
@@ -475,7 +479,12 @@ func sameState(a, b *routerState) bool {
 
 // add appends a candidate for the protocol.
 func (s *Simulator) add(p config.Protocol, rec Record, via string) {
-	s.cands[p] = append(s.cands[p], cand{rec, via})
+	s.cands[p] = append(s.cands[p], cand{Record: rec, via: via})
+}
+
+// addRedist appends a candidate redistributed from protocol from.
+func (s *Simulator) addRedist(p config.Protocol, rec Record, from config.Protocol) {
+	s.cands[p] = append(s.cands[p], cand{Record: rec, redist: true, from: from})
 }
 
 // computeRouter evaluates router i's selection against the current state
@@ -532,7 +541,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 		}
 		for _, rd := range cfg.OSPF.Redistribute {
 			if rec, ok := s.redistribute(cfg, rd, own, config.OSPF, ad, dstIP); ok {
-				s.add(config.OSPF, rec, "")
+				s.addRedist(config.OSPF, rec, rd.From)
 			}
 		}
 		for _, adj := range nd.ospf {
@@ -572,7 +581,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 		}
 		for _, rd := range cfg.RIP.Redistribute {
 			if rec, ok := s.redistribute(cfg, rd, own, config.RIP, ad, dstIP); ok {
-				s.add(config.RIP, rec, "")
+				s.addRedist(config.RIP, rec, rd.From)
 			}
 		}
 		for _, adj := range nd.rip {
@@ -611,7 +620,7 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 		for _, rd := range cfg.BGP.Redistribute {
 			if rec, ok := s.redistribute(cfg, rd, own, config.BGP, cfg.BGPDistance(false), dstIP); ok {
 				rec.LocalPref = 100
-				s.add(config.BGP, rec, "")
+				s.addRedist(config.BGP, rec, rd.From)
 			}
 		}
 		for k := range nd.sessions {
@@ -649,29 +658,35 @@ func (s *Simulator) computeRouter(i int, dstIP network.IP, env *Environment, ns 
 	ns.best, ns.hops, ns.local, ns.null = Invalid(), ns.hops[:0], false, false
 	if overall >= 0 {
 		ns.best = ns.proto[overall]
-		s.decideForwarding(nd, ns, s.cands[overall])
+		switch {
+		case ns.best.Proto == config.Connected:
+			ns.local = true
+		case ns.best.Drop:
+			ns.null = true
+		default:
+			s.decideForwarding(nd, ns, config.Protocol(overall), 1<<overall)
+		}
 	}
 }
 
-// decideForwarding fills hops / local / null from the winning protocol's
-// candidates.
-func (s *Simulator) decideForwarding(nd *nodeInfo, ns *routerState, cands []cand) {
-	best := ns.best
-	switch {
-	case best.Proto == config.Connected:
-		ns.local = true
-		return
-	case best.Drop:
-		ns.null = true
-		return
-	}
+// decideForwarding appends to ns.hops the forwarding targets of protocol
+// p's chosen candidates: those equal to its best, or equally good under
+// multipath. A chosen redistributed candidate forwards as its source
+// protocol's choice does, as the encoder's does (DESIGN §7 item 12), so
+// a route learned over multihop iBGP and redistributed into OSPF resolves
+// its next hop recursively instead of jumping to the iBGP peer. visiting
+// holds the protocols on the recursion's path, which a mutual-
+// redistribution cycle would revisit.
+func (s *Simulator) decideForwarding(nd *nodeInfo, ns *routerState, p config.Protocol, visiting uint) {
+	best := ns.proto[p]
 	multipath := false
-	switch best.Proto {
+	switch p {
 	case config.OSPF:
 		multipath = nd.cfg.OSPF.MaxPaths > 1
 	case config.BGP:
 		multipath = nd.cfg.BGP.MaxPaths > 1
 	}
+	cands := s.cands[p]
 	for k := range cands {
 		c := &cands[k]
 		if !c.Valid {
@@ -683,7 +698,13 @@ func (s *Simulator) decideForwarding(nd *nodeInfo, ns *routerState, cands []cand
 		} else {
 			use = sameAttrs(c.Record, best) && c.pathLen() == len(best.Path)
 		}
-		if use {
+		switch {
+		case !use:
+		case c.redist:
+			if visiting&(1<<c.from) == 0 {
+				s.decideForwarding(nd, ns, c.from, visiting|1<<c.from)
+			}
+		default:
 			ns.hops = s.appendHops(ns.hops, nd, &c.Record)
 		}
 	}
@@ -788,7 +809,7 @@ func (s *Simulator) importBGP(i int, se *sessEnd, dstIP network.IP, env *Environ
 		if !exp.Valid || peer.node == nd.node || slices.Contains(exp.Path, nd.node.Name) {
 			return cand{}, false
 		}
-		in = cand{exp, peer.node.Name}
+		in = cand{Record: exp, via: peer.node.Name}
 		in.FromNode, in.FromExt = peer.node.Name, ""
 		in.Origin = peer.bgpOrigin
 		in.NbrASN = peer.asn
@@ -868,9 +889,26 @@ var redistOrigins = func() (o [numProtocols]string) {
 	return o
 }()
 
-// redistribute seeds a record from another protocol's current best.
+// redistributedHere reports whether a router's per-protocol best is a
+// record that router redistributed itself: every import overwrites Origin
+// with the neighbor's, so only a local redistribution leaves one of
+// redistOrigins in place.
+func redistributedHere(r Record) bool {
+	for _, o := range redistOrigins {
+		if r.Origin == o {
+			return true
+		}
+	}
+	return false
+}
+
+// redistribute seeds a record from another protocol's current best. A
+// record the router already redistributed is not redistributed there
+// again — the encoder's ghost-route rule (DESIGN §7 item 4): a route
+// redistributed from connected into BGP is not carried on from BGP into
+// OSPF at the same router.
 func (s *Simulator) redistribute(cfg *config.Router, rd config.Redistribution, st *routerState, into config.Protocol, ad int, dstIP network.IP) (Record, bool) {
-	if uint(rd.From) >= uint(numProtocols) || !st.proto[rd.From].Valid {
+	if uint(rd.From) >= uint(numProtocols) || !st.proto[rd.From].Valid || redistributedHere(st.proto[rd.From]) {
 		return Invalid(), false
 	}
 	rec := st.proto[rd.From]

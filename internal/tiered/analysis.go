@@ -49,14 +49,16 @@ type Analysis struct {
 	filtered []bool
 
 	// mu guards the simulator, which is not safe for concurrent use, and
-	// planes, which memoises plane by representative destination for the
-	// Analysis' lifetime. Each representative is simulated at most once
-	// (sims counts the runs); the planes handed out are never written
-	// after they are built.
-	mu     sync.Mutex
-	sim    *simulator.Simulator
-	planes map[network.IP]memoPlane
-	sims   int
+	// planes, which memoises plane by representative destination and
+	// menu environment for the Analysis' lifetime. Each pair is simulated
+	// at most once (sims counts the runs, menuTries the pairs the
+	// simulated-falsification rule asked for); the planes handed out are
+	// never written after they are built.
+	mu        sync.Mutex
+	sim       *simulator.Simulator
+	planes    map[planeKey]memoPlane
+	sims      int
+	menuTries int
 
 	// may is the over-approximate forwarding graph: each router's outgoing
 	// edges by Node.Index, sorted by far end; rev its incoming ones.
@@ -80,7 +82,7 @@ type Analysis struct {
 // NewAnalysis builds the tier's per-network state from the protocol
 // graph.
 func NewAnalysis(g *protograph.Graph) *Analysis {
-	a := &Analysis{G: g, sim: simulator.New(g), planes: map[network.IP]memoPlane{}}
+	a := &Analysis{G: g, sim: simulator.New(g), planes: map[planeKey]memoPlane{}}
 	a.cfgs = make([]*config.Router, len(g.Topo.Nodes))
 	a.filtered = make([]bool, len(g.Topo.Nodes))
 	for i, n := range g.Topo.Nodes {

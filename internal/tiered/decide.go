@@ -30,6 +30,10 @@ var propertyOrigin = provenance.Origin{Kind: "property"}
 //     representative per forwarding-equivalence class and evaluate the
 //     property concretely — both polarities under zero failures,
 //     falsification only under a positive failure budget.
+//  4. Simulated falsification: when rule 3 hands a goal down only because
+//     the network is outside its fragment, evaluate the property on the
+//     stable states of a fixed menu of concrete environments (falsify);
+//     any violation is a counterexample. This rule never verifies.
 //
 // Everything else is residue and falls through to SAT.
 func (a *Analysis) Decide(goal Goal) Outcome {
@@ -162,8 +166,22 @@ func (a *Analysis) mayFalsifyReach(goal Goal, src string, blame []provenance.Ori
 }
 
 // detDecide evaluates the goal concretely on the unique stable state,
-// one representative destination per forwarding-equivalence class.
+// one representative destination per forwarding-equivalence class, and
+// hands residue outside the fragment to the simulated-falsification rule.
 func (a *Analysis) detDecide(goal Goal, region network.Prefix) Outcome {
+	out := a.detEvaluate(goal, region)
+	if !a.outsideFragment(out) {
+		return out
+	}
+	reps, ok := a.reps(region)
+	if !ok {
+		return out
+	}
+	return a.falsify(out, reps, func(pl *plane, _ int) (bool, string) { return pl.evaluate(goal) })
+}
+
+// detEvaluate is rule 3 for the data-plane checks.
+func (a *Analysis) detEvaluate(goal Goal, region network.Prefix) Outcome {
 	if a.detReason != "" {
 		return residue(a.detReason)
 	}
@@ -201,8 +219,24 @@ func (a *Analysis) detDecide(goal Goal, region network.Prefix) Outcome {
 
 // detMgmt evaluates management reachability: for every management
 // address in scope, every other router must reach it. Each address is its
-// own forwarding-equivalence class.
+// own forwarding-equivalence class, and the representative of the
+// simulated-falsification rule.
 func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
+	out := a.detMgmtEvaluate(goal, mgmt)
+	if !a.outsideFragment(out) {
+		return out
+	}
+	reps := make([]network.IP, len(mgmt))
+	for i, m := range mgmt {
+		reps[i] = m.Addr
+	}
+	return a.falsify(out, reps, func(pl *plane, i int) (bool, string) {
+		return pl.unreached(mgmt[i].Router) != "", ""
+	})
+}
+
+// detMgmtEvaluate is rule 3 for management reachability.
+func (a *Analysis) detMgmtEvaluate(goal Goal, mgmt []mgmtAddr) Outcome {
 	if a.detReason != "" {
 		return residue(a.detReason)
 	}
@@ -215,11 +249,8 @@ func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
 		if reason != "" {
 			return residue(reason)
 		}
-		reach := pl.reach(false, -1)
-		for i, n := range a.G.Topo.Nodes {
-			if n.Name != m.Router && !reach[i] {
-				return falsified("mgmt-unreachable:"+n.Name, pl.blame(), pl.pkt, pl.env)
-			}
+		if r := pl.unreached(m.Router); r != "" {
+			return falsified("mgmt-unreachable:"+r, pl.blame(), pl.pkt, pl.env)
 		}
 		blame = append(blame, pl.origins...)
 	}
@@ -230,10 +261,22 @@ func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
 	return verified("stable-state", provenance.DedupeOrigins(blame))
 }
 
-// plane is the concrete data plane for one representative destination:
-// the simulator's stable state plus the ACL-filtered forwarding edges,
-// mirroring the encoder's DataFwd relation. Routers are numbered by
-// Node.Index throughout.
+// unreached is the first router, in Node.Index order, other than owner
+// that does not reach the plane's destination, or "".
+func (p *plane) unreached(owner string) string {
+	reach := p.reach(false, -1)
+	for i, n := range p.a.G.Topo.Nodes {
+		if n.Name != owner && !reach[i] {
+			return n.Name
+		}
+	}
+	return ""
+}
+
+// plane is the concrete data plane for one representative destination
+// under one concrete environment: the simulator's stable state plus the
+// ACL-filtered forwarding edges, mirroring the encoder's DataFwd
+// relation. Routers are numbered by Node.Index throughout.
 type plane struct {
 	a      *Analysis
 	rep    network.IP
@@ -265,27 +308,45 @@ type memoPlane struct {
 	reason string
 }
 
+// planeKey names a memoised plane: a representative destination and a
+// menu environment — silent (peer < 0), or the external peer at that
+// position of Topo.Externals announcing the representative's /32.
+type planeKey struct {
+	rep  network.IP
+	peer int
+}
+
 // plane returns the representative's data plane: the empty-environment
 // stable state, simulated on the first call for rep and shared by every
 // later one. A non-empty reason is residue for the deterministic path:
 // "no-convergence" (the plane is nil) or "external-influence" (the plane
 // is a real stable state, but an announcement could displace it).
 func (a *Analysis) plane(rep network.IP) (*plane, string) {
+	return a.planeUnder(planeKey{rep, -1})
+}
+
+// planeUnder is plane for any menu environment, memoised the same way.
+func (a *Analysis) planeUnder(k planeKey) (*plane, string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if m, ok := a.planes[rep]; ok {
+	if m, ok := a.planes[k]; ok {
 		return m.pl, m.reason
 	}
 	a.sims++
-	pl, reason := a.simulate(rep)
-	a.planes[rep] = memoPlane{pl, reason}
+	pl, reason := a.simulate(k)
+	a.planes[k] = memoPlane{pl, reason}
 	return pl, reason
 }
 
-// simulate runs the simulator for the representative under the empty
-// environment and checks the state is environment-independent.
-func (a *Analysis) simulate(rep network.IP) (*plane, string) {
-	env := simulator.NewEnvironment()
+// simulate runs the simulator for the representative under the key's
+// environment. For the empty environment it also checks the state is
+// environment-independent; an announcing peer's plane is one concrete
+// environment's, with nothing to bound.
+func (a *Analysis) simulate(k planeKey) (*plane, string) {
+	rep, env := k.rep, simulator.NewEnvironment()
+	if k.peer >= 0 {
+		env.Announce(a.G.Topo.Externals[k.peer].Name, simulator.Announcement{Prefix: network.Prefix{Addr: rep, Len: 32}})
+	}
 	res, err := a.sim.Run(rep, env)
 	if err != nil {
 		return nil, "no-convergence"
@@ -296,6 +357,9 @@ func (a *Analysis) simulate(rep network.IP) (*plane, string) {
 		pl.states[i] = res.States[n.Name]
 	}
 	pl.buildEdges()
+	if k.peer >= 0 {
+		return pl, ""
+	}
 	// Environment independence: external announcements can inject BGP
 	// records of at most the filtered prefix length; if every BGP
 	// speaker's installed route is strictly longer, longest-prefix-match

@@ -158,3 +158,11 @@ func refIfaceACLBlocks(cfg *config.Router, ifaceName string, inbound bool, regio
 	}
 	return name, aclDefinitelyDenies(acl, region)
 }
+
+// MenuTries counts the (representative, environment) pairs the
+// simulated-falsification rule has evaluated.
+func (a *Analysis) MenuTries() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.menuTries
+}

@@ -307,47 +307,47 @@ func TestGraphPathOutputPinned(t *testing.T) {
 		"ospf-chain-4":           "9fdee386cf2824d5 e49b4c9ce6f208e8 321b7e7f169ee841 a8993c51349b8f02 0b7f0421f7970913",
 		"rip-chain-3":            "32edb86f072fa2b1 b74d17acc7dd69f6 90aec36298022496 d888d2e5a254e649 f8f39884df12cba8",
 		"ebgp-triangle":          "655d7669b7b11a6d c59a2d9db7b609f9 a6ebe6e6d972ec28 f5a39943d42e9e70 fe71f7faccf26bab",
-		"figure2":                "12fc76f0f8b57b46 885350fda68e1bbf ac4841cb1ac9800e 9ad4179f0a70bb40 bd8bfabbd424c3a7",
+		"figure2":                "12fc76f0f8b57b46 885350fda68e1bbf ac4841cb1ac9800e c01b48a95cdf8cab 0e5c69b678c5a393",
 		"acl-square":             "0c3a8520d33b407c 647a970e226c7b36 dbd7fa41198bb4f0 17b157ebb5bd618a 48e35b939bab5c26",
 		"static-null":            "5de3bb73c39b389e 8f6d59b63d100178 c85f5b2cc410c381 a5f81eaa6d1e9d77 47d557b12142ecd2",
-		"hijackable":             "2d1a0cda161e914e 89af577f36387323 6760c88dc56ec988 50b9c2354df01fe6 9137924f737ca89b",
-		"hijackable-filtered":    "a1196fdaa13e0ef1 89af577f36387323 1d098dcfd85481a2 0d7fec743de81e4d d044cad32de932dc",
-		"multihop-ibgp":          "a827fd8d90840b81 5b4e40720f1b95ea a285b75fcd97df68 8d28c25e1e0b82c9 7ae40f375868c28a",
+		"hijackable":             "2d1a0cda161e914e 89af577f36387323 6760c88dc56ec988 50b9c2354df01fe6 1e56f5f805740322",
+		"hijackable-filtered":    "a1196fdaa13e0ef1 89af577f36387323 1d098dcfd85481a2 0d7fec743de81e4d 718d7a7e90aa98f9",
+		"multihop-ibgp":          "a827fd8d90840b81 5b4e40720f1b95ea a285b75fcd97df68 8d28c25e1e0b82c9 11241d6341e0a485",
 		"corpus-acl":             "0c3a8520d33b407c 647a970e226c7b36 dbd7fa41198bb4f0 17b157ebb5bd618a 48e35b939bab5c26",
-		"corpus-aggregation":     "0b14ff289646af2e ba9a34a5c4455381 52976624289f3432 c12b97704ce3be2a 7d9a51ad4de21a13",
-		"corpus-communities":     "5fff778362884ad0 ba9a34a5c4455381 73d221c80f598bbe 3b43a8aa5f9e6c34 6dee751e71eccc56",
-		"corpus-med":             "5310c8af052c2da7 9aa7c7697e280fab 91df7d9b76831026 c11a7700c1110c65 70a4da77b4327550",
+		"corpus-aggregation":     "0b14ff289646af2e ba9a34a5c4455381 52976624289f3432 c12b97704ce3be2a 0fb2767bd1732950",
+		"corpus-communities":     "5fff778362884ad0 ba9a34a5c4455381 73d221c80f598bbe 3b43a8aa5f9e6c34 099c78d796fefae8",
+		"corpus-med":             "5310c8af052c2da7 9aa7c7697e280fab 91df7d9b76831026 c11a7700c1110c65 155907849a4efbe5",
 		"corpus-multipath":       "146e08caa1597091 647a970e226c7b36 dbd7fa41198bb4f0 17b157ebb5bd618a 2872d166d91ff010",
-		"corpus-redistribution":  "8bc9b18df65d8e17 ba9a34a5c4455381 52976624289f3432 58e34d04893f33ad f671292c8c1a131e",
-		"corpus-route-reflector": "da6508f88e7d4141 a5f4eff481552e73 dfee8a982704205c 968ea32185a028d1 4af896ef2084eefc",
+		"corpus-redistribution":  "8bc9b18df65d8e17 ba9a34a5c4455381 52976624289f3432 061c02c136b4aa1c 5ac9de7f33770bb9",
+		"corpus-route-reflector": "da6508f88e7d4141 a5f4eff481552e73 dfee8a982704205c 968ea32185a028d1 9f93acfb0722196d",
 		"corpus-static":          "5de3bb73c39b389e 8f6d59b63d100178 c85f5b2cc410c381 a5f81eaa6d1e9d77 47d557b12142ecd2",
-		"net2":                   "028dce179e1ada59 c391cbc608f9c36e a5fdcadec71f85c5 3101d972b03067aa e45c439149173c2f",
-		"net3":                   "d9fc7d9eb3199175 33c18d22087c6630 f23b3bf4ab15ff2a 049dc57cbee30a93 cd1a4f11a23141dc",
-		"net4":                   "3fd361566d0fccd3 9e1345124ef7196a 9ca81bd96c6ed1b9 870c76a80e52f868 9d2681778ab62f82",
-		"net5":                   "7ce93fc8b2714354 2be31b1be19cf48e bafb38bde248d079 98a6983e01714b4a 025c0997b3323297",
-		"net6":                   "d50ac36f5d49f1c1 377a9b9fde6e5e63 d7f193dd5e54b222 e32531fd2402c9e8 d2f661fdaad573f9",
-		"net7":                   "212991a5c1908051 85b466ac88453c15 14d0a86ecb85e117 6d16e030c4cc7bf5 8353110c0c70e659",
-		"net8":                   "d33ba0b7fe233a2a 06d68e981172990f f1d27e737f504c4a 5ba88212d6042ef8 28dfd359765362c8",
-		"net9":                   "c4240924d8acf1d4 5fdaea55ac0a6e5f 267895caf1af48ae cf476de902d30b77 905f473199e01670",
-		"net10":                  "f9d00c52a217376c 6da82947eae46838 0155ed69757850eb 0f97720b87b2fc4f 9086c96e2e2ff990",
-		"net11":                  "1bb24cca05ed58de c110be90b1602ac9 e5017842d4d10a2d 264f3e42ee10cb26 e8c968617d57e508",
-		"net12":                  "3310532718db520c 6424b159e1e2ea03 d6612a46564cd0e7 70979563ef6e1c6e d522c3ab4c3b8c76",
-		"net13":                  "ec6fe2ae6f73b6e0 90b5306b942436b4 b78a38272854eca3 e918787b9c929a87 f599e6d91aeb3cb8",
-		"net14":                  "eb88064b9e666d4f cf7f52872bcc6b2c ae4d9ad009111331 126ed54d5eb0a3b1 af7bf96670b28d6e",
-		"net15":                  "8bd3fed8a04bf591 ac393532124cc990 30689f853550704f 89bc0dd72e388c7b 75c8cfd4430a7e92",
-		"net16":                  "8f348123d483cb8a 859726cd7d67baaa 443a507ca62cfeeb 69da03988365d2a2 586996cc66fa2491",
-		"net17":                  "33943070b81548e7 0a16afc37f87caa4 a76283d2477e83fa bc16893ecf3daf97 e434dee36599a962",
-		"net18":                  "5c5d8de7e98f9942 95764a85c8cf549a 3f59ddb1736825b7 e09a1ce1ba0057e0 3cb0ac9cf153ffe1",
-		"net19":                  "70367b1f3c11483a 5d01618d4861ae22 a354184eb6684fac 6e7dbacea15d81fa 1dab5c7fe05e08d3",
-		"net20":                  "d98ede868a6432e9 ac87f2c61d088238 5aad9a45d97cce0d b08e4dabeeda690d 78a33b6bb41a0ce5",
-		"net21":                  "a3d1d0b1258f483b 8a2b07d83f9a77f8 3393651ae2d6cc7e d335a830e4632f3d a47fa4c93c8f57f3",
-		"net22":                  "3c6ae8006ad4506e 83121f162f52e568 9f7b7f1bbd4801cb f0351881ee4fa3aa edbc3236f6aae6ac",
-		"net23":                  "5a70dd496684abb1 bc206c5a7fe46dc9 64f49fbdf0bd06fd de32c4f4b69dcfc4 c7eae27a13a7410b",
-		"net24":                  "940e8f35fcc06059 29874d9944e4853a 9936b6afa1f28cd5 5ff4f8f1a5fb3ecb ad2c21601ea25345",
-		"net25":                  "5fe1f8a655a44036 1ba1fa4e34024446 8bbb993614968197 557e255628be9d46 760b9840d79e4431",
-		"pods-2":                 "899b3de21d52d8a5 d4dc2b5c30fad69f 1c2ae50439d58cfe e1da472a82552dd3 f50a44fc699ae39e",
-		"pods-4":                 "79adc2828a12d7e1 43d7099d0f401327 90906439818c9221 e04188b1b48f9f4e 4143b10a6eb193bc",
-		"pods-24":                "34ab1377e5750206 ded2df4535c60b1a ca6b5f127497a58b 7525cdb4271ee335 15e059ed6905fb07",
+		"net2":                   "028dce179e1ada59 c391cbc608f9c36e a5fdcadec71f85c5 5dd7acb0fc97b3bb 150f6070c56038ef",
+		"net3":                   "d9fc7d9eb3199175 33c18d22087c6630 f23b3bf4ab15ff2a 71829f0f98de18b6 db7e4758706fc1a5",
+		"net4":                   "3fd361566d0fccd3 9e1345124ef7196a 9ca81bd96c6ed1b9 d51efe7babf3d608 bdaa41303e4cfb0b",
+		"net5":                   "7ce93fc8b2714354 2be31b1be19cf48e bafb38bde248d079 5cb629cc1120ddf3 33c57531b88466f7",
+		"net6":                   "d50ac36f5d49f1c1 377a9b9fde6e5e63 d7f193dd5e54b222 cd0f0301b3f1aea1 77a40e18efcc3917",
+		"net7":                   "212991a5c1908051 85b466ac88453c15 14d0a86ecb85e117 5222ea58d162c547 18890ca80f74411e",
+		"net8":                   "d33ba0b7fe233a2a 06d68e981172990f f1d27e737f504c4a 9e161a8209dbd309 1125a05c2a5a5668",
+		"net9":                   "c4240924d8acf1d4 5fdaea55ac0a6e5f 267895caf1af48ae 9c440c3ca11cdf96 b50d6a3a79e872fc",
+		"net10":                  "f9d00c52a217376c 6da82947eae46838 0155ed69757850eb 2a6ca2413f6f7a44 def388e7bfd84419",
+		"net11":                  "1bb24cca05ed58de c110be90b1602ac9 e5017842d4d10a2d 66d6724d0d902252 d5b099e5b3c25f7d",
+		"net12":                  "3310532718db520c 6424b159e1e2ea03 d6612a46564cd0e7 c750170bc0390e1a a27c54f2964daa52",
+		"net13":                  "ec6fe2ae6f73b6e0 90b5306b942436b4 b78a38272854eca3 eb6a8248b824584c 07ca2dcc2afeedc7",
+		"net14":                  "eb88064b9e666d4f cf7f52872bcc6b2c ae4d9ad009111331 dc4a4b0ca6d2889c dafc382793eb333d",
+		"net15":                  "8bd3fed8a04bf591 ac393532124cc990 30689f853550704f 546bf4290a2a756d ec8fb4ba11045520",
+		"net16":                  "8f348123d483cb8a 859726cd7d67baaa 443a507ca62cfeeb b18f811dcbe31ea2 e4e59a2621d5bfc0",
+		"net17":                  "33943070b81548e7 0a16afc37f87caa4 a76283d2477e83fa a454eacfcf183aa0 c5469d4c9522c981",
+		"net18":                  "5c5d8de7e98f9942 95764a85c8cf549a 3f59ddb1736825b7 e09a1ce1ba0057e0 18b4ea7138a7d07c",
+		"net19":                  "70367b1f3c11483a 5d01618d4861ae22 a354184eb6684fac f42fd52eff2d6e88 40b61d3558b96b86",
+		"net20":                  "d98ede868a6432e9 ac87f2c61d088238 5aad9a45d97cce0d b08e4dabeeda690d 191a50da886309ce",
+		"net21":                  "a3d1d0b1258f483b 8a2b07d83f9a77f8 3393651ae2d6cc7e d335a830e4632f3d e7067320c1d53002",
+		"net22":                  "3c6ae8006ad4506e 83121f162f52e568 9f7b7f1bbd4801cb f0351881ee4fa3aa 8d8bf7bf096c714e",
+		"net23":                  "5a70dd496684abb1 bc206c5a7fe46dc9 64f49fbdf0bd06fd de32c4f4b69dcfc4 a8b6c53094b33ce8",
+		"net24":                  "940e8f35fcc06059 29874d9944e4853a 9936b6afa1f28cd5 5ff4f8f1a5fb3ecb e5ab6c4c4371addb",
+		"net25":                  "5fe1f8a655a44036 1ba1fa4e34024446 8bbb993614968197 557e255628be9d46 f0792a41b0c5f6f2",
+		"pods-2":                 "899b3de21d52d8a5 d4dc2b5c30fad69f 1c2ae50439d58cfe e1da472a82552dd3 df4af9fc0c5f6cc2",
+		"pods-4":                 "79adc2828a12d7e1 43d7099d0f401327 90906439818c9221 e04188b1b48f9f4e 618674a25013fd4d",
+		"pods-24":                "34ab1377e5750206 ded2df4535c60b1a ca6b5f127497a58b 7525cdb4271ee335 4bdd0c4ceb18e820",
 	}
 	for _, n := range graphPathNetworks(t) {
 		if got := graphPathDigest(t, n); got != want[n.name] {

@@ -11,7 +11,11 @@
 //   - an under-approximation (the "deterministic path"): for networks
 //     whose routing is environment-independent up to prefix-length
 //     domination, the concrete simulator's unique stable state, evaluated
-//     once per forwarding-equivalence class of the destination set.
+//     once per forwarding-equivalence class of the destination set;
+//   - outside that fragment, concrete witnesses: the stable states of a
+//     fixed menu of environments (silence, then each external peer
+//     announcing the destination's /32), any of which that violates the
+//     property is a counterexample. This rule only falsifies.
 //
 // A goal is answered definitively only when the relevant approximation is
 // sound for its property class (see DESIGN.md §14 for the per-class
@@ -125,8 +129,10 @@ type Outcome struct {
 	// blame.
 	Blame []provenance.Origin
 	// Packet and Env witness a falsified verdict: a concrete stable
-	// state (the simulator's empty-environment fixpoint) in which the
-	// property fails. Both are nil on verified or residue outcomes.
+	// state (the simulator's fixpoint under Env — the empty environment,
+	// or one peer's announcement on the simulated-falsification rule) in
+	// which the property fails. Both are nil on verified or residue
+	// outcomes.
 	Packet *config.Packet
 	Env    *simulator.Environment
 }
