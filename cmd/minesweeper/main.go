@@ -60,6 +60,13 @@
 //	                  falls through to the solver unchanged. -tiers none
 //	                  (or sat) disables the fast path. The verdict reports
 //	                  which tier answered ("tier" in -json output).
+//	                  A solver check scoped to a subnet first tries a
+//	                  witness probe: the simulated stable state for one
+//	                  destination, pinned into a small copy of the formula.
+//	                  When that state violates the property it is the
+//	                  counterexample ("probe: answered", "probe" in -json)
+//	                  and no search runs; otherwise the search runs as it
+//	                  would have. The probe never answers "verified".
 //
 // Modular:
 //
@@ -296,6 +303,12 @@ func (c *cli) report(v *pipeline.Verdict, rep *pipeline.Report) {
 	case tiered.TierSAT:
 		fmt.Fprintf(w, "tier: sat (fast-path residue after %.2fms)\n", rep.FastPathMs)
 	}
+	switch {
+	case res.Probe == core.ProbeAnswered:
+		fmt.Fprintf(w, "probe: answered (%.2fms; the simulated stable state violates the property, no search)\n", rep.ProbeMs)
+	case res.Probe != "":
+		fmt.Fprintf(w, "probe: %s (%.2fms), then the search\n", res.Probe, rep.ProbeMs)
+	}
 	switch v.Mode {
 	case pipeline.ModeModular:
 		fmt.Fprintf(w, "mode: modular (%d components in %d classes, %d alias hits, %d checks, peak %d terms, %.1fms; no whole-network model built)\n",
@@ -331,7 +344,7 @@ func (c *cli) report(v *pipeline.Verdict, rep *pipeline.Report) {
 			fmt.Fprintln(w, "  "+line)
 		}
 	}
-	fmt.Fprintf(w, "phases: encode %.1fms, simplify %.1fms, solve %.1fms\n", rep.EncodeMs, rep.SimplifyMs, rep.SolveMs)
+	fmt.Fprintf(w, "phases: encode %.1fms, simplify %.1fms, probe %.1fms, solve %.1fms\n", rep.EncodeMs, rep.SimplifyMs, rep.ProbeMs, rep.SolveMs)
 	fmt.Fprintf(w, "solver: %d conflicts, %d decisions, %d propagations\n",
 		res.Stats.Conflicts, res.Stats.Decisions, res.Stats.Propagations)
 }

@@ -105,7 +105,7 @@ func TestCheckGoalMatchesCheck(t *testing.T) {
 	if want.Verified != got.Verified {
 		t.Fatalf("CheckGoal verdict %v, Check verdict %v", got.Verified, want.Verified)
 	}
-	if sum := got.EncodeElapsed + got.SimplifyElapsed + got.SolveElapsed + got.CertifyElapsed; got.Elapsed != sum {
+	if sum := got.EncodeElapsed + got.SimplifyElapsed + got.ProbeElapsed + got.SolveElapsed + got.CertifyElapsed; got.Elapsed != sum {
 		t.Fatalf("CheckGoal elapsed %v != phase sum %v", got.Elapsed, sum)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/sat"
@@ -18,7 +19,8 @@ import (
 
 // PinEnvironment returns constraints fixing the packet to dst (TCP/80,
 // zero source) and the announcement/failure environment to env, so the
-// formula's stable state can be compared against the simulator's.
+// formula's stable state can be compared against the simulator's. The
+// order is deterministic: the witness probe blasts these terms.
 func (m *Model) PinEnvironment(dst network.IP, env *simulator.Environment) []*smt.Term {
 	c := m.Ctx
 	var out []*smt.Term
@@ -52,8 +54,9 @@ func (m *Model) PinEnvironment(dst network.IP, env *simulator.Environment) []*sm
 			for _, cm := range ann.Communities {
 				has[cm] = true
 			}
-			for cm, bit := range rec.Comms {
-				if bit.Op() != smt.OpBoolVar {
+			for _, cm := range m.commUni {
+				bit, ok := rec.Comms[cm]
+				if !ok || bit.Op() != smt.OpBoolVar {
 					continue
 				}
 				if has[cm] {
@@ -65,11 +68,16 @@ func (m *Model) PinEnvironment(dst network.IP, env *simulator.Environment) []*sm
 		}
 	}
 	pinSliceEnv(m.Main, dst)
-	for addr, sl := range m.Addr {
-		pinSliceEnv(sl, addr)
+	addrs := make([]network.IP, 0, len(m.Addr))
+	for addr := range m.Addr {
+		addrs = append(addrs, addr)
 	}
-	for id, v := range m.Failed {
-		if env.FailedLinks[id] {
+	slices.Sort(addrs)
+	for _, addr := range addrs {
+		pinSliceEnv(m.Addr[addr], addr)
+	}
+	for _, id := range m.failedIDs() {
+		if v := m.Failed[id]; env.FailedLinks[id] {
 			out = append(out, v)
 		} else {
 			out = append(out, c.Not(v))

@@ -211,6 +211,11 @@ type Model struct {
 	// prefix namespaces every variable, letting several network copies
 	// share one context (full equivalence / fault-invariance, §5).
 	prefix string
+
+	// probeOff withholds the witness probe and probeSim replaces its
+	// simulator; both are test seams (export_test.go), zero otherwise.
+	probeOff bool
+	probeSim func(network.IP, *simulator.Environment) (*simulator.Result, error)
 }
 
 // assert appends a constraint to N, recording the current origin in

@@ -210,11 +210,13 @@ func (x *executor) simplify() time.Duration {
 // With s nil it is the fresh path: a new solver, the compiled asserts
 // (cn, or with cn nil the model's cached artifact, compiled — and charged
 // to this query — when stale) plus instrumentation appended since, pruned
-// to the goals' cone of influence, the goals asserted permanently, the
-// CNF simplified. With a session it is the incremental path: only the
-// asserts added since the last check are blasted, and the goals enter
-// under a fresh activation literal that the search and the proof check
-// then assume. Everything after that — the search, certification, blame,
+// to the goals' cone of influence; then, for a query scoped to some
+// destinations, the witness probe (probe.go), whose model — when it has
+// one — answers the check falsified with no blast and no search; else
+// the goals asserted permanently and the CNF simplified. With a session
+// it is the incremental path: only the asserts added since the last
+// check are blasted, and the goals enter under a fresh activation
+// literal that the search and the proof check then assume. Everything after that — the search, certification, blame,
 // decoding, profiling, the Result — is one code path, and both paths emit
 // the CNF they always did.
 func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, property *smt.Term, assumptions []*smt.Term) (*Result, error) {
@@ -241,19 +243,31 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	// provenance, for SAT-side blame.
 	var blameAsserts []*smt.Term
 	var blameOrigins [][]int32
+	// asg is the model a probe that answered handed over; probeStats is
+	// the probe's solver work, which Stats counts with the search's.
+	var asg smt.Assignment
+	var probeStats sat.Stats
 	if s == nil {
 		x = m.newExecutor(smt.NewSolver(c), "check", "goal")
 		defer x.Span.End()
 		proof = m.instrument(x.sol)
 		_, sys := x.compile(cn, goals, res)
-		x.blast(x.sol.Assert, sys.Asserts, sys.Origins, func() {
-			for _, g := range sys.Goals {
-				x.sol.Assert(g)
-			}
-		})
-		res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
-		x.notePasses(res, passes.Stats{Pass: "cnf-simplify", Elapsed: x.simplify()})
 		blameAsserts, blameOrigins = sys.Asserts, sys.Origins
+		if scoped := m.probeScope(assumptions); len(scoped) > 0 {
+			var err error
+			if asg, probeStats, err = x.probe(ctx, sys, scoped, res); err != nil {
+				return nil, err
+			}
+		}
+		if asg == nil {
+			x.blast(x.sol.Assert, sys.Asserts, sys.Origins, func() {
+				for _, g := range sys.Goals {
+					x.sol.Assert(g)
+				}
+			})
+			res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
+			x.notePasses(res, passes.Stats{Pass: "cnf-simplify", Elapsed: x.simplify()})
+		}
 	} else {
 		x = m.newExecutor(s.sol, "session-check", "goal")
 		defer x.Span.End()
@@ -276,45 +290,18 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		}
 	}
 
-	// CDCL search, interruptible through ctx; the watcher is joined before
-	// the interrupt flag is cleared so a late Interrupt cannot leak into a
-	// later check. Core sets no conflict budget: the search ends in a
-	// verdict, an interrupt, or a named refusal (a full clause database).
-	// The progress hook is this check's: it counts from base, and it is
-	// taken off again so a session's solver holds no finished check's. A
-	// hook that cancels ctx interrupts the search before it goes on, not
-	// whenever the watcher is next scheduled.
-	solveSp, st := x.Begin("solve"), x.sol.SAT()
-	if hook := m.Opts.OnProgress; hook != nil {
-		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, func(p sat.Progress) {
-			hook(p.Since(base))
-			if ctx.Err() != nil {
-				st.Interrupt()
-			}
+	status := sat.Sat
+	if asg == nil {
+		var err error
+		status, err = x.search(ctx, assume, base, res)
+		if s != nil {
+			s.checks++
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	stopWatch := watchInterrupt(ctx, st.Interrupt)
-	status, err := st.SolveLimited(assume...)
-	stopWatch()
-	st.ResetInterrupt()
-	st.OnProgress = nil
-	res.Stats = st.Stats.Since(base)
-	if s != nil {
-		s.checks++
-	}
-	solveSp.SetStr("status", status.String())
-	solveSp.SetInt("conflicts", res.Stats.Conflicts)
-	solveSp.SetInt("decisions", res.Stats.Decisions)
-	solveSp.SetInt("propagations", res.Stats.Propagations)
-	solveSp.SetInt("learned", res.Stats.Learned)
-	solveSp.SetInt("restarts", res.Stats.Restarts)
-	x.endSolver()
-	if err != nil {
-		if errors.Is(err, sat.ErrInterrupted) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("core: solve: %w", err)
-	}
+	res.Stats = res.Stats.Plus(probeStats)
 
 	switch status {
 	case sat.Unsat:
@@ -349,7 +336,9 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		}
 	case sat.Sat:
 		x.Begin("decode")
-		asg := x.sol.Model()
+		if asg == nil {
+			asg = x.sol.Model()
+		}
 		ev := smt.NewEvaluator(asg)
 		res.Counterexample = m.decode(asg, ev)
 		x.End(cost.Work{})
@@ -368,6 +357,48 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	res.Cost = x.Ledger
 	res.FillTimes()
 	return res, nil
+}
+
+// search is the CDCL phase, interruptible through ctx; the watcher is
+// joined before the interrupt flag is cleared so a late Interrupt cannot
+// leak into a later check. Core sets no conflict budget: the search ends
+// in a verdict, an interrupt, or a named refusal (a full clause
+// database). The progress hook is this check's: it counts from base, and
+// it is taken off again so a session's solver holds no finished check's.
+// A hook that cancels ctx interrupts the search before it goes on, not
+// whenever the watcher is next scheduled. res.Stats gets the search's
+// work since base.
+func (x *executor) search(ctx context.Context, assume []sat.Lit, base sat.Stats, res *Result) (sat.Status, error) {
+	m := x.m
+	solveSp, st := x.Begin("solve"), x.sol.SAT()
+	if hook := m.Opts.OnProgress; hook != nil {
+		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, func(p sat.Progress) {
+			hook(p.Since(base))
+			if ctx.Err() != nil {
+				st.Interrupt()
+			}
+		}
+	}
+	stopWatch := watchInterrupt(ctx, st.Interrupt)
+	status, err := st.SolveLimited(assume...)
+	stopWatch()
+	st.ResetInterrupt()
+	st.OnProgress = nil
+	res.Stats = st.Stats.Since(base)
+	solveSp.SetStr("status", status.String())
+	solveSp.SetInt("conflicts", res.Stats.Conflicts)
+	solveSp.SetInt("decisions", res.Stats.Decisions)
+	solveSp.SetInt("propagations", res.Stats.Propagations)
+	solveSp.SetInt("learned", res.Stats.Learned)
+	solveSp.SetInt("restarts", res.Stats.Restarts)
+	x.endSolver()
+	if err != nil {
+		if errors.Is(err, sat.ErrInterrupted) && ctx.Err() != nil {
+			return status, ctx.Err()
+		}
+		return status, fmt.Errorf("core: solve: %w", err)
+	}
+	return status, nil
 }
 
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

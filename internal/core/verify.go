@@ -37,8 +37,8 @@ type Result struct {
 	Counterexample *Counterexample
 	// The times below are read from Cost by FillTimes, never measured on
 	// their own: each is the wall time of the ledger phase it names, and
-	// Elapsed is their sum — encode + simplify + solve + certify +
-	// fast path — on every tier.
+	// Elapsed is their sum — encode + simplify + probe + solve + certify
+	// + fast path — on every tier.
 	Elapsed time.Duration
 	// EncodeElapsed is the Tseitin CNF conversion and bit-blasting time
 	// (phase "blast"). SimplifyElapsed covers everything that shrinks the
@@ -50,6 +50,15 @@ type Result struct {
 	EncodeElapsed   time.Duration
 	SimplifyElapsed time.Duration
 	SolveElapsed    time.Duration
+	// Probe is the witness probe's outcome on a fresh check scoped to
+	// some destinations (DESIGN §22): "answered" when the pinned
+	// simulated state violated the goals and the check answered falsified
+	// from it, with no blast and no search; "refuted" or "capped" when the
+	// check then searched as without it; "skipped:<reason>" when it could
+	// not run. Empty when no probe ran. ProbeElapsed is its phase,
+	// "probe", and its solver work is part of Stats.
+	Probe        string
+	ProbeElapsed time.Duration
 	// PassStats itemizes SimplifyElapsed per pass, in execution order:
 	// the compile passes charged to this query (if any), then "coi", then
 	// a final "cnf-simplify" row whose Elapsed is the CNF simplification
@@ -58,8 +67,9 @@ type Result struct {
 	PassStats []passes.Stats
 	// Formula/solver statistics for the performance experiments.
 	// SATVars/SATClauses measure the blasted encoding before
-	// simplification. Stats is the search work since the query's ledger
-	// opened: a session's solver counts on from check to check.
+	// simplification — the probe's when the probe answered. Stats is the
+	// search work, plus the probe's, since the query's ledger opened: a
+	// session's solver counts on from check to check.
 	SATVars    int
 	SATClauses int
 	Stats      sat.Stats
@@ -84,9 +94,9 @@ type Result struct {
 
 	// Cost is the query's hierarchical resource ledger: wall/CPU time,
 	// memory and deterministic solver work units attributed per phase
-	// (compile, blast, simplify, solve, certify, decode, blame; fastpath
-	// and property when pipeline.Run answered). The ledger's work total
-	// equals Stats exactly.
+	// (compile, probe, blast, simplify, solve, certify, decode, blame;
+	// fastpath and property when pipeline.Run answered). The ledger's
+	// work total equals Stats exactly.
 	Cost *cost.Node
 
 	// Tier records which verification tier produced the verdict when a
@@ -117,7 +127,8 @@ func (r *Result) FillTimes() {
 	r.SolveElapsed = wall("solve")
 	r.CertifyElapsed = wall("certify")
 	r.FastPathElapsed = wall("fastpath")
-	r.Elapsed = r.EncodeElapsed + r.SimplifyElapsed + r.SolveElapsed + r.CertifyElapsed + r.FastPathElapsed
+	r.ProbeElapsed = wall("probe")
+	r.Elapsed = r.EncodeElapsed + r.SimplifyElapsed + r.ProbeElapsed + r.SolveElapsed + r.CertifyElapsed + r.FastPathElapsed
 }
 
 // Certificate summarizes a checked UNSAT proof.

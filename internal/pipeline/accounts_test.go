@@ -178,7 +178,9 @@ func TestPhaseAccounts(t *testing.T) {
 		merged bool
 		extra  func(t *testing.T, r *rig, res *core.Result)
 	}{
-		{name: "fresh", phases: "blast compile simplify solve",
+		// The chain's reachability holds, so the pinned simulated state is
+		// refuted and the check searches: this is the probe-refuted row.
+		{name: "fresh", phases: "blast compile probe simplify solve",
 			run: func(t *testing.T, r *rig) *core.Result {
 				m, p, assumptions := chainQuery(t, core.DefaultOptions(), true)
 				cn := m.Compile() // amortized by the caller: not this query's
@@ -190,6 +192,11 @@ func TestPhaseAccounts(t *testing.T) {
 				if got := passNames(res); got != "coi cnf-simplify" {
 					t.Errorf("passes charged: %q, want the goal-relative ones only", got)
 				}
+				// The probe solved on its own solver: its work is a node of
+				// the ledger and part of Stats, its time a field of its own.
+				if res.Probe != core.ProbeRefuted || res.ProbeElapsed != res.Cost.Find("probe").Wall {
+					t.Errorf("probe %q, %v against its phase %v", res.Probe, res.ProbeElapsed, res.Cost.Find("probe").Wall)
+				}
 				if db := res.Cost.Find("blast").Total().ClauseDBBytes; db <= 0 {
 					t.Errorf("blast node has no clause-db bytes (%d)", db)
 				}
@@ -200,7 +207,23 @@ func TestPhaseAccounts(t *testing.T) {
 					t.Error("no pass event")
 				}
 			}},
-		{name: "fresh+compile charged", phases: "blast compile simplify solve",
+		{name: "fresh, probe-answered", phases: "blame compile decode probe",
+			run: fresh(with(func(o *core.Options) { o.Blame = true }), false),
+			extra: func(t *testing.T, r *rig, res *core.Result) {
+				// The pinned simulated state violates the goals: its model
+				// is the counterexample, decoded and blamed like a searched
+				// one, and nothing was blasted into the check's solver.
+				if res.Probe != core.ProbeAnswered || res.Verified || res.Counterexample == nil || len(res.Blame) == 0 {
+					t.Errorf("probe %q, verified=%v, blame %v", res.Probe, res.Verified, res.Blame)
+				}
+				if got := passNames(res); got != "propagate coi" {
+					t.Errorf("passes charged: %q, want no cnf-simplify row", got)
+				}
+				if res.SATVars == 0 || res.Stats.Conflicts+res.Stats.Propagations == 0 {
+					t.Errorf("the probe's formula and search are not the result's: %d vars, %+v", res.SATVars, res.Stats)
+				}
+			}},
+		{name: "fresh+compile charged", phases: "blast compile probe simplify solve",
 			run: fresh(core.DefaultOptions(), true),
 			extra: func(t *testing.T, r *rig, res *core.Result) {
 				if got := passNames(res); got != "propagate coi cnf-simplify" {
@@ -268,7 +291,7 @@ func TestPhaseAccounts(t *testing.T) {
 				res, err := sess.CheckContext(context.Background(), reach, reachAssumptions...)
 				return must(t, res, err)
 			}},
-		{name: "certified", phases: "blast certify compile simplify solve",
+		{name: "certified", phases: "blast certify compile probe simplify solve",
 			run: fresh(with(func(o *core.Options) { o.Certify = true }), true),
 			extra: func(t *testing.T, r *rig, res *core.Result) {
 				if pb := res.Cost.Find("certify").Total().ProofBytes; pb <= 0 {
@@ -286,7 +309,7 @@ func TestPhaseAccounts(t *testing.T) {
 					t.Error("no certify.done event")
 				}
 			}},
-		{name: "blame UNSAT", phases: "blame blast certify compile simplify solve",
+		{name: "blame UNSAT", phases: "blame blast certify compile probe simplify solve",
 			run: fresh(with(func(o *core.Options) { o.Blame = true }), true),
 			extra: func(t *testing.T, r *rig, res *core.Result) {
 				if len(res.Blame) == 0 || !r.has(stream.EventBlame) || !r.has(stream.EventCertify) {
@@ -294,7 +317,15 @@ func TestPhaseAccounts(t *testing.T) {
 				}
 			}},
 		{name: "blame SAT", phases: "blame blast compile decode simplify solve",
-			run: fresh(with(func(o *core.Options) { o.Blame = true }), false),
+			run: func(t *testing.T, r *rig) *core.Result {
+				// Isolation embeds its subnet guard: without the redundant
+				// destination assumption the question is the same but not
+				// scoped, so no probe runs and the search finds the model.
+				m, p, assumptions := chainQuery(t, with(func(o *core.Options) { o.Blame = true }), false)
+				r.wire(&m.Opts)
+				res, err := m.CheckGoal(ctx, nil, p, assumptions[0])
+				return must(t, res, err)
+			},
 			extra: func(t *testing.T, r *rig, res *core.Result) {
 				if res.Verified || res.Counterexample == nil || len(res.Blame) == 0 || !r.has(stream.EventBlame) {
 					t.Errorf("verified=%v blame %v", res.Verified, res.Blame)
@@ -347,7 +378,7 @@ func TestPhaseAccounts(t *testing.T) {
 					t.Errorf("tier %q, fastpath %v", res.Tier, res.FastPathElapsed)
 				}
 			}},
-		{name: "modular composed", phases: "blast compile simplify solve", merged: true,
+		{name: "modular composed", phases: "blast compile probe simplify solve", merged: true,
 			run: func(t *testing.T, r *rig) *core.Result {
 				opts := options("none")
 				opts.Modular = true
@@ -392,10 +423,11 @@ func TestPhaseAccounts(t *testing.T) {
 			}{
 				{"EncodeElapsed", res.EncodeElapsed, wall("blast")},
 				{"SimplifyElapsed", res.SimplifyElapsed, wall("compile") + wall("simplify")},
+				{"ProbeElapsed", res.ProbeElapsed, wall("probe")},
 				{"SolveElapsed", res.SolveElapsed, wall("solve")},
 				{"CertifyElapsed", res.CertifyElapsed, wall("certify")},
 				{"FastPathElapsed", res.FastPathElapsed, wall("fastpath")},
-				{"Elapsed", res.Elapsed, res.EncodeElapsed + res.SimplifyElapsed + res.SolveElapsed + res.CertifyElapsed + res.FastPathElapsed},
+				{"Elapsed", res.Elapsed, res.EncodeElapsed + res.SimplifyElapsed + res.ProbeElapsed + res.SolveElapsed + res.CertifyElapsed + res.FastPathElapsed},
 			} {
 				if c.got != c.want {
 					t.Errorf("%s = %v, the ledger says %v", c.field, c.got, c.want)

@@ -434,7 +434,7 @@ func TestReport(t *testing.T) {
 	if !rep.Verified || rep.Proof == nil || !rep.Proof.Checked || rep.Proof.Fallbacks != 0 || rep.Solver == nil || rep.Cost == nil {
 		t.Fatalf("verified report: %+v", rep)
 	}
-	if sum := rep.FastPathMs + rep.EncodeMs + rep.SimplifyMs + rep.SolveMs + rep.CertifyMs; rep.ElapsedMs != sum {
+	if sum := rep.FastPathMs + rep.EncodeMs + rep.SimplifyMs + rep.ProbeMs + rep.SolveMs + rep.CertifyMs; rep.ElapsedMs != sum {
 		t.Fatalf("elapsed %v != phase sum %v", rep.ElapsedMs, sum)
 	}
 	raw, err := json.Marshal(rep)

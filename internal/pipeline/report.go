@@ -22,11 +22,15 @@ type Report struct {
 	Tier       string  `json:"tier,omitempty"`
 	FastPathMs float64 `json:"fastpath_ms,omitempty"`
 	// ElapsedMs is summed after per-phase rounding, so the fields keep the
-	// exact identity elapsed = fastpath + encode + simplify + solve +
-	// certify.
+	// exact identity elapsed = fastpath + encode + simplify + probe +
+	// solve + certify.
 	ElapsedMs  float64 `json:"elapsed_ms"`
 	EncodeMs   float64 `json:"encode_ms"`
 	SimplifyMs float64 `json:"simplify_ms"`
+	// Probe is the witness probe's outcome (core.Result.Probe) and
+	// ProbeMs its phase; absent when no probe ran.
+	Probe      string  `json:"probe,omitempty"`
+	ProbeMs    float64 `json:"probe_ms,omitempty"`
 	SolveMs    float64 `json:"solve_ms"`
 	CertifyMs  float64 `json:"certify_ms,omitempty"`
 	SATVars    int     `json:"sat_vars,omitempty"`
@@ -136,6 +140,8 @@ func NewReport(check string, v *Verdict) *Report {
 		FastPathMs: durMs(res.FastPathElapsed),
 		EncodeMs:   durMs(res.EncodeElapsed),
 		SimplifyMs: durMs(res.SimplifyElapsed),
+		Probe:      res.Probe,
+		ProbeMs:    durMs(res.ProbeElapsed),
 		SolveMs:    durMs(res.SolveElapsed),
 		CertifyMs:  durMs(res.CertifyElapsed),
 		SATVars:    res.SATVars,
@@ -145,7 +151,7 @@ func NewReport(check string, v *Verdict) *Report {
 		Mode:       v.Mode,
 		Difference: v.Difference,
 	}
-	r.ElapsedMs = r.FastPathMs + r.EncodeMs + r.SimplifyMs + r.SolveMs + r.CertifyMs
+	r.ElapsedMs = r.FastPathMs + r.EncodeMs + r.SimplifyMs + r.ProbeMs + r.SolveMs + r.CertifyMs
 	if res.SATVars > 0 {
 		// Otherwise no solver ran (the graph tier, an equivalence sweep
 		// whose terms folded to constants): no all-zero CDCL stats block.
