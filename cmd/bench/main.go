@@ -492,7 +492,7 @@ type tieredJSON struct {
 	// returned residue and the solver answered.
 	Tier   string `json:"tier"`
 	Reason string `json:"reason,omitempty"`
-	// Rule names the graph-tier rule that decided the row (ruleOf). An
+	// Rule names the graph-tier rule that decided the row (Outcome.Rule). An
 	// audit row the tier leaves is not answered on the SAT pipeline: its
 	// sat_ms and verified stay zero.
 	Rule     string  `json:"rule,omitempty"`
@@ -566,7 +566,7 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 			covered++
 			if out.Decided {
 				hits++
-				jrow.Tier, jrow.Rule = tiered.TierGraph, ruleOf(out.Reason)
+				jrow.Tier, jrow.Rule = tiered.TierGraph, out.Rule()
 				jrow.Agree = out.Verified == satRes.Verified
 				if graphMs > 0 {
 					jrow.Speedup = satMs / graphMs
@@ -605,8 +605,9 @@ var auditChecks = []string{"reachability", "isolation", "waypoint", "bounded-len
 	"blackholes", "loops", "multipath-consistency", "mgmt-reachability"}
 
 // runTieredAudit asks the 24 netgen.Audit networks the enterprise-audit
-// benchmark draws — outside the deterministic fragment, every one — the
-// per-source checks from the first border to the first access subnet
+// benchmark draws — inside the deterministic path's layered fragment,
+// every one, and the hijackable half residue external-influence there —
+// the per-source checks from the first border to the first access subnet
 // (waypoint through the first core, bounded-length at one hop), the
 // whole-network checks scoped to that subnet, and management
 // reachability. Only the rows the graph tier decides are answered on the
@@ -653,7 +654,7 @@ func runTieredAudit(satOpts pipeline.Options) ([]tieredJSON, error) {
 				if err != nil {
 					return nil, err
 				}
-				row.Tier, row.Rule = tiered.TierGraph, ruleOf(out.Reason)
+				row.Tier, row.Rule = tiered.TierGraph, out.Rule()
 				row.SatMs, row.Verified = toMs(v.Result.Elapsed), v.Result.Verified
 				row.Agree = out.Verified == v.Result.Verified
 				if decided[check] == nil {
@@ -686,21 +687,6 @@ func runTieredAudit(satOpts pipeline.Options) ([]tieredJSON, error) {
 		fmt.Printf("%s\t%.2f\n", line, float64(left)/float64(asked[check]))
 	}
 	return art, nil
-}
-
-// ruleOf names the graph-tier rule behind a decided outcome's reason:
-// the deterministic path (stable-state), the may-graph, simulated
-// falsification, or vacuity.
-func ruleOf(reason string) string {
-	switch {
-	case reason == tiered.ReasonSimulated:
-		return "simulated"
-	case reason == "stable-state", reason == "stable-state-violation", strings.HasPrefix(reason, "mgmt-unreachable:"):
-		return "stable-state"
-	case strings.HasPrefix(reason, "may-unreachable"), reason == "cannot-avoid-waypoint":
-		return "may-graph"
-	}
-	return "vacuity"
 }
 
 // modularJSON is one row of the BENCH_modular.json artifact: the

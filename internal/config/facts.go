@@ -121,11 +121,15 @@ func (r *Router) Redistributes() bool {
 	return r.redistributes(func(Protocol) bool { return true })
 }
 
+// Dynamic reports whether the protocol's routes are computed by a routing
+// process (OSPF, RIP, BGP), as opposed to configured (connected, static).
+func (p Protocol) Dynamic() bool { return p == OSPF || p == RIP || p == BGP }
+
 // RedistributesDynamic reports whether some routing process on the router
-// imports routes from a dynamic protocol (OSPF, RIP or BGP), which can
-// carry a route around a loop of protocols.
+// imports routes from a dynamic protocol, which can carry a route around a
+// loop of protocols.
 func (r *Router) RedistributesDynamic() bool {
-	return r.redistributes(func(p Protocol) bool { return p == OSPF || p == RIP || p == BGP })
+	return r.redistributes(Protocol.Dynamic)
 }
 
 // MayLoop reports whether the router's configuration can close a

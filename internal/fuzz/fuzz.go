@@ -159,9 +159,9 @@ type family struct {
 // from the encoder until it applied the ghost-route rule and forwarded a
 // redistributed route as its source protocol does (DESIGN §7 items 4 and
 // 12; TestSimulatorMatchesEncoderOnRedistribution). Other such gaps would
-// show as differential failures here, so the family stays out of
-// DiffVsSim; TierParity holds the graph tier's simulated falsifications
-// on it to the solver.
+// show as differential failures here, so the netgen families stay out of
+// DiffVsSim; TierParity holds the graph tier's deterministic verdicts and
+// simulated falsifications on them to the solver.
 var pool = []family{
 	{"ospf-chain", func(rng *rand.Rand) (*Scenario, error) {
 		n := 2 + rng.Intn(4)
@@ -206,18 +206,26 @@ var pool = []family{
 		return fromRouters("ebgp-fabric-2", false, ft.Routers)
 	}},
 	{"netgen", func(rng *rand.Rand) (*Scenario, error) {
-		return netgenScenario(rng.Int63())
+		return netgenScenario("netgen", rng.Int63(), true)
+	}},
+	{"netgen-redist", func(rng *rand.Rand) (*Scenario, error) {
+		// The generated networks without iBGP: the borders still
+		// redistribute BGP into OSPF, so this family isolates the graph
+		// tier's acyclic-redistribution layer (DESIGN §14, "The layered
+		// fragment") from its iBGP layer, which the netgen family adds.
+		return netgenScenario("netgen-redist", rng.Int63(), false)
 	}},
 }
 
-// netgenScenario is the netgen family's network for one generator seed.
-func netgenScenario(seed int64) (*Scenario, error) {
+// netgenScenario is a generated network for one generator seed, with or
+// without iBGP between its borders.
+func netgenScenario(family string, seed int64, ibgp bool) (*Scenario, error) {
 	p := netgen.Params{
 		MinRouters: 2, MaxRouters: 6,
 		PHijack: 0.4, PACLException: 0.3, PDeepDrop: 0.3,
-		WithIBGP: true,
+		WithIBGP: ibgp,
 	}
-	n, err := netgen.Generate(fmt.Sprintf("netgen-%d", seed), seed, p)
+	n, err := netgen.Generate(fmt.Sprintf("%s-%d", family, seed), seed, p)
 	if err != nil {
 		return nil, err
 	}

@@ -341,16 +341,24 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 	return err
 }
 
+// tierCounts counts the goals TierParity held to the solver by the graph
+// tier's rule that decided them: the deterministic path (rule 3) and
+// simulated falsification (rule 4).
+type tierCounts struct {
+	stable, simulated int
+}
+
 // tierParity is TierParity, also counting the decided goals that the
-// simulated-falsification rule answered. A goal whose key (scenario name
-// and goal) is in seen was held to the solver before and is skipped; seen
+// deterministic path and the simulated-falsification rule answered. A
+// goal whose key (scenario name and goal) is in seen was held to the
+// solver before and is skipped; seen
 // records the rest, so a sweep over many seeds of one fixture asks the
 // solver each question once. A nil seen skips nothing.
-func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (simulated int, err error) {
+func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (n tierCounts, err error) {
 	a := tiered.NewAnalysis(s.Net.Graph)
 	m, err := s.Encode("")
 	if err != nil {
-		return 0, err
+		return n, err
 	}
 	q := s.pickQuery(rng)
 	nodes := s.Net.Topo.Nodes
@@ -378,17 +386,20 @@ func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (simulated i
 		}
 		want, err := answer(m, goal, freshCheck(m))
 		if err != nil {
-			return simulated, fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
+			return n, fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
 		}
 		if out.Verified != want {
-			return simulated, fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s via=%s dst=%v scoped=%v maxFail=%d): graph=%v (reason %s) sat=%v",
+			return n, fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s via=%s dst=%v scoped=%v maxFail=%d): graph=%v (reason %s) sat=%v",
 				s.Name, goal.Check, q.src, goal.Via, q.sub, goal.HasSubnet, q.maxFail, out.Verified, out.Reason, want)
 		}
-		if out.Reason == tiered.ReasonSimulated {
-			simulated++
+		switch out.Rule() {
+		case "simulated":
+			n.simulated++
+		case "stable-state":
+			n.stable++
 		}
 	}
-	return simulated, nil
+	return n, nil
 }
 
 // ModularParity is the assume/guarantee oracle: the pipeline with the

@@ -36,7 +36,7 @@ func TestSimulatorMatchesEncoderOnRedistribution(t *testing.T) {
 		{8931228383982218953, "access1", "198.51.2.1"},
 		{3336639495163543454, "access2", "198.51.9.1"},
 	} {
-		s, err := netgenScenario(c.seed)
+		s, err := netgenScenario("netgen", c.seed, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestSimulatorMatchesEncoderOnRedistribution(t *testing.T) {
 	}
 	// The first network's border1 has no OSPF route to its own external
 	// subnet: the one it could have is its BGP redistribution of it.
-	s, err := netgenScenario(8931228383982218953)
+	s, err := netgenScenario("netgen", 8931228383982218953, true)
 	if err != nil {
 		t.Fatal(err)
 	}

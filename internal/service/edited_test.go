@@ -304,3 +304,41 @@ func BenchmarkDaemonEdits(b *testing.B) {
 	b.ReportMetric(float64(sessions)/float64(b.N), "sessions/op")
 	b.ReportMetric(float64(heap)/(1<<20), "live-MB")
 }
+
+// TestGeneratedNetworkOnGraphTier: the generated network with two borders
+// and iBGP between their loopbacks (netgen.Audit(7), daemon-mixed's
+// gen-7) is inside the graph tier's deterministic fragment. Its priming
+// question, management reachability, and the after-question of an edited
+// copy, reachability from a border to the first access subnet, are both
+// answered on the graph tier and counted as fast-path hits; neither
+// reaches a solver.
+func TestGeneratedNetworkOnGraphTier(t *testing.T) {
+	n, err := netgen.Audit(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[string]string, len(n.Routers))
+	for _, r := range n.Routers {
+		held[r.Name+".cfg"] = config.Print(r)
+	}
+	edited := editConfigs(t, held, n.Access[0]+".cfg", func(r *config.Router) { r.Iface("Eth0").OSPFCost = 2 })
+	e := newTestEngine(t, 1)
+	for i, req := range []*Request{
+		{Configs: held, Spec: Spec{Check: "mgmt-reachability"}},
+		{Configs: edited, Spec: Spec{Check: "reachability", Src: n.Borders[0], Subnet: "10.10.0.0/24"}},
+	} {
+		v, err := e.Verify(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Tier != "graph" || !v.Verified {
+			t.Fatalf("question %d (%s): tier=%q verified=%v, want a verified graph-tier answer", i+1, req.Spec.Check, v.Tier, v.Verified)
+		}
+		if hits := e.Trace().Counter("service.fastpath_hits"); hits != int64(i+1) {
+			t.Fatalf("question %d: service.fastpath_hits = %d, want %d", i+1, hits, i+1)
+		}
+	}
+	if f, s := e.Trace().Counter("service.fresh_checks"), e.Trace().Counter("service.session_checks"); f != 0 || s != 0 {
+		t.Fatalf("fresh_checks=%d session_checks=%d, want no solver check", f, s)
+	}
+}

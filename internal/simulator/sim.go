@@ -391,6 +391,12 @@ func (s *Simulator) addrSlice(addr network.IP, env *Environment) (*Result, error
 	return r, nil
 }
 
+// AddrSlice returns the slice the last Run resolved its multihop iBGP
+// sessions with for the peering address addr — addr's stable state with
+// multihop iBGP off, which decides liveness and the recursive next hops
+// toward that peer — or nil when the Run resolved none for addr.
+func (s *Simulator) AddrSlice(addr network.IP) *Result { return s.addrSlices[addr] }
+
 // runSlice iterates the per-router transfer functions to a fixed point.
 // Routers are evaluated in Node.Index order, each against its neighbors'
 // latest states, earlier routers' of this round included.

@@ -77,6 +77,11 @@ type Analysis struct {
 	// fields other than the destination address, making a single
 	// representative packet per FEC insufficient.
 	aclReason string
+	// exposed marks the routers an external announcement can reach
+	// (exposedRouters); peerAddrs are the multihop iBGP peering addresses
+	// (peeringAddrs). The environment-independence check reads both.
+	exposed   []bool
+	peerAddrs []network.IP
 }
 
 // NewAnalysis builds the tier's per-network state from the protocol
@@ -95,6 +100,8 @@ func NewAnalysis(g *protograph.Graph) *Analysis {
 	a.collectBoundaries()
 	a.detReason = detPrecondition(g, a.cfgs)
 	a.aclReason = aclPrecondition(a.cfgs)
+	a.exposed = exposedRouters(a.cfgs)
+	a.peerAddrs = peeringAddrs(g)
 	return a
 }
 
@@ -308,35 +315,119 @@ func (a *Analysis) reps(region network.Prefix) ([]network.IP, bool) {
 }
 
 // detPrecondition names the reason the deterministic path is unsound for
-// this network, or "" when its stable state is provably unique and
-// environment-independent above the external prefix-length bound:
+// this network, or "" when its layers settle in order to one stable state
+// without announcements, which the prefix-length bound of simulate then
+// shows to forward the same in every environment (DESIGN.md §14, "The
+// layered fragment"):
 //
-//   - no redistribution of dynamic protocols (OSPF/RIP/BGP sources feed
-//     each other's metrics, breaking the layered shortest-path argument);
-//   - no iBGP (session liveness itself depends on the environment via
-//     next-hop reachability, and reflection breaks monotonicity);
-//   - internal eBGP sessions apply prefix-list-only policy: any clause
-//     that rewrites preference attributes (local-pref, metric, MED,
-//     prepend) or touches communities can create preference cycles with
-//     multiple stable states. External-session policy stays unrestricted —
-//     it only shapes routes the prefix-length bound already dominates.
+//   - "dynamic-redistribution": the redistribution of dynamic protocols
+//     (OSPF, RIP, BGP) into one another has a cycle over protocol kinds,
+//     or some of it carries a route map. Acyclic redistribution lets the
+//     protocols settle in topological order, each taking the selections
+//     of the ones before it as seed routes and feeding nothing back.
+//   - "ibgp-session": an iBGP session reflects routes (either end marks
+//     the other a route-reflector client), or a network with iBGP has a
+//     router that compares MED across neighbor ASes. Without reflection
+//     an iBGP-learned route is never re-exported to an iBGP peer.
+//   - "internal-session-policy": an internal session, iBGP or eBGP, has a
+//     clause that rewrites preference attributes (local-pref, metric,
+//     MED, prepend, next hop) or touches communities, which can create
+//     preference cycles with multiple stable states. External-session
+//     policy stays unrestricted — it only shapes routes the prefix-length
+//     bound already dominates.
 func detPrecondition(g *protograph.Graph, cfgs []*config.Router) string {
+	if _, ok := redistributionOrder(cfgs); !ok {
+		return "dynamic-redistribution"
+	}
+	compareMED := false
 	for _, cfg := range cfgs {
-		if cfg.RedistributesDynamic() {
-			return "dynamic-redistribution"
-		}
+		compareMED = compareMED || (cfg.BGP != nil && cfg.BGP.AlwaysCompareMED)
 	}
 	for _, sess := range g.Sessions {
-		switch sess.Kind {
-		case protograph.IBGP:
+		if sess.Kind == protograph.EBGPExternal {
+			continue
+		}
+		if sess.Kind == protograph.IBGP && (compareMED || sess.NbrAtA.RouteReflectorClient || sess.NbrAtB.RouteReflectorClient) {
 			return "ibgp-session"
-		case protograph.EBGP:
-			if rewrites(cfgs[sess.A.Index], sess.NbrAtA) || rewrites(cfgs[sess.B.Index], sess.NbrAtB) {
-				return "internal-session-policy"
-			}
+		}
+		if rewrites(cfgs[sess.A.Index], sess.NbrAtA) || rewrites(cfgs[sess.B.Index], sess.NbrAtB) {
+			return "internal-session-policy"
 		}
 	}
 	return ""
+}
+
+// redistributionOrder reads the network's dynamic redistribution as a
+// graph over protocol kinds — an edge From → Into per dynamic
+// `redistribute` statement on any router — and returns its transitive
+// closure, feeds[from][into]. ok is false when the graph has a cycle or
+// some dynamic redistribution carries a route map.
+func redistributionOrder(cfgs []*config.Router) (feeds [config.BGP + 1][config.BGP + 1]bool, ok bool) {
+	add := func(into config.Protocol, rds []config.Redistribution) bool {
+		for _, rd := range rds {
+			if !rd.From.Dynamic() {
+				continue
+			}
+			if rd.RouteMap != "" {
+				return false
+			}
+			feeds[rd.From][into] = true
+		}
+		return true
+	}
+	for _, cfg := range cfgs {
+		ok := (cfg.OSPF == nil || add(config.OSPF, cfg.OSPF.Redistribute)) &&
+			(cfg.RIP == nil || add(config.RIP, cfg.RIP.Redistribute)) &&
+			(cfg.BGP == nil || add(config.BGP, cfg.BGP.Redistribute))
+		if !ok {
+			return feeds, false
+		}
+	}
+	for via := range feeds {
+		for from := range feeds {
+			for into := range feeds {
+				feeds[from][into] = feeds[from][into] || (feeds[from][via] && feeds[via][into])
+			}
+		}
+	}
+	for p := range feeds {
+		if feeds[p][p] {
+			return feeds, false
+		}
+	}
+	return feeds, true
+}
+
+// exposedRouters marks, by Node.Index, the routers whose installed route
+// an external announcement can reach: the BGP speakers, and every router
+// once BGP is redistributed into an IGP anywhere in the network.
+func exposedRouters(cfgs []*config.Router) []bool {
+	feeds, _ := redistributionOrder(cfgs)
+	all := feeds[config.BGP][config.OSPF] || feeds[config.BGP][config.RIP]
+	out := make([]bool, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = all || cfg.BGP != nil
+	}
+	return out
+}
+
+// peeringAddrs lists the addresses whose slices decide the liveness of
+// the multihop iBGP sessions and their recursive next hops: both peering
+// addresses of each session without a shared link, in session order,
+// without repeats.
+func peeringAddrs(g *protograph.Graph) []network.IP {
+	var out []network.IP
+	for _, sess := range g.Sessions {
+		if sess.Kind != protograph.IBGP || sess.Link != nil {
+			continue
+		}
+		for _, addr := range [2]network.IP{sess.NbrAtA.Addr, sess.NbrAtB.Addr} {
+			if !slices.Contains(out, addr) {
+				out = append(out, addr)
+			}
+		}
+	}
+	return out
 }
 
 // rewrites reports whether a clause of the stanza's route maps rewrites

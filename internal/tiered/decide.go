@@ -360,21 +360,20 @@ func (a *Analysis) simulate(k planeKey) (*plane, string) {
 	if k.peer >= 0 {
 		return pl, ""
 	}
-	// Environment independence: external announcements can inject BGP
-	// records of at most the filtered prefix length; if every BGP
-	// speaker's installed route is strictly longer, longest-prefix-match
-	// selection keeps every forwarding decision identical under any
-	// announcements (see DESIGN.md §14).
-	bound := a.maxExtPlen(rep)
-	if bound >= 0 {
-		for i, cfg := range a.cfgs {
-			if cfg.BGP == nil {
-				continue
-			}
-			st := pl.states[i]
-			if !st.Best.Valid || st.Best.PrefixLen <= bound {
-				return pl, "external-influence"
-			}
+	// Environment independence (DESIGN.md §14): an external announcement
+	// injects records of at most maxExtPlen's prefix length, and every
+	// router it can reach (exposed) prefers a strictly longer installed
+	// route, so longest-prefix-match selection keeps every forwarding
+	// decision under any announcements. The slices of the multihop iBGP
+	// peering addresses decide session liveness and recursive next hops,
+	// and are held to the same bound for their own addresses.
+	if a.displaceable(rep, func(i int) *simulator.RouterState { return pl.states[i] }) {
+		return pl, "external-influence"
+	}
+	for _, addr := range a.peerAddrs {
+		slice := a.sim.AddrSlice(addr)
+		if slice == nil || a.displaceable(addr, func(i int) *simulator.RouterState { return slice.States[nodes[i].Name] }) {
+			return pl, "external-influence"
 		}
 	}
 	pl.origins = pl.selections()
@@ -676,12 +675,34 @@ func (p *plane) selections() []provenance.Origin {
 	return provenance.DedupeOrigins(out)
 }
 
-// maxExtPlen bounds the prefix length of any BGP record derived from an
+// displaceable reports whether an external announcement could displace
+// the installed route of some exposed router for destinations in rep's
+// forwarding-equivalence class: the router has no route, or one no longer
+// than maxExtPlen(rep). state reads a router's stable state by
+// Node.Index.
+func (a *Analysis) displaceable(rep network.IP, state func(i int) *simulator.RouterState) bool {
+	bound := a.maxExtPlen(rep)
+	if bound < 0 {
+		return false
+	}
+	for i, exposed := range a.exposed {
+		if !exposed {
+			continue
+		}
+		if st := state(i); st == nil || !st.Best.Valid || st.Best.PrefixLen <= bound {
+			return true
+		}
+	}
+	return false
+}
+
+// maxExtPlen bounds the prefix length of any record derived from an
 // external announcement anywhere in the network, for destinations in
 // rep's forwarding-equivalence class: the longest length surviving some
 // external session's import filter (-1 when nothing survives). Internal
 // propagation preserves the length (internal-session policy is
-// prefix-list-only under detPrecondition) and aggregation only shortens
+// prefix-list-only under detPrecondition), so does redistribution (no
+// route map on dynamic redistribution), and aggregation only shortens
 // it, so the per-import bound is global.
 func (a *Analysis) maxExtPlen(rep network.IP) int {
 	bound := -1

@@ -9,6 +9,10 @@ import (
 // MayDecide exposes the may-graph decision to the external tests.
 func (a *Analysis) MayDecide(goal Goal) Outcome { return a.mayDecide(goal) }
 
+// DetReason is the residue reason of the deterministic path's
+// precondition for the whole network, "" inside its fragment.
+func (a *Analysis) DetReason() string { return a.detReason }
+
 // Simulations counts the simulator runs the Analysis has made.
 func (a *Analysis) Simulations() int {
 	a.mu.Lock()

@@ -312,7 +312,7 @@ func TestGraphPathOutputPinned(t *testing.T) {
 		"static-null":            "5de3bb73c39b389e 8f6d59b63d100178 c85f5b2cc410c381 a5f81eaa6d1e9d77 47d557b12142ecd2",
 		"hijackable":             "2d1a0cda161e914e 89af577f36387323 6760c88dc56ec988 50b9c2354df01fe6 1e56f5f805740322",
 		"hijackable-filtered":    "a1196fdaa13e0ef1 89af577f36387323 1d098dcfd85481a2 0d7fec743de81e4d 718d7a7e90aa98f9",
-		"multihop-ibgp":          "a827fd8d90840b81 5b4e40720f1b95ea a285b75fcd97df68 8d28c25e1e0b82c9 11241d6341e0a485",
+		"multihop-ibgp":          "a827fd8d90840b81 5b4e40720f1b95ea a285b75fcd97df68 8d28c25e1e0b82c9 9d4fc09c83dc32bc",
 		"corpus-acl":             "0c3a8520d33b407c 647a970e226c7b36 dbd7fa41198bb4f0 17b157ebb5bd618a 48e35b939bab5c26",
 		"corpus-aggregation":     "0b14ff289646af2e ba9a34a5c4455381 52976624289f3432 c12b97704ce3be2a 0fb2767bd1732950",
 		"corpus-communities":     "5fff778362884ad0 ba9a34a5c4455381 73d221c80f598bbe 3b43a8aa5f9e6c34 099c78d796fefae8",
@@ -321,30 +321,30 @@ func TestGraphPathOutputPinned(t *testing.T) {
 		"corpus-redistribution":  "8bc9b18df65d8e17 ba9a34a5c4455381 52976624289f3432 061c02c136b4aa1c 5ac9de7f33770bb9",
 		"corpus-route-reflector": "da6508f88e7d4141 a5f4eff481552e73 dfee8a982704205c 968ea32185a028d1 9f93acfb0722196d",
 		"corpus-static":          "5de3bb73c39b389e 8f6d59b63d100178 c85f5b2cc410c381 a5f81eaa6d1e9d77 47d557b12142ecd2",
-		"net2":                   "028dce179e1ada59 c391cbc608f9c36e a5fdcadec71f85c5 5dd7acb0fc97b3bb 150f6070c56038ef",
-		"net3":                   "d9fc7d9eb3199175 33c18d22087c6630 f23b3bf4ab15ff2a 71829f0f98de18b6 db7e4758706fc1a5",
-		"net4":                   "3fd361566d0fccd3 9e1345124ef7196a 9ca81bd96c6ed1b9 d51efe7babf3d608 bdaa41303e4cfb0b",
-		"net5":                   "7ce93fc8b2714354 2be31b1be19cf48e bafb38bde248d079 5cb629cc1120ddf3 33c57531b88466f7",
-		"net6":                   "d50ac36f5d49f1c1 377a9b9fde6e5e63 d7f193dd5e54b222 cd0f0301b3f1aea1 77a40e18efcc3917",
-		"net7":                   "212991a5c1908051 85b466ac88453c15 14d0a86ecb85e117 5222ea58d162c547 18890ca80f74411e",
-		"net8":                   "d33ba0b7fe233a2a 06d68e981172990f f1d27e737f504c4a 9e161a8209dbd309 1125a05c2a5a5668",
-		"net9":                   "c4240924d8acf1d4 5fdaea55ac0a6e5f 267895caf1af48ae 9c440c3ca11cdf96 b50d6a3a79e872fc",
-		"net10":                  "f9d00c52a217376c 6da82947eae46838 0155ed69757850eb 2a6ca2413f6f7a44 def388e7bfd84419",
-		"net11":                  "1bb24cca05ed58de c110be90b1602ac9 e5017842d4d10a2d 66d6724d0d902252 d5b099e5b3c25f7d",
-		"net12":                  "3310532718db520c 6424b159e1e2ea03 d6612a46564cd0e7 c750170bc0390e1a a27c54f2964daa52",
-		"net13":                  "ec6fe2ae6f73b6e0 90b5306b942436b4 b78a38272854eca3 eb6a8248b824584c 07ca2dcc2afeedc7",
-		"net14":                  "eb88064b9e666d4f cf7f52872bcc6b2c ae4d9ad009111331 dc4a4b0ca6d2889c dafc382793eb333d",
-		"net15":                  "8bd3fed8a04bf591 ac393532124cc990 30689f853550704f 546bf4290a2a756d ec8fb4ba11045520",
-		"net16":                  "8f348123d483cb8a 859726cd7d67baaa 443a507ca62cfeeb b18f811dcbe31ea2 e4e59a2621d5bfc0",
-		"net17":                  "33943070b81548e7 0a16afc37f87caa4 a76283d2477e83fa a454eacfcf183aa0 c5469d4c9522c981",
-		"net18":                  "5c5d8de7e98f9942 95764a85c8cf549a 3f59ddb1736825b7 e09a1ce1ba0057e0 18b4ea7138a7d07c",
-		"net19":                  "70367b1f3c11483a 5d01618d4861ae22 a354184eb6684fac f42fd52eff2d6e88 40b61d3558b96b86",
-		"net20":                  "d98ede868a6432e9 ac87f2c61d088238 5aad9a45d97cce0d b08e4dabeeda690d 191a50da886309ce",
-		"net21":                  "a3d1d0b1258f483b 8a2b07d83f9a77f8 3393651ae2d6cc7e d335a830e4632f3d e7067320c1d53002",
-		"net22":                  "3c6ae8006ad4506e 83121f162f52e568 9f7b7f1bbd4801cb f0351881ee4fa3aa 8d8bf7bf096c714e",
-		"net23":                  "5a70dd496684abb1 bc206c5a7fe46dc9 64f49fbdf0bd06fd de32c4f4b69dcfc4 a8b6c53094b33ce8",
-		"net24":                  "940e8f35fcc06059 29874d9944e4853a 9936b6afa1f28cd5 5ff4f8f1a5fb3ecb e5ab6c4c4371addb",
-		"net25":                  "5fe1f8a655a44036 1ba1fa4e34024446 8bbb993614968197 557e255628be9d46 f0792a41b0c5f6f2",
+		"net2":                   "028dce179e1ada59 c391cbc608f9c36e a5fdcadec71f85c5 5dd7acb0fc97b3bb cc3bf606499c1a28",
+		"net3":                   "d9fc7d9eb3199175 33c18d22087c6630 f23b3bf4ab15ff2a 71829f0f98de18b6 4276bc6d45776ddb",
+		"net4":                   "3fd361566d0fccd3 9e1345124ef7196a 9ca81bd96c6ed1b9 d51efe7babf3d608 f9061a717c318943",
+		"net5":                   "7ce93fc8b2714354 2be31b1be19cf48e bafb38bde248d079 5cb629cc1120ddf3 4b6e10509cf1d54e",
+		"net6":                   "d50ac36f5d49f1c1 377a9b9fde6e5e63 d7f193dd5e54b222 cd0f0301b3f1aea1 607efe00a7dbc9c3",
+		"net7":                   "212991a5c1908051 85b466ac88453c15 14d0a86ecb85e117 5222ea58d162c547 ee224a97cae58a1b",
+		"net8":                   "d33ba0b7fe233a2a 06d68e981172990f f1d27e737f504c4a 9e161a8209dbd309 6078efb019960128",
+		"net9":                   "c4240924d8acf1d4 5fdaea55ac0a6e5f 267895caf1af48ae 9c440c3ca11cdf96 48d81518013f41c8",
+		"net10":                  "f9d00c52a217376c 6da82947eae46838 0155ed69757850eb 2a6ca2413f6f7a44 58ed5ac5a65a0b58",
+		"net11":                  "1bb24cca05ed58de c110be90b1602ac9 e5017842d4d10a2d 66d6724d0d902252 1f321a54ba15917b",
+		"net12":                  "3310532718db520c 6424b159e1e2ea03 d6612a46564cd0e7 c750170bc0390e1a 33afa44e68166d5c",
+		"net13":                  "ec6fe2ae6f73b6e0 90b5306b942436b4 b78a38272854eca3 eb6a8248b824584c de39df24578fbcac",
+		"net14":                  "eb88064b9e666d4f cf7f52872bcc6b2c ae4d9ad009111331 dc4a4b0ca6d2889c 7e2d0cb7595b183a",
+		"net15":                  "8bd3fed8a04bf591 ac393532124cc990 30689f853550704f 546bf4290a2a756d 830856974352b52b",
+		"net16":                  "8f348123d483cb8a 859726cd7d67baaa 443a507ca62cfeeb b18f811dcbe31ea2 5d8ae98bb935fedd",
+		"net17":                  "33943070b81548e7 0a16afc37f87caa4 a76283d2477e83fa a454eacfcf183aa0 389b0c3421cf674d",
+		"net18":                  "5c5d8de7e98f9942 95764a85c8cf549a 3f59ddb1736825b7 e09a1ce1ba0057e0 f22dd2b1cbee7c2f",
+		"net19":                  "70367b1f3c11483a 5d01618d4861ae22 a354184eb6684fac f42fd52eff2d6e88 f941df2d03f5d859",
+		"net20":                  "d98ede868a6432e9 ac87f2c61d088238 5aad9a45d97cce0d b08e4dabeeda690d 3f8d13d987700874",
+		"net21":                  "a3d1d0b1258f483b 8a2b07d83f9a77f8 3393651ae2d6cc7e d335a830e4632f3d 3bba379d0ee7bb90",
+		"net22":                  "3c6ae8006ad4506e 83121f162f52e568 9f7b7f1bbd4801cb f0351881ee4fa3aa 53367503ac138719",
+		"net23":                  "5a70dd496684abb1 bc206c5a7fe46dc9 64f49fbdf0bd06fd de32c4f4b69dcfc4 6d783549dbb43bad",
+		"net24":                  "940e8f35fcc06059 29874d9944e4853a 9936b6afa1f28cd5 5ff4f8f1a5fb3ecb cfc07d47d6f9357e",
+		"net25":                  "5fe1f8a655a44036 1ba1fa4e34024446 8bbb993614968197 557e255628be9d46 21744cbd66957ea9",
 		"pods-2":                 "899b3de21d52d8a5 d4dc2b5c30fad69f 1c2ae50439d58cfe e1da472a82552dd3 df4af9fc0c5f6cc2",
 		"pods-4":                 "79adc2828a12d7e1 43d7099d0f401327 90906439818c9221 e04188b1b48f9f4e 618674a25013fd4d",
 		"pods-24":                "34ab1377e5750206 ded2df4535c60b1a ca6b5f127497a58b 7525cdb4271ee335 4bdd0c4ceb18e820",

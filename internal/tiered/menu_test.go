@@ -82,15 +82,44 @@ func auditNet(t *testing.T, size int, edit func(*netgen.Network)) (*netgen.Netwo
 	return nil, nil
 }
 
+// reflecting marks each border's iBGP neighbor a route-reflector client.
+// On a network with two borders there is no third speaker to reflect to,
+// so the routes are the same, but the network leaves the deterministic
+// fragment.
+func reflecting(n *netgen.Network) {
+	for _, r := range n.Routers {
+		if r.BGP == nil {
+			continue
+		}
+		for _, nb := range r.BGP.Neighbors {
+			if nb.IsInternal(r.BGP.ASN) {
+				nb.RouteReflectorClient = true
+			}
+		}
+	}
+}
+
+// mutual adds OSPF → BGP redistribution at every border, which already
+// redistributes BGP into OSPF: a cycle of protocols, outside the
+// deterministic fragment.
+func mutual(n *netgen.Network) {
+	for _, r := range n.Routers {
+		if r.BGP != nil {
+			r.BGP.Redistribute = append(r.BGP.Redistribute, config.Redistribution{From: config.OSPF})
+		}
+	}
+}
+
 // TestSimulatedNullRoute: a null route for the first access subnet at a
-// border of a generated network (outside the fragment: its borders
-// redistribute BGP into OSPF) is a violation of reachability from that
-// border in the empty environment, which the rule's first menu entry
-// shows.
+// border of a generated network whose borders redistribute OSPF into BGP
+// and BGP back into OSPF (outside the fragment) is a violation of
+// reachability from that border in the empty environment, which the
+// rule's first menu entry shows.
 func TestSimulatedNullRoute(t *testing.T) {
 	subnet := network.MustParsePrefix("10.10.0.0/24")
 	var border string
 	n, net := auditNet(t, 8, func(n *netgen.Network) {
+		mutual(n)
 		border = n.Borders[0]
 		for _, r := range n.Routers {
 			if r.Name == border {
@@ -98,6 +127,9 @@ func TestSimulatedNullRoute(t *testing.T) {
 			}
 		}
 	})
+	if got := net.Analysis().DetReason(); got != "dynamic-redistribution" {
+		t.Fatalf("%s: precondition %q, want dynamic-redistribution", n.Name, got)
+	}
 	out := net.Analysis().Decide(tiered.Goal{Check: "reachability", Src: border, Subnet: subnet, HasSubnet: true})
 	if !out.Decided || out.Verified || out.Reason != tiered.ReasonSimulated {
 		t.Fatalf("%s: decided=%v verified=%v reason=%s, want falsified by %s", n.Name, out.Decided, out.Verified, out.Reason, tiered.ReasonSimulated)
@@ -108,10 +140,11 @@ func TestSimulatedNullRoute(t *testing.T) {
 }
 
 // TestVerifiedOutsideFragmentStaysResidue: a goal the solver verifies on a
-// network outside the fragment gets nothing from the rule — no menu plane
+// network outside the fragment — a generated network with two borders
+// whose iBGP reflects — gets nothing from the rule — no menu plane
 // violates it — and keeps the residue reason rule 3 gives it.
 func TestVerifiedOutsideFragmentStaysResidue(t *testing.T) {
-	n, net := auditNet(t, 8, nil)
+	n, net := auditNet(t, 7, reflecting)
 	goals := []tiered.Goal{
 		{Check: "reachability", Src: n.Borders[0], Subnet: network.MustParsePrefix("10.10.0.0/24"), HasSubnet: true},
 		{Check: "mgmt-reachability"},
@@ -127,8 +160,8 @@ func TestVerifiedOutsideFragmentStaysResidue(t *testing.T) {
 			t.Fatalf("%s: %s: the solver falsifies it; the test wants a verified goal", n.Name, goal.Check)
 		}
 		out := net.Analysis().Decide(goal)
-		if out.Decided || out.Reason != "dynamic-redistribution" {
-			t.Errorf("%s: %s: decided=%v reason=%s, want dynamic-redistribution residue", n.Name, goal.Check, out.Decided, out.Reason)
+		if out.Decided || out.Reason != "ibgp-session" {
+			t.Errorf("%s: %s: decided=%v reason=%s, want ibgp-session residue", n.Name, goal.Check, out.Decided, out.Reason)
 		}
 	}
 	if net.Analysis().MenuTries() == 0 {

@@ -147,6 +147,23 @@ func falsified(reason string, blame []provenance.Origin, pkt config.Packet, env 
 
 func residue(reason string) Outcome { return Outcome{Reason: reason} }
 
+// Rule names the decision rule behind a decided outcome: "stable-state"
+// (the deterministic path), "may-graph", "simulated" (simulated
+// falsification) or "vacuity"; "" for residue.
+func (o Outcome) Rule() string {
+	switch {
+	case !o.Decided:
+		return ""
+	case o.Reason == ReasonSimulated:
+		return "simulated"
+	case o.Reason == "stable-state", o.Reason == "stable-state-violation", strings.HasPrefix(o.Reason, "mgmt-unreachable:"):
+		return "stable-state"
+	case strings.HasPrefix(o.Reason, "may-unreachable"), o.Reason == "cannot-avoid-waypoint":
+		return "may-graph"
+	}
+	return "vacuity"
+}
+
 // Synthesize renders a decided outcome as a core.Result so fast-path
 // verdicts flow through the same reporting paths (service verdicts, CLI
 // JSON, bench rows) as SAT verdicts. ledger is the goal ledger the caller
