@@ -73,8 +73,9 @@ func CheckLocalEquivalence(g *protograph.Graph, a, b string, opts Options) (*Loc
 }
 
 // CheckLocalEquivalenceContext is CheckLocalEquivalence with
-// cancellation: ctx is checked before each of the sweep's solver queries,
-// and its error is returned once it is done.
+// cancellation: a done ctx interrupts the sweep's solver queries, and its
+// error is returned. Options' progress hook observes the sweep as one
+// check, its work counted from the sweep's start.
 func CheckLocalEquivalenceContext(ctx context.Context, g *protograph.Graph, a, b string, opts Options) (*LocalEquivalenceResult, error) {
 	ca, cb := g.Configs[a], g.Configs[b]
 	if ca == nil || cb == nil {
@@ -233,7 +234,7 @@ func sortedCommKeys(m map[string]*smt.Term) []string {
 }
 
 // differs checks whether two boolean terms can disagree, or returns ctx's
-// error when it is done. A fresh solver per query keeps queries
+// error once it is done. A fresh solver per query keeps queries
 // independent; it is instrumented as Options ask, and an UNSAT answer
 // with a recorded proof stands only once the proof is checked.
 func (q *sweep) differs(a, b *smt.Term) (bool, error) {
@@ -251,12 +252,14 @@ func (q *sweep) differs(a, b *smt.Term) (bool, error) {
 	sol := smt.NewSolver(c)
 	proof := q.m.instrument(sol)
 	sol.Assert(d)
+	// The sweep is one check: its progress counts from the sweep's start,
+	// where this fresh solver's counters stood at minus r.Stats.
 	st, r := sol.SAT(), q.res
-	status, err := st.SolveLimited()
-	if err != nil {
-		return false, fmt.Errorf("core: solve: %w", err)
-	}
+	status, err := solve(q.ctx, st, &q.m.Opts, sat.Stats{}.Since(r.Stats))
 	r.Stats = r.Stats.Plus(st.Stats)
+	if err != nil {
+		return false, err
+	}
 	r.SATVars += st.NumVars()
 	r.SATClauses += st.NumClauses()
 	if status == sat.Sat || proof == nil {

@@ -359,31 +359,13 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	return res, nil
 }
 
-// search is the CDCL phase, interruptible through ctx; the watcher is
-// joined before the interrupt flag is cleared so a late Interrupt cannot
-// leak into a later check. Core sets no conflict budget: the search ends
-// in a verdict, an interrupt, or a named refusal (a full clause
-// database). The progress hook is this check's: it counts from base, and
-// it is taken off again so a session's solver holds no finished check's.
-// A hook that cancels ctx interrupts the search before it goes on, not
-// whenever the watcher is next scheduled. res.Stats gets the search's
-// work since base.
+// search is the CDCL phase, interruptible through ctx. Core sets no
+// conflict budget: the search ends in a verdict, an interrupt, or a named
+// refusal (a full clause database). The progress hook is this check's: it
+// counts from base. res.Stats gets the search's work since base.
 func (x *executor) search(ctx context.Context, assume []sat.Lit, base sat.Stats, res *Result) (sat.Status, error) {
-	m := x.m
 	solveSp, st := x.Begin("solve"), x.sol.SAT()
-	if hook := m.Opts.OnProgress; hook != nil {
-		st.ProgressEvery, st.OnProgress = m.Opts.ProgressEvery, func(p sat.Progress) {
-			hook(p.Since(base))
-			if ctx.Err() != nil {
-				st.Interrupt()
-			}
-		}
-	}
-	stopWatch := watchInterrupt(ctx, st.Interrupt)
-	status, err := st.SolveLimited(assume...)
-	stopWatch()
-	st.ResetInterrupt()
-	st.OnProgress = nil
+	status, err := solve(ctx, st, &x.m.Opts, base, assume...)
 	res.Stats = st.Stats.Since(base)
 	solveSp.SetStr("status", status.String())
 	solveSp.SetInt("conflicts", res.Stats.Conflicts)
@@ -392,13 +374,38 @@ func (x *executor) search(ctx context.Context, assume []sat.Lit, base sat.Stats,
 	solveSp.SetInt("learned", res.Stats.Learned)
 	solveSp.SetInt("restarts", res.Stats.Restarts)
 	x.endSolver()
-	if err != nil {
-		if errors.Is(err, sat.ErrInterrupted) && ctx.Err() != nil {
-			return status, ctx.Err()
+	return status, err
+}
+
+// solve is core's one interruptible search on st: a done ctx interrupts
+// it and is its error; any other failure is a core: solve: error. The
+// watcher is joined before the interrupt flag is cleared, so a late
+// Interrupt cannot leak into a later search. o's progress hook, if any,
+// counts from base, interrupts the search once ctx is done (not whenever
+// the watcher is next scheduled), and is taken off again so a session's
+// solver holds no finished search's.
+func solve(ctx context.Context, st *sat.Solver, o *Options, base sat.Stats, assume ...sat.Lit) (sat.Status, error) {
+	if o != nil && o.OnProgress != nil {
+		hook := o.OnProgress
+		st.ProgressEvery, st.OnProgress = o.ProgressEvery, func(p sat.Progress) {
+			hook(p.Since(base))
+			if ctx.Err() != nil {
+				st.Interrupt()
+			}
 		}
-		return status, fmt.Errorf("core: solve: %w", err)
+		defer func() { st.OnProgress = nil }()
 	}
-	return status, nil
+	stop := watchInterrupt(ctx, st.Interrupt)
+	status, err := st.SolveLimited(assume...)
+	stop()
+	st.ResetInterrupt()
+	switch {
+	case err == nil:
+		return status, nil
+	case errors.Is(err, sat.ErrInterrupted) && ctx.Err() != nil:
+		return status, ctx.Err()
+	}
+	return status, fmt.Errorf("core: solve: %w", err)
 }
 
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -308,13 +308,10 @@ func (x *executor) probe(ctx context.Context, sys *passes.System, scoped []*smt.
 	}
 	vars, clauses := st.NumVars(), st.NumClauses()
 	st.MaxConflicts = probeConflictCap
-	stop := watchInterrupt(ctx, st.Interrupt)
-	status, err := st.SolveLimited()
-	stop()
-	st.ResetInterrupt()
+	status, err := solve(ctx, st, nil, sat.Stats{})
 	switch {
-	case errors.Is(err, sat.ErrInterrupted) && ctx.Err() != nil:
-		return nil, stats, ctx.Err()
+	case err != nil && errors.Is(err, ctx.Err()):
+		return nil, stats, err
 	case err != nil:
 		res.Probe = ProbeCapped
 		return nil, stats, nil

@@ -206,30 +206,38 @@ var pool = []family{
 		return fromRouters("ebgp-fabric-2", false, ft.Routers)
 	}},
 	{"netgen", func(rng *rand.Rand) (*Scenario, error) {
-		return netgenScenario("netgen", rng.Int63(), true)
+		return netgenScenario("netgen", rng.Int63, true, 0)
 	}},
 	{"netgen-redist", func(rng *rand.Rand) (*Scenario, error) {
-		// The generated networks without iBGP: the borders still
+		// The generated networks without iBGP, drawn with two borders:
+		// iBGP runs only between two borders, so any other draw is a
+		// network the netgen family draws too. The borders still
 		// redistribute BGP into OSPF, so this family isolates the graph
 		// tier's acyclic-redistribution layer (DESIGN §14, "The layered
 		// fragment") from its iBGP layer, which the netgen family adds.
-		return netgenScenario("netgen-redist", rng.Int63(), false)
+		return netgenScenario("netgen-redist", rng.Int63, false, 2)
 	}},
 }
 
-// netgenScenario is a generated network for one generator seed, with or
-// without iBGP between its borders.
-func netgenScenario(family string, seed int64, ibgp bool) (*Scenario, error) {
+// netgenScenario is the generated network, with or without iBGP between
+// its borders, of the first generator seed drawn whose network has the
+// given number of borders (0: any).
+func netgenScenario(family string, seed func() int64, ibgp bool, borders int) (*Scenario, error) {
 	p := netgen.Params{
 		MinRouters: 2, MaxRouters: 6,
 		PHijack: 0.4, PACLException: 0.3, PDeepDrop: 0.3,
 		WithIBGP: ibgp,
 	}
-	n, err := netgen.Generate(fmt.Sprintf("%s-%d", family, seed), seed, p)
-	if err != nil {
-		return nil, err
+	for {
+		s := seed()
+		n, err := netgen.Generate(fmt.Sprintf("%s-%d", family, s), s, p)
+		if err != nil {
+			return nil, err
+		}
+		if borders == 0 || len(n.Borders) == borders {
+			return fromRouters(n.Name, false, n.Routers)
+		}
 	}
-	return fromRouters(n.Name, false, n.Routers)
 }
 
 // Families returns the number of scenario families in the pool.

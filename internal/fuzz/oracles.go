@@ -342,8 +342,8 @@ func (s *Scenario) TierParity(rng *rand.Rand) error {
 }
 
 // tierCounts counts the goals TierParity held to the solver by the graph
-// tier's rule that decided them: the deterministic path (rule 3) and
-// simulated falsification (rule 4).
+// tier's rule that decided them: the walk's stable-state verdicts inside
+// the deterministic fragment and its simulated falsifications outside it.
 type tierCounts struct {
 	stable, simulated int
 }
@@ -360,18 +360,8 @@ func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (n tierCount
 	if err != nil {
 		return n, err
 	}
-	q := s.pickQuery(rng)
-	nodes := s.Net.Topo.Nodes
-	via := nodes[(s.Net.Topo.Node(q.src).Index+1)%len(nodes)].Name
-	goals := []tiered.Goal{
-		{Check: "reachability", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
-		{Check: "isolation", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
-		{Check: "waypoint", Src: q.src, Via: via, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
-		{Check: "bounded-length", Src: q.src, Hops: 1, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
-	}
-	for _, check := range []string{"loops", "blackholes", "multipath-consistency", "mgmt-reachability"} {
-		goals = append(goals, tiered.Goal{Check: check}, tiered.Goal{Check: check, Subnet: q.sub, HasSubnet: true})
-	}
+	goals := s.TierGoals(rng)
+	q := goals[0] // the per-source goals carry the drawn query
 	for _, goal := range goals {
 		out := a.Decide(goal)
 		if !out.Decided {
@@ -390,7 +380,7 @@ func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (n tierCount
 		}
 		if out.Verified != want {
 			return n, fmt.Errorf("fuzz: %s: tier disagreement on %s (src=%s via=%s dst=%v scoped=%v maxFail=%d): graph=%v (reason %s) sat=%v",
-				s.Name, goal.Check, q.src, goal.Via, q.sub, goal.HasSubnet, q.maxFail, out.Verified, out.Reason, want)
+				s.Name, goal.Check, q.Src, goal.Via, q.Subnet, goal.HasSubnet, q.MaxFailures, out.Verified, out.Reason, want)
 		}
 		switch out.Rule() {
 		case "simulated":
@@ -400,6 +390,25 @@ func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (n tierCount
 		}
 	}
 	return n, nil
+}
+
+// TierGoals are the goals TierParity asks of the scenario for the query
+// it draws from rng: the per-source checks, then each whole-network check
+// unscoped and scoped to the query's subnet.
+func (s *Scenario) TierGoals(rng *rand.Rand) []tiered.Goal {
+	q := s.pickQuery(rng)
+	nodes := s.Net.Topo.Nodes
+	via := nodes[(s.Net.Topo.Node(q.src).Index+1)%len(nodes)].Name
+	goals := []tiered.Goal{
+		{Check: "reachability", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+		{Check: "isolation", Src: q.src, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+		{Check: "waypoint", Src: q.src, Via: via, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+		{Check: "bounded-length", Src: q.src, Hops: 1, Subnet: q.sub, HasSubnet: true, MaxFailures: q.maxFail},
+	}
+	for _, check := range []string{"loops", "blackholes", "multipath-consistency", "mgmt-reachability"} {
+		goals = append(goals, tiered.Goal{Check: check}, tiered.Goal{Check: check, Subnet: q.sub, HasSubnet: true})
+	}
+	return goals
 }
 
 // ModularParity is the assume/guarantee oracle: the pipeline with the

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +199,35 @@ func TestWorkBudgetExceeded(t *testing.T) {
 	if err != nil || v3.Budget == nil || v3.Budget.Exceeded != "work" || v3.Verified {
 		t.Fatalf("fault-invariance: %+v, %v; want an unverified work breach", v3, err)
 	}
+
+	// And so is the local-equivalence sweep, as one check from its start:
+	// A and B of examples/equivalence are equivalent, which its queries
+	// show in 76 conflicts. Neither answer is cached.
+	eq := &Request{Configs: exampleConfigs(t, "equivalence"), Spec: Spec{Check: "equivalence", Pair: "A,B"}}
+	for i := 0; i < 2; i++ {
+		v4, err := e.Verify(context.Background(), eq)
+		if err != nil || v4.Budget == nil || v4.Budget.Exceeded != "work" || v4.Verified || v4.Cached {
+			t.Fatalf("equivalence, ask %d: %+v, %v; want an unverified, uncached work breach", i+1, v4, err)
+		}
+	}
+}
+
+// exampleConfigs reads the configurations of one examples/ directory.
+func exampleConfigs(t *testing.T, name string) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", name, "*.cfg"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("examples/%s: %v", name, err)
+	}
+	cfgs := make(map[string]string, len(paths))
+	for _, p := range paths {
+		text, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[filepath.Base(p)] = string(text)
+	}
+	return cfgs
 }
 
 // TestMemBudgetExceeded: an absurdly small memory budget trips on the

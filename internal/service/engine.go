@@ -86,7 +86,9 @@ type Options struct {
 	// where its solver stood when it began, as Result.Stats does: a
 	// session check from the session's running total, past its set-up; a
 	// fresh check (an edited copy's first solver question, a component or
-	// pair check) from zero, so it also charges loading its formula.
+	// pair check) from zero, so it also charges loading its formula. The
+	// local-equivalence sweep's queries are one check, counted from the
+	// sweep's start.
 	WorkBudget int64
 	// MemBudgetBytes cancels a job, like WorkBudget, when the process's
 	// live heap exceeds this many bytes while the job's solver runs —

@@ -51,8 +51,8 @@ type Analysis struct {
 	// mu guards the simulator, which is not safe for concurrent use, and
 	// planes, which memoises plane by representative destination and
 	// menu environment for the Analysis' lifetime. Each pair is simulated
-	// at most once (sims counts the runs, menuTries the pairs the
-	// simulated-falsification rule asked for); the planes handed out are
+	// at most once (sims counts the runs, menuTries the pairs the walk
+	// tried outside the deterministic fragment); the planes handed out are
 	// never written after they are built.
 	mu        sync.Mutex
 	sim       *simulator.Simulator

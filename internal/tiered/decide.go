@@ -25,15 +25,14 @@ var propertyOrigin = provenance.Origin{Kind: "property"}
 //     waypoint), then no environment and no stable state can make it
 //     reach — verifying isolation/waypoint/bounded-length vacuously and
 //     falsifying reachability, for any failure budget.
-//  3. The deterministic path: when the network's stable state is provably
-//     unique and environment-independent (detPrecondition), simulate one
-//     representative per forwarding-equivalence class and evaluate the
-//     property concretely — both polarities under zero failures,
-//     falsification only under a positive failure budget.
-//  4. Simulated falsification: when rule 3 hands a goal down only because
-//     the network is outside its fragment, evaluate the property on the
-//     stable states of a fixed menu of concrete environments (falsify);
-//     any violation is a counterexample. This rule never verifies.
+//  3. The walk over concrete stable states, one representative per
+//     forwarding-equivalence class of the destination set (walk): any
+//     violating stable state is a counterexample. When the network's
+//     stable state is provably unique and environment-independent (the
+//     deterministic fragment: detPrecondition, aclPrecondition and each
+//     plane's bound), a clean pass over the empty environment verifies
+//     under zero failures; outside the fragment the walk goes on through
+//     a fixed menu of announcing environments and only falsifies.
 //
 // Everything else is residue and falls through to SAT.
 func (a *Analysis) Decide(goal Goal) Outcome {
@@ -165,100 +164,186 @@ func (a *Analysis) mayFalsifyReach(goal Goal, src string, blame []provenance.Ori
 	return falsified("may-unreachable:"+src, blame, pl.pkt, pl.env)
 }
 
-// detDecide evaluates the goal concretely on the unique stable state,
-// one representative destination per forwarding-equivalence class, and
-// hands residue outside the fragment to the simulated-falsification rule.
+// detDecide walks the goal's representatives, one destination per
+// forwarding-equivalence class of the region.
 func (a *Analysis) detDecide(goal Goal, region network.Prefix) Outcome {
-	out := a.detEvaluate(goal, region)
-	if !a.outsideFragment(out) {
-		return out
-	}
 	reps, ok := a.reps(region)
 	if !ok {
-		return out
-	}
-	return a.falsify(out, reps, func(pl *plane, _ int) (bool, string) { return pl.evaluate(goal) })
-}
-
-// detEvaluate is rule 3 for the data-plane checks.
-func (a *Analysis) detEvaluate(goal Goal, region network.Prefix) Outcome {
-	if a.detReason != "" {
-		return residue(a.detReason)
-	}
-	if a.aclReason != "" {
-		return residue(a.aclReason)
-	}
-	reps, ok := a.reps(region)
-	if !ok {
+		// Too many classes to walk; outside the fragment the goal keeps its reason.
+		if reason := a.fragmentReason(); reason != "" {
+			return residue(reason)
+		}
 		return residue("too-many-fecs")
 	}
-	blame := []provenance.Origin{propertyOrigin}
-	for _, rep := range reps {
-		pl, reason := a.plane(rep)
-		if reason != "" {
-			return residue(reason)
+	return a.walk(goal, reps, func(pl *plane, _ int) (string, string) {
+		bad, why := pl.evaluate(goal)
+		if bad {
+			return "stable-state-violation", ""
 		}
-		violated, reason := pl.evaluate(goal)
-		if reason != "" {
-			return residue(reason)
-		}
-		if violated {
-			return falsified("stable-state-violation", pl.blame(), pl.pkt, pl.env)
-		}
-		blame = append(blame, pl.origins...)
-	}
-	if goal.MaxFailures > 0 {
-		// The unique-stable-state argument only covers the zero-failure
-		// environment; nothing was falsified there, but a failure could
-		// still break the property.
-		return residue("failure-budget")
-	}
-	provenance.SortOrigins(blame)
-	return verified("stable-state", provenance.DedupeOrigins(blame))
+		return "", why
+	})
 }
 
-// detMgmt evaluates management reachability: for every management
-// address in scope, every other router must reach it. Each address is its
-// own forwarding-equivalence class, and the representative of the
-// simulated-falsification rule.
+// detMgmt walks management reachability: for every management address in
+// scope, every other router must reach it. Each address is its own
+// forwarding-equivalence class and representative.
 func (a *Analysis) detMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
-	out := a.detMgmtEvaluate(goal, mgmt)
-	if !a.outsideFragment(out) {
-		return out
-	}
 	reps := make([]network.IP, len(mgmt))
 	for i, m := range mgmt {
 		reps[i] = m.Addr
 	}
-	return a.falsify(out, reps, func(pl *plane, i int) (bool, string) {
-		return pl.unreached(mgmt[i].Router) != "", ""
+	return a.walk(goal, reps, func(pl *plane, i int) (string, string) {
+		if r := pl.unreached(mgmt[i].Router); r != "" {
+			return "mgmt-unreachable:" + r, ""
+		}
+		return "", ""
 	})
 }
 
-// detMgmtEvaluate is rule 3 for management reachability.
-func (a *Analysis) detMgmtEvaluate(goal Goal, mgmt []mgmtAddr) Outcome {
+// fragmentReason is the residue reason that puts the whole network
+// outside the deterministic fragment, "" inside it.
+func (a *Analysis) fragmentReason() string {
 	if a.detReason != "" {
-		return residue(a.detReason)
+		return a.detReason
 	}
-	if a.aclReason != "" {
-		return residue(a.aclReason)
+	return a.aclReason
+}
+
+// ReasonSimulated is the Outcome.Reason of a goal falsified outside the
+// deterministic fragment: the stable state of one menu environment
+// violates the property.
+const ReasonSimulated = "simulated-violation"
+
+// menuLimit bounds the (representative, environment) pairs the walk tries
+// for one goal outside the fragment; past it the goal keeps its residue.
+const menuLimit = 256
+
+// walk evaluates the goal on concrete stable states (DESIGN §14). It
+// visits the empty-environment plane of every representative, then each
+// admitted external peer's plane announcing the representative's /32, and
+// answers falsified on the first violation. check evaluates the plane of
+// the i-th representative: it returns the reason a violation carries
+// inside the fragment ("" when the property holds there), or why the
+// plane is inconclusive.
+//
+// Inside the fragment — no network-wide reason, every plane so far
+// environment-independent — the empty environment's stable state is the
+// only one, so a violation is stable-state falsification, an inconclusive
+// plane is residue, and a clean pass verifies under zero failures (the
+// announcing planes are not visited). The walk leaves the fragment at the
+// first plane with a reason of its own and from there only falsifies:
+// each plane is one menu environment's stable state, a violation is
+// ReasonSimulated, a plane that did not converge or is inconclusive is
+// skipped, and after menuLimit tries — the representatives passed inside
+// counted as tries — the goal keeps the reason it left with.
+func (a *Analysis) walk(goal Goal, reps []network.IP, check func(pl *plane, i int) (violation, inconclusive string)) Outcome {
+	left := a.fragmentReason()
+	tries := 0
+	defer func() {
+		if left != "" {
+			a.mu.Lock()
+			a.menuTries += tries
+			a.mu.Unlock()
+		}
+	}()
+	// try is one menu entry outside the fragment: the i-th
+	// representative's plane under k.
+	try := func(k planeKey, i int) (Outcome, bool) {
+		if tries == menuLimit {
+			return residue(left), true
+		}
+		tries++
+		pl, _ := a.planeUnder(k)
+		if pl == nil {
+			return Outcome{}, false
+		}
+		if bad, why := check(pl, i); bad == "" || why != "" {
+			return Outcome{}, false
+		}
+		blame := pl.selections()
+		if k.peer >= 0 {
+			e := a.G.Topo.Externals[k.peer]
+			blame = append(blame, provenance.Origin{Router: e.Router.Name, Proto: "bgp", Kind: "neighbor", Name: "ext." + e.Name})
+			provenance.SortOrigins(blame)
+		}
+		return falsified(ReasonSimulated, blame, pl.pkt, pl.env), true
 	}
 	blame := []provenance.Origin{propertyOrigin}
-	for _, m := range mgmt {
-		pl, reason := a.plane(m.Addr)
-		if reason != "" {
-			return residue(reason)
+	for i, rep := range reps {
+		if left == "" {
+			pl, reason := a.plane(rep)
+			if reason == "" {
+				bad, why := check(pl, i)
+				if why != "" {
+					return residue(why)
+				}
+				if bad != "" {
+					return falsified(bad, pl.selections(), pl.pkt, pl.env)
+				}
+				blame = append(blame, pl.origins...)
+				continue
+			}
+			left, tries = reason, min(i, menuLimit)
 		}
-		if r := pl.unreached(m.Router); r != "" {
-			return falsified("mgmt-unreachable:"+r, pl.blame(), pl.pkt, pl.env)
+		if out, done := try(planeKey{rep, -1}, i); done {
+			return out
 		}
-		blame = append(blame, pl.origins...)
 	}
-	if goal.MaxFailures > 0 {
-		return residue("failure-budget")
+	if left == "" {
+		if goal.MaxFailures > 0 {
+			// The unique-stable-state argument only covers the
+			// zero-failure environment; nothing was falsified there, but
+			// a failure could still break the property.
+			return residue("failure-budget")
+		}
+		provenance.SortOrigins(blame)
+		return verified("stable-state", provenance.DedupeOrigins(blame))
 	}
-	provenance.SortOrigins(blame)
-	return verified("stable-state", provenance.DedupeOrigins(blame))
+	for _, p := range a.menuPeers() {
+		for i, rep := range reps {
+			if !a.admits(p, rep) {
+				continue
+			}
+			if out, done := try(planeKey{rep, p.ext}, i); done {
+				return out
+			}
+		}
+	}
+	return residue(left)
+}
+
+// menuPeer is one announcing entry of the menu: an external peer, by
+// position in Topo.Externals, and its session.
+type menuPeer struct {
+	ext  int
+	sess *protograph.BGPSession
+}
+
+// menuPeers lists the external peers in topology order.
+func (a *Analysis) menuPeers() []menuPeer {
+	topo := a.G.Topo
+	var out []menuPeer
+	for i, e := range topo.Externals {
+		for _, sess := range a.G.SessionsOf(e.Router) {
+			if sess.Kind == protograph.EBGPExternal && sess.Ext == e {
+				out = append(out, menuPeer{i, sess})
+				break
+			}
+		}
+	}
+	return out
+}
+
+// admits reports whether the peer's import may let rep/32 through. When
+// it certainly does not, the peer's plane is the empty environment's.
+func (a *Analysis) admits(p menuPeer, rep network.IP) bool {
+	inMap := p.sess.NbrAtA.InMap
+	if inMap == "" {
+		return true
+	}
+	cfg := a.cfgs[p.sess.A.Index]
+	rm := cfg.RouteMaps[inMap]
+	return rm != nil && plenMaySurvive(cfg, rm, 32, rep)
 }
 
 // unreached is the first router, in Node.Index order, other than owner
@@ -296,8 +381,8 @@ type plane struct {
 	off, edges  []int
 	revOff, rev []int
 	extFwd      []bool
-	// origins is blame's answer, built once the plane is known to be
-	// environment-independent.
+	// origins is selections' answer, built once the plane is known to be
+	// environment-independent: what a verified walk blames.
 	origins []provenance.Origin
 }
 
@@ -318,9 +403,10 @@ type planeKey struct {
 
 // plane returns the representative's data plane: the empty-environment
 // stable state, simulated on the first call for rep and shared by every
-// later one. A non-empty reason is residue for the deterministic path:
-// "no-convergence" (the plane is nil) or "external-influence" (the plane
-// is a real stable state, but an announcement could displace it).
+// later one. A non-empty reason takes the walk out of the deterministic
+// fragment: "no-convergence" (the plane is nil) or "external-influence"
+// (the plane is a real stable state, but an announcement could displace
+// it).
 func (a *Analysis) plane(rep network.IP) (*plane, string) {
 	return a.planeUnder(planeKey{rep, -1})
 }
@@ -652,14 +738,9 @@ func (p *plane) evaluate(goal Goal) (bool, string) {
 	return false, "unsupported-check"
 }
 
-// blame names the routing decisions the plane's verdict rests on: each
-// router's installed best route, in the provenance vocabulary the SAT
+// selections names the routing decisions the plane's verdict rests on:
+// each router's installed best route, in the provenance vocabulary the SAT
 // path's counterexample blame uses. The slice is the caller's.
-func (p *plane) blame() []provenance.Origin {
-	return append([]provenance.Origin(nil), p.origins...)
-}
-
-// selections computes blame's answer.
 func (p *plane) selections() []provenance.Origin {
 	out := []provenance.Origin{propertyOrigin}
 	for x, n := range p.a.G.Topo.Nodes {

@@ -170,3 +170,185 @@ func (a *Analysis) MenuTries() int {
 	defer a.mu.Unlock()
 	return a.menuTries
 }
+
+// RefDecide is Decide as it was before the walk: the deterministic path
+// (rule 3) over the empty environment, then, when it handed the goal down
+// only because the network is outside its fragment, simulated
+// falsification (rule 4) walking the menu again from the start. It is the
+// reference the walk is held to, field for field.
+func (a *Analysis) RefDecide(goal Goal) Outcome {
+	for _, r := range append(append([]string{}, goal.Sources()...), goal.Via) {
+		if r != "" && a.G.Topo.Node(r) == nil {
+			return residue("unknown-router")
+		}
+	}
+	switch goal.Check {
+	case "loops":
+		if len(a.loopCandidates()) == 0 {
+			return verified("no-loop-candidates", []provenance.Origin{propertyOrigin})
+		}
+		return a.refDetDecide(goal, scope(goal))
+	case "blackholes", "multipath-consistency":
+		return a.refDetDecide(goal, scope(goal))
+	case "mgmt-reachability":
+		mgmt := a.managementAddrs(scope(goal))
+		if len(mgmt) == 0 {
+			return verified("no-management-interfaces", []provenance.Origin{propertyOrigin})
+		}
+		return a.refDetMgmt(goal, mgmt)
+	case "no-leak":
+		if len(a.G.Topo.Externals) == 0 {
+			return verified("no-external-peers", []provenance.Origin{propertyOrigin})
+		}
+		return residue("environment-dependent-exports")
+	case "reachability", "reachability-all", "isolation", "waypoint",
+		"bounded-length", "bounded-length-all", "equal-lengths":
+		if !goal.HasSubnet {
+			return residue("missing-subnet")
+		}
+		if len(goal.Sources()) == 0 {
+			return residue("missing-source")
+		}
+		if out := a.mayDecide(goal); out.Decided {
+			return out
+		}
+		return a.refDetDecide(goal, goal.Subnet)
+	}
+	return residue("unsupported-check")
+}
+
+func (a *Analysis) refDetDecide(goal Goal, region network.Prefix) Outcome {
+	out := a.refDetEvaluate(goal, region)
+	if !a.refOutsideFragment(out) {
+		return out
+	}
+	reps, ok := a.reps(region)
+	if !ok {
+		return out
+	}
+	return a.refFalsify(out, reps, func(pl *plane, _ int) (bool, string) { return pl.evaluate(goal) })
+}
+
+func (a *Analysis) refDetEvaluate(goal Goal, region network.Prefix) Outcome {
+	if a.detReason != "" {
+		return residue(a.detReason)
+	}
+	if a.aclReason != "" {
+		return residue(a.aclReason)
+	}
+	reps, ok := a.reps(region)
+	if !ok {
+		return residue("too-many-fecs")
+	}
+	blame := []provenance.Origin{propertyOrigin}
+	for _, rep := range reps {
+		pl, reason := a.plane(rep)
+		if reason != "" {
+			return residue(reason)
+		}
+		violated, reason := pl.evaluate(goal)
+		if reason != "" {
+			return residue(reason)
+		}
+		if violated {
+			return falsified("stable-state-violation", append([]provenance.Origin(nil), pl.origins...), pl.pkt, pl.env)
+		}
+		blame = append(blame, pl.origins...)
+	}
+	if goal.MaxFailures > 0 {
+		return residue("failure-budget")
+	}
+	provenance.SortOrigins(blame)
+	return verified("stable-state", provenance.DedupeOrigins(blame))
+}
+
+func (a *Analysis) refDetMgmt(goal Goal, mgmt []mgmtAddr) Outcome {
+	out := a.refDetMgmtEvaluate(goal, mgmt)
+	if !a.refOutsideFragment(out) {
+		return out
+	}
+	reps := make([]network.IP, len(mgmt))
+	for i, m := range mgmt {
+		reps[i] = m.Addr
+	}
+	return a.refFalsify(out, reps, func(pl *plane, i int) (bool, string) {
+		return pl.unreached(mgmt[i].Router) != "", ""
+	})
+}
+
+func (a *Analysis) refDetMgmtEvaluate(goal Goal, mgmt []mgmtAddr) Outcome {
+	if a.detReason != "" {
+		return residue(a.detReason)
+	}
+	if a.aclReason != "" {
+		return residue(a.aclReason)
+	}
+	blame := []provenance.Origin{propertyOrigin}
+	for _, m := range mgmt {
+		pl, reason := a.plane(m.Addr)
+		if reason != "" {
+			return residue(reason)
+		}
+		if r := pl.unreached(m.Router); r != "" {
+			return falsified("mgmt-unreachable:"+r, append([]provenance.Origin(nil), pl.origins...), pl.pkt, pl.env)
+		}
+		blame = append(blame, pl.origins...)
+	}
+	if goal.MaxFailures > 0 {
+		return residue("failure-budget")
+	}
+	provenance.SortOrigins(blame)
+	return verified("stable-state", provenance.DedupeOrigins(blame))
+}
+
+func (a *Analysis) refOutsideFragment(out Outcome) bool {
+	if out.Decided || out.Reason == "" {
+		return false
+	}
+	switch out.Reason {
+	case a.detReason, a.aclReason, "external-influence", "no-convergence":
+		return true
+	}
+	return false
+}
+
+func (a *Analysis) refFalsify(old Outcome, reps []network.IP, violated func(pl *plane, i int) (bool, string)) Outcome {
+	peers := a.menuPeers()
+	tries := 0
+	defer func() {
+		a.mu.Lock()
+		a.menuTries += tries
+		a.mu.Unlock()
+	}()
+	for entry := -1; entry < len(peers); entry++ {
+		k := planeKey{peer: -1}
+		if entry >= 0 {
+			k.peer = peers[entry].ext
+		}
+		for i, rep := range reps {
+			if entry >= 0 && !a.admits(peers[entry], rep) {
+				continue
+			}
+			if tries == menuLimit {
+				return old
+			}
+			tries++
+			k.rep = rep
+			pl, _ := a.planeUnder(k)
+			if pl == nil {
+				continue
+			}
+			if bad, reason := violated(pl, i); !bad || reason != "" {
+				continue
+			}
+			blame := pl.selections()
+			if entry >= 0 {
+				e := a.G.Topo.Externals[k.peer]
+				blame = append(blame, provenance.Origin{Router: e.Router.Name, Proto: "bgp", Kind: "neighbor", Name: "ext." + e.Name})
+				provenance.SortOrigins(blame)
+			}
+			return falsified(ReasonSimulated, blame, pl.pkt, pl.env)
+		}
+	}
+	return old
+}

@@ -12,10 +12,11 @@
 //     whose routing is environment-independent up to prefix-length
 //     domination, the concrete simulator's unique stable state, evaluated
 //     once per forwarding-equivalence class of the destination set;
-//   - outside that fragment, concrete witnesses: the stable states of a
-//     fixed menu of environments (silence, then each external peer
-//     announcing the destination's /32), any of which that violates the
-//     property is a counterexample. This rule only falsifies.
+//   - outside that fragment, concrete witnesses found by the same walk
+//     over stable states: those of a fixed menu of environments (silence,
+//     then each external peer announcing the destination's /32), any of
+//     which that violates the property is a counterexample. There the
+//     walk only falsifies.
 //
 // A goal is answered definitively only when the relevant approximation is
 // sound for its property class (see DESIGN.md §14 for the per-class
@@ -130,7 +131,7 @@ type Outcome struct {
 	Blame []provenance.Origin
 	// Packet and Env witness a falsified verdict: a concrete stable
 	// state (the simulator's fixpoint under Env — the empty environment,
-	// or one peer's announcement on the simulated-falsification rule) in
+	// or, outside the deterministic fragment, one peer's announcement) in
 	// which the property fails. Both are nil on verified or residue
 	// outcomes.
 	Packet *config.Packet
