@@ -353,13 +353,16 @@ type tierCounts struct {
 // goal whose key (scenario name and goal) is in seen was held to the
 // solver before and is skipped; seen
 // records the rest, so a sweep over many seeds of one fixture asks the
-// solver each question once. A nil seen skips nothing.
+// solver each question once. A nil seen skips nothing. The decided goals
+// are answered through one solver session on the scenario's model, opened
+// by the first of them: the network is blasted once, not once a goal.
 func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (n tierCounts, err error) {
 	a := tiered.NewAnalysis(s.Net.Graph)
 	m, err := s.Encode("")
 	if err != nil {
 		return n, err
 	}
+	var sess *core.Session
 	goals := s.TierGoals(rng)
 	q := goals[0] // the per-source goals carry the drawn query
 	for _, goal := range goals {
@@ -374,7 +377,10 @@ func (s *Scenario) tierParity(rng *rand.Rand, seen map[string]bool) (n tierCount
 			}
 			seen[key] = true
 		}
-		want, err := answer(m, goal, freshCheck(m))
+		if sess == nil {
+			sess = m.NewSession()
+		}
+		want, err := answer(m, goal, sess.CheckContext)
 		if err != nil {
 			return n, fmt.Errorf("fuzz: %s: %s: sat check: %w", s.Name, goal.Check, err)
 		}

@@ -372,6 +372,34 @@ func TestRunModularStep(t *testing.T) {
 	}
 }
 
+// TestModularAnswersTheTiersResidue: with the graph tier on, the modular
+// step still answers on a fabric. An inter-router link /30 is carried by
+// no router in BGP, and the cores' BLOCK-FABRIC filter admits covering
+// announcements such as 0.0.0.0/0, so the tier leaves a goal scoped to it
+// as residue external-influence. The modular step verifies it without
+// reaching the monolithic one; at pods-8 the monolithic step does not
+// finish these goals in 100 s (DESIGN §15).
+func TestModularAnswersTheTiersResidue(t *testing.T) {
+	opts := options("")
+	opts.Modular, opts.Workers = true, 2
+	opts.Live = func() (*core.Model, *core.Session, error) {
+		t.Error("the goal reached the monolithic step")
+		return nil, nil, errors.New("no monolithic step")
+	}
+	fab := fabric(t, 4)
+	link := network.MustParsePrefix("172.16.0.0/30") // tor-0-0 to agg-0-0
+	for _, check := range []string{"blackholes", "multipath-consistency"} {
+		v, err := pipeline.Run(context.Background(), fab, tiered.Goal{Check: check, Subnet: link, HasSubnet: true}, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", check, err)
+		}
+		if v.GraphResidue != "external-influence" || v.Mode != pipeline.ModeModular || v.Result == nil || !v.Result.Verified {
+			t.Fatalf("%s: graph residue %q, mode %q, result %v (residue %v); want external-influence, then a verified composition",
+				check, v.GraphResidue, v.Mode, v.Result, v.Residue)
+		}
+	}
+}
+
 // TestRunLiveSession is the monolithic step's other parameter: the
 // caller's long-lived session answers goal after goal on one blast of
 // the network, with the verdicts of a fresh model.

@@ -74,7 +74,8 @@ func singleShot(t *testing.T, cfgs map[string]string, spec Spec, tiers string) b
 // TestEditedCopyEarnsItsSession: a network whose wiring the engine holds
 // already is an edited copy. Its first solver question is answered on a
 // fresh solver and leaves no solver behind; its second opens its session
-// and its third reuses it. Every other network opens its session eagerly.
+// and its third reuses it. Every other network opens its session with its
+// first solver question.
 func TestEditedCopyEarnsItsSession(t *testing.T) {
 	held := chainConfigs(3)
 	reach := Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"}

@@ -116,17 +116,16 @@ type netEntry struct {
 	mu      sync.Mutex
 	routers []*config.Router // the parse the entry was created for
 	// edited marks an edited copy: an entry created with the wiring
-	// (wiringDigest) of an entry the engine already held. Its model is
-	// encoded by its first solver question, which is answered on a fresh
-	// solver; only a second solver question opens its session. Most edits
-	// are asked one question, and a session nobody asks again is memory.
+	// (wiringDigest) of an entry the engine already held. Its first solver
+	// question is answered on a fresh solver; only a second one opens its
+	// session. Most edits are asked one question, and a session nobody
+	// asks again is memory.
 	edited bool
 	built  bool
 	err    error // permanent build failure, replayed to later jobs
 	net    *pipeline.Network
-	// m is nil until built. With Options.Modular, and for an edited copy,
-	// the model is built lazily — by the first solver question — so
-	// networks answered entirely by the earlier steps never pay the
+	// m is nil until the entry's first solver question encodes it, so a
+	// network the earlier steps answer entirely never pays the
 	// whole-network encode. Each job points its options at the job's
 	// observers before it opens the session or checks.
 	m    *core.Model
@@ -707,22 +706,12 @@ func (e *Engine) network(j *Job) (*netEntry, error) {
 	return slot.ent, slot.err
 }
 
-// build graphs a parsed network, then — unless the engine runs modular or
-// the network is an edited copy, where the whole-network model may never
-// be needed — encodes it and opens the solver session. Called with ent.mu
-// held, once per entry; failures are cached as permanent. opts are the
-// building job's, under its build span, so the job's trace and flight
-// recorder carry the network's one-time setup cost.
-func (e *Engine) build(ent *netEntry, opts core.Options) error {
-	net, err := pipeline.Build(ent.routers)
-	if err != nil {
-		return err
-	}
-	ent.net = net
-	if e.opts.Modular || ent.edited {
-		return nil
-	}
-	return e.buildModel(ent, opts)
+// build graphs a parsed network; its model waits for the first solver
+// question (buildModel). Called with ent.mu held, once per entry; a
+// failure is cached as permanent.
+func (e *Engine) build(ent *netEntry, _ core.Options) (err error) {
+	ent.net, err = pipeline.Build(ent.routers)
+	return err
 }
 
 // jobOptions are the core options of every check one job runs: the
@@ -761,8 +750,11 @@ func (e *Engine) jobOptions(j *Job, sp *obs.Span, budget *budgetState) core.Opti
 }
 
 // buildModel encodes the whole network and, unless the network is an
-// edited copy, opens its solver session. Called with ent.mu held, at most
-// once per entry: a failure is permanent (ent.err).
+// edited copy, opens its solver session. Called by the entry's first
+// solver question with ent.mu held, so at most once per entry: a failure
+// is permanent (ent.err). opts are the asking job's, under its set-up
+// span, so the job's trace and flight recorder carry the network's
+// one-time cost.
 func (e *Engine) buildModel(ent *netEntry, opts core.Options) error {
 	m, err := core.Encode(ent.net.Graph, opts)
 	if err != nil {
@@ -856,10 +848,9 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 		return nil, err
 	}
 
-	// The monolithic step runs on the entry's live session, built lazily
-	// under Options.Modular. An edited copy answers its first solver
-	// question on a fresh solver (a nil session) and opens its session for
-	// the second.
+	// The monolithic step runs on the entry's live session, built by its
+	// first solver question. An edited copy answers that question on a
+	// fresh solver (a nil session) and opens its session for the second.
 	var onSession bool
 	opts.Live = func() (*core.Model, *core.Session, error) {
 		if ent.m == nil {

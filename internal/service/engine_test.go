@@ -183,8 +183,12 @@ func TestEngineCounterexample(t *testing.T) {
 	}
 }
 
+// TestEngineParallelNetworks: three distinct networks asked at once on
+// four workers each build, encode and open a session of their own. The
+// graph tier is off, so every question reaches the solver and encodes its
+// network.
 func TestEngineParallelNetworks(t *testing.T) {
-	e := newTestEngine(t, 4)
+	e := newSATTestEngine(t, 4)
 	nets := []map[string]string{chainConfigs(3), chainConfigs(4), figure2Configs()}
 	specs := []Spec{
 		{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
@@ -217,8 +221,56 @@ func TestEngineParallelNetworks(t *testing.T) {
 			t.Fatalf("job %d: violated without counterexample", i)
 		}
 	}
-	if builds := e.Trace().Counter("service.session_builds"); builds != 3 {
+	tr := e.Trace()
+	if builds := tr.Counter("service.session_builds"); builds != 3 {
 		t.Fatalf("session_builds=%d, want 3 (three distinct networks)", builds)
+	}
+	if c, s := tr.Counter("service.compiles"), tr.Counter("service.session_checks"); c != 3 || s != 3 {
+		t.Fatalf("compiles=%d session_checks=%d, want 3 and 3", c, s)
+	}
+}
+
+// TestGraphTierNetworkIsNeverEncoded: a network whose every question the
+// graph tier answers is graphed and never encoded — no compile, no
+// session. Its first question the tier leaves encodes it and opens its
+// session.
+func TestGraphTierNetworkIsNeverEncoded(t *testing.T) {
+	e := newTestEngine(t, 1)
+	cfgs := chainConfigs(3)
+	for _, s := range []Spec{
+		{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24"},
+		{Check: "bounded-length", Src: "R3", Subnet: "10.100.1.0/24", Hops: 4},
+		{Check: "isolation", Src: "R1", Subnet: "10.100.2.0/24"},
+		{Check: "loops"},
+		{Check: "blackholes"},
+	} {
+		v, err := e.Verify(context.Background(), &Request{Configs: cfgs, Spec: s})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Check, err)
+		}
+		if v.Tier != "graph" {
+			t.Fatalf("%s: tier %q, want a graph-tier answer", s.Check, v.Tier)
+		}
+	}
+	counters := func() [3]int64 {
+		tr := e.Trace()
+		return [3]int64{tr.Counter("service.compiles"), tr.Counter("service.session_builds"),
+			tr.Counter("service.session_checks") + tr.Counter("service.fresh_checks")}
+	}
+	if got := counters(); got != [3]int64{} {
+		t.Fatalf("compiles, session builds, solver checks = %v, want none", got)
+	}
+
+	spec := Spec{Check: "reachability", Src: "R1", Subnet: "10.100.3.0/24", MaxFailures: 1}
+	v, err := e.Verify(context.Background(), &Request{Configs: cfgs, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Tier != "sat" || v.Verified != singleShot(t, cfgs, spec, "none") {
+		t.Fatalf("tier %q verified %v, want the solver's answer", v.Tier, v.Verified)
+	}
+	if got := counters(); got != [3]int64{1, 1, 1} {
+		t.Fatalf("compiles, session builds, solver checks = %v, want 1, 1, 1", got)
 	}
 }
 

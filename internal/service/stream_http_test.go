@@ -186,13 +186,15 @@ func TestSSEMilestonesPrecedeTheVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	at := map[string]int{} // event (or "phase.end:<name>") → last position
+	at := map[string]int{}    // event (or "phase.start|end:<name>") → last position
+	first := map[string]int{} // … → first position
 	var open []string
 	for i, m := range collectSSE(readSSE(t, bufio.NewReader(resp.Body)), 10*time.Second) {
 		key := m.Event
 		switch m.Event {
 		case stream.EventPhaseStart:
 			open = append(open, m.Data.Data["phase"].(string))
+			key += ":" + open[len(open)-1]
 		case stream.EventPhaseEnd:
 			name := m.Data.Data["phase"].(string)
 			if len(open) == 0 || open[len(open)-1] != name {
@@ -202,6 +204,9 @@ func TestSSEMilestonesPrecedeTheVerdict(t *testing.T) {
 			key += ":" + name
 		}
 		at[key] = i
+		if _, ok := first[key]; !ok {
+			first[key] = i
+		}
 	}
 	if len(open) != 0 {
 		t.Fatalf("phases left open: %v", open)
@@ -211,14 +216,22 @@ func TestSSEMilestonesPrecedeTheVerdict(t *testing.T) {
 		t.Fatal("no verdict event")
 	}
 	for _, before := range []string{stream.EventPass, stream.EventCertify, stream.EventBlame,
-		"phase.end:build", "phase.end:property", "phase.end:compile", "phase.end:blast", "phase.end:simplify",
-		"phase.end:solve", "phase.end:certify", "phase.end:blame"} {
+		"phase.end:build", "phase.end:build-model", "phase.end:property", "phase.end:compile", "phase.end:blast",
+		"phase.end:simplify", "phase.end:solve", "phase.end:certify", "phase.end:blame"} {
 		if i, ok := at[before]; !ok || i > verdict {
 			t.Errorf("%s at %d (present %v), verdict at %d", before, i, ok, verdict)
 		}
 	}
-	if at["phase.end:simplify"] > at["phase.end:build"] {
-		t.Error("the session set-up's phases are not inside the build")
+	// The build only graphs the network; the solver question encodes it
+	// and opens its session, so every set-up phase sits inside build-model.
+	start, end := at["phase.start:build-model"], at["phase.end:build-model"]
+	if at["phase.end:build"] > start {
+		t.Error("build-model began before the build ended")
+	}
+	for _, p := range []string{"compile", "blast", "simplify"} {
+		if first["phase.start:"+p] < start || first["phase.end:"+p] > end {
+			t.Errorf("the session set-up's %s phase is not inside build-model", p)
+		}
 	}
 }
 

@@ -178,3 +178,27 @@ func TestASNsAvoidBackbone(t *testing.T) {
 		seen[asn] = r.Name
 	}
 }
+
+// TestGenerateDeterministic pins byte-identical regeneration: modular
+// partition hashes, contract IDs and the daemon's config hashes are
+// derived from these configurations, so any nondeterminism here (map
+// iteration leaking into emission order, unstable addressing) would break
+// verdict caching and isomorphism aliasing across runs.
+func TestGenerateDeterministic(t *testing.T) {
+	a, err := Generate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Generate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Routers) != len(b.Routers) || len(a.Routers) != 20 {
+		t.Fatalf("routers = %d / %d, want 20", len(a.Routers), len(b.Routers))
+	}
+	for i := range a.Routers {
+		if at, bt := config.Print(a.Routers[i]), config.Print(b.Routers[i]); at != bt {
+			t.Fatalf("router %d (%s) regenerated differently:\n%s\nvs\n%s", i, a.Routers[i].Name, at, bt)
+		}
+	}
+}
