@@ -1,13 +1,8 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/smt"
@@ -87,8 +82,7 @@ func resolvePasses(o Options) (passSpec, error) {
 // CompiledNetwork is the property-agnostic compilation artifact: the
 // model's constraint system N after the term-level passes, cached on the
 // model and shared by its fresh checks and sessions. It is immutable once
-// built. Its Hash covers the asserted control plane only, so it is not a
-// key to share networks or sessions on (DESIGN §10).
+// built.
 type CompiledNetwork struct {
 	// Asserts is the post-pass constraint system, ready to blast.
 	Asserts []*smt.Term
@@ -103,22 +97,15 @@ type CompiledNetwork struct {
 	// Origins runs parallel to Asserts: the provenance base ids (interned
 	// in the model's Prov table) each post-pass assert descends from.
 	Origins [][]int32
-
-	hash func() string
 }
-
-// Hash is the hex SHA-256 of the asserts' DAG serialization — equal
-// hashes mean structurally identical compiled systems, even across
-// different smt.Contexts. It is computed the first time it is asked for.
-func (cn *CompiledNetwork) Hash() string { return cn.hash() }
 
 // Compile runs the property-agnostic term pass (propagate, when
 // Options.Passes enables it) over the model's current constraint
-// system and returns the content-addressed artifact. The result is
-// cached on the model: repeated calls are free until Asserts grows or
-// is replaced, so every session and fresh check of one model shares a
-// single compilation. Goal-relative pruning (coi) is not part of the
-// artifact — it runs per query in CheckGoal.
+// system and returns the artifact. The result is cached on the model:
+// repeated calls are free until Asserts grows or is replaced, so every
+// session and fresh check of one model shares a single compilation.
+// Goal-relative pruning (coi) is not part of the artifact — it runs per
+// query in CheckGoal.
 func (m *Model) Compile() *CompiledNetwork {
 	if cn := m.cachedCompile(); cn != nil {
 		return cn
@@ -150,8 +137,6 @@ func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
 		cn.PassStats = []passes.Stats{passes.Propagate(sys, sp)}
 	}
 	cn.Asserts, cn.Origins = sys.Asserts, sys.Origins
-	ctx := m.Ctx // the artifact must not keep the model alive
-	cn.hash = sync.OnceValue(func() string { return hashTerms(ctx, cn.Asserts) })
 	sp.SetInt("asserts_in", int64(cn.BaseLen))
 	sp.SetInt("asserts_out", int64(len(cn.Asserts)))
 	m.compiled = cn
@@ -168,45 +153,3 @@ func (m *Model) compile(sp *obs.Span) *CompiledNetwork {
 // batch path compiles once per network while the fresh path recompiles
 // as instrumentation grows the assert list.
 func (m *Model) CompileCount() int { return m.compiles }
-
-// hashTerms is the content address of a term list: a SHA-256 over a
-// deterministic post-order serialization of the DAG. Node identity is
-// the discovery index, not the context-local term id, so structurally
-// identical systems hash equally across contexts and processes.
-func hashTerms(c *smt.Context, ts []*smt.Term) string {
-	h := sha256.New()
-	idx := make([]uint32, c.NumTerms()) // by term id: 1 + discovery index, 0 before discovery
-	found := uint32(0)
-	var scratch [8]byte
-	writeU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		h.Write(scratch[:4])
-	}
-	var walk func(t *smt.Term) uint32
-	walk = func(t *smt.Term) uint32 {
-		if i := idx[t.ID()]; i != 0 {
-			return i - 1
-		}
-		var few [4]uint32 // all but wide conjunctions and disjunctions
-		kidIdx := few[:0]
-		for _, k := range t.Kids() {
-			kidIdx = append(kidIdx, walk(k))
-		}
-		h.Write([]byte{byte(t.Op()), byte(t.Width())})
-		binary.LittleEndian.PutUint64(scratch[:8], t.Const())
-		h.Write(scratch[:8])
-		io.WriteString(h, t.Name())
-		h.Write([]byte{0})
-		writeU32(uint32(len(kidIdx)))
-		for _, ki := range kidIdx {
-			writeU32(ki)
-		}
-		found++
-		idx[t.ID()] = found
-		return found - 1
-	}
-	for _, t := range ts {
-		writeU32(walk(t))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}

@@ -64,25 +64,6 @@ func TestCompileCacheSeesSplicedAsserts(t *testing.T) {
 	}
 }
 
-func TestCompileHashContentAddressed(t *testing.T) {
-	// Structurally identical networks hash equally across contexts...
-	m1 := encodeNet(t, testnets.Figure2(), DefaultOptions())
-	m2 := encodeNet(t, testnets.Figure2(), DefaultOptions())
-	h1, h2 := m1.Compile().Hash(), m2.Compile().Hash()
-	if h1 == "" || h1 != h2 {
-		t.Fatalf("same network must compile to the same hash: %q vs %q", h1, h2)
-	}
-	// ...and different networks (or pipelines) hash differently.
-	m3 := encodeNet(t, testnets.OSPFChain(3), DefaultOptions())
-	if h3 := m3.Compile().Hash(); h3 == h1 {
-		t.Fatal("different networks must not collide")
-	}
-	m4 := encodeNet(t, testnets.Figure2(), Options{Passes: "none"})
-	if h4 := m4.Compile().Hash(); h4 == h1 {
-		t.Fatal("different pipelines produce different systems")
-	}
-}
-
 func TestCheckGoalMatchesCheck(t *testing.T) {
 	net := testnets.OSPFChain(3)
 	dst := testnets.StubIP(3)

@@ -250,7 +250,7 @@ func (q *sweep) differs(a, b *smt.Term) (bool, error) {
 		return true, nil
 	}
 	sol := smt.NewSolver(c)
-	proof := q.m.instrument(sol)
+	proof, chk := q.m.instrument(sol)
 	sol.Assert(d)
 	// The sweep is one check: its progress counts from the sweep's start,
 	// where this fresh solver's counters stood at minus r.Stats.
@@ -265,7 +265,7 @@ func (q *sweep) differs(a, b *smt.Term) (bool, error) {
 	if status == sat.Sat || proof == nil {
 		return status == sat.Sat, nil
 	}
-	cert, _, err := certify(nil, proof, false)
+	cert, _, err := certify(nil, chk, proof)
 	if err != nil {
 		return false, err
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs/stream"
 	"repro/internal/provenance"
 	"repro/internal/sat"
+	"repro/internal/sat/drat"
 	"repro/internal/smt"
 	"repro/internal/smt/passes"
 )
@@ -50,16 +51,17 @@ func (m *Model) tracks() bool { return m.Opts.Blame || m.Opts.ProfileOrigins }
 
 // instrument switches on what Options ask of a new solver: origin
 // tracking, and the proof trace that certification and UNSAT-core blame
-// replay (nil when neither is on).
-func (m *Model) instrument(sol *smt.Solver) *sat.Proof {
+// replay, with the checker that follows it (both nil when neither is on).
+func (m *Model) instrument(sol *smt.Solver) (*sat.Proof, *drat.Checker) {
 	st := sol.SAT()
 	if m.tracks() {
 		st.EnableOriginTracking()
 	}
 	if m.Opts.Certify || m.Opts.Blame {
-		return st.EnableProof()
+		proof := st.EnableProof()
+		return proof, drat.NewChecker(proof, m.Opts.Blame)
 	}
-	return nil
+	return nil, nil
 }
 
 // tailOrigins returns the provenance of Model.Asserts[from:], one origin
@@ -234,6 +236,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 
 	var x *executor
 	var proof *sat.Proof
+	var chk *drat.Checker
 	var assume []sat.Lit // the session's activation literal
 	// base is the solver's count when this query's ledger opened: zero
 	// for a new solver, the session's running total for a session check.
@@ -250,7 +253,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	if s == nil {
 		x = m.newExecutor(smt.NewSolver(c), "check", "goal")
 		defer x.Span.End()
-		proof = m.instrument(x.sol)
+		proof, chk = m.instrument(x.sol)
 		_, sys := x.compile(cn, goals, res)
 		blameAsserts, blameOrigins = sys.Asserts, sys.Origins
 		if scoped := m.probeScope(assumptions); len(scoped) > 0 {
@@ -271,7 +274,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	} else {
 		x = m.newExecutor(s.sol, "session-check", "goal")
 		defer x.Span.End()
-		x.mark, base, proof = solverWork(x.sol), x.sol.SAT().Stats, s.proof
+		x.mark, base, proof, chk = solverWork(x.sol), x.sol.SAT().Stats, s.proof, s.chk
 		// The session only ever appends to the solver: verify the blasted
 		// prefix of m.Asserts is still the one we blasted before trusting it.
 		if len(m.Asserts) < s.asserted ||
@@ -308,16 +311,15 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		res.Verified = true
 		if proof != nil {
 			// A session's UNSAT is relative to its activation literal, which
-			// the checker gets as an assumption; its trace is cumulative over
-			// the session's life, so certification cost grows with the number
-			// of checks.
+			// the checker gets as an assumption; the session's checker
+			// replays only what the trace recorded since its last check.
 			if s == nil && !m.tracks() {
 				// The check reads the trace alone and only origin tables are
 				// read after it: let the clause database go before the
 				// checker builds its own.
 				x.sol = nil
 			}
-			cert, core, err := certify(x.Begin("certify"), proof, m.Opts.Blame, assume...)
+			cert, core, err := certify(x.Begin("certify"), chk, proof, assume...)
 			window := x.End(cost.Work{ProofBytes: proof.Bytes()})
 			if err != nil {
 				return nil, err

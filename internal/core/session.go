@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs/cost"
 	"repro/internal/sat"
+	"repro/internal/sat/drat"
 	"repro/internal/smt"
 )
 
@@ -54,7 +55,10 @@ type Session struct {
 	lastBlasted *smt.Term
 	checks      int
 
-	proof *sat.Proof // non-nil when Options.Certify or Options.Blame is on
+	// proof is non-nil when Options.Certify or Options.Blame is on; chk
+	// follows it from check to check.
+	proof *sat.Proof
+	chk   *drat.Checker
 
 	// setupCost is the one-time session ledger (compile, shared blast,
 	// simplify); per-check Results carry their own ledgers. The service
@@ -78,7 +82,7 @@ func (m *Model) NewSession() *Session {
 	s := &Session{m: m, sol: smt.NewSolver(m.Ctx)}
 	x := m.newExecutor(s.sol, "session", "session-setup")
 	defer x.Span.End()
-	s.proof = m.instrument(x.sol)
+	s.proof, s.chk = m.instrument(x.sol)
 	s.cn, _ = x.compile(nil, nil, nil)
 	x.blast(s.sol.Assert, s.cn.Asserts, s.cn.Origins, nil)
 	s.noteBlasted(s.cn.BaseLen)

@@ -161,21 +161,15 @@ func (c *Certificate) plus(o *Certificate) *Certificate {
 	return c
 }
 
-// certify replays a recorded proof trace through the independent DRAT
-// checker; cSp is the open certify phase's span. It returns the
-// certificate, or an error when the trace does not establish UNSAT — in
-// which case the caller must not report a verdict. With wantCore set the
-// checker additionally extracts the unsatisfiable core (indices of the
-// input steps the refutation depends on) in the same replay.
-func certify(cSp *obs.Span, proof *sat.Proof, wantCore bool, assumptions ...sat.Lit) (*Certificate, []int, error) {
-	var st *drat.Stats
-	var core []int
-	var err error
-	if wantCore {
-		st, core, err = drat.CheckCore(proof, assumptions...)
-	} else {
-		st, err = drat.Check(proof, assumptions...)
-	}
+// certify asks chk, the checker bound to proof, to replay what the trace
+// recorded since its last check and to verify that it refutes the
+// assumptions; cSp is the open certify phase's span. It returns the
+// certificate and, when chk extracts cores, the unsatisfiable core
+// (indices of the input steps the refutation depends on), or an error
+// when the trace does not establish UNSAT — in which case the caller must
+// not report a verdict.
+func certify(cSp *obs.Span, chk *drat.Checker, proof *sat.Proof, assumptions ...sat.Lit) (*Certificate, []int, error) {
+	st, core, err := chk.Check(assumptions...)
 	cSp.SetInt("steps", int64(proof.NumSteps()))
 	cSp.SetInt("lits", int64(proof.NumLits()))
 	if err != nil {

@@ -3,9 +3,11 @@ package modular
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -24,12 +26,9 @@ type Options struct {
 	// they are compiled without its span and event sink, which receives
 	// the run's own events ("modular.class", ...).
 	Core core.Options
-	// Workers bounds class-level parallelism for the built-in scheduler
-	// (<=0 means one worker). Ignored when Schedule is set.
+	// Workers is the number of goroutines Run checks classes on (<=0
+	// means one).
 	Workers int
-	// Schedule, when non-nil, runs the per-class closures on an external
-	// pool (the service engine's workers) and returns when all are done.
-	Schedule func(tasks []func())
 	// NoFallback is read by pipeline.Run, which embeds these options: it
 	// makes residue final instead of handing the goal to the monolithic
 	// step. Run itself never falls back. For fabrics where the
@@ -88,6 +87,47 @@ type classOutcome struct {
 	err      error
 }
 
+// TaskPanic is a class check's panic, raised again on Run's goroutine
+// once every class has run: Value is what the check panicked with, Stack
+// the stack of the goroutine it panicked on.
+type TaskPanic struct {
+	Value any
+	Stack []byte
+}
+
+// runAll runs tasks on workers goroutines (at least one). A task that
+// panics stops neither its goroutine nor the other tasks: once all have
+// returned, the first panic is raised again as a *TaskPanic.
+func runAll(workers int, tasks []func()) {
+	var failed atomic.Pointer[TaskPanic]
+	var wg sync.WaitGroup
+	ch := make(chan func())
+	for w := 0; w < max(workers, 1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range ch {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							failed.CompareAndSwap(nil, &TaskPanic{r, debug.Stack()})
+						}
+					}()
+					t()
+				}()
+			}
+		}()
+	}
+	for _, t := range tasks {
+		ch <- t
+	}
+	close(ch)
+	wg.Wait()
+	if p := failed.Load(); p != nil {
+		panic(p)
+	}
+}
+
 // Run executes a runnable multi-component plan: groups components into
 // isomorphism classes, verifies one representative per class (discharge
 // strata, then the goal's obligations and per-component properties) and
@@ -135,30 +175,7 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 			emit(opts, "modular.class", fields)
 		}
 	}
-	if opts.Schedule != nil {
-		opts.Schedule(tasks)
-	} else {
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		var wg sync.WaitGroup
-		ch := make(chan func())
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range ch {
-					t()
-				}
-			}()
-		}
-		for _, t := range tasks {
-			ch <- t
-		}
-		close(ch)
-		wg.Wait()
-	}
+	runAll(opts.Workers, tasks)
 
 	rep := &Report{Components: len(plan.Comps), Classes: len(order), Cost: cost.New("modular")}
 	var all []*core.ComponentVerdict

@@ -60,7 +60,7 @@ func (s *Scope) End(work Work) time.Duration {
 	}
 	now := readSnap(&s.samples)
 	window := now.wall.Sub(s.last.wall)
-	s.span.End()
+	s.span.EndAt(now.wall)
 	node := s.Ledger.Child(s.phase)
 	node.charge(s.last, now)
 	node.Add(work)

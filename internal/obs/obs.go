@@ -83,15 +83,23 @@ func (s *Span) Start(name string) *Span {
 	return c
 }
 
-// End closes the span. Ending an already-ended span keeps the first end
-// time; ending a nil span is a no-op.
+// End closes the span now. Ending an already-ended span keeps the first
+// end time; ending a nil span is a no-op.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(time.Now())
+	}
+}
+
+// EndAt closes the span at t, a clock reading the caller made, as End
+// does at time.Now().
+func (s *Span) EndAt(t time.Time) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	if s.end.IsZero() {
-		s.end = time.Now()
+		s.end = t
 	}
 	s.mu.Unlock()
 }

@@ -32,7 +32,7 @@ func TestCheckCoreExcludesIrrelevantInputs(t *testing.T) {
 	if st := s.Solve(); st != sat.Unsat {
 		t.Fatalf("status %v, want Unsat", st)
 	}
-	stats, core, err := CheckCore(p)
+	stats, core, err := NewChecker(p, true).Check()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +58,9 @@ func TestCheckCoreExcludesIrrelevantInputs(t *testing.T) {
 	}
 }
 
-// TestCheckCoreAgreesWithCheck runs CheckCore over random UNSAT instances
-// and requires it to accept exactly when Check accepts, with every core
-// index naming an input step.
+// TestCheckCoreAgreesWithCheck runs a core-extracting checker over
+// random UNSAT instances and requires it to accept exactly when Check
+// accepts, with every core index naming an input step.
 func TestCheckCoreAgreesWithCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	unsat := 0
@@ -76,9 +76,9 @@ func TestCheckCoreAgreesWithCheck(t *testing.T) {
 		if _, err := checkEveryHinting(t, hintedSteps(p)); err != nil {
 			t.Fatalf("Check rejected a solver proof: %v", err)
 		}
-		_, core, err := CheckCore(p)
+		_, core, err := NewChecker(p, true).Check()
 		if err != nil {
-			t.Fatalf("CheckCore rejected a proof Check accepted: %v", err)
+			t.Fatalf("the core-extracting checker rejected a proof Check accepted: %v", err)
 		}
 		if len(core) == 0 {
 			t.Fatal("empty core")

@@ -16,9 +16,13 @@
 // propagation over clauses the checker accepted itself, and a wrong,
 // stale or missing hint costs time, never soundness.
 //
-// Assumption literals (incremental sessions solve under activation
-// literals) are treated as unit clauses present from the start, so the
-// checked statement is UNSAT(formula ∧ assumptions).
+// A Checker follows one proof as its solver records it: each Check
+// replays only the steps recorded since the previous one, then asks
+// whether the database refutes the check's assumptions (incremental
+// sessions solve under activation literals) — sets them true, propagates
+// and requires a conflict, unless the empty clause was derived already.
+// The checked statement is UNSAT(formula ∧ assumptions), and a session's
+// trace is replayed once however many of its answers are checked.
 package drat
 
 import (
@@ -40,37 +44,48 @@ type Stats struct {
 	Propagations      int64 // literals propagated over the watch lists
 }
 
-// Check replays the proof chronologically and verifies that it
-// establishes unsatisfiability of the recorded formula together with the
-// given assumptions. It returns an error describing the first failing
-// step, or the step count on success.
+// Check is the one-shot form: a new checker over p, asked once.
 func Check(p *sat.Proof, assumptions ...sat.Lit) (*Stats, error) {
-	c, err := replayTrace(p, false, assumptions)
-	if err != nil {
-		return nil, err
-	}
-	return &c.stats, nil
+	st, _, err := NewChecker(p, false).Check(assumptions...)
+	return st, err
 }
 
-// CheckCore verifies the proof like Check and additionally extracts an
-// unsatisfiable core: the indices of the Input steps the refutation
-// actually depends on. While replaying, the checker records for every
-// verified Derive step which database clauses its reverse-unit-
-// propagation conflict touched (the conflicting clause plus the reason
-// chain of every falsified literal — for a hinted lemma, the hinted
-// clauses that fired plus the root reason chains); the refutation's own
-// conflict is recorded the same way. Marking backwards from the
-// refutation through those used-sets reaches exactly the steps the proof
-// needs; the Input steps among them are the core. Assumption clauses are
-// not steps and never appear in the core. Indices are sorted ascending.
-func CheckCore(p *sat.Proof, assumptions ...sat.Lit) (*Stats, []int, error) {
-	c, err := replayTrace(p, true, assumptions)
-	if err != nil {
-		return nil, nil, err
+// NewChecker binds a checker to p, which may still grow. With core set
+// every Check also extracts an unsatisfiable core: while replaying, the
+// checker records for every verified Derive step which database clauses
+// its reverse-unit-propagation conflict touched (the conflicting clause
+// plus the reason chain of every falsified literal — for a hinted lemma,
+// the hinted clauses that fired plus the root reason chains), and marks
+// backwards from the refuting conflict through those used-sets.
+func NewChecker(p *sat.Proof, core bool) *Checker {
+	return &Checker{p: p, core: core}
+}
+
+// Check replays the steps recorded since the last call and verifies that
+// the database refutes the assumptions. It returns the stats of every
+// step replayed so far and, with core set, the indices of the Input
+// steps the refutation depends on, sorted ascending; or an error naming
+// the first failing step, which fails every later call too.
+func (c *Checker) Check(assumptions ...sat.Lit) (*Stats, []int, error) {
+	if c.p == nil {
+		return nil, nil, fmt.Errorf("drat: no proof recorded")
 	}
-	steps := p.Steps()
-	marked := make([]bool, len(steps))
-	work := c.refUsed
+	if c.err == nil {
+		c.err = c.replay()
+	}
+	if c.err != nil {
+		return nil, nil, c.err
+	}
+	if !c.refutes(assumptions) {
+		return nil, nil, fmt.Errorf("drat: proof does not refute the formula under assumptions %v", assumptions)
+	}
+	st := c.stats
+	if !c.core {
+		return &st, nil, nil
+	}
+	steps := c.p.Steps()
+	marked := make([]bool, c.next)
+	work := c.chain
 	for len(work) > 0 {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -86,48 +101,64 @@ func CheckCore(p *sat.Proof, assumptions ...sat.Lit) (*Stats, []int, error) {
 			core = append(core, s)
 		}
 	}
-	return &c.stats, core, nil
+	return &st, core, nil
 }
 
-// replayTrace drives the checker over the trace. With core set the
-// checker keeps the per-Derive used-step sets (checker.used) and the
-// refutation's (checker.refUsed).
-func replayTrace(p *sat.Proof, core bool, assumptions []sat.Lit) (*checker, error) {
-	if p == nil {
-		return nil, fmt.Errorf("drat: no proof recorded")
+// replay drives the checker over the steps recorded since the last call.
+func (c *Checker) replay() error {
+	steps := c.p.Steps()
+	c.clauses = grow(c.clauses, len(steps))
+	if c.core {
+		c.used, c.stepStamp = grow(c.used, len(steps)), grow(c.stepStamp, len(steps))
 	}
-	steps := p.Steps()
-	c := newChecker(len(steps), core)
-	for _, a := range assumptions {
-		c.install([]sat.Lit{a}, -1)
-	}
-	for i, st := range steps {
+	for ; c.next < len(steps); c.next++ {
+		i, st := c.next, steps[c.next]
 		switch st.Kind {
 		case sat.ProofInput:
 			c.stats.Inputs++
 			c.install(st.Lits, int32(i))
 		case sat.ProofDerive:
-			if !c.rup(st.Lits, p.Hints(i)) {
-				return nil, fmt.Errorf("drat: step %d: derived clause %v is not RUP", i, st.Lits)
+			if !c.rup(st.Lits, c.p.Hints(i)) {
+				return fmt.Errorf("drat: step %d: derived clause %v is not RUP", i, st.Lits)
 			}
 			c.stats.Lemmas++
-			if core {
+			if c.core {
 				c.used[i] = append([]int32(nil), c.chain...)
 			}
 			c.install(st.Lits, int32(i))
 		case sat.ProofDelete:
-			if err := c.remove(st.Lits, p.Hints(i), i); err != nil {
-				return nil, fmt.Errorf("drat: step %d: %w", i, err)
+			if err := c.remove(st.Lits, c.p.Hints(i), i); err != nil {
+				return fmt.Errorf("drat: step %d: %w", i, err)
 			}
 			c.stats.Deletions++
 		default:
-			return nil, fmt.Errorf("drat: step %d: unknown kind %d", i, st.Kind)
+			return fmt.Errorf("drat: step %d: unknown kind %d", i, st.Kind)
 		}
 	}
-	if !c.unsat {
-		return nil, fmt.Errorf("drat: proof ends without deriving the empty clause")
+	return nil
+}
+
+// grow extends s with zero values to length n.
+func grow[T any](s []T, n int) []T { return append(s, make([]T, n-len(s))...) }
+
+// refutes reports whether the database refutes the assumptions: the
+// empty clause derived already, or a conflict once they are set true and
+// propagated. In core mode c.chain is left holding the proof steps the
+// refutation depends on.
+func (c *Checker) refutes(assumptions []sat.Lit) bool {
+	if c.unsat {
+		c.chain = append(c.chain[:0], c.refUsed...)
+		return true
 	}
-	return c, nil
+	neg := make([]sat.Lit, len(assumptions))
+	for i, a := range assumptions {
+		neg[i] = a.Not()
+	}
+	mark := len(c.trail)
+	c.chain = c.chain[:0]
+	ok := c.assume(neg) || c.conflict(c.propagate())
+	c.backtrack(mark)
+	return ok
 }
 
 // value is a three-state assignment: 0 unknown, +1 true, -1 false.
@@ -135,15 +166,19 @@ type value int8
 
 // clause is a checker clause: the checker's own deduplicated copy of the
 // step's literals. lits[0] and lits[1] are the watched positions while
-// attached; step is the proof step that introduced the clause (-1 for
-// assumption units, which are not proof steps).
+// attached; step is the proof step that introduced the clause.
 type clause struct {
 	lits     []sat.Lit
 	step     int32
 	attached bool
 }
 
-type checker struct {
+// Checker is a checker bound to one proof (NewChecker).
+type Checker struct {
+	p    *sat.Proof
+	next int   // steps replayed
+	err  error // the first failing step's
+
 	assigns []value     // indexed by Var
 	reasons []*clause   // indexed by Var: antecedent of the current assignment
 	watches [][]*clause // indexed by Lit
@@ -163,8 +198,8 @@ type checker struct {
 	pending  []*clause // hinted clauses not yet unit, satisfied or conflicting
 
 	// Core extraction only: used[i] is the steps Derive step i depended
-	// on, refUsed the refutation's, chain the set the last rup or refuting
-	// install collected, the rest chainFrom's scratch.
+	// on, refUsed the empty clause's, chain the set the last rup, refuting
+	// install or refutes collected, the rest chainFrom's scratch.
 	core      bool
 	used      [][]int32
 	refUsed   []int32
@@ -174,16 +209,7 @@ type checker struct {
 	varStack  []sat.Var
 }
 
-func newChecker(steps int, core bool) *checker {
-	c := &checker{clauses: make([]*clause, steps), core: core}
-	if core {
-		c.used = make([][]int32, steps)
-		c.stepStamp = make([]int32, steps)
-	}
-	return c
-}
-
-func (c *checker) ensure(v sat.Var) {
+func (c *Checker) ensure(v sat.Var) {
 	for int(v) >= len(c.assigns) {
 		c.assigns = append(c.assigns, 0)
 		c.reasons = append(c.reasons, nil)
@@ -193,7 +219,7 @@ func (c *checker) ensure(v sat.Var) {
 	}
 }
 
-func (c *checker) val(l sat.Lit) value {
+func (c *Checker) val(l sat.Lit) value {
 	a := c.assigns[l.Var()]
 	if l.Neg() {
 		return -a
@@ -203,7 +229,7 @@ func (c *checker) val(l sat.Lit) value {
 
 // assign records l as true with the clause that forced it (nil for the
 // assumed negations of a RUP check).
-func (c *checker) assign(l sat.Lit, reason *clause) {
+func (c *Checker) assign(l sat.Lit, reason *clause) {
 	if l.Neg() {
 		c.assigns[l.Var()] = -1
 	} else {
@@ -215,14 +241,13 @@ func (c *checker) assign(l sat.Lit, reason *clause) {
 
 // chainFrom collects into c.chain the proof steps a conflict on cl
 // depends on: cl's own step plus, transitively, the steps of the reason
-// clauses that falsified its literals. Assumption clauses (step -1)
-// terminate chains without contributing a step.
-func (c *checker) chainFrom(cl *clause) {
+// clauses that falsified its literals.
+func (c *Checker) chainFrom(cl *clause) {
 	c.gen++
 	c.chain = c.chain[:0]
 	stack := c.varStack[:0]
 	for cl != nil {
-		if cl.step >= 0 && c.stepStamp[cl.step] != c.gen {
+		if c.stepStamp[cl.step] != c.gen {
 			c.stepStamp[cl.step] = c.gen
 			c.chain = append(c.chain, cl.step)
 		}
@@ -244,7 +269,7 @@ func (c *checker) chainFrom(cl *clause) {
 // stampLits marks the literal set of lits under a fresh generation,
 // making room for its variables. It returns the number of distinct
 // literals and whether the set is a tautology (x ∨ ¬x).
-func (c *checker) stampLits(lits []sat.Lit) (n int, taut bool) {
+func (c *Checker) stampLits(lits []sat.Lit) (n int, taut bool) {
 	c.gen++
 	for _, l := range lits {
 		c.ensure(l.Var())
@@ -264,7 +289,7 @@ func (c *checker) stampLits(lits []sat.Lit) (n int, taut bool) {
 // assignment: empty or all-false clauses refute the database, unit (or
 // effectively-unit) clauses are propagated permanently. Tautologies are
 // recorded for deletion matching but never attached.
-func (c *checker) install(lits []sat.Lit, step int32) {
+func (c *Checker) install(lits []sat.Lit, step int32) {
 	n, taut := c.stampLits(lits)
 	own := make([]sat.Lit, 0, n)
 	for _, l := range lits {
@@ -274,9 +299,7 @@ func (c *checker) install(lits []sat.Lit, step int32) {
 		}
 	}
 	cl := &clause{lits: own, step: step}
-	if step >= 0 {
-		c.clauses[step] = cl
-	}
+	c.clauses[step] = cl
 	if taut || c.unsat {
 		return
 	}
@@ -311,18 +334,18 @@ func (c *checker) install(lits []sat.Lit, step int32) {
 
 // refutedBy records, for core extraction, what the root conflict on cl
 // depended on.
-func (c *checker) refutedBy(cl *clause) {
+func (c *Checker) refutedBy(cl *clause) {
 	if c.core {
 		c.chainFrom(cl)
 		c.refUsed = append([]int32(nil), c.chain...)
 	}
 }
 
-func (c *checker) watch(l sat.Lit, cl *clause) {
+func (c *Checker) watch(l sat.Lit, cl *clause) {
 	c.watches[l.Not()] = append(c.watches[l.Not()], cl)
 }
 
-func (c *checker) unwatch(l sat.Lit, cl *clause) {
+func (c *Checker) unwatch(l sat.Lit, cl *clause) {
 	ws := c.watches[l.Not()]
 	for i := range ws {
 		if ws[i] == cl {
@@ -336,7 +359,7 @@ func (c *checker) unwatch(l sat.Lit, cl *clause) {
 // live returns the clause step id currently contributes to the database,
 // nil when there is none — whatever the id, so a hint cannot make the
 // checker read anything but a clause it holds.
-func (c *checker) live(id int32) *clause {
+func (c *Checker) live(id int32) *clause {
 	if id < 0 || int(id) >= len(c.clauses) {
 		return nil
 	}
@@ -351,7 +374,7 @@ func (c *checker) live(id int32) *clause {
 // lemma pass that should not. Units and the empty clause are never
 // deleted by the solver, so a trace asking for that — or for a clause
 // the database does not hold — is malformed.
-func (c *checker) remove(lits []sat.Lit, hints []int32, before int) error {
+func (c *Checker) remove(lits []sat.Lit, hints []int32, before int) error {
 	n, taut := c.stampLits(lits)
 	if !taut && n < 2 {
 		return fmt.Errorf("deletion of unit/empty clause %v", lits)
@@ -392,7 +415,7 @@ func (c *checker) remove(lits []sat.Lit, hints []int32, before int) error {
 // propagateFixed runs propagation and makes the result permanent,
 // returning the conflicting clause (and marking the database refuted) if
 // one arises.
-func (c *checker) propagateFixed() *clause {
+func (c *Checker) propagateFixed() *clause {
 	confl := c.propagate()
 	c.qhead = len(c.trail)
 	if confl != nil {
@@ -403,7 +426,7 @@ func (c *checker) propagateFixed() *clause {
 
 // propagate processes the trail from qhead, returning the conflicting
 // clause or nil.
-func (c *checker) propagate() *clause {
+func (c *Checker) propagate() *clause {
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead]
 		c.qhead++
@@ -450,7 +473,7 @@ func (c *checker) propagate() *clause {
 // fixed point, and returns the clause that became all-false, if any. The
 // solver lists antecedents in propagation order, so one pass usually
 // does; any other order only costs more passes.
-func (c *checker) propagateHints(hints []int32) *clause {
+func (c *Checker) propagateHints(hints []int32) *clause {
 	pend := c.pending[:0]
 	for _, h := range hints {
 		if cl := c.live(h); cl != nil {
@@ -489,18 +512,36 @@ func (c *checker) propagateHints(hints []int32) *clause {
 
 // rup verifies a derived clause by reverse unit propagation: assume every
 // literal false, propagate — over the hinted clauses first, over the
-// watch lists if those do not conflict — and require a conflict. A clause
-// containing a permanently-true literal is already entailed (which covers
-// tautologies: the second of x, ¬x finds the first one's negation
-// assumed); once the database is refuted everything is entailed. In core
-// mode c.chain is left holding the proof steps the verification depended
-// on (the conflict's chain, or the entailing literal's reason chain).
-func (c *checker) rup(lits []sat.Lit, hints []int32) bool {
+// watch lists if those do not conflict — and require a conflict. Once the
+// database is refuted everything is entailed. In core mode c.chain is
+// left holding the proof steps the verification depended on.
+func (c *Checker) rup(lits []sat.Lit, hints []int32) bool {
 	c.chain = c.chain[:0]
 	if c.unsat {
 		return true
 	}
 	mark := len(c.trail)
+	ok := c.assume(lits)
+	if !ok {
+		confl := c.propagateHints(hints)
+		if confl != nil {
+			c.stats.Hinted++
+		} else {
+			c.stats.Fallbacks++
+			confl = c.propagate()
+		}
+		ok = c.conflict(confl)
+	}
+	c.backtrack(mark)
+	return ok
+}
+
+// assume sets every literal of lits false over the root assignment. A
+// clause with a literal true already is entailed (which covers
+// tautologies: the second of x, ¬x finds the first one's negation
+// assumed): assume then reports true, in core mode with the literal's
+// reason chain in c.chain.
+func (c *Checker) assume(lits []sat.Lit) (entailed bool) {
 	for _, l := range lits {
 		c.ensure(l.Var())
 		switch c.val(l) {
@@ -508,28 +549,25 @@ func (c *checker) rup(lits []sat.Lit, hints []int32) bool {
 			if r := c.reasons[l.Var()]; r != nil && c.core {
 				c.chainFrom(r)
 			}
-			c.backtrack(mark)
 			return true
 		case 0:
 			c.assign(l.Not(), nil)
 		}
 	}
-	confl := c.propagateHints(hints)
-	if confl != nil {
-		c.stats.Hinted++
-	} else {
-		c.stats.Fallbacks++
-		confl = c.propagate()
-	}
+	return false
+}
+
+// conflict reports whether confl is one, in core mode with its chain in
+// c.chain.
+func (c *Checker) conflict(confl *clause) bool {
 	if confl != nil && c.core {
 		c.chainFrom(confl)
 	}
-	c.backtrack(mark)
 	return confl != nil
 }
 
 // backtrack undoes every assignment past the persistent prefix mark.
-func (c *checker) backtrack(mark int) {
+func (c *Checker) backtrack(mark int) {
 	for i := len(c.trail) - 1; i >= mark; i-- {
 		c.assigns[c.trail[i].Var()] = 0
 		c.reasons[c.trail[i].Var()] = nil

@@ -112,10 +112,10 @@ var hintCorruptions = []struct {
 
 // checkEveryHinting is Check for tests: it checks the trace as given,
 // with its hints stripped — the checker as it was before hints existed —
-// and under every other corruption of them, through Check and CheckCore,
-// and fails the test unless all verdicts are the same: a hint must never
-// turn a reject into an accept, lose a valid proof, or panic. It returns
-// the stats and error of the trace as given.
+// and under every other corruption of them, through Check and a
+// core-extracting checker, and fails the test unless all verdicts are the
+// same: a hint must never turn a reject into an accept, lose a valid
+// proof, or panic. It returns the stats and error of the trace as given.
 func checkEveryHinting(t *testing.T, hs []hinted, assumptions ...sat.Lit) (*Stats, error) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(hs))))
@@ -136,15 +136,15 @@ func checkEveryHinting(t *testing.T, hs []hinted, assumptions ...sat.Lit) (*Stat
 		} else if (err == nil) != (want == nil) {
 			t.Fatalf("hints %s: Check err=%v, with hints as given err=%v", c.name, err, want)
 		}
-		cst, core, cerr := CheckCore(p, assumptions...)
+		cst, core, cerr := NewChecker(p, true).Check(assumptions...)
 		if (cerr == nil) != (want == nil) {
-			t.Fatalf("hints %s: CheckCore err=%v, Check err=%v", c.name, cerr, want)
+			t.Fatalf("hints %s: core-extracting Check err=%v, Check err=%v", c.name, cerr, want)
 		}
 		if cerr != nil {
 			continue
 		}
 		if cst.Lemmas != st.Lemmas || cst.Hinted != st.Hinted || cst.Fallbacks != st.Fallbacks {
-			t.Fatalf("hints %s: CheckCore stats %+v, Check stats %+v", c.name, cst, st)
+			t.Fatalf("hints %s: core-extracting Check stats %+v, Check stats %+v", c.name, cst, st)
 		}
 		for k, si := range core {
 			if mut[si].Kind != sat.ProofInput {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/obs/cost"
 	"repro/internal/obs/stream"
@@ -37,8 +38,10 @@ const (
 // Options configures an Engine.
 type Options struct {
 	// Workers is the number of concurrent verification workers
-	// (default 2). Jobs on the same network serialize on that
-	// network's session regardless of worker count.
+	// (default 2): at most Workers jobs run at once, and one modular
+	// job checks its classes on Workers goroutines of its own. Jobs on
+	// the same network serialize on that network's session regardless of
+	// worker count.
 	Workers int
 	// QueueDepth bounds the submit queue (default 64); Submit fails
 	// when the queue is full rather than blocking the caller.
@@ -57,8 +60,8 @@ type Options struct {
 	// Modular verifies multi-component networks with the assume/guarantee
 	// pipeline (internal/modular) when the spec's goal is in its
 	// vocabulary: cut at the eBGP interfaces, verify one representative
-	// per isomorphism class of components — scheduled on this engine's
-	// own worker pool — and compose the blamed verdicts. Residue of any
+	// per isomorphism class of components — on Workers goroutines of
+	// the job's own — and compose the blamed verdicts. Residue of any
 	// kind falls back to the monolithic session; the monolithic encode is
 	// skipped entirely when the composed verdict stands.
 	Modular bool
@@ -263,13 +266,7 @@ type Engine struct {
 	// opts is the configuration NewEngine was given, defaults filled in.
 	opts Options
 
-	jobCh chan *Job
-	// helpCh hands component-check closures to idle workers: sends are
-	// non-blocking (an idle worker must be receiving right now), so a
-	// modular job fans its classes out across the pool when it can and
-	// runs them inline when it cannot — never deadlocking, even with one
-	// worker.
-	helpCh  chan func()
+	jobCh   chan *Job
 	wg      sync.WaitGroup
 	running atomic.Int64
 	// reserved is the in-flight memory reservation: MemBudgetBytes per
@@ -316,7 +313,6 @@ func NewEngine(o Options) *Engine {
 	e := &Engine{
 		opts:    o,
 		jobCh:   make(chan *Job, o.QueueDepth),
-		helpCh:  make(chan func()),
 		jobs:    map[string]*Job{},
 		nets:    map[string]*netSlot{},
 		byParse: map[string]*netEntry{},
@@ -461,60 +457,26 @@ type panicError struct {
 
 func (p *panicError) Error() string { return fmt.Sprintf("internal error: %v", p.val) }
 
-// asPanic wraps what recover returned, nil for nil; a panicError on its
-// way up from a helper's task passes through with the stack it has.
+// asPanic wraps what recover returned, nil for nil. A panicError passes
+// through with the stack it has, and a modular class check's panic keeps
+// the stack of the goroutine it happened on.
 func asPanic(r any) *panicError {
-	if pe, ok := r.(*panicError); ok || r == nil {
-		return pe
+	switch p := r.(type) {
+	case nil:
+		return nil
+	case *panicError:
+		return p
+	case *modular.TaskPanic:
+		return &panicError{p.Value, p.Stack}
 	}
 	return &panicError{r, debug.Stack()}
 }
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	for {
-		select {
-		case j, ok := <-e.jobCh:
-			if !ok {
-				return
-			}
-			e.opts.Trace.Gauge("service.queue_depth", float64(len(e.jobCh)))
-			e.runJob(j)
-		case t := <-e.helpCh:
-			t()
-		}
-	}
-}
-
-// schedule runs component-check tasks through the worker pool: each task
-// is offered to an idle worker with a non-blocking send and run inline
-// on the scheduling job's own worker otherwise. The scheduling worker
-// never blocks on a queue, so modular fan-out is deadlock-free at any
-// worker count (with one worker everything simply runs inline).
-//
-// A task that panics takes down neither the worker it ran on nor the
-// other tasks: once all have returned the first panic is raised again
-// here, on the scheduling job's goroutine, and is that job's failure.
-func (e *Engine) schedule(tasks []func()) {
-	var wg sync.WaitGroup
-	var failed atomic.Pointer[panicError]
-	for _, t := range tasks {
-		t := t
-		wg.Add(1)
-		wrapped := func() {
-			defer wg.Done()
-			defer func() { failed.CompareAndSwap(nil, asPanic(recover())) }()
-			t()
-		}
-		select {
-		case e.helpCh <- wrapped:
-		default:
-			wrapped()
-		}
-	}
-	wg.Wait()
-	if pe := failed.Load(); pe != nil {
-		panic(pe)
+	for j := range e.jobCh {
+		e.opts.Trace.Gauge("service.queue_depth", float64(len(e.jobCh)))
+		e.runJob(j)
 	}
 }
 
@@ -817,8 +779,7 @@ func (e *Engine) check(ctx context.Context, j *Job) (*Verdict, error) {
 	}
 	opts := pipeline.Options{Modular: e.opts.Modular}
 	opts.Core = e.jobOptions(j, jtr.Root(), budget)
-	// Modular component checks run on this engine's own worker pool.
-	opts.Schedule = e.schedule
+	opts.Workers = e.opts.Workers
 	// setupCost is the session's one-time ledger, owned by the job that
 	// actually built the session — later jobs reuse the session without
 	// repaying (or re-reporting) its cost.

@@ -1,17 +1,16 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/modular"
 	"repro/internal/obs/stream"
 )
 
@@ -107,38 +106,12 @@ func TestDaemonSurvivesPanickingCheck(t *testing.T) {
 	}
 }
 
-// TestSchedulePanickingTask: a modular component check that panics on a
-// helper worker is raised again on the goroutine that scheduled it, after
-// the other tasks have run, and the helper lives.
-func TestSchedulePanickingTask(t *testing.T) {
-	e := newTestEngine(t, 3)
-	var ran atomic.Int32
-	tasks := make([]func(), 8)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() {
-			if ran.Add(1); i%2 == 1 {
-				panic("boom inside a task")
-			}
-		}
-	}
-	func() {
-		defer func() {
-			pe, _ := recover().(*panicError)
-			if pe == nil || pe.Error() != "internal error: boom inside a task" || !strings.Contains(string(pe.stack), "panic_test.go") {
-				t.Errorf("schedule raised %+v, want the task's panic with its stack", pe)
-			}
-		}()
-		e.schedule(tasks)
-	}()
-	if ran.Load() != 8 {
-		t.Fatalf("%d of 8 tasks ran", ran.Load())
-	}
-	// All three workers still answer.
-	for i := 1; i <= 3; i++ {
-		if _, err := e.Verify(context.Background(), &Request{Configs: chainConfigs(i + 1),
-			Spec: Spec{Check: "reachability", Src: "R1", Subnet: "10.100.1.0/24"}}); err != nil {
-			t.Fatal(err)
-		}
+// TestModularPanicKeepsItsStack: a modular class check's panic, raised
+// again on the job's goroutine by modular.Run, fails the job with the
+// stack of the goroutine the check panicked on.
+func TestModularPanicKeepsItsStack(t *testing.T) {
+	pe := asPanic(&modular.TaskPanic{Value: "boom inside a class", Stack: []byte("the task's stack")})
+	if pe.Error() != "internal error: boom inside a class" || string(pe.stack) != "the task's stack" {
+		t.Fatalf("asPanic gave %q with stack %q", pe.Error(), pe.stack)
 	}
 }
