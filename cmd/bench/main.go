@@ -783,6 +783,8 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 				row.Verified = v.Result.Verified
 				row.SATVars = v.Result.SATVars
 				row.Blame = len(v.Result.Blame)
+				t := v.Result.Cost.Total()
+				row.Units, row.ClauseDBBytes = t.Units(), t.ClauseDBBytes
 			}
 			if rep := v.Modular; rep != nil {
 				row.Components = rep.Components
@@ -790,11 +792,6 @@ func runModular(pods []int, props []string, jsonOut, passes string, monoMax, wor
 				row.AliasHits = rep.AliasHits
 				row.Checks = rep.Checks
 				row.PeakTerms = rep.PeakTerms
-				if rep.Cost != nil {
-					t := rep.Cost.Total()
-					row.Units = t.Units()
-					row.ClauseDBBytes = t.ClauseDBBytes
-				}
 			}
 			monoCol, speedCol, agreeCol := "-", "-", "-"
 			if k <= monoMax {

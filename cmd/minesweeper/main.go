@@ -312,7 +312,7 @@ func (c *cli) report(v *pipeline.Verdict, rep *pipeline.Report) {
 	switch v.Mode {
 	case pipeline.ModeModular:
 		fmt.Fprintf(w, "mode: modular (%d components in %d classes, %d alias hits, %d checks, peak %d terms, %.1fms; no whole-network model built)\n",
-			rep.Components, rep.ComponentClasses, rep.AliasHits, rep.ComponentChecks, rep.PeakTerms, float64(v.Modular.Elapsed.Microseconds())/1000)
+			rep.Components, rep.ComponentClasses, rep.AliasHits, rep.ComponentChecks, rep.PeakTerms, rep.ElapsedMs)
 	case pipeline.ModeFallback:
 		fmt.Fprintf(w, "mode: fallback to monolithic (modular residue: %s)\n", strings.Join(v.Residue, ", "))
 		if v.Violated != "" {

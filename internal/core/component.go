@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/network"
-	"repro/internal/obs/cost"
 	"repro/internal/provenance"
 	"repro/internal/smt"
 )
@@ -140,50 +139,23 @@ func (m *Model) ReachVia(sl *Slice, allowed map[string]bool) map[string]*smt.Ter
 	return m.reachability(sl, "reachvia", "reachviadist", func(ext string) bool { return allowed[ext] }, "")
 }
 
-// ComponentVerdict is one component-local check outcome tagged with its
-// role in the composition.
-type ComponentVerdict struct {
-	// Component indexes the cut's component list.
-	Component int
-	// Check names the component-local obligation ("discharge[m=3]",
-	// "obligation:src", "property", ...).
-	Check string
-	// Contract holds the violated contract's session ID when a
-	// discharge check falsifies; empty otherwise.
-	Contract string
-	Res      *Result
-}
-
 // ComposeVerdicts conjoins component-local results into one composed
-// Result: verified iff every component check verified, blame the deduped
-// union of component blames, the ledger the merge of the component
-// ledgers — so the times read from it are the summed solver work (the
-// sequential cost; wall-clock with parallelism is the scheduler's story)
-// — and SAT sizes the per-check peak. The component results are only
-// read.
-func ComposeVerdicts(vs []*ComponentVerdict) *Result {
-	out := &Result{Verified: true, Tier: TierModular, Cost: cost.New("goal")}
+// Result: verified iff every component verified, the counterexample the
+// first falsified component's, Stats and certificates the sums of the
+// components', blame the deduped union of their blames and SAT sizes the
+// per-check peak. The components are only read. The ledger, the times
+// read from it and the Tier are left to the caller, which knows how the
+// component checks were run and booked.
+func ComposeVerdicts(rs []*Result) *Result {
+	out := &Result{Verified: true}
 	var blame []provenance.Origin
-	for _, v := range vs {
-		r := v.Res
-		if r == nil {
-			continue
+	for _, r := range rs {
+		out.SATVars = max(out.SATVars, r.SATVars)
+		out.SATClauses = max(out.SATClauses, r.SATClauses)
+		out.Stats = out.Stats.Plus(r.Stats)
+		if r.Certificate != nil {
+			out.Certificate = out.Certificate.plus(r.Certificate)
 		}
-		// Per-component ledgers merge like origin profiles: same-name
-		// phase children fold, so the composed tree prices the whole
-		// modular run with the familiar phase vocabulary.
-		out.Cost.Merge(r.Cost)
-		if r.SATVars > out.SATVars {
-			out.SATVars = r.SATVars
-		}
-		if r.SATClauses > out.SATClauses {
-			out.SATClauses = r.SATClauses
-		}
-		out.Stats.Conflicts += r.Stats.Conflicts
-		out.Stats.Decisions += r.Stats.Decisions
-		out.Stats.Propagations += r.Stats.Propagations
-		out.Stats.Learned += r.Stats.Learned
-		out.Stats.Restarts += r.Stats.Restarts
 		blame = append(blame, r.Blame...)
 		if !r.Verified && out.Verified {
 			out.Verified = false
@@ -191,6 +163,5 @@ func ComposeVerdicts(vs []*ComponentVerdict) *Result {
 		}
 	}
 	out.Blame = provenance.DedupeOrigins(blame)
-	out.FillTimes()
 	return out
 }

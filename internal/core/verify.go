@@ -110,18 +110,16 @@ type Result struct {
 	FastPathElapsed time.Duration
 }
 
-// FillTimes reads every time the Result reports out of its ledger. It is
-// the only writer of those fields, so a Result's times and its cost tree
-// cannot disagree: whoever finishes a ledger — the executor, the modular
-// composition after merging component ledgers, pipeline.Run after adding
-// its own phases — calls it once more.
+// FillTimes reads every time the Result reports out of its ledger: each
+// is the summed wall of every ledger node named for its phase. A check's
+// ledger is one level of phases; a composed modular verdict's holds a
+// subtree of them per class. FillTimes is the only writer of those
+// fields, so a Result's times and its cost tree cannot disagree: whoever
+// finishes a ledger — the executor, the modular run after adopting its
+// class ledgers, pipeline.Run after adding its own phases — calls it once
+// more.
 func (r *Result) FillTimes() {
-	wall := func(phase string) time.Duration {
-		if n := r.Cost.Find(phase); n != nil {
-			return n.Wall
-		}
-		return 0
-	}
+	wall := r.Cost.PhaseWall
 	r.EncodeElapsed = wall("blast")
 	r.SimplifyElapsed = wall("compile") + wall("simplify")
 	r.SolveElapsed = wall("solve")
@@ -146,10 +144,12 @@ type Certificate struct {
 	Hinted, Fallbacks int
 }
 
-// plus adds o, a certificate of another proof, to c; a nil c is zero.
+// plus adds o, a certificate of another proof, to c; a nil c is zero,
+// and o is only read.
 func (c *Certificate) plus(o *Certificate) *Certificate {
 	if c == nil {
-		return o
+		sum := *o
+		return &sum
 	}
 	c.Steps += o.Steps
 	c.Lits += o.Lits

@@ -425,7 +425,9 @@ func (s *Scenario) TierGoals(rng *rand.Rand) []tiered.Goal {
 // derivation, stratified discharge and composition end to end. When the
 // composed verdict stands it is cross-checked against a monolithic run —
 // any disagreement is a soundness bug in the composition (the pipeline is
-// designed to fall back on residue, never to guess).
+// designed to fall back on residue, never to guess) — and, the options
+// being pinned (certified), a composed verified verdict whose components
+// ran checks must carry their checked certificate.
 func (s *Scenario) ModularParity(rng *rand.Rand) error {
 	q := s.pickQuery(rng)
 	goals := []tiered.Goal{
@@ -446,6 +448,12 @@ func (s *Scenario) ModularParity(rng *rand.Rand) error {
 			// Residue or a single component: the verdict IS the monolithic
 			// step's, nothing independent to compare.
 			continue
+		}
+		// answer's certification invariant, for a composed verdict: each
+		// component check is certified, and the composed verdict carries
+		// their summed certificate.
+		if c := v.Result.Certificate; v.Result.Verified && v.Modular.Checks > 0 && (c == nil || !c.Checked || c.Fallbacks != 0) {
+			return fmt.Errorf("fuzz: %s: composed verified %s without a checked certificate: %+v", s.Name, goal.Check, c)
 		}
 		mv, err := pipeline.Run(context.Background(), net, goal, mono)
 		if err != nil {

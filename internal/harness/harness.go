@@ -97,17 +97,19 @@ func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
 
 // localConsistency asks an equivalence goal of each pair of adjacent
 // routers in each role, roles in name order, and totals them in one
-// verdict: verified when every goal is, one ledger merged from theirs
-// with the times read from it, the difference of the first pair that
-// differs.
+// verdict: the goals' results folded by core.ComposeVerdicts (verified
+// when every goal is; summed Stats and certificates), one ledger merged
+// from theirs with the times read from it, and the difference of the
+// first pair that differs.
 func localConsistency(net *pipeline.Network, opts pipeline.Options, roles map[string][]string) (*pipeline.Verdict, error) {
 	names := make([]string, 0, len(roles))
 	for role := range roles {
 		names = append(names, role)
 	}
 	sort.Strings(names)
-	res := &core.Result{Verified: true, Cost: cost.New("goal")}
-	sum := &pipeline.Verdict{Result: res}
+	ledger := cost.New("goal")
+	var goals []*core.Result
+	sum := &pipeline.Verdict{}
 	for _, role := range names {
 		members := roles[role]
 		for i := 0; i+1 < len(members); i++ {
@@ -115,15 +117,20 @@ func localConsistency(net *pipeline.Network, opts pipeline.Options, roles map[st
 			if err != nil {
 				return nil, err
 			}
-			res.Verified = res.Verified && v.Result.Verified
-			res.Tier = v.Result.Tier
-			res.Cost.Merge(v.Result.Cost)
+			goals = append(goals, v.Result)
+			ledger.Merge(v.Result.Cost)
 			if v.Difference != "" && sum.Difference == "" {
 				sum.Difference = fmt.Sprintf("%s vs %s: %s", members[i], members[i+1], v.Difference)
 			}
 		}
 	}
+	res := core.ComposeVerdicts(goals)
+	res.Cost = ledger
+	if len(goals) > 0 {
+		res.Tier = goals[0].Tier
+	}
 	res.FillTimes()
+	sum.Result = res
 	return sum, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netgen"
+	"repro/internal/obs/cost"
 	"repro/internal/pipeline"
 	"repro/internal/properties"
 	"repro/internal/smt"
@@ -48,6 +49,32 @@ func TestSection81DetectsInjectedBugs(t *testing.T) {
 		wantDeep := n.Bugs.DeepDrop && len(n.Cores) > 0 && len(n.Access) > 0
 		if got := nc.Results[PropBlackholes].Violated; got != wantDeep {
 			t.Errorf("%s: deep drop found=%v injected=%v", n.Name, got, wantDeep)
+		}
+	}
+}
+
+// TestLocalEquivalenceRowTotalsItsGoals: the §8.1 local-equivalence row
+// folds its goals' results as well as their ledgers, so the row's solver
+// counts are its ledger's work, counter for counter, and its SAT size the
+// largest goal's. On these audit networks the sweeps reach the solver.
+func TestLocalEquivalenceRowTotalsItsGoals(t *testing.T) {
+	for _, size := range []int{7, 12, 17, 22} {
+		n, err := netgen.Audit(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc, err := CheckNetwork(n, []string{PropLocalEquiv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := nc.Results[PropLocalEquiv].Result
+		work := res.Cost.Total()
+		work.ClauseDBBytes, work.ProofBytes = 0, 0
+		if stats := cost.FromStats(res.Stats); work != stats || work.Units() == 0 {
+			t.Errorf("%s: ledger work %+v, row stats %+v", n.Name, work, stats)
+		}
+		if res.SATVars == 0 {
+			t.Errorf("%s: the row's goals solved, yet it reports no SAT variables", n.Name)
 		}
 	}
 }

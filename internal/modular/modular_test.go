@@ -2,6 +2,7 @@ package modular_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/modular"
@@ -194,13 +195,15 @@ func TestModularAliasFatTree(t *testing.T) {
 	}
 }
 
-// TestModularLedgersEqualStats is the regression test for the modular
-// double count (cost.Node.Merge used to graft its donor's children by
-// pointer, so every component check but a class's first was added to the
-// class tree twice and to the composed ledger twice more): on every
-// modular goal at k=4 the composed Result's ledger, the per-class tree
-// the reports print and the composed solver stats are the same work, to
-// the unit and to the clause-db byte.
+// TestModularLedgersEqualStats holds a composed verdict to its one
+// account. It began as the regression test for the modular double count
+// (cost.Node.Merge used to graft its donor's children by pointer, so
+// every component check but a class's first was added to the class tree
+// twice and to the composed ledger twice more). On every modular goal at
+// k=4 the verdict's ledger has one "class:N" child per solved class, each
+// with the compile of its class, every clause-db byte lies in those
+// subtrees, and the ledger's work is the composed solver stats to the
+// unit.
 func TestModularLedgersEqualStats(t *testing.T) {
 	net := fabric(t, 4)
 	for _, goal := range fabricGoals(4) {
@@ -213,13 +216,28 @@ func TestModularLedgersEqualStats(t *testing.T) {
 			if v.Mode != pipeline.ModeModular {
 				t.Fatalf("mode = %s (residue %v), want modular", v.Mode, v.Residue)
 			}
-			st := v.Result.Stats
-			composed, classes := v.Result.Cost.Total(), v.Modular.Cost.Total()
-			if want := st.Decisions + st.Propagations + st.Conflicts; composed.Units() != want || classes.Units() != want {
-				t.Fatalf("units: stats %d, composed ledger %d, per-class tree %d", want, composed.Units(), classes.Units())
+			ledger := v.Result.Cost
+			var classes int
+			var classBytes int64
+			for _, c := range ledger.Children {
+				if !strings.HasPrefix(c.Name, "class:") {
+					continue
+				}
+				classes++
+				classBytes += c.Total().ClauseDBBytes
+				if c.Find("compile") == nil {
+					t.Errorf("%s has no compile phase", c.Name)
+				}
 			}
-			if composed.ClauseDBBytes != classes.ClauseDBBytes || composed.ClauseDBBytes <= 0 {
-				t.Fatalf("clause-db bytes: composed ledger %d, per-class tree %d", composed.ClauseDBBytes, classes.ClauseDBBytes)
+			if classes != v.Modular.Classes {
+				t.Fatalf("%d class subtrees in the verdict's ledger, %d classes solved", classes, v.Modular.Classes)
+			}
+			st, work := v.Result.Stats, ledger.Total()
+			if want := st.Decisions + st.Propagations + st.Conflicts; work.Units() != want {
+				t.Fatalf("units: stats %d, ledger %d", want, work.Units())
+			}
+			if work.ClauseDBBytes != classBytes || work.ClauseDBBytes <= 0 {
+				t.Fatalf("clause-db bytes: ledger %d, class subtrees %d", work.ClauseDBBytes, classBytes)
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -54,19 +53,14 @@ type Report struct {
 	// Violated names the first violated contract (when a discharge check
 	// failed), in Contract.String() form.
 	Violated string
-	// Result is the composed verdict (nil when Residue is non-empty).
+	// Result is the composed verdict (nil when Residue is non-empty). Its
+	// ledger is the run's only account: one "class:N" child per solved
+	// isomorphism class (N the representative's component index) holding
+	// that class's compile and the phases of its checks.
 	Result *core.Result
 	// PeakTerms is the largest per-component term count — the modular
 	// answer to the monolithic model-size question.
 	PeakTerms int
-	Elapsed   time.Duration
-	// Cost is the run's resource ledger: one "class:N" child per solved
-	// isomorphism class (N the representative's component index) holding
-	// that class's compile and per-check phase costs, with meta members
-	// and amortized_units recording how far aliasing stretched the work —
-	// a class solved once on behalf of k members costs units/k per
-	// component.
-	Cost *cost.Node
 }
 
 func emit(o Options, event string, fields map[string]any) {
@@ -79,7 +73,7 @@ func emit(o Options, event string, fields map[string]any) {
 type classOutcome struct {
 	rep      *CompPlan
 	members  []*CompPlan
-	verdicts []*core.ComponentVerdict
+	results  []*core.Result
 	residue  string // "" = all checks verified
 	violated string
 	terms    int
@@ -137,7 +131,6 @@ func runAll(workers int, tasks []func()) {
 // have matching stable states; falsification is the monolithic
 // fallback's job.
 func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*Report, error) {
-	start := time.Now()
 	if !plan.Runnable() {
 		return &Report{Components: len(plan.Comps), Residue: plan.AllResidue()}, nil
 	}
@@ -165,7 +158,7 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 		tasks[i] = func() {
 			runClass(ctx, g, plan, cl, opts)
 			fields := map[string]any{"routers": len(cl.rep.Comp.Routers),
-				"members": len(cl.members), "checks": len(cl.verdicts)}
+				"members": len(cl.members), "checks": len(cl.results)}
 			if cl.err != nil {
 				fields["error"] = cl.err.Error()
 			}
@@ -177,22 +170,16 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 	}
 	runAll(opts.Workers, tasks)
 
-	rep := &Report{Components: len(plan.Comps), Classes: len(order), Cost: cost.New("modular")}
-	var all []*core.ComponentVerdict
+	rep := &Report{Components: len(plan.Comps), Classes: len(order)}
+	ledger := cost.New("goal")
+	var all []*core.Result
 	for _, key := range order {
 		cl := byKey[key]
 		if cl.err != nil {
 			return nil, cl.err
 		}
-		if cl.cost != nil {
-			cl.cost.SetMeta("members", int64(len(cl.members)))
-			cl.cost.SetMeta("checks", int64(len(cl.verdicts)))
-			if n := int64(len(cl.members)); n > 0 {
-				cl.cost.SetMeta("amortized_units", cl.cost.Total().Units()/n)
-			}
-			rep.Cost.AddChild(cl.cost)
-		}
-		rep.Checks += len(cl.verdicts)
+		ledger.AddChild(cl.cost)
+		rep.Checks += len(cl.results)
 		if cl.terms > rep.PeakTerms {
 			rep.PeakTerms = cl.terms
 		}
@@ -203,7 +190,7 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 			}
 			continue
 		}
-		all = append(all, cl.verdicts...)
+		all = append(all, cl.results...)
 		// Alias members inherit the representative's verdicts with blame
 		// rewritten through the router/value bijection; no solver work or
 		// stats are double-counted.
@@ -212,21 +199,14 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 				continue
 			}
 			rep.AliasHits++
-			for _, v := range cl.verdicts {
-				if v.Res == nil || len(v.Res.Blame) == 0 {
-					continue
+			for _, r := range cl.results {
+				if len(r.Blame) > 0 {
+					all = append(all, &core.Result{Verified: r.Verified, Blame: renameOrigins(r.Blame, cl.rep, m)})
 				}
-				all = append(all, &core.ComponentVerdict{
-					Component: m.Comp.Index,
-					Check:     v.Check + ":alias",
-					Res: &core.Result{Verified: v.Res.Verified,
-						Blame: renameOrigins(v.Res.Blame, cl.rep, m)},
-				})
 			}
 		}
 	}
 	sort.Strings(rep.Residue)
-	rep.Elapsed = time.Since(start)
 	if len(rep.Residue) > 0 {
 		emit(opts, "modular.residue", map[string]any{"residue": strings.Join(rep.Residue, ","), "violated": rep.Violated})
 		return rep, nil
@@ -244,12 +224,13 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 		}
 	}
 
-	rep.Result = core.ComposeVerdicts(all)
-	rep.Verified = rep.Result.Verified
+	res := core.ComposeVerdicts(all)
+	res.Tier, res.Cost = core.TierModular, ledger
+	res.FillTimes()
+	rep.Result, rep.Verified = res, res.Verified
 	emit(opts, "modular.compose", map[string]any{
 		"verified": rep.Verified, "checks": rep.Checks, "alias_hits": rep.AliasHits,
-		"blame": len(rep.Result.Blame)})
-	rep.Elapsed = time.Since(start)
+		"blame": len(res.Blame)})
 	return rep, nil
 }
 
@@ -424,17 +405,15 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 		return m.PinEnv(pins)
 	}
 
-	check := func(name, contract string, property *smt.Term, assumptions []*smt.Term) (bool, error) {
+	check := func(property *smt.Term, assumptions []*smt.Term) (bool, error) {
 		res, err := m.CheckGoal(ctx, cn, property, assumptions...)
 		if err != nil {
 			return false, err
 		}
 		// Fold the check's phase ledger into the class node (same-name
-		// phases accumulate, like origin profiles); Merge only reads
-		// res.Cost, which the composed verdict merges once more.
+		// phases accumulate, like origin profiles).
 		cl.cost.Merge(res.Cost)
-		cl.verdicts = append(cl.verdicts, &core.ComponentVerdict{
-			Component: cp.Comp.Index, Check: name, Contract: contract, Res: res})
+		cl.results = append(cl.results, res)
 		return res.Verified, nil
 	}
 
@@ -472,7 +451,7 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 			}
 			goals = append(goals, t)
 		}
-		ok, err := check(fmt.Sprintf("discharge[m=%d]", metric), "", m.Ctx.And(goals...), assumptions)
+		ok, err := check(m.Ctx.And(goals...), assumptions)
 		if err != nil {
 			fail(err)
 			return
@@ -486,8 +465,7 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 					fail(err)
 					return
 				}
-				one, err := check(fmt.Sprintf("discharge[m=%d]:%s", metric, ex.con.Session.ID),
-					ex.con.Session.ID, t, assumptions)
+				one, err := check(t, assumptions)
 				if err != nil {
 					fail(err)
 					return
@@ -555,7 +533,7 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 		for _, r := range names {
 			goals = append(goals, reach[r])
 		}
-		ok, err := check("obligation:"+strings.Join(names, ","), "", m.Ctx.And(goals...), assumptions)
+		ok, err := check(m.Ctx.And(goals...), assumptions)
 		if err != nil {
 			fail(err)
 			return
@@ -578,7 +556,7 @@ func runClass(ctx context.Context, g *protograph.Graph, plan *Plan, cl *classOut
 		prop = properties.MultipathConsistent(m)
 	}
 	if prop != nil {
-		ok, err := check("property:"+plan.Goal.Check, "", prop, assumptions)
+		ok, err := check(prop, assumptions)
 		if err != nil {
 			fail(err)
 			return

@@ -236,6 +236,23 @@ func (n *Node) TotalWall() time.Duration {
 	return d
 }
 
+// PhaseWall sums the wall time of every node named phase below n: the
+// one phase child of a flat ledger, or that phase in each subtree of a
+// composed one.
+func (n *Node) PhaseWall(phase string) time.Duration {
+	if n == nil {
+		return 0
+	}
+	var d time.Duration
+	for _, c := range n.Children {
+		if c.Name == phase {
+			d += c.Wall
+		}
+		d += c.PhaseWall(phase)
+	}
+	return d
+}
+
 // Merge folds o into n: counters and durations add, watermarks take the
 // maximum, same-name children merge recursively — the same semantics
 // provenance.MergeProfiles gives origin profiles. The donor is only read:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -319,6 +320,44 @@ func TestRunGraphResidueStampsResult(t *testing.T) {
 	}
 	if v.Result.Verified {
 		t.Fatal("a two-router chain does not survive a link failure")
+	}
+}
+
+// TestCertifiedModularVerdict: certification runs per component check,
+// and the composed verdict carries the components' summed certificate and
+// their class subtrees, so its report shows the proof and the certify
+// time its ledger charged.
+func TestCertifiedModularVerdict(t *testing.T) {
+	opts := options("none")
+	opts.Modular, opts.Workers = true, 2
+	opts.Core.Certify = true
+	goal := tiered.Goal{Check: "reachability", Src: topogen.ToRName(1, 0), Subnet: topogen.ToRSubnet(0, 0), HasSubnet: true}
+	v, err := pipeline.Run(context.Background(), fabric(t, 2), goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := v.Result
+	if v.Mode != pipeline.ModeModular || !res.Verified || v.Modular.Checks == 0 {
+		t.Fatalf("mode=%q verified=%v checks=%d (residue %v)", v.Mode, res.Verified, v.Modular.Checks, v.Residue)
+	}
+	if c := res.Certificate; c == nil || !c.Checked || c.Fallbacks != 0 || c.Inputs == 0 {
+		t.Fatalf("composed certificate %+v, want the checked sum of the components'", c)
+	}
+	var certify time.Duration
+	for _, class := range res.Cost.Children {
+		if ph := class.Find("certify"); ph != nil {
+			certify += ph.Wall
+		}
+	}
+	if certify <= 0 || res.CertifyElapsed != certify {
+		t.Fatalf("certify time %v, class subtrees %v", res.CertifyElapsed, certify)
+	}
+	rep := pipeline.NewReport(goal.Check, v)
+	if rep.Proof == nil || rep.Proof.Steps != res.Certificate.Steps || rep.Proof.CheckMs != rep.CertifyMs || rep.Cost != res.Cost {
+		t.Fatalf("report proof %+v, certify %vms, cost %p (verdict's %p)", rep.Proof, rep.CertifyMs, rep.Cost, res.Cost)
+	}
+	if sum := rep.FastPathMs + rep.EncodeMs + rep.SimplifyMs + rep.ProbeMs + rep.SolveMs + rep.CertifyMs; rep.ElapsedMs != sum {
+		t.Fatalf("elapsed %v != phase sum %v", rep.ElapsedMs, sum)
 	}
 }
 

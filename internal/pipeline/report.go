@@ -64,11 +64,11 @@ type Report struct {
 	// check diverge (Verdict.Difference).
 	Difference string `json:"difference,omitempty"`
 
-	// Cost is the hierarchical resource ledger: per-phase work units,
-	// clause-db/proof bytes and wall/CPU time, each node's work equal to
-	// its self work plus its children's. The composed modular verdict
-	// reports the per-class tree, which keeps the component detail the
-	// composed result folds away.
+	// Cost is the verdict's resource ledger (core.Result.Cost): per-phase
+	// work units, clause-db/proof bytes and wall/CPU time, each node's
+	// work equal to its self work plus its children's. A composed modular
+	// verdict's holds one "class:N" subtree of phases per solved class;
+	// every time above is read from it.
 	Cost *cost.Node `json:"cost,omitempty"`
 }
 
@@ -169,9 +169,6 @@ func NewReport(check string, v *Verdict) *Report {
 	if mr := v.Modular; mr != nil && v.Mode == ModeModular {
 		r.Components, r.ComponentClasses = mr.Components, mr.Classes
 		r.AliasHits, r.ComponentChecks, r.PeakTerms = mr.AliasHits, mr.Checks, mr.PeakTerms
-		if mr.Cost != nil {
-			r.Cost = mr.Cost
-		}
 	}
 	if cert := res.Certificate; cert != nil {
 		r.Proof = &ProofInfo{
