@@ -99,11 +99,11 @@ func BenchmarkFig8(b *testing.B) {
 		for _, prop := range props {
 			b.Run(fmt.Sprintf("pods=%d/%s", k, prop), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					row, err := harness.RunFig8Property(f, prop, opts)
+					v, err := harness.RunFig8Property(f, prop, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if !row.Verified {
+					if !v.Result.Verified {
 						b.Fatalf("%s unexpectedly violated", prop)
 					}
 				}

@@ -35,8 +35,15 @@
 // the committed BENCH_fig8.json baseline keeps measuring the solver.
 //
 // With -certify, fig8 records a DRAT proof trace per query and replays it
-// through the independent checker; the proof_steps/proof_lemmas/
-// proof_check_ms columns report the certificate size and overhead.
+// through the independent checker; a row's proof block reports the
+// certificate size and overhead.
+//
+// fig8, tiered and modular write their rows as a JSON artifact too. Each
+// row is the verdict's pipeline.Report — the object minesweeper -json
+// prints and the daemon serves — keyed by the fabric (pods) or audit
+// network it was asked of, plus the few columns only a comparison of two
+// answers has: the tiered sweep's graph side, the modular sweep's
+// monolithic reference, fig8's origin-tracking overhead.
 //
 // The fuzz experiment is a deterministic smoke run of the differential
 // fuzzing subsystem (internal/fuzz): every scenario family is generated
@@ -204,7 +211,7 @@ func writeTrace(tr *obs.Trace, path string) error {
 
 // writeJSON writes an experiment's rows as its indented JSON artifact; an
 // empty path skips it.
-func writeJSON[T any](path string, rows []T) error {
+func writeJSON(path string, rows []row) error {
 	if path == "" {
 		return nil
 	}
@@ -322,75 +329,71 @@ func runFig7(count int, seed int64) error {
 
 func toMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// fig8JSON is one row of the BENCH_fig8.json artifact: the machine-
-// diffable form of the Figure 8 table, so performance can be compared
-// across revisions without parsing the text output.
-type fig8JSON struct {
-	Pods       int     `json:"pods"`
-	Routers    int     `json:"routers"`
-	Property   string  `json:"property"`
-	Ms         float64 `json:"ms"`
-	EncodeMs   float64 `json:"encode_ms"`
-	SimplifyMs float64 `json:"simplify_ms"`
-	SolveMs    float64 `json:"solve_ms"`
-	Verified   bool    `json:"verified"`
-	SATVars    int     `json:"sat_vars"`
-	SATClauses int     `json:"sat_clauses"`
-	Conflicts  int64   `json:"conflicts"`
-	// Deterministic work columns: the search's counters plus the ledger's
-	// clause-db/proof byte estimates. Unlike the ms columns these are
-	// machine-independent, so CI's cost-gate holds them to the committed
-	// baseline exactly.
-	Decisions     int64 `json:"decisions,omitempty"`
-	Propagations  int64 `json:"propagations,omitempty"`
-	ClauseDBBytes int64 `json:"clause_db_bytes,omitempty"`
-	ProofBytes    int64 `json:"proof_bytes,omitempty"`
-	ProofSteps    int   `json:"proof_steps,omitempty"`
-	ProofLemmas   int   `json:"proof_lemmas,omitempty"`
-	// ProofHinted + ProofFallbacks are the lemmas the checker had to
-	// propagate for; the CI certify job holds ProofFallbacks at zero.
-	ProofHinted    int     `json:"proof_hinted,omitempty"`
-	ProofFallbacks int     `json:"proof_fallbacks,omitempty"`
-	ProofCheckMs   float64 `json:"proof_check_ms,omitempty"`
-	// With -profile-origins: the solve time of the origin-tracked rerun
-	// and its overhead relative to the plain solve, in percent.
+// row is one row of every JSON artifact bench writes: the verdict as
+// pipeline.Report renders it for minesweeper -json and the daemon, keyed
+// by the instance it answers, plus the columns only a comparison of two
+// answers has. A verdict is read once, by pipeline.NewReport.
+type row struct {
+	// Pods keys a fabric's row, Network an audit network's; Subnet is set
+	// on the scoped row of a whole-network property.
+	Pods    int    `json:"pods,omitempty"`
+	Network string `json:"network,omitempty"`
+	Routers int    `json:"routers"`
+	// Check shadows the Report's (the same name), so that a row without
+	// a verdict still names its question.
+	Check  string `json:"check"`
+	Subnet string `json:"subnet,omitempty"`
+	*pipeline.Report
+	// Residue is why a modular row has no verdict (and no Report): beyond
+	// -mono-max the modular step's residue is final.
+	Residue string `json:"residue,omitempty"`
+
+	// The tiered sweep's graph side: the rule that decided the row, or
+	// the reason the tier could not, and the time it took.
+	Rule    string  `json:"rule,omitempty"`
+	Reason  string  `json:"reason,omitempty"`
+	GraphMs float64 `json:"graph_ms,omitempty"`
+
+	// The modular sweep: the run's wall clock (ElapsedMs sums its phases
+	// over the workers), and its blame count in place of the Report's
+	// origin strings (the pods-32 rows would each carry tens of
+	// thousands). Then the monolithic reference, run when pods <=
+	// -mono-max.
+	ModularMs   float64 `json:"modular_ms,omitempty"`
+	Blame       int     `json:"blame,omitempty"`
+	MonoRan     bool    `json:"mono_ran,omitempty"`
+	MonoMs      float64 `json:"mono_ms,omitempty"`
+	MonoSATVars int     `json:"mono_sat_vars,omitempty"`
+	// Speedup is the other answer's time over this one's; Agree is set
+	// when a second pipeline answered the row and reached its verdict.
+	Speedup float64 `json:"speedup,omitempty"`
+	Agree   bool    `json:"agree,omitempty"`
+
+	// With -profile-origins: the solve time of fig8's origin-tracked
+	// rerun and its overhead over the plain solve, in percent.
 	TrackedSolveMs    float64 `json:"tracked_solve_ms,omitempty"`
 	OriginOverheadPct float64 `json:"origin_overhead_pct,omitempty"`
-	// Tier names which verification tier answered the row: "sat" (the
-	// solver — always the case without -tiers) or "graph" (the sound
-	// fast path decided it and no SAT model was built). FastPathMs is
-	// the graph attempt's cost, present only on tiered runs.
-	Tier       string  `json:"tier,omitempty"`
-	FastPathMs float64 `json:"fastpath_ms,omitempty"`
 }
 
-// newFig8JSON is the one reading of a Figure 8 verdict into its row.
-// Untiered runs never consult the fast path, but the solver still
-// answered the row: the tier is named either way, so the artifact is
-// self-describing.
-func newFig8JSON(f *harness.Fabric, prop string, res *core.Result) fig8JSON {
-	row := fig8JSON{
-		Pods: f.FT.K, Routers: len(f.FT.Routers), Property: prop,
-		Ms: toMs(res.Elapsed), EncodeMs: toMs(res.EncodeElapsed),
-		SimplifyMs: toMs(res.SimplifyElapsed), SolveMs: toMs(res.SolveElapsed),
-		Verified: res.Verified, SATVars: res.SATVars,
-		SATClauses: res.SATClauses, Conflicts: res.Stats.Conflicts,
-		Decisions: res.Stats.Decisions, Propagations: res.Stats.Propagations,
-		Tier: res.Tier, FastPathMs: toMs(res.FastPathElapsed),
+// newRow is the row of a check; a verdict without a Result (or none at
+// all) leaves its Report nil.
+func newRow(check string, v *pipeline.Verdict) row {
+	r := row{Check: check}
+	if v != nil && v.Result != nil {
+		r.Report = pipeline.NewReport(check, v)
 	}
-	if row.Tier == "" {
-		row.Tier = tiered.TierSAT
+	return r
+}
+
+// fig8Row answers one Figure 8 property on a fabric under opts as its row.
+func fig8Row(f *harness.Fabric, prop string, opts pipeline.Options) (row, error) {
+	v, err := harness.RunFig8Property(f, prop, opts)
+	if err != nil {
+		return row{}, err
 	}
-	if res.Cost != nil {
-		t := res.Cost.Total()
-		row.ClauseDBBytes, row.ProofBytes = t.ClauseDBBytes, t.ProofBytes
-	}
-	if cert := res.Certificate; cert != nil {
-		row.ProofSteps, row.ProofLemmas = cert.Steps, cert.Lemmas
-		row.ProofHinted, row.ProofFallbacks = cert.Hinted, cert.Fallbacks
-		row.ProofCheckMs = toMs(res.CertifyElapsed)
-	}
-	return row
+	r := newRow(prop, v)
+	r.Pods, r.Routers = f.FT.K, len(f.FT.Routers)
+	return r, nil
 }
 
 // runFig8 reproduces Figure 8: verification time per property per fabric
@@ -398,9 +401,9 @@ func newFig8JSON(f *harness.Fabric, prop string, res *core.Result) fig8JSON {
 func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every int64, opts pipeline.Options, profOrig bool, profOut string) error {
 	fmt.Println("# Figure 8: verification time (ms) per property and fabric size")
 	fmt.Println("pods\trouters\tproperty\ttier\tms\tencode_ms\tsimplify_ms\tsolve_ms\tfastpath_ms\tverified\tsat_vars\tsat_clauses\tconflicts\tdecisions\tpropagations\tdb_bytes\tproof_bytes\tproof_steps\tproof_lemmas\tproof_fallbacks\tproof_check_ms")
-	var art []fig8JSON
+	var art []row
 	var profiles []*provenance.Profile
-	var baseSolve, trackedSolve time.Duration
+	var baseSolve, trackedSolve float64
 	for _, k := range pods {
 		f, err := harness.BuildFabric(k)
 		if err != nil {
@@ -412,51 +415,60 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 		podOpts.Core.Span = podSp
 		podOpts.Core = withProgress(podOpts.Core, every, label)
 		for _, prop := range props {
-			res, err := harness.RunFig8Property(f, prop, podOpts)
+			r, err := fig8Row(f, prop, podOpts)
 			if err != nil {
 				return err
 			}
-			row := newFig8JSON(f, prop, res)
+			var st pipeline.SolverStats
+			if r.Solver != nil {
+				st = *r.Solver
+			}
+			var pf pipeline.ProofInfo
+			if r.Proof != nil {
+				pf = *r.Proof
+			}
+			w := r.Cost.Total()
 			fmt.Printf("%d\t%d\t%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
-				row.Pods, row.Routers, row.Property, row.Tier,
-				row.Ms, row.EncodeMs, row.SimplifyMs, row.SolveMs, row.FastPathMs,
-				row.Verified, row.SATVars, row.SATClauses, row.Conflicts,
-				row.Decisions, row.Propagations, row.ClauseDBBytes, row.ProofBytes,
-				row.ProofSteps, row.ProofLemmas, row.ProofFallbacks, row.ProofCheckMs)
+				r.Pods, r.Routers, r.Check, r.Tier,
+				r.ElapsedMs, r.EncodeMs, r.SimplifyMs, r.SolveMs, r.FastPathMs,
+				r.Verified, r.SATVars, r.SATClauses, st.Conflicts,
+				st.Decisions, st.Propagations, w.ClauseDBBytes, w.ProofBytes,
+				pf.Steps, pf.Lemmas, pf.Fallbacks, pf.CheckMs)
 			if profOrig && prop != harness.Fig8LocalConsist {
 				// Rerun with attribution on: the delta on solve time is the
 				// cost of origin tracking; the profile is the payoff.
 				tracked := podOpts
 				tracked.Core.ProfileOrigins = true
-				tres, err := harness.RunFig8Property(f, prop, tracked)
+				tv, err := harness.RunFig8Property(f, prop, tracked)
 				if err != nil {
 					return err
 				}
+				tres := tv.Result
 				profiles = append(profiles, tres.OriginProfile)
-				baseSolve += res.SolveElapsed
-				trackedSolve += tres.SolveElapsed
-				row.TrackedSolveMs = toMs(tres.SolveElapsed)
-				if res.SolveElapsed > 0 {
-					row.OriginOverheadPct = 100 * (float64(tres.SolveElapsed)/float64(res.SolveElapsed) - 1)
+				r.TrackedSolveMs = toMs(tres.SolveElapsed)
+				baseSolve += r.SolveMs
+				trackedSolve += r.TrackedSolveMs
+				if r.SolveMs > 0 {
+					r.OriginOverheadPct = 100 * (r.TrackedSolveMs/r.SolveMs - 1)
 				}
 				if tr != nil && tres.OriginProfile != nil {
-					for _, r := range tres.OriginProfile.Rows {
-						tr.Observe("origin.conflicts", float64(r.Conflicts))
-						tr.Observe("origin.propagations", float64(r.Propagations))
+					for _, o := range tres.OriginProfile.Rows {
+						tr.Observe("origin.conflicts", float64(o.Conflicts))
+						tr.Observe("origin.propagations", float64(o.Propagations))
 					}
 				}
 			}
-			art = append(art, row)
+			art = append(art, r)
 		}
 		podSp.End()
 	}
 	if profOrig {
 		overall := 0.0
 		if baseSolve > 0 {
-			overall = 100 * (float64(trackedSolve)/float64(baseSolve) - 1)
+			overall = 100 * (trackedSolve/baseSolve - 1)
 		}
 		fmt.Printf("# origin tracking overhead: %.1f%% on aggregate solve time (%.1fms plain, %.1fms tracked)\n",
-			overall, toMs(baseSolve), toMs(trackedSolve))
+			overall, baseSolve, trackedSolve)
 		if profOut != "" {
 			merged := provenance.MergeProfiles(profiles...)
 			pf, err := os.Create(profOut)
@@ -476,31 +488,42 @@ func runFig8(pods []int, props []string, jsonOut string, tr *obs.Trace, every in
 	return writeJSON(jsonOut, art)
 }
 
-// tieredJSON is one row of the BENCH_tiered.json artifact: the graph
-// fast path and the SAT pipeline answering the same query — a Figure 8
-// row of a fabric (Pods set) or a check of an audit network (Network
-// set).
-type tieredJSON struct {
-	Pods     int    `json:"pods,omitempty"`
-	Network  string `json:"network,omitempty"`
-	Routers  int    `json:"routers"`
-	Property string `json:"property"`
-	// Subnet is set on the scoped row of a whole-network property: the
-	// same check asked of the destination subnet only.
-	Subnet string `json:"subnet,omitempty"`
-	// Tier is "graph" when the fast path decided the row, "sat" when it
-	// returned residue and the solver answered.
-	Tier   string `json:"tier"`
-	Reason string `json:"reason,omitempty"`
-	// Rule names the graph-tier rule that decided the row (Outcome.Rule). An
-	// audit row the tier leaves is not answered on the SAT pipeline: its
-	// sat_ms and verified stay zero.
-	Rule     string  `json:"rule,omitempty"`
-	GraphMs  float64 `json:"graph_ms"`
-	SatMs    float64 `json:"sat_ms"`
-	Speedup  float64 `json:"speedup,omitempty"`
-	Verified bool    `json:"verified"`
-	Agree    bool    `json:"agree"`
+// tieredRow asks a goal twice — of the sound graph fast path, timed here,
+// and of the SAT pipeline under satOpts (tiers off) — as the tiered
+// sweep's row. With satAlways false the solver answers only the rows the
+// tier decided. A definitive graph verdict the solver contradicts is a
+// soundness bug: the row comes back with an error.
+func tieredRow(net *pipeline.Network, check string, goal tiered.Goal, satOpts pipeline.Options, satAlways bool) (row, error) {
+	start := time.Now()
+	out := net.Analysis().Decide(goal)
+	graphMs := toMs(time.Since(start))
+	var v *pipeline.Verdict
+	if out.Decided || satAlways {
+		var err error
+		if v, err = pipeline.Run(context.Background(), net, goal, satOpts); err != nil {
+			return row{}, err
+		}
+	}
+	r := newRow(check, v)
+	r.Rule, r.Reason, r.GraphMs = out.Rule(), out.Reason, graphMs
+	if !out.Decided {
+		return r, nil
+	}
+	if r.Agree = out.Verified == r.Verified; !r.Agree {
+		return r, fmt.Errorf("graph says verified=%v, sat says verified=%v", out.Verified, r.Verified)
+	}
+	if graphMs > 0 {
+		r.Speedup = r.ElapsedMs / graphMs
+	}
+	return r, nil
+}
+
+// tierOf names the tier that decided a tiered-sweep row.
+func tierOf(r row) string {
+	if r.Rule != "" {
+		return tiered.TierGraph
+	}
+	return tiered.TierSAT
 }
 
 // runTiered answers every Figure 8 row twice — once on the sound graph
@@ -516,7 +539,7 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 	// separately here.
 	var satOpts pipeline.Options
 	satOpts.Core = core.Options{Passes: passes, Tiers: "none"}
-	var art []tieredJSON
+	var art []row
 	hits, covered := 0, 0
 	var graphTotal, satTotal float64
 	for _, k := range pods {
@@ -524,11 +547,6 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 		if err != nil {
 			return err
 		}
-		type row struct {
-			prop, subnet string // subnet: set on a scoped row
-			goal         tiered.Goal
-		}
-		var rows []row
 		for _, prop := range props {
 			goal, ok := harness.Fig8Goal(f, prop)
 			if !ok {
@@ -537,51 +555,33 @@ func runTiered(pods []int, props []string, jsonOut, passes string) error {
 				// the fast path never sees.
 				continue
 			}
-			rows = append(rows, row{prop: prop, goal: goal})
+			goals := []tiered.Goal{goal}
 			if !goal.HasSubnet {
 				scoped, _ := harness.Fig8ModularGoal(f, prop)
-				rows = append(rows, row{prop, scoped.Subnet.String(), scoped})
+				goals = append(goals, scoped)
 			}
-		}
-		for _, r := range rows {
-			name := r.prop
-			if r.subnet != "" {
-				name += "@" + r.subnet
-			}
-			start := time.Now()
-			out := f.Net.Analysis().Decide(r.goal)
-			graphMs := toMs(time.Since(start))
-			v, err := pipeline.Run(context.Background(), f.Net, r.goal, satOpts)
-			if err != nil {
-				return err
-			}
-			satRes := v.Result
-			satMs := toMs(satRes.Elapsed)
-			jrow := tieredJSON{
-				Pods: k, Routers: len(f.FT.Routers), Property: r.prop, Subnet: r.subnet,
-				Tier: tiered.TierSAT, Reason: out.Reason,
-				GraphMs: graphMs, SatMs: satMs,
-				Verified: satRes.Verified, Agree: true,
-			}
-			covered++
-			if out.Decided {
-				hits++
-				jrow.Tier, jrow.Rule = tiered.TierGraph, out.Rule()
-				jrow.Agree = out.Verified == satRes.Verified
-				if graphMs > 0 {
-					jrow.Speedup = satMs / graphMs
+			for i, g := range goals {
+				r, err := tieredRow(f.Net, prop, g, satOpts, true)
+				r.Pods, r.Routers = k, len(f.FT.Routers)
+				name := prop
+				if i > 0 {
+					r.Subnet = g.Subnet.String()
+					name += "@" + r.Subnet
 				}
-				graphTotal += graphMs
-				satTotal += satMs
+				if err != nil {
+					return fmt.Errorf("tiered pods=%d %s: %w", k, name, err)
+				}
+				covered++
+				if r.Rule != "" {
+					hits++
+					graphTotal += r.GraphMs
+					satTotal += r.ElapsedMs
+				}
+				fmt.Printf("%d\t%d\t%s\t%s\t%s\t%.2f\t%.1f\t%.1f\t%v\t%v\n",
+					r.Pods, r.Routers, name, tierOf(r), r.Reason,
+					r.GraphMs, r.ElapsedMs, r.Speedup, r.Verified, r.Rule == "" || r.Agree)
+				art = append(art, r)
 			}
-			fmt.Printf("%d\t%d\t%s\t%s\t%s\t%.2f\t%.1f\t%.1f\t%v\t%v\n",
-				jrow.Pods, jrow.Routers, name, jrow.Tier, jrow.Reason,
-				jrow.GraphMs, jrow.SatMs, jrow.Speedup, jrow.Verified, jrow.Agree)
-			if !jrow.Agree {
-				return fmt.Errorf("tier disagreement on pods=%d %s: graph says verified=%v, sat says verified=%v",
-					k, name, out.Verified, satRes.Verified)
-			}
-			art = append(art, jrow)
 		}
 	}
 	if covered > 0 {
@@ -611,15 +611,15 @@ var auditChecks = []string{"reachability", "isolation", "waypoint", "bounded-len
 // (waypoint through the first core, bounded-length at one hop), the
 // whole-network checks scoped to that subnet, and management
 // reachability. Only the rows the graph tier decides are answered on the
-// SAT pipeline too, and a disagreement fails the sweep. It prints, per
-// check, the share of rows each rule decided.
-func runTieredAudit(satOpts pipeline.Options) ([]tieredJSON, error) {
+// SAT pipeline too (the others have no Report), and a disagreement fails
+// the sweep. It prints, per check, the share of rows each rule decided.
+func runTieredAudit(satOpts pipeline.Options) ([]row, error) {
 	fmt.Println("# audit population: graph tier vs SAT pipeline (the solver answers decided rows only)")
 	fmt.Println("network\trouters\tproperty\ttier\treason\tgraph_ms\tsat_ms\tverified\tagree")
 	rules := []string{"stable-state", "may-graph", "simulated", "vacuity"}
 	decided := map[string]map[string]int{}
 	asked := map[string]int{}
-	var art []tieredJSON
+	var art []row
 	for size := 2; size <= 25; size++ {
 		n, err := netgen.Audit(size)
 		if err != nil {
@@ -642,37 +642,23 @@ func runTieredAudit(satOpts pipeline.Options) ([]tieredJSON, error) {
 			if check == "mgmt-reachability" {
 				goal = tiered.Goal{Check: check}
 			}
-			start := time.Now()
-			out := net.Analysis().Decide(goal)
-			row := tieredJSON{
-				Network: n.Name, Routers: len(n.Routers), Property: check,
-				Tier: tiered.TierSAT, Reason: out.Reason, GraphMs: toMs(time.Since(start)), Agree: true,
+			r, err := tieredRow(net, check, goal, satOpts, false)
+			if err != nil {
+				return nil, fmt.Errorf("tiered %s %s: %w", n.Name, check, err)
 			}
+			r.Network, r.Routers = n.Name, len(n.Routers)
 			asked[check]++
-			if out.Decided {
-				v, err := pipeline.Run(context.Background(), net, goal, satOpts)
-				if err != nil {
-					return nil, err
-				}
-				row.Tier, row.Rule = tiered.TierGraph, out.Rule()
-				row.SatMs, row.Verified = toMs(v.Result.Elapsed), v.Result.Verified
-				row.Agree = out.Verified == v.Result.Verified
+			sat := "-\t-\t-"
+			if r.Rule != "" {
 				if decided[check] == nil {
 					decided[check] = map[string]int{}
 				}
-				decided[check][row.Rule]++
+				decided[check][r.Rule]++
+				sat = fmt.Sprintf("%.1f\t%v\t%v", r.ElapsedMs, r.Verified, r.Agree)
 			}
-			sat := "-\t-"
-			if out.Decided {
-				sat = fmt.Sprintf("%.1f\t%v", row.SatMs, row.Verified)
-			}
-			fmt.Printf("%s\t%d\t%s\t%s\t%s\t%.2f\t%s\t%v\n",
-				row.Network, row.Routers, row.Property, row.Tier, row.Reason, row.GraphMs, sat, row.Agree)
-			if !row.Agree {
-				return nil, fmt.Errorf("tier disagreement on %s %s: graph says verified=%v, sat says verified=%v",
-					n.Name, check, out.Verified, row.Verified)
-			}
-			art = append(art, row)
+			fmt.Printf("%s\t%d\t%s\t%s\t%s\t%.2f\t%s\n",
+				r.Network, r.Routers, r.Check, tierOf(r), r.Reason, r.GraphMs, sat)
+			art = append(art, r)
 		}
 	}
 	fmt.Println("# audit decided share by rule")
@@ -689,42 +675,58 @@ func runTieredAudit(satOpts pipeline.Options) ([]tieredJSON, error) {
 	return art, nil
 }
 
-// modularJSON is one row of the BENCH_modular.json artifact: the
-// assume/guarantee pipeline on one Figure 8 property, with the
-// monolithic reference columns filled only when pods <= -mono-max.
-type modularJSON struct {
-	Pods     int    `json:"pods"`
-	Routers  int    `json:"routers"`
-	Property string `json:"property"`
-	// Mode is "modular" when the composed verdict stands; anything else
-	// ("fallback" with the residue that forced it) means the row was
-	// answered monolithically and the comparison is void.
-	Mode       string  `json:"mode"`
-	Residue    string  `json:"residue,omitempty"`
-	Verified   bool    `json:"verified"`
-	ModularMs  float64 `json:"modular_ms"`
-	Components int     `json:"components"`
-	Classes    int     `json:"classes"`
-	AliasHits  int     `json:"alias_hits"`
-	Checks     int     `json:"checks"`
-	// PeakTerms / SATVars are per-component peaks — the modular answer
-	// to the monolithic model-size question.
-	PeakTerms int `json:"peak_terms"`
-	SATVars   int `json:"sat_vars"`
-	Blame     int `json:"blame"`
-	// Units / ClauseDBBytes total the per-class cost ledger: the
-	// deterministic work the composition actually paid (one
-	// representative check per isomorphism class, amortized over
-	// aliases).
-	Units         int64 `json:"work_units,omitempty"`
-	ClauseDBBytes int64 `json:"clause_db_bytes,omitempty"`
-	// Monolithic reference (mono_ran=false beyond -mono-max, where the
-	// whole-network encoding is off the table).
-	MonoRan     bool    `json:"mono_ran"`
-	MonoMs      float64 `json:"mono_ms,omitempty"`
-	MonoSATVars int     `json:"mono_sat_vars,omitempty"`
-	Speedup     float64 `json:"speedup,omitempty"`
-	Agree       bool    `json:"agree,omitempty"`
+// modularRow answers a Figure 8 property on a fabric through the
+// assume/guarantee pipeline — the graph tier off, blame on, workers class
+// checks at once — and, when the fabric has at most monoMax pods,
+// monolithically too, as the modular sweep's row (ok=false for
+// local-consistency, a pairwise-equivalence sweep the modular and tiered
+// vocabulary do not model). A verdict the monolithic reference
+// contradicts is a soundness bug: an error.
+func modularRow(f *harness.Fabric, prop, passes string, workers, monoMax int) (r row, ok bool, err error) {
+	goal, ok := harness.Fig8ModularGoal(f, prop)
+	if !ok {
+		return row{}, false, nil
+	}
+	opts := pipeline.Options{Modular: true}
+	opts.Workers = workers
+	opts.Core.Tiers, opts.Core.Blame, opts.Core.Passes = "none", true, passes
+	// Beyond monoMax the whole-network encoding is off the table, so a
+	// surprise residue must surface as an undecided row rather than
+	// quietly starting an infeasible monolithic solve.
+	opts.NoFallback = f.FT.K > monoMax
+	ctx := context.Background()
+	start := time.Now()
+	v, err := pipeline.Run(ctx, f.Net, goal, opts)
+	if err != nil {
+		return row{}, true, fmt.Errorf("modular pods=%d %s: %w", f.FT.K, prop, err)
+	}
+	r = newRow(prop, v)
+	r.Pods, r.Routers, r.ModularMs = f.FT.K, len(f.FT.Routers), toMs(time.Since(start))
+	if v.Result == nil {
+		r.Residue = strings.Join(v.Residue, ",")
+	} else {
+		r.Blame = len(v.Result.Blame)
+	}
+	if opts.NoFallback {
+		return r, true, nil
+	}
+	// The same goal, answered on the whole network: the composition
+	// against the solve it replaces.
+	opts.Modular = false
+	start = time.Now()
+	mv, err := pipeline.Run(ctx, f.Net, goal, opts)
+	if err != nil {
+		return row{}, true, fmt.Errorf("monolithic pods=%d %s: %w", f.FT.K, prop, err)
+	}
+	r.MonoRan, r.MonoMs, r.MonoSATVars = true, toMs(time.Since(start)), mv.Result.SATVars
+	if r.ModularMs > 0 {
+		r.Speedup = r.MonoMs / r.ModularMs
+	}
+	if r.Agree = mv.Result.Verified == r.Verified; !r.Agree {
+		return r, true, fmt.Errorf("modular disagreement on pods=%d %s: modular says verified=%v (mode %s), monolithic disagrees",
+			f.FT.K, prop, r.Verified, r.Mode)
+	}
+	return r, true, nil
 }
 
 // runModular reproduces the modular-verification scaling comparison:
@@ -733,104 +735,46 @@ type modularJSON struct {
 // still feasible (pods <= monoMax). Verdict parity on the shared rows
 // is enforced — any disagreement is a soundness bug and exits nonzero.
 func runModular(pods []int, props []string, jsonOut, passes string, monoMax, workers int) error {
-	toMs := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	fmt.Println("# modular assume/guarantee vs monolithic per Figure 8 row")
 	fmt.Println("pods\trouters\tproperty\tmode\tmodular_ms\tcomps\tclasses\talias\tchecks\tpeak_terms\tsat_vars\tblame\tunits\tdb_bytes\tmono_ms\tspeedup\tverified\tagree")
-	// The graph tier stays off on both sides: the sweep compares the
-	// composition with the whole-network solve, goal for goal.
-	opts := pipeline.Options{Modular: true}
-	opts.Workers = workers
-	opts.Core.Tiers = "none"
-	opts.Core.Blame = true
-	opts.Core.Passes = passes
-	mono := opts
-	mono.Modular = false
-	var art []modularJSON
-	ctx := context.Background()
+	var art []row
+	var modTotal, monoTotal float64
+	shared := 0
 	for _, k := range pods {
 		f, err := harness.BuildFabric(k)
 		if err != nil {
 			return err
 		}
-		// Beyond -mono-max the whole-network encoding is off the table, so
-		// a surprise residue must surface as an undecided row rather than
-		// quietly starting an infeasible monolithic solve.
-		kOpts := opts
-		kOpts.NoFallback = k > monoMax
 		for _, prop := range props {
-			goal, ok := harness.Fig8ModularGoal(f, prop)
+			r, ok, err := modularRow(f, prop, passes, workers, monoMax)
+			if err != nil {
+				return err
+			}
 			if !ok {
-				// local-consistency is a pairwise-equivalence sweep, not a
-				// goal the modular (or tiered) vocabulary models.
 				continue
 			}
-			start := time.Now()
-			v, err := pipeline.Run(ctx, f.Net, goal, kOpts)
-			if err != nil {
-				return fmt.Errorf("modular pods=%d %s: %w", k, prop, err)
+			// An undecided row has no Report: its mode reads "residue".
+			rep := pipeline.Report{Mode: "residue"}
+			if r.Report != nil {
+				rep = *r.Report
 			}
-			row := modularJSON{
-				Pods: k, Routers: len(f.FT.Routers), Property: prop,
-				Mode: v.Mode, Residue: strings.Join(v.Residue, ","),
-				ModularMs: toMs(time.Since(start)),
-			}
-			if v.Result == nil {
-				// Residue under NoFallback: the row is undecided, not a
-				// verdict — label it so downstream tooling can't read
-				// verified=false as a falsification.
-				row.Mode = "fallback-skipped"
-			} else {
-				row.Verified = v.Result.Verified
-				row.SATVars = v.Result.SATVars
-				row.Blame = len(v.Result.Blame)
-				t := v.Result.Cost.Total()
-				row.Units, row.ClauseDBBytes = t.Units(), t.ClauseDBBytes
-			}
-			if rep := v.Modular; rep != nil {
-				row.Components = rep.Components
-				row.Classes = rep.Classes
-				row.AliasHits = rep.AliasHits
-				row.Checks = rep.Checks
-				row.PeakTerms = rep.PeakTerms
-			}
+			w := rep.Cost.Total()
 			monoCol, speedCol, agreeCol := "-", "-", "-"
-			if k <= monoMax {
-				start = time.Now()
-				mv, err := pipeline.Run(ctx, f.Net, goal, mono)
-				if err != nil {
-					return fmt.Errorf("monolithic pods=%d %s: %w", k, prop, err)
-				}
-				row.MonoRan = true
-				row.MonoMs = toMs(time.Since(start))
-				row.MonoSATVars = mv.Result.SATVars
-				row.Agree = mv.Result.Verified == row.Verified
-				if row.ModularMs > 0 {
-					row.Speedup = row.MonoMs / row.ModularMs
-				}
-				monoCol = fmt.Sprintf("%.1f", row.MonoMs)
-				speedCol = fmt.Sprintf("%.1fx", row.Speedup)
-				agreeCol = fmt.Sprintf("%v", row.Agree)
+			if r.MonoRan {
+				shared++
+				modTotal += r.ModularMs
+				monoTotal += r.MonoMs
+				monoCol = fmt.Sprintf("%.1f", r.MonoMs)
+				speedCol = fmt.Sprintf("%.1fx", r.Speedup)
+				agreeCol = fmt.Sprintf("%v", r.Agree)
 			}
 			fmt.Printf("%d\t%d\t%s\t%s\t%.1f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\t%v\t%s\n",
-				row.Pods, row.Routers, row.Property, row.Mode, row.ModularMs,
-				row.Components, row.Classes, row.AliasHits, row.Checks,
-				row.PeakTerms, row.SATVars, row.Blame, row.Units,
-				row.ClauseDBBytes, monoCol, speedCol,
-				row.Verified, agreeCol)
-			if row.MonoRan && !row.Agree {
-				return fmt.Errorf("modular disagreement on pods=%d %s: modular says verified=%v (mode %s), monolithic disagrees",
-					k, prop, row.Verified, row.Mode)
-			}
-			art = append(art, row)
-		}
-	}
-	var modTotal, monoTotal float64
-	shared := 0
-	for _, r := range art {
-		if r.MonoRan {
-			shared++
-			modTotal += r.ModularMs
-			monoTotal += r.MonoMs
+				r.Pods, r.Routers, r.Check, rep.Mode, r.ModularMs,
+				rep.Components, rep.ComponentClasses, rep.AliasHits, rep.ComponentChecks,
+				rep.PeakTerms, rep.SATVars, r.Blame, w.Units(),
+				w.ClauseDBBytes, monoCol, speedCol,
+				rep.Verified, agreeCol)
+			art = append(art, r)
 		}
 	}
 	if shared > 0 && modTotal > 0 {

@@ -30,10 +30,11 @@ func main() {
 	var opts pipeline.Options
 	opts.Core.Tiers = "none"
 	for _, prop := range harness.AllFig8Props() {
-		res, err := harness.RunFig8Property(f, prop, opts)
+		v, err := harness.RunFig8Property(f, prop, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := v.Result
 		verdict := "verified"
 		if !res.Verified {
 			verdict = "VIOLATED"

@@ -258,27 +258,19 @@ func BuildFabric(k int) (*Fabric, error) {
 }
 
 // RunFig8Property checks one Figure 8 property on a fabric under opts,
-// through the query pipeline: the row is the pipeline's Result.
+// through the query pipeline: the row is the pipeline's verdict.
 // Local-consistency is the n−1 equivalence goals over the core tier of
 // §8.2 ("to ensure all n spine routers are equivalent... n−1 separate
-// queries"); its row totals them.
-func RunFig8Property(f *Fabric, prop string, opts pipeline.Options) (*core.Result, error) {
+// queries"); its verdict totals them.
+func RunFig8Property(f *Fabric, prop string, opts pipeline.Options) (*pipeline.Verdict, error) {
 	if prop == Fig8LocalConsist {
-		v, err := localConsistency(f.Net, opts, map[string][]string{"core": f.FT.Cores})
-		if err != nil {
-			return nil, err
-		}
-		return v.Result, nil
+		return localConsistency(f.Net, opts, map[string][]string{"core": f.FT.Cores})
 	}
 	goal, ok := Fig8Goal(f, prop)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown figure-8 property %q", prop)
 	}
-	v, err := pipeline.Run(context.Background(), f.Net, goal, opts)
-	if err != nil {
-		return nil, err
-	}
-	return v.Result, nil
+	return pipeline.Run(context.Background(), f.Net, goal, opts)
 }
 
 // AblationPasses lists the §8.3 configurations as Options.Passes values:

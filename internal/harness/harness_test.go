@@ -85,10 +85,11 @@ func TestFig8SmallFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prop := range AllFig8Props() {
-		row, err := RunFig8Property(f, prop, untiered())
+		v, err := RunFig8Property(f, prop, untiered())
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
+		row := v.Result
 		if !row.Verified {
 			t.Errorf("%s violated on a clean fabric", prop)
 		}
@@ -109,10 +110,11 @@ func TestFig8LocalConsistencyAsksGoals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunFig8Property(f, Fig8LocalConsist, untiered())
+	v, err := RunFig8Property(f, Fig8LocalConsist, untiered())
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := v.Result
 	solve := row.Cost.Find("solve")
 	if !row.Verified || solve == nil || solve.Wall <= 0 || row.Elapsed != solve.Wall {
 		t.Fatalf("want a verified row timed by its solve phases: %+v", row)
@@ -142,14 +144,15 @@ func TestFig8TieredParity(t *testing.T) {
 	fast.Core.Tiers = "graph,sat"
 	hits := 0
 	for _, prop := range AllFig8Props() {
-		satRow, err := RunFig8Property(f, prop, untiered())
+		satV, err := RunFig8Property(f, prop, untiered())
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
-		fastRow, err := RunFig8Property(f, prop, fast)
+		fastV, err := RunFig8Property(f, prop, fast)
 		if err != nil {
 			t.Fatalf("%s tiered: %v", prop, err)
 		}
+		satRow, fastRow := satV.Result, fastV.Result
 		if fastRow.Verified != satRow.Verified {
 			t.Errorf("%s: tiered verdict %v, sat verdict %v (tier %s)",
 				prop, fastRow.Verified, satRow.Verified, fastRow.Tier)
@@ -214,10 +217,11 @@ func TestCertifiedFabricNeverFallsBack(t *testing.T) {
 		if prop == Fig8LocalConsist {
 			continue // structural: no proof
 		}
-		row, err := RunFig8Property(f, prop, opts)
+		v, err := RunFig8Property(f, prop, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
+		row := v.Result
 		cert := row.Certificate
 		if !row.Verified || cert == nil || cert.Lemmas == 0 {
 			t.Fatalf("%s: verified=%v with certificate %+v, want a checked proof", prop, row.Verified, cert)

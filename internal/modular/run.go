@@ -53,10 +53,12 @@ type Report struct {
 	// Violated names the first violated contract (when a discharge check
 	// failed), in Contract.String() form.
 	Violated string
-	// Result is the composed verdict (nil when Residue is non-empty). Its
-	// ledger is the run's only account: one "class:N" child per solved
-	// isomorphism class (N the representative's component index) holding
-	// that class's compile and the phases of its checks.
+	// Result is the composed verdict. Its ledger is the run's only
+	// account: one "class:N" child per solved isomorphism class (N the
+	// representative's component index) holding that class's compile and
+	// the phases of its checks. With Residue it is not a verdict but what
+	// the run spent: that ledger and its checks' summed Stats (nil on the
+	// plan's static residue, when nothing ran).
 	Result *core.Result
 	// PeakTerms is the largest per-component term count — the modular
 	// answer to the monolithic model-size question.
@@ -183,6 +185,7 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 		if cl.terms > rep.PeakTerms {
 			rep.PeakTerms = cl.terms
 		}
+		all = append(all, cl.results...)
 		if cl.residue != "" {
 			rep.Residue = append(rep.Residue, cl.residue)
 			if rep.Violated == "" {
@@ -190,7 +193,6 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 			}
 			continue
 		}
-		all = append(all, cl.results...)
 		// Alias members inherit the representative's verdicts with blame
 		// rewritten through the router/value bijection; no solver work or
 		// stats are double-counted.
@@ -206,25 +208,23 @@ func Run(ctx context.Context, g *protograph.Graph, plan *Plan, opts Options) (*R
 			}
 		}
 	}
+	res := core.ComposeVerdicts(all)
 	sort.Strings(rep.Residue)
-	if len(rep.Residue) > 0 {
-		emit(opts, "modular.residue", map[string]any{"residue": strings.Join(rep.Residue, ","), "violated": rep.Violated})
-		return rep, nil
-	}
-
 	// Length goals compose arithmetically: with singleton components and
 	// exact discharges, a reached source's path length equals its BGP-hop
 	// distance (every internal hop is an AS hop and delivery happens only
 	// at the originators — both enforced by plan residue rules).
-	if isLengthCheck(plan.Goal.Check) {
-		if res := composeLengths(plan); res != "" {
-			rep.Residue = []string{res}
-			emit(opts, "modular.residue", map[string]any{"residue": res})
-			return rep, nil
+	if len(rep.Residue) == 0 && isLengthCheck(plan.Goal.Check) {
+		if r := composeLengths(plan); r != "" {
+			rep.Residue = []string{r}
 		}
 	}
-
-	res := core.ComposeVerdicts(all)
+	if len(rep.Residue) > 0 {
+		// Not a verdict: what the run spent, for the fallback to charge.
+		rep.Result = &core.Result{Stats: res.Stats, Cost: ledger}
+		emit(opts, "modular.residue", map[string]any{"residue": strings.Join(rep.Residue, ","), "violated": rep.Violated})
+		return rep, nil
+	}
 	res.Tier, res.Cost = core.TierModular, ledger
 	res.FillTimes()
 	rep.Result, rep.Verified = res, res.Verified

@@ -411,6 +411,46 @@ func TestRunModularStep(t *testing.T) {
 	}
 }
 
+// TestModularFallbackChargesTheComponentChecks: a modular run that ends
+// in runtime residue has run component checks before the monolithic step
+// answers. Reachability from a ToR to an address no router announces
+// fails its obligation check there (residue obligation:tor-1-0), so the
+// fallback verdict's ledger must hold those checks under a modular node
+// and its Stats must count them: the ledger equals the solver counts and
+// exceeds the monolithic check's alone.
+func TestModularFallbackChargesTheComponentChecks(t *testing.T) {
+	goal := tiered.Goal{Check: "reachability", Src: topogen.ToRName(1, 0),
+		Subnet: network.MustParsePrefix("203.0.114.77/32"), HasSubnet: true}
+	fab := fabric(t, 2)
+	opts := options("none")
+	mono, err := pipeline.Run(context.Background(), fab, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Modular, opts.Workers = true, 2
+	v, err := pipeline.Run(context.Background(), fab, goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Mode != pipeline.ModeFallback || strings.Join(v.Residue, ",") != "obligation:tor-1-0" || v.Modular.Checks == 0 {
+		t.Fatalf("mode %q, residue %v: not the row this is", v.Mode, v.Residue)
+	}
+	if v.Result.Verified != mono.Result.Verified {
+		t.Fatalf("fallback verified=%v, monolithic verified=%v", v.Result.Verified, mono.Result.Verified)
+	}
+	work := v.Result.Cost.Total()
+	if alone := mono.Result.Cost.Total().Units(); work.Units() <= alone {
+		t.Errorf("ledger %d units, the monolithic check alone %d", work.Units(), alone)
+	}
+	if mod := v.Result.Cost.Find("modular"); mod == nil || len(mod.Children) != v.Modular.Classes || mod.Total().Units() == 0 {
+		t.Errorf("modular node %+v, %d classes checked", mod, v.Modular.Classes)
+	}
+	work.ClauseDBBytes, work.ProofBytes = 0, 0
+	if stats := cost.FromStats(v.Result.Stats); work != stats {
+		t.Errorf("ledger work %+v, solver stats %+v", work, stats)
+	}
+}
+
 // TestModularAnswersTheTiersResidue: with the graph tier on, the modular
 // step still answers on a fabric. An inter-router link /30 is carried by
 // no router in BGP, and the cores' BLOCK-FABRIC filter admits covering

@@ -94,8 +94,10 @@ type Verdict struct {
 //
 // Run's own phases (fastpath, property) are charged to one goal ledger;
 // whichever step answers, its result's ledger is merged in behind them
-// and the result's times are read from the whole, so a verdict prices
-// everything Run did for it under the same names on every tier.
+// (and a modular run that ended in residue under a "modular" node, its
+// checks folded into the Stats), and the result's times are read from
+// the whole, so a verdict prices everything Run did for it under the
+// same names on every tier.
 //
 // On error the returned Verdict still carries the residue of the steps
 // that ran. Run calls that share a Live session must be serialized by
@@ -148,6 +150,12 @@ func Run(ctx context.Context, net *Network, goal tiered.Goal, opts Options) (*Ve
 	}
 	if tiersOn {
 		res.Tier = tiered.TierSAT
+	}
+	if v.Modular != nil && v.Modular.Result != nil {
+		// The modular run's checks ran before its residue handed the goal
+		// down: the verdict pays for them too.
+		ledger.Child("modular").Merge(v.Modular.Result.Cost)
+		res.Stats = res.Stats.Plus(v.Modular.Result.Stats)
 	}
 	answer(res)
 	return v, nil
