@@ -542,8 +542,9 @@ func BenchmarkAuditPass(b *testing.B) {
 		}
 	}
 	// The workload's core.terms, smt.sat_clauses and sat.conflicts a pass
-	// (131 755, 2 055 554 and 2 701): a change that moves one changed the
-	// formula or the search.
+	// (131 755, 255 746 and 2 701; 19 of the 24 blackhole checks are
+	// refuted by their goals alone): a change that moves one changed the
+	// formula or the search. CI holds clauses/op and conflicts/op exactly.
 	b.ReportMetric(float64(terms)/float64(b.N), "terms/op")
 	b.ReportMetric(float64(clauses)/float64(b.N), "clauses/op")
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")

@@ -163,13 +163,57 @@ func (x *executor) compile(cn *CompiledNetwork, goals []*smt.Term, res *Result) 
 	return cn, sys
 }
 
-// blast is the CNF phase (Tseitin conversion and bit-blasting): asserts
-// become permanent constraints through assert, each stamped with its
-// origin set when tracking is on; then enterGoals, nil when the phase has
-// none, puts the goals in, stamped as property clauses.
-func (x *executor) blast(assert func(*smt.Term), asserts []*smt.Term, origins [][]int32, enterGoals func()) {
+// blast is the CNF phase (Tseitin conversion and bit-blasting) into the
+// check's solver, sized first for the system compile left: load puts the
+// asserts and goals in.
+func (x *executor) blast(asserts []*smt.Term, origins [][]int32, enterGoals func()) {
 	sp := x.Begin("blast")
 	x.sol.Reserve(x.terms)
+	x.load(asserts, origins, enterGoals)
+	x.endBlast(sp, len(asserts))
+}
+
+// blastFresh is the fresh door's blast phase (DESIGN §22). It opens by
+// blasting the goals alone into a solver of their own, instrumented like
+// the check's and not sized. When unit propagation refutes them there,
+// that solver is the check's: its CNF is a subset of the system's with
+// the goals, so its UNSAT, proof and core are the whole formula's, and
+// the system is never blasted. Otherwise the solver is dropped, its
+// counts (not its clause database, which the check never holds) charged
+// to the phase and returned for Stats, and the check's solver is made,
+// sized and loaded as it would be without the step.
+func (x *executor) blastFresh(sys *passes.System) (*sat.Proof, *drat.Checker, sat.Stats) {
+	sp, m := x.Begin("blast"), x.m
+	enterGoals := func() {
+		for _, g := range sys.Goals {
+			x.sol.Assert(g)
+		}
+	}
+	x.sol = smt.NewSolver(m.Ctx)
+	proof, chk := m.instrument(x.sol)
+	x.load(nil, nil, enterGoals)
+	if !x.sol.SAT().Okay() {
+		sp.SetStr("goals", "refuted")
+		x.endBlast(sp, 0)
+		return proof, chk, sat.Stats{}
+	}
+	dropped := x.sol.SAT().Stats
+	// endSolver charges the work since the mark: a mark below zero by the
+	// dropped counts charges them to this phase too.
+	x.mark = cost.Work{}.Minus(cost.FromStats(dropped))
+	x.sol = smt.NewSolver(m.Ctx)
+	proof, chk = m.instrument(x.sol)
+	x.sol.Reserve(x.terms)
+	x.load(sys.Asserts, sys.Origins, enterGoals)
+	x.endBlast(sp, len(sys.Asserts))
+	return proof, chk, dropped
+}
+
+// load blasts asserts into the check's solver as permanent constraints,
+// each stamped with its origin set when tracking is on; then enterGoals,
+// nil when the phase has none, puts the goals in, stamped as property
+// clauses.
+func (x *executor) load(asserts []*smt.Term, origins [][]int32, enterGoals func()) {
 	st, track := x.sol.SAT(), x.m.tracks()
 	for i, a := range asserts {
 		if track {
@@ -179,7 +223,7 @@ func (x *executor) blast(assert func(*smt.Term), asserts []*smt.Term, origins []
 			}
 			st.SetOrigin(o...)
 		}
-		assert(a)
+		x.sol.Assert(a)
 	}
 	if enterGoals != nil {
 		if track {
@@ -190,7 +234,12 @@ func (x *executor) blast(assert func(*smt.Term), asserts []*smt.Term, origins []
 	if track {
 		st.SetOrigin()
 	}
-	sp.SetInt("asserts", int64(len(asserts)))
+}
+
+// endBlast sizes the blast span and closes the phase.
+func (x *executor) endBlast(sp *obs.Span, asserts int) {
+	st := x.sol.SAT()
+	sp.SetInt("asserts", int64(asserts))
 	sp.SetInt("terms", int64(x.m.Ctx.NumTerms()))
 	sp.SetInt("gates", int64(x.sol.NumGates()))
 	sp.SetInt("sat_vars", int64(st.NumVars()))
@@ -209,13 +258,15 @@ func (x *executor) simplify() time.Duration {
 
 // check answers one query: is N ∧ assumptions ∧ ¬property satisfiable?
 //
-// With s nil it is the fresh path: a new solver, the compiled asserts
-// (cn, or with cn nil the model's cached artifact, compiled — and charged
-// to this query — when stale) plus instrumentation appended since, pruned
-// to the goals' cone of influence; then, for a query scoped to some
-// destinations, the witness probe (probe.go), whose model — when it has
-// one — answers the check falsified with no blast and no search; else
-// the goals asserted permanently and the CNF simplified. With a session
+// With s nil it is the fresh path: the compiled asserts (cn, or with cn
+// nil the model's cached artifact, compiled — and charged to this query —
+// when stale) plus instrumentation appended since, pruned to the goals'
+// cone of influence; then, for a query scoped to some destinations, the
+// witness probe (probe.go), whose model — when it has one — answers the
+// check falsified with no blast and no search; else the goals blasted
+// alone (blastFresh), whose solver answers the check when they refute
+// themselves, or else a new solver holding the asserts and the goals
+// permanently, its CNF simplified. With a session
 // it is the incremental path: only the asserts added since the last
 // check are blasted, and the goals enter under a fresh activation
 // literal that the search and the proof check then assume. Everything after that — the search, certification, blame,
@@ -246,14 +297,14 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 	// provenance, for SAT-side blame.
 	var blameAsserts []*smt.Term
 	var blameOrigins [][]int32
-	// asg is the model a probe that answered handed over; probeStats is
-	// the probe's solver work, which Stats counts with the search's.
+	// asg is the model a probe that answered handed over; probeStats and
+	// dropped are the solver work of the probe and of a goals' solver
+	// that did not answer, which Stats counts with the search's.
 	var asg smt.Assignment
-	var probeStats sat.Stats
+	var probeStats, dropped sat.Stats
 	if s == nil {
-		x = m.newExecutor(smt.NewSolver(c), "check", "goal")
+		x = m.newExecutor(nil, "check", "goal")
 		defer x.Span.End()
-		proof, chk = m.instrument(x.sol)
 		_, sys := x.compile(cn, goals, res)
 		blameAsserts, blameOrigins = sys.Asserts, sys.Origins
 		if scoped := m.probeScope(assumptions); len(scoped) > 0 {
@@ -263,11 +314,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 			}
 		}
 		if asg == nil {
-			x.blast(x.sol.Assert, sys.Asserts, sys.Origins, func() {
-				for _, g := range sys.Goals {
-					x.sol.Assert(g)
-				}
-			})
+			proof, chk, dropped = x.blastFresh(sys)
 			res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
 			x.notePasses(res, passes.Stats{Pass: "cnf-simplify", Elapsed: x.simplify()})
 		}
@@ -283,7 +330,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		}
 		// Instrumentation asserts added by property builders since the last
 		// check are permanent; the goals are not.
-		x.blast(x.sol.Assert, m.Asserts[s.asserted:], m.tailOrigins(s.asserted),
+		x.blast(m.Asserts[s.asserted:], m.tailOrigins(s.asserted),
 			func() { s.prepare(goals) })
 		s.noteBlasted(len(m.Asserts))
 		res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
@@ -304,7 +351,7 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 			return nil, err
 		}
 	}
-	res.Stats = res.Stats.Plus(probeStats)
+	res.Stats = res.Stats.Plus(probeStats).Plus(dropped)
 
 	switch status {
 	case sat.Unsat:

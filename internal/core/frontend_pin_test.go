@@ -143,10 +143,12 @@ func TestFrontEndOutputPinned(t *testing.T) {
 	}
 }
 
-// TestSizeHintLeavesCNFAlone blasts one query three times — as a check
-// does, on a solver the executor sizes from the compile phase's term
-// count, then on one given no hint and on one told a hundred times as
-// much — and compares the CNF: the hint buys room and decides nothing.
+// TestSizeHintLeavesCNFAlone blasts one query three times — as a fresh
+// check does, on a solver the executor sizes from the compile phase's
+// term count once the goals alone survive, then on one given no hint and
+// on one told a hundred times as much — and compares the CNF: the hint
+// buys room and decides nothing, and the goals' own solver leaves no
+// trace in the check's.
 func TestSizeHintLeavesCNFAlone(t *testing.T) {
 	// A small network: a hundred times its room is still tens of megabytes.
 	m, err := Encode(testnets.Hijackable(false).Graph, DefaultOptions())
@@ -173,7 +175,7 @@ func TestSizeHintLeavesCNFAlone(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	x.blast(x.sol.Assert, sys.Asserts, sys.Origins, enterGoals(x.sol))
+	x.blastFresh(sys)
 	sized := cnf(x.sol)
 	for _, hint := range []int{0, 100 * terms} {
 		sol := smt.NewSolver(m.Ctx)

@@ -84,7 +84,7 @@ func (m *Model) NewSession() *Session {
 	defer x.Span.End()
 	s.proof, s.chk = m.instrument(x.sol)
 	s.cn, _ = x.compile(nil, nil, nil)
-	x.blast(s.sol.Assert, s.cn.Asserts, s.cn.Origins, nil)
+	x.blast(s.cn.Asserts, s.cn.Origins, nil)
 	s.noteBlasted(s.cn.BaseLen)
 	x.simplify()
 	s.setupCost = x.Ledger
