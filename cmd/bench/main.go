@@ -1,20 +1,19 @@
 // Command bench regenerates the paper's evaluation tables and figures
-// (§8): the four-property violation counts over an operational population
-// (§8.1), the per-network verification-time series of Figure 7, the
-// data-center property sweep of Figure 8, and the §8.3 optimization
+// (§8): the per-network verification-time series of Figure 7 with the
+// four-property violation counts over an operational population (§8.1),
+// the data-center property sweep of Figure 8, and the §8.3 optimization
 // ablation. Output is tab-separated rows, one series per block, matching
 // the rows/series the paper reports.
 //
 // Usage:
 //
-//	bench -experiment violations [-count 152] [-seed 1]
-//	bench -experiment fig7       [-count 152] [-seed 1]
+//	bench -experiment fig7       [-count 152] [-seed 1] [-json-out BENCH_fig7.json]
 //	bench -experiment fig8       [-pods 2,4,6] [-props all] [-json-out BENCH_fig8.json] [-certify]
 //	bench -experiment fig8       -profile-origins [-profile-out BENCH_origins.folded]
 //	bench -experiment fig8       -tiers graph,sat   (answer rows through the graph fast path)
 //	bench -experiment tiered     [-pods 2,4] [-json-out BENCH_tiered.json]
 //	bench -experiment modular    [-pods 2,4,16,32] [-mono-max 4] [-workers N] [-json-out BENCH_modular.json]
-//	bench -experiment ablation   [-pods 4]
+//	bench -experiment ablation   [-pods 4] [-json-out BENCH_ablation.json]
 //	bench -experiment fuzz       [-iters 2] [-seed 1]
 //
 // The modular experiment runs the assume/guarantee pipeline
@@ -38,12 +37,13 @@
 // through the independent checker; a row's proof block reports the
 // certificate size and overhead.
 //
-// fig8, tiered and modular write their rows as a JSON artifact too. Each
+// Every experiment but fuzz writes its rows as a JSON artifact too. Each
 // row is the verdict's pipeline.Report — the object minesweeper -json
 // prints and the daemon serves — keyed by the fabric (pods) or audit
 // network it was asked of, plus the few columns only a comparison of two
 // answers has: the tiered sweep's graph side, the modular sweep's
-// monolithic reference, fig8's origin-tracking overhead.
+// monolithic reference, fig8's origin-tracking overhead, the ablation's
+// model size and speedup over the naive encoding.
 //
 // The fuzz experiment is a deterministic smoke run of the differential
 // fuzzing subsystem (internal/fuzz): every scenario family is generated
@@ -90,12 +90,12 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "violations | fig7 | fig8 | tiered | modular | ablation | fuzz")
-		count      = flag.Int("count", 152, "population size for violations/fig7")
+		experiment = flag.String("experiment", "", "fig7 | fig8 | tiered | modular | ablation | fuzz")
+		count      = flag.Int("count", 152, "population size for fig7")
 		seed       = flag.Int64("seed", 1, "population base seed")
 		podsFlag   = flag.String("pods", "2,4,6", "comma-separated pod counts for fig8/ablation")
 		propsFlag  = flag.String("props", "all", "comma-separated figure-8 properties, or 'all'")
-		jsonOut    = flag.String("json-out", "BENCH_<experiment>.json", "fig8/tiered/modular: JSON artifact path ('' to skip)")
+		jsonOut    = flag.String("json-out", "BENCH_<experiment>.json", "JSON artifact path of every experiment but fuzz ('' to skip)")
 		traceOut   = flag.String("trace-chrome", "", "write the fig8/ablation span tree as Chrome trace_event JSON to this file")
 		progress   = flag.String("progress", "", "print solver progress to stderr every N conflicts")
 		passesFlag = flag.String("passes", "", "optimization passes: comma list of "+strings.Join(core.PassNames(), ",")+", or all/none (default: all; ablation pins its own)")
@@ -162,10 +162,8 @@ func main() {
 	out := strings.Replace(*jsonOut, "<experiment>", *experiment, 1)
 	var err error
 	switch *experiment {
-	case "violations":
-		err = runViolations(*count, *seed)
 	case "fig7":
-		err = runFig7(*count, *seed)
+		err = runFig7(*count, *seed, out)
 	case "fig8":
 		var opts pipeline.Options
 		opts.Core = core.Options{Passes: *passesFlag, Tiers: *tiersFlag, Certify: *certify}
@@ -179,11 +177,11 @@ func main() {
 		if len(ks) == 0 {
 			ks = []int{4}
 		}
-		err = runAblation(ks[0], tr, every)
+		err = runAblation(ks[0], out, tr, every)
 	case "fuzz":
 		err = runFuzz(*iters, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: bench -experiment violations|fig7|fig8|tiered|modular|ablation|fuzz")
+		fmt.Fprintln(os.Stderr, "usage: bench -experiment fig7|fig8|tiered|modular|ablation|fuzz")
 		os.Exit(2)
 	}
 	if err == nil && tr != nil {
@@ -272,59 +270,62 @@ func parseProps(s string) []string {
 	return out
 }
 
-// runViolations reproduces the §8.1 violation counts.
-func runViolations(count int, seed int64) error {
-	pop, err := netgen.Population(count, seed, netgen.DefaultParams())
+// fig7Rows asks the four §8.1 checks of one population network as its
+// rows, in paper order.
+func fig7Rows(n *netgen.Network) ([]row, error) {
+	props := harness.AllSection81Props()
+	vs, err := harness.CheckNetwork(n, props)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sum, err := harness.RunSection81(pop, harness.AllSection81Props())
-	if err != nil {
-		return err
+	rows := make([]row, len(props))
+	for i, prop := range props {
+		rows[i] = newRow(prop, vs[i])
+		rows[i].Network, rows[i].Routers, rows[i].Lines = n.Name, len(n.Routers), n.Lines
 	}
-	fmt.Printf("# §8.1 violations over %d networks (paper: 67, 29, 24, 0 of 152)\n", sum.Total)
-	fmt.Println("property\tviolations")
-	for _, prop := range harness.AllSection81Props() {
-		fmt.Printf("%s\t%d\n", prop, sum.Violations[prop])
-	}
-	fmt.Printf("total\t%d\n", sum.Violations[harness.PropMgmtReach]+
-		sum.Violations[harness.PropLocalEquiv]+
-		sum.Violations[harness.PropBlackholes]+
-		sum.Violations[harness.PropFaultInvar])
-	return nil
+	return rows, nil
 }
 
-// runFig7 reproduces the four timing panels of Figure 7: verification time
-// per network, sorted by total lines of configuration. The encode_ms and
-// solve_ms columns total the phase split across the four properties.
-func runFig7(count int, seed int64) error {
+// runFig7 reproduces the four timing panels of Figure 7 — verification
+// time per network, sorted by total lines of configuration — and the §8.1
+// violation counts in its footer. The encode_ms and solve_ms columns
+// total the phase split across the four properties.
+func runFig7(count int, seed int64, jsonOut string) error {
 	pop, err := netgen.Population(count, seed, netgen.DefaultParams())
 	if err != nil {
 		return err
 	}
-	sum, err := harness.RunSection81(pop, harness.AllSection81Props())
-	if err != nil {
-		return err
+	var art []row
+	for _, n := range pop {
+		rows, err := fig7Rows(n)
+		if err != nil {
+			return err
+		}
+		art = append(art, rows...)
 	}
-	sort.Slice(sum.PerNet, func(i, j int) bool { return sum.PerNet[i].Lines < sum.PerNet[j].Lines })
+	// Stable, so a network's rows stay together and in paper order.
+	sort.SliceStable(art, func(i, j int) bool { return art[i].Lines < art[j].Lines })
+	props := harness.AllSection81Props()
+	violations := map[string]int{}
 	fmt.Println("# Figure 7: per-network verification time (ms), sorted by config lines")
 	fmt.Println("network\trouters\tlines\tmgmt_ms\tequiv_ms\tblackhole_ms\tfaultinv_ms\tencode_ms\tsolve_ms")
-	for _, nc := range sum.PerNet {
-		var enc, solve time.Duration
-		for _, pr := range nc.Results {
-			enc += pr.Result.EncodeElapsed
-			solve += pr.Result.SolveElapsed
+	for i := 0; i < len(art); i += len(props) {
+		line := fmt.Sprintf("%s\t%d\t%d", art[i].Network, art[i].Routers, art[i].Lines)
+		var enc, solve float64
+		for _, r := range art[i : i+len(props)] {
+			line += fmt.Sprintf("\t%.2f", r.ElapsedMs)
+			enc += r.EncodeMs
+			solve += r.SolveMs
+			if !r.Verified {
+				violations[r.Check]++
+			}
 		}
-		fmt.Printf("%s\t%d\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			nc.Name, nc.Routers, nc.Lines,
-			toMs(nc.Results[harness.PropMgmtReach].Elapsed), toMs(nc.Results[harness.PropLocalEquiv].Elapsed),
-			toMs(nc.Results[harness.PropBlackholes].Elapsed), toMs(nc.Results[harness.PropFaultInvar].Elapsed),
-			toMs(enc), toMs(solve))
+		fmt.Printf("%s\t%.2f\t%.2f\n", line, enc, solve)
 	}
-	fmt.Printf("# violations: mgmt=%d equiv=%d blackholes=%d fault-invariance=%d of %d\n",
-		sum.Violations[harness.PropMgmtReach], sum.Violations[harness.PropLocalEquiv],
-		sum.Violations[harness.PropBlackholes], sum.Violations[harness.PropFaultInvar], sum.Total)
-	return nil
+	fmt.Printf("# violations: mgmt=%d equiv=%d blackholes=%d fault-invariance=%d of %d (paper: 67, 29, 24, 0 of 152)\n",
+		violations[harness.PropMgmtReach], violations[harness.PropLocalEquiv],
+		violations[harness.PropBlackholes], violations[harness.PropFaultInvar], len(pop))
+	return writeJSON(jsonOut, art)
 }
 
 func toMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -334,15 +335,18 @@ func toMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // by the instance it answers, plus the columns only a comparison of two
 // answers has. A verdict is read once, by pipeline.NewReport.
 type row struct {
-	// Pods keys a fabric's row, Network an audit network's; Subnet is set
-	// on the scoped row of a whole-network property.
+	// Pods keys a fabric's row, Network (and its configuration Lines) an
+	// audit network's; Subnet is set on the scoped row of a whole-network
+	// property, Passes on an ablation row.
 	Pods    int    `json:"pods,omitempty"`
 	Network string `json:"network,omitempty"`
 	Routers int    `json:"routers"`
+	Lines   int    `json:"lines,omitempty"`
 	// Check shadows the Report's (the same name), so that a row without
 	// a verdict still names its question.
 	Check  string `json:"check"`
 	Subnet string `json:"subnet,omitempty"`
+	Passes string `json:"passes,omitempty"`
 	*pipeline.Report
 	// Residue is why a modular row has no verdict (and no Report): beyond
 	// -mono-max the modular step's residue is final.
@@ -364,8 +368,14 @@ type row struct {
 	MonoRan     bool    `json:"mono_ran,omitempty"`
 	MonoMs      float64 `json:"mono_ms,omitempty"`
 	MonoSATVars int     `json:"mono_sat_vars,omitempty"`
-	// Speedup is the other answer's time over this one's; Agree is set
-	// when a second pipeline answered the row and reached its verdict.
+	// The ablation: the symbolic model's build time (the Report's
+	// encode_ms is the CNF's) and its record variables.
+	ModelEncodeMs float64 `json:"model_encode_ms,omitempty"`
+	RecordVars    int     `json:"record_vars,omitempty"`
+
+	// Speedup is the other answer's time over this one's (the ablation's:
+	// the naive encoding's); Agree is set when a second pipeline answered
+	// the row and reached its verdict.
 	Speedup float64 `json:"speedup,omitempty"`
 	Agree   bool    `json:"agree,omitempty"`
 
@@ -814,8 +824,29 @@ func runFuzz(iters int, seed int64) error {
 	return nil
 }
 
-// runAblation reproduces the §8.3 optimization-effectiveness measurement.
-func runAblation(k int, tr *obs.Trace, every int64) error {
+// ablationRow answers the §8.3 query on a fabric under opts as its row,
+// timing the symbolic model's build in the monolithic step's Live hook.
+func ablationRow(f *harness.Fabric, opts pipeline.Options) (row, error) {
+	var encode time.Duration
+	opts.Live = func() (*core.Model, *core.Session, error) {
+		start := time.Now()
+		m, err := core.Encode(f.Net.Graph, opts.Core)
+		encode = time.Since(start)
+		return m, nil, err
+	}
+	v, err := harness.RunAblation(f, opts)
+	if err != nil {
+		return row{}, err
+	}
+	r := newRow(harness.Fig8ReachSingle, v)
+	r.Pods, r.Routers, r.Passes = f.FT.K, len(f.FT.Routers), opts.Core.Passes
+	r.ModelEncodeMs, r.RecordVars = toMs(encode), v.Model.NumRecordVars
+	return r, nil
+}
+
+// runAblation reproduces the §8.3 optimization-effectiveness measurement:
+// one row per pass configuration, its speedup over the naive encoding's.
+func runAblation(k int, jsonOut string, tr *obs.Trace, every int64) error {
 	f, err := harness.BuildFabric(k)
 	if err != nil {
 		return err
@@ -823,32 +854,22 @@ func runAblation(k int, tr *obs.Trace, every int64) error {
 	fmt.Printf("# §8.3 ablation: single-source reachability on a %d-pod fabric (%d routers)\n",
 		k, len(f.FT.Routers))
 	fmt.Println("config\tencode_ms\tcheck_ms\tcnf_ms\tsimplify_ms\tsolve_ms\trecord_vars\tsat_vars\tsat_clauses\tconflicts\tspeedup")
-	var baseline float64
+	var art []row
 	for _, passes := range harness.AblationPasses() {
 		var opts pipeline.Options
 		opts.Core = withProgress(core.Options{Passes: passes, Span: tr.Root()}, every, fmt.Sprintf("pods=%d", k))
-		// encode_ms times the symbolic model build, the monolithic step's
-		// encode.
-		var encode time.Duration
-		opts.Live = func() (*core.Model, *core.Session, error) {
-			start := time.Now()
-			m, err := core.Encode(f.Net.Graph, opts.Core)
-			encode = time.Since(start)
-			return m, nil, err
-		}
-		v, err := harness.RunAblation(f, opts)
+		r, err := ablationRow(f, opts)
 		if err != nil {
 			return err
 		}
-		res := v.Result
-		checkMs := toMs(res.Elapsed)
-		if passes == "none" {
-			baseline = checkMs
+		r.Speedup = 1
+		if len(art) > 0 {
+			r.Speedup = art[0].ElapsedMs / r.ElapsedMs
 		}
 		fmt.Printf("%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%d\t%d\t%.1fx\n",
-			passes, toMs(encode), checkMs, toMs(res.EncodeElapsed),
-			toMs(res.SimplifyElapsed), toMs(res.SolveElapsed),
-			v.Model.NumRecordVars, res.SATVars, res.SATClauses, res.Stats.Conflicts, baseline/checkMs)
+			r.Passes, r.ModelEncodeMs, r.ElapsedMs, r.EncodeMs, r.SimplifyMs, r.SolveMs,
+			r.RecordVars, r.SATVars, r.SATClauses, r.Solver.Conflicts, r.Speedup)
+		art = append(art, r)
 	}
-	return nil
+	return writeJSON(jsonOut, art)
 }

@@ -303,21 +303,24 @@ func EncodePair(ga, gb *protograph.Graph, opts Options) (*EquivPair, error) {
 
 // LinkEnvironments constrains the two copies to see identical external
 // announcements (matched by peer name). Returns an error if the peer sets
-// differ.
+// differ. Peers are linked in topology order and communities in name
+// order, so the pair's asserts, and with them its CNF and search, are the
+// same on every run.
 func (p *EquivPair) LinkEnvironments() error {
 	c := p.Ctx
-	for name, ra := range p.A.Main.Env {
-		rb, ok := p.B.Main.Env[name]
+	for _, e := range p.A.G.Topo.Externals {
+		ra := p.A.Main.Env[e.Name]
+		rb, ok := p.B.Main.Env[e.Name]
 		if !ok {
-			return fmt.Errorf("core: external peer %q missing in second network", name)
+			return fmt.Errorf("core: external peer %q missing in second network", e.Name)
 		}
 		p.A.assert(c.Eq(ra.Valid, rb.Valid))
 		p.A.assert(c.Eq(ra.PrefixLen, rb.PrefixLen))
 		p.A.assert(c.Eq(ra.Metric, rb.Metric))
 		p.A.assert(c.Eq(ra.MED, rb.MED))
-		for cm, bitA := range ra.Comms {
+		for _, cm := range sortedCommKeys(ra.Comms) {
 			if bitB, ok := rb.Comms[cm]; ok {
-				p.A.assert(c.Eq(bitA, bitB))
+				p.A.assert(c.Eq(ra.Comms[cm], bitB))
 			}
 		}
 	}

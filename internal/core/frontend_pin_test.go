@@ -217,3 +217,25 @@ func TestEveryPassNameChangesSomeFormula(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultInvariancePairPinned pins the CNF of Figure 7's net002
+// fault-invariance pair (two external peers). The pair links its copies'
+// announcements peer by peer; in map order the second copy's peer
+// variables were blasted in either order, so the pair's CNF and search
+// changed from process to process (20 542 or 22 161 conflicts). A change
+// that is meant to move the pair's encoding re-records the hash and says
+// why.
+func TestFaultInvariancePairPinned(t *testing.T) {
+	n, err := netgen.Generate("net002", 2, netgen.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, _, err := FaultInvariance(graphOf(t, n.Routers), DefaultOptions(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dimacsHash(t, pair.Ctx, append(append([]*smt.Term(nil), pair.A.Asserts...), pair.B.Asserts...))
+	if want := "4ed2471c0c0211dc2bbbbfa52fe71b41332be787b382ac81636f6da60e291abe"; got != want {
+		t.Errorf("pair CNF %s, want %s", got, want)
+	}
+}

@@ -476,8 +476,9 @@ func (m *Model) Replay(cex *Counterexample) (*simulator.Result, error) {
 }
 
 // ReplayAgrees replays the counterexample and compares the simulator's
-// stable state with the decoded model state router by router (overall
-// best route and forwarding). It returns a list of disagreements — empty
+// stable state with the decoded model state by DiffSimulator, the
+// differential oracle's comparison: best route, forwarding, local
+// delivery, null drops and exports. It returns the disagreements — empty
 // when the concrete and symbolic worlds agree, which is strong evidence
 // the finding is real. Networks with multiple stable states may disagree
 // legitimately; see DESIGN.md.
@@ -486,19 +487,5 @@ func (m *Model) ReplayAgrees(cex *Counterexample) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var diffs []string
-	ev := smt.NewEvaluator(cex.Assignment)
-	for _, n := range m.G.Topo.Nodes {
-		sym := decodeRecord(m.Main.Best[n.Name], ev)
-		conc := simres.States[n.Name].Best
-		if sym.Valid != conc.Valid {
-			diffs = append(diffs, fmt.Sprintf("%s: model best valid=%v, simulator=%v", n.Name, sym.Valid, conc.Valid))
-			continue
-		}
-		if conc.Valid && (sym.PrefixLen != conc.PrefixLen || sym.AD != conc.AD ||
-			sym.LocalPref != conc.LocalPref || sym.Metric != conc.Metric) {
-			diffs = append(diffs, fmt.Sprintf("%s: model best %+v, simulator %v", n.Name, sym, conc))
-		}
-	}
-	return diffs, nil
+	return m.DiffSimulator(cex.Assignment, simres, cex.Packet.DstIP, cex.Env), nil
 }

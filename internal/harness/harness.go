@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netgen"
@@ -18,26 +17,6 @@ import (
 	"repro/internal/tiered"
 	"repro/internal/topogen"
 )
-
-// PropResult is one §8.1 check outcome: the pipeline's verdict behind it
-// (for local equivalence, the total of one goal per pair of routers).
-type PropResult struct {
-	Violated bool
-	Elapsed  time.Duration
-	Detail   string
-	Result   *core.Result
-}
-
-// satResult is the row of a verdict: a falsified equivalence names its
-// difference, any other falsified check its counterexample.
-func satResult(v *pipeline.Verdict) PropResult {
-	res := v.Result
-	pr := PropResult{Violated: !res.Verified, Elapsed: res.Elapsed, Result: res, Detail: v.Difference}
-	if !res.Verified && pr.Detail == "" {
-		pr.Detail = res.Counterexample.String()
-	}
-	return pr
-}
 
 // Section 8.1 property names.
 const (
@@ -52,18 +31,11 @@ func AllSection81Props() []string {
 	return []string{PropMgmtReach, PropLocalEquiv, PropBlackholes, PropFaultInvar}
 }
 
-// NetCheck is the audit result for one network.
-type NetCheck struct {
-	Name    string
-	Routers int
-	Lines   int
-	Results map[string]PropResult
-}
-
 // CheckNetwork asks the requested §8.1 properties of one generated
 // network through the pipeline, with the graph tier off so the solver
-// answers every row.
-func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
+// answers every check. The verdicts are in props order; local
+// equivalence's is the total of one goal per pair of routers.
+func CheckNetwork(n *netgen.Network, props []string) ([]*pipeline.Verdict, error) {
 	net, err := pipeline.Build(n.Routers)
 	if err != nil {
 		return nil, err
@@ -71,8 +43,8 @@ func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
 	var opts pipeline.Options
 	opts.Core.Tiers = "none"
 	ctx := context.Background()
-	out := &NetCheck{Name: n.Name, Routers: len(n.Routers), Lines: n.Lines, Results: map[string]PropResult{}}
-	for _, prop := range props {
+	out := make([]*pipeline.Verdict, len(props))
+	for i, prop := range props {
 		var v *pipeline.Verdict
 		switch prop {
 		case PropMgmtReach:
@@ -90,7 +62,7 @@ func CheckNetwork(n *netgen.Network, props []string) (*NetCheck, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", n.Name, prop, err)
 		}
-		out.Results[prop] = satResult(v)
+		out[i] = v
 	}
 	return out, nil
 }
@@ -131,31 +103,6 @@ func localConsistency(net *pipeline.Network, opts pipeline.Options, roles map[st
 	}
 	res.FillTimes()
 	sum.Result = res
-	return sum, nil
-}
-
-// Section81Summary aggregates an §8.1 audit.
-type Section81Summary struct {
-	Total      int
-	Violations map[string]int
-	PerNet     []*NetCheck
-}
-
-// RunSection81 audits a population.
-func RunSection81(pop []*netgen.Network, props []string) (*Section81Summary, error) {
-	sum := &Section81Summary{Total: len(pop), Violations: map[string]int{}}
-	for _, n := range pop {
-		nc, err := CheckNetwork(n, props)
-		if err != nil {
-			return nil, err
-		}
-		sum.PerNet = append(sum.PerNet, nc)
-		for prop, pr := range nc.Results {
-			if pr.Violated {
-				sum.Violations[prop]++
-			}
-		}
-	}
 	return sum, nil
 }
 

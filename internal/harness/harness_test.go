@@ -30,24 +30,20 @@ func TestSection81DetectsInjectedBugs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := RunSection81(pop, []string{PropMgmtReach, PropLocalEquiv, PropBlackholes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Total != 10 || len(sum.PerNet) != 10 {
-		t.Fatalf("summary %+v", sum)
-	}
-	for i, n := range pop {
-		nc := sum.PerNet[i]
-		if got := nc.Results[PropMgmtReach].Violated; got != n.Bugs.HijackableMgmt {
+	for _, n := range pop {
+		vs, err := CheckNetwork(n, []string{PropMgmtReach, PropLocalEquiv, PropBlackholes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := !vs[0].Result.Verified; got != n.Bugs.HijackableMgmt {
 			t.Errorf("%s: hijack found=%v injected=%v", n.Name, got, n.Bugs.HijackableMgmt)
 		}
 		wantEquiv := n.Bugs.ACLException && len(n.Roles["access"]) >= 2
-		if got := nc.Results[PropLocalEquiv].Violated; got != wantEquiv {
+		if got := !vs[1].Result.Verified; got != wantEquiv {
 			t.Errorf("%s: equiv violated=%v injected=%v", n.Name, got, wantEquiv)
 		}
 		wantDeep := n.Bugs.DeepDrop && len(n.Cores) > 0 && len(n.Access) > 0
-		if got := nc.Results[PropBlackholes].Violated; got != wantDeep {
+		if got := !vs[2].Result.Verified; got != wantDeep {
 			t.Errorf("%s: deep drop found=%v injected=%v", n.Name, got, wantDeep)
 		}
 	}
@@ -63,11 +59,11 @@ func TestLocalEquivalenceRowTotalsItsGoals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nc, err := CheckNetwork(n, []string{PropLocalEquiv})
+		vs, err := CheckNetwork(n, []string{PropLocalEquiv})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := nc.Results[PropLocalEquiv].Result
+		res := vs[0].Result
 		work := res.Cost.Total()
 		work.ClauseDBBytes, work.ProofBytes = 0, 0
 		if stats := cost.FromStats(res.Stats); work != stats || work.Units() == 0 {
@@ -281,9 +277,14 @@ func TestAuditRowsCarrySolverCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := CheckNetwork(n, AllSection81Props())
+	props := AllSection81Props()
+	vs, err := CheckNetwork(n, props)
 	if err != nil {
 		t.Fatal(err)
+	}
+	verdicts := map[string]*pipeline.Verdict{}
+	for i, prop := range props {
+		verdicts[prop] = vs[i]
 	}
 	net, err := pipeline.Build(n.Routers)
 	if err != nil {
@@ -323,7 +324,7 @@ func TestAuditRowsCarrySolverCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := nc.Results[prop].Result
+		got := verdicts[prop].Result
 		if got == nil {
 			t.Fatalf("%s: no solver Result on the row", prop)
 		}
@@ -357,12 +358,12 @@ func TestAuditRowsCarrySolverCounts(t *testing.T) {
 			}
 		}
 	}
-	row := nc.Results[PropLocalEquiv]
+	v := verdicts[PropLocalEquiv]
 	if equivalent {
 		t.Fatalf("%s has an ACL exception; the direct sweep must find a difference", n.Name)
 	}
-	if row.Violated == equivalent || row.Detail != difference || row.Result == nil || row.Result.Verified {
-		t.Errorf("local-equivalence row violated=%v detail %q, direct sweep equivalent=%v difference %q",
-			row.Violated, row.Detail, equivalent, difference)
+	if v.Result == nil || v.Result.Verified || v.Difference != difference {
+		t.Errorf("local-equivalence verdict %+v difference %q, direct sweep difference %q",
+			v.Result, v.Difference, difference)
 	}
 }
