@@ -523,7 +523,7 @@ func BenchmarkAuditPass(b *testing.B) {
 		}
 		nets = append(nets, an)
 	}
-	var terms, clauses, conflicts int64
+	var terms, clauses, conflicts, answered int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -545,6 +545,9 @@ func BenchmarkAuditPass(b *testing.B) {
 			}
 			clauses += int64(res.SATClauses)
 			conflicts += res.Stats.Conflicts
+			if res.Probe == core.ProbeAnswered {
+				answered++
+			}
 			for j := 0; j+1 < len(n.access); j++ {
 				if _, err := core.CheckLocalEquivalence(net.Graph, n.access[j], n.access[j+1], core.DefaultOptions()); err != nil {
 					b.Fatal(err)
@@ -553,12 +556,16 @@ func BenchmarkAuditPass(b *testing.B) {
 		}
 	}
 	// The workload's core.terms, smt.sat_clauses and sat.conflicts a pass
-	// (131 755, 255 746 and 2 701; 19 of the 24 blackhole checks are
-	// refuted by their goals alone): a change that moves one changed the
-	// formula or the search. CI holds clauses/op and conflicts/op exactly.
+	// (131 755, 56 186 and 163; 19 of the 24 blackhole checks are refuted
+	// by their goals alone, and the witness probe answers the other five,
+	// each under a peer announcing the deep-drop ACL's destination), and
+	// answered/op, the checks the probe answered (5): a change that moves
+	// one changed the formula, the search or the probe. CI holds
+	// clauses/op, conflicts/op and answered/op exactly.
 	b.ReportMetric(float64(terms)/float64(b.N), "terms/op")
 	b.ReportMetric(float64(clauses)/float64(b.N), "clauses/op")
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
+	b.ReportMetric(float64(answered)/float64(b.N), "answered/op")
 }
 
 // BenchmarkFrontEnd times the front end's layers one by one on a mid-size

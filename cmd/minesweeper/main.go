@@ -60,13 +60,17 @@
 //	                  falls through to the solver unchanged. -tiers none
 //	                  (or sat) disables the fast path. The verdict reports
 //	                  which tier answered ("tier" in -json output).
-//	                  A solver check scoped to a subnet first tries a
-//	                  witness probe: the simulated stable state for one
-//	                  destination, pinned into a small copy of the formula.
-//	                  When that state violates the property it is the
-//	                  counterexample ("probe: answered", "probe" in -json)
-//	                  and no search runs; otherwise the search runs as it
-//	                  would have. The probe never answers "verified".
+//	                  A solver check whose goals survive on their own
+//	                  first tries a witness probe: simulated stable states
+//	                  pinned into a small copy of the formula, for one
+//	                  destination of a subnet, or for each destination the
+//	                  configuration discards (ACL denies, null routes) on a
+//	                  check over every destination; each silent, then
+//	                  announced by every external peer. When a state
+//	                  violates the property it is the counterexample
+//	                  ("probe: answered", "probe" in -json) and no search
+//	                  runs; otherwise the search runs as it would have.
+//	                  The probe never answers "verified".
 //
 // Modular:
 //

@@ -5,8 +5,8 @@ import "repro/internal/network"
 // This file is the one home of what a configuration says once its
 // defaults are resolved: administrative distances, the BGP router id,
 // which prefixes a network statement may originate, which interfaces an
-// IGP runs on, redistribution seed metrics, and the predicates over a
-// router's redistributions. The encoder, the simulator, the graph tier
+// IGP runs on, redistribution seed metrics, the predicates over a
+// router's redistributions, and the destinations it discards. The encoder, the simulator, the graph tier
 // and the modular cut all read these facts here; how routes are then
 // selected and propagated stays written separately in the encoder and in
 // the simulator, which is tested against it (DESIGN §7).
@@ -155,6 +155,36 @@ func (r *Router) redistributes(from func(Protocol) bool) bool {
 		}
 	}
 	return false
+}
+
+// Discards lists the destinations the router's configuration itself
+// discards: filtered, the destination prefix of each deny entry of an
+// ACL bound to an interface that is up (a deny of every destination
+// names none), in interface and entry order; nulled, the prefix of each
+// null0/reject static route. A prefix may repeat.
+func (r *Router) Discards() (filtered, nulled []network.Prefix) {
+	for _, i := range r.Interfaces {
+		if i.Shutdown {
+			continue
+		}
+		for _, name := range []string{i.InACL, i.OutACL} {
+			acl := r.ACLs[name]
+			if name == "" || acl == nil {
+				continue
+			}
+			for _, e := range acl.Entries {
+				if e.Action == Deny && e.DstPrefix.Len > 0 {
+					filtered = append(filtered, e.DstPrefix)
+				}
+			}
+		}
+	}
+	for _, st := range r.Statics {
+		if st.Drop {
+			nulled = append(nulled, st.Prefix)
+		}
+	}
+	return filtered, nulled
 }
 
 func orDefault(v, def int) int {

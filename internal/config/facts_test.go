@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/network"
@@ -8,7 +9,7 @@ import (
 
 // TestConfigFacts pins every fact facts.go resolves: distance defaults
 // and overrides, the router-id fallback, ownership, IGP activation, seed
-// metrics and the redistribution predicates.
+// metrics, the redistribution predicates and the discarded destinations.
 func TestConfigFacts(t *testing.T) {
 	pfx := network.MustParsePrefix
 	// unaligned is a network statement with host bits set: it covers no
@@ -102,6 +103,28 @@ func TestConfigFacts(t *testing.T) {
 			t.Errorf("redistribution from %v is dynamic", from)
 		}
 	}
+	// Discards: deny entries of bound ACLs on interfaces that are up, in
+	// order, then the null routes; permits, an unbound ACL, a shut-down
+	// interface's and a deny of every destination name nothing.
+	drops := NewRouter("drops")
+	drops.ACLs["EDGE"] = &ACL{Name: "EDGE", Entries: []ACLEntry{
+		{Action: Deny, DstPrefix: pfx("192.0.2.0/24")}, AnyACLEntry(Deny),
+		{Action: Permit, DstPrefix: pfx("10.1.0.0/16")}, {Action: Deny, DstPrefix: pfx("198.18.0.0/15")}}}
+	drops.ACLs["DOWN"] = &ACL{Name: "DOWN", Entries: []ACLEntry{{Action: Deny, DstPrefix: pfx("203.0.113.0/24")}}}
+	drops.ACLs["LOOSE"] = &ACL{Name: "LOOSE", Entries: []ACLEntry{{Action: Deny, DstPrefix: pfx("100.64.0.0/10")}}}
+	drops.Interfaces = []*Interface{
+		{Name: "e0", Prefix: pfx("10.0.1.0/24"), OutACL: "EDGE"},
+		{Name: "e1", Prefix: pfx("10.0.2.0/24"), InACL: "DOWN", Shutdown: true},
+	}
+	drops.Statics = []*StaticRoute{{Prefix: pfx("10.0.0.0/8"), Drop: true}, {Prefix: pfx("172.16.0.0/12")}}
+	filtered, nulled := drops.Discards()
+	if fmt.Sprint(filtered) != "[192.0.2.0/24 198.18.0.0/15]" || fmt.Sprint(nulled) != "[10.0.0.0/8]" {
+		t.Errorf("discards: filtered %v, nulled %v", filtered, nulled)
+	}
+	if f, n := bare.Discards(); f != nil || n != nil {
+		t.Errorf("a router with no ACL and no null route discards %v %v", f, n)
+	}
+
 	statics := NewRouter("statics")
 	statics.Statics = []*StaticRoute{{Prefix: pfx("0.0.0.0/0")}}
 	if !statics.MayLoop() || statics.Redistributes() {

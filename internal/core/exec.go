@@ -173,40 +173,50 @@ func (x *executor) blast(asserts []*smt.Term, origins [][]int32, enterGoals func
 	x.endBlast(sp, len(asserts))
 }
 
-// blastFresh is the fresh door's blast phase (DESIGN §22). It opens by
-// blasting the goals alone into a solver of their own, instrumented like
-// the check's and not sized. When unit propagation refutes them there,
-// that solver is the check's: its CNF is a subset of the system's with
-// the goals, so its UNSAT, proof and core are the whole formula's, and
-// the system is never blasted. Otherwise the solver is dropped, its
-// counts (not its clause database, which the check never holds) charged
-// to the phase and returned for Stats, and the check's solver is made,
-// sized and loaded as it would be without the step.
-func (x *executor) blastFresh(sys *passes.System) (*sat.Proof, *drat.Checker, sat.Stats) {
-	sp, m := x.Begin("blast"), x.m
-	enterGoals := func() {
-		for _, g := range sys.Goals {
+// goalsAlone blasts the goals alone into a solver of their own, made the
+// check's and instrumented like it, not sized (DESIGN §22). It runs
+// between phases: the phase that opens next is charged its window, and
+// its counts are the blast phase's, or an answered probe's. When root
+// propagation refutes the goals there, the solver stays the check's: its
+// CNF is a subset of the system's with the goals, so its UNSAT, proof
+// and core are the whole formula's, and the system is never blasted.
+func (x *executor) goalsAlone(goals []*smt.Term) (*sat.Proof, *drat.Checker) {
+	x.sol = smt.NewSolver(x.m.Ctx)
+	proof, chk := x.m.instrument(x.sol)
+	x.load(nil, nil, func() {
+		for _, g := range goals {
 			x.sol.Assert(g)
 		}
-	}
-	x.sol = smt.NewSolver(m.Ctx)
-	proof, chk := m.instrument(x.sol)
-	x.load(nil, nil, enterGoals)
-	if !x.sol.SAT().Okay() {
+	})
+	return proof, chk
+}
+
+// blastFresh is the fresh door's blast phase. When the goals alone were
+// refuted, x.sol is their solver and there is nothing left to blast.
+// Otherwise that solver was dropped, with dropped its counts (not its
+// clause database, which the check never holds): they are charged to
+// this phase, and the check's solver is made, sized and loaded with the
+// asserts and the goals as it would be without the step.
+func (x *executor) blastFresh(sys *passes.System, dropped sat.Stats, proof *sat.Proof, chk *drat.Checker) (*sat.Proof, *drat.Checker) {
+	sp, m := x.Begin("blast"), x.m
+	if x.sol != nil {
 		sp.SetStr("goals", "refuted")
 		x.endBlast(sp, 0)
-		return proof, chk, sat.Stats{}
+		return proof, chk
 	}
-	dropped := x.sol.SAT().Stats
 	// endSolver charges the work since the mark: a mark below zero by the
 	// dropped counts charges them to this phase too.
 	x.mark = cost.Work{}.Minus(cost.FromStats(dropped))
 	x.sol = smt.NewSolver(m.Ctx)
 	proof, chk = m.instrument(x.sol)
 	x.sol.Reserve(x.terms)
-	x.load(sys.Asserts, sys.Origins, enterGoals)
+	x.load(sys.Asserts, sys.Origins, func() {
+		for _, g := range sys.Goals {
+			x.sol.Assert(g)
+		}
+	})
 	x.endBlast(sp, len(sys.Asserts))
-	return proof, chk, dropped
+	return proof, chk
 }
 
 // load blasts asserts into the check's solver as permanent constraints,
@@ -261,12 +271,11 @@ func (x *executor) simplify() time.Duration {
 // With s nil it is the fresh path: the compiled asserts (cn, or with cn
 // nil the model's cached artifact, compiled — and charged to this query —
 // when stale) plus instrumentation appended since, pruned to the goals'
-// cone of influence; then, for a query scoped to some destinations, the
-// witness probe (probe.go), whose model — when it has one — answers the
-// check falsified with no blast and no search; else the goals blasted
-// alone (blastFresh), whose solver answers the check when they refute
-// themselves, or else a new solver holding the asserts and the goals
-// permanently, its CNF simplified. With a session
+// cone of influence; then the goals blasted alone (goalsAlone), whose
+// solver answers the check when they refute themselves; else the witness
+// probe (probe.go), whose model — when it has one — answers the check
+// falsified with no blast and no search; else a new solver holding the
+// asserts and the goals permanently, its CNF simplified. With a session
 // it is the incremental path: only the asserts added since the last
 // check are blasted, and the goals enter under a fresh activation
 // literal that the search and the proof check then assume. Everything after that — the search, certification, blame,
@@ -307,14 +316,18 @@ func (m *Model) check(ctx context.Context, s *Session, cn *CompiledNetwork, prop
 		defer x.Span.End()
 		_, sys := x.compile(cn, goals, res)
 		blameAsserts, blameOrigins = sys.Asserts, sys.Origins
-		if scoped := m.probeScope(assumptions); len(scoped) > 0 {
-			var err error
-			if asg, probeStats, err = x.probe(ctx, sys, scoped, res); err != nil {
-				return nil, err
+		proof, chk = x.goalsAlone(sys.Goals)
+		if x.sol.SAT().Okay() {
+			dropped, x.sol = x.sol.SAT().Stats, nil
+			if dsts, ok := m.probeDsts(assumptions); ok {
+				var err error
+				if asg, probeStats, err = x.probe(ctx, sys, dsts, cost.FromStats(dropped), res); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if asg == nil {
-			proof, chk, dropped = x.blastFresh(sys)
+			proof, chk = x.blastFresh(sys, dropped, proof, chk)
 			res.SATVars, res.SATClauses = x.sol.SAT().NumVars(), x.sol.SAT().NumClauses()
 			x.notePasses(res, passes.Stats{Pass: "cnf-simplify", Elapsed: x.simplify()})
 		}

@@ -175,7 +175,13 @@ func TestSizeHintLeavesCNFAlone(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	x.blastFresh(sys)
+	x.goalsAlone(sys.Goals)
+	if !x.sol.SAT().Okay() {
+		t.Fatal("the goals refuted themselves: the system is never blasted")
+	}
+	dropped := x.sol.SAT().Stats
+	x.sol = nil
+	x.blastFresh(sys, dropped, nil, nil)
 	sized := cnf(x.sol)
 	for _, hint := range []int{0, 100 * terms} {
 		sol := smt.NewSolver(m.Ctx)

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/obs/cost"
 	"repro/internal/sat"
 	"repro/internal/simulator"
@@ -13,41 +16,57 @@ import (
 	"repro/internal/smt/passes"
 )
 
-// The witness probe (DESIGN §22). Before a fresh check blasts its
-// system, it simulates the network under the empty environment for one
-// destination of the query, pins that stable state into a separate small
-// system — the check's pruned asserts and goals plus var = const for the
-// packet, the environment and each router's per-protocol best records —
-// and solves that on its own solver under probeConflictCap. A model of
-// system ∧ goals ∧ pins is a model of system ∧ goals, so a SAT probe
-// answers the check falsified; an UNSAT, capped or failed probe is
-// discarded and the check runs as it would have without it. The probe
-// never answers verified and never touches the check's solver.
+// The witness probe (DESIGN §22). A fresh check whose goals survive
+// their own solver tries concrete answers before it blasts its system:
+// for each destination it picks (probeDsts), it simulates the network
+// under the silent environment and then, when there are external peers,
+// under an announcing one in which every peer announces the destination
+// as a /32 at path length 1. Each stable state is pinned into a separate
+// small system — the check's pruned asserts and goals plus var = const
+// for the packet, the environment and each router's per-protocol best
+// records — solved on a solver of its own under probeConflictCap. A model
+// of system ∧ goals ∧ pins is a model of system ∧ goals, so the first
+// pinned system with a model answers the check falsified; an UNSAT,
+// capped or failed try is discarded, and when none answers the check runs
+// as it would have without the probe. The probe never answers verified
+// and never touches the check's solver.
 
-// probeConflictCap bounds the probe's search. A pinned state is found in
+// probeConflictCap bounds each try's search. A pinned state is found in
 // tens of conflicts when it violates the goals and refuted in tens when
-// it does not (pods-4 fabric: 15 and 0–30); the cap only stops a probe
+// it does not (pods-4 fabric: 15 and 0–30); the cap only stops a try
 // whose pins left the search wide open from costing what the check
 // itself would.
 const probeConflictCap = 1000
 
-// Probe outcomes, as Result.Probe and the probe span report them. A
-// probe that could not run reports "skipped:" and a reason.
+// Probe outcomes, as Result.Probe and the probe span report them: the
+// check's is the strongest of its tries' (answered, then capped, then
+// refuted). A try that could not run reports "skipped:" and a reason,
+// and the check reports the first of those when no try ran.
 const (
 	ProbeAnswered = "answered" // the pinned system had a model: falsified
 	ProbeRefuted  = "refuted"  // the pins contradict system ∧ goals
 	ProbeCapped   = "capped"   // the search hit probeConflictCap
+	// probeUnchanged is an announcing try whose announcements changed no
+	// pinned route of the silent try at its destination: it is not
+	// solved.
+	probeUnchanged = "skipped:unchanged"
 )
 
-// probeScope returns the assumptions that read nothing but the packet's
-// destination, as properties.DstIn does: the ones that restrict the query
-// to some destinations. A query without one asks about the whole
-// destination space and runs no probe; so does a model with the probe
-// withheld (a test seam, export_test.go) or with origin profiling on,
-// whose profile exists to attribute the search.
-func (m *Model) probeScope(assumptions []*smt.Term) []*smt.Term {
+// probeDsts returns the destinations the probe tries, and whether the
+// check probes at all. A query with assumptions that read nothing but
+// the packet's destination (properties.DstIn: the ones that restrict it
+// to some destinations) tries probeDst's pick, or opens a probe that
+// finds none. A query over the whole destination space tries every
+// destination the configuration itself discards, and probes only when
+// there is one: the first address of each ACL deny entry's destination,
+// then of each null route (config.Router.Discards), each once. A pair
+// model's goals read two copies of the network, which one simulation
+// does not pin, so a whole-space pair query does not probe; nor does a
+// model with the probe withheld (a test seam, export_test.go) or with
+// origin profiling on, whose profile exists to attribute the search.
+func (m *Model) probeDsts(assumptions []*smt.Term) ([]network.IP, bool) {
 	if m.probeOff || m.Opts.ProfileOrigins {
-		return nil
+		return nil, false
 	}
 	var scoped []*smt.Term
 	for _, a := range assumptions {
@@ -55,7 +74,29 @@ func (m *Model) probeScope(assumptions []*smt.Term) []*smt.Term {
 			scoped = append(scoped, a)
 		}
 	}
-	return scoped
+	if len(scoped) > 0 {
+		if dst, ok := m.probeDst(scoped); ok {
+			return []network.IP{dst}, true
+		}
+		return nil, true
+	}
+	if m.prefix != "" {
+		return nil, false
+	}
+	var filtered, nulled []network.Prefix
+	for _, n := range m.G.Topo.Nodes {
+		f, nl := m.G.Configs[n.Name].Discards()
+		filtered, nulled = append(filtered, f...), append(nulled, nl...)
+	}
+	var dsts []network.IP
+	seen := map[network.IP]bool{}
+	for _, p := range append(filtered, nulled...) {
+		if dst := p.First(); !seen[dst] {
+			seen[dst] = true
+			dsts = append(dsts, dst)
+		}
+	}
+	return dsts, len(dsts) > 0
 }
 
 // readsOnly reports whether v is the only variable under t.
@@ -151,15 +192,15 @@ func appendConsts(out []network.IP, t *smt.Term, width int) []network.IP {
 	return out
 }
 
-// probePins states the simulated stable state as constraints: the
-// packet, the environment and the failures PinEnvironment fixes, then
+// routePins states a simulated stable state's routes as constraints:
 // var = const for every field of a router's per-protocol best record
 // that is a variable of the encoding — valid, and for a valid record
 // prefix length, AD, local preference and metric. Fields the encoding
-// computes rather than allocates stay free.
-func (m *Model) probePins(dst network.IP, env *simulator.Environment, st *simulator.Result) []*smt.Term {
+// computes rather than allocates stay free. The packet, the environment
+// and the failures are PinEnvironment's.
+func (m *Model) routePins(st *simulator.Result) []*smt.Term {
 	c := m.Ctx
-	pins := m.PinEnvironment(dst, env)
+	var pins []*smt.Term
 	pin := func(field *smt.Term, v uint64) {
 		switch field.Op() {
 		case smt.OpBoolVar:
@@ -194,10 +235,9 @@ func (m *Model) probePins(dst network.IP, env *simulator.Environment, st *simula
 	return pins
 }
 
-// inCone keeps the pins whose variables all occur in the system: a pin
-// on a variable the cone-of-influence pass pruned constrains nothing the
-// check asks about, and would only grow the probe.
-func inCone(sys *passes.System, pins []*smt.Term) []*smt.Term {
+// coneOf marks, by term id, every term under the system's asserts and
+// goals: the cone a probe's pins must stay within.
+func coneOf(sys *passes.System) []bool {
 	seen := make([]bool, sys.Ctx.NumTerms())
 	var mark func(t *smt.Term)
 	mark = func(t *smt.Term) {
@@ -215,10 +255,17 @@ func inCone(sys *passes.System, pins []*smt.Term) []*smt.Term {
 	for _, g := range sys.Goals {
 		mark(g)
 	}
+	return seen
+}
+
+// inCone keeps the pins whose variables all lie in the cone: a pin on a
+// variable the cone-of-influence pass pruned constrains nothing the
+// check asks about, and would only grow the probe.
+func inCone(cone []bool, pins []*smt.Term) []*smt.Term {
 	var within func(t *smt.Term) bool
 	within = func(t *smt.Term) bool {
 		if op := t.Op(); op == smt.OpBoolVar || op == smt.OpBVVar {
-			return int(t.ID()) < len(seen) && seen[t.ID()]
+			return int(t.ID()) < len(cone) && cone[t.ID()]
 		}
 		for _, k := range t.Kids() {
 			if !within(k) {
@@ -246,14 +293,19 @@ func (m *Model) simulate(dst network.IP, env *simulator.Environment) (*simulator
 }
 
 // probe is the check's probe phase over sys, the system compile left to
-// blast, for a query scoped by the given assumptions. It returns the
-// model of a probe that answered, or nil to let the check search as it
-// would have, with the probe's solver counts; res gets the outcome, and
-// the formula's size when the probe answered. The only error is ctx's: a
-// canceled probe ends the check like any phase.
-func (x *executor) probe(ctx context.Context, sys *passes.System, scoped []*smt.Term, res *Result) (asg smt.Assignment, stats sat.Stats, err error) {
+// blast, trying each of dsts under the silent and then the announcing
+// environment. It returns the model of the first try that answered, or
+// nil to let the check blast and search as it would have, with the
+// tries' solver counts; res gets the outcome, and the formula's size
+// when the probe answered. goals is the work of the goals' solver, which
+// the blast phase carries when the system is blasted; an answered probe
+// ends the check's solver work, so it carries them instead. The phase's
+// work is the sum of its tries', and its span names each try. The only
+// error is ctx's: a canceled probe ends the check like any phase.
+func (x *executor) probe(ctx context.Context, sys *passes.System, dsts []network.IP, goals cost.Work, res *Result) (asg smt.Assignment, stats sat.Stats, err error) {
 	sp := x.Begin("probe")
-	var sol *smt.Solver
+	var work cost.Work
+	var tries []string
 	defer func() {
 		if r := recover(); r != nil {
 			asg, err, res.Probe = nil, nil, fmt.Sprint("skipped:panic: ", r)
@@ -261,31 +313,105 @@ func (x *executor) probe(ctx context.Context, sys *passes.System, scoped []*smt.
 		if err != nil {
 			res.Probe = "canceled"
 		}
-		var work cost.Work
-		if sol != nil {
-			work, stats = solverWork(sol), sol.SAT().Stats
+		if asg != nil {
+			work = work.Plus(goals)
 		}
+		sp.SetStr("tries", strings.Join(tries, "; "))
 		sp.SetStr("outcome", res.Probe)
 		x.End(work)
 	}()
-	m := x.m
-	dst, ok := m.probeDst(scoped)
-	if !ok {
+	if len(dsts) == 0 {
 		res.Probe = "skipped:no-destination"
 		return nil, stats, nil
 	}
-	sp.SetStr("dst", dst.String())
-	env := simulator.NewEnvironment()
-	state, err := m.simulate(dst, env)
+	m := x.m
+	cone := coneOf(sys)
+	for _, dst := range dsts {
+		var silent []*smt.Term // the silent try's route pins
+		for _, announcing := range []bool{false, true} {
+			t := probeTry{dst: dst, env: simulator.NewEnvironment(), silent: silent}
+			if announcing {
+				if len(m.G.Topo.Externals) == 0 {
+					break
+				}
+				for _, e := range m.G.Topo.Externals {
+					t.env.Announce(e.Name, simulator.Announcement{Prefix: network.Prefix{Addr: dst, Len: 32}, PathLen: 1})
+				}
+			}
+			if err := x.try(ctx, sp, sys, cone, &t); err != nil {
+				return nil, stats, err
+			}
+			work, stats = work.Plus(t.work), stats.Plus(t.stats)
+			name := "silent"
+			if announcing {
+				name = "announcing"
+			}
+			tries = append(tries, fmt.Sprintf("%v %s %s", dst, name, t.outcome))
+			if res.Probe == "" || probeRank(t.outcome) > probeRank(res.Probe) {
+				res.Probe = t.outcome
+			}
+			if t.model != nil {
+				res.SATVars, res.SATClauses = t.vars, t.clauses
+				return t.model, stats, nil
+			}
+			silent = t.routes
+		}
+	}
+	return nil, stats, nil
+}
+
+// probeRank orders outcomes by what they say of the check: an answer,
+// then a search the cap cut short, then a refutation, then a try that
+// did not run.
+func probeRank(outcome string) int {
+	switch outcome {
+	case ProbeAnswered:
+		return 3
+	case ProbeCapped:
+		return 2
+	case ProbeRefuted:
+		return 1
+	}
+	return 0
+}
+
+// probeTry is one pinned system of the probe: a destination under an
+// environment, and what solving it gave.
+type probeTry struct {
+	dst network.IP
+	env *simulator.Environment
+	// silent is the silent try's route pins at the same destination when
+	// this is an announcing try that follows one, else nil.
+	silent []*smt.Term
+
+	outcome string
+	routes  []*smt.Term // the simulated state's route pins in the cone
+	model   smt.Assignment
+	// vars and clauses size the pinned formula when it had a model.
+	vars, clauses int
+	stats         sat.Stats
+	work          cost.Work
+}
+
+// try simulates t's destination under its environment, pins that state
+// within the cone of sys and solves the pinned system, filling in t; its
+// term pass is a child of sp, the probe's span. The only error is ctx's.
+func (x *executor) try(ctx context.Context, sp *obs.Span, sys *passes.System, cone []bool, t *probeTry) error {
+	m := x.m
+	state, err := m.simulate(t.dst, t.env)
 	if err != nil {
-		res.Probe = "skipped:simulator: " + err.Error()
-		return nil, stats, nil
+		t.outcome = "skipped:simulator: " + err.Error()
+		return nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, stats, err
+		return err
 	}
-	pins := inCone(sys, m.probePins(dst, env, state))
-	sp.SetInt("pins", int64(len(pins)))
+	t.routes = inCone(cone, m.routePins(state))
+	if t.silent != nil && slices.Equal(t.routes, t.silent) {
+		t.outcome = probeUnchanged
+		return nil
+	}
+	pins := append(inCone(cone, m.PinEnvironment(t.dst, t.env)), t.routes...)
 	// Propagate rewrites the slices it is handed: the check's own system
 	// stays as compile left it.
 	psys := &passes.System{
@@ -294,32 +420,41 @@ func (x *executor) probe(ctx context.Context, sys *passes.System, scoped []*smt.
 		Goals:   append([]*smt.Term(nil), sys.Goals...),
 	}
 	ps := passes.Propagate(psys, sp)
-	// The goals lead, then the pins (the first asserts): the solver
-	// propagates each unit as it is added, so a refuted probe usually
-	// stops blasting early.
-	sol = smt.NewSolver(m.Ctx)
-	sol.Reserve(ps.TermsAfter)
+	// The goals lead, then the pins (the first asserts, which Propagate
+	// keeps verbatim): the solver propagates each unit as it is added, so
+	// a refuted try usually stops blasting early, and only a try whose
+	// goals and pins survived sizes its solver for the rest.
+	sol := smt.NewSolver(m.Ctx)
 	st := sol.SAT()
-	for _, t := range append(psys.Goals, psys.Asserts...) {
+	for _, g := range psys.Goals {
 		if !st.Okay() {
 			break
 		}
-		sol.Assert(t)
+		sol.Assert(g)
+	}
+	for i, a := range psys.Asserts {
+		if !st.Okay() {
+			break
+		}
+		if i == len(pins) {
+			sol.Reserve(ps.TermsAfter)
+		}
+		sol.Assert(a)
 	}
 	vars, clauses := st.NumVars(), st.NumClauses()
 	st.MaxConflicts = probeConflictCap
 	status, err := solve(ctx, st, nil, sat.Stats{})
+	t.stats, t.work = st.Stats, solverWork(sol)
 	switch {
 	case err != nil && errors.Is(err, ctx.Err()):
-		return nil, stats, err
+		return err
 	case err != nil:
-		res.Probe = ProbeCapped
-		return nil, stats, nil
+		t.outcome = ProbeCapped
 	case status == sat.Unsat:
-		res.Probe = ProbeRefuted
-		return nil, stats, nil
+		t.outcome = ProbeRefuted
+	default:
+		t.outcome = ProbeAnswered
+		t.model, t.vars, t.clauses = sol.Model(), vars, clauses
 	}
-	res.Probe = ProbeAnswered
-	res.SATVars, res.SATClauses = vars, clauses
-	return sol.Model(), stats, nil
+	return nil
 }

@@ -24,17 +24,17 @@ func TestProbePinsOutsideTheConeSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pins := m.probePins(dst, env, st)
+	pins := append(m.PinEnvironment(dst, env), m.routePins(st)...)
 	c := m.Ctx
 	scope := c.InRange(m.DstIP, uint64(dst), uint64(dst))
 	// A system that reads the destination alone keeps the packet's pin.
-	kept := inCone(&passes.System{Ctx: c, Goals: []*smt.Term{scope}}, pins)
+	kept := inCone(coneOf(&passes.System{Ctx: c, Goals: []*smt.Term{scope}}), pins)
 	if len(kept) != 1 || kept[0] != c.Eq(m.DstIP, c.BV(uint64(dst), WidthIP)) {
 		t.Fatalf("kept %v of %d pins, want the destination's alone", kept, len(pins))
 	}
 	// The whole network keeps every pin but the source, the ports and the
 	// protocol: the chain has no ACL to read them.
-	if all := inCone(&passes.System{Ctx: c, Asserts: m.Asserts, Goals: []*smt.Term{scope}}, pins); len(all) != len(pins)-4 {
+	if all := inCone(coneOf(&passes.System{Ctx: c, Asserts: m.Asserts, Goals: []*smt.Term{scope}}), pins); len(all) != len(pins)-4 {
 		t.Fatalf("kept %d of %d pins over the whole system", len(all), len(pins))
 	}
 	if got, ok := m.probeDst([]*smt.Term{scope}); !ok || got != dst {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/obs/cost"
 	"repro/internal/pipeline"
 	"repro/internal/protograph"
@@ -270,8 +271,10 @@ func TestProbeNeverAnError(t *testing.T) {
 	})
 }
 
-// TestProbeScope: a query over the whole destination space and a
-// session check run no probe, and their ledgers have no probe node.
+// TestProbeScope: a query over the whole destination space probes the
+// destinations the configuration discards, so it runs no probe on a
+// network that discards none; a whole-space pair query and a session
+// check run no probe either, and their ledgers have no probe node.
 func TestProbeScope(t *testing.T) {
 	net := testnets.OSPFChain(3)
 	m := encode(t, net.Graph, false)
@@ -280,7 +283,39 @@ func TestProbeScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Probe != "" || res.Cost.Find("probe") != nil {
-		t.Errorf("whole-space query: probe %q", res.Probe)
+		t.Errorf("whole-space query on a network that discards nothing: probe %q", res.Probe)
+	}
+	// StaticNull's R1 null-routes 172.16.0.0/16: a whole-space question
+	// whose goals survive their own solver probes that destination, and
+	// only under the silent environment, since the network has no
+	// external peer.
+	null := testnets.StaticNull()
+	tr := obs.New("query")
+	m = encode(t, null.Graph, false)
+	m.Opts.Span = tr.Root()
+	if res, err = ask(t, context.Background(), m, tiered.Goal{Check: "multipath-consistency"}); err != nil {
+		t.Fatal(err)
+	}
+	var tries string
+	for _, c := range tr.Root().Children() {
+		for _, ph := range c.Children() {
+			if a, ok := ph.Attr("tries"); ok && ph.Name() == "probe" {
+				tries = a.Str
+			}
+		}
+	}
+	if !res.Verified || res.Probe != core.ProbeRefuted || tries != "172.16.0.0 silent refuted" {
+		t.Errorf("whole-space query on a network with a null route: verified=%v probe %q, tries %q", res.Verified, res.Probe, tries)
+	}
+	pair, prop, err := core.FaultInvariance(null.Graph, core.Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = pair.Check(context.Background(), prop); err != nil {
+		t.Fatal(err)
+	}
+	if res.Probe != "" || res.Cost.Find("probe") != nil {
+		t.Errorf("whole-space pair query: probe %q", res.Probe)
 	}
 	m = encode(t, net.Graph, false)
 	p, assumptions, err := pipeline.Property(m, tiered.Goal{Check: "isolation", Src: "R1",
@@ -302,17 +337,19 @@ func TestProbeScope(t *testing.T) {
 const probeParitySeeds = 8
 
 // TestProbeParity is the probe-parity oracle: on probeParitySeeds seeds
-// of every fuzz family, each goal with a subnet gets the same verdict
-// from the fresh door with the probe as with it withheld, and every
+// of every fuzz family, each goal with a subnet and each whole-space goal
+// (blackholes, loops, multipath-consistency) gets the same verdict from
+// the fresh door with the probe as with it withheld, and every
 // counterexample the probe answered replays in the simulator to the
 // state it decodes. It logs how many goals the probe answered per
-// family.
+// family. TestProbeParityOnTheAudit holds the audit's blackhole checks
+// to the same.
 func TestProbeParity(t *testing.T) {
 	for fam := 0; fam < fuzz.Families(); fam++ {
 		fam := fam
 		t.Run(fmt.Sprint("family-", fam), func(t *testing.T) {
 			t.Parallel()
-			answered, goals := 0, 0
+			answered, wholeSpace, asked := 0, 0, 0
 			for seed := 0; seed < probeParitySeeds; seed++ {
 				s, rng, err := fuzz.FromSeed(binary.BigEndian.AppendUint32([]byte{byte(fam)}, uint32(seed)))
 				if err != nil {
@@ -323,6 +360,7 @@ func TestProbeParity(t *testing.T) {
 				dst := s.Dsts[rng.Intn(len(s.Dsts))]
 				maxFail := rng.Intn(2)
 				with, without := encode(t, s.Net.Graph, false), encode(t, s.Net.Graph, true)
+				var goals []tiered.Goal
 				for _, sub := range []network.Prefix{{Addr: dst, Len: 32}, {Addr: dst.Mask(24), Len: 24}} {
 					for _, goal := range []tiered.Goal{
 						{Check: "reachability", Src: src, MaxFailures: maxFail},
@@ -332,30 +370,77 @@ func TestProbeParity(t *testing.T) {
 						{Check: "loops"}, {Check: "blackholes"}, {Check: "multipath-consistency"},
 					} {
 						goal.Subnet, goal.HasSubnet = sub, true
-						a, err := ask(t, context.Background(), with, goal)
-						if err != nil {
-							t.Fatalf("%s %+v: %v", s.Name, goal, err)
-						}
-						b, err := ask(t, context.Background(), without, goal)
-						if err != nil {
-							t.Fatalf("%s %+v withheld: %v", s.Name, goal, err)
-						}
-						goals++
-						if a.Verified != b.Verified {
-							t.Fatalf("%s %+v: verified=%v with the probe (%s), %v without", s.Name, goal, a.Verified, a.Probe, b.Verified)
-						}
-						if a.Probe != core.ProbeAnswered {
-							continue
-						}
-						answered++
-						diffs, err := with.ReplayAgrees(a.Counterexample)
-						if err != nil || len(diffs) > 0 {
-							t.Fatalf("%s %+v: the probe's counterexample does not replay: %v %v", s.Name, goal, err, diffs)
-						}
+						goals = append(goals, goal)
+					}
+				}
+				goals = append(goals, tiered.Goal{Check: "loops"}, tiered.Goal{Check: "blackholes"}, tiered.Goal{Check: "multipath-consistency"})
+				for _, goal := range goals {
+					a, err := ask(t, context.Background(), with, goal)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", s.Name, goal, err)
+					}
+					b, err := ask(t, context.Background(), without, goal)
+					if err != nil {
+						t.Fatalf("%s %+v withheld: %v", s.Name, goal, err)
+					}
+					asked++
+					if a.Verified != b.Verified {
+						t.Fatalf("%s %+v: verified=%v with the probe (%s), %v without", s.Name, goal, a.Verified, a.Probe, b.Verified)
+					}
+					if a.Probe != core.ProbeAnswered {
+						continue
+					}
+					answered++
+					if !goal.HasSubnet {
+						wholeSpace++
+					}
+					diffs, err := with.ReplayAgrees(a.Counterexample)
+					if err != nil || len(diffs) > 0 {
+						t.Fatalf("%s %+v: the probe's counterexample does not replay: %v %v", s.Name, goal, err, diffs)
 					}
 				}
 			}
-			t.Logf("%d of %d goals answered by the probe", answered, goals)
+			t.Logf("%d of %d goals answered by the probe, %d of them over the whole destination space", answered, asked, wholeSpace)
 		})
 	}
+}
+
+// TestProbeParityOnTheAudit holds the §8.1 blackhole check of each of
+// the 24 networks netgen.Audit(6..29) to the verdict it gets with the
+// probe withheld. Each answer the probe gives must replay in the
+// simulator, announcements included; the falsified checks are the
+// deep-drop ones, answered under a peer announcing the ACL's
+// destination, and every one of them must be answered.
+func TestProbeParityOnTheAudit(t *testing.T) {
+	answered, falsified := 0, 0
+	for size := 6; size <= 29; size++ {
+		m, with := auditBlackholes(t, size, core.DefaultOptions(), false)
+		_, without := auditBlackholes(t, size, core.DefaultOptions(), true)
+		if with.Verified != without.Verified {
+			t.Fatalf("net%d: verified=%v with the probe (%s), %v without", size, with.Verified, with.Probe, without.Verified)
+		}
+		if with.Verified {
+			if with.Probe == core.ProbeAnswered {
+				t.Fatalf("net%d: the probe answered a verified check", size)
+			}
+			continue
+		}
+		falsified++
+		if with.Probe != core.ProbeAnswered {
+			t.Errorf("net%d: falsified, but the probe %q", size, with.Probe)
+			continue
+		}
+		answered++
+		if len(with.Counterexample.Env.Anns) == 0 {
+			t.Errorf("net%d: the probe's counterexample has no announcement", size)
+		}
+		diffs, err := m.ReplayAgrees(with.Counterexample)
+		if err != nil || len(diffs) > 0 {
+			t.Fatalf("net%d: the probe's counterexample does not replay: %v %v", size, err, diffs)
+		}
+	}
+	if falsified == 0 {
+		t.Fatal("no falsified check: nothing was compared")
+	}
+	t.Logf("%d of %d falsified checks answered by the probe", answered, falsified)
 }

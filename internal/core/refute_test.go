@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netgen"
+	"repro/internal/network"
 	"repro/internal/obs/cost"
 	"repro/internal/pipeline"
 	"repro/internal/properties"
@@ -14,8 +15,9 @@ import (
 
 // auditBlackholes asks netgen.Audit(size) the §8.1 blackhole question on
 // the fresh door: traffic is dropped only at the edge (access routers and
-// borders), given no failures.
-func auditBlackholes(t *testing.T, size int, opts core.Options) *core.Result {
+// borders), given no failures. With withhold set the model runs without
+// the witness probe.
+func auditBlackholes(t *testing.T, size int, opts core.Options, withhold bool) (*core.Model, *core.Result) {
 	t.Helper()
 	n, err := netgen.Audit(size)
 	if err != nil {
@@ -33,12 +35,15 @@ func auditBlackholes(t *testing.T, size int, opts core.Options) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if withhold {
+		core.WithholdProbe(m)
+	}
 	prop := properties.DropsAtEdgeOnly(m, func(r string) bool { return edge[r] })
 	res, err := m.CheckGoal(context.Background(), nil, prop, m.NoFailures())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return m, res
 }
 
 // TestGoalsRefutedAlone: on netgen.Audit(5) the blackhole question's
@@ -51,7 +56,7 @@ func auditBlackholes(t *testing.T, size int, opts core.Options) *core.Result {
 func TestGoalsRefutedAlone(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Certify, opts.Blame = true, true
-	res := auditBlackholes(t, 5, opts)
+	_, res := auditBlackholes(t, 5, opts, false)
 	if !res.Verified {
 		t.Fatal("net5: the blackhole question is falsified")
 	}
@@ -84,7 +89,11 @@ func TestGoalsRefutedAlone(t *testing.T) {
 // satisfiable to the formula and search they had before the goals got a
 // solver of their own: the §8.1 blackhole question on netgen.Audit(14)
 // (falsified), and every other ToR reaching ToR 0-0's subnet on the
-// pods-2 fabric (verified).
+// pods-2 fabric (verified). The witness probe answers net14 — a border's
+// peer announcing the deep-drop ACL's destination pulls traffic onto the
+// core's deny — so its search is pinned with the probe withheld, and the
+// probe's answer is held to a smaller formula with that packet and an
+// announcement.
 func TestGoalsNotRefutedKeepTheirSearch(t *testing.T) {
 	type counts struct {
 		vars, clauses        int
@@ -93,9 +102,14 @@ func TestGoalsNotRefutedKeepTheirSearch(t *testing.T) {
 	read := func(res *core.Result) counts {
 		return counts{res.SATVars, res.SATClauses, res.Stats.Conflicts, res.Stats.Decisions}
 	}
-	net14 := auditBlackholes(t, 14, core.DefaultOptions())
+	_, net14 := auditBlackholes(t, 14, core.DefaultOptions(), true)
 	if got, want := read(net14), (counts{39267, 134148, 1669, 8289}); net14.Verified || got != want {
 		t.Errorf("net14: verified=%v %+v, want falsified %+v", net14.Verified, got, want)
+	}
+	_, probed := auditBlackholes(t, 14, core.DefaultOptions(), false)
+	if cex := probed.Counterexample; probed.Verified || probed.Probe != core.ProbeAnswered || probed.SATVars >= 39267 ||
+		cex == nil || !network.MustParsePrefix("192.0.2.0/24").Contains(cex.Packet.DstIP) || len(cex.Env.Anns) == 0 {
+		t.Errorf("net14 with the probe: verified=%v probe %q, %d SAT variables, counterexample %+v", probed.Verified, probed.Probe, probed.SATVars, cex)
 	}
 	ft, net := fabric(t, 2, nil)
 	m, err := core.Encode(net.Graph, core.DefaultOptions())

@@ -50,13 +50,13 @@ type Result struct {
 	EncodeElapsed   time.Duration
 	SimplifyElapsed time.Duration
 	SolveElapsed    time.Duration
-	// Probe is the witness probe's outcome on a fresh check scoped to
-	// some destinations (DESIGN §22): "answered" when the pinned
+	// Probe is the witness probe's outcome on a fresh check whose goals
+	// survived their own solver (DESIGN §22): "answered" when a pinned
 	// simulated state violated the goals and the check answered falsified
 	// from it, with no blast and no search; "refuted" or "capped" when the
-	// check then searched as without it; "skipped:<reason>" when it could
-	// not run. Empty when no probe ran. ProbeElapsed is its phase,
-	// "probe", and its solver work is part of Stats.
+	// check then searched as without it; "skipped:<reason>" when no try
+	// could run. Empty when no probe ran. ProbeElapsed is its phase,
+	// "probe", and its tries' solver work is part of Stats.
 	Probe        string
 	ProbeElapsed time.Duration
 	// PassStats itemizes SimplifyElapsed per pass, in execution order:

@@ -3,17 +3,20 @@ package pipeline_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netgen"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/obs/cost"
 	"repro/internal/obs/stream"
 	"repro/internal/pipeline"
+	"repro/internal/properties"
 	"repro/internal/smt"
 	"repro/internal/testnets"
 	"repro/internal/tiered"
@@ -316,6 +319,58 @@ func TestPhaseAccounts(t *testing.T) {
 			extra: func(t *testing.T, r *rig, res *core.Result) {
 				if len(res.Blame) == 0 || !r.has(stream.EventBlame) || !r.has(stream.EventCertify) {
 					t.Errorf("blame %v, events %v", res.Blame, r.events)
+				}
+			}},
+		{name: "whole-space, probe-answered under announcements", phases: "compile decode probe",
+			run: func(t *testing.T, r *rig) *core.Result {
+				// netgen.Audit(14)'s blackhole question reads every
+				// destination and its goals survive their own solver: the
+				// probe tries the deep-drop ACL's 192.0.2.0, silent and then
+				// announced by every peer, and the second try answers.
+				n, err := netgen.Audit(14)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := pipeline.Build(n.Routers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edge := append(append([]string(nil), n.Access...), n.Borders...)
+				m, err := core.Encode(net.Graph, core.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.wire(&m.Opts)
+				prop := properties.DropsAtEdgeOnly(m, func(r string) bool { return slices.Contains(edge, r) })
+				res, err := m.CheckGoal(ctx, nil, prop, m.NoFailures())
+				return must(t, res, err)
+			},
+			extra: func(t *testing.T, r *rig, res *core.Result) {
+				if res.Probe != core.ProbeAnswered || res.Verified || res.Counterexample == nil || len(res.Counterexample.Env.Anns) == 0 {
+					t.Fatalf("probe %q, verified=%v, counterexample %+v", res.Probe, res.Verified, res.Counterexample)
+				}
+				// One probe phase for both tries: its span names each, and
+				// its node, its phase.end and Stats carry their summed work
+				// and the goals' solver's, the only other solver work.
+				var tries string
+				for _, c := range r.tr.Root().Children() {
+					for _, ph := range c.Children() {
+						if a, ok := ph.Attr("tries"); ok && ph.Name() == "probe" {
+							tries = a.Str
+						}
+					}
+				}
+				if want := "192.0.2.0 silent refuted; 192.0.2.0 announcing answered"; tries != want {
+					t.Errorf("probe span tries %q, want %q", tries, want)
+				}
+				work := res.Cost.Find("probe").Total()
+				if work.Conflicts != res.Stats.Conflicts || work.Propagations != res.Stats.Propagations || work.Conflicts == 0 {
+					t.Errorf("probe node %+v, Stats %+v", work, res.Stats)
+				}
+				for _, e := range r.events {
+					if e.Type == stream.EventPhaseEnd && e.Data["phase"] == "probe" && e.Data["conflicts"] != res.Stats.Conflicts {
+						t.Errorf("probe phase.end carries %v conflicts, Stats %d", e.Data["conflicts"], res.Stats.Conflicts)
+					}
 				}
 			}},
 		{name: "blame SAT", phases: "blame blast compile decode simplify solve",
